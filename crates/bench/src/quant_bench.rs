@@ -27,11 +27,10 @@ use serde::Serialize;
 
 use crate::profile::Profile;
 use crate::tables::Artifact;
-use emba_core::{match_metrics, train_single, Matcher, QuantizedMatcher};
+use emba_core::{match_metrics, record_hash, train_single, Matcher, PairScorer};
 use emba_datagen::Record;
-use emba_nn::GraphStamp;
 use emba_tensor::backend::{self, BackendKind};
-use emba_tensor::{prof, simd, Graph, Tensor};
+use emba_tensor::{prof, simd};
 
 /// Int8-SIMD encode+score throughput must be at least this multiple of f32.
 pub const REQUIRED_SPEEDUP: f64 = 1.5;
@@ -81,7 +80,7 @@ pub struct DatasetEquiv {
 /// The timed encode+score comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct Throughput {
-    /// Unique records encoded per pass.
+    /// Records resolved per pass (the scorer encodes each distinct one once).
     pub records: usize,
     /// Pairs scored per pass.
     pub pairs: usize,
@@ -95,26 +94,25 @@ pub struct Throughput {
     pub speedup: f64,
 }
 
-/// One timed pass of the serving decomposition: encode every record
-/// standalone, then score all candidate pairs from the cached encodings.
-/// Returns pairs/sec.
-fn encode_score_pass(model: &dyn Matcher, ids: &[Vec<usize>], pairs: &[(usize, usize)]) -> f64 {
+/// One timed pass of the serving decomposition through a cold
+/// [`PairScorer`]: resolve (encode) every record, then score all candidate
+/// pairs from the encodings. Returns pairs/sec.
+fn cold_scorer_pass(
+    model: &dyn Matcher,
+    backend: BackendKind,
+    ids: &[Vec<usize>],
+    pairs: &[(usize, usize)],
+) -> f64 {
     let start = Instant::now();
-    let recs: Vec<&[usize]> = ids.iter().map(|v| &v[..]).collect();
-    let g = Graph::new();
-    let encs = model
-        .encode_records_standalone(&g, GraphStamp::next(), &recs)
-        .expect("EMBA has a split scoring path");
-    g.recycle();
-    for chunk in pairs.chunks(32) {
-        let prs: Vec<(&Tensor, &Tensor)> = chunk.iter().map(|&(i, j)| (&encs[i], &encs[j])).collect();
-        let g = Graph::new();
-        let probs = model
-            .score_encoded_pairs(&g, GraphStamp::next(), &prs)
-            .expect("EMBA has a split scoring path");
-        std::hint::black_box(&probs);
-        g.recycle();
-    }
+    let keys: Vec<u64> = ids.iter().map(|v| record_hash(v)).collect();
+    let mut scorer = PairScorer::new(2 * ids.len(), backend);
+    let resolved = scorer.resolve(model, keys.iter().copied().zip(ids), |v| v);
+    let (probs, _) = scorer.score(
+        model,
+        &resolved,
+        pairs.iter().map(|&(i, j)| (keys[i], keys[j])),
+    );
+    std::hint::black_box(&probs);
     pairs.len() as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
@@ -159,18 +157,24 @@ pub fn bench_quant(profile: &Profile) -> (Artifact, Vec<String>) {
         // legs compare against the same trained model the tables report
         // (and get a non-degenerate F1 to diff).
         let (trained, _report) = train_single(ModelKind::Emba, &ds, &profile.cfg, 1000);
-        // Quantize once, up front, through the restore-path wrapper.
-        let q = QuantizedMatcher::new(trained);
 
         let test = &ds.test[..ds.test.len().min(EQUIV_PAIRS)];
         let pairs: Vec<(&Record, &Record)> = test.iter().map(|ex| (&ex.left, &ex.right)).collect();
         let gold: Vec<bool> = test.iter().map(|ex| ex.is_match).collect();
 
-        let probs_f32: Vec<f64> = q.trained().predict_batch(&pairs).iter().map(|p| p.prob).collect();
-        let probs_simd: Vec<f64> = q.predict_batch(&pairs).iter().map(|p| p.prob).collect();
+        let probs_under = |kind: BackendKind| -> Vec<f64> {
+            let _b = backend::install(kind);
+            trained
+                .predict_batch(&pairs)
+                .iter()
+                .map(|p| p.prob)
+                .collect()
+        };
+        let probs_f32 = probs_under(BackendKind::F32);
+        let probs_simd = probs_under(BackendKind::Int8);
         simd::set_forced_scalar(true);
         let scalar_label = BackendKind::Int8.label();
-        let probs_scalar: Vec<f64> = q.predict_batch(&pairs).iter().map(|p| p.prob).collect();
+        let probs_scalar = probs_under(BackendKind::Int8);
         simd::set_forced_scalar(initial_forced);
         let simd_label = BackendKind::Int8.label();
 
@@ -199,28 +203,22 @@ pub fn bench_quant(profile: &Profile) -> (Artifact, Vec<String>) {
         // mix is identical across datasets, and training the second model
         // already dominates the target's runtime.
         if di == 0 {
-            let model = q.trained().model.as_ref();
+            let model = trained.model.as_ref();
             let bench_pairs = &test[..test.len().min(BENCH_PAIRS)];
             let mut ids: Vec<Vec<usize>> = Vec::new();
             let mut pair_idx: Vec<(usize, usize)> = Vec::new();
             for ex in bench_pairs {
                 let li = ids.len();
-                ids.push(q.trained().pipeline.encode_single_record(&ex.left));
-                ids.push(q.trained().pipeline.encode_single_record(&ex.right));
+                ids.push(trained.pipeline.encode_single_record(&ex.left));
+                ids.push(trained.pipeline.encode_single_record(&ex.right));
                 pair_idx.push((li, li + 1));
             }
 
             let mut best_f32 = 0f64;
             let mut best_int8 = 0f64;
             for rep in 0..=reps {
-                let f = {
-                    let _b = backend::install(BackendKind::F32);
-                    encode_score_pass(model, &ids, &pair_idx)
-                };
-                let i = {
-                    let _b = backend::install(BackendKind::Int8);
-                    encode_score_pass(model, &ids, &pair_idx)
-                };
+                let f = cold_scorer_pass(model, BackendKind::F32, &ids, &pair_idx);
+                let i = cold_scorer_pass(model, BackendKind::Int8, &ids, &pair_idx);
                 if rep > 0 {
                     best_f32 = best_f32.max(f);
                     best_int8 = best_int8.max(i);
@@ -239,10 +237,7 @@ pub fn bench_quant(profile: &Profile) -> (Artifact, Vec<String>) {
             // quantized op names distinctly.
             let was = prof::enable(true);
             prof::reset();
-            {
-                let _b = backend::install(BackendKind::Int8);
-                encode_score_pass(model, &ids, &pair_idx);
-            }
+            cold_scorer_pass(model, BackendKind::Int8, &ids, &pair_idx);
             let rep = prof::report();
             quantized_ops_profiled = rep
                 .ops

@@ -105,7 +105,7 @@ pub fn attention_over_attention_batch(
     let alpha = g.softmax_cols_grouped(interaction, g1, g2); // per-pair columns sum to 1
     let beta = g.softmax_rows_grouped(interaction, g1, g2); // per-pair rows sum to 1
     let beta_bar = g.mean_rows_grouped(beta, g1); // [G, W]
-    let gamma = g.rowdot_grouped(alpha, beta_bar, g1); // [ΣM, 1]
+    let gamma = g.rowdot_grouped(alpha, beta_bar, g1, g2); // [ΣM, 1]
     let pooled = g.weighted_sum_rows_grouped(gamma, e1, g1); // γᵀ·E1 per pair: [G, h]
     AoaBatchOutput {
         pooled,

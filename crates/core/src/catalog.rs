@@ -8,30 +8,26 @@
 //! token tensors live in a bounded [`EncodingCache`], and each candidate
 //! pair emitted by the [`crate::blocking`] index costs only the
 //! attention-over-attention module plus the match head over two cached
-//! encodings. Both the encode and the score stages reuse the PR-5
-//! [`plan_sub_batches`] planner so packed kernels see length-homogeneous
-//! sub-batches.
+//! encodings. The lookup → encode-misses → score sequence itself is
+//! [`PairScorer`]'s; this module only walks the candidate list in windows
+//! of `score_chunk` pairs (the memory bound) and hands each one over.
 //!
 //! Stage latencies land in the `catalog.*` histograms, candidate/encode
 //! counts in the matching counters, and the cache exports its hit rate as
 //! a gauge — all through the [`emba_trace::metrics`] registry, so a traced
 //! run's `RunSummary` can carry the whole catalog section.
 
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use emba_datagen::Record;
-use emba_nn::GraphStamp;
-use emba_tensor::{Graph, Tensor};
+use emba_tensor::BackendKind;
 use emba_trace::metrics;
 use serde::Serialize;
-
-use crate::batching::plan_sub_batches;
-use emba_tensor::{backend, BackendKind};
 
 use crate::blocking::{BlockingConfig, BlockingIndex};
 use crate::enc_cache::{record_hash, EncodingCache};
 use crate::experiment::TrainedMatcher;
+use crate::scorer::PairScorer;
 
 /// Knobs for [`match_catalog`].
 #[derive(Debug, Clone)]
@@ -40,8 +36,9 @@ pub struct CatalogMatchConfig {
     pub blocking: BlockingConfig,
     /// Maximum resident record encodings.
     pub cache_capacity: usize,
-    /// Candidate pairs per scoring window; each window is length-bucketed
-    /// by [`plan_sub_batches`] before running.
+    /// Candidate pairs per scoring window — the bound on how many encodings
+    /// and how large a graph are live at once. Each window is one
+    /// [`PairScorer::resolve`] plus one [`PairScorer::score`].
     pub score_chunk: usize,
     /// Match-probability threshold for the reported match count.
     pub threshold: f32,
@@ -119,22 +116,20 @@ pub struct CatalogMatchReport {
 /// # Panics
 ///
 /// Panics if the model has no split scoring path — the EM strategy must be
-/// AOA (see [`crate::Matcher::score_encoded_pairs`]).
+/// AOA (see [`PairScorer::probe`]).
 pub fn match_catalog(
     trained: &TrainedMatcher,
     records: &[Record],
     cfg: &CatalogMatchConfig,
 ) -> (Vec<ScoredPair>, CatalogMatchReport) {
     let total_start = Instant::now();
-    let _backend = backend::install(cfg.backend);
-    let backend_label = backend::name().to_string();
 
     // ----- Stage 1: blocking -------------------------------------------------
     let stage = Instant::now();
     let index = BlockingIndex::build(records, &cfg.blocking);
     let candidates = index.candidates(&cfg.blocking);
-    let blocking_secs = stage.elapsed().as_secs_f64();
-    metrics::observe_ns("catalog.blocking_ns", stage.elapsed().as_nanos() as u64);
+    let blocking = stage.elapsed();
+    metrics::observe_ns("catalog.blocking_ns", blocking.as_nanos() as u64);
     metrics::counter_add("catalog.candidate_pairs", candidates.len() as u64);
 
     // ----- Stage 2: tokenize every record once -------------------------------
@@ -146,92 +141,51 @@ pub fn match_catalog(
     let keys: Vec<u64> = ids.iter().map(|v| record_hash(v)).collect();
     let tokenize_secs = stage.elapsed().as_secs_f64();
 
-    // ----- Stage 3: windowed encode + score ----------------------------------
-    let mut cache = EncodingCache::new(cfg.cache_capacity);
+    // ----- Stage 3: windowed resolve + score ---------------------------------
+    let model = trained.model.as_ref();
+    let mut scorer = PairScorer::new(cfg.cache_capacity, cfg.backend);
     let mut scored: Vec<ScoredPair> = Vec::with_capacity(candidates.len());
-    let mut encode_secs = 0.0;
-    let mut score_secs = 0.0;
+    let mut encode = Duration::ZERO;
+    let mut score = Duration::ZERO;
     let mut encodes: u64 = 0;
 
     for window in candidates.chunks(cfg.score_chunk.max(1)) {
-        // Look up each window-unique record once; misses get encoded below.
-        let stage = Instant::now();
-        let mut window_enc: HashMap<u64, Tensor> = HashMap::new();
-        let mut to_encode: Vec<usize> = Vec::new();
-        let mut queued: HashSet<u64> = HashSet::new();
-        for &(i, j) in window {
-            for idx in [i, j] {
-                let key = keys[idx];
-                if window_enc.contains_key(&key) || queued.contains(&key) {
-                    continue;
-                }
-                match cache.get(key) {
-                    Some(enc) => {
-                        window_enc.insert(key, enc);
-                    }
-                    None => {
-                        queued.insert(key);
-                        to_encode.push(idx);
-                    }
-                }
-            }
-        }
-        let lens: Vec<usize> = to_encode.iter().map(|&idx| ids[idx].len()).collect();
-        for sub in plan_sub_batches(&lens) {
-            let g = Graph::new();
-            let recs: Vec<&[usize]> = sub.iter().map(|&k| &ids[to_encode[k]][..]).collect();
-            let encs = trained
-                .model
-                .encode_records_standalone(&g, GraphStamp::next(), &recs)
-                .expect("match_catalog requires an AOA matcher with a split scoring path");
-            g.recycle();
-            for (enc, &k) in encs.into_iter().zip(&sub) {
-                let key = keys[to_encode[k]];
-                cache.insert(key, enc.clone());
-                window_enc.insert(key, enc);
-            }
-            encodes += sub.len() as u64;
-        }
-        metrics::observe_ns("catalog.encode_batch_ns", stage.elapsed().as_nanos() as u64);
-        encode_secs += stage.elapsed().as_secs_f64();
-
-        // Score the window in length-bucketed sub-batches.
-        let stage = Instant::now();
-        let pair_lens: Vec<usize> =
-            window.iter().map(|&(i, j)| ids[i].len() + ids[j].len()).collect();
-        let mut window_out: Vec<Option<f32>> = vec![None; window.len()];
-        for sub in plan_sub_batches(&pair_lens) {
-            let g = Graph::new();
-            let pairs: Vec<(&Tensor, &Tensor)> = sub
+        let resolved = scorer.resolve(
+            model,
+            window
                 .iter()
-                .map(|&k| {
-                    let (i, j) = window[k];
-                    (&window_enc[&keys[i]], &window_enc[&keys[j]])
-                })
-                .collect();
-            let probs = trained
-                .model
-                .score_encoded_pairs(&g, GraphStamp::next(), &pairs)
-                .expect("match_catalog requires an AOA matcher with a split scoring path");
-            g.recycle();
-            for (prob, &k) in probs.into_iter().zip(&sub) {
-                window_out[k] = Some(prob);
-            }
-        }
-        for (k, &(i, j)) in window.iter().enumerate() {
-            let prob = window_out[k].expect("every window pair lands in one sub-batch");
-            scored.push(ScoredPair { i, j, prob });
-        }
-        metrics::observe_ns("catalog.score_batch_ns", stage.elapsed().as_nanos() as u64);
-        score_secs += stage.elapsed().as_secs_f64();
+                .flat_map(|&(i, j)| [(keys[i], i), (keys[j], j)]),
+            |idx| &ids[idx][..],
+        );
+        metrics::observe_ns(
+            "catalog.encode_batch_ns",
+            resolved.elapsed.as_nanos() as u64,
+        );
+        encode += resolved.elapsed;
+        encodes += resolved.misses as u64;
+
+        let (probs, took) = scorer.score(
+            model,
+            &resolved,
+            window.iter().map(|&(i, j)| (keys[i], keys[j])),
+        );
+        metrics::observe_ns("catalog.score_batch_ns", took.as_nanos() as u64);
+        score += took;
+        scored.extend(
+            window
+                .iter()
+                .zip(probs)
+                .map(|(&(i, j), prob)| ScoredPair { i, j, prob }),
+        );
     }
 
     let total_secs = total_start.elapsed().as_secs_f64();
     let matches = scored.iter().filter(|p| p.prob >= cfg.threshold).count();
     metrics::counter_add("catalog.scored_pairs", scored.len() as u64);
     metrics::counter_add("catalog.encodes", encodes);
-    cache.publish_metrics();
+    scorer.publish_metrics();
 
+    let cache = scorer.cache();
     let report = CatalogMatchReport {
         records: records.len(),
         candidate_pairs: candidates.len(),
@@ -246,17 +200,17 @@ pub fn match_catalog(
         } else {
             encodes as f64 / scored.len() as f64
         },
-        blocking_secs,
+        blocking_secs: blocking.as_secs_f64(),
         tokenize_secs,
-        encode_secs,
-        score_secs,
+        encode_secs: encode.as_secs_f64(),
+        score_secs: score.as_secs_f64(),
         total_secs,
         pairs_per_sec: if total_secs > 0.0 {
             scored.len() as f64 / total_secs
         } else {
             0.0
         },
-        backend: backend_label,
+        backend: cfg.backend.label().to_string(),
     };
     (scored, report)
 }
@@ -270,8 +224,7 @@ pub fn match_catalog(
 /// through the cache.
 pub struct CatalogScorer<'a> {
     trained: &'a TrainedMatcher,
-    cache: EncodingCache,
-    backend: BackendKind,
+    scorer: PairScorer,
 }
 
 impl<'a> CatalogScorer<'a> {
@@ -281,9 +234,7 @@ impl<'a> CatalogScorer<'a> {
     }
 
     /// A scorer pinned to a specific kernel backend (`Int8` scores through
-    /// the quantized path; encodings cached under one backend are reused
-    /// as-is if the scorer is rebuilt under another, so keep one scorer per
-    /// backend).
+    /// the quantized path; see [`PairScorer::new`]).
     pub fn with_backend(
         trained: &'a TrainedMatcher,
         cache_capacity: usize,
@@ -291,35 +242,13 @@ impl<'a> CatalogScorer<'a> {
     ) -> Self {
         Self {
             trained,
-            cache: EncodingCache::new(cache_capacity),
-            backend,
+            scorer: PairScorer::new(cache_capacity, backend),
         }
     }
 
     /// Cache statistics (hits, misses, resident entries).
     pub fn cache(&self) -> &EncodingCache {
-        &self.cache
-    }
-
-    /// The cached encoding for one record, computing and inserting it on a
-    /// miss.
-    fn encoding_for(&mut self, ids: &[usize]) -> Tensor {
-        let key = record_hash(ids);
-        if let Some(enc) = self.cache.get(key) {
-            return enc;
-        }
-        let _backend = backend::install(self.backend);
-        let g = Graph::new();
-        let enc = self
-            .trained
-            .model
-            .encode_records_standalone(&g, GraphStamp::next(), &[ids])
-            .expect("CatalogScorer requires an AOA matcher with a split scoring path")
-            .pop()
-            .expect("one encoding per record");
-        g.recycle();
-        self.cache.insert(key, enc.clone());
-        enc
+        self.scorer.cache()
     }
 
     /// Scores a record pair through the cached encode-once path.
@@ -328,21 +257,14 @@ impl<'a> CatalogScorer<'a> {
     pub fn score(&mut self, a: &Record, b: &Record) -> f32 {
         let ids_a = self.trained.pipeline.encode_single_record(a);
         let ids_b = self.trained.pipeline.encode_single_record(b);
-        let (first, second) = if record_hash(&ids_a) <= record_hash(&ids_b) {
-            (ids_a, ids_b)
-        } else {
-            (ids_b, ids_a)
-        };
-        let e1 = self.encoding_for(&first);
-        let e2 = self.encoding_for(&second);
-        let _backend = backend::install(self.backend);
-        let g = Graph::new();
-        let prob = self
-            .trained
-            .model
-            .score_encoded_pairs(&g, GraphStamp::next(), &[(&e1, &e2)])
-            .expect("CatalogScorer requires an AOA matcher with a split scoring path")[0];
-        g.recycle();
-        prob
+        let mut pair = [(record_hash(&ids_a), &ids_a), (record_hash(&ids_b), &ids_b)];
+        if pair[0].0 > pair[1].0 {
+            pair.swap(0, 1);
+        }
+        let model = self.trained.model.as_ref();
+        let resolved = self.scorer.resolve(model, pair, |ids| ids);
+        self.scorer
+            .score(model, &resolved, [(pair[0].0, pair[1].0)])
+            .0[0]
     }
 }

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use crate::experiment::TrainedMatcher;
 use crate::kind::ModelKind;
 use crate::pipeline::{PipelineConfig, TextPipeline};
-use crate::quantized::QuantizedMatcher;
 
 /// A serializable snapshot of a trained matcher.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -135,14 +134,6 @@ impl Checkpoint {
             dropout: self.dropout,
             pos_fraction: self.pos_fraction,
         })
-    }
-
-    /// Rebuilds the matcher pinned to the int8 inference backend. The
-    /// checkpoint format is unchanged — full-precision weights are restored
-    /// normally and quantized once, eagerly, inside
-    /// [`QuantizedMatcher::new`].
-    pub fn restore_quantized(&self) -> Result<QuantizedMatcher, CheckpointError> {
-        Ok(QuantizedMatcher::new(self.restore()?))
     }
 }
 

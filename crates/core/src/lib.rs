@@ -42,8 +42,8 @@ mod kind;
 mod metrics;
 mod models;
 mod pipeline;
-mod quantized;
 mod resume;
+mod scorer;
 pub mod stats;
 mod store;
 mod train;
@@ -71,8 +71,8 @@ pub use models::{
     TransformerMatcher,
 };
 pub use pipeline::{EncodedExample, PipelineConfig, TextPipeline};
-pub use quantized::QuantizedMatcher;
 pub use resume::{train_matcher_durable, DurabilityConfig, TrainState};
+pub use scorer::{PairScorer, Resolved};
 pub use store::CheckpointStore;
 pub use train::{
     evaluate, evaluate_observed, train_matcher, train_matcher_observed, train_with_lr_sweep,

@@ -1,0 +1,202 @@
+//! The one encode-once scoring pipeline: cache lookup → encode the misses →
+//! grouped AOA score.
+//!
+//! EMBA's AOA head is a pure function of two per-record token matrices, so a
+//! record is encoded once and every candidate pair it appears in is scored
+//! from the cached encoding. [`PairScorer`] is that sequence, written once;
+//! [`crate::match_catalog`], [`crate::CatalogScorer`], the serving engine and
+//! `bench-quant` are thin clients that differ only in where their keys and
+//! token ids come from.
+//!
+//! # Launch policy
+//!
+//! Each step is one grouped graph launch under the scorer's backend, in the
+//! order the batch arrived: [`PairScorer::resolve`] encodes a batch's misses
+//! with a single [`Matcher::encode_records_standalone`] call (split only
+//! past `ENCODE_LAUNCH` records, a memory bound that serving's default
+//! flush never reaches) and [`PairScorer::score`] runs a single
+//! [`Matcher::score_encoded_pairs`] call. The grouped kernels take mixed
+//! lengths natively and are bit-identical across batch compositions, so
+//! length bucketing ([`crate::batching::plan_sub_batches`], which the padded
+//! joint path still uses) would only fragment a batch into more launches —
+//! see DESIGN.md "Scoring pipeline" for the measurements.
+//!
+//! # Poison policy
+//!
+//! A non-finite encoding is handed to the score step (whose probability then
+//! comes back NaN, surfaced rather than hidden) but never becomes
+//! cache-resident, so a corrupted weight cannot outlive the call that exposed
+//! it. Callers that distrust resident entries evict them with
+//! [`PairScorer::quarantine`].
+
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
+
+use emba_nn::GraphStamp;
+use emba_tensor::{backend, BackendKind, Graph, Tensor};
+
+use crate::enc_cache::EncodingCache;
+use crate::models::Matcher;
+
+const NO_SPLIT_PATH: &str = "PairScorer requires an AOA matcher with a split scoring path";
+
+/// Most records one backbone launch encodes. A graph keeps every layer's
+/// activations until it is recycled, so a `match_catalog` window's 250+
+/// misses in one launch cost +170 MB of peak RSS and, on a cold heap, 1.6–2.9 s
+/// against 1.0 s — for the same warm throughput as launches of 64 (DESIGN.md
+/// "Scoring pipeline"). A serving flush at the default `max_batch` and a
+/// `CatalogScorer::score` call never reach it.
+const ENCODE_LAUNCH: usize = 64;
+
+/// The encodings one [`PairScorer::resolve`] call gathered, and what
+/// gathering them cost.
+pub struct Resolved {
+    encodings: HashMap<u64, Tensor>,
+    /// Batch-unique records served from the cache.
+    pub hits: usize,
+    /// Batch-unique records tokenized and encoded by this call.
+    pub misses: usize,
+    /// Wall time of the whole step: lookups, tokenization of the misses, the
+    /// grouped encode, and the cache inserts.
+    pub elapsed: Duration,
+}
+
+/// Cache lookup → encode misses → grouped score, under one backend.
+///
+/// The matcher is borrowed per call rather than owned, so a supervisor can
+/// swap its model (a serving restart) and keep the scorer and its cache.
+#[derive(Debug)]
+pub struct PairScorer {
+    cache: EncodingCache,
+    backend: BackendKind,
+}
+
+impl PairScorer {
+    /// A scorer holding at most `cache_capacity` encodings that runs every
+    /// graph under `backend`. Encodings cached under one backend are not
+    /// comparable with another's, so keep one scorer per backend.
+    pub fn new(cache_capacity: usize, backend: BackendKind) -> Self {
+        Self {
+            cache: EncodingCache::new(cache_capacity),
+            backend,
+        }
+    }
+
+    /// Cache statistics (hits, misses, resident entries, quarantines).
+    pub fn cache(&self) -> &EncodingCache {
+        &self.cache
+    }
+
+    /// Evicts a suspect encoding; see [`EncodingCache::quarantine`].
+    pub fn quarantine(&mut self, key: u64) -> bool {
+        self.cache.quarantine(key)
+    }
+
+    /// Publishes the cache's `catalog.cache.*` metrics; see
+    /// [`EncodingCache::publish_metrics`].
+    pub fn publish_metrics(&mut self) {
+        self.cache.publish_metrics();
+    }
+
+    /// Whether `model` has the split scoring path, probed by encoding and
+    /// scoring a one-token record under this scorer's backend. Under `Int8`
+    /// that forward also builds and caches every linear layer's quantized
+    /// weights, so a long-lived caller that probes at construction (and after
+    /// every model swap) never pays quantization on a request.
+    pub fn probe(&self, model: &dyn Matcher) -> bool {
+        let _backend = backend::install(self.backend);
+        let g = Graph::new();
+        let encs = model.encode_records_standalone(&g, GraphStamp::next(), &[&[0usize][..]]);
+        g.recycle();
+        let Some(encs) = encs else { return false };
+        let g = Graph::new();
+        let probs = model.score_encoded_pairs(&g, GraphStamp::next(), &[(&encs[0], &encs[0])]);
+        g.recycle();
+        probs.is_some()
+    }
+
+    /// Step 1: gathers the encoding of every distinct key in `records`.
+    ///
+    /// Each key is looked up once; `token_ids` is called only for the misses
+    /// (so a caller keyed by [`crate::record_content_hash`] tokenizes nothing
+    /// on a hit), the misses are encoded in grouped launches of at most
+    /// `ENCODE_LAUNCH` records, and the finite encodings are inserted into
+    /// the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` has no split scoring path (see
+    /// [`PairScorer::probe`]).
+    pub fn resolve<H, I: AsRef<[usize]>>(
+        &mut self,
+        model: &dyn Matcher,
+        records: impl IntoIterator<Item = (u64, H)>,
+        mut token_ids: impl FnMut(H) -> I,
+    ) -> Resolved {
+        let start = Instant::now();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut encodings: HashMap<u64, Tensor> = HashMap::new();
+        let mut misses: Vec<(u64, I)> = Vec::new();
+        for (key, handle) in records {
+            if !seen.insert(key) {
+                continue;
+            }
+            match self.cache.get(key) {
+                Some(enc) => {
+                    encodings.insert(key, enc);
+                }
+                None => misses.push((key, token_ids(handle))),
+            }
+        }
+        let hits = encodings.len();
+        let _backend = backend::install(self.backend);
+        for launch in misses.chunks(ENCODE_LAUNCH) {
+            let recs: Vec<&[usize]> = launch.iter().map(|(_, ids)| ids.as_ref()).collect();
+            let g = Graph::new();
+            let encs = model
+                .encode_records_standalone(&g, GraphStamp::next(), &recs)
+                .expect(NO_SPLIT_PATH);
+            g.recycle();
+            for (&(key, _), enc) in launch.iter().zip(encs) {
+                if enc.data().iter().all(|v| v.is_finite()) {
+                    self.cache.insert(key, enc.clone());
+                }
+                encodings.insert(key, enc);
+            }
+        }
+        Resolved {
+            encodings,
+            hits,
+            misses: misses.len(),
+            elapsed: start.elapsed(),
+        }
+    }
+
+    /// Step 2: scores `pairs` of resolved keys in one grouped call, returning
+    /// the probabilities in order and the step's wall time. A pair whose
+    /// logit is non-finite scores NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key was not part of `resolved`, or if `model` has no split
+    /// scoring path.
+    pub fn score(
+        &self,
+        model: &dyn Matcher,
+        resolved: &Resolved,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+    ) -> (Vec<f32>, Duration) {
+        let start = Instant::now();
+        let operands: Vec<(&Tensor, &Tensor)> = pairs
+            .into_iter()
+            .map(|(a, b)| (&resolved.encodings[&a], &resolved.encodings[&b]))
+            .collect();
+        let _backend = backend::install(self.backend);
+        let g = Graph::new();
+        let probs = model
+            .score_encoded_pairs(&g, GraphStamp::next(), &operands)
+            .expect(NO_SPLIT_PATH);
+        g.recycle();
+        (probs, start.elapsed())
+    }
+}

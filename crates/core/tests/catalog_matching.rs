@@ -14,12 +14,12 @@
 
 use emba_core::blocking::{blocking_recall, BlockingConfig};
 use emba_core::{
-    match_catalog, CatalogMatchConfig, CatalogScorer, ModelKind, PipelineConfig, TextPipeline,
-    TrainedMatcher,
+    match_catalog, record_hash, CatalogMatchConfig, CatalogScorer, Matcher, ModelKind, PairScorer,
+    PipelineConfig, TextPipeline, TrainedMatcher,
 };
 use emba_datagen::{product_catalog, CatalogSpec, Record};
 use emba_nn::GraphStamp;
-use emba_tensor::Graph;
+use emba_tensor::{BackendKind, Graph, Tensor};
 use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -159,6 +159,46 @@ fn cold_and_warm_cache_scores_are_bit_identical() {
         scorer.cache().hits() > hits_after_cold,
         "warm pass never hit the cache"
     );
+}
+
+/// A poisoned encoding is scored (so the NaN surfaces) but never becomes
+/// cache-resident: a healthy model scored afterwards through the same
+/// scorer gets exactly what a fresh scorer would give it.
+#[test]
+fn poisoned_encodings_surface_as_nan_and_stay_out_of_the_cache() {
+    let records: Vec<Record> = (300..306u64).map(record_from_seed).collect();
+    let healthy = matcher_over(ModelKind::EmbaSb, &records, 48);
+    let mut poisoned = matcher_over(ModelKind::EmbaSb, &records, 48);
+    let mut first = true;
+    poisoned.model.visit_mut(&mut |p| {
+        if std::mem::take(&mut first) {
+            let (rows, cols) = p.value.shape();
+            p.value = Tensor::from_vec(rows, cols, vec![f32::NAN; rows * cols]);
+        }
+    });
+
+    let ids: Vec<Vec<usize>> = records
+        .iter()
+        .map(|r| healthy.pipeline.encode_single_record(r))
+        .collect();
+    let keys: Vec<u64> = ids.iter().map(|v| record_hash(v)).collect();
+    let run = |scorer: &mut PairScorer, model: &dyn Matcher| -> Vec<u32> {
+        let resolved = scorer.resolve(model, keys.iter().copied().zip(&ids), |v| v);
+        let pairs = keys.iter().copied().zip(keys.iter().copied().skip(1));
+        let (probs, _) = scorer.score(model, &resolved, pairs);
+        probs.into_iter().map(f32::to_bits).collect()
+    };
+
+    let mut scorer = PairScorer::new(64, BackendKind::F32);
+    let bad = run(&mut scorer, poisoned.model.as_ref());
+    assert!(bad.iter().all(|&p| f32::from_bits(p).is_nan()), "poison hidden: {bad:?}");
+    assert_eq!(scorer.cache().len(), 0, "a non-finite encoding became resident");
+
+    let after = run(&mut scorer, healthy.model.as_ref());
+    let fresh = run(&mut PairScorer::new(64, BackendKind::F32), healthy.model.as_ref());
+    assert_eq!(after, fresh, "the poisoned pass leaked into later scores");
+    assert!(after.iter().all(|&p| f32::from_bits(p).is_finite()));
+    assert_eq!(scorer.cache().len(), keys.len());
 }
 
 /// Tentpole end-to-end: blocking recall on a catalog with known clusters,

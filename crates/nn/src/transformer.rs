@@ -240,6 +240,12 @@ impl BertEncoder {
         self.cfg.hidden
     }
 
+    /// The `[CLS]` pooler projection — the one linear layer reachable from
+    /// outside, so callers can observe [`Linear::quantized_weight`] caching.
+    pub fn pooler(&self) -> &Linear {
+        &self.pooler
+    }
+
     /// Encodes one token sequence.
     ///
     /// `token_ids` and `segment_ids` must have equal length not exceeding

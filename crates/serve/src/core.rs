@@ -20,18 +20,16 @@
 //! A flush drains up to `max_batch` requests in arrival order. Requests
 //! whose deadline has already passed are answered [`MatchOutcome::Expired`]
 //! without touching the backbone — every request is answered exactly once,
-//! expired ones just skip the compute. Live requests run the same
-//! encode-once path as [`emba_core::match_catalog`], with two serving-side
-//! twists: the shared [`EncodingCache`] is keyed by
-//! [`emba_core::record_content_hash`] so cache hits skip tokenization
-//! entirely (tokenizing at lookup would put the tokenizer back on every
-//! request's hot path), and each flush runs exactly one grouped encode call
-//! for the batch-unique misses plus one grouped scoring call for the live
-//! pairs — the grouped kernels handle mixed lengths natively, so length
-//! bucketing would only fragment the batch into more graph launches. The
-//! batched encoder and scorer are bit-identical across batch compositions
-//! (pinned by the PR-6 tests), so a request's probability does not depend
-//! on queue arrival order or on which batch it lands in.
+//! expired ones just skip the compute. Live requests go through the same
+//! [`PairScorer`] as [`emba_core::match_catalog`] — one resolve step, one
+//! score step per flush — and what is serving-specific stays here: the
+//! cache is keyed by [`emba_core::record_content_hash`] so hits skip
+//! tokenization entirely (tokenizing at lookup would put the tokenizer back
+//! on every request's hot path), the span clock is sampled between the two
+//! steps, and the whole thing runs under panic supervision. The scorer's
+//! grouped launches are bit-identical across batch compositions, so a
+//! request's probability does not depend on queue arrival order or on which
+//! batch it lands in.
 //!
 //! # Admission control and load shedding
 //!
@@ -70,20 +68,16 @@
 //! quarantined, but the matcher is not restarted — a checkpoint that
 //! produces NaN would reproduce it after every restore.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::BufWriter;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
-use emba_core::{
-    record_content_hash, Checkpoint, CheckpointStore, EncodingCache, TrainedMatcher,
-};
+use emba_core::{record_content_hash, Checkpoint, CheckpointStore, PairScorer, TrainedMatcher};
 use emba_datagen::Record;
-use emba_nn::GraphStamp;
-use emba_tensor::{backend, BackendKind, Graph, Tensor};
+use emba_tensor::BackendKind;
 use emba_trace::metrics::{self, Histogram, HistogramSummary, MetricsSnapshot};
 use emba_trace::{write_postmortem, JsonlLogger, ServeSpanEvent, ServeSummary, SpanKind};
 use serde::Serialize;
@@ -146,9 +140,10 @@ pub struct ServeConfig {
     pub event_log: Option<PathBuf>,
     /// Kernel backend the scoring path runs under. `Int8` serves every
     /// flush through the post-training quantized GEMM path (weights are
-    /// quantized once, on the first flush after a matcher build); `F32` is
-    /// the full-precision default. Reported in [`ServerSnapshot::backend`]
-    /// and `ServeSummary.backend`.
+    /// quantized by the split-path probe at construction and after every
+    /// supervised restart, never inside a flush); `F32` is the
+    /// full-precision default. Reported in [`ServerSnapshot::backend`] and
+    /// `ServeSummary.backend`.
     pub backend: BackendKind,
 }
 
@@ -397,7 +392,7 @@ pub struct ProfPhase {
 pub struct ServeCore {
     trained: TrainedMatcher,
     cfg: ServeConfig,
-    cache: EncodingCache,
+    scorer: PairScorer,
     pending: VecDeque<Pending>,
     enqueued: u64,
     scored: u64,
@@ -441,18 +436,6 @@ pub struct ServeCore {
     pending_postmortem: Option<String>,
 }
 
-/// Whether this matcher exposes the split scoring path, probed with a
-/// one-token record — the same check construction and every restart use, so
-/// a healed engine is as validated as a fresh one.
-fn probes_split_path(trained: &TrainedMatcher) -> bool {
-    let g = Graph::new();
-    let probe = trained
-        .model
-        .encode_records_standalone(&g, GraphStamp::next(), &[&[0usize][..]]);
-    g.recycle();
-    probe.is_some()
-}
-
 /// Best-effort human-readable reason from a caught panic payload.
 fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -494,14 +477,16 @@ impl ServeCore {
     /// Wraps a matcher for serving.
     ///
     /// Fails with [`ServeError::UnsupportedModel`] unless the model has the
-    /// split scoring path (AOA strategies only) — probed up front with a
-    /// one-token record so a long-lived server cannot pass construction and
-    /// then panic on its first request.
+    /// split scoring path (AOA strategies only) — probed up front with
+    /// [`PairScorer::probe`] under the configured backend, so a long-lived
+    /// server cannot pass construction and then panic (or, on int8, quantize
+    /// its weights) on its first request. Every restart runs the same probe,
+    /// so a healed engine is as validated and as warm as a fresh one.
     pub fn new(trained: TrainedMatcher, cfg: ServeConfig) -> Result<Self, ServeError> {
-        if !probes_split_path(&trained) {
+        let scorer = PairScorer::new(cfg.cache_capacity, cfg.backend);
+        if !scorer.probe(trained.model.as_ref()) {
             return Err(ServeError::UnsupportedModel);
         }
-        let cache = EncodingCache::new(cfg.cache_capacity);
         let backoff_ns = cfg.restart_backoff_ns.max(1);
         let event_log = match &cfg.event_log {
             Some(path) => {
@@ -525,7 +510,7 @@ impl ServeCore {
         Ok(Self {
             trained,
             cfg,
-            cache,
+            scorer,
             pending: VecDeque::new(),
             enqueued: 0,
             scored: 0,
@@ -644,7 +629,7 @@ impl ServeCore {
 
     /// Quarantines one cache key and records the fact (span + event log).
     fn quarantine_key(&mut self, key: u64, now_ns: u64) {
-        self.cache.quarantine(key);
+        self.scorer.quarantine(key);
         self.sup_span(SpanKind::Quarantine, now_ns, format!("key={key:016x}"));
         self.log_event(
             "serve_quarantine",
@@ -965,7 +950,7 @@ impl ServeCore {
         let restored =
             std::panic::catch_unwind(AssertUnwindSafe(|| recovery.restore()));
         match restored {
-            Ok(Ok(trained)) if probes_split_path(&trained) => {
+            Ok(Ok(trained)) if self.scorer.probe(trained.model.as_ref()) => {
                 self.trained = trained;
                 self.suspect = false;
                 self.restarts += 1;
@@ -1233,73 +1218,36 @@ impl ServeCore {
         responses
     }
 
-    /// The fallible compute of one flush: resolve encodings (cache hits
-    /// reuse the resident tensor without tokenizing; misses are tokenized
-    /// and encoded in one grouped call) and score every live pair in one
-    /// grouped call. Runs inside `catch_unwind` — anything here may panic
-    /// without killing the engine.
+    /// The fallible compute of one flush: the scorer's resolve step (cache
+    /// hits reuse the resident tensor without tokenizing; misses are
+    /// tokenized and encoded in one grouped call) and its score step over
+    /// every live pair, with the span clock sampled in between. Runs inside
+    /// `catch_unwind` — anything here may panic without killing the engine.
     fn score_live(&mut self, live: &[Pending], now_ns: u64) -> Vec<f32> {
-        let _backend = backend::install(self.cfg.backend);
         if let Some(fault) = self.flush_fault.as_mut() {
             fault(self.flushes);
         }
         let ord = self.flushes;
         let trace = self.cfg.trace_spans;
-        let stage = Instant::now();
+        let pipeline = &self.trained.pipeline;
         let stage_start = self.span_now(now_ns);
-        let mut encodings: HashMap<u64, Tensor> = HashMap::new();
-        let mut miss_keys: Vec<u64> = Vec::new();
-        let mut miss_ids: Vec<Vec<usize>> = Vec::new();
-        let mut queued: HashSet<u64> = HashSet::new();
-        let mut hits: usize = 0;
-        for req in live {
-            for (key, rec) in [(req.left_key, &req.left), (req.right_key, &req.right)] {
-                if encodings.contains_key(&key) || queued.contains(&key) {
-                    continue;
-                }
-                match self.cache.get(key) {
-                    Some(enc) => {
-                        encodings.insert(key, enc);
-                        hits += 1;
-                    }
-                    None => {
-                        queued.insert(key);
-                        miss_keys.push(key);
-                        miss_ids.push(self.trained.pipeline.encode_single_record(rec));
-                    }
-                }
-            }
-        }
-        // One aggregate span per flush, not one per hit: per-key spans
-        // would put a `format!` on every warm request's hot path.
-        if trace && hits > 0 {
-            let mut e = span(0, SpanKind::CacheHit, stage_start, 0, ord);
-            e.detail = format!("hits={hits}");
-            self.trace_span(e);
-        }
-        if !miss_ids.is_empty() {
-            let g = Graph::new();
-            let recs: Vec<&[usize]> = miss_ids.iter().map(|ids| &ids[..]).collect();
-            let encs = self
-                .trained
-                .model
-                .encode_records_standalone(&g, GraphStamp::next(), &recs)
-                .expect("ServeCore::new verified the split scoring path");
-            g.recycle();
-            for (enc, &key) in encs.into_iter().zip(&miss_keys) {
-                // A non-finite encoding (NaN weights) must not enter the
-                // cache — the pair still scores (and fails the non-finite
-                // guard), but nothing poisoned becomes resident.
-                if enc.data().iter().all(|v| v.is_finite()) {
-                    self.cache.insert(key, enc.clone());
-                }
-                encodings.insert(key, enc);
-            }
-            self.encodes += miss_keys.len() as u64;
-            metrics::counter_add("serve.encodes", miss_keys.len() as u64);
-        }
-        metrics::observe_ns("serve.encode_batch_ns", stage.elapsed().as_nanos() as u64);
+        let resolved = self.scorer.resolve(
+            self.trained.model.as_ref(),
+            live.iter()
+                .flat_map(|req| [(req.left_key, &req.left), (req.right_key, &req.right)]),
+            |rec| pipeline.encode_single_record(rec),
+        );
+        self.encodes += resolved.misses as u64;
+        metrics::counter_add("serve.encodes", resolved.misses as u64);
+        metrics::observe_ns("serve.encode_batch_ns", resolved.elapsed.as_nanos() as u64);
         if trace {
+            // One aggregate span per flush, not one per hit: per-key spans
+            // would put a `format!` on every warm request's hot path.
+            if resolved.hits > 0 {
+                let mut e = span(0, SpanKind::CacheHit, stage_start, 0, ord);
+                e.detail = format!("hits={}", resolved.hits);
+                self.trace_span(e);
+            }
             let mut e = span(
                 0,
                 SpanKind::Encode,
@@ -1307,27 +1255,17 @@ impl ServeCore {
                 self.span_now(stage_start).saturating_sub(stage_start),
                 ord,
             );
-            e.detail = format!("misses={}", miss_keys.len());
+            e.detail = format!("misses={}", resolved.misses);
             self.trace_span(e);
         }
 
-        // Score every live pair in one grouped call. Batched scoring is
-        // bit-identical across compositions, so each pair's probability is
-        // independent of what else shares its flush.
-        let stage = Instant::now();
         let stage_start = self.span_now(stage_start);
-        let g = Graph::new();
-        let pairs: Vec<(&Tensor, &Tensor)> = live
-            .iter()
-            .map(|req| (&encodings[&req.left_key], &encodings[&req.right_key]))
-            .collect();
-        let probs = self
-            .trained
-            .model
-            .score_encoded_pairs(&g, GraphStamp::next(), &pairs)
-            .expect("ServeCore::new verified the split scoring path");
-        g.recycle();
-        metrics::observe_ns("serve.score_batch_ns", stage.elapsed().as_nanos() as u64);
+        let (probs, took) = self.scorer.score(
+            self.trained.model.as_ref(),
+            &resolved,
+            live.iter().map(|req| (req.left_key, req.right_key)),
+        );
+        metrics::observe_ns("serve.score_batch_ns", took.as_nanos() as u64);
         if trace {
             let mut e = span(
                 0,
@@ -1336,17 +1274,17 @@ impl ServeCore {
                 self.span_now(stage_start).saturating_sub(stage_start),
                 ord,
             );
-            e.detail = format!("pairs={}", pairs.len());
+            e.detail = format!("pairs={}", probs.len());
             self.trace_span(e);
         }
         probs
     }
 
     /// Current statistics. Publishes the cache's metrics (delta-safe — see
-    /// [`EncodingCache::publish_metrics`]) and snapshots the thread's
+    /// [`emba_core::EncodingCache::publish_metrics`]) and snapshots the thread's
     /// registry, so calling this repeatedly never inflates counters.
     pub fn snapshot(&mut self) -> ServerSnapshot {
-        self.cache.publish_metrics();
+        self.scorer.publish_metrics();
         metrics::gauge_set("serve.queue_depth", self.pending.len() as f64);
         metrics::gauge_set("serve.degraded", if self.suspect { 1.0 } else { 0.0 });
         let profile_phases = if self.cfg.profile {
@@ -1376,11 +1314,11 @@ impl ServeCore {
             queue_depth: self.pending.len(),
             peak_queue_depth: self.peak_queue_depth,
             routes_depth: 0,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_hit_rate: self.cache.hit_rate(),
-            cache_resident: self.cache.len(),
-            cache_quarantines: self.cache.quarantines(),
+            cache_hits: self.scorer.cache().hits(),
+            cache_misses: self.scorer.cache().misses(),
+            cache_hit_rate: self.scorer.cache().hit_rate(),
+            cache_resident: self.scorer.cache().len(),
+            cache_quarantines: self.scorer.cache().quarantines(),
             degraded_entries: self.degraded_entries,
             postmortems: self.postmortems,
             trace_events: self.recorder.recorded(),
@@ -1391,5 +1329,92 @@ impl ServeCore {
             profile_phases,
             backend: self.cfg.backend.label().to_string(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emba_core::{ModelKind, PipelineConfig, TextPipeline};
+    use emba_tensor::{prof, QuantizedMatrix};
+    use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
+    use rand::SeedableRng;
+
+    fn record(text: &str) -> Record {
+        Record::new(vec![("title", text)])
+    }
+
+    /// An untrained BERT-small EMBA over a two-record corpus; its 64×64
+    /// projections are above the int8 quantization floor.
+    fn bert_matcher() -> TrainedMatcher {
+        let tok = WordPieceTokenizer::train(
+            &["sandisk ultra 128gb card", "samsung evo 1tb ssd"],
+            &TrainConfig { vocab_size: 128, min_pair_freq: 2 },
+        );
+        let pipeline = TextPipeline::from_tokenizer(
+            tok,
+            PipelineConfig { vocab_size: 128, max_len: 32, ..Default::default() },
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let model = ModelKind::EmbaSb.build(&pipeline, 4, 0.5, 0.1, &mut rng);
+        TrainedMatcher { pipeline, model, dropout: 0.1, pos_fraction: 0.5 }
+    }
+
+    fn pooler_weights(core: &mut ServeCore) -> Arc<QuantizedMatrix> {
+        core.trained
+            .model
+            .bert_backbone_mut()
+            .expect("EmbaSb has a BERT backbone")
+            .pooler()
+            .quantized_weight()
+    }
+
+    fn quantized_op_calls() -> u64 {
+        let ops = prof::report().ops;
+        ops.iter().filter(|o| o.op.starts_with("linear_q8")).map(|o| o.calls).sum()
+    }
+
+    fn flush_one(core: &mut ServeCore, id: u64, now_ns: u64) -> MatchOutcome {
+        let (a, b) = (record("sandisk ultra card"), record("samsung evo ssd"));
+        assert!(core.enqueue(id, a, b, now_ns, u64::MAX).is_empty());
+        let mut out = core.drain(now_ns);
+        assert_eq!(out.len(), 1);
+        out.pop().expect("one answer").outcome
+    }
+
+    /// With `backend: Int8` the split-path probe runs under int8 at
+    /// construction and on every supervised restart, so no flush ever pays
+    /// weight quantization: the quantized weights a flush uses are the very
+    /// allocation the probe built.
+    #[test]
+    fn int8_weights_are_quantized_by_the_probe_not_by_a_flush() {
+        let was = prof::enable(true);
+        prof::reset();
+        let trained = bert_matcher();
+        let ckpt = Checkpoint::capture(&trained, ModelKind::EmbaSb, 4);
+        let cfg = ServeConfig { backend: BackendKind::Int8, ..Default::default() };
+        let mut core = ServeCore::new(trained, cfg).expect("EmbaSb has the split scoring path");
+        core.set_recovery(RecoverySource::Checkpoint(Box::new(ckpt)));
+        assert!(quantized_op_calls() > 0, "construction probe ran no quantized op");
+
+        let warm = pooler_weights(&mut core);
+        assert!(matches!(flush_one(&mut core, 0, 0), MatchOutcome::Scored { .. }));
+        assert!(Arc::ptr_eq(&warm, &pooler_weights(&mut core)), "first flush re-quantized");
+
+        // Fault the next flush, then let the supervisor restore the matcher
+        // with nothing queued: the only forward in that poll is the probe.
+        core.set_flush_fault(Box::new(|ord| assert!(ord != 2, "injected fault")));
+        assert!(matches!(flush_one(&mut core, 1, 0), MatchOutcome::Failed(_)));
+        assert!(core.degraded());
+        prof::reset();
+        assert!(core.poll(1_000_000_000).is_empty());
+        assert!(!core.degraded(), "restart from the retained checkpoint");
+        assert!(quantized_op_calls() > 0, "restart probe ran no quantized op");
+
+        let warm = pooler_weights(&mut core);
+        assert!(matches!(flush_one(&mut core, 2, 1_000_000_000), MatchOutcome::Scored { .. }));
+        assert!(Arc::ptr_eq(&warm, &pooler_weights(&mut core)), "post-restart flush re-quantized");
+        prof::enable(was);
+        prof::reset();
     }
 }

@@ -1327,19 +1327,26 @@ impl Graph {
 
     /// Per-row dot product against the row's group vector:
     /// `a: [ΣT, w]`, `b: [G, w]` → `[ΣT, 1]` with
-    /// `out[r] = a[r] · b[group(r)]`.
-    pub fn rowdot_grouped(&self, a: Var, b: Var, groups: &RowGroups) -> Var {
+    /// `out[r] = a[r] · b[group(r)]` over the group's own `widths.len_of(g)`
+    /// columns. The columns beyond are padding, zero in both operands, but
+    /// [`kernels::dot`] splits its sum into lanes by position: reducing over
+    /// them would make a row's rounding depend on the widest group in the
+    /// batch.
+    pub fn rowdot_grouped(&self, a: Var, b: Var, groups: &RowGroups, widths: &RowGroups) -> Var {
         let va = self.value(a);
         let vb = self.value(b);
         let (ma, w) = va.shape();
         assert_eq!(groups.total(), ma, "rowdot_grouped: groups cover {} rows, got {ma}", groups.total());
         assert_eq!(vb.shape(), (groups.len(), w), "rowdot_grouped: b must be [{}, {w}]", groups.len());
+        assert_eq!(groups.len(), widths.len(), "rowdot_grouped: group count mismatch");
+        assert_eq!(widths.max_len(), w, "rowdot_grouped: width {w} vs max group width {}", widths.max_len());
         let mut out = pool::take_uninit(ma);
         for gi in 0..groups.len() {
             let (r0, r1) = groups.range(gi);
-            let brow = vb.row_slice(gi);
+            let tb = widths.len_of(gi);
+            let brow = &vb.row_slice(gi)[..tb];
             for (o, r) in out[r0..r1].iter_mut().zip(r0..) {
-                *o = kernels::dot(&va.data()[r * w..(r + 1) * w], brow);
+                *o = kernels::dot(&va.data()[r * w..r * w + tb], brow);
             }
         }
         let out = Tensor::from_vec(ma, 1, out);

@@ -133,7 +133,7 @@ proptest! {
             let alpha = g.softmax_cols_grouped(i, &ga, &gb);
             let beta = g.softmax_rows_grouped(i, &ga, &gb);
             let beta_bar = g.mean_rows_grouped(beta, &ga);
-            let gamma = g.rowdot_grouped(alpha, beta_bar, &ga);
+            let gamma = g.rowdot_grouped(alpha, beta_bar, &ga, &gb);
             let pooled = g.weighted_sum_rows_grouped(gamma, v[0], &ga);
             let wl = g.leaf(w.clone());
             let spice = g.sum_all(g.mul(i, wl));
@@ -196,7 +196,7 @@ proptest! {
 
         let bbar_g = g.mean_rows_grouped(sr_g, &groups);
         let bbar_p = g.mean_axis0(sr_p);
-        let rd_g = g.rowdot_grouped(sr_g, bbar_g, &groups);
+        let rd_g = g.rowdot_grouped(sr_g, bbar_g, &groups, &groups);
         let rd_p = g.matmul_nt(sr_p, bbar_p);
         assert_close(&g.value(rd_g), &g.value(rd_p), 1e-5, "rowdot");
 

@@ -8,6 +8,11 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# The end-to-end benchmark is a workspace of its own built against this
+# one's public API: its unit tests plus every workload at --tiny size, so an
+# API break fails here rather than in the benchmark pipeline.
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 # Observability smoke: a tiny traced training run must produce a non-empty,
 # well-formed JSONL event log (the trace target itself validates every line
 # and exits non-zero on empty/malformed output).
