@@ -19,12 +19,7 @@ use rand::Rng;
 use crate::groups::RowGroups;
 use crate::quant::QuantizedMatrix;
 use crate::tensor::Tensor;
-use crate::{backend, guard, kernels, pool, prof, NORM_EPS};
-
-/// `sqrt(2/pi)`, for the tanh GELU approximation used by BERT.
-const GELU_C: f32 = 0.797_884_6;
-/// Cubic coefficient of the tanh GELU approximation.
-const GELU_K: f32 = 0.044_715;
+use crate::{backend, guard, kernels, pool, prof, simd};
 
 /// Advances a xorshift64* state and maps the step to a uniform `f32` in
 /// `[0, 1)` (top 24 bits). Used by [`Graph::dropout`] so forward and backward
@@ -37,20 +32,6 @@ fn xorshift_unit(state: &mut u64) -> f32 {
     x ^= x << 17;
     *state = x;
     (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-}
-
-#[inline]
-pub(crate) fn gelu_forward(x: f32) -> f32 {
-    let u = GELU_C * (x + GELU_K * x * x * x);
-    0.5 * x * (1.0 + u.tanh())
-}
-
-#[inline]
-fn gelu_derivative(x: f32) -> f32 {
-    let u = GELU_C * (x + GELU_K * x * x * x);
-    let t = u.tanh();
-    let du = GELU_C * (1.0 + 3.0 * GELU_K * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 /// Handle to a node recorded on a [`Graph`].
@@ -89,6 +70,10 @@ struct Node {
     value: Tensor,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
+    /// A pooled buffer other than `value` that `backward` captured (the FFN
+    /// pre-activation): the tape holds the second handle so
+    /// [`Graph::recycle`] can return it to the pool.
+    saved: Option<Tensor>,
 }
 
 /// A single-use reverse-mode autodiff tape.
@@ -133,7 +118,10 @@ impl GradSink for TapeSink<'_> {
     fn add(&mut self, pos: usize, grad: Tensor) {
         let pid = self.parents[pos];
         match &mut self.grads[pid] {
-            Some(existing) => existing.add_scaled_in_place(&grad, 1.0),
+            Some(existing) => {
+                existing.add_scaled_in_place(&grad, 1.0);
+                grad.recycle();
+            }
             slot @ None => *slot = Some(grad),
         }
     }
@@ -197,6 +185,19 @@ impl Graph {
     }
 
     fn push(&self, op: &'static str, value: Tensor, parents: Vec<usize>, backward: Option<BackwardFn>) -> Var {
+        self.push_saved(op, value, parents, None, backward)
+    }
+
+    /// [`Graph::push`] for an op whose backward closure captured a pooled
+    /// tensor besides `value`; `saved` holds a clone of it.
+    fn push_saved(
+        &self,
+        op: &'static str,
+        value: Tensor,
+        parents: Vec<usize>,
+        saved: Option<Tensor>,
+        backward: Option<BackwardFn>,
+    ) -> Var {
         // Debug-only non-finite guard: when enabled, scan every op output as
         // it is recorded and report offenders by op name (see [`guard`]).
         if guard::enabled() && !value.all_finite() {
@@ -220,6 +221,7 @@ impl Graph {
             value,
             parents,
             backward,
+            saved,
         });
         Var(nodes.len() - 1)
     }
@@ -390,13 +392,14 @@ impl Graph {
         let vw = self.value(w);
         let vb = self.value(bias);
         let pre = affine_forward(&vx, &vw, &vb);
-        let out = pre.map(gelu_forward);
-        self.push("linear_bias_gelu",
+        let out = gelu_of(&pre);
+        self.push_saved("linear_bias_gelu",
             out,
             vec![x.0, w.0, bias.0],
+            Some(pre.clone()),
             Some(Box::new(move |g, sink| {
                 // Gradient at the pre-activation, then the affine backward.
-                let dh = g.zip(&pre, |gi, u| gi * gelu_derivative(u));
+                let dh = gelu_backward(&pre, g);
                 sink.add(0, dh.matmul_nt(&vw));
                 sink.add(1, vx.matmul_tn(&dh));
                 sink.add(2, col_sums(&dh));
@@ -519,13 +522,11 @@ impl Graph {
     /// GELU with the tanh approximation used by BERT.
     pub fn gelu(&self, a: Var) -> Var {
         let vx = self.value(a);
-        let out = vx.map(gelu_forward);
+        let out = gelu_of(&vx);
         self.push("gelu",
             out,
             vec![a.0],
-            Some(Box::new(move |g, sink| {
-                sink.add(0, g.zip(&vx, |gi, x| gi * gelu_derivative(x)));
-            })),
+            Some(Box::new(move |g, sink| sink.add(0, gelu_backward(&vx, g)))),
         )
     }
 
@@ -610,58 +611,37 @@ impl Graph {
         assert_eq!(vg.shape(), (1, n), "layer_norm: gamma must be [1,{n}]");
         assert_eq!(vb.shape(), (1, n), "layer_norm: beta must be [1,{n}]");
 
-        let mut xhat = vec![0.0f32; m * n];
-        let mut inv_std = vec![0.0f32; m];
-        for r in 0..m {
-            let row = vx.row_slice(r);
-            let mean = row.iter().sum::<f32>() / n as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-            let istd = 1.0 / (var + NORM_EPS).sqrt();
-            inv_std[r] = istd;
-            for (o, &v) in xhat[r * n..(r + 1) * n].iter_mut().zip(row) {
-                *o = (v - mean) * istd;
-            }
+        let mut out = pool::take_uninit(m * n);
+        // Per row `(mean, 1/std)`: with `x` itself (already on the tape) that
+        // is everything the backward needs, so no normalized copy is saved.
+        let mut stats = vec![(0.0f32, 0.0f32); m];
+        for ((xrow, orow), st) in vx
+            .data()
+            .chunks_exact(n.max(1))
+            .zip(out.chunks_exact_mut(n.max(1)))
+            .zip(stats.iter_mut())
+        {
+            *st = kernels::layer_norm_row(xrow, vg.data(), vb.data(), orow);
         }
-        let xhat = Tensor::from_vec(m, n, xhat);
-        let mut out = vec![0.0f32; m * n];
-        for r in 0..m {
-            for c in 0..n {
-                out[r * n + c] = vg.data()[c] * xhat.get(r, c) + vb.data()[c];
-            }
-        }
-        let out = Tensor::from_vec(m, n, out);
 
         self.push("layer_norm",
-            out,
+            Tensor::from_vec(m, n, out),
             vec![x.0, gamma.0, beta.0],
             Some(Box::new(move |g, sink| {
                 let (m, n) = g.shape();
-                // Parameter gradients: column sums.
-                let mut dgamma = vec![0.0f32; n];
-                let mut dbeta = vec![0.0f32; n];
-                for r in 0..m {
-                    for c in 0..n {
-                        dgamma[c] += g.get(r, c) * xhat.get(r, c);
-                        dbeta[c] += g.get(r, c);
-                    }
-                }
-                // Input gradient per row.
-                let mut dx = vec![0.0f32; m * n];
-                for r in 0..m {
-                    let mut mean_dxhat = 0.0f32;
-                    let mut mean_dxhat_xhat = 0.0f32;
-                    for c in 0..n {
-                        let dxh = g.get(r, c) * vg.data()[c];
-                        mean_dxhat += dxh;
-                        mean_dxhat_xhat += dxh * xhat.get(r, c);
-                    }
-                    mean_dxhat /= n as f32;
-                    mean_dxhat_xhat /= n as f32;
-                    for c in 0..n {
-                        let dxh = g.get(r, c) * vg.data()[c];
-                        dx[r * n + c] =
-                            inv_std[r] * (dxh - mean_dxhat - xhat.get(r, c) * mean_dxhat_xhat);
-                    }
+                let mut dx = pool::take_uninit(m * n);
+                let mut dgamma = pool::take(n);
+                let mut dbeta = pool::take(n);
+                for (((grow, xrow), &(mean, istd)), drow) in g
+                    .data()
+                    .chunks_exact(n.max(1))
+                    .zip(vx.data().chunks_exact(n.max(1)))
+                    .zip(&stats)
+                    .zip(dx.chunks_exact_mut(n.max(1)))
+                {
+                    kernels::layer_norm_row_backward(
+                        grow, xrow, vg.data(), mean, istd, drow, &mut dgamma, &mut dbeta,
+                    );
                 }
                 sink.add(0, Tensor::from_vec(m, n, dx));
                 sink.add(1, Tensor::from_vec(1, n, dgamma));
@@ -1695,6 +1675,9 @@ impl Graph {
         }
         for node in nodes {
             node.value.recycle();
+            if let Some(t) = node.saved {
+                t.recycle();
+            }
         }
     }
 }
@@ -1761,6 +1744,21 @@ fn affine_forward(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(m, n, out)
+}
+
+/// Elementwise GELU of `x` into a pooled buffer.
+fn gelu_of(x: &Tensor) -> Tensor {
+    let mut out = pool::take_uninit(x.len());
+    out.copy_from_slice(x.data());
+    simd::gelu_span(&mut out);
+    Tensor::from_vec(x.rows(), x.cols(), out)
+}
+
+/// `g ⊙ gelu'(x)` into a pooled buffer.
+fn gelu_backward(x: &Tensor, g: &Tensor) -> Tensor {
+    let mut dx = pool::take_uninit(x.len());
+    simd::gelu_grad_span(x.data(), g.data(), &mut dx);
+    Tensor::from_vec(x.rows(), x.cols(), dx)
 }
 
 /// Column sums of `g` as a `[1, n]` row (the bias gradient).

@@ -1,4 +1,5 @@
-//! Cache-blocked, register-tiled GEMM kernels and fused softmax primitives.
+//! Cache-blocked, register-tiled GEMM kernels and fused softmax and
+//! layer-norm row primitives.
 //!
 //! All three matmul variants the engine needs — `A·B`, `A·Bᵀ`, `Aᵀ·B` — are
 //! served by one blocked implementation parameterized over operand strides:
@@ -28,6 +29,7 @@
 
 use crate::pool;
 use crate::simd;
+use crate::NORM_EPS;
 
 /// Rows per micro-kernel tile.
 pub const MR: usize = 4;
@@ -289,19 +291,92 @@ fn pack_b(panel: &mut [f32], b: &[f32], rs: usize, cs: usize, p0: usize, kc: usi
     }
 }
 
+// ----- row reductions -------------------------------------------------------
+//
+// Softmax and layer-norm reduce each row with a FIXED 8-lane split: element
+// `i` accumulates into lane `i % 8` and the lanes combine in one fixed tree.
+// The order depends only on the row's own width — never on the batch around
+// it or a padded stride — so a row's result is bit-equal alone, in a batch,
+// or under a wider grouped `W`, and the portable loops below autovectorize to
+// the same arithmetic they spell out (scalar and AVX2 runs are bit-equal).
+
+const LANES: usize = 8;
+
+/// Combines the eight lane accumulators in a fixed pairwise tree.
+#[inline(always)]
+fn lane_tree(a: [f32; LANES]) -> f32 {
+    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
+}
+
+/// Lane-split reduction of `f(x[i], y[i], z[i])` over three equal-length rows.
+#[inline(always)]
+fn lane_reduce3(x: &[f32], y: &[f32], z: &[f32], f: impl Fn(f32, f32, f32) -> f32) -> f32 {
+    debug_assert!(x.len() == y.len() && x.len() == z.len());
+    let mut acc = [0.0f32; LANES];
+    let (xc, yc, zc) = (x.chunks_exact(LANES), y.chunks_exact(LANES), z.chunks_exact(LANES));
+    let (xt, yt, zt) = (xc.remainder(), yc.remainder(), zc.remainder());
+    for ((xv, yv), zv) in xc.zip(yc).zip(zc) {
+        for l in 0..LANES {
+            acc[l] += f(xv[l], yv[l], zv[l]);
+        }
+    }
+    for (l, ((&xv, &yv), &zv)) in xt.iter().zip(yt).zip(zt).enumerate() {
+        acc[l] += f(xv, yv, zv);
+    }
+    lane_tree(acc)
+}
+
+/// Lane-split reduction of `f(x[i])` over one row.
+#[inline(always)]
+fn lane_reduce(x: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    lane_reduce3(x, x, x, |v, _, _| f(v))
+}
+
 // ----- fused softmax primitives -------------------------------------------
 
 /// Numerically stable in-place softmax of one contiguous row, with the
 /// attention scale `s` folded into the exponent (softmax(s·x)).
+///
+/// The single funnel under every softmax in the engine. The exponent comes
+/// from the [`simd`] exp core (no libm) and the normalizer is the fixed
+/// lane-split sum above. A NaN, `+inf` or `-inf` anywhere in the row makes
+/// the whole row NaN.
 #[inline]
 pub fn scaled_softmax_in_place(row: &mut [f32], s: f32) {
-    let max = row.iter().map(|&x| x * s).fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for x in row.iter_mut() {
-        *x = (*x * s - max).exp();
-        sum += *x;
+    // NaN never wins `>`, so the max skips it and the exponent surfaces it.
+    let pick = |m: f32, v: f32| if v > m { v } else { m };
+    let mut mx = [f32::NEG_INFINITY; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for l in 0..LANES {
+            mx[l] = pick(mx[l], c[l] * s);
+        }
     }
-    let inv = 1.0 / sum;
+    for (l, &v) in tail.iter().enumerate() {
+        mx[l] = pick(mx[l], v * s);
+    }
+    let max = mx.iter().fold(f32::NEG_INFINITY, |m, &v| pick(m, v));
+
+    // Elementwise exponent: whole blocks in one plain loop, the tail through
+    // one padded block of the same lane code (padding repeats a real element
+    // and is discarded), so no element is left to a scalar remainder loop.
+    // The sum is its own pass: accumulating inside this loop makes LLVM emit
+    // 128-bit partial vectors for the exponent (measured 4x slower).
+    let exp = |v: f32| simd::exp_nonpos(v * s - max);
+    let (head, tail) = row.split_at_mut(row.len() / LANES * LANES);
+    for v in head.iter_mut() {
+        *v = exp(*v);
+    }
+    if !tail.is_empty() {
+        let mut block = [tail[0]; LANES];
+        block[..tail.len()].copy_from_slice(tail);
+        for v in &mut block {
+            *v = exp(*v);
+        }
+        tail.copy_from_slice(&block[..tail.len()]);
+    }
+    let inv = 1.0 / lane_reduce(row, |v| v);
     for x in row.iter_mut() {
         *x *= inv;
     }
@@ -354,6 +429,54 @@ pub fn softmax_cols_backward(rows: usize, cols: usize, g: &[f32], p: &[f32], dx:
     pool::put(col_dots);
 }
 
+// ----- fused layer-norm rows ------------------------------------------------
+
+/// Layer-normalizes one row in a single visit: writes
+/// `y = gamma ⊙ (x − mean) / sqrt(var + eps) + beta` and returns
+/// `(mean, 1 / sqrt(var + eps))`, all the backward pass needs besides `x`.
+/// Mean and (two-pass) variance use the fixed lane-split reduction.
+pub fn layer_norm_row(x: &[f32], gamma: &[f32], beta: &[f32], y: &mut [f32]) -> (f32, f32) {
+    let n = x.len() as f32;
+    let mean = lane_reduce(x, |v| v) / n;
+    let var = lane_reduce(x, |v| (v - mean) * (v - mean)) / n;
+    let istd = 1.0 / (var + NORM_EPS).sqrt();
+    for (((o, &v), &gm), &bt) in y.iter_mut().zip(x).zip(gamma).zip(beta) {
+        *o = gm * ((v - mean) * istd) + bt;
+    }
+    (mean, istd)
+}
+
+/// Backward of [`layer_norm_row`] for upstream gradient `g`: overwrites `dx`
+/// with the input gradient and ADDS this row's share into `dgamma` / `dbeta`.
+/// With `xhat = (x − mean) · istd` and `d = g ⊙ gamma`,
+/// `dx = istd · (d − mean(d) − xhat · mean(d ⊙ xhat))`.
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_row_backward(
+    g: &[f32],
+    x: &[f32],
+    gamma: &[f32],
+    mean: f32,
+    istd: f32,
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let n = g.len() as f32;
+    // Two reductions rather than one loop with two accumulators: the fused
+    // form makes LLVM pair the accumulators lane-by-lane and emit scalar
+    // code, and the row is L1-resident either way.
+    let mean_d = lane_reduce3(g, gamma, x, |gv, wv, _| gv * wv) / n;
+    let mean_dh = lane_reduce3(g, gamma, x, |gv, wv, xv| (gv * wv) * ((xv - mean) * istd)) / n;
+    for (((((o, dg), db), &gv), &xv), &wv) in
+        dx.iter_mut().zip(dgamma.iter_mut()).zip(dbeta.iter_mut()).zip(g).zip(x).zip(gamma)
+    {
+        let h = (xv - mean) * istd;
+        *o = istd * (gv * wv - mean_d - h * mean_dh);
+        *dg += gv * h;
+        *db += gv;
+    }
+}
+
 // ----- seed kernels, retained for benchmarking ----------------------------
 //
 // Compiled only under `cfg(test)` or the `seed-bench` feature (enabled by
@@ -403,6 +526,7 @@ pub fn gemm_tn_seed_branchy(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::test_util::{bits, on_both_tiers};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -529,6 +653,134 @@ mod tests {
         scaled_softmax_in_place(&mut row, scale);
         assert_close(&row, &expected, 1e-6, "scaled softmax");
         assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    fn softmax_f64(row: &[f32], s: f32) -> Vec<f64> {
+        let z: Vec<f64> = row.iter().map(|&x| f64::from(x) * f64::from(s)).collect();
+        let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let sum: f64 = z.iter().map(|&v| (v - max).exp()).sum();
+        z.iter().map(|&v| (v - max).exp() / sum).collect()
+    }
+
+    #[test]
+    fn softmax_matches_f64_reference_at_every_tail_shape() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // Block edges (1, 7, 8, 9, 31, 64), an all-equal row, and a row whose
+        // spread pushes the smallest exponent under the f32 range.
+        let mut rows: Vec<Vec<f32>> = [1usize, 7, 8, 9, 31, 64]
+            .iter()
+            .map(|&w| (0..w).map(|_| rng.gen_range(-6.0f32..6.0)).collect())
+            .collect();
+        rows.push(vec![0.731; 13]);
+        rows.push(vec![60.0, -70.0, 59.5, -200.0, 0.0, 58.0, -45.0, 60.0, 3.0]);
+        for row in rows {
+            for s in [1.0f32, 0.176_776_7] {
+                let want = softmax_f64(&row, s);
+                let (got, scalar) = on_both_tiers(|| {
+                    let mut r = row.clone();
+                    scaled_softmax_in_place(&mut r, s);
+                    r
+                });
+                assert_eq!(bits(&got), bits(&scalar), "tiers differ at width {}", row.len());
+                let sum: f64 = got.iter().map(|&v| f64::from(v)).sum();
+                assert!((sum - 1.0).abs() <= 1e-6, "width {} sums to {sum}", row.len());
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert!((f64::from(g) - w).abs() <= 1e-6, "width {} [{i}]: {g} vs {w}", row.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_row_poisons_on_any_non_finite_input() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for w in [1usize, 5, 8, 19] {
+                for at in [0, w - 1] {
+                    let mut row: Vec<f32> = (0..w).map(|i| i as f32 * 0.25 - 1.0).collect();
+                    row[at] = bad;
+                    scaled_softmax_in_place(&mut row, 0.5);
+                    assert!(row.iter().all(|v| !v.is_finite()), "{bad} at {at} of {w}: {row:?}");
+                }
+            }
+        }
+    }
+
+    fn layer_norm_f64(x: &[f32], gamma: &[f32], beta: &[f32]) -> Vec<f64> {
+        let n = x.len() as f64;
+        let mean = x.iter().map(|&v| f64::from(v)).sum::<f64>() / n;
+        let var = x.iter().map(|&v| (f64::from(v) - mean).powi(2)).sum::<f64>() / n;
+        let istd = 1.0 / (var + f64::from(NORM_EPS)).sqrt();
+        x.iter()
+            .zip(gamma.iter().zip(beta))
+            .map(|(&v, (&g, &b))| f64::from(g) * (f64::from(v) - mean) * istd + f64::from(b))
+            .collect()
+    }
+
+    #[test]
+    fn layer_norm_row_matches_f64_reference() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for w in [1usize, 7, 100, 128, 130] {
+            let x: Vec<f32> = (0..w).map(|_| rng.gen_range(-3.0f32..3.0) + 0.5).collect();
+            let gamma = rand_vec(&mut rng, w);
+            let beta = rand_vec(&mut rng, w);
+            let want = layer_norm_f64(&x, &gamma, &beta);
+            let (got, scalar) = on_both_tiers(|| {
+                let mut y = vec![0.0f32; w];
+                let stats = layer_norm_row(&x, &gamma, &beta, &mut y);
+                (y, stats)
+            });
+            assert_eq!(bits(&got.0), bits(&scalar.0), "tiers differ at width {w}");
+            assert_eq!(got.1, scalar.1);
+            for (i, (&g, &e)) in got.0.iter().zip(&want).enumerate() {
+                assert!((f64::from(g) - e).abs() <= 1e-5, "width {w} [{i}]: {g} vs {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn layer_norm_row_backward_matches_f64_reference() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for w in [1usize, 7, 100, 128, 130] {
+            let x = rand_vec(&mut rng, w);
+            let g = rand_vec(&mut rng, w);
+            let gamma = rand_vec(&mut rng, w);
+            let beta = vec![0.0f32; w];
+            let mut y = vec![0.0f32; w];
+            let (mean, istd) = layer_norm_row(&x, &gamma, &beta, &mut y);
+            let (got, scalar) = on_both_tiers(|| {
+                let (mut dx, mut dg, mut db) = (vec![0.0f32; w], vec![1.0f32; w], vec![2.0f32; w]);
+                layer_norm_row_backward(&g, &x, &gamma, mean, istd, &mut dx, &mut dg, &mut db);
+                (dx, dg, db)
+            });
+            assert_eq!(bits(&got.0), bits(&scalar.0), "tiers differ at width {w}");
+
+            let (m, s) = (f64::from(mean), f64::from(istd));
+            let xhat: Vec<f64> = x.iter().map(|&v| (f64::from(v) - m) * s).collect();
+            let d: Vec<f64> = g.iter().zip(&gamma).map(|(&a, &b)| f64::from(a) * f64::from(b)).collect();
+            let mean_d = d.iter().sum::<f64>() / w as f64;
+            let mean_dh = d.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f64>() / w as f64;
+            for i in 0..w {
+                let dx = s * (d[i] - mean_d - xhat[i] * mean_dh);
+                assert!((f64::from(got.0[i]) - dx).abs() <= 1e-5 * (1.0 + dx.abs()), "width {w} dx[{i}]");
+                // Parameter gradients accumulate on top of what was there.
+                let dg = 1.0 + f64::from(g[i]) * xhat[i];
+                assert!((f64::from(got.1[i]) - dg).abs() <= 1e-5, "width {w} dgamma[{i}]");
+                assert_eq!(got.2[i], 2.0 + g[i], "width {w} dbeta[{i}]");
+            }
+        }
+    }
+
+    #[test]
+    fn layer_norm_row_poisons_on_any_non_finite_input() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for w in [1usize, 9, 128] {
+                let mut x: Vec<f32> = (0..w).map(|i| i as f32 * 0.1).collect();
+                x[w / 2] = bad;
+                let mut y = vec![0.0f32; w];
+                layer_norm_row(&x, &vec![1.0; w], &vec![0.0; w], &mut y);
+                assert!(y.iter().all(|v| !v.is_finite()), "{bad} in width {w}: {y:?}");
+            }
+        }
     }
 
     #[test]

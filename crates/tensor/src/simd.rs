@@ -8,7 +8,7 @@
 //! portable fallback on any machine, and lets a single bench process measure
 //! both paths interleaved on the same core.
 //!
-//! Three kernel families live here:
+//! Four kernel families live here:
 //!
 //! * quantized GEMM ([`gemm_u8i8`]): the workhorse of the int8 backend.
 //!   Activations are *unsigned* (asymmetric per-row quantization, see
@@ -26,6 +26,9 @@
 //! * f32 micro-kernel ([`micro_kernel_f32_avx2`]): an explicit AVX2+FMA
 //!   twin of the autovectorized `kernels::micro_kernel`, operating on the
 //!   same packed MR x NR panels.
+//! * transcendentals ([`gelu_span`], [`gelu_grad_span`], the softmax
+//!   exponent): one range-reduced exp2 polynomial shared by the f32 and
+//!   int8 backends, forward and backward — no libm on the hot path.
 //!
 //! Rounding contract: all tiers round ties-to-even (`vcvtps2dq`'s default
 //! mode; `f32::round_ties_even` in the scalar fallback) so forced-scalar
@@ -181,41 +184,51 @@ fn min_max_scalar(x: &[f32]) -> (f32, f32) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast GELU for the quantized forward path
+// Transcendentals: one range-reduced exp2 core under GELU and softmax
 // ---------------------------------------------------------------------------
 
-// The exact graph op evaluates libm `tanh` per element, which dominates the
-// feed-forward blocks. The int8 path is approximate by construction, so its
-// fused activation uses a vectorizable tanh: range-reduce `e^{2|u|}` through
-// `2^n * e^g` with `g in [-ln2/2, ln2/2]` and a degree-5 polynomial. The
-// polynomial's relative error is ~3e-6, putting the GELU output within
-// ~2e-6 * |x| of the exact op — far below the int8 backend's documented
-// probability tolerance. The scalar twin below IS the definition; the AVX2
-// kernel mirrors it lane-for-lane (same FMA contractions, same
-// ties-to-even rounding, IEEE mul/add/div/min/abs), so tiers stay
-// bit-identical.
+// A libm `tanh`/`exp` call per element would dominate the feed-forward
+// blocks and the attention softmax (it cannot vectorize), so both backends
+// take their transcendentals from one vectorizable core: `2^z = 2^n * e^g` with `n = round(z)` integral,
+// `g = (z - n) ln2` in `[-ln2/2, ln2/2]` and a degree-5 polynomial for
+// `e^g`. The polynomial's relative error is ~3e-6, which puts `tanh` within
+// ~1.7e-6, the GELU output within ~2e-6 * |x| and a softmax probability
+// within ~1e-6 of the libm value.
+//
+// These kernels have no `std::arch` twin: the scalar forms below ARE the
+// definitions, written as straight-line IEEE arithmetic (explicit FMAs,
+// `if`-select clamps, no float-to-int cast) that the compiler vectorizes
+// under the workspace's `target-cpu=native` into the same lane math — so
+// every tier is bit-identical by construction, and a twin added later must
+// mirror its definition lane for lane. Every kernel is elementwise: a
+// value's result never depends on its neighbours, and NaN in is NaN out.
 
-/// Matches `graph::GELU_C` — sqrt(2/pi).
+/// `sqrt(2/pi)`, for the tanh GELU approximation used by BERT.
 const GELU_C: f32 = 0.797_884_6;
-/// Matches `graph::GELU_K` — the cubic term of the tanh GELU.
+/// Cubic coefficient of the tanh GELU approximation.
 const GELU_K: f32 = 0.044_715;
 /// `2 * log2(e)`: folds the `2u` of `tanh(u) = 1 - 2/(e^{2u}+1)` into the
 /// base-2 range reduction.
 const TWO_LOG2E: f32 = 2.0 * std::f32::consts::LOG2_E;
-/// Clamp on the base-2 exponent argument: `tanh` saturates to 1 within f32
-/// long before `2^25`.
-const EXP2_ARG_MAX: f32 = 25.0;
 const LN2: f32 = std::f32::consts::LN_2;
+/// Bounds on the core's argument: `2^n` must stay a normal f32. Callers
+/// clamp the side they can reach with `if`-selects (NOT `f32::min`/`max`,
+/// which would swallow a NaN argument).
+const EXP2_ARG_MIN: f32 = -126.0;
+const EXP2_ARG_MAX: f32 = 127.0;
 
-/// One element of the fast GELU — the portable definition the SIMD tiers
-/// reproduce exactly.
-#[inline]
-pub fn fast_gelu(x: f32) -> f32 {
-    let x2 = x * x;
-    let u = GELU_C * GELU_K.mul_add(x2 * x, x);
-    // e^{2|u|} = 2^n * e^{g}, n integral, g in [-ln2/2, ln2/2].
-    let z = (u.abs() * TWO_LOG2E).min(EXP2_ARG_MAX);
-    let n = z.round_ties_even();
+/// `1.5 * 2^23`. Adding it to an f32 of magnitude below 2^22 rounds that
+/// value to the nearest integer (ties to even, the default mode) and leaves
+/// the integer in the sum's low mantissa bits — rounding and float-to-int
+/// conversion in one add, with no saturating cast for the vectorizer to
+/// scalarize.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `2^z` for `z` in `[EXP2_ARG_MIN, EXP2_ARG_MAX]`; NaN for NaN.
+#[inline(always)]
+fn exp2_core(z: f32) -> f32 {
+    let shifted = z + ROUND_MAGIC;
+    let n = shifted - ROUND_MAGIC;
     let g = (z - n) * LN2;
     let p = (1.0 / 120.0f32)
         .mul_add(g, 1.0 / 24.0)
@@ -223,26 +236,68 @@ pub fn fast_gelu(x: f32) -> f32 {
         .mul_add(g, 0.5)
         .mul_add(g, 1.0)
         .mul_add(g, 1.0);
-    let e2a = p * f32::from_bits(((n as i32 + 127) as u32) << 23);
-    let t = 1.0 - 2.0 / (e2a + 1.0);
-    // tanh is odd: restore u's sign bit, then the usual 0.5x(1 + tanh).
-    let ts = f32::from_bits(t.to_bits() ^ (u.to_bits() & 0x8000_0000));
-    (0.5 * x) * (1.0 + ts)
+    // Biased exponent `n + 127` moved into place; the magic's own bits
+    // shift out.
+    p * f32::from_bits(shifted.to_bits().wrapping_add(127) << 23)
 }
 
-/// In-place fast GELU over a span, SIMD-dispatched.
+/// `e^d` for `d <= 0`, the softmax exponent. Arguments below the f32
+/// exponent range clamp to the smallest normal (~1.2e-38) instead of
+/// flushing to zero; NaN and `-inf` (an overflowed logit — this engine
+/// masks by width, never by `-inf`) both come out NaN, so a non-finite
+/// score poisons its row's sum rather than vanishing from it.
+#[inline(always)]
+pub(crate) fn exp_nonpos(d: f32) -> f32 {
+    let z = d * std::f32::consts::LOG2_E;
+    let z = if z < EXP2_ARG_MIN { EXP2_ARG_MIN } else { z };
+    // `d * 0` is NaN exactly when `d` is non-finite and a signed zero
+    // otherwise, which leaves the (positive) exponential unchanged.
+    d.mul_add(0.0, exp2_core(z))
+}
+
+/// `tanh(sqrt(2/pi) * (x + 0.044715 x^3))`, the inner term GELU and its
+/// derivative share. Saturates to exactly `±1` once `e^{2|u|}` passes 2^26.
+#[inline(always)]
+fn gelu_tanh(x: f32) -> f32 {
+    let x2 = x * x;
+    let u = GELU_C * GELU_K.mul_add(x2 * x, x);
+    let z = u.abs() * TWO_LOG2E;
+    let z = if z > EXP2_ARG_MAX { EXP2_ARG_MAX } else { z };
+    let t = 1.0 - 2.0 / (exp2_core(z) + 1.0);
+    // tanh is odd: restore u's sign bit.
+    f32::from_bits(t.to_bits() ^ (u.to_bits() & 0x8000_0000))
+}
+
+/// One element of the tanh GELU `0.5 x (1 + tanh(..))`, the activation of
+/// both backends.
+#[inline]
+pub fn fast_gelu(x: f32) -> f32 {
+    (0.5 * x) * (1.0 + gelu_tanh(x))
+}
+
+/// One element of the GELU derivative, from the same tanh as
+/// [`fast_gelu`]: `0.5 (1 + t) + 0.5 x (1 - t^2) u'(x)`.
+#[inline]
+pub fn fast_gelu_grad(x: f32) -> f32 {
+    let t = gelu_tanh(x);
+    let du = GELU_C * (3.0 * GELU_K).mul_add(x * x, 1.0);
+    let sech2 = (-t).mul_add(t, 1.0);
+    ((0.5 * x) * sech2).mul_add(du, 0.5 * (1.0 + t))
+}
+
+/// In-place GELU over a span.
 pub fn gelu_span(x: &mut [f32]) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx2Vnni if x.len() >= 8 => unsafe { gelu_span_avx2(x) },
-        _ => gelu_span_scalar(x),
+    for v in x.iter_mut() {
+        *v = fast_gelu(*v);
     }
 }
 
-/// Portable twin of the SIMD GELU pass, bit-identical by construction.
-pub fn gelu_span_scalar(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = fast_gelu(*v);
+/// GELU backward over a span: `dx[i] = g[i] * gelu'(x[i])`.
+pub fn gelu_grad_span(x: &[f32], g: &[f32], dx: &mut [f32]) {
+    debug_assert_eq!(x.len(), g.len());
+    debug_assert_eq!(x.len(), dx.len());
+    for ((o, &xi), &gi) in dx.iter_mut().zip(x).zip(g) {
+        *o = gi * fast_gelu_grad(xi);
     }
 }
 
@@ -357,57 +412,6 @@ mod x86 {
         while i < x.len() {
             *qp.add(i) =
                 ((*xp.add(i) * inv).round_ties_even() as i32 + zp).clamp(0, 255) as u8;
-            i += 1;
-        }
-    }
-
-    /// Lane-parallel twin of [`super::fast_gelu`]: identical FMA
-    /// contractions, `vroundps` ties-even, and IEEE mul/add/div/min/abs,
-    /// so each lane reproduces the scalar result bit-for-bit.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gelu_span_avx2(x: &mut [f32]) {
-        let vc = _mm256_set1_ps(super::GELU_C);
-        let vk = _mm256_set1_ps(super::GELU_K);
-        let v2l = _mm256_set1_ps(super::TWO_LOG2E);
-        let vmax = _mm256_set1_ps(super::EXP2_ARG_MAX);
-        let vln2 = _mm256_set1_ps(super::LN2);
-        let c5 = _mm256_set1_ps(1.0 / 120.0);
-        let c4 = _mm256_set1_ps(1.0 / 24.0);
-        let c3 = _mm256_set1_ps(1.0 / 6.0);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
-        let two = _mm256_set1_ps(2.0);
-        let bias = _mm256_set1_epi32(127);
-        let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-        let sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(u32::MAX as i32 ^ 0x7fff_ffff));
-        let kc = x.len() - x.len() % 8;
-        let p = x.as_mut_ptr();
-        let mut i = 0;
-        while i < kc {
-            let xv = _mm256_loadu_ps(p.add(i));
-            let x2 = _mm256_mul_ps(xv, xv);
-            let u = _mm256_mul_ps(vc, _mm256_fmadd_ps(vk, _mm256_mul_ps(x2, xv), xv));
-            let z = _mm256_min_ps(_mm256_mul_ps(_mm256_and_ps(u, abs_mask), v2l), vmax);
-            let n = _mm256_round_ps(z, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-            let g = _mm256_mul_ps(_mm256_sub_ps(z, n), vln2);
-            let pe = _mm256_fmadd_ps(c5, g, c4);
-            let pe = _mm256_fmadd_ps(pe, g, c3);
-            let pe = _mm256_fmadd_ps(pe, g, half);
-            let pe = _mm256_fmadd_ps(pe, g, one);
-            let pe = _mm256_fmadd_ps(pe, g, one);
-            let exp2n = _mm256_castsi256_ps(_mm256_slli_epi32(
-                _mm256_add_epi32(_mm256_cvtps_epi32(n), bias),
-                23,
-            ));
-            let e2a = _mm256_mul_ps(pe, exp2n);
-            let t = _mm256_sub_ps(one, _mm256_div_ps(two, _mm256_add_ps(e2a, one)));
-            let ts = _mm256_xor_ps(t, _mm256_and_ps(u, sign_mask));
-            let out = _mm256_mul_ps(_mm256_mul_ps(half, xv), _mm256_add_ps(one, ts));
-            _mm256_storeu_ps(p.add(i), out);
-            i += 8;
-        }
-        while i < x.len() {
-            *p.add(i) = super::fast_gelu(*p.add(i));
             i += 1;
         }
     }
@@ -631,12 +635,33 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{gelu_span_avx2, gemm_u8i8_avx2, gemm_u8i8_vnni, min_max_avx2, quantize_span_u8_avx2};
+use x86::{gemm_u8i8_avx2, gemm_u8i8_vnni, min_max_avx2, quantize_span_u8_avx2};
 #[cfg(target_arch = "x86_64")]
 pub use x86::micro_kernel_f32_avx2;
 
+/// Helpers for this crate's tier bit-identity tests.
+#[cfg(test)]
+pub(crate) mod test_util {
+    use super::{forced_scalar, set_forced_scalar};
+
+    /// Runs `f` on the detected tier and again with the scalar tier forced.
+    pub(crate) fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
+        let detected = f();
+        let before = forced_scalar();
+        set_forced_scalar(true);
+        let scalar = f();
+        set_forced_scalar(before);
+        (detected, scalar)
+    }
+
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_util::{bits, on_both_tiers};
     use super::*;
 
     fn ref_gemm(a: &[u8], m: usize, w: &[i8], k: usize, n: usize) -> Vec<i32> {
@@ -718,32 +743,76 @@ mod tests {
         assert_eq!(min_max_scalar(&xs), (mn, mx));
     }
 
-    fn exact_gelu(x: f32) -> f32 {
-        let u = GELU_C * (x + GELU_K * x * x * x);
-        0.5 * x * (1.0 + u.tanh())
+    /// libm reference for the tanh GELU and its analytic derivative, in f64.
+    fn exact_gelu(x: f32) -> (f64, f64) {
+        let (c, k, x) = (f64::from(GELU_C), f64::from(GELU_K), f64::from(x));
+        let t = (c * (x + k * x * x * x)).tanh();
+        let du = c * (1.0 + 3.0 * k * x * x);
+        (0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    }
+
+    /// The activation range the feed-forward blocks see, plus deep tails
+    /// where tanh has saturated to exactly ±1.
+    fn gelu_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=2400).map(|i| -12.0 + i as f32 * 0.01).collect();
+        xs.extend_from_slice(&[0.0, -0.0, 1e-20, -1e-20, 100.0, -100.0]);
+        xs
     }
 
     #[test]
     fn fast_gelu_tracks_the_exact_op() {
-        // Sweep the activation range the feed-forward blocks actually see,
-        // plus deep tails where tanh saturates. The polynomial's error
-        // budget is ~3e-6 relative on tanh, i.e. ~2e-6 * |x| on the output.
-        let mut x = -30.0f32;
-        while x <= 30.0 {
-            let got = fast_gelu(x);
-            let want = exact_gelu(x);
-            let bound = 5e-6 * x.abs().max(1.0);
-            assert!(
-                (got - want).abs() <= bound,
-                "fast_gelu({x}) = {got}, exact {want}, bound {bound}"
-            );
-            x += 0.0173;
+        // The polynomial's ~3e-6 relative error on e^{2|u|} is ~1.7e-6 on
+        // tanh, i.e. under 2e-6 * |x| on the output.
+        for x in gelu_sweep() {
+            let (want, _) = exact_gelu(x);
+            let got = f64::from(fast_gelu(x));
+            let bound = 2e-6 * f64::from(x.abs()) + 1e-7;
+            assert!((got - want).abs() <= bound, "fast_gelu({x}) = {got}, exact {want}, bound {bound}");
         }
         assert_eq!(fast_gelu(0.0), 0.0);
-        // Deep tails: tanh clamps at |t| = 1 - 6e-8, not exactly 1, so the
-        // saturated branches still obey the relative bound.
-        assert!(fast_gelu(-100.0).abs() <= 5e-6 * 100.0);
-        assert!((fast_gelu(100.0) - 100.0).abs() <= 5e-6 * 100.0);
+        assert_eq!(fast_gelu(100.0), 100.0);
+        assert_eq!(fast_gelu(-100.0), 0.0);
+    }
+
+    #[test]
+    fn fast_gelu_grad_tracks_the_analytic_derivative() {
+        for x in gelu_sweep() {
+            let (_, want) = exact_gelu(x);
+            let got = f64::from(fast_gelu_grad(x));
+            assert!((got - want).abs() <= 1e-5, "fast_gelu_grad({x}) = {got}, exact {want}");
+        }
+        assert_eq!(fast_gelu_grad(100.0), 1.0);
+        assert_eq!(fast_gelu_grad(-100.0), 0.0);
+    }
+
+    #[test]
+    fn exp_nonpos_tracks_libm_and_clamps_underflow() {
+        // ~3.3e-6 from the polynomial, plus the f32 rounding of `d * log2(e)`
+        // — an absolute error on the exponent, so it grows with |d| while
+        // e^d itself vanishes.
+        let mut d = 0.0f32;
+        while d > -87.0 {
+            let want = f64::from(d).exp();
+            let got = f64::from(exp_nonpos(d));
+            let bound = (3.5e-6 + 1.5e-7 * f64::from(d.abs())) * want;
+            assert!((got - want).abs() <= bound, "exp_nonpos({d}) = {got}, exact {want}");
+            d -= 0.0137;
+        }
+        assert_eq!(exp_nonpos(0.0), 1.0);
+        // Below the exponent range the result pins to the smallest normal.
+        for d in [-88.0f32, -100.0, -1e4, f32::MIN] {
+            assert_eq!(exp_nonpos(d), f32::MIN_POSITIVE, "exp_nonpos({d})");
+        }
+    }
+
+    #[test]
+    fn non_finite_inputs_stay_non_finite() {
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(!fast_gelu(x).is_finite(), "fast_gelu({x})");
+            assert!(!fast_gelu_grad(x).is_finite(), "fast_gelu_grad({x})");
+        }
+        assert!(exp_nonpos(f32::NAN).is_nan());
+        assert!(exp_nonpos(f32::NEG_INFINITY).is_nan());
     }
 
     #[test]
@@ -755,15 +824,25 @@ mod tests {
             vals.push(((s >> 16) as f32 / 4096.0) - 8.0);
         }
         vals.extend_from_slice(&[0.0, -0.0, 1e-20, -1e-20, 40.0, -40.0]);
-        let mut fast = vals.clone();
-        gelu_span(&mut fast);
-        let mut scalar = vals.clone();
-        let before = forced_scalar();
-        set_forced_scalar(true);
-        gelu_span(&mut scalar);
-        set_forced_scalar(before);
-        assert_eq!(fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                   scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let (fast, scalar) = on_both_tiers(|| {
+            let mut v = vals.clone();
+            gelu_span(&mut v);
+            v
+        });
+        assert_eq!(bits(&fast), bits(&scalar));
+        // The span kernel is the elementwise definition, whatever the length.
+        let each: Vec<f32> = vals.iter().map(|&x| fast_gelu(x)).collect();
+        assert_eq!(bits(&fast), bits(&each));
+
+        let g: Vec<f32> = vals.iter().map(|x| x * 0.37 - 1.0).collect();
+        let (fast, scalar) = on_both_tiers(|| {
+            let mut dx = vec![0.0; vals.len()];
+            gelu_grad_span(&vals, &g, &mut dx);
+            dx
+        });
+        assert_eq!(bits(&fast), bits(&scalar));
+        let each: Vec<f32> = vals.iter().zip(&g).map(|(&x, &gi)| gi * fast_gelu_grad(x)).collect();
+        assert_eq!(bits(&fast), bits(&each));
     }
 
     #[test]

@@ -8,6 +8,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# Forced-scalar leg: the tensor crate's whole suite again with every
+# `simd::level()` dispatch pinned to the portable definitions (GEMM
+# micro-kernel, u8xi8 dot, quantization passes), so those run on AVX2 CI
+# boxes too and not only inside the in-process `set_forced_scalar` tests.
+# Scoped to this one command — the bench gates below must time the
+# detected tier.
+EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor
+
 # The end-to-end benchmark is a workspace of its own built against this
 # one's public API: its unit tests plus every workload at --tiny size, so an
 # API break fails here rather than in the benchmark pipeline.
