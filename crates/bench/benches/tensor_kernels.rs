@@ -1,14 +1,14 @@
 //! Microbenchmarks of the tensor kernels that dominate training time.
 //!
-//! The `matmul` group pits the blocked, packed kernels against the seed
-//! repository's branchy `ikj` loops (`seed/*` entries) so the speedup from
-//! the kernel layer is measurable in one run. Shapes cover the model's real
-//! hot paths: the AOA interaction matrix `E1·E2ᵀ` at `max_len × hidden`
-//! (128×128 · (128×128)ᵀ), the per-head transformer `Q·Kᵀ` at
-//! `seq × head_dim` (128×32), and a rectangular projection 64×128 · 128×64.
+//! The `matmul` group times the three GEMM entry points at square shapes;
+//! `model_shapes` covers the model's real hot paths: the AOA interaction
+//! matrix `E1·E2ᵀ` at `max_len × hidden` (128×128 · (128×128)ᵀ), the per-head
+//! transformer `Q·Kᵀ` at `seq × head_dim` (128×32), and a rectangular
+//! projection 64×128 · 128×64. `reproduce bench` reports the same kernels as
+//! GFLOP/s against a measured peak.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emba_tensor::{kernels, Graph, Tensor};
+use emba_tensor::{Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -28,21 +28,6 @@ fn bench_matmul(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("tn", n), &n, |bench, _| {
             bench.iter(|| black_box(a.matmul_tn(&b)));
-        });
-        // The seed repository's kernels (with the `aik == 0.0` skip branch),
-        // for the before/after comparison at the same shapes.
-        let mut out = vec![0.0f32; n * n];
-        group.bench_with_input(BenchmarkId::new("seed_nn", n), &n, |bench, _| {
-            bench.iter(|| {
-                kernels::gemm_nn_seed_branchy(n, n, n, a.data(), b.data(), &mut out);
-                black_box(out[0]);
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("seed_tn", n), &n, |bench, _| {
-            bench.iter(|| {
-                kernels::gemm_tn_seed_branchy(n, n, n, a.data(), b.data(), &mut out);
-                black_box(out[0]);
-            });
         });
     }
     group.finish();

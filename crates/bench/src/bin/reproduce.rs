@@ -300,7 +300,7 @@ TARGETS (default: all):
     table7   training / inference throughput
     figure5  LIME explanations of the case-study pair
     figure6  attention visualization of the case-study pair
-    bench    tensor-kernel timings vs the seed loops (BENCH_tensor.json);
+    bench    f32 GEMM kernels as GFLOP/s and share of a measured FMA peak (BENCH_tensor.json);
              not part of `all` — run as `reproduce bench --profile smoke`
     bench-batch
              batched train/eval throughput at B in {{1,4,8,16}} vs the

@@ -1,10 +1,11 @@
 //! Self-contained kernel timing for the `reproduce bench` target.
 //!
 //! Criterion benches need `cargo bench`; this module gives the reproduce
-//! binary a dependency-free way to time the blocked kernels against the seed
-//! repository's branchy loops and emit `BENCH_tensor.json`, so the kernel
-//! speedup is recorded alongside the paper artifacts.
+//! binary a dependency-free way to time the GEMM kernels and emit
+//! `BENCH_tensor.json`: each shape as achieved GFLOP/s and as a share of this
+//! core's measured multiply-add peak, so "near peak" is a number.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -12,23 +13,21 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use crate::tables::Artifact;
-use emba_tensor::kernels;
+use emba_tensor::{kernels, simd};
 
-/// One timed shape: the blocked kernel, and where the seed repository had an
-/// equivalent loop, its time and the resulting speedup.
+/// One timed shape.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelTiming {
     /// Benchmark name (mirrors the criterion ids, e.g. `matmul/nn/128`).
     pub name: String,
     /// Product dimensions `[m, k, n]`.
     pub shape: [usize; 3],
-    /// Median ns per call of the blocked kernel.
-    pub blocked_ns: f64,
-    /// Median ns per call of the seed kernel (`None` when the seed had no
-    /// equivalent, e.g. the fused/nt paths).
-    pub seed_ns: Option<f64>,
-    /// `seed_ns / blocked_ns`.
-    pub speedup: Option<f64>,
+    /// Median ns per call.
+    pub ns: f64,
+    /// Achieved rate, counting `2·m·k·n` operations per call.
+    pub gflops: f64,
+    /// `gflops` over the measured peak.
+    pub peak_share: f64,
 }
 
 /// Times `f` and returns the median ns per call over `samples` samples,
@@ -63,89 +62,82 @@ fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// Runs the kernel comparison and renders it as an [`Artifact`] with id
-/// `BENCH_tensor`.
+/// This core's multiply-add peak in GFLOP/s: ten independent 8-lane chains
+/// that never leave their registers, 160 FLOP per round.
+fn fma_peak_gflops(samples: usize) -> f64 {
+    const ROUNDS: u64 = 20_000;
+    let ns = median_ns(samples, || {
+        let (a, b) = (black_box(0.999_999f32), black_box(1e-7f32));
+        let mut chains = [[1.0f32; 8]; 10];
+        for _ in 0..ROUNDS {
+            for chain in &mut chains {
+                for x in chain {
+                    *x = x.mul_add(a, b);
+                }
+            }
+        }
+        black_box(chains);
+    });
+    ROUNDS as f64 * 160.0 / ns
+}
+
+type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// Times the GEMM entry points and renders the result as an [`Artifact`] with
+/// id `BENCH_tensor`.
 pub fn bench_tensor_kernels(samples: usize) -> Artifact {
     let mut rng = StdRng::seed_from_u64(42);
-    let mut timings: Vec<KernelTiming> = Vec::new();
+    let peak = fma_peak_gflops(samples);
 
-    // Square products at the criterion shapes, blocked vs seed.
-    for &n in &[32usize, 64, 128] {
-        let a = rand_vec(&mut rng, n * n);
-        let b = rand_vec(&mut rng, n * n);
-        let mut out = vec![0.0f32; n * n];
-
-        let blocked = median_ns(samples, || {
-            kernels::gemm_nn(n, n, n, &a, &b, &mut out);
-            std::hint::black_box(out[0]);
-        });
-        let seed = median_ns(samples, || {
-            kernels::gemm_nn_seed_branchy(n, n, n, &a, &b, &mut out);
-            std::hint::black_box(out[0]);
-        });
-        timings.push(KernelTiming {
-            name: format!("matmul/nn/{n}"),
-            shape: [n, n, n],
-            blocked_ns: blocked,
-            seed_ns: Some(seed),
-            speedup: Some(seed / blocked),
-        });
-
-        let blocked = median_ns(samples, || {
-            kernels::gemm_tn(n, n, n, &a, &b, &mut out);
-            std::hint::black_box(out[0]);
-        });
-        let seed = median_ns(samples, || {
-            kernels::gemm_tn_seed_branchy(n, n, n, &a, &b, &mut out);
-            std::hint::black_box(out[0]);
-        });
-        timings.push(KernelTiming {
-            name: format!("matmul/tn/{n}"),
-            shape: [n, n, n],
-            blocked_ns: blocked,
-            seed_ns: Some(seed),
-            speedup: Some(seed / blocked),
-        });
-    }
-
-    // The model's real hot shapes (blocked only; the seed had no nt loop —
-    // it materialized the transpose first, which the kernel layer removed).
-    let model_shapes: [(&str, usize, usize, usize); 3] = [
-        ("model/aoa_interaction", 128, 128, 128),
-        ("model/attn_qkt", 128, 32, 128),
-        ("model/proj", 64, 128, 64),
+    // Square products at the criterion shapes, then the model's hot shapes:
+    // a 64-record encode launch through a projection and the FFN, the AOA
+    // interaction matrix and one head's `Q·Kᵀ` at full length, one pair's.
+    let shapes: [(&str, Gemm, usize, usize, usize); 11] = [
+        ("matmul/nn", kernels::gemm_nn, 32, 32, 32),
+        ("matmul/tn", kernels::gemm_tn, 32, 32, 32),
+        ("matmul/nn", kernels::gemm_nn, 64, 64, 64),
+        ("matmul/tn", kernels::gemm_tn, 64, 64, 64),
+        ("matmul/nn", kernels::gemm_nn, 128, 128, 128),
+        ("matmul/tn", kernels::gemm_tn, 128, 128, 128),
+        ("model/encode_proj", kernels::gemm_nn, 1888, 128, 128),
+        ("model/encode_ffn_up", kernels::gemm_nn, 1888, 128, 512),
+        ("model/aoa_interaction", kernels::gemm_nt, 128, 128, 128),
+        ("model/attn_qkt", kernels::gemm_nt, 128, 32, 128),
+        ("model/attn_qkt_record", kernels::gemm_nt, 24, 32, 24),
     ];
-    for (name, m, k, n) in model_shapes {
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, n * k);
-        let mut out = vec![0.0f32; m * n];
-        let blocked = median_ns(samples, || {
-            kernels::gemm_nt(m, k, n, &a, &b, &mut out);
-            std::hint::black_box(out[0]);
-        });
-        timings.push(KernelTiming {
-            name: format!("{name}/{m}x{k}x{n}"),
-            shape: [m, k, n],
-            blocked_ns: blocked,
-            seed_ns: None,
-            speedup: None,
-        });
-    }
+    let timings: Vec<KernelTiming> = shapes
+        .into_iter()
+        .map(|(name, gemm, m, k, n)| {
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            let mut out = vec![0.0f32; m * n];
+            let ns = median_ns(samples, || {
+                gemm(m, k, n, &a, &b, &mut out);
+                black_box(out[0]);
+            });
+            let gflops = 2.0 * (m * k * n) as f64 / ns;
+            KernelTiming {
+                name: format!("{name}/{m}x{k}x{n}"),
+                shape: [m, k, n],
+                ns,
+                gflops,
+                peak_share: gflops / peak,
+            }
+        })
+        .collect();
 
-    let mut text = String::from(
-        "BENCH_tensor — blocked kernels vs the seed repository's branchy loops\n\
-         (median ns per call; speedup = seed / blocked)\n\n",
+    let tier = simd::level().name();
+    let mut text = format!(
+        "BENCH_tensor — f32 GEMM entry points against this core's multiply-add peak\n\
+         (median ns per call; tier {tier}; peak {peak:.1} GFLOP/s, ten register-resident 8-lane FMA chains)\n\n",
     );
     for t in &timings {
-        let seed = t
-            .seed_ns
-            .map_or("      —".to_string(), |s| format!("{s:>9.0}"));
-        let speedup = t
-            .speedup
-            .map_or("   —".to_string(), |s| format!("{s:>5.2}x"));
         text.push_str(&format!(
-            "{:<32} {:>9.0} ns  seed {seed} ns  {speedup}\n",
-            t.name, t.blocked_ns
+            "{:<36} {:>10.0} ns  {:>6.1} GFLOP/s  {:>5.1}% of peak\n",
+            t.name,
+            t.ns,
+            t.gflops,
+            100.0 * t.peak_share
         ));
     }
 
@@ -153,11 +145,15 @@ pub fn bench_tensor_kernels(samples: usize) -> Artifact {
     struct Report {
         description: &'static str,
         samples: usize,
+        simd_tier: &'static str,
+        peak_gflops: f64,
         timings: Vec<KernelTiming>,
     }
     let report = Report {
-        description: "Median ns/call of the blocked GEMM kernels vs the seed's branchy ikj loops",
+        description: "Median ns/call and achieved GFLOP/s of the f32 GEMM entry points, with their share of a measured register-resident FMA peak",
         samples,
+        simd_tier: tier,
+        peak_gflops: peak,
         timings,
     };
     Artifact {

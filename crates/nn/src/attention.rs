@@ -73,20 +73,17 @@ impl MultiHeadAttention {
         let v = self.value.forward(g, stamp, x);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        let mut contexts = Vec::with_capacity(self.heads);
+        // Each head is a column range of q/k/v, read in place; every head's
+        // context lands in its own columns of one `[ΣT, hidden]` output.
         let mut probs = Vec::with_capacity(self.heads);
+        let mut dropped = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
-            let c0 = h * self.head_dim;
-            let c1 = c0 + self.head_dim;
-            let qh = g.slice_cols(q, c0, c1);
-            let kh = g.slice_cols(k, c0, c1);
-            let vh = g.slice_cols(v, c0, c1);
-            let p = g.attention_scores_grouped(qh, kh, scale, groups);
-            let p_dropped = dropout(g, p, self.dropout_p, train, rng);
-            contexts.push(g.matmul_grouped(p_dropped, vh, groups));
+            let cols = h * self.head_dim..(h + 1) * self.head_dim;
+            let p = g.attention_scores_grouped(q, k, cols, scale, groups);
+            dropped.push(dropout(g, p, self.dropout_p, train, rng));
             probs.push(p);
         }
-        let ctx = g.concat_cols(&contexts);
+        let ctx = g.matmul_grouped(&dropped, v, groups);
         let out = self.output.forward(g, stamp, ctx);
         let out = dropout(g, out, self.dropout_p, train, rng);
         (out, probs)
@@ -241,9 +238,8 @@ mod tests {
         let vp = g.value(yp);
         let ref_out = Tensor::concat_rows(&[&g.value(ya), &g.value(yb)]);
         assert_eq!(vp.shape(), (8, 8));
-        for (x, y) in vp.data().iter().zip(ref_out.data()) {
-            assert!((x - y).abs() < 1e-5, "batched {x} vs per-example {y}");
-        }
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(vp.data()), bits(ref_out.data()), "batched vs per-example");
         // Grouped probs are [ΣT, W]: rows of sequence 0 use only 3 columns.
         for p in &probs {
             let v = g.value(*p);
@@ -252,6 +248,48 @@ mod tests {
                 assert_eq!(&v.row_slice(r)[3..], &[0.0, 0.0], "padding must be zero");
             }
         }
+    }
+
+    #[test]
+    fn head_views_give_the_probabilities_of_sliced_out_heads() {
+        // Each head reads its columns of q/k in place; the values must be
+        // those of attention over a copy of just those columns.
+        let mut rng = StdRng::seed_from_u64(6);
+        let mha = MultiHeadAttention::new(12, 3, 0.0, &mut rng);
+        let stamp = GraphStamp::next();
+        let g = Graph::new();
+        let x = g.leaf(Tensor::rand_normal(9, 12, 0.0, 1.0, &mut rng));
+        let groups = RowGroups::from_lens(&[2, 7]);
+        let (_, probs) = mha.forward_batch_with_probs(&g, stamp, x, &groups, false, &mut rng);
+        let (q, k) = (mha.query.forward(&g, stamp, x), mha.key.forward(&g, stamp, x));
+        for (h, p) in probs.iter().enumerate() {
+            let (qh, kh) = (g.slice_cols(q, 4 * h, 4 * h + 4), g.slice_cols(k, 4 * h, 4 * h + 4));
+            let want = g.attention_scores_grouped(qh, kh, 0..4, 0.5, &groups);
+            assert_eq!(g.value(*p).shape(), (9, 7));
+            assert_eq!(g.value(*p), g.value(want), "head {h}");
+        }
+    }
+
+    #[test]
+    fn train_mode_dropout_reaches_every_projection() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut mha = MultiHeadAttention::new(8, 2, 0.3, &mut rng);
+        let g = Graph::new();
+        let stamp = GraphStamp::next();
+        let x = g.leaf(Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng));
+        let groups = RowGroups::from_lens(&[2, 4]);
+        let (y, probs) = mha.forward_batch_with_probs(&g, stamp, x, &groups, true, &mut rng);
+        // The returned probabilities are the undropped ones: rows still sum to 1.
+        for p in &probs {
+            let v = g.value(*p);
+            for r in 0..6 {
+                assert!((v.row_slice(r).iter().sum::<f32>() - 1.0).abs() < 1e-5);
+            }
+        }
+        let loss = g.mean_all(g.mul(y, y));
+        let grads = g.backward(loss);
+        mha.accumulate_gradients(&grads);
+        mha.visit(&mut |p| assert!(p.grad.norm() > 0.0, "a projection received no gradient"));
     }
 
     #[test]

@@ -472,18 +472,27 @@ mod tests {
         for p in &batch.last_attention {
             assert_eq!(g.value(*p).shape(), (11, 5));
         }
+        // Bit for bit, whatever the length: every GEMM row, softmax row and
+        // layer-norm row is computed the same alone as in a batch — also for
+        // sequences shorter than one 6-row GEMM tile.
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (i, (ids, segs)) in seqs.iter().enumerate() {
             let single = enc.forward(&g, stamp, ids, segs, false, &mut rng);
             let st = g.value(single.tokens);
             let (r0, r1) = batch.groups.range(i);
             for (r, rr) in (r0..r1).enumerate() {
-                for (x, y) in tokens.row_slice(rr).iter().zip(st.row_slice(r)) {
-                    assert!((x - y).abs() < 1e-5, "tokens differ for sequence {i}");
-                }
+                assert_eq!(bits(tokens.row_slice(rr)), bits(st.row_slice(r)), "tokens differ for sequence {i}");
             }
-            let sp = g.value(single.pooled);
-            for (x, y) in pooled.row_slice(i).iter().zip(sp.row_slice(0)) {
-                assert!((x - y).abs() < 1e-5, "pooled differs for sequence {i}");
+            assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single.pooled).data()), "pooled differs for sequence {i}");
+            // Per-head probabilities of the last layer: `[T, T]` alone, the
+            // same values in the sequence's rows of the batch's `[ΣT, W]`.
+            assert_eq!(single.last_attention.len(), batch.last_attention.len());
+            for (ps, pb) in single.last_attention.iter().zip(&batch.last_attention) {
+                let (ps, pb) = (g.value(*ps), g.value(*pb));
+                assert_eq!(ps.shape(), (ids.len(), ids.len()));
+                for (r, rr) in (r0..r1).enumerate() {
+                    assert_eq!(bits(ps.row_slice(r)), bits(&pb.row_slice(rr)[..ids.len()]), "head probabilities differ for sequence {i}");
+                }
             }
         }
     }

@@ -17,15 +17,9 @@
 //! Int8 must additionally stay within [`INT8_BOUND`] of f32.
 //!
 //! The model is `ModelKind::EmbaSb`: a real transformer backbone, so
-//! attention, layer norm and the GEMM tile edges are all in play.
-//!
-//! One documented exception, on f32 only: a record shorter than
-//! [`SMALL_GEMM_TOKENS`] that is a flush's or a `CatalogScorer::score`
-//! call's *only* cache miss is encoded alone, which makes its projections
-//! GEMMs of fewer than 32·32·32 multiply-adds. `kernels::gemm_*` runs those
-//! through its simple loops rather than the blocked kernel, and the two
-//! round differently. Here that is route 2 from its second pair on; it must
-//! stay within [`SMALL_GEMM_BOUND`].
+//! attention, layer norm and the GEMM tile edges are all in play — including
+//! records of a handful of tokens encoded alone (route 2 from its second
+//! pair on), whose projections are GEMMs of fewer rows than one tile.
 
 use emba_core::batching::BUCKET_WIDTH;
 use emba_core::blocking::BlockingConfig;
@@ -47,14 +41,6 @@ use rand::{Rng, SeedableRng};
 /// decision boundary, where `benchmark/README.md` measured up to 1.4e-2 and
 /// gates at this value.
 const INT8_BOUND: f32 = 2.5e-2;
-
-/// With EmbaSb's 64-wide projections a lone record of fewer tokens than this
-/// (plus `[CLS]` and `[SEP]`) stays under the small-GEMM threshold.
-const SMALL_GEMM_TOKENS: usize = 6;
-
-/// Largest accepted probability difference the small-GEMM exception may
-/// cause (measured over 200 seeds: at most 4.8e-7).
-const SMALL_GEMM_BOUND: f32 = 1e-6;
 
 const WORDS: &[&str] = &[
     "samsung", "sandisk", "evo", "ultra", "ssd", "card", "128gb", "1tb", "sata", "nvme", "pro",
@@ -180,18 +166,11 @@ fn four_routes(trained: &TrainedMatcher, records: &[Record], kind: BackendKind) 
             p.prob
         );
         let cached = scorer.score(&records[p.i], &records[p.j]);
-        if kind == BackendKind::Int8 || ids[p.i].len().min(ids[p.j].len()) >= SMALL_GEMM_TOKENS {
-            assert_eq!(
-                cached.to_bits(),
-                raw.to_bits(),
-                "{tag}: CatalogScorer {cached} raw {raw}"
-            );
-        } else {
-            assert!(
-                (cached - raw).abs() <= SMALL_GEMM_BOUND,
-                "{tag}: CatalogScorer {cached} raw {raw}"
-            );
-        }
+        assert_eq!(
+            cached.to_bits(),
+            raw.to_bits(),
+            "{tag}: CatalogScorer {cached} raw {raw}"
+        );
         match reply.outcome {
             MatchOutcome::Scored { prob, .. } => {
                 assert_eq!(

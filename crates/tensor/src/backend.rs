@@ -2,9 +2,9 @@
 //! execution on the other.
 //!
 //! The tape records *what* to compute; a [`Backend`] decides *how*. The
-//! default [`F32Backend`] routes every GEMM to the blocked f32 kernels in
-//! [`crate::kernels`] (which themselves dispatch between the autovectorized
-//! and explicit-SIMD micro-kernels via [`crate::simd::level`]). The
+//! default [`F32Backend`] routes every GEMM to the f32 kernels in
+//! [`crate::kernels`] (which themselves dispatch between the portable and the
+//! explicit-SIMD tile via [`crate::simd::level`]). The
 //! [`Int8Backend`] additionally answers `quantized() == true`, which makes
 //! `emba-nn`'s `Linear` layers emit the inference-only `linear_q8` tape op
 //! executing the int8 GEMM path in [`crate::quant`].

@@ -13,10 +13,12 @@
 //! mirroring the paper's remark that the AOA module is computed per sample.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use rand::Rng;
 
 use crate::groups::RowGroups;
+use crate::kernels::Epilogue;
 use crate::quant::QuantizedMatrix;
 use crate::tensor::Tensor;
 use crate::{backend, guard, kernels, pool, prof, simd};
@@ -74,6 +76,10 @@ struct Node {
     /// pre-activation): the tape holds the second handle so
     /// [`Graph::recycle`] can return it to the pool.
     saved: Option<Tensor>,
+    /// Width of the column view the op read of each parent, when it did not
+    /// read whole parents (an attention head): the profiler charges FLOPs by
+    /// what was multiplied, not by what the parent holds.
+    view_cols: Option<usize>,
 }
 
 /// A single-use reverse-mode autodiff tape.
@@ -185,17 +191,19 @@ impl Graph {
     }
 
     fn push(&self, op: &'static str, value: Tensor, parents: Vec<usize>, backward: Option<BackwardFn>) -> Var {
-        self.push_saved(op, value, parents, None, backward)
+        self.push_node(op, value, parents, None, None, backward)
     }
 
     /// [`Graph::push`] for an op whose backward closure captured a pooled
-    /// tensor besides `value`; `saved` holds a clone of it.
-    fn push_saved(
+    /// tensor besides `value` (`saved` holds a clone of it) or that read a
+    /// `view_cols`-wide column view of its parents.
+    fn push_node(
         &self,
         op: &'static str,
         value: Tensor,
         parents: Vec<usize>,
         saved: Option<Tensor>,
+        view_cols: Option<usize>,
         backward: Option<BackwardFn>,
     ) -> Var {
         // Debug-only non-finite guard: when enabled, scan every op output as
@@ -212,7 +220,7 @@ impl Graph {
         if prof::enabled() {
             let (rows, cols) = value.shape();
             let parent_shapes: Vec<(usize, usize)> =
-                parents.iter().map(|&p| nodes[p].value.shape()).collect();
+                parents.iter().map(|&p| viewed(nodes[p].value.shape(), view_cols)).collect();
             let flops = prof::estimate_flops(op, &parent_shapes, (rows, cols));
             prof::record_op(op, false, 4 * (rows * cols) as u64, flops);
         }
@@ -222,6 +230,7 @@ impl Graph {
             parents,
             backward,
             saved,
+            view_cols,
         });
         Var(nodes.len() - 1)
     }
@@ -373,9 +382,12 @@ impl Graph {
         let vx = self.value(x);
         let vw = self.value(w);
         let vb = self.value(bias);
-        let out = affine_forward(&vx, &vw, &vb);
+        let (m, k, n) = affine_shape(&vx, &vw, &vb);
+        let mut out = pool::take_uninit(m * n);
+        // The bias row is added as each GEMM tile leaves its registers.
+        kernels::gemm_strided(m, k, n, vx.data(), k, 1, vw.data(), n, 1, &mut out, n, Epilogue::Bias(vb.data()));
         self.push("linear",
-            out,
+            Tensor::from_vec(m, n, out),
             vec![x.0, w.0, bias.0],
             Some(Box::new(move |g, sink| {
                 sink.add(0, g.matmul_nt(&vw));
@@ -391,12 +403,17 @@ impl Graph {
         let vx = self.value(x);
         let vw = self.value(w);
         let vb = self.value(bias);
-        let pre = affine_forward(&vx, &vw, &vb);
-        let out = gelu_of(&pre);
-        self.push_saved("linear_bias_gelu",
-            out,
+        let (m, k, n) = affine_shape(&vx, &vw, &vb);
+        let mut out = pool::take_uninit(m * n);
+        let mut pre = pool::take_uninit(m * n);
+        let epilogue = Epilogue::BiasGelu { bias: vb.data(), pre: &mut pre };
+        kernels::gemm_strided(m, k, n, vx.data(), k, 1, vw.data(), n, 1, &mut out, n, epilogue);
+        let pre = Tensor::from_vec(m, n, pre);
+        self.push_node("linear_bias_gelu",
+            Tensor::from_vec(m, n, out),
             vec![x.0, w.0, bias.0],
             Some(pre.clone()),
+            None,
             Some(Box::new(move |g, sink| {
                 // Gradient at the pre-activation, then the affine backward.
                 let dh = gelu_backward(&pre, g);
@@ -875,182 +892,118 @@ impl Graph {
         )
     }
 
-    /// Block-diagonal fused attention scores over packed rows.
+    /// Block-diagonal fused attention scores over packed rows, for one head.
     ///
-    /// `q` and `k` are `[ΣT, d]` packed by `groups`; the output is `[ΣT, W]`
-    /// (`W = groups.max_len()`) where the rows of group `g` hold
-    /// `softmax_rows(scale · q_g · k_gᵀ)` in columns `0..T_g` and zeros
-    /// beyond — sequences cannot attend across the batch by construction.
-    pub fn attention_scores_grouped(&self, q: Var, k: Var, scale: f32, groups: &RowGroups) -> Var {
+    /// `q` and `k` are `[ΣT, H]` packed by `groups` and the head is their
+    /// column range `cols` — a view, read in place (`0..H` for a single
+    /// head). The output is `[ΣT, W]` (`W = groups.max_len()`) where the
+    /// rows of group `g` hold `softmax_rows(scale · q_g · k_gᵀ)` in columns
+    /// `0..T_g` and zeros beyond — sequences cannot attend across the batch
+    /// by construction.
+    pub fn attention_scores_grouped(&self, q: Var, k: Var, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Var {
         let vq = self.value(q);
         let vk = self.value(k);
-        let (nrows, d) = vq.shape();
-        assert_eq!(vk.shape(), (nrows, d), "attention_scores_grouped: q/k shape mismatch");
+        let (nrows, ld) = vq.shape();
+        assert_eq!(vk.shape(), (nrows, ld), "attention_scores_grouped: q/k shape mismatch");
+        assert!(cols.start < cols.end && cols.end <= ld, "attention_scores_grouped: head {cols:?} outside width {ld}");
         assert_eq!(groups.total(), nrows, "attention_scores_grouped: groups cover {} rows, q has {nrows}", groups.total());
+        let (c0, d) = (cols.start, cols.len());
         let w = groups.max_len();
         let mut out = pool::take(nrows * w);
-        for gi in 0..groups.len() {
-            let (r0, r1) = groups.range(gi);
-            let t = r1 - r0;
-            if t == 0 {
-                continue;
-            }
-            let qb = &vq.data()[r0 * d..r1 * d];
-            let kb = &vk.data()[r0 * d..r1 * d];
-            if t == w {
-                let ob = &mut out[r0 * w..r1 * w];
-                backend::gemm_nt(t, d, t, qb, kb, ob);
-                for row in ob.chunks_exact_mut(t) {
-                    kernels::scaled_softmax_in_place(row, scale);
-                }
-            } else {
-                let mut sb = pool::take_uninit(t * t);
-                backend::gemm_nt(t, d, t, qb, kb, &mut sb);
-                for row in sb.chunks_exact_mut(t) {
-                    kernels::scaled_softmax_in_place(row, scale);
-                }
-                scatter_copy_prefix(&sb, r0, t, w, t, &mut out);
-                pool::put(sb);
+        for (r0, r1) in blocks(groups) {
+            let (t, at) = (r1 - r0, r0 * ld + c0);
+            kernels::gemm_strided(t, d, t, &vq.data()[at..], ld, 1, &vk.data()[at..], 1, ld, &mut out[r0 * w..], w, Epilogue::Store);
+            for r in r0..r1 {
+                kernels::scaled_softmax_in_place(&mut out[r * w..r * w + t], scale);
             }
         }
         let out = Tensor::from_vec(nrows, w, out);
         let p = out.clone();
         let groups = groups.clone();
-        self.push("attention_scores_grouped",
+        self.push_node("attention_scores_grouped",
             out,
             vec![q.0, k.0],
+            None,
+            Some(d),
             Some(Box::new(move |g, sink| {
                 // Softmax JVP per group into one packed [Σ T²] buffer, then a
-                // pair of GEMMs per group, accumulated in place.
-                let total_sq: usize = (0..groups.len()).map(|i| groups.len_of(i).pow(2)).sum();
-                let mut ds_all = pool::take_uninit(total_sq);
-                let mut sq_offs = Vec::with_capacity(groups.len());
+                // pair of GEMMs per group that add into the head's columns of
+                // the parents' gradients.
+                let mut ds_all = pool::take_uninit(blocks(&groups).map(|(r0, r1)| (r1 - r0).pow(2)).sum());
                 let mut off = 0;
-                for gi in 0..groups.len() {
-                    let (r0, r1) = groups.range(gi);
+                for (r0, r1) in blocks(&groups) {
                     let t = r1 - r0;
-                    sq_offs.push(off);
-                    if t == 0 {
-                        continue;
-                    }
-                    let ds = &mut ds_all[off..off + t * t];
-                    if t == w {
-                        kernels::softmax_rows_backward_scaled(
-                            t, t, &g.data()[r0 * w..r1 * w], &p.data()[r0 * w..r1 * w], scale, ds,
-                        );
-                    } else {
-                        let mut gb = pool::take_uninit(t * t);
-                        let mut pb = pool::take_uninit(t * t);
-                        gather_prefix(g.data(), r0, t, w, t, &mut gb);
-                        gather_prefix(p.data(), r0, t, w, t, &mut pb);
-                        kernels::softmax_rows_backward_scaled(t, t, &gb, &pb, scale, ds);
-                        pool::put(gb);
-                        pool::put(pb);
+                    for (r, ds) in (r0..r1).zip(ds_all[off..off + t * t].chunks_exact_mut(t)) {
+                        kernels::softmax_row_backward_scaled(&g.data()[r * w..r * w + t], &p.data()[r * w..r * w + t], scale, ds);
                     }
                     off += t * t;
                 }
-                let mut scratch = pool::take_uninit(w * d);
-                sink.accum(0, nrows, d, &mut |dq| {
-                    for gi in 0..groups.len() {
-                        let (r0, r1) = groups.range(gi);
-                        let t = r1 - r0;
-                        if t == 0 {
-                            continue;
+                // dQ_g += dS_g · K_g and dK_g += dS_gᵀ · Q_g.
+                for (pos, other, transposed) in [(0, &vk, false), (1, &vq, true)] {
+                    sink.accum(pos, nrows, ld, &mut |dst| {
+                        let mut off = 0;
+                        for (r0, r1) in blocks(&groups) {
+                            let (t, at) = (r1 - r0, r0 * ld + c0);
+                            let (ds, (rs, cs)) = (&ds_all[off..off + t * t], if transposed { (1, t) } else { (t, 1) });
+                            kernels::gemm_strided(t, t, d, ds, rs, cs, &other.data()[at..], ld, 1, &mut dst[at..], ld, Epilogue::Add);
+                            off += t * t;
                         }
-                        let ds = &ds_all[sq_offs[gi]..sq_offs[gi] + t * t];
-                        let kb = &vk.data()[r0 * d..r1 * d];
-                        backend::gemm_nn(t, t, d, ds, kb, &mut scratch[..t * d]);
-                        scatter_add_prefix(&scratch[..t * d], r0, t, d, d, dq);
-                    }
-                });
-                sink.accum(1, nrows, d, &mut |dk| {
-                    for gi in 0..groups.len() {
-                        let (r0, r1) = groups.range(gi);
-                        let t = r1 - r0;
-                        if t == 0 {
-                            continue;
-                        }
-                        let ds = &ds_all[sq_offs[gi]..sq_offs[gi] + t * t];
-                        let qb = &vq.data()[r0 * d..r1 * d];
-                        backend::gemm_tn(t, t, d, ds, qb, &mut scratch[..t * d]);
-                        scatter_add_prefix(&scratch[..t * d], r0, t, d, d, dk);
-                    }
-                });
-                pool::put(scratch);
+                    });
+                }
                 pool::put(ds_all);
             })),
         )
     }
 
-    /// Block-diagonal `probs · values` over packed rows: `p` is `[ΣT, W]`
-    /// group-masked attention probabilities, `v` is `[ΣT, d]` packed values,
-    /// and each group's output rows are `P_g · V_g`.
-    pub fn matmul_grouped(&self, p: Var, v: Var, groups: &RowGroups) -> Var {
-        let vp = self.value(p);
+    /// Block-diagonal `probs · values` over packed rows, all heads at once.
+    ///
+    /// `v` is `[ΣT, H]` packed values, split into `probs.len()` equal column
+    /// ranges (heads); `probs[h]` is head `h`'s `[ΣT, W]` group-masked
+    /// attention probabilities. The output is `[ΣT, H]`: group `g`'s rows of
+    /// head `h`'s columns are `P_{h,g} · V_{h,g}`, each written in place — no
+    /// per-head tensors are sliced out or concatenated back.
+    pub fn matmul_grouped(&self, probs: &[Var], v: Var, groups: &RowGroups) -> Var {
+        let vps: Vec<Tensor> = probs.iter().map(|&p| self.value(p)).collect();
         let vv = self.value(v);
-        let (nrows, w) = vp.shape();
-        let (nv, d) = vv.shape();
-        assert_eq!(nrows, nv, "matmul_grouped: probs rows {nrows} vs value rows {nv}");
+        let (nrows, ld) = vv.shape();
+        let w = groups.max_len();
+        assert!(!vps.is_empty() && ld.is_multiple_of(vps.len()), "matmul_grouped: {} heads do not divide width {ld}", vps.len());
         assert_eq!(groups.total(), nrows, "matmul_grouped: groups cover {} rows, got {nrows}", groups.total());
-        assert_eq!(groups.max_len(), w, "matmul_grouped: probs width {w} vs max group len {}", groups.max_len());
-        let mut out = pool::take(nrows * d);
-        for gi in 0..groups.len() {
-            let (r0, r1) = groups.range(gi);
+        for vp in &vps {
+            assert_eq!(vp.shape(), (nrows, w), "matmul_grouped: probs must be [{nrows}, {w}]");
+        }
+        let d = ld / vps.len();
+        let mut out = pool::take(nrows * ld);
+        for (r0, r1) in blocks(groups) {
             let t = r1 - r0;
-            if t == 0 {
-                continue;
-            }
-            let vb = &vv.data()[r0 * d..r1 * d];
-            let ob = &mut out[r0 * d..r1 * d];
-            if t == w {
-                backend::gemm_nn(t, t, d, &vp.data()[r0 * w..r1 * w], vb, ob);
-            } else {
-                let mut pb = pool::take_uninit(t * t);
-                gather_prefix(vp.data(), r0, t, w, t, &mut pb);
-                backend::gemm_nn(t, t, d, &pb, vb, ob);
-                pool::put(pb);
+            for (h, vp) in vps.iter().enumerate() {
+                let at = r0 * ld + h * d;
+                kernels::gemm_strided(t, t, d, &vp.data()[r0 * w..], w, 1, &vv.data()[at..], ld, 1, &mut out[at..], ld, Epilogue::Store);
             }
         }
-        let out = Tensor::from_vec(nrows, d, out);
+        let out = Tensor::from_vec(nrows, ld, out);
         let groups = groups.clone();
+        let heads = vps.len();
         self.push("matmul_grouped",
             out,
-            vec![p.0, v.0],
+            probs.iter().chain([&v]).map(|p| p.0).collect(),
             Some(Box::new(move |g, sink| {
-                let mut scratch = pool::take_uninit(w * w.max(d));
-                sink.accum(0, nrows, w, &mut |dp| {
-                    for gi in 0..groups.len() {
-                        let (r0, r1) = groups.range(gi);
-                        let t = r1 - r0;
-                        if t == 0 {
-                            continue;
+                for (h, vp) in vps.iter().enumerate() {
+                    // dP_{h,g} += dO_{h,g} · V_{h,g}ᵀ.
+                    sink.accum(h, nrows, w, &mut |dp| {
+                        for (r0, r1) in blocks(&groups) {
+                            let (t, at) = (r1 - r0, r0 * ld + h * d);
+                            kernels::gemm_strided(t, d, t, &g.data()[at..], ld, 1, &vv.data()[at..], 1, ld, &mut dp[r0 * w..], w, Epilogue::Add);
                         }
-                        let gb = &g.data()[r0 * d..r1 * d];
-                        let vb = &vv.data()[r0 * d..r1 * d];
-                        backend::gemm_nt(t, d, t, gb, vb, &mut scratch[..t * t]);
-                        scatter_add_prefix(&scratch[..t * t], r0, t, w, t, dp);
-                    }
-                });
-                sink.accum(1, nrows, d, &mut |dv| {
-                    for gi in 0..groups.len() {
-                        let (r0, r1) = groups.range(gi);
-                        let t = r1 - r0;
-                        if t == 0 {
-                            continue;
+                    });
+                    // dV_{h,g} += P_{h,g}ᵀ · dO_{h,g}.
+                    sink.accum(heads, nrows, ld, &mut |dv| {
+                        for (r0, r1) in blocks(&groups) {
+                            let (t, at) = (r1 - r0, r0 * ld + h * d);
+                            kernels::gemm_strided(t, t, d, &vp.data()[r0 * w..], 1, w, &g.data()[at..], ld, 1, &mut dv[at..], ld, Epilogue::Add);
                         }
-                        let gb = &g.data()[r0 * d..r1 * d];
-                        if t == w {
-                            backend::gemm_tn(t, t, d, &vp.data()[r0 * w..r1 * w], gb, &mut scratch[..t * d]);
-                        } else {
-                            let mut pb = pool::take_uninit(t * t);
-                            gather_prefix(vp.data(), r0, t, w, t, &mut pb);
-                            backend::gemm_tn(t, t, d, &pb, gb, &mut scratch[..t * d]);
-                            pool::put(pb);
-                        }
-                        scatter_add_prefix(&scratch[..t * d], r0, t, d, d, dv);
-                    }
-                });
-                pool::put(scratch);
+                    });
+                }
             })),
         )
     }
@@ -1071,73 +1024,32 @@ impl Graph {
         assert_eq!(gb.total(), mb, "interaction_grouped: right groups cover {} rows, got {mb}", gb.total());
         assert_eq!(ga.len(), gb.len(), "interaction_grouped: {} left vs {} right groups", ga.len(), gb.len());
         let w = gb.max_len();
+        // Non-empty pairs as `(first row of A, rows of A, first row of B, rows of B)`.
+        let pairs: Vec<(usize, usize, usize, usize)> = (0..ga.len())
+            .map(|i| (ga.start(i), ga.len_of(i), gb.start(i), gb.len_of(i)))
+            .filter(|&(_, ta, _, tb)| ta > 0 && tb > 0)
+            .collect();
         let mut out = pool::take(ma * w);
-        for gi in 0..ga.len() {
-            let (ar0, ar1) = ga.range(gi);
-            let (br0, br1) = gb.range(gi);
-            let (ta, tb) = (ar1 - ar0, br1 - br0);
-            if ta == 0 || tb == 0 {
-                continue;
-            }
-            let ab = &va.data()[ar0 * h..ar1 * h];
-            let bb = &vb.data()[br0 * h..br1 * h];
-            if tb == w {
-                backend::gemm_nt(ta, h, tb, ab, bb, &mut out[ar0 * w..ar1 * w]);
-            } else {
-                let mut sb = pool::take_uninit(ta * tb);
-                backend::gemm_nt(ta, h, tb, ab, bb, &mut sb);
-                scatter_copy_prefix(&sb, ar0, ta, w, tb, &mut out);
-                pool::put(sb);
-            }
+        for &(ar0, ta, br0, tb) in &pairs {
+            kernels::gemm_strided(ta, h, tb, &va.data()[ar0 * h..], h, 1, &vb.data()[br0 * h..], 1, h, &mut out[ar0 * w..], w, Epilogue::Store);
         }
         let out = Tensor::from_vec(ma, w, out);
-        let (ga, gb) = (ga.clone(), gb.clone());
         self.push("interaction_grouped",
             out,
             vec![a.0, b.0],
             Some(Box::new(move |g, sink| {
-                let mut scratch = pool::take_uninit(w.max(ga.max_len()) * h);
+                // dA_g += dI_g · B_g.
                 sink.accum(0, ma, h, &mut |da| {
-                    for gi in 0..ga.len() {
-                        let (ar0, ar1) = ga.range(gi);
-                        let (br0, br1) = gb.range(gi);
-                        let (ta, tb) = (ar1 - ar0, br1 - br0);
-                        if ta == 0 || tb == 0 {
-                            continue;
-                        }
-                        let bb = &vb.data()[br0 * h..br1 * h];
-                        if tb == w {
-                            backend::gemm_nn(ta, tb, h, &g.data()[ar0 * w..ar1 * w], bb, &mut scratch[..ta * h]);
-                        } else {
-                            let mut gp = pool::take_uninit(ta * tb);
-                            gather_prefix(g.data(), ar0, ta, w, tb, &mut gp);
-                            backend::gemm_nn(ta, tb, h, &gp, bb, &mut scratch[..ta * h]);
-                            pool::put(gp);
-                        }
-                        scatter_add_prefix(&scratch[..ta * h], ar0, ta, h, h, da);
+                    for &(ar0, ta, br0, tb) in &pairs {
+                        kernels::gemm_strided(ta, tb, h, &g.data()[ar0 * w..], w, 1, &vb.data()[br0 * h..], h, 1, &mut da[ar0 * h..], h, Epilogue::Add);
                     }
                 });
+                // dB_g += dI_gᵀ · A_g.
                 sink.accum(1, mb, h, &mut |db| {
-                    for gi in 0..ga.len() {
-                        let (ar0, ar1) = ga.range(gi);
-                        let (br0, br1) = gb.range(gi);
-                        let (ta, tb) = (ar1 - ar0, br1 - br0);
-                        if ta == 0 || tb == 0 {
-                            continue;
-                        }
-                        let ab = &va.data()[ar0 * h..ar1 * h];
-                        if tb == w {
-                            backend::gemm_tn(tb, ta, h, &g.data()[ar0 * w..ar1 * w], ab, &mut scratch[..tb * h]);
-                        } else {
-                            let mut gp = pool::take_uninit(ta * tb);
-                            gather_prefix(g.data(), ar0, ta, w, tb, &mut gp);
-                            backend::gemm_tn(tb, ta, h, &gp, ab, &mut scratch[..tb * h]);
-                            pool::put(gp);
-                        }
-                        scatter_add_prefix(&scratch[..tb * h], br0, tb, h, h, db);
+                    for &(ar0, ta, br0, tb) in &pairs {
+                        kernels::gemm_strided(tb, ta, h, &g.data()[ar0 * w..], 1, w, &va.data()[ar0 * h..], h, 1, &mut db[br0 * h..], h, Epilogue::Add);
                     }
                 });
-                pool::put(scratch);
             })),
         )
     }
@@ -1375,20 +1287,16 @@ impl Graph {
         assert_eq!(groups.total(), ma, "weighted_sum_rows_grouped: groups cover {} rows, got {ma}", groups.total());
         let gcount = groups.len();
         let mut out = pool::take(gcount * n);
-        for gi in 0..gcount {
+        // A one-row `wᵀ·X` through the GEMM tile would pack X and compute six
+        // rows to keep one; this is the tile's own FMA chain (`r` ascending
+        // from zero) for that row, so it agrees bit for bit with `matmul_tn`.
+        for (gi, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
             let (r0, r1) = groups.range(gi);
-            let t = r1 - r0;
-            if t == 0 {
-                continue;
+            for (&wr, xrow) in vw.data()[r0..r1].iter().zip(vx.data()[r0 * n..r1 * n].chunks_exact(n.max(1))) {
+                for (o, &xv) in orow.iter_mut().zip(xrow) {
+                    *o = wr.mul_add(xv, *o);
+                }
             }
-            backend::gemm_tn(
-                1,
-                t,
-                n,
-                &vw.data()[r0..r1],
-                &vx.data()[r0 * n..r1 * n],
-                &mut out[gi * n..(gi + 1) * n],
-            );
         }
         let out = Tensor::from_vec(gcount, n, out);
         let groups = groups.clone();
@@ -1647,7 +1555,7 @@ impl Graph {
                         .map(|&p| {
                             let shape = nodes[p].value.shape();
                             grad_bytes += 4 * (shape.0 * shape.1) as u64;
-                            shape
+                            viewed(shape, node.view_cols)
                         })
                         .collect();
                     // Backward of a node costs roughly two forward passes
@@ -1682,6 +1590,11 @@ impl Graph {
     }
 }
 
+/// The non-empty row ranges of `groups`.
+fn blocks(groups: &RowGroups) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..groups.len()).map(|i| groups.range(i)).filter(|(r0, r1)| r1 > r0)
+}
+
 /// Copies the leading `w` columns of `t` rows starting at packed row `r0` of
 /// a row-major `[_, stride]` buffer into contiguous `[t, w]` scratch.
 fn gather_prefix(src: &[f32], r0: usize, t: usize, stride: usize, w: usize, dst: &mut [f32]) {
@@ -1703,14 +1616,6 @@ fn scatter_add_prefix(src: &[f32], r0: usize, t: usize, stride: usize, w: usize,
     }
 }
 
-/// Copies a contiguous `[t, w]` block into rows `r0..r0+t`, columns `0..w` of
-/// a row-major `[_, stride]` buffer (padding columns are left untouched).
-fn scatter_copy_prefix(src: &[f32], r0: usize, t: usize, stride: usize, w: usize, dst: &mut [f32]) {
-    for r in 0..t {
-        dst[(r0 + r) * stride..(r0 + r) * stride + w].copy_from_slice(&src[r * w..(r + 1) * w]);
-    }
-}
-
 /// Jacobian-vector product of a row softmax: `dx = p ⊙ (g − rowdot(g, p))`,
 /// computed into a pooled scratch buffer.
 fn softmax_rows_backward(g: &Tensor, p: &Tensor) -> Tensor {
@@ -1720,10 +1625,8 @@ fn softmax_rows_backward(g: &Tensor, p: &Tensor) -> Tensor {
     Tensor::from_vec(m, n, dx)
 }
 
-/// `x · w + bias` into a single pooled buffer: the blocked GEMM writes the
-/// product and the bias row is folded in without materializing an
-/// intermediate tensor or recording a separate tape node.
-fn affine_forward(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
+/// Checks the operands of `x · w + bias` and returns the GEMM's `(m, k, n)`.
+fn affine_shape(x: &Tensor, w: &Tensor, bias: &Tensor) -> (usize, usize, usize) {
     let (m, k) = x.shape();
     let n = w.cols();
     assert_eq!(
@@ -1736,14 +1639,7 @@ fn affine_forward(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
         n
     );
     assert_eq!(bias.shape(), (1, n), "linear: bias must be [1,{n}]");
-    let mut out = pool::take_uninit(m * n);
-    backend::gemm_nn(m, k, n, x.data(), w.data(), &mut out);
-    for row in out.chunks_exact_mut(n.max(1)) {
-        for (o, &b) in row.iter_mut().zip(bias.data()) {
-            *o += b;
-        }
-    }
-    Tensor::from_vec(m, n, out)
+    (m, k, n)
 }
 
 /// Elementwise GELU of `x` into a pooled buffer.
@@ -1759,6 +1655,11 @@ fn gelu_backward(x: &Tensor, g: &Tensor) -> Tensor {
     let mut dx = pool::take_uninit(x.len());
     simd::gelu_grad_span(x.data(), g.data(), &mut dx);
     Tensor::from_vec(x.rows(), x.cols(), dx)
+}
+
+/// The shape the profiler charges for a parent an op read a column view of.
+fn viewed(shape: (usize, usize), view_cols: Option<usize>) -> (usize, usize) {
+    (shape.0, view_cols.unwrap_or(shape.1))
 }
 
 /// Column sums of `g` as a `[1, n]` row (the bias gradient).

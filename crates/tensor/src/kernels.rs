@@ -1,50 +1,85 @@
-//! Cache-blocked, register-tiled GEMM kernels and fused softmax and
-//! layer-norm row primitives.
+//! Direct-operand GEMM and fused softmax and layer-norm row primitives.
 //!
-//! All three matmul variants the engine needs — `A·B`, `A·Bᵀ`, `Aᵀ·B` — are
-//! served by one blocked implementation parameterized over operand strides:
-//! the logical element `A(i, p)` lives at `a[i * a_rs + p * a_cs]`, so a
-//! transposed operand is just a different `(rs, cs)` pair and never has to be
-//! materialized. The implementation follows the classic BLIS/GotoBLAS
-//! decomposition:
+//! Every matrix product of the engine — `A·B`, `A·Bᵀ`, `Aᵀ·B`, a linear
+//! layer's `x·W + b`, one attention head's `Q_h·K_hᵀ` — is one call of
+//! [`gemm_strided`]. Its operands are *views*: the logical element `A(i, p)`
+//! lives at `a[i * a_rs + p * a_cs]`, `B(p, j)` at `b[p * b_rs + j * b_cs]`
+//! and `C(i, j)` at `out[i * ldc + j]`, so a transposed operand is a swapped
+//! stride pair, a head is a column offset (the slice start) under the full
+//! matrix's leading dimension, and neither is ever copied out first.
 //!
-//! * Loop over `NC`-wide column panels of B, `KC`-deep slices of the shared
-//!   dimension, and `MC`-tall row panels of A, sized so the packed panels
-//!   stay resident in cache across the inner loops.
-//! * Pack each B panel into `NR`-wide column strips and each A panel into
-//!   `MR`-tall row strips, padding edge strips with zeros. Packing makes the
-//!   micro-kernel's accesses contiguous and unit-stride regardless of the
-//!   source layout, which is what lets one kernel serve nn/nt/tn.
-//! * A register-tiled `MR×NR` micro-kernel (4×16 — 64 f32 accumulators plus
-//!   one broadcast and one B-row fit the 16 vector registers of AVX2-class
-//!   hardware) walks the shared dimension with fully unrolled, branch-free
-//!   multiply-adds that the compiler auto-vectorizes.
+//! * **The tile** is `MR×NR` = 6×16: twelve 8-lane accumulators, two B
+//!   vectors and one broadcast fill 15 of the 16 vector registers, and each
+//!   step of the shared dimension feeds 12 FMAs from 8 loads.
+//! * **A is read in place.** The tile broadcasts `A(i, p)` straight from the
+//!   caller's matrix, one scalar per row per step, whatever the strides. The
+//!   six row streams (or, transposed, one stream of 6 adjacent floats) fit
+//!   any L1, and a packing pass would read and write all of A to save
+//!   nothing.
+//! * **B is packed** per call into `NR`-wide, depth-major strips (zero-padded
+//!   at the edge). The tile wants 16 contiguous floats per step, and a
+//!   weight matrix read in place would not give them cheaply: at a 512-byte
+//!   row stride the 128 rows of a `KC`-slice fall into 8 of L1's 64 sets and
+//!   evict each other. One strip (`KC·NR` floats, 16 KB) stays in L1 across
+//!   an `MC`-row block of A; packing a 128×128 B is 1–2 % of a 1 888-row
+//!   product, so there is no cached packed copy to invalidate.
+//! * **C is finished in the tile.** The accumulators leave the registers
+//!   through an [`Epilogue`]: stored, added to what is there, or stored with
+//!   a bias row added; `BiasGelu` also keeps the pre-activation for the
+//!   backward pass and applies GELU per `MC`-row block while it is hot.
+//!   The shared dimension is cut into `KC`-deep slices; every slice after the
+//!   first adds to C. An edge tile still computes 6×16 — rows past the edge
+//!   repeat a real row of A, columns past it multiply the strip's zero
+//!   padding — and stores only what exists.
+//! * **Two micro-kernels, one arithmetic.** `simd::tile_6x16_avx2` and the
+//!   portable `tile_portable` both run, per element of C and per slice, the
+//!   one chain `acc = fma(A(i,p), B(p,j), acc)` for `p` ascending from
+//!   `acc = 0`, then the epilogue — so the tiers agree bit for bit, and a row
+//!   of C does not depend on how many rows are computed with it
+//!   (`tests/prop_gemm.rs` holds both to that chain).
+//! * **`Aᵀ` is read in place too** (`gemm_tn`, the backward passes): the
+//!   tile's six broadcasts then come from six adjacent floats per step. Ten
+//!   interleaved `train_eval_joint` benchmark pairs against a variant that
+//!   first transposed each `MC×KC` panel of A into scratch measured 145.3 vs
+//!   141.9 pairs/s with quartile ranges that overlap (direct ahead in 6 of
+//!   10), so there is no pack-A path for any stride.
 //!
-//! Small products fall through to simple branchless loops: for a handful of
-//! rows the packing traffic costs more than it saves.
-//!
-//! Scratch buffers for the packed panels come from the thread-local
-//! [`pool`](crate::pool), so steady-state training performs no heap
-//! allocation here at all.
+//! Scratch for the packed B panel comes from the thread-local
+//! [`pool`](crate::pool).
 
 use crate::pool;
 use crate::simd;
 use crate::NORM_EPS;
 
-/// Rows per micro-kernel tile.
-pub const MR: usize = 4;
-/// Columns per micro-kernel tile.
+/// Rows per register tile.
+pub const MR: usize = 6;
+/// Columns per register tile.
 pub const NR: usize = 16;
-/// Rows of A packed per panel (multiple of `MR`).
-const MC: usize = 64;
-/// Depth of the shared dimension packed per panel.
-const KC: usize = 256;
+/// Rows of A walked per packed B strip (multiple of `MR`): the block's
+/// `MC×KC` floats of A stay in L2 while each strip is reused from L1.
+const MC: usize = 96;
+/// Depth of the shared dimension per slice.
+pub const KC: usize = 256;
 /// Columns of B packed per panel (multiple of `NR`).
 const NC: usize = 512;
 
-/// Products below this many multiply-adds use the simple loops; the packed
-/// path only pays off once panel reuse amortizes the packing passes.
-const SMALL_MULADDS: usize = 32 * 32 * 32;
+/// What happens to a finished tile of `A·B` on its way into C.
+pub enum Epilogue<'a> {
+    /// `C = A·B`.
+    Store,
+    /// `C += A·B`.
+    Add,
+    /// `C = A·B + bias`, `bias` one row of `n` values.
+    Bias(&'a [f32]),
+    /// `pre = A·B + bias` and `C = gelu(pre)`; `pre` is a contiguous
+    /// row-major `[m, n]` buffer (the backward pass's saved pre-activation).
+    BiasGelu {
+        /// One row of `n` values.
+        bias: &'a [f32],
+        /// Receives the pre-activation.
+        pre: &'a mut [f32],
+    },
+}
 
 // ----- public entry points ------------------------------------------------
 
@@ -55,21 +90,7 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if m * n * k < SMALL_MULADDS {
-        out.fill(0.0);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &aip) in a_row.iter().enumerate() {
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aip * bv;
-                }
-            }
-        }
-    } else {
-        gemm_blocked(m, k, n, a, k, 1, b, n, 1, out);
-    }
+    gemm_strided(m, k, n, a, k, 1, b, n, 1, out, n, Epilogue::Store);
 }
 
 /// `out = A·Bᵀ` for row-major `A: [m,k]`, `B: [n,k]`, `out: [m,n]`.
@@ -77,18 +98,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    if m * n * k < SMALL_MULADDS {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                *o = dot(a_row, b_row);
-            }
-        }
-    } else {
-        gemm_blocked(m, k, n, a, k, 1, b, 1, k, out);
-    }
+    gemm_strided(m, k, n, a, k, 1, b, 1, k, out, n, Epilogue::Store);
 }
 
 /// `out = Aᵀ·B` for row-major `A: [k,m]`, `B: [k,n]`, `out: [m,n]`.
@@ -96,21 +106,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if m * n * k < SMALL_MULADDS {
-        out.fill(0.0);
-        for p in 0..k {
-            let a_row = &a[p * m..(p + 1) * m];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (i, &aip) in a_row.iter().enumerate() {
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += aip * bv;
-                }
-            }
-        }
-    } else {
-        gemm_blocked(m, k, n, a, 1, m, b, n, 1, out);
-    }
+    gemm_strided(m, k, n, a, 1, m, b, n, 1, out, n, Epilogue::Store);
 }
 
 /// Branch-free dot product over unrolled 8-lane chunks.
@@ -134,12 +130,29 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-// ----- blocked implementation ---------------------------------------------
+// ----- the direct-operand GEMM ----------------------------------------------
 
-/// Blocked GEMM over strided operands: `A(i, p) = a[i*a_rs + p*a_cs]`,
-/// `B(p, j) = b[p*b_rs + j*b_cs]`, accumulating into row-major `out`.
+/// Elements a strided `rows × cols` view reaches into its slice.
+fn view_span(rows: usize, rs: usize, cols: usize, cs: usize) -> usize {
+    if rows == 0 || cols == 0 {
+        0
+    } else {
+        (rows - 1) * rs + (cols - 1) * cs + 1
+    }
+}
+
+/// `C = epilogue(A·B)` over strided views: `A(i, p) = a[i*a_rs + p*a_cs]`
+/// (`m × k`), `B(p, j) = b[p*b_rs + j*b_cs]` (`k × n`), `C(i, j) =
+/// out[i*ldc + j]`. A view into a wider matrix passes that matrix's leading
+/// dimension as the row stride and starts its slice at the column offset;
+/// elements of `out` between the rows of the view are not touched.
+///
+/// # Panics
+///
+/// Panics if a view reaches past its slice, `ldc < n`, or an epilogue
+/// operand has the wrong length.
 #[allow(clippy::too_many_arguments)]
-fn gemm_blocked(
+pub fn gemm_strided(
     m: usize,
     k: usize,
     n: usize,
@@ -150,141 +163,204 @@ fn gemm_blocked(
     b_rs: usize,
     b_cs: usize,
     out: &mut [f32],
+    ldc: usize,
+    epilogue: Epilogue<'_>,
 ) {
-    out.fill(0.0);
-    let mut packed_a = pool::take_uninit(MC * KC);
+    // The AVX2 tile reads and writes through raw pointers; these are the
+    // checks its SAFETY comments cite.
+    assert!(a.len() >= view_span(m, a_rs, k, a_cs), "gemm: A view {m}x{k} reaches past its slice");
+    assert!(b.len() >= view_span(k, b_rs, n, b_cs), "gemm: B view {k}x{n} reaches past its slice");
+    assert!(ldc >= n && out.len() >= view_span(m, ldc, n, 1), "gemm: C view {m}x{n} (ld {ldc}) reaches past its slice");
+    let (bias, mut pre, add) = match epilogue {
+        Epilogue::Store => (None, None, false),
+        Epilogue::Add => (None, None, true),
+        Epilogue::Bias(bias) => (Some(bias), None, false),
+        Epilogue::BiasGelu { bias, pre } => (Some(bias), Some(pre), false),
+    };
+    assert!(bias.is_none_or(|b| b.len() == n), "gemm: bias must have {n} values");
+    assert!(pre.as_ref().is_none_or(|p| p.len() == m * n), "gemm: pre-activation buffer must be {m}x{n}");
+    if m == 0 || n == 0 {
+        return;
+    }
+    // An empty product never reads A; one stand-in element keeps the tiles'
+    // row offsets in bounds whatever strides came with it.
+    let (a, a_rs, a_cs) = if k == 0 { (&[0.0f32][..], 0, 0) } else { (a, a_rs, a_cs) };
+    // Tiles land in `pre` when there is one; GELU then carries them to `out`.
+    let ldd = if pre.is_some() { n } else { ldc };
+
     let mut packed_b = pool::take_uninit(KC * NC);
     // One cached-atomic read per GEMM, not per tile; `simd::level()` honors
-    // the EMBA_FORCE_SCALAR override so CI can pin the autovectorized path.
-    let use_simd = simd::level() >= simd::Level::Avx2;
+    // the EMBA_FORCE_SCALAR override so CI can pin the portable tile.
+    let use_avx2 = simd::level() >= simd::Level::Avx2;
+    let slices = k.div_ceil(KC).max(1);
 
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
-        let nc_strips = nc.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
+        for slice in 0..slices {
+            let pc = slice * KC;
             let kc = (k - pc).min(KC);
+            let last = slice + 1 == slices;
             pack_b(&mut packed_b, b, b_rs, b_cs, pc, kc, jc, nc);
+            let step = TileStep {
+                kc,
+                a_at: pc * a_cs,
+                a_rs,
+                a_cs,
+                ldd,
+                accumulate: add || slice > 0,
+                bias: if last { bias } else { None },
+                use_avx2,
+            };
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
-                let mc_strips = mc.div_ceil(MR);
-                pack_a(&mut packed_a, a, a_rs, a_cs, ic, mc, pc, kc);
-
-                for jt in 0..nc_strips {
-                    let b_panel = &packed_b[jt * kc * NR..(jt + 1) * kc * NR];
-                    let j_lim = (nc - jt * NR).min(NR);
-                    for it in 0..mc_strips {
-                        let a_panel = &packed_a[it * kc * MR..(it + 1) * kc * MR];
-                        let i_lim = (mc - it * MR).min(MR);
-
-                        let mut acc = [[0.0f32; NR]; MR];
-                        micro_kernel_dispatch(use_simd, kc, a_panel, b_panel, &mut acc);
-
-                        let row0 = ic + it * MR;
-                        let col0 = jc + jt * NR;
-                        for r in 0..i_lim {
-                            let out_row = &mut out[(row0 + r) * n + col0..(row0 + r) * n + col0 + j_lim];
-                            for (o, &v) in out_row.iter_mut().zip(&acc[r][..j_lim]) {
-                                *o += v;
-                            }
-                        }
+                let dst: &mut [f32] = match pre.as_deref_mut() {
+                    Some(pre) => pre,
+                    None => &mut *out,
+                };
+                for jt in 0..nc.div_ceil(NR) {
+                    let b_strip = &packed_b[jt * kc * NR..(jt + 1) * kc * NR];
+                    let col0 = jc + jt * NR;
+                    let cols = (n - col0).min(NR);
+                    for row0 in (ic..ic + mc).step_by(MR) {
+                        let rows = (ic + mc - row0).min(MR);
+                        step.run(a, b_strip, dst, row0, rows, col0, cols);
+                    }
+                }
+                if let (true, Some(pre)) = (last, pre.as_deref()) {
+                    for row in ic..ic + mc {
+                        let o = &mut out[row * ldc + jc..][..nc];
+                        o.copy_from_slice(&pre[row * n + jc..][..nc]);
+                        simd::gelu_span(o);
                     }
                 }
             }
         }
     }
-
-    pool::put(packed_a);
     pool::put(packed_b);
 }
 
-/// Routes a packed-panel tile either to the explicit AVX2+FMA micro-kernel
-/// or to the portable autovectorized one. `use_simd` is hoisted to one
-/// decision per GEMM call.
-#[inline(always)]
-fn micro_kernel_dispatch(use_simd: bool, kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        // SAFETY: `use_simd` is only true when `simd::level()` detected
-        // AVX2+FMA on this CPU.
-        unsafe { simd::micro_kernel_f32_avx2(kc, a, b, acc) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-    micro_kernel(kc, a, b, acc);
+/// What every tile of one `KC`-slice shares.
+struct TileStep<'a> {
+    kc: usize,
+    /// Offset of the slice's first column of A.
+    a_at: usize,
+    a_rs: usize,
+    a_cs: usize,
+    /// Leading dimension of the destination.
+    ldd: usize,
+    /// Add to the destination (a later slice, or [`Epilogue::Add`]).
+    accumulate: bool,
+    /// The bias row, on the last slice.
+    bias: Option<&'a [f32]>,
+    use_avx2: bool,
 }
 
-/// The register-tiled inner kernel: `acc[r][c] += Σ_p a(r, p) · b(p, c)` over
-/// packed panels (`a`: depth-major strips of `MR`, `b`: depth-major strips of
-/// `NR`). Fixed tile sizes let the compiler unroll and vectorize the whole
-/// body; there are no branches in the loop.
+impl TileStep<'_> {
+    /// Computes the `rows × cols` tile at `(row0, col0)` and finishes it into
+    /// `dst`. Rows past an edge re-read the tile's last real row of A and
+    /// columns past an edge multiply the strip's zero padding; neither is
+    /// stored.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run(&self, a: &[f32], b_strip: &[f32], dst: &mut [f32], row0: usize, rows: usize, col0: usize, cols: usize) {
+        let a_row: [usize; MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * self.a_rs + self.a_at);
+        let at = row0 * self.ldd + col0;
+        let bias = self.bias.map(|b| &b[col0..col0 + cols]);
+        match self.use_avx2 {
+            #[cfg(target_arch = "x86_64")]
+            true => {
+                assert!(a_row.iter().all(|&o| o < a.len()) && at + (rows - 1) * self.ldd + cols <= dst.len());
+                let bias = bias.map_or(std::ptr::null(), <[f32]>::as_ptr);
+                // SAFETY: `use_avx2` is only set when `simd::level()` detected
+                // AVX2+FMA. Each `a_row[r]` was just checked to lie in `a`
+                // and addresses `A(i, pc)` for a real row `i < m`; the view
+                // `gemm_strided` asserted then puts the `kc` strided reads
+                // from it inside `a`. `b_strip` holds `kc * NR` packed
+                // floats. The tile touches `rows` rows of `cols` floats from
+                // `dst[at]` at stride `ldd`, the last of which was just
+                // checked to end inside `dst`, and `cols` bias values.
+                unsafe {
+                    let a_ptr = a_row.map(|o| a.as_ptr().add(o));
+                    let c = dst.as_mut_ptr().add(at);
+                    simd::tile_6x16_avx2(self.kc, a_ptr, self.a_cs, b_strip.as_ptr(), c, self.ldd, rows, cols, self.accumulate, bias);
+                }
+            }
+            _ => {
+                let mut acc = [[0.0f32; NR]; MR];
+                tile_portable(a, a_row, self.a_cs, b_strip, &mut acc);
+                for (acc_row, r) in acc.iter().zip(0..rows) {
+                    let row = &mut dst[at + r * self.ldd..][..cols];
+                    for (c, o) in row.iter_mut().enumerate() {
+                        let mut v = acc_row[c];
+                        if self.accumulate {
+                            v += *o;
+                        }
+                        if let Some(bias) = bias {
+                            v += bias[c];
+                        }
+                        *o = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The portable twin of `simd::tile_6x16_avx2`: the same FMA chain per
+/// element, spelled with `f32::mul_add` over fixed-size rows so the compiler
+/// unrolls and vectorizes it. `a_row[r]` is the offset of `A(row r, first p)`.
 #[inline(always)]
-fn micro_kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(a.len() >= kc * MR);
-    debug_assert!(b.len() >= kc * NR);
-    for p in 0..kc {
-        let ap: &[f32; MR] = a[p * MR..p * MR + MR].try_into().unwrap();
-        let bp: &[f32; NR] = b[p * NR..p * NR + NR].try_into().unwrap();
+fn tile_portable(a: &[f32], a_row: [usize; MR], a_cs: usize, b_strip: &[f32], acc: &mut [[f32; NR]; MR]) {
+    #[cfg(test)]
+    PORTABLE_TILES.with(|n| n.set(n.get() + 1));
+    for (p, bp) in b_strip.chunks_exact(NR).enumerate() {
+        let bp: &[f32; NR] = bp.try_into().expect("strip rows are NR wide");
         for r in 0..MR {
-            let arv = ap[r];
-            let row = &mut acc[r];
+            let av = a[a_row[r] + p * a_cs];
             for c in 0..NR {
-                row[c] += arv * bp[c];
+                acc[r][c] = av.mul_add(bp[c], acc[r][c]);
             }
         }
     }
 }
 
-/// Packs an `mc × kc` panel of A into `MR`-tall, depth-major strips:
-/// `panel[s*MR*kc + p*MR + r] = A(i0 + s*MR + r, p0 + p)`, zero-padded when
-/// the last strip overhangs `mc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(panel: &mut [f32], a: &[f32], rs: usize, cs: usize, i0: usize, mc: usize, p0: usize, kc: usize) {
-    let full = mc / MR;
-    for s in 0..full {
-        let base = s * MR * kc;
-        for p in 0..kc {
-            let dst = &mut panel[base + p * MR..base + (p + 1) * MR];
-            let src = (i0 + s * MR) * rs + (p0 + p) * cs;
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = a[src + r * rs];
-            }
-        }
-    }
-    if !mc.is_multiple_of(MR) {
-        let s = full;
-        let rem = mc - s * MR;
-        let base = s * MR * kc;
-        for p in 0..kc {
-            let dst = &mut panel[base + p * MR..base + (p + 1) * MR];
-            let src = (i0 + s * MR) * rs + (p0 + p) * cs;
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rem { a[src + r * rs] } else { 0.0 };
-            }
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// Tiles this thread ran through [`tile_portable`].
+    static PORTABLE_TILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Packs a `kc × nc` panel of B into `NR`-wide, depth-major strips:
 /// `panel[t*kc*NR + p*NR + c] = B(p0 + p, j0 + t*NR + c)`, zero-padded when
 /// the last strip overhangs `nc`. Unit column stride (the nn/tn case) copies
-/// whole rows with `copy_from_slice`.
+/// whole rows; otherwise (a transposed B) each strip row gathers its 16
+/// columns, so the writes are the contiguous side.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(panel: &mut [f32], b: &[f32], rs: usize, cs: usize, p0: usize, kc: usize, j0: usize, nc: usize) {
-    let strips = nc.div_ceil(NR);
-    for t in 0..strips {
-        let base = t * kc * NR;
-        let col = j0 + t * NR;
-        let width = (nc - t * NR).min(NR);
+    if cs == 1 {
         for p in 0..kc {
-            let dst = &mut panel[base + p * NR..base + (p + 1) * NR];
-            let src = (p0 + p) * rs + col * cs;
-            if cs == 1 {
-                dst[..width].copy_from_slice(&b[src..src + width]);
-            } else {
-                for (c, d) in dst[..width].iter_mut().enumerate() {
-                    *d = b[src + c * cs];
+            let row = &b[(p0 + p) * rs + j0..][..nc];
+            for (t, src) in row.chunks(NR).enumerate() {
+                let dst = &mut panel[(t * kc + p) * NR..][..NR];
+                match <&[f32; NR]>::try_from(src) {
+                    Ok(src) => dst.copy_from_slice(src),
+                    Err(_) => {
+                        dst[..src.len()].copy_from_slice(src);
+                        dst[src.len()..].fill(0.0);
+                    }
                 }
+            }
+        }
+        return;
+    }
+    for t in 0..nc.div_ceil(NR) {
+        let strip = &mut panel[t * kc * NR..(t + 1) * kc * NR];
+        let width = (nc - t * NR).min(NR);
+        // Columns past the edge re-read the last real one, then are zeroed.
+        let col: [usize; NR] = std::array::from_fn(|c| p0 * rs + (j0 + t * NR + c.min(width - 1)) * cs);
+        for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+            for (d, &at) in dst.iter_mut().zip(&col) {
+                *d = b[at + p * rs];
             }
             dst[width..].fill(0.0);
         }
@@ -382,21 +458,25 @@ pub fn scaled_softmax_in_place(row: &mut [f32], s: f32) {
     }
 }
 
-/// Jacobian-vector product of a row softmax, written into `dx` (a scratch
-/// buffer of the same length): `dx = p ⊙ (g − rowdot(g, p)) · s`, where `s`
-/// folds in the derivative of a pre-softmax scale.
+/// Jacobian-vector product of one softmax row, written into `dx`:
+/// `dx = p ⊙ (g − dot(g, p)) · s`, where `s` folds in the derivative of a
+/// pre-softmax scale.
+pub fn softmax_row_backward_scaled(g: &[f32], p: &[f32], s: f32, dx: &mut [f32]) {
+    let d = dot(g, p);
+    for ((o, &gv), &pv) in dx.iter_mut().zip(g).zip(p) {
+        *o = pv * (gv - d) * s;
+    }
+}
+
+/// [`softmax_row_backward_scaled`] over every row of contiguous
+/// `[rows, cols]` buffers.
 pub fn softmax_rows_backward_scaled(rows: usize, cols: usize, g: &[f32], p: &[f32], s: f32, dx: &mut [f32]) {
     debug_assert_eq!(g.len(), rows * cols);
     debug_assert_eq!(p.len(), rows * cols);
     debug_assert_eq!(dx.len(), rows * cols);
     for r in 0..rows {
         let span = r * cols..(r + 1) * cols;
-        let grow = &g[span.clone()];
-        let prow = &p[span.clone()];
-        let d = dot(grow, prow);
-        for ((o, &gv), &pv) in dx[span].iter_mut().zip(grow).zip(prow) {
-            *o = pv * (gv - d) * s;
-        }
+        softmax_row_backward_scaled(&g[span.clone()], &p[span.clone()], s, &mut dx[span]);
     }
 }
 
@@ -477,52 +557,6 @@ pub fn layer_norm_row_backward(
     }
 }
 
-// ----- seed kernels, retained for benchmarking ----------------------------
-//
-// Compiled only under `cfg(test)` or the `seed-bench` feature (enabled by
-// emba-bench) so the hot path cannot reach them by accident.
-
-/// The seed repository's `ikj` matmul, including its `aik == 0.0` skip
-/// branch. Retained only so the benchmark suite can quantify the cost of
-/// that branch against [`gemm_nn`]; not used by the engine.
-#[cfg(any(test, feature = "seed-bench"))]
-pub fn gemm_nn_seed_branchy(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    out.fill(0.0);
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let a_row = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += aik * bv;
-            }
-        }
-    }
-}
-
-/// The seed repository's `Aᵀ·B` kernel with its `== 0.0` skip branch; see
-/// [`gemm_nn_seed_branchy`].
-#[cfg(any(test, feature = "seed-bench"))]
-pub fn gemm_tn_seed_branchy(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    out.fill(0.0);
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (i, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += aik * bv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +595,7 @@ mod tests {
     fn blocked_nn_matches_reference_on_awkward_shapes() {
         let mut rng = StdRng::seed_from_u64(11);
         // Shapes straddling every blocking boundary: micro-tile edges,
-        // panel edges, the small-product cutoff, and multi-panel sizes.
+        // panel edges, and multi-panel sizes.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -614,29 +648,25 @@ mod tests {
     }
 
     #[test]
-    fn seed_branchy_kernels_agree_with_blocked() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let (m, k, n) = (65, 66, 67);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let mut blocked = vec![0.0f32; m * n];
-        let mut branchy = vec![0.0f32; m * n];
-        gemm_nn(m, k, n, &a, &b, &mut blocked);
-        gemm_nn_seed_branchy(m, k, n, &a, &b, &mut branchy);
-        assert_close(&blocked, &branchy, 1e-5, "nn vs seed");
-
-        let at: Vec<f32> = {
-            let mut t = vec![0.0f32; k * m];
-            for i in 0..m {
-                for p in 0..k {
-                    t[p * m + i] = a[i * k + p];
-                }
-            }
-            t
-        };
-        gemm_tn(m, k, n, &at, &b, &mut blocked);
-        gemm_tn_seed_branchy(m, k, n, &at, &b, &mut branchy);
-        assert_close(&blocked, &branchy, 1e-5, "tn vs seed");
+    fn forced_scalar_env_runs_the_portable_tile() {
+        // tier1.sh's `EMBA_FORCE_SCALAR=1 cargo test -p emba-tensor` leg exists
+        // to run the portable tile on AVX2 machines. With the variable
+        // exported nothing in this process ever un-forces the scalar tier, so
+        // every tile of a GEMM must be counted; without it other tests toggle
+        // the tier concurrently and only a CPU without AVX2 pins the count.
+        let forced = std::env::var("EMBA_FORCE_SCALAR")
+            .is_ok_and(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"));
+        let mut rng = StdRng::seed_from_u64(20);
+        let (m, k, n) = (13, 40, 33);
+        let (a, b) = (rand_vec(&mut rng, m * k), rand_vec(&mut rng, k * n));
+        let mut out = vec![0.0f32; m * n];
+        let before = PORTABLE_TILES.with(std::cell::Cell::get);
+        gemm_nn(m, k, n, &a, &b, &mut out);
+        let ran = PORTABLE_TILES.with(std::cell::Cell::get) - before;
+        if forced || simd::detected() == simd::Level::Scalar {
+            assert_eq!(ran, (m.div_ceil(MR) * n.div_ceil(NR)) as u64, "GEMM tiles bypassed the portable tile");
+        }
+        assert_close(&out, &reference_nn(m, k, n, &a, &b), 1e-5, "nn 13x40x33");
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! boxed backward closures keeps the op set trivially extensible. Tensors
 //! share their buffer through an `Arc`, so cloning a tensor (e.g. capturing
 //! activations inside a backward closure) is O(1); mutation copies-on-write.
-//! Matrix products route through [`kernels`] — cache-blocked, panel-packed
-//! GEMM with a register-tiled branch-free micro-kernel — and hot-path
+//! Matrix products route through [`kernels`] — one direct-operand GEMM over
+//! strided views with a 6×16 register tile — and hot-path
 //! allocations draw from the thread-local scratch [`pool`], which `Graph` and
 //! `Gradients` refill via their `recycle` methods at the end of each step.
 //!

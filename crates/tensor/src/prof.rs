@@ -228,7 +228,10 @@ pub fn record_op(op: &'static str, backward: bool, bytes: u64, flops: u64) {
 }
 
 /// Estimated forward FLOPs of one tape op, from its name, parent shapes, and
-/// output shape. Estimates, not measurements: GEMM-family ops use the exact
+/// output shape. An op that reads a column view of its parents (one attention
+/// head of a `[ΣT, hidden]` q/k) is charged by the view: the tape passes
+/// `(rows, head_dim)` for them, not the parents' full width.
+/// Estimates, not measurements: GEMM-family ops use the exact
 /// `2·m·k·n` multiply-add count; transcendental elementwise ops use small
 /// per-element constants; pure data movement (embedding, slice, concat)
 /// counts zero. Backward passes are charged 2× the forward estimate by the
@@ -257,7 +260,8 @@ pub fn estimate_flops(op: &str, parents: &[(usize, usize)], out: (usize, usize))
         "attention_scores" | "attention_scores_grouped" => {
             2 * elems * parents.first().map_or(0, |p| p.1 as u64) + 7 * elems
         }
-        // Block-diagonal probs·values: out [ΣT, d], probs parent [ΣT, W].
+        // Block-diagonal probs·values, every head into its columns of one
+        // out [ΣT, hidden]; the parents are one [ΣT, W] probs per head, then v.
         "matmul_grouped" => 2 * elems * parents.first().map_or(0, |p| p.1 as u64),
         // Per-pair A·Bᵀ: out [ΣM, W], left parent [ΣM, h].
         "interaction_grouped" => 2 * elems * parents.first().map_or(0, |p| p.1 as u64),
@@ -522,6 +526,32 @@ mod tests {
         assert_eq!(r.phases.len(), 1);
         assert_eq!(r.phases[0].calls, 3);
         assert_eq!(r.spans.len(), 3);
+    }
+
+    #[test]
+    fn head_view_attention_is_charged_by_the_head() {
+        use crate::RowGroups;
+        let (heads, hd, t) = (4usize, 8usize, 6usize);
+        let r = with_clean_profiler(|| {
+            let g = Graph::new();
+            let x = g.leaf(Tensor::from_vec(t, heads * hd, vec![0.1; t * heads * hd]));
+            let groups = RowGroups::from_lens(&[t]);
+            let probs: Vec<_> = (0..heads)
+                .map(|h| g.attention_scores_grouped(x, x, h * hd..(h + 1) * hd, 0.5, &groups))
+                .collect();
+            let ctx = g.matmul_grouped(&probs, x, &groups);
+            g.backward(g.sum_all(ctx)).recycle();
+            report()
+        });
+        let find = |op: &str, backward: bool| r.ops.iter().find(|o| o.op == op && o.backward == backward).unwrap();
+        // One head's q·kᵀ is 2·T·T·head_dim, not 2·T·T·hidden.
+        let scores = find("attention_scores_grouped", false);
+        assert_eq!(scores.calls, heads as u64);
+        assert_eq!(scores.flops, (heads * (2 * t * t * hd + 7 * t * t)) as u64);
+        assert_eq!(find("attention_scores_grouped", true).flops, 2 * scores.flops);
+        // All heads' probs·values in one node: 2·T·T·hidden.
+        assert_eq!(find("matmul_grouped", false).flops, (2 * t * t * heads * hd) as u64);
+        assert!(r.ops.iter().all(|o| o.op != "slice_cols" && o.op != "concat_cols"));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! * activation quantization ([`quantize_span_u8`]): the min/max pass and
 //!   the scale-round-clamp pass, both vectorized — at transformer widths
 //!   the scalar version costs as much as the GEMM it feeds.
-//! * f32 micro-kernel ([`micro_kernel_f32_avx2`]): an explicit AVX2+FMA
-//!   twin of the autovectorized `kernels::micro_kernel`, operating on the
-//!   same packed MR x NR panels.
+//! * f32 GEMM tile (`tile_6x16_avx2`): the explicit AVX2+FMA micro-kernel
+//!   under every f32 matrix product; `kernels::tile_portable` is its twin,
+//!   the same FMA chain spelled with `f32::mul_add`.
 //! * transcendentals ([`gelu_span`], [`gelu_grad_span`], the softmax
 //!   exponent): one range-reduced exp2 polynomial shared by the f32 and
 //!   int8 backends, forward and backward — no libm on the hot path.
@@ -590,46 +590,64 @@ mod x86 {
         }
     }
 
-    /// Explicit AVX2+FMA twin of `kernels::micro_kernel`: rank-1 updates of a
-    /// 4 x 16 register block from packed panels (`a` strided by MR=4, `b` by
-    /// NR=16).
+    /// The f32 GEMM micro-kernel: a 6 x 16 tile of `A·B` in twelve 8-lane
+    /// accumulators (with two B vectors and one broadcast, 15 of the 16
+    /// registers). `A(r, p)` is broadcast from `a[r] + p * a_cs` — the
+    /// caller's matrix, not a packed copy — and `b` is one packed strip of 16
+    /// columns. Per element and for `p` ascending the tile runs
+    /// `acc = fma(A(r, p), B(p, j), acc)` from `acc = 0`, then finishes the
+    /// leading `rows x cols` of C in registers:
+    /// `c[r * ldc + j] = (c[r * ldc + j] +) acc (+ bias[j])`. An edge tile
+    /// still computes all 6 x 16 (its `a` repeats a real row, its strip is
+    /// zero-padded) and masks what it loads and stores.
     ///
     /// # Safety
-    /// Requires AVX2+FMA; `a` must hold `kc * 4` and `b` `kc * 16` packed
-    /// elements.
+    /// Requires AVX2+FMA. For every `r < 6` and `p < kc`, `a[r] + p * a_cs`
+    /// must be readable; `b` must hold `kc * 16` floats; for `r < rows`,
+    /// `c + r * ldc` must be writable (and, with `accumulate`, readable) for
+    /// `cols <= 16` floats; `bias` is null or holds `cols` floats.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn micro_kernel_f32_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; 16]; 4]) {
-        let mut c00 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c20 = _mm256_setzero_ps();
-        let mut c21 = _mm256_setzero_ps();
-        let mut c30 = _mm256_setzero_ps();
-        let mut c31 = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
+    pub unsafe fn tile_6x16_avx2(
+        kc: usize,
+        a: [*const f32; 6],
+        a_cs: usize,
+        b: *const f32,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+        accumulate: bool,
+        bias: *const f32,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; 6];
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(bp.add(p * 16));
-            let b1 = _mm256_loadu_ps(bp.add(p * 16 + 8));
-            let a0 = _mm256_broadcast_ss(&*ap.add(p * 4));
-            let a1 = _mm256_broadcast_ss(&*ap.add(p * 4 + 1));
-            let a2 = _mm256_broadcast_ss(&*ap.add(p * 4 + 2));
-            let a3 = _mm256_broadcast_ss(&*ap.add(p * 4 + 3));
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a0, b1, c01);
-            c10 = _mm256_fmadd_ps(a1, b0, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            c20 = _mm256_fmadd_ps(a2, b0, c20);
-            c21 = _mm256_fmadd_ps(a2, b1, c21);
-            c30 = _mm256_fmadd_ps(a3, b0, c30);
-            c31 = _mm256_fmadd_ps(a3, b1, c31);
+            let b0 = _mm256_loadu_ps(b.add(p * 16));
+            let b1 = _mm256_loadu_ps(b.add(p * 16 + 8));
+            for (row, a_row) in acc.iter_mut().zip(a) {
+                let av = _mm256_broadcast_ss(&*a_row.add(p * a_cs));
+                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+            }
         }
-        let rows = [[c00, c01], [c10, c11], [c20, c21], [c30, c31]];
-        for (r, pair) in rows.iter().enumerate() {
-            let dst = acc[r].as_mut_ptr();
-            _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), pair[0]));
-            _mm256_storeu_ps(dst.add(8), _mm256_add_ps(_mm256_loadu_ps(dst.add(8)), pair[1]));
+        // Lane `l` of half `h` is column `8h + l`: live when below `cols`.
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let live = [
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(cols as i32), lane),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(cols as i32 - 8), lane),
+        ];
+        for (r, row) in acc.iter().enumerate().take(rows) {
+            for (h, (&half, &live)) in row.iter().zip(&live).enumerate() {
+                let dst = c.add(r * ldc + 8 * h);
+                let mut v = half;
+                if accumulate {
+                    v = _mm256_add_ps(_mm256_maskload_ps(dst, live), v);
+                }
+                if !bias.is_null() {
+                    v = _mm256_add_ps(v, _mm256_maskload_ps(bias.add(8 * h), live));
+                }
+                _mm256_maskstore_ps(dst, live, v);
+            }
         }
     }
 }
@@ -637,7 +655,7 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 use x86::{gemm_u8i8_avx2, gemm_u8i8_vnni, min_max_avx2, quantize_span_u8_avx2};
 #[cfg(target_arch = "x86_64")]
-pub use x86::micro_kernel_f32_avx2;
+pub(crate) use x86::tile_6x16_avx2;
 
 /// Helpers for this crate's tier bit-identity tests.
 #[cfg(test)]

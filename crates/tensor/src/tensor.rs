@@ -41,7 +41,7 @@ impl Serialize for Tensor {
 ///
 /// A derived impl would accept any `{rows, cols, data}` triple, and a
 /// hand-edited or bit-flipped snapshot whose `data` is shorter than
-/// `rows * cols` would drive the blocked kernels (which index by shape, not
+/// `rows * cols` would drive the GEMM kernels (which index by shape, not
 /// by buffer length) out of bounds. Deserialization therefore rejects any
 /// tree where `data.len() != rows * cols`, including shapes whose element
 /// count overflows `usize`.
@@ -396,10 +396,8 @@ impl Tensor {
 
     /// Matrix product `self · other`.
     ///
-    /// Routes through the blocked, panel-packed kernel in
-    /// [`kernels`](crate::kernels); small products use a branch-free `ikj`
-    /// loop whose inner body is a contiguous scaled-add the compiler
-    /// vectorizes.
+    /// Routes through the direct-operand GEMM in [`kernels`](crate::kernels),
+    /// at every size.
     ///
     /// # Panics
     ///

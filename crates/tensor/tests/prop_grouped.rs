@@ -57,7 +57,7 @@ proptest! {
         let k = Tensor::rand_normal(n, d, 0.0, 0.8, &mut rng);
         let w = Tensor::rand_normal(n, groups.max_len(), 0.0, 1.0, &mut rng);
         check(&[q, k], |g, v| {
-            let p = g.attention_scores_grouped(v[0], v[1], 0.5, &groups);
+            let p = g.attention_scores_grouped(v[0], v[1], 0..d, 0.5, &groups);
             let wl = g.leaf(w.clone());
             g.sum_all(g.mul(p, wl))
         });
@@ -87,7 +87,7 @@ proptest! {
             let g = Graph::new();
             let pv = g.leaf(p.clone());
             let vv = g.leaf(v_in.clone());
-            let out = g.matmul_grouped(pv, vv, &groups);
+            let out = g.matmul_grouped(&[pv], vv, &groups);
             let grads = g.backward(g.sum_all(out));
             (grads.get(pv).unwrap().clone(), grads.get(vv).unwrap().clone())
         };
@@ -170,11 +170,11 @@ proptest! {
         let g = Graph::new();
         let (qv, kv, xv, wv) = (g.leaf(q.clone()), g.leaf(k.clone()), g.leaf(x.clone()), g.leaf(wcol.clone()));
 
-        let fused = g.attention_scores_grouped(qv, kv, 0.7, &groups);
+        let fused = g.attention_scores_grouped(qv, kv, 0..d, 0.7, &groups);
         let per = g.attention_scores(qv, kv, 0.7);
         assert_close(&g.value(fused), &g.value(per), 1e-6, "attention_scores");
 
-        let ctx_g = g.matmul_grouped(fused, xv, &groups);
+        let ctx_g = g.matmul_grouped(&[fused], xv, &groups);
         let ctx_p = g.matmul(per, xv);
         assert_close(&g.value(ctx_g), &g.value(ctx_p), 1e-5, "probs·V");
 
@@ -227,7 +227,7 @@ proptest! {
 
         let g = Graph::new();
         let (qv, kv) = (g.leaf(q.clone()), g.leaf(k.clone()));
-        let batched = g.value(g.attention_scores_grouped(qv, kv, 0.6, &groups));
+        let batched = g.value(g.attention_scores_grouped(qv, kv, 0..d, 0.6, &groups));
 
         for gi in 0..groups.len() {
             let (r0, r1) = groups.range(gi);

@@ -229,8 +229,8 @@ proptest! {
         let d = 4;
         let q1 = Tensor::from_vec(tb, d, (0..tb * d).map(|i| val(i / d, i % d) * 0.3).collect());
         let q2 = Tensor::from_vec(tb + wide, d, (0..(tb + wide) * d).map(|i| val(i / d, i % d) * 0.3).collect());
-        let alone = g.attention_scores_grouped(g.leaf(q1.clone()), g.leaf(q1), 0.5, &gb1);
-        let both = g.attention_scores_grouped(g.leaf(q2.clone()), g.leaf(q2), 0.5, &gb2);
+        let alone = g.attention_scores_grouped(g.leaf(q1.clone()), g.leaf(q1), 0..d, 0.5, &gb1);
+        let both = g.attention_scores_grouped(g.leaf(q2.clone()), g.leaf(q2), 0..d, 0.5, &gb2);
         let (alone, both) = (g.value(alone), g.value(both));
         for r in 0..tb {
             prop_assert_eq!(bits(alone.row_slice(r)), bits(&both.row_slice(r)[..tb]));

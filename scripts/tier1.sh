@@ -9,9 +9,10 @@ cargo test -q
 cargo clippy --workspace -- -D warnings
 
 # Forced-scalar leg: the tensor crate's whole suite again with every
-# `simd::level()` dispatch pinned to the portable definitions (GEMM
-# micro-kernel, u8xi8 dot, quantization passes), so those run on AVX2 CI
-# boxes too and not only inside the in-process `set_forced_scalar` tests.
+# `simd::level()` dispatch pinned to the portable definitions (GEMM tile,
+# u8xi8 dot, quantization passes), so those run on AVX2 CI boxes too and not
+# only inside the in-process `set_forced_scalar` tests; the suite's
+# `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it.
 # Scoped to this one command — the bench gates below must time the
 # detected tier.
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor
@@ -49,8 +50,9 @@ cargo run --release -p emba-bench --bin reproduce -- \
     crash --profile smoke --trace-name tier1-crash
 grep -q '"event":"resume"' results/runs/tier1-crash.jsonl
 
-# Batched-execution smoke: the batched train/eval sweep must beat its
-# per-example twin at B=8 (floors live in crates/bench/src/batch_bench.rs),
+# Batched-execution smoke: the batched train/eval sweep must stay within its
+# floors of the per-example twin at B=8 (regression guards ~10% under the
+# lowest measured run; they live in crates/bench/src/batch_bench.rs),
 # batched probabilities must match per-example within 1e-5, and a B=1 batch
 # must be bit-identical to the per-example wrapper. The bench-batch target
 # exits non-zero if any gate fails; the JSON must also parse and record a
