@@ -3,8 +3,8 @@
 //! single-level attention vs averaging" discussion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emba_core::aoa::attention_over_attention;
-use emba_tensor::{Graph, Tensor};
+use emba_core::aoa::{attention_over_attention, attention_over_attention_batch};
+use emba_tensor::{Graph, RowView, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -23,6 +23,20 @@ fn bench_pooling_strategies(c: &mut Criterion) {
                 let v1 = g.leaf(e1.clone());
                 let v2 = g.leaf(e2.clone());
                 black_box(g.value(attention_over_attention(&g, v1, v2).pooled));
+            });
+        });
+
+        // What the model runs: one fused op over a window of candidates that
+        // share their left record, read from cached encodings. 32 pairs per
+        // iteration — divide by 32 to compare with the per-pair reference.
+        let rights: Vec<Tensor> = (0..32).map(|_| Tensor::rand_normal(len, 128, 0.0, 1.0, &mut rng)).collect();
+        group.bench_with_input(BenchmarkId::new("aoa_fused_batch32", len), &len, |b, _| {
+            b.iter(|| {
+                let g = Graph::new();
+                let left = vec![RowView::Tensor(&e1); rights.len()];
+                let right: Vec<RowView<'_>> = rights.iter().map(RowView::Tensor).collect();
+                black_box(g.value(attention_over_attention_batch(&g, &left, &right).pooled));
+                g.recycle();
             });
         });
 

@@ -19,14 +19,14 @@
 //! The per-sample semantics follow the paper exactly: after its padding
 //! ablation showed that padding the interaction matrix "skews the
 //! representation for the downstream tasks", every softmax here normalizes
-//! only over a pair's own tokens. The batched entry point
-//! ([`attention_over_attention_batch`]) keeps those semantics — interaction
-//! matrices are packed row-wise with structurally-zero padding columns that
-//! no softmax or gradient ever reads — while computing all pairs of a
-//! mini-batch in a handful of grouped tape ops instead of a per-pair op
-//! storm.
+//! only over a pair's own tokens. [`attention_over_attention`] spells the six
+//! steps out in general tape ops and keeps every intermediate — the readable
+//! reference for the explanations and the tests' oracle. The model runs
+//! [`attention_over_attention_batch`]: one tape op ([`Graph::aoa_pool`]) over
+//! row views of each pair's `E1` / `E2`, a pair at a time in a cache-resident
+//! workspace with no padding at all, keeping only the pooled rows and γ.
 
-use emba_tensor::{Graph, RowGroups, Tensor, Var};
+use emba_tensor::{Graph, RowView, Tensor, Var};
 
 /// Handles to every intermediate of one AOA application, kept for the
 //  ablation study and the attention analyses.
@@ -67,65 +67,33 @@ pub fn attention_over_attention(g: &Graph, e1: Var, e2: Var) -> AoaOutput {
     }
 }
 
-/// Handles to every intermediate of one **batched** AOA application over `G`
-/// record pairs whose token representations are row-packed.
+/// What one **batched** AOA application over `G` record pairs produces.
 pub struct AoaBatchOutput {
     /// `[G, h]` pooled pair representations, one row per pair.
     pub pooled: Var,
-    /// `[ΣM, 1]` per-RECORD1-token importances, packed by `g1`. Each pair's
-    /// segment sums to 1.
-    pub gamma: Var,
-    /// `[ΣM, W]` column-stochastic first-level attention (`W` = longest
-    /// RECORD2 in the batch; a pair's valid columns are `0..n_i`, padding
-    /// columns are exactly zero).
-    pub alpha: Var,
-    /// `[ΣM, W]` row-stochastic first-level attention.
-    pub beta: Var,
-    /// `[G, W]` averaged RECORD2 attention, one row per pair.
-    pub beta_bar: Var,
+    /// `[ΣM, 1]` per-RECORD1-token importances, pair after pair. Each pair's
+    /// segment sums to 1. Off the tape: nothing differentiates through it.
+    pub gamma: Tensor,
 }
 
 /// Applies attention-over-attention to a whole mini-batch of record pairs in
-/// five grouped tape ops.
+/// one tape op.
 ///
-/// `e1: [ΣM, h]` packs every pair's RECORD1 tokens (row ranges in `g1`), and
-/// `e2: [ΣN, h]` packs the RECORD2 tokens (`g2`); `g1` and `g2` must have the
-/// same number of groups. Semantically identical to calling
-/// [`attention_over_attention`] per pair: every softmax normalizes only over
-/// a pair's own tokens and padding columns stay structurally zero.
-pub fn attention_over_attention_batch(
-    g: &Graph,
-    e1: Var,
-    g1: &RowGroups,
-    e2: Var,
-    g2: &RowGroups,
-) -> AoaBatchOutput {
+/// Pair `i` is `left[i]` (its RECORD1 tokens) against `right[i]`. A view is
+/// a group of a packed batch (`RowGroups::row_views`) in the joint forward pass and
+/// a whole cached encoding when scoring; consecutive pairs whose left views
+/// are the same rows share one packing of `E1`. Semantically identical to
+/// calling [`attention_over_attention`] per pair.
+pub fn attention_over_attention_batch(g: &Graph, left: &[RowView<'_>], right: &[RowView<'_>]) -> AoaBatchOutput {
     let _scope = emba_tensor::prof::scope("aoa");
-    let interaction = g.interaction_grouped(e1, g1, e2, g2); // [ΣM, W]
-    let alpha = g.softmax_cols_grouped(interaction, g1, g2); // per-pair columns sum to 1
-    let beta = g.softmax_rows_grouped(interaction, g1, g2); // per-pair rows sum to 1
-    let beta_bar = g.mean_rows_grouped(beta, g1); // [G, W]
-    let gamma = g.rowdot_grouped(alpha, beta_bar, g1, g2); // [ΣM, 1]
-    let pooled = g.weighted_sum_rows_grouped(gamma, e1, g1); // γᵀ·E1 per pair: [G, h]
-    AoaBatchOutput {
-        pooled,
-        gamma,
-        alpha,
-        beta,
-        beta_bar,
-    }
-}
-
-/// Extracts γ as a plain tensor (token importances over RECORD1), used by
-/// the attention visualizations.
-pub fn gamma_scores(g: &Graph, out: &AoaOutput) -> Tensor {
-    g.value(out.gamma)
+    let (pooled, gamma) = g.aoa_pool(left, right);
+    AoaBatchOutput { pooled, gamma }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emba_tensor::Tensor;
+    use emba_tensor::RowGroups;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -270,13 +238,11 @@ mod tests {
         let g = Graph::new();
         let e1 = g.leaf(Tensor::concat_rows(&e1_all));
         let e2 = g.leaf(Tensor::concat_rows(&e2_all));
-        let batch = attention_over_attention_batch(&g, e1, &g1, e2, &g2);
+        let batch = attention_over_attention_batch(&g, &g1.row_views(e1), &g2.row_views(e2));
         let pooled = g.value(batch.pooled);
-        let gamma = g.value(batch.gamma);
-        let beta_bar = g.value(batch.beta_bar);
+        let gamma = batch.gamma;
         assert_eq!(pooled.shape(), (3, h));
         assert_eq!(gamma.shape(), (g1.total(), 1));
-        assert_eq!(beta_bar.shape(), (3, 6));
 
         for (i, (a, b)) in mats.iter().enumerate() {
             let single = attention_over_attention(&g, g.leaf(a.clone()), g.leaf(b.clone()));
@@ -292,14 +258,6 @@ mod tests {
                     "gamma differs for pair {i} row {r}"
                 );
             }
-            let sb = g.value(single.beta_bar);
-            let n = pairs[i].1;
-            for c in 0..n {
-                assert!((beta_bar.get(i, c) - sb.get(0, c)).abs() < 1e-5);
-            }
-            for c in n..6 {
-                assert_eq!(beta_bar.get(i, c), 0.0, "beta_bar padding must be zero");
-            }
         }
     }
 
@@ -313,7 +271,7 @@ mod tests {
         emba_tensor::gradcheck::check_gradients(
             &[e1, e2],
             |g, vars| {
-                let out = attention_over_attention_batch(g, vars[0], &g1, vars[1], &g2);
+                let out = attention_over_attention_batch(g, &g1.row_views(vars[0]), &g2.row_views(vars[1]));
                 let sq = g.mul(out.pooled, out.pooled);
                 g.mean_all(sq)
             },

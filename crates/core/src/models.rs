@@ -20,7 +20,7 @@
 //! | JointMatcher   | `[CLS]` ‖ relevance ‖ numeric pools | none           |
 
 use emba_nn::{GraphStamp, Module, Param};
-use emba_tensor::{Graph, RowGroups, Tensor, Var};
+use emba_tensor::{Graph, RowGroups, RowView, Tensor, Var};
 use rand::RngCore;
 
 use crate::aoa::attention_over_attention_batch;
@@ -362,12 +362,12 @@ impl Matcher for TransformerMatcher {
         let e2 = g.gather_rows(batch.tokens, &right_rows);
 
         // ----- EM representation -------------------------------------------------
-        let mut gamma_packed = None;
+        let mut gamma = None;
         let em_repr = match self.em {
             EmStrategy::Cls => batch.pooled,
             EmStrategy::Aoa => {
-                let out = attention_over_attention_batch(g, e1, &g1, e2, &g2);
-                gamma_packed = Some(out.gamma);
+                let out = attention_over_attention_batch(g, &g1.row_views(e1), &g2.row_views(e2));
+                gamma = Some(out.gamma);
                 out.pooled
             }
             EmStrategy::TokenAvgConcat => {
@@ -502,7 +502,7 @@ impl Matcher for TransformerMatcher {
                     &batch.last_attention,
                 ))
             };
-            (attention, gamma_packed.map(|gm| g.value(gm)))
+            (attention, gamma)
         } else {
             (None, None)
         };
@@ -577,15 +577,10 @@ impl Matcher for TransformerMatcher {
             return Some(Vec::new());
         }
         let _scope = emba_tensor::prof::scope("score_pairs");
-        let e1_parts: Vec<&Tensor> = pairs.iter().map(|(a, _)| *a).collect();
-        let e2_parts: Vec<&Tensor> = pairs.iter().map(|(_, b)| *b).collect();
-        let lens1: Vec<usize> = e1_parts.iter().map(|t| t.rows()).collect();
-        let lens2: Vec<usize> = e2_parts.iter().map(|t| t.rows()).collect();
-        let e1 = g.leaf_concat_rows(&e1_parts);
-        let e2 = g.leaf_concat_rows(&e2_parts);
-        let g1 = RowGroups::from_lens(&lens1);
-        let g2 = RowGroups::from_lens(&lens2);
-        let out = attention_over_attention_batch(g, e1, &g1, e2, &g2);
+        // The cached encodings are read where they lie: no copy, no tape node.
+        let (left, right): (Vec<RowView<'_>>, Vec<RowView<'_>>) =
+            pairs.iter().map(|&(a, b)| (RowView::Tensor(a), RowView::Tensor(b))).unzip();
+        let out = attention_over_attention_batch(g, &left, &right);
         let logits = self.match_head.forward(g, stamp, out.pooled); // [B, 1]
         let v = g.value(logits);
         // Non-finite guard: sigmoid saturates ±∞ to a confident 0.0/1.0, so

@@ -1,5 +1,5 @@
 //! The one encode-once scoring pipeline: cache lookup → encode the misses →
-//! grouped AOA score.
+//! fused AOA score.
 //!
 //! EMBA's AOA head is a pure function of two per-record token matrices, so a
 //! record is encoded once and every candidate pair it appears in is scored
@@ -15,11 +15,15 @@
 //! with a single [`Matcher::encode_records_standalone`] call (split only
 //! past `ENCODE_LAUNCH` records, a memory bound that serving's default
 //! flush never reaches) and [`PairScorer::score`] runs a single
-//! [`Matcher::score_encoded_pairs`] call. The grouped kernels take mixed
-//! lengths natively and are bit-identical across batch compositions, so
-//! length bucketing ([`crate::batching::plan_sub_batches`], which the padded
-//! joint path still uses) would only fragment a batch into more launches —
-//! see DESIGN.md "Scoring pipeline" for the measurements.
+//! [`Matcher::score_encoded_pairs`] call — one attention-over-attention op
+//! that reads the resolved encodings where they lie, pair by pair, in the
+//! order the pairs were given (a run of pairs with the same left record
+//! shares one packing of it, so sorted candidates score fastest). The grouped
+//! kernels take mixed lengths natively and are bit-identical across batch
+//! compositions, so length bucketing
+//! ([`crate::batching::plan_sub_batches`], which the padded joint path still
+//! uses) would only fragment a batch into more launches — see DESIGN.md
+//! "Scoring pipeline" for the measurements.
 //!
 //! # Poison policy
 //!
@@ -29,7 +33,7 @@
 //! it. Callers that distrust resident entries evict them with
 //! [`PairScorer::quarantine`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
 use emba_nn::GraphStamp;
@@ -51,7 +55,8 @@ const ENCODE_LAUNCH: usize = 64;
 /// The encodings one [`PairScorer::resolve`] call gathered, and what
 /// gathering them cost.
 pub struct Resolved {
-    encodings: HashMap<u64, Tensor>,
+    /// Every batch-unique key; `None` only while its encode is pending.
+    encodings: HashMap<u64, Option<Tensor>>,
     /// Batch-unique records served from the cache.
     pub hits: usize,
     /// Batch-unique records tokenized and encoded by this call.
@@ -134,21 +139,18 @@ impl PairScorer {
         mut token_ids: impl FnMut(H) -> I,
     ) -> Resolved {
         let start = Instant::now();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut encodings: HashMap<u64, Tensor> = HashMap::new();
+        let mut encodings: HashMap<u64, Option<Tensor>> = HashMap::new();
         let mut misses: Vec<(u64, I)> = Vec::new();
         for (key, handle) in records {
-            if !seen.insert(key) {
-                continue;
-            }
-            match self.cache.get(key) {
-                Some(enc) => {
-                    encodings.insert(key, enc);
+            if let Entry::Vacant(slot) = encodings.entry(key) {
+                let cached = self.cache.get(key);
+                if cached.is_none() {
+                    misses.push((key, token_ids(handle)));
                 }
-                None => misses.push((key, token_ids(handle))),
+                slot.insert(cached);
             }
         }
-        let hits = encodings.len();
+        let hits = encodings.len() - misses.len();
         let _backend = backend::install(self.backend);
         for launch in misses.chunks(ENCODE_LAUNCH) {
             let recs: Vec<&[usize]> = launch.iter().map(|(_, ids)| ids.as_ref()).collect();
@@ -161,7 +163,7 @@ impl PairScorer {
                 if enc.data().iter().all(|v| v.is_finite()) {
                     self.cache.insert(key, enc.clone());
                 }
-                encodings.insert(key, enc);
+                encodings.insert(key, Some(enc));
             }
         }
         Resolved {
@@ -187,10 +189,8 @@ impl PairScorer {
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> (Vec<f32>, Duration) {
         let start = Instant::now();
-        let operands: Vec<(&Tensor, &Tensor)> = pairs
-            .into_iter()
-            .map(|(a, b)| (&resolved.encodings[&a], &resolved.encodings[&b]))
-            .collect();
+        let encoding = |key: u64| resolved.encodings[&key].as_ref().expect("resolve encoded every miss");
+        let operands: Vec<(&Tensor, &Tensor)> = pairs.into_iter().map(|(a, b)| (encoding(a), encoding(b))).collect();
         let _backend = backend::install(self.backend);
         let g = Graph::new();
         let probs = model

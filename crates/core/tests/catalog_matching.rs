@@ -201,6 +201,34 @@ fn poisoned_encodings_surface_as_nan_and_stay_out_of_the_cache() {
     assert_eq!(scorer.cache().len(), keys.len());
 }
 
+/// A record with no content tokens encodes to `[0, h]`, and a pair with such
+/// a side pools to a zero row: its probability is the match head at zero,
+/// `sigmoid(bias)` — 0.5 on an untrained head, which `match_catalog` counts as
+/// a match at its default 0.5 threshold. Pinned, not endorsed (DESIGN.md
+/// "Scoring pipeline").
+#[test]
+fn an_empty_side_scores_as_the_match_heads_bias() {
+    let records: Vec<Record> = (400..404u64).map(record_from_seed).collect();
+    let trained = matcher_over(ModelKind::EmbaSb, &records, 48);
+    let ids = trained.pipeline.encode_single_record(&records[0]);
+    let g = Graph::new();
+    let encs = trained
+        .model
+        .encode_records_standalone(&g, GraphStamp::next(), &[&ids, &[]])
+        .expect("AOA matcher has a split path");
+    g.recycle();
+    let (full, empty) = (&encs[0], &encs[1]);
+    assert_eq!(empty.shape(), (0, full.cols()));
+    let g = Graph::new();
+    let probs = trained
+        .model
+        .score_encoded_pairs(&g, GraphStamp::next(), &[(full, empty), (empty, full), (empty, empty), (full, full)])
+        .expect("AOA matcher has a split path");
+    g.recycle();
+    assert_eq!(probs[..3], [0.5, 0.5, 0.5]);
+    assert!(probs[3].is_finite() && probs[3] != 0.5);
+}
+
 /// Tentpole end-to-end: blocking recall on a catalog with known clusters,
 /// cache amortization, and batched-vs-single scoring agreement.
 #[test]

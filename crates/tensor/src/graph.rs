@@ -44,6 +44,16 @@ fn xorshift_unit(state: &mut u64) -> f32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
+/// Rows of a `[_, h]` token matrix, as an operand of [`Graph::aoa_pool`].
+#[derive(Debug, Clone)]
+pub enum RowView<'a> {
+    /// Rows `range` of a tape node; gradients flow back into those rows.
+    Node(Var, Range<usize>),
+    /// Every row of a tensor that is not on the tape (a cached encoding):
+    /// read where it lies, with no node recorded and no gradient.
+    Tensor(&'a Tensor),
+}
+
 /// Receives gradient contributions for the parents of a node, indexed by the
 /// parent's position in the node's parent list.
 ///
@@ -76,10 +86,10 @@ struct Node {
     /// pre-activation): the tape holds the second handle so
     /// [`Graph::recycle`] can return it to the pool.
     saved: Option<Tensor>,
-    /// Width of the column view the op read of each parent, when it did not
-    /// read whole parents (an attention head): the profiler charges FLOPs by
-    /// what was multiplied, not by what the parent holds.
-    view_cols: Option<usize>,
+    /// The operand shapes the profiler charges FLOPs by, when the op read
+    /// views of its parents (an attention head's columns, an AOA pair's
+    /// rows) rather than whole parents. Built only while profiling.
+    charged: Option<Vec<(usize, usize)>>,
 }
 
 /// A single-use reverse-mode autodiff tape.
@@ -167,19 +177,6 @@ impl Graph {
         self.push("leaf", value, vec![], None)
     }
 
-    /// Records a leaf holding the row-concatenation of `parts` — the entry
-    /// point for scoring over cached encodings, where per-record tensors
-    /// computed on earlier (already recycled) tapes are packed into one
-    /// `[Σrows, cols]` input without re-running the ops that produced them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or column counts disagree (via
-    /// [`Tensor::concat_rows`]).
-    pub fn leaf_concat_rows(&self, parts: &[&Tensor]) -> Var {
-        self.leaf(Tensor::concat_rows(parts))
-    }
-
     /// The forward value of `v` (O(1) buffer share).
     pub fn value(&self, v: Var) -> Tensor {
         self.nodes.borrow()[v.0].value.clone()
@@ -195,15 +192,15 @@ impl Graph {
     }
 
     /// [`Graph::push`] for an op whose backward closure captured a pooled
-    /// tensor besides `value` (`saved` holds a clone of it) or that read a
-    /// `view_cols`-wide column view of its parents.
+    /// tensor besides `value` (`saved` holds a clone of it) or that read
+    /// views of its parents (`charged` holds their shapes).
     fn push_node(
         &self,
         op: &'static str,
         value: Tensor,
         parents: Vec<usize>,
         saved: Option<Tensor>,
-        view_cols: Option<usize>,
+        charged: Option<Vec<(usize, usize)>>,
         backward: Option<BackwardFn>,
     ) -> Var {
         // Debug-only non-finite guard: when enabled, scan every op output as
@@ -219,9 +216,8 @@ impl Graph {
         // forward pass. Disabled cost is the single `enabled()` check.
         if prof::enabled() {
             let (rows, cols) = value.shape();
-            let parent_shapes: Vec<(usize, usize)> =
-                parents.iter().map(|&p| viewed(nodes[p].value.shape(), view_cols)).collect();
-            let flops = prof::estimate_flops(op, &parent_shapes, (rows, cols));
+            let parent_shapes: Vec<(usize, usize)> = parents.iter().map(|&p| nodes[p].value.shape()).collect();
+            let flops = prof::estimate_flops(op, charged.as_ref().unwrap_or(&parent_shapes), (rows, cols));
             prof::record_op(op, false, 4 * (rows * cols) as u64, flops);
         }
         nodes.push(Node {
@@ -230,7 +226,7 @@ impl Graph {
             parents,
             backward,
             saved,
-            view_cols,
+            charged,
         });
         Var(nodes.len() - 1)
     }
@@ -924,7 +920,7 @@ impl Graph {
             out,
             vec![q.0, k.0],
             None,
-            Some(d),
+            prof::enabled().then(|| vec![(nrows, d); 2]),
             Some(Box::new(move |g, sink| {
                 // Softmax JVP per group into one packed [Σ T²] buffer, then a
                 // pair of GEMMs per group that add into the head's columns of
@@ -1008,163 +1004,120 @@ impl Graph {
         )
     }
 
-    /// Batched pairwise interaction `I_g = A_g · B_gᵀ`.
+    /// Attention-over-attention pooling of `G` record pairs in one op.
     ///
-    /// `a` is `[ΣM, h]` packed by `ga` and `b` is `[ΣN, h]` packed by `gb`
-    /// (one group per pair, same group count). The output is `[ΣM, W]` with
-    /// `W = gb.max_len()`; each group's rows hold its interaction matrix in
-    /// columns `0..N_g`, zero beyond.
-    pub fn interaction_grouped(&self, a: Var, ga: &RowGroups, b: Var, gb: &RowGroups) -> Var {
-        let va = self.value(a);
-        let vb = self.value(b);
-        let (ma, h) = va.shape();
-        let (mb, h2) = vb.shape();
-        assert_eq!(h, h2, "interaction_grouped: width mismatch {h} vs {h2}");
-        assert_eq!(ga.total(), ma, "interaction_grouped: left groups cover {} rows, got {ma}", ga.total());
-        assert_eq!(gb.total(), mb, "interaction_grouped: right groups cover {} rows, got {mb}", gb.total());
-        assert_eq!(ga.len(), gb.len(), "interaction_grouped: {} left vs {} right groups", ga.len(), gb.len());
-        let w = gb.max_len();
-        // Non-empty pairs as `(first row of A, rows of A, first row of B, rows of B)`.
-        let pairs: Vec<(usize, usize, usize, usize)> = (0..ga.len())
-            .map(|i| (ga.start(i), ga.len_of(i), gb.start(i), gb.len_of(i)))
-            .filter(|&(_, ta, _, tb)| ta > 0 && tb > 0)
-            .collect();
-        let mut out = pool::take(ma * w);
-        for &(ar0, ta, br0, tb) in &pairs {
-            kernels::gemm_strided(ta, h, tb, &va.data()[ar0 * h..], h, 1, &vb.data()[br0 * h..], 1, h, &mut out[ar0 * w..], w, Epilogue::Store);
-        }
-        let out = Tensor::from_vec(ma, w, out);
-        self.push("interaction_grouped",
-            out,
-            vec![a.0, b.0],
-            Some(Box::new(move |g, sink| {
-                // dA_g += dI_g · B_g.
-                sink.accum(0, ma, h, &mut |da| {
-                    for &(ar0, ta, br0, tb) in &pairs {
-                        kernels::gemm_strided(ta, tb, h, &g.data()[ar0 * w..], w, 1, &vb.data()[br0 * h..], h, 1, &mut da[ar0 * h..], h, Epilogue::Add);
-                    }
-                });
-                // dB_g += dI_gᵀ · A_g.
-                sink.accum(1, mb, h, &mut |db| {
-                    for &(ar0, ta, br0, tb) in &pairs {
-                        kernels::gemm_strided(tb, ta, h, &g.data()[ar0 * w..], 1, w, &va.data()[ar0 * h..], h, 1, &mut db[br0 * h..], h, Epilogue::Add);
-                    }
-                });
-            })),
-        )
-    }
-
-    /// Masked row softmax over ragged groups: row `r` of group `g` is
-    /// softmaxed over its valid prefix `0..N_g` (widths from `gb`); columns
-    /// beyond stay zero.
-    pub fn softmax_rows_grouped(&self, x: Var, ga: &RowGroups, gb: &RowGroups) -> Var {
-        let vx = self.value(x);
-        let (ma, w) = vx.shape();
-        assert_eq!(ga.total(), ma, "softmax_rows_grouped: groups cover {} rows, got {ma}", ga.total());
-        assert_eq!(ga.len(), gb.len(), "softmax_rows_grouped: group count mismatch");
-        assert_eq!(gb.max_len(), w, "softmax_rows_grouped: width {w} vs max group width {}", gb.max_len());
-        let mut out = pool::take(ma * w);
-        for gi in 0..ga.len() {
-            let (r0, r1) = ga.range(gi);
-            let tb = gb.len_of(gi);
-            if tb == 0 {
-                continue;
-            }
-            for r in r0..r1 {
-                let row = &mut out[r * w..r * w + tb];
-                row.copy_from_slice(&vx.data()[r * w..r * w + tb]);
-                kernels::scaled_softmax_in_place(row, 1.0);
-            }
-        }
-        let out = Tensor::from_vec(ma, w, out);
-        let p = out.clone();
-        let (ga, gb) = (ga.clone(), gb.clone());
-        self.push("softmax_rows_grouped",
-            out,
-            vec![x.0],
-            Some(Box::new(move |g, sink| {
-                sink.accum(0, ma, w, &mut |dx| {
-                    for gi in 0..ga.len() {
-                        let (r0, r1) = ga.range(gi);
-                        let ta = r1 - r0;
-                        let tb = gb.len_of(gi);
-                        if ta == 0 || tb == 0 {
-                            continue;
-                        }
-                        let mut gp = pool::take_uninit(ta * tb);
-                        let mut pp = pool::take_uninit(ta * tb);
-                        let mut ds = pool::take_uninit(ta * tb);
-                        gather_prefix(g.data(), r0, ta, w, tb, &mut gp);
-                        gather_prefix(p.data(), r0, ta, w, tb, &mut pp);
-                        kernels::softmax_rows_backward_scaled(ta, tb, &gp, &pp, 1.0, &mut ds);
-                        scatter_add_prefix(&ds, r0, ta, w, tb, dx);
-                        pool::put(gp);
-                        pool::put(pp);
-                        pool::put(ds);
-                    }
-                });
-            })),
-        )
-    }
-
-    /// Masked column softmax over ragged groups: column `c < N_g` of group
-    /// `g` is softmaxed down the group's rows; columns beyond each group's
-    /// width stay zero.
-    pub fn softmax_cols_grouped(&self, x: Var, ga: &RowGroups, gb: &RowGroups) -> Var {
-        let vx = self.value(x);
-        let (ma, w) = vx.shape();
-        assert_eq!(ga.total(), ma, "softmax_cols_grouped: groups cover {} rows, got {ma}", ga.total());
-        assert_eq!(ga.len(), gb.len(), "softmax_cols_grouped: group count mismatch");
-        assert_eq!(gb.max_len(), w, "softmax_cols_grouped: width {w} vs max group width {}", gb.max_len());
-        let mut out = pool::take(ma * w);
-        let mut col = Vec::new();
-        for gi in 0..ga.len() {
-            let (r0, r1) = ga.range(gi);
-            let ta = r1 - r0;
-            let tb = gb.len_of(gi);
-            if ta == 0 || tb == 0 {
-                continue;
-            }
-            col.resize(ta, 0.0);
-            for c in 0..tb {
-                for (i, v) in col.iter_mut().enumerate() {
-                    *v = vx.data()[(r0 + i) * w + c];
+    /// Pair `g` is two [`RowView`]s read in place, `left[g]` = `E1: [m, h]`
+    /// and `right[g]` = `E2: [n, h]`. With `I = E1·E2ᵀ`: `α` = column softmax
+    /// of `I`, `β` = row softmax, `β̄` = mean of `β`'s rows, `γ = α·β̄ᵀ`, and
+    /// row `g` of the `[G, h]` result is `γᵀ·E1` (zero if a side is empty).
+    /// Returns it with every pair's `γ` packed as `[ΣM, 1]` — a plain tensor,
+    /// nothing differentiates through it. Nothing else of a pair is kept: the
+    /// backward pass re-runs the forward (see `aoa_pairs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no pairs, the sides differ in count, a view
+    /// reaches past its node's rows, or the views' widths differ.
+    pub fn aoa_pool(&self, left: &[RowView<'_>], right: &[RowView<'_>]) -> (Var, Tensor) {
+        assert!(!left.is_empty(), "aoa_pool: no pairs");
+        assert_eq!(left.len(), right.len(), "aoa_pool: {} left vs {} right views", left.len(), right.len());
+        // A run of views into one node shares a parent slot, so a packed
+        // batch has two parents and one gradient buffer each.
+        let mut parents: Vec<usize> = Vec::new();
+        let mut operand = |view: &RowView<'_>, last: &mut Option<usize>| match *view {
+            RowView::Tensor(t) => AoaOperand { value: t.clone(), rows: 0..t.rows(), slot: None },
+            RowView::Node(var, ref rows) => {
+                let value = self.value(var);
+                assert!(rows.start <= rows.end && rows.end <= value.rows(), "aoa_pool: view {rows:?} reaches past {} rows", value.rows());
+                if last.is_none_or(|at| parents[at] != var.0) {
+                    parents.push(var.0);
+                    *last = Some(parents.len() - 1);
                 }
-                kernels::scaled_softmax_in_place(&mut col, 1.0);
-                for (i, &v) in col.iter().enumerate() {
-                    out[(r0 + i) * w + c] = v;
+                AoaOperand { value, rows: rows.clone(), slot: *last }
+            }
+        };
+        let (mut last1, mut last2) = (None, None);
+        let pairs: Vec<[AoaOperand; 2]> = left.iter().zip(right).map(|(l, r)| [operand(l, &mut last1), operand(r, &mut last2)]).collect();
+        let h = pairs[0][0].value.cols();
+        for side in pairs.iter().flatten() {
+            assert_eq!(side.value.cols(), h, "aoa_pool: width mismatch {} vs {h}", side.value.cols());
+        }
+
+        let mut pooled = pool::take(pairs.len() * h);
+        let mut gamma = pool::take_uninit(pairs.iter().map(|p| p[0].rows.len()).sum());
+        let mut at = 0;
+        aoa_pairs(&pairs, h, |idx, ws, e1, _| {
+            // `γᵀ·E1` as the GEMM tile's own chain for one row of C: `i`
+            // ascending from zero.
+            let row = &mut pooled[idx * h..(idx + 1) * h];
+            for (&gi, e1_row) in ws.gamma.iter().zip(e1.chunks_exact(h.max(1))) {
+                for (o, &x) in row.iter_mut().zip(e1_row) {
+                    *o = gi.mul_add(x, *o);
                 }
             }
-        }
-        let out = Tensor::from_vec(ma, w, out);
-        let p = out.clone();
-        let (ga, gb) = (ga.clone(), gb.clone());
-        self.push("softmax_cols_grouped",
-            out,
-            vec![x.0],
+            gamma[at..at + ws.gamma.len()].copy_from_slice(ws.gamma);
+            at += ws.gamma.len();
+        });
+        let gamma = Tensor::from_vec(gamma.len(), 1, gamma);
+        let charged = prof::enabled().then(|| pairs.iter().flatten().map(|side| (side.rows.len(), h)).collect());
+        let pooled = self.push_node("aoa_pool",
+            Tensor::from_vec(pairs.len(), h, pooled),
+            parents,
+            Some(gamma.clone()),
+            charged,
             Some(Box::new(move |g, sink| {
-                sink.accum(0, ma, w, &mut |dx| {
-                    for gi in 0..ga.len() {
-                        let (r0, r1) = ga.range(gi);
-                        let ta = r1 - r0;
-                        let tb = gb.len_of(gi);
-                        if ta == 0 || tb == 0 {
-                            continue;
+                aoa_pairs(&pairs, h, |idx, ws, e1, e2| {
+                    let (m, n) = (ws.gamma.len(), ws.beta_bar.len());
+                    if m == 0 || n == 0 {
+                        return;
+                    }
+                    let dx = g.row_slice(idx);
+                    // dγ = E1·dx, dβ̄ = αᵀ·dγ; every row of β receives dβ̄/m.
+                    for (d, e1_row) in ws.dgamma.iter_mut().zip(e1.chunks_exact(h.max(1))) {
+                        *d = kernels::dot(e1_row, dx);
+                    }
+                    ws.dbeta_bar.fill(0.0);
+                    for (&dg, a_row) in ws.dgamma.iter().zip(ws.alpha.chunks_exact(n)) {
+                        for (d, &a) in ws.dbeta_bar.iter_mut().zip(a_row) {
+                            *d = dg.mul_add(a, *d);
                         }
-                        let mut gp = pool::take_uninit(ta * tb);
-                        let mut pp = pool::take_uninit(ta * tb);
-                        let mut ds = pool::take_uninit(ta * tb);
-                        gather_prefix(g.data(), r0, ta, w, tb, &mut gp);
-                        gather_prefix(p.data(), r0, ta, w, tb, &mut pp);
-                        kernels::softmax_cols_backward(ta, tb, &gp, &pp, &mut ds);
-                        scatter_add_prefix(&ds, r0, ta, w, tb, dx);
-                        pool::put(gp);
-                        pool::put(pp);
-                        pool::put(ds);
+                    }
+                    // dI = α ⊙ (dα − colsum(dα ⊙ α)) + β ⊙ (dβ − rowsum(dβ ⊙ β))
+                    // with dα = dγ·β̄ᵀ, whose column sums are β̄ ⊙ dβ̄. It
+                    // overwrites αᵀ, which nothing below reads.
+                    let inv_m = 1.0 / m as f32;
+                    let di = &mut *ws.it;
+                    for (i, ((di_row, a_row), b_row)) in
+                        di.chunks_exact_mut(n).zip(ws.alpha.chunks_exact(n)).zip(ws.beta.chunks_exact(n)).enumerate()
+                    {
+                        let rho = kernels::dot(b_row, ws.dbeta_bar) * inv_m;
+                        for c in 0..n {
+                            let via_alpha = a_row[c] * ws.beta_bar[c] * (ws.dgamma[i] - ws.dbeta_bar[c]);
+                            di_row[c] = via_alpha + b_row[c] * (ws.dbeta_bar[c] * inv_m - rho);
+                        }
+                    }
+                    // dE1 += γ·dxᵀ + dI·E2 and dE2 += dIᵀ·E1, at the views' rows.
+                    let [left, right] = &pairs[idx];
+                    if let Some(slot) = left.slot {
+                        sink.accum(slot, left.value.rows(), h, &mut |d| {
+                            let d = &mut d[left.rows.start * h..];
+                            for (&gi, d_row) in ws.gamma.iter().zip(d.chunks_exact_mut(h.max(1))) {
+                                for (o, &x) in d_row.iter_mut().zip(dx) {
+                                    *o = gi.mul_add(x, *o);
+                                }
+                            }
+                            kernels::gemm_strided(m, n, h, di, n, 1, e2, h, 1, d, h, Epilogue::Add);
+                        });
+                    }
+                    if let Some(slot) = right.slot {
+                        sink.accum(slot, right.value.rows(), h, &mut |d| {
+                            kernels::gemm_strided(n, m, h, di, 1, n, e1, h, 1, &mut d[right.rows.start * h..], h, Epilogue::Add);
+                        });
                     }
                 });
             })),
-        )
+        );
+        (pooled, gamma)
     }
 
     /// Per-group mean over rows: `[ΣT, n] -> [G, n]`.
@@ -1209,65 +1162,6 @@ impl Graph {
                         for r in r0..r1 {
                             for (d, &s) in dx[r * n..(r + 1) * n].iter_mut().zip(grow) {
                                 *d += s * inv;
-                            }
-                        }
-                    }
-                });
-            })),
-        )
-    }
-
-    /// Per-row dot product against the row's group vector:
-    /// `a: [ΣT, w]`, `b: [G, w]` → `[ΣT, 1]` with
-    /// `out[r] = a[r] · b[group(r)]` over the group's own `widths.len_of(g)`
-    /// columns. The columns beyond are padding, zero in both operands, but
-    /// [`kernels::dot`] splits its sum into lanes by position: reducing over
-    /// them would make a row's rounding depend on the widest group in the
-    /// batch.
-    pub fn rowdot_grouped(&self, a: Var, b: Var, groups: &RowGroups, widths: &RowGroups) -> Var {
-        let va = self.value(a);
-        let vb = self.value(b);
-        let (ma, w) = va.shape();
-        assert_eq!(groups.total(), ma, "rowdot_grouped: groups cover {} rows, got {ma}", groups.total());
-        assert_eq!(vb.shape(), (groups.len(), w), "rowdot_grouped: b must be [{}, {w}]", groups.len());
-        assert_eq!(groups.len(), widths.len(), "rowdot_grouped: group count mismatch");
-        assert_eq!(widths.max_len(), w, "rowdot_grouped: width {w} vs max group width {}", widths.max_len());
-        let mut out = pool::take_uninit(ma);
-        for gi in 0..groups.len() {
-            let (r0, r1) = groups.range(gi);
-            let tb = widths.len_of(gi);
-            let brow = &vb.row_slice(gi)[..tb];
-            for (o, r) in out[r0..r1].iter_mut().zip(r0..) {
-                *o = kernels::dot(&va.data()[r * w..r * w + tb], brow);
-            }
-        }
-        let out = Tensor::from_vec(ma, 1, out);
-        let groups = groups.clone();
-        let gcount = groups.len();
-        self.push("rowdot_grouped",
-            out,
-            vec![a.0, b.0],
-            Some(Box::new(move |g, sink| {
-                sink.accum(0, ma, w, &mut |da| {
-                    for gi in 0..gcount {
-                        let (r0, r1) = groups.range(gi);
-                        let brow = vb.row_slice(gi);
-                        for r in r0..r1 {
-                            let gv = g.data()[r];
-                            for (d, &s) in da[r * w..(r + 1) * w].iter_mut().zip(brow) {
-                                *d += gv * s;
-                            }
-                        }
-                    }
-                });
-                sink.accum(1, gcount, w, &mut |db| {
-                    for gi in 0..gcount {
-                        let (r0, r1) = groups.range(gi);
-                        let drow = &mut db[gi * w..(gi + 1) * w];
-                        for r in r0..r1 {
-                            let gv = g.data()[r];
-                            for (d, &s) in drow.iter_mut().zip(&va.data()[r * w..(r + 1) * w]) {
-                                *d += gv * s;
                             }
                         }
                     }
@@ -1549,19 +1443,12 @@ impl Graph {
                 let mut sink = TapeSink { parents, grads: &mut grads };
                 backward(&g, &mut sink);
                 if prof_on {
-                    let mut grad_bytes = 0u64;
-                    let parent_shapes: Vec<(usize, usize)> = parents
-                        .iter()
-                        .map(|&p| {
-                            let shape = nodes[p].value.shape();
-                            grad_bytes += 4 * (shape.0 * shape.1) as u64;
-                            viewed(shape, node.view_cols)
-                        })
-                        .collect();
+                    let parent_shapes: Vec<(usize, usize)> = parents.iter().map(|&p| nodes[p].value.shape()).collect();
+                    let grad_bytes = parent_shapes.iter().map(|&(r, c)| 4 * (r * c) as u64).sum();
                     // Backward of a node costs roughly two forward passes
                     // (one product per parent for GEMM-family ops).
-                    let flops =
-                        2 * prof::estimate_flops(node.op, &parent_shapes, node.value.shape());
+                    let charged = node.charged.as_ref().unwrap_or(&parent_shapes);
+                    let flops = 2 * prof::estimate_flops(node.op, charged, node.value.shape());
                     prof::record_op(node.op, true, grad_bytes, flops);
                 }
             }
@@ -1595,25 +1482,110 @@ fn blocks(groups: &RowGroups) -> impl Iterator<Item = (usize, usize)> + '_ {
     (0..groups.len()).map(|i| groups.range(i)).filter(|(r0, r1)| r1 > r0)
 }
 
-/// Copies the leading `w` columns of `t` rows starting at packed row `r0` of
-/// a row-major `[_, stride]` buffer into contiguous `[t, w]` scratch.
-fn gather_prefix(src: &[f32], r0: usize, t: usize, stride: usize, w: usize, dst: &mut [f32]) {
-    for r in 0..t {
-        dst[r * w..(r + 1) * w]
-            .copy_from_slice(&src[(r0 + r) * stride..(r0 + r) * stride + w]);
+/// One side of a pair of [`Graph::aoa_pool`]: the tensor the view reads, its
+/// rows, and — for a view of a node — the node's slot among the op's parents.
+struct AoaOperand {
+    value: Tensor,
+    rows: Range<usize>,
+    slot: Option<usize>,
+}
+
+impl AoaOperand {
+    fn data(&self) -> &[f32] {
+        let h = self.value.cols();
+        &self.value.data()[self.rows.start * h..self.rows.end * h]
     }
 }
 
-/// Adds a contiguous `[t, w]` block into rows `r0..r0+t`, columns `0..w` of a
-/// row-major `[_, stride]` buffer.
-fn scatter_add_prefix(src: &[f32], r0: usize, t: usize, stride: usize, w: usize, dst: &mut [f32]) {
-    for r in 0..t {
-        let s = &src[r * w..(r + 1) * w];
-        let d = &mut dst[(r0 + r) * stride..(r0 + r) * stride + w];
-        for (dv, &sv) in d.iter_mut().zip(s) {
-            *dv += sv;
+/// The workspace of [`aoa_pairs`] at one pair's `m × n`, as that pair's
+/// forward leaves it: `αᵀ` (`[n, m]`, softmaxed in place from `Iᵀ`), `α`
+/// (`[m, n]`, so each `γ_i` is a dot of two rows), `β` (`[m, n]`, softmaxed in
+/// place from `I`), `β̄` (`[n]`), `γ` (`[m]`), and two vectors of scratch for
+/// the backward pass.
+struct AoaBlocks<'a> {
+    it: &'a mut [f32],
+    alpha: &'a mut [f32],
+    beta: &'a mut [f32],
+    beta_bar: &'a mut [f32],
+    gamma: &'a mut [f32],
+    dgamma: &'a mut [f32],
+    dbeta_bar: &'a mut [f32],
+}
+
+/// `dst[c*rows + r] = src[r*cols + c]` for a `rows × cols` block.
+fn transpose_block(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
+}
+
+/// The forward pass of [`Graph::aoa_pool`], pair by pair: computes each
+/// pair into one reused workspace and hands it to `each(index, blocks, E1,
+/// E2)` before the next pair overwrites it. The op's forward and backward
+/// both run this — one implementation, and nothing of a pair outlives its
+/// turn.
+///
+/// The interaction is computed as `Iᵀ = E2·E1ᵀ`, not `I`: `E1` is then the
+/// GEMM's packed operand, so consecutive pairs with the same left rows (a
+/// catalog's candidates sorted by left record) share one
+/// [`kernels::PackedPanel`], and `α`'s columns are contiguous rows for
+/// [`kernels::scaled_softmax_in_place`]. Either way an element is the chain
+/// `fma(E2(j,p), E1(i,p), acc)` over ascending `p`.
+fn aoa_pairs(pairs: &[[AoaOperand; 2]], h: usize, mut each: impl FnMut(usize, &mut AoaBlocks<'_>, &[f32], &[f32])) {
+    let dims = |p: &[AoaOperand; 2]| (p[0].rows.len(), p[1].rows.len());
+    let need = pairs.iter().map(dims).map(|(m, n)| 3 * m * n + 3 * m + 2 * n).max().unwrap_or(0);
+    // Rounded up so the pool sees a handful of sizes, not one per batch.
+    let mut ws = pool::take_uninit(need.next_power_of_two());
+    let mut panel = kernels::PackedPanel::default();
+    let mut packed: &[f32] = &[];
+    for (idx, pair) in pairs.iter().enumerate() {
+        let (e1, e2) = (pair[0].data(), pair[1].data());
+        let (m, n) = dims(pair);
+        let (it, rest) = ws.split_at_mut(m * n);
+        let (alpha, rest) = rest.split_at_mut(m * n);
+        let (beta, rest) = rest.split_at_mut(m * n);
+        let (beta_bar, rest) = rest.split_at_mut(n);
+        let (gamma, rest) = rest.split_at_mut(m);
+        let (dgamma, rest) = rest.split_at_mut(m);
+        let b = &mut AoaBlocks { it, alpha, beta, beta_bar, gamma, dgamma, dbeta_bar: &mut rest[..n] };
+        // A panel holds at most `KC × NC`; a wider or longer `E1` is packed
+        // slice by slice inside `gemm_strided` instead.
+        let fits = h <= kernels::KC && m <= kernels::NC;
+        if fits && !std::ptr::eq(packed, e1) {
+            panel.pack(e1, 1, h, h, m);
+            packed = e1;
+        }
+        if m > 0 && n > 0 {
+            if fits {
+                kernels::gemm_panel(n, e2, h, 1, &panel, b.it, m, Epilogue::Store);
+            } else {
+                kernels::gemm_strided(n, h, m, e2, h, 1, e1, 1, h, b.it, m, Epilogue::Store);
+            }
+            transpose_block(b.it, n, m, b.beta);
+            for col in b.it.chunks_exact_mut(m) {
+                kernels::scaled_softmax_in_place(col, 1.0);
+            }
+            b.beta_bar.fill(0.0);
+            for row in b.beta.chunks_exact_mut(n) {
+                kernels::scaled_softmax_in_place(row, 1.0);
+                for (o, &v) in b.beta_bar.iter_mut().zip(row.iter()) {
+                    *o += v;
+                }
+            }
+            let inv = 1.0 / m as f32;
+            b.beta_bar.iter_mut().for_each(|o| *o *= inv);
+            transpose_block(b.it, n, m, b.alpha);
+            for (o, row) in b.gamma.iter_mut().zip(b.alpha.chunks_exact(n)) {
+                *o = kernels::dot(row, b.beta_bar);
+            }
+        } else {
+            b.gamma.fill(0.0);
+        }
+        each(idx, b, e1, e2);
+    }
+    pool::put(ws);
 }
 
 /// Jacobian-vector product of a row softmax: `dx = p ⊙ (g − rowdot(g, p))`,
@@ -1657,11 +1629,6 @@ fn gelu_backward(x: &Tensor, g: &Tensor) -> Tensor {
     Tensor::from_vec(x.rows(), x.cols(), dx)
 }
 
-/// The shape the profiler charges for a parent an op read a column view of.
-fn viewed(shape: (usize, usize), view_cols: Option<usize>) -> (usize, usize) {
-    (shape.0, view_cols.unwrap_or(shape.1))
-}
-
 /// Column sums of `g` as a `[1, n]` row (the bias gradient).
 fn col_sums(g: &Tensor) -> Tensor {
     let (m, n) = g.shape();
@@ -1693,19 +1660,6 @@ mod tests {
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         assert_eq!(grads.get(x).unwrap().data(), &[2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn leaf_concat_rows_packs_cached_tensors() {
-        // Tensors from a previous (recycled) tape re-enter as one leaf.
-        let old = Graph::new();
-        let a = old.value(old.leaf(Tensor::from_rows(&[&[1.0, 2.0]])));
-        let b = old.value(old.leaf(Tensor::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]])));
-        old.recycle();
-        let g = Graph::new();
-        let packed = g.leaf_concat_rows(&[&a, &b]);
-        assert_eq!(g.shape(packed), (3, 2));
-        assert_eq!(g.value(packed).data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

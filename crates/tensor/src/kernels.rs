@@ -16,13 +16,19 @@
 //!   six row streams (or, transposed, one stream of 6 adjacent floats) fit
 //!   any L1, and a packing pass would read and write all of A to save
 //!   nothing.
-//! * **B is packed** per call into `NR`-wide, depth-major strips (zero-padded
-//!   at the edge). The tile wants 16 contiguous floats per step, and a
-//!   weight matrix read in place would not give them cheaply: at a 512-byte
-//!   row stride the 128 rows of a `KC`-slice fall into 8 of L1's 64 sets and
-//!   evict each other. One strip (`KC·NR` floats, 16 KB) stays in L1 across
-//!   an `MC`-row block of A; packing a 128×128 B is 1–2 % of a 1 888-row
-//!   product, so there is no cached packed copy to invalidate.
+//! * **B is packed**, one `KC × NC` [`PackedPanel`] at a time, into
+//!   `NR`-wide, depth-major strips (zero-padded at the edge). The tile wants
+//!   16 contiguous floats per step, and a weight matrix read in place would
+//!   not give them cheaply: at a 512-byte row stride the 128 rows of a
+//!   `KC`-slice fall into 8 of L1's 64 sets and evict each other. One strip
+//!   (`KC·NR` floats, 16 KB) stays in L1 across an `MC`-row block of A;
+//!   packing a 128×128 B is 1–2 % of a 1 888-row product, so there is no
+//!   cached packed copy of a weight to invalidate.
+//! * **Pack and run are separate calls.** [`gemm_strided`] packs each panel
+//!   and runs its tiles; [`gemm_panel`] is the second half for a caller that
+//!   holds its own panel. A 30×29 product spends more time packing than
+//!   multiplying, so the AOA op packs one record's `E1ᵀ` once for all its
+//!   candidates (43 → 75 GFLOP/s). A panel lives for one borrow of its B.
 //! * **C is finished in the tile.** The accumulators leave the registers
 //!   through an [`Epilogue`]: stored, added to what is there, or stored with
 //!   a bias row added; `BiasGelu` also keeps the pre-activation for the
@@ -43,9 +49,6 @@
 //!   first transposed each `MC×KC` panel of A into scratch measured 145.3 vs
 //!   141.9 pairs/s with quartile ranges that overlap (direct ahead in 6 of
 //!   10), so there is no pack-A path for any stride.
-//!
-//! Scratch for the packed B panel comes from the thread-local
-//! [`pool`](crate::pool).
 
 use crate::pool;
 use crate::simd;
@@ -61,7 +64,7 @@ const MC: usize = 96;
 /// Depth of the shared dimension per slice.
 pub const KC: usize = 256;
 /// Columns of B packed per panel (multiple of `NR`).
-const NC: usize = 512;
+pub const NC: usize = 512;
 
 /// What happens to a finished tile of `A·B` on its way into C.
 pub enum Epilogue<'a> {
@@ -166,91 +169,186 @@ pub fn gemm_strided(
     ldc: usize,
     epilogue: Epilogue<'_>,
 ) {
-    // The AVX2 tile reads and writes through raw pointers; these are the
-    // checks its SAFETY comments cite.
-    assert!(a.len() >= view_span(m, a_rs, k, a_cs), "gemm: A view {m}x{k} reaches past its slice");
-    assert!(b.len() >= view_span(k, b_rs, n, b_cs), "gemm: B view {k}x{n} reaches past its slice");
-    assert!(ldc >= n && out.len() >= view_span(m, ldc, n, 1), "gemm: C view {m}x{n} (ld {ldc}) reaches past its slice");
-    let (bias, mut pre, add) = match epilogue {
-        Epilogue::Store => (None, None, false),
-        Epilogue::Add => (None, None, true),
-        Epilogue::Bias(bias) => (Some(bias), None, false),
-        Epilogue::BiasGelu { bias, pre } => (Some(bias), Some(pre), false),
-    };
+    // Each panel's views of A, B and C are checked where they are used.
+    let (bias, mut pre, add) = epilogue.parts();
     assert!(bias.is_none_or(|b| b.len() == n), "gemm: bias must have {n} values");
     assert!(pre.as_ref().is_none_or(|p| p.len() == m * n), "gemm: pre-activation buffer must be {m}x{n}");
     if m == 0 || n == 0 {
         return;
     }
-    // An empty product never reads A; one stand-in element keeps the tiles'
-    // row offsets in bounds whatever strides came with it.
-    let (a, a_rs, a_cs) = if k == 0 { (&[0.0f32][..], 0, 0) } else { (a, a_rs, a_cs) };
-    // Tiles land in `pre` when there is one; GELU then carries them to `out`.
-    let ldd = if pre.is_some() { n } else { ldc };
-
-    let mut packed_b = pool::take_uninit(KC * NC);
-    // One cached-atomic read per GEMM, not per tile; `simd::level()` honors
-    // the EMBA_FORCE_SCALAR override so CI can pin the portable tile.
-    let use_avx2 = simd::level() >= simd::Level::Avx2;
+    let mut panel = PackedPanel::default();
     let slices = k.div_ceil(KC).max(1);
-
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for slice in 0..slices {
             let pc = slice * KC;
             let kc = (k - pc).min(KC);
             let last = slice + 1 == slices;
-            pack_b(&mut packed_b, b, b_rs, b_cs, pc, kc, jc, nc);
-            let step = TileStep {
-                kc,
-                a_at: pc * a_cs,
-                a_rs,
-                a_cs,
-                ldd,
-                accumulate: add || slice > 0,
-                bias: if last { bias } else { None },
-                use_avx2,
-            };
-            for ic in (0..m).step_by(MC) {
-                let mc = (m - ic).min(MC);
-                let dst: &mut [f32] = match pre.as_deref_mut() {
-                    Some(pre) => pre,
-                    None => &mut *out,
-                };
-                for jt in 0..nc.div_ceil(NR) {
-                    let b_strip = &packed_b[jt * kc * NR..(jt + 1) * kc * NR];
-                    let col0 = jc + jt * NR;
-                    let cols = (n - col0).min(NR);
-                    for row0 in (ic..ic + mc).step_by(MR) {
-                        let rows = (ic + mc - row0).min(MR);
-                        step.run(a, b_strip, dst, row0, rows, col0, cols);
-                    }
-                }
-                if let (true, Some(pre)) = (last, pre.as_deref()) {
-                    for row in ic..ic + mc {
-                        let o = &mut out[row * ldc + jc..][..nc];
-                        o.copy_from_slice(&pre[row * n + jc..][..nc]);
-                        simd::gelu_span(o);
+            // An empty product (`k == 0`) has no B to offset into.
+            panel.pack(b.get(pc * b_rs + jc * b_cs..).unwrap_or(&[]), b_rs, b_cs, kc, nc);
+            // Every slice after the first adds to C; the bias rides the last.
+            let bias = bias.filter(|_| last).map(|b| &b[jc..jc + nc]);
+            let pre = pre.as_deref_mut().map(|p| (&mut p[jc..], n));
+            run_panel(m, &a[pc * a_cs..], a_rs, a_cs, &panel, &mut out[jc..], ldc, add || slice > 0, bias, pre, last);
+        }
+    }
+}
+
+/// One `k × n` panel of B (`k ≤ KC`, `n ≤ NC`) packed for the tile: `NR`-wide,
+/// depth-major strips, `strips[t*k*NR + p*NR + c] = B(p, t*NR + c)`,
+/// zero-padded where the last strip overhangs `n`. A copy of B as it was when
+/// packed: hold it no longer than the borrow it was packed from. The pooled
+/// buffer is reused by every `pack` and returns to the [`pool`] on drop.
+pub struct PackedPanel {
+    strips: Vec<f32>,
+    k: usize,
+    n: usize,
+}
+
+impl Default for PackedPanel {
+    /// An empty (`0 × 0`) panel.
+    fn default() -> Self {
+        Self { strips: pool::take_uninit(KC * NC), k: 0, n: 0 }
+    }
+}
+
+impl PackedPanel {
+    /// Replaces the contents with the `k × n` view `B(p, j) = b[p*b_rs +
+    /// j*b_cs]`. Unit column stride copies whole rows; otherwise (a
+    /// transposed B) each strip row gathers its 16 columns, so the writes
+    /// are the contiguous side. Panics if `k > KC`, `n > NC`, or the view
+    /// reaches past `b`.
+    pub fn pack(&mut self, b: &[f32], b_rs: usize, b_cs: usize, k: usize, n: usize) {
+        assert!(k <= KC && n <= NC, "gemm: a {k}x{n} panel exceeds {KC}x{NC}");
+        assert!(b.len() >= view_span(k, b_rs, n, b_cs), "gemm: B panel {k}x{n} reaches past its slice");
+        (self.k, self.n) = (k, n);
+        if k == 0 {
+            return;
+        }
+        if b_cs == 1 {
+            for p in 0..k {
+                for (t, src) in b[p * b_rs..][..n].chunks(NR).enumerate() {
+                    let dst = &mut self.strips[(t * k + p) * NR..][..NR];
+                    match <&[f32; NR]>::try_from(src) {
+                        Ok(src) => dst.copy_from_slice(src),
+                        Err(_) => {
+                            dst[..src.len()].copy_from_slice(src);
+                            dst[src.len()..].fill(0.0);
+                        }
                     }
                 }
             }
+            return;
+        }
+        for t in 0..n.div_ceil(NR) {
+            let strip = &mut self.strips[t * k * NR..(t + 1) * k * NR];
+            let width = (n - t * NR).min(NR);
+            // Columns past the edge re-read the last real one, then are zeroed.
+            let col: [usize; NR] = std::array::from_fn(|c| (t * NR + c.min(width - 1)) * b_cs);
+            for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                for (d, &at) in dst.iter_mut().zip(&col) {
+                    *d = b[at + p * b_rs];
+                }
+                dst[width..].fill(0.0);
+            }
         }
     }
-    pool::put(packed_b);
 }
 
-/// What every tile of one `KC`-slice shares.
+impl Drop for PackedPanel {
+    fn drop(&mut self) {
+        pool::put(std::mem::take(&mut self.strips));
+    }
+}
+
+/// [`gemm_strided`] for a B that is already packed (`k` and `n` are the
+/// panel's): the same tiles, chain and epilogue, bit for bit, and the same
+/// panics.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_panel(m: usize, a: &[f32], a_rs: usize, a_cs: usize, panel: &PackedPanel, out: &mut [f32], ldc: usize, epilogue: Epilogue<'_>) {
+    let (bias, pre, add) = epilogue.parts();
+    run_panel(m, a, a_rs, a_cs, panel, out, ldc, add, bias, pre.map(|p| (p, panel.n)), true);
+}
+
+impl<'a> Epilogue<'a> {
+    /// `(bias row, pre-activation buffer, add to C)`.
+    fn parts(self) -> (Option<&'a [f32]>, Option<&'a mut [f32]>, bool) {
+        match self {
+            Epilogue::Store => (None, None, false),
+            Epilogue::Add => (None, None, true),
+            Epilogue::Bias(bias) => (Some(bias), None, false),
+            Epilogue::BiasGelu { bias, pre } => (Some(bias), Some(pre), false),
+        }
+    }
+}
+
+/// The tiles of one packed panel over all `m` rows of A; each strip stays in
+/// L1 across an `MC`-row block. They add to the destination when
+/// `accumulate`, then add `bias` (the panel's columns of it). With `pre` —
+/// the pre-activation buffer from the panel's first column, and its leading
+/// dimension — they land there instead of in `out`, and when the shared
+/// dimension ends with this panel (`last`) GELU carries them to `out`.
+#[allow(clippy::too_many_arguments)]
+fn run_panel(m: usize, a: &[f32], a_rs: usize, a_cs: usize, panel: &PackedPanel, out: &mut [f32], ldc: usize, accumulate: bool, bias: Option<&[f32]>, mut pre: Option<(&mut [f32], usize)>, last: bool) {
+    let (kc, nc) = (panel.k, panel.n);
+    // The AVX2 tile reads and writes through raw pointers; these are the
+    // checks its SAFETY comments cite.
+    assert!(a.len() >= view_span(m, a_rs, kc, a_cs), "gemm: A view {m}x{kc} reaches past its slice");
+    assert!(ldc >= nc && out.len() >= view_span(m, ldc, nc, 1), "gemm: C view {m}x{nc} (ld {ldc}) reaches past its slice");
+    assert!(pre.as_ref().is_none_or(|(p, ld)| *ld >= nc && p.len() >= view_span(m, *ld, nc, 1)), "gemm: pre-activation view {m}x{nc} reaches past its slice");
+    assert!(bias.is_none_or(|b| b.len() == nc), "gemm: bias must have {nc} values");
+    if m == 0 || nc == 0 {
+        return;
+    }
+    // An empty product never reads A; one stand-in element keeps the tiles'
+    // row offsets in bounds whatever strides came with it.
+    let (a, a_rs, a_cs) = if kc == 0 { (&[0.0f32][..], 0, 0) } else { (a, a_rs, a_cs) };
+    let step = TileStep {
+        kc,
+        a_rs,
+        a_cs,
+        // Tiles land in `pre` when there is one.
+        ldd: pre.as_ref().map_or(ldc, |(_, ld)| *ld),
+        accumulate,
+        bias,
+        // One cached-atomic read per panel, not per tile; `simd::level()`
+        // honors the EMBA_FORCE_SCALAR override so CI can pin the portable
+        // tile.
+        use_avx2: simd::level() >= simd::Level::Avx2,
+    };
+    for ic in (0..m).step_by(MC) {
+        let mc = (m - ic).min(MC);
+        let dst: &mut [f32] = match pre.as_mut() {
+            Some((pre, _)) => pre,
+            None => &mut *out,
+        };
+        for jt in 0..nc.div_ceil(NR) {
+            let b_strip = &panel.strips[jt * kc * NR..(jt + 1) * kc * NR];
+            let col0 = jt * NR;
+            let cols = (nc - col0).min(NR);
+            for row0 in (ic..ic + mc).step_by(MR) {
+                let rows = (ic + mc - row0).min(MR);
+                step.run(a, b_strip, dst, row0, rows, col0, cols);
+            }
+        }
+        if let (true, Some((pre, ld))) = (last, pre.as_ref()) {
+            for row in ic..ic + mc {
+                let o = &mut out[row * ldc..][..nc];
+                o.copy_from_slice(&pre[row * ld..][..nc]);
+                simd::gelu_span(o);
+            }
+        }
+    }
+}
+
+/// What every tile of one panel shares.
 struct TileStep<'a> {
     kc: usize,
-    /// Offset of the slice's first column of A.
-    a_at: usize,
     a_rs: usize,
     a_cs: usize,
     /// Leading dimension of the destination.
     ldd: usize,
-    /// Add to the destination (a later slice, or [`Epilogue::Add`]).
     accumulate: bool,
-    /// The bias row, on the last slice.
     bias: Option<&'a [f32]>,
     use_avx2: bool,
 }
@@ -263,7 +361,7 @@ impl TileStep<'_> {
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn run(&self, a: &[f32], b_strip: &[f32], dst: &mut [f32], row0: usize, rows: usize, col0: usize, cols: usize) {
-        let a_row: [usize; MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * self.a_rs + self.a_at);
+        let a_row: [usize; MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * self.a_rs);
         let at = row0 * self.ldd + col0;
         let bias = self.bias.map(|b| &b[col0..col0 + cols]);
         match self.use_avx2 {
@@ -273,8 +371,8 @@ impl TileStep<'_> {
                 let bias = bias.map_or(std::ptr::null(), <[f32]>::as_ptr);
                 // SAFETY: `use_avx2` is only set when `simd::level()` detected
                 // AVX2+FMA. Each `a_row[r]` was just checked to lie in `a`
-                // and addresses `A(i, pc)` for a real row `i < m`; the view
-                // `gemm_strided` asserted then puts the `kc` strided reads
+                // and addresses `A(i, 0)` for a real row `i < m`; the view
+                // `run_panel` asserted then puts the `kc` strided reads
                 // from it inside `a`. `b_strip` holds `kc * NR` packed
                 // floats. The tile touches `rows` rows of `cols` floats from
                 // `dst[at]` at stride `ldd`, the last of which was just
@@ -328,43 +426,6 @@ fn tile_portable(a: &[f32], a_row: [usize; MR], a_cs: usize, b_strip: &[f32], ac
 thread_local! {
     /// Tiles this thread ran through [`tile_portable`].
     static PORTABLE_TILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Packs a `kc × nc` panel of B into `NR`-wide, depth-major strips:
-/// `panel[t*kc*NR + p*NR + c] = B(p0 + p, j0 + t*NR + c)`, zero-padded when
-/// the last strip overhangs `nc`. Unit column stride (the nn/tn case) copies
-/// whole rows; otherwise (a transposed B) each strip row gathers its 16
-/// columns, so the writes are the contiguous side.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(panel: &mut [f32], b: &[f32], rs: usize, cs: usize, p0: usize, kc: usize, j0: usize, nc: usize) {
-    if cs == 1 {
-        for p in 0..kc {
-            let row = &b[(p0 + p) * rs + j0..][..nc];
-            for (t, src) in row.chunks(NR).enumerate() {
-                let dst = &mut panel[(t * kc + p) * NR..][..NR];
-                match <&[f32; NR]>::try_from(src) {
-                    Ok(src) => dst.copy_from_slice(src),
-                    Err(_) => {
-                        dst[..src.len()].copy_from_slice(src);
-                        dst[src.len()..].fill(0.0);
-                    }
-                }
-            }
-        }
-        return;
-    }
-    for t in 0..nc.div_ceil(NR) {
-        let strip = &mut panel[t * kc * NR..(t + 1) * kc * NR];
-        let width = (nc - t * NR).min(NR);
-        // Columns past the edge re-read the last real one, then are zeroed.
-        let col: [usize; NR] = std::array::from_fn(|c| p0 * rs + (j0 + t * NR + c.min(width - 1)) * cs);
-        for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-            for (d, &at) in dst.iter_mut().zip(&col) {
-                *d = b[at + p * rs];
-            }
-            dst[width..].fill(0.0);
-        }
-    }
 }
 
 // ----- row reductions -------------------------------------------------------
@@ -663,10 +724,93 @@ mod tests {
         let before = PORTABLE_TILES.with(std::cell::Cell::get);
         gemm_nn(m, k, n, &a, &b, &mut out);
         let ran = PORTABLE_TILES.with(std::cell::Cell::get) - before;
-        if forced || simd::detected() == simd::Level::Scalar {
+        let portable = forced || simd::detected() == simd::Level::Scalar;
+        if portable {
             assert_eq!(ran, (m.div_ceil(MR) * n.div_ceil(NR)) as u64, "GEMM tiles bypassed the portable tile");
         }
         assert_close(&out, &reference_nn(m, k, n, &a, &b), 1e-5, "nn 13x40x33");
+
+        // The fused attention-over-attention op multiplies through a packed
+        // panel it holds itself; that route must land on the same tile. Two
+        // pairs of `E1: [13, 40]` against `E2: [7, 40]` are two `Iᵀ` products
+        // of 7 rows by 13 columns, and nothing else in the forward is a GEMM.
+        let (e1, e2) = (crate::Tensor::from_vec(m, k, a), crate::Tensor::from_vec(7, k, rand_vec(&mut rng, 7 * k)));
+        let views = |t| [crate::RowView::Tensor(t), crate::RowView::Tensor(t)];
+        let before = PORTABLE_TILES.with(std::cell::Cell::get);
+        crate::Graph::new().aoa_pool(&views(&e1), &views(&e2));
+        let ran = PORTABLE_TILES.with(std::cell::Cell::get) - before;
+        if portable {
+            assert_eq!(ran, 2 * (7usize.div_ceil(MR) * m.div_ceil(NR)) as u64, "aoa_pool bypassed the portable tile");
+        }
+    }
+
+    /// `gemm_strided` into `out` against the same product assembled by hand
+    /// from `PackedPanel::pack` + `gemm_panel`, one `KC × NC` panel at a time.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_panels_match(m: usize, k: usize, n: usize, a: &[f32], a_rs: usize, a_cs: usize, b: &[f32], b_rs: usize, b_cs: usize, ctx: &str) {
+        let (detected, scalar) = on_both_tiers(|| {
+            let mut whole = vec![f32::NAN; m * n];
+            gemm_strided(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, &mut whole, n, Epilogue::Store);
+            let mut by_panel = vec![f32::NAN; m * n];
+            let mut panel = PackedPanel::default();
+            for jc in (0..n).step_by(NC) {
+                let nc = (n - jc).min(NC);
+                for pc in (0..k).step_by(KC) {
+                    let kc = (k - pc).min(KC);
+                    panel.pack(&b[pc * b_rs + jc * b_cs..], b_rs, b_cs, kc, nc);
+                    let epilogue = if pc == 0 { Epilogue::Store } else { Epilogue::Add };
+                    gemm_panel(m, &a[pc * a_cs..], a_rs, a_cs, &panel, &mut by_panel[jc..], n, epilogue);
+                }
+            }
+            (whole, by_panel)
+        });
+        assert_eq!(bits(&detected.0), bits(&detected.1), "{ctx}: by-panel differs from gemm_strided");
+        assert_eq!(bits(&scalar.0), bits(&scalar.1), "{ctx}: by-panel differs from gemm_strided on the scalar tier");
+        assert_eq!(bits(&detected.0), bits(&scalar.0), "{ctx}: tiers differ");
+    }
+
+    #[test]
+    fn packed_panels_reproduce_gemm_strided_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        // One panel, several K-slices (k > KC), several column panels
+        // (n > NC), and both at once with ragged edges everywhere.
+        for &(m, k, n) in &[(7, 40, 33), (30, 128, 29), (5, KC + 37, 50), (9, 24, NC + 21), (14, 2 * KC + 3, NC + 70)] {
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            assert_panels_match(m, k, n, &a, k, 1, &b, n, 1, &format!("nn {m}x{k}x{n}"));
+            // The same buffers read as Bᵀ stored [n, k], then as Aᵀ stored [k, m].
+            assert_panels_match(m, k, n, &a, k, 1, &b, 1, k, &format!("nt {m}x{k}x{n}"));
+            assert_panels_match(m, k, n, &a, 1, m, &b, n, 1, &format!("tn {m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn a_panel_is_reused_across_products_and_repacked_in_place() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let (k, n) = (64, 21);
+        let (b1, b2) = (rand_vec(&mut rng, k * n), rand_vec(&mut rng, k * 9));
+        let mut panel = PackedPanel::default();
+        panel.pack(&b1, n, 1, k, n);
+        for m in [1usize, 6, 17] {
+            let a = rand_vec(&mut rng, m * k);
+            let (mut got, mut want) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            gemm_panel(m, &a, k, 1, &panel, &mut got, n, Epilogue::Store);
+            gemm_nn(m, k, n, &a, &b1, &mut want);
+            assert_eq!(bits(&got), bits(&want), "reused panel, m = {m}");
+        }
+        // A narrower B packed over the first: nothing of the old one is read.
+        panel.pack(&b2, 9, 1, k, 9);
+        let a = rand_vec(&mut rng, 4 * k);
+        let (mut got, mut want) = (vec![0.0f32; 4 * 9], vec![0.0f32; 4 * 9]);
+        gemm_panel(4, &a, k, 1, &panel, &mut got, 9, Epilogue::Store);
+        gemm_nn(4, k, 9, &a, &b2, &mut want);
+        assert_eq!(bits(&got), bits(&want), "repacked panel");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn a_panel_rejects_more_than_kc_rows() {
+        PackedPanel::default().pack(&vec![0.0; (KC + 1) * 4], 4, 1, KC + 1, 4);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod simd;
 mod tensor;
 
 pub use backend::BackendKind;
-pub use graph::{GradSink, Gradients, Graph, Var};
+pub use graph::{GradSink, Gradients, Graph, RowView, Var};
 pub use groups::RowGroups;
 pub use quant::QuantizedMatrix;
 pub use tensor::Tensor;

@@ -263,11 +263,12 @@ pub fn estimate_flops(op: &str, parents: &[(usize, usize)], out: (usize, usize))
         // Block-diagonal probs·values, every head into its columns of one
         // out [ΣT, hidden]; the parents are one [ΣT, W] probs per head, then v.
         "matmul_grouped" => 2 * elems * parents.first().map_or(0, |p| p.1 as u64),
-        // Per-pair A·Bᵀ: out [ΣM, W], left parent [ΣM, h].
-        "interaction_grouped" => 2 * elems * parents.first().map_or(0, |p| p.1 as u64),
-        "softmax_rows_grouped" | "softmax_cols_grouped" | "softmax_col_grouped" => 7 * elems,
+        // Each pair's two views, `(m, h)` then `(n, h)`: E2·E1ᵀ and γᵀ·E1, plus
+        // two softmaxes (7 each), β̄ (1) and γ (2) per element of the m×n block.
+        "aoa_pool" => parents.chunks_exact(2).map(|v| (v[0].0 as u64, v[1].0 as u64, v[0].1 as u64)).map(|(m, n, h)| 2 * m * n * h + 2 * m * h + 17 * m * n).sum(),
+        "softmax_col_grouped" => 7 * elems,
         "mean_rows_grouped" => in_elems(0),
-        "rowdot_grouped" | "weighted_sum_rows_grouped" => 2 * in_elems(1),
+        "weighted_sum_rows_grouped" => 2 * in_elems(1),
         "softmax_rows" | "softmax_cols" | "log_softmax_rows" => 7 * elems,
         "layer_norm" => 8 * elems,
         "gelu" => 15 * elems,

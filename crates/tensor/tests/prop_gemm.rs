@@ -14,7 +14,7 @@
 
 use emba_tensor::gradcheck::check_gradients;
 use emba_tensor::kernels::{self, Epilogue, KC};
-use emba_tensor::{simd, Graph, RowGroups, Tensor};
+use emba_tensor::{simd, Graph, RowGroups, RowView, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -551,7 +551,10 @@ fn gradients_flow_through_head_views_and_dropped_probabilities() {
 }
 
 #[test]
-fn interaction_blocks_land_in_their_own_rows() {
+fn aoa_views_at_row_offsets_read_their_own_rows() {
+    // The fused AOA op multiplies row views of packed matrices in place: each
+    // pair's result must be, bit for bit, what the same rows give as
+    // standalone tensors.
     let mut rng = StdRng::seed_from_u64(48);
     let (ga, gb) = (
         RowGroups::from_lens(&[4, 9, 2]),
@@ -563,22 +566,16 @@ fn interaction_blocks_land_in_their_own_rows() {
         packed(&mut rng, gb.total(), h),
     );
     let g = Graph::new();
-    let inter = g.value(g.interaction_grouped(g.leaf(a.clone()), &ga, g.leaf(b.clone()), &gb));
-    assert_eq!(inter.shape(), (ga.total(), gb.max_len()));
+    let (va, vb) = (g.leaf(a.clone()), g.leaf(b.clone()));
+    let (pooled, gamma) = g.aoa_pool(&ga.row_views(va), &gb.row_views(vb));
+    let pooled = g.value(pooled);
+    assert_eq!(pooled.shape(), (ga.len(), h));
+    assert_eq!(gamma.shape(), (ga.total(), 1));
     for gi in 0..ga.len() {
         let ((ar0, ar1), (br0, br1)) = (ga.range(gi), gb.range(gi));
-        let alone = a.slice_rows(ar0, ar1).matmul_nt(&b.slice_rows(br0, br1));
-        for r in ar0..ar1 {
-            let row = inter.row_slice(r);
-            assert_eq!(
-                bits(&row[..br1 - br0]),
-                bits(alone.row_slice(r - ar0)),
-                "pair {gi} row {r}"
-            );
-            assert!(
-                row[br1 - br0..].iter().all(|&x| x == 0.0),
-                "padding must stay zero"
-            );
-        }
+        let (e1, e2) = (a.slice_rows(ar0, ar1), b.slice_rows(br0, br1));
+        let (alone, alone_gamma) = g.aoa_pool(&[RowView::Tensor(&e1)], &[RowView::Tensor(&e2)]);
+        assert_eq!(bits(pooled.row_slice(gi)), bits(g.value(alone).data()), "pair {gi} pooled");
+        assert_eq!(bits(&gamma.data()[ar0..ar1]), bits(alone_gamma.data()), "pair {gi} gamma");
     }
 }

@@ -114,7 +114,7 @@ proptest! {
     }
 
     #[test]
-    fn grad_interaction_and_masked_softmaxes(
+    fn grad_aoa_pool_over_ragged_groups(
         la in lens(), lb in proptest::collection::vec(1usize..6, 1..5), seed in 0u64..1000,
     ) {
         // Align group counts: truncate to the shorter list.
@@ -125,19 +125,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Tensor::rand_normal(ga.total(), h, 0.0, 0.8, &mut rng);
         let b = Tensor::rand_normal(gb.total(), h, 0.0, 0.8, &mut rng);
-        let w = Tensor::rand_normal(ga.total(), gb.max_len(), 0.0, 1.0, &mut rng);
-        // Full AOA-shaped composite: interaction, masked col/row softmax,
-        // group mean, row-dot, weighted pooling — one gradcheck over all.
+        let w = Tensor::rand_normal(gcount, h, 0.0, 1.0, &mut rng);
+        // The whole attention-over-attention module — interaction, column and
+        // row softmax, group mean, row-dot, weighted pooling — is one op; one
+        // gradcheck over all of it, with every pooled coordinate weighted.
         check(&[a, b], |g, v| {
-            let i = g.interaction_grouped(v[0], &ga, v[1], &gb);
-            let alpha = g.softmax_cols_grouped(i, &ga, &gb);
-            let beta = g.softmax_rows_grouped(i, &ga, &gb);
-            let beta_bar = g.mean_rows_grouped(beta, &ga);
-            let gamma = g.rowdot_grouped(alpha, beta_bar, &ga, &gb);
-            let pooled = g.weighted_sum_rows_grouped(gamma, v[0], &ga);
-            let wl = g.leaf(w.clone());
-            let spice = g.sum_all(g.mul(i, wl));
-            g.add(g.sum_all(pooled), spice)
+            let (pooled, _) = g.aoa_pool(&ga.row_views(v[0]), &gb.row_views(v[1]));
+            g.sum_all(g.mul(pooled, g.leaf(w.clone())))
         });
     }
 
@@ -178,27 +172,18 @@ proptest! {
         let ctx_p = g.matmul(per, xv);
         assert_close(&g.value(ctx_g), &g.value(ctx_p), 1e-5, "probs·V");
 
-        let inter_g = g.interaction_grouped(qv, &groups, kv, &groups);
-        let inter_p = g.matmul_nt(qv, kv);
-        assert_close(&g.value(inter_g), &g.value(inter_p), 1e-5, "interaction");
-
-        let sr_g = g.softmax_rows_grouped(inter_g, &groups, &groups);
-        let sr_p = g.softmax_rows(inter_p);
-        assert_close(&g.value(sr_g), &g.value(sr_p), 1e-5, "softmax_rows");
-
-        let sc_g = g.softmax_cols_grouped(inter_g, &groups, &groups);
-        let sc_p = g.softmax_cols(inter_p);
-        assert_close(&g.value(sc_g), &g.value(sc_p), 1e-5, "softmax_cols");
+        // The fused AOA op against the general ops it replaces, step by step.
+        let inter = g.matmul_nt(qv, kv);
+        let (alpha, beta) = (g.softmax_cols(inter), g.softmax_rows(inter));
+        let gamma_p = g.matmul_nt(alpha, g.mean_axis0(beta));
+        let pooled_p = g.matmul_tn(gamma_p, qv);
+        let (pooled_g, gamma_g) = g.aoa_pool(&groups.row_views(qv), &groups.row_views(kv));
+        assert_close(&gamma_g, &g.value(gamma_p), 1e-5, "aoa gamma");
+        assert_close(&g.value(pooled_g), &g.value(pooled_p), 1e-5, "aoa pooled");
 
         let mean_g = g.mean_rows_grouped(xv, &groups);
         let mean_p = g.mean_axis0(xv);
         assert_close(&g.value(mean_g), &g.value(mean_p), 1e-6, "mean_rows");
-
-        let bbar_g = g.mean_rows_grouped(sr_g, &groups);
-        let bbar_p = g.mean_axis0(sr_p);
-        let rd_g = g.rowdot_grouped(sr_g, bbar_g, &groups, &groups);
-        let rd_p = g.matmul_nt(sr_p, bbar_p);
-        assert_close(&g.value(rd_g), &g.value(rd_p), 1e-5, "rowdot");
 
         let ws_g = g.weighted_sum_rows_grouped(wv, xv, &groups);
         let ws_p = g.matmul_tn(wv, xv);

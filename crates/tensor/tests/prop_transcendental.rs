@@ -3,7 +3,7 @@
 //! propagation, tier bit-identity, and composition independence (a row's
 //! result is bit-equal alone, inside a batch, or under a wider padded `W`).
 
-use emba_tensor::{simd, Graph, RowGroups, Tensor};
+use emba_tensor::{simd, Graph, RowGroups, RowView, Tensor};
 use proptest::prelude::*;
 
 const GELU_C: f64 = 0.797_884_560_802_865_4;
@@ -186,38 +186,27 @@ proptest! {
     }
 
     #[test]
-    fn grouped_softmaxes_ignore_a_wider_padded_width(
+    fn grouped_softmaxes_ignore_a_wider_neighbour(
         ta in 1usize..6, tb in 1usize..9, extra in 1usize..8, seed in 0u64..1000,
     ) {
-        // One pair alone (W = tb) against the same pair packed before a
-        // second pair whose right side is wider (W = tb + extra).
+        // One pair alone against the same pair launched before a second pair
+        // whose right side is wider: the AOA op's column and row softmaxes
+        // run over the pair's own `ta × tb` block either way.
         let ta2 = 3;
         let wide = tb + extra;
         let val = |r: usize, c: usize| ((seed as usize + 31 * r + 7 * c) % 97) as f32 * 0.11 - 5.0;
-        let narrow_x = Tensor::from_vec(ta, tb, (0..ta * tb).map(|i| val(i / tb, i % tb)).collect());
-        let mut wide_data = vec![0.0f32; (ta + ta2) * wide];
-        for r in 0..ta + ta2 {
-            let width = if r < ta { tb } else { wide };
-            for c in 0..width {
-                wide_data[r * wide + c] = val(r, c);
-            }
-        }
-        let wide_x = Tensor::from_vec(ta + ta2, wide, wide_data);
-        let (ga1, gb1) = (RowGroups::from_lens(&[ta]), RowGroups::from_lens(&[tb]));
-        let (ga2, gb2) = (RowGroups::from_lens(&[ta, ta2]), RowGroups::from_lens(&[tb, wide]));
+        let rows = |n: usize, salt: usize| Tensor::from_vec(n, 5, (0..n * 5).map(|i| val(i / 5 + salt, i % 5) * 0.2).collect());
+        let (e1, e2, e1_wide, e2_wide) = (rows(ta, 0), rows(tb, 11), rows(ta2, 23), rows(wide, 37));
+        let (ga1, ga2) = (RowGroups::from_lens(&[ta]), RowGroups::from_lens(&[ta, ta2]));
+        let (gb1, gb2) = (RowGroups::from_lens(&[tb]), RowGroups::from_lens(&[tb, wide]));
         let g = Graph::new();
-        let (vn, vw) = (g.leaf(narrow_x), g.leaf(wide_x));
-        let cases = [
-            (g.softmax_rows_grouped(vn, &ga1, &gb1), g.softmax_rows_grouped(vw, &ga2, &gb2)),
-            (g.softmax_cols_grouped(vn, &ga1, &gb1), g.softmax_cols_grouped(vw, &ga2, &gb2)),
-        ];
-        for (narrow, padded) in cases {
-            let (narrow, padded) = (g.value(narrow), g.value(padded));
-            for r in 0..ta {
-                prop_assert_eq!(bits(narrow.row_slice(r)), bits(&padded.row_slice(r)[..tb]));
-                prop_assert!(padded.row_slice(r)[tb..].iter().all(|&v| v == 0.0));
-            }
-        }
+        let (alone, alone_gamma) = g.aoa_pool(&[RowView::Tensor(&e1)], &[RowView::Tensor(&e2)]);
+        let (both, both_gamma) = g.aoa_pool(
+            &[RowView::Tensor(&e1), RowView::Tensor(&e1_wide)],
+            &[RowView::Tensor(&e2), RowView::Tensor(&e2_wide)],
+        );
+        prop_assert_eq!(bits(g.value(alone).data()), bits(g.value(both).row_slice(0)));
+        prop_assert_eq!(bits(alone_gamma.data()), bits(&both_gamma.data()[..ta]));
 
         // Token-attention column softmax: a segment alone vs packed first.
         let col: Vec<f32> = (0..ta + ta2).map(|r| val(r, 3)).collect();
