@@ -35,12 +35,13 @@ use emba_tensor::{prof, simd};
 /// Int8-SIMD encode+score throughput must be at least this multiple of f32.
 ///
 /// Both backends run the same activation, softmax and layer-norm kernels,
-/// so this ratio is the integer GEMM's end-to-end gain over the f32 GEMM.
-/// With the direct-operand f32 tile (DESIGN §6b) that gap narrowed from
-/// 1.34–1.42x to 1.16x, 1.17x, 1.18x, 1.20x and 1.20x over five
-/// quick-profile runs on the reference VM; the floor sits ~10 % under the
-/// lowest (DESIGN §6k has the decomposition).
-pub const REQUIRED_SPEEDUP: f64 = 1.05;
+/// so this ratio is the integer linear path's end-to-end gain over the f32
+/// one. On the packed 6x16 tile with the epilogue finished in the tile
+/// (DESIGN §6k) six quick-profile runs on the reference VM gave 1.46x,
+/// 1.49x, 1.49x, 1.50x, 1.51x and 1.59x; the floor sits ~10 % under the
+/// lowest. (It had decayed 1.5 -> 1.2 -> 1.05 while the f32 GEMM improved
+/// and int8 kept its 2x4 tile, which measured 1.16-1.20x.)
+pub const REQUIRED_SPEEDUP: f64 = 1.3;
 
 /// Probability-equivalence ceiling for both int8 legs.
 pub const MAX_ALLOWED_DP: f64 = 5e-3;

@@ -18,7 +18,7 @@ use emba_core::{
     PipelineConfig, TextPipeline, TrainedMatcher,
 };
 use emba_datagen::{product_catalog, CatalogSpec, Record};
-use emba_nn::GraphStamp;
+use emba_nn::{BertConfig, GraphStamp};
 use emba_tensor::{BackendKind, Graph, Tensor};
 use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
 use proptest::prelude::*;
@@ -163,20 +163,33 @@ fn cold_and_warm_cache_scores_are_bit_identical() {
 
 /// A poisoned encoding is scored (so the NaN surfaces) but never becomes
 /// cache-resident: a healthy model scored afterwards through the same
-/// scorer gets exactly what a fresh scorer would give it.
+/// scorer gets exactly what a fresh scorer would give it. Two poisons: every
+/// element of the first parameter, and one element of the first feed-forward
+/// bias — a single NaN per row of the next linear's input, which an int8
+/// quantizer whose min/max pass drops NaN would launder into finite outputs.
 #[test]
 fn poisoned_encodings_surface_as_nan_and_stay_out_of_the_cache() {
     let records: Vec<Record> = (300..306u64).map(record_from_seed).collect();
     let healthy = matcher_over(ModelKind::EmbaSb, &records, 48);
-    let mut poisoned = matcher_over(ModelKind::EmbaSb, &records, 48);
-    let mut first = true;
-    poisoned.model.visit_mut(&mut |p| {
-        if std::mem::take(&mut first) {
+    let hidden = BertConfig::small(512).hidden;
+    for one_element in [false, true] {
+        let mut poisoned = matcher_over(ModelKind::EmbaSb, &records, 48);
+        let mut done = false;
+        poisoned.model.visit_mut(&mut |p| {
             let (rows, cols) = p.value.shape();
-            p.value = Tensor::from_vec(rows, cols, vec![f32::NAN; rows * cols]);
-        }
-    });
+            if !done && (!one_element || (rows == 1 && cols > hidden)) {
+                done = true;
+                let mut data = p.value.data().to_vec();
+                data[..if one_element { 1 } else { rows * cols }].fill(f32::NAN);
+                p.value = Tensor::from_vec(rows, cols, data);
+            }
+        });
+        assert!(done, "no parameter to poison");
+        poisoned_pass_is_visible_and_leaves_no_trace(&records, &healthy, &poisoned);
+    }
+}
 
+fn poisoned_pass_is_visible_and_leaves_no_trace(records: &[Record], healthy: &TrainedMatcher, poisoned: &TrainedMatcher) {
     let ids: Vec<Vec<usize>> = records
         .iter()
         .map(|r| healthy.pipeline.encode_single_record(r))
@@ -189,16 +202,20 @@ fn poisoned_encodings_surface_as_nan_and_stay_out_of_the_cache() {
         probs.into_iter().map(f32::to_bits).collect()
     };
 
-    let mut scorer = PairScorer::new(64, BackendKind::F32);
-    let bad = run(&mut scorer, poisoned.model.as_ref());
-    assert!(bad.iter().all(|&p| f32::from_bits(p).is_nan()), "poison hidden: {bad:?}");
-    assert_eq!(scorer.cache().len(), 0, "a non-finite encoding became resident");
+    // Under both backends: the int8 path must not launder a NaN row into
+    // finite outputs on its way through the quantizer.
+    for backend in [BackendKind::F32, BackendKind::Int8] {
+        let mut scorer = PairScorer::new(64, backend);
+        let bad = run(&mut scorer, poisoned.model.as_ref());
+        assert!(bad.iter().all(|&p| f32::from_bits(p).is_nan()), "{backend:?}: poison hidden: {bad:?}");
+        assert_eq!(scorer.cache().len(), 0, "{backend:?}: a non-finite encoding became resident");
 
-    let after = run(&mut scorer, healthy.model.as_ref());
-    let fresh = run(&mut PairScorer::new(64, BackendKind::F32), healthy.model.as_ref());
-    assert_eq!(after, fresh, "the poisoned pass leaked into later scores");
-    assert!(after.iter().all(|&p| f32::from_bits(p).is_finite()));
-    assert_eq!(scorer.cache().len(), keys.len());
+        let after = run(&mut scorer, healthy.model.as_ref());
+        let fresh = run(&mut PairScorer::new(64, backend), healthy.model.as_ref());
+        assert_eq!(after, fresh, "{backend:?}: the poisoned pass leaked into later scores");
+        assert!(after.iter().all(|&p| f32::from_bits(p).is_finite()));
+        assert_eq!(scorer.cache().len(), keys.len());
+    }
 }
 
 /// A record with no content tokens encodes to `[0, h]`, and a pair with such

@@ -22,7 +22,7 @@
 use std::cell::Cell;
 
 use crate::kernels;
-use crate::quant::{self, QuantizedMatrix};
+use crate::quant::{self, QuantizedMatrix, QuantizedRows};
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -54,7 +54,12 @@ pub trait Backend {
     /// Quantized affine forward (optionally fused GELU); only reached when
     /// `quantized()` is true.
     fn linear_q8(&self, x: &Tensor, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Tensor {
-        quant::linear_q8_forward(x, w, bias, gelu)
+        self.linear_q8_rows(&QuantizedRows::quantize(x), w, bias, gelu)
+    }
+
+    /// [`Backend::linear_q8`] for an input the tape already quantized.
+    fn linear_q8_rows(&self, x: &QuantizedRows, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Tensor {
+        quant::linear_q8_rows(x, w, bias, gelu)
     }
 }
 

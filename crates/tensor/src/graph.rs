@@ -19,7 +19,7 @@ use rand::Rng;
 
 use crate::groups::RowGroups;
 use crate::kernels::Epilogue;
-use crate::quant::QuantizedMatrix;
+use crate::quant::{QuantizedMatrix, QuantizedRows};
 use crate::tensor::Tensor;
 use crate::{backend, guard, kernels, pool, prof, simd};
 
@@ -99,6 +99,11 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: RefCell<Vec<Node>>,
+    /// The node the last `linear_q8` read, quantized: the next one to read
+    /// the same node (K and V after Q) multiplies these rows again instead of
+    /// quantizing the input a second time, and the next one to read another
+    /// node quantizes into the same buffer. Gone with the tape.
+    q8_input: RefCell<(Option<usize>, QuantizedRows)>,
 }
 
 /// Gradients produced by [`Graph::backward`], addressable by [`Var`].
@@ -430,16 +435,26 @@ impl Graph {
     /// backend; `emba-nn`'s `Linear` only emits this op when
     /// `backend::quantized()` is true.
     pub fn linear_q8(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor) -> Var {
-        let vx = self.value(x);
-        let out = backend::current().linear_q8(&vx, w, bias, false);
-        self.push("linear_q8", out, vec![x.0], None)
+        self.push_q8("linear_q8", x, w, bias, false)
     }
 
     /// Quantized fused `gelu(x · dequant(w) + bias)`; see [`Graph::linear_q8`].
     pub fn linear_q8_gelu(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor) -> Var {
-        let vx = self.value(x);
-        let out = backend::current().linear_q8(&vx, w, bias, true);
-        self.push("linear_q8_gelu", out, vec![x.0], None)
+        self.push_q8("linear_q8_gelu", x, w, bias, true)
+    }
+
+    fn push_q8(&self, op: &'static str, x: Var, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Var {
+        let out = {
+            let mut input = self.q8_input.borrow_mut();
+            // A node's value never changes once recorded, so its index is
+            // the whole key.
+            if input.0 != Some(x.0) {
+                input.1.requantize(&self.value(x));
+                input.0 = Some(x.0);
+            }
+            backend::current().linear_q8_rows(&input.1, w, bias, gelu)
+        };
+        self.push(op, out, vec![x.0], None)
     }
 
     /// Fused attention-score map `softmax_rows(scale · q · kᵀ)` (one node

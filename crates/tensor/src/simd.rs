@@ -10,19 +10,25 @@
 //!
 //! Four kernel families live here:
 //!
-//! * quantized GEMM ([`gemm_u8i8`]): the workhorse of the int8 backend.
-//!   Activations are *unsigned* (asymmetric per-row quantization, see
-//!   `crate::quant`), weights signed — exactly the operand pair
-//!   `vpdpbusd` (AVX-VNNI) fuses into one multiply-widen-accumulate. The
-//!   plain-AVX2 tier must NOT use the tempting `_mm256_maddubs_epi16`
-//!   shortcut: with u8 activations a pair sum reaches `2 * 255 * 127 =
-//!   64770 > i16::MAX` and saturates silently. It instead widens both
-//!   operands to i16 and uses `_mm256_madd_epi16`, which pair-sums into
-//!   i32 exactly. Every tier therefore computes the same exact integer
-//!   dot and all tiers are bit-identical.
-//! * activation quantization ([`quantize_span_u8`]): the min/max pass and
-//!   the scale-round-clamp pass, both vectorized — at transformer widths
-//!   the scalar version costs as much as the GEMM it feeds.
+//! * quantized GEMM ([`tiles_u8i8`]): the workhorse of the int8 backend, one
+//!   6 x 16 outer-product tile over weights packed once
+//!   ([`pack_strips_i8`]). Activations are *unsigned* (asymmetric per-row
+//!   quantization, see `crate::quant`), weights signed — exactly the operand
+//!   pair `vpdpbusd` (AVX-VNNI) fuses into one multiply-widen-accumulate:
+//!   each step broadcasts 4 bytes of an activation row, read in place, against
+//!   16 columns x 4 k-bytes of a packed strip, so an i32 lane IS one output
+//!   column and nothing is ever summed across lanes. The plain-AVX2 body must
+//!   NOT use the tempting `_mm256_maddubs_epi16` shortcut: with u8
+//!   activations a pair sum reaches `2 * 255 * 127 = 64770 > i16::MAX` and
+//!   saturates silently. It instead widens both operands to i16 and uses
+//!   `_mm256_madd_epi16`, which pair-sums into i32 exactly. Integer
+//!   accumulation is exact and order-independent, so the VNNI, AVX2 and
+//!   portable bodies are bit-identical and a tile's result does not depend
+//!   on the rows or columns computed beside it.
+//! * activation quantization ([`min_max`], [`quantize_span_u8`]): the
+//!   min/max pass (which also spots a non-finite element) and the
+//!   scale-round-clamp pass, both vectorized — at transformer widths the
+//!   scalar version costs as much as the GEMM it feeds.
 //! * f32 GEMM tile (`tile_6x16_avx2`): the explicit AVX2+FMA micro-kernel
 //!   under every f32 matrix product; `kernels::tile_portable` is its twin,
 //!   the same FMA chain spelled with `f32::mul_add`.
@@ -146,9 +152,15 @@ pub fn level() -> Level {
 /// Quantizes a span of activations with a precomputed affine transform.
 /// The caller guarantees `x[i] * inv + zp` stays far inside i32 range (the
 /// per-row scale construction in `crate::quant` bounds it by ~2^28).
+///
+/// # Panics
+///
+/// Panics if `x` and `q` differ in length.
 pub fn quantize_span_u8(x: &[f32], inv: f32, zp: i32, q: &mut [u8]) {
-    debug_assert_eq!(x.len(), q.len());
+    assert_eq!(x.len(), q.len(), "quantize_span_u8: {} values into {} bytes", x.len(), q.len());
     match level() {
+        // SAFETY: the tier was detected, and the kernel stays inside the two
+        // slices, whose lengths were just checked equal.
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 | Level::Avx2Vnni => unsafe { quantize_span_u8_avx2(x, inv, zp, q) },
         _ => quantize_span_u8_scalar(x, inv, zp, q),
@@ -163,24 +175,39 @@ pub fn quantize_span_u8_scalar(x: &[f32], inv: f32, zp: i32, q: &mut [u8]) {
     }
 }
 
-/// `(min, max)` over a span. min/max are exact and order-independent, so
-/// the vectorized and scalar reductions agree bit-for-bit.
+/// Clears an f32's sign bit.
+const ABS_BITS: u32 = 0x7fff_ffff;
+/// Bits of `|x|` from which an f32 is infinite or NaN.
+const NON_FINITE_BITS: u32 = 0x7f80_0000;
+
+/// `(min, max)` over a span, or `(NaN, NaN)` when any element is infinite or
+/// NaN: `f32::min`/`max` drop a NaN operand, so the same pass also keeps the
+/// largest `|x|` bit pattern, which orders like the magnitude and puts every
+/// non-finite value on top. All three reductions are exact and
+/// order-independent, so the vectorized and scalar forms agree bit for bit.
 pub fn min_max(x: &[f32]) -> (f32, f32) {
-    match level() {
+    let (mn, mx, top) = match level() {
+        // SAFETY: the tier was detected; the kernel only reads `x`.
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 | Level::Avx2Vnni if x.len() >= 8 => unsafe { min_max_avx2(x) },
         _ => min_max_scalar(x),
+    };
+    if top >= NON_FINITE_BITS {
+        (f32::NAN, f32::NAN)
+    } else {
+        (mn, mx)
     }
 }
 
-fn min_max_scalar(x: &[f32]) -> (f32, f32) {
-    let mut mn = f32::INFINITY;
-    let mut mx = f32::NEG_INFINITY;
+/// `(min, max, largest |x| bit pattern)`.
+fn min_max_scalar(x: &[f32]) -> (f32, f32, u32) {
+    let (mut mn, mut mx, mut top) = (f32::INFINITY, f32::NEG_INFINITY, 0u32);
     for &v in x {
         mn = mn.min(v);
         mx = mx.max(v);
+        top = top.max(v.to_bits() & ABS_BITS);
     }
-    (mn, mx)
+    (mn, mx, top)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,39 +329,198 @@ pub fn gelu_grad_span(x: &[f32], g: &[f32], dx: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized GEMM: acc[r*n + j] = sum_i a[r*k + i] * w[j*k + i]
-//   a: m x k row-major u8 activations, w: column-major i8 weights
+// Quantized GEMM: one 6 x 16 outer-product tile over packed weight strips
 // ---------------------------------------------------------------------------
 
-/// Exact integer GEMM between quantized activations (`m` rows of length
-/// `k`, unsigned) and a column-major i8 weight matrix (`n` columns of
-/// length `k`). Accumulation is exact i32, so every tier is bit-identical.
-pub fn gemm_u8i8(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &mut [i32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(w.len(), k * n);
-    debug_assert_eq!(acc.len(), m * n);
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { gemm_u8i8_avx2(a, m, w, k, n, acc) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2Vnni => unsafe { gemm_u8i8_vnni(a, m, w, k, n, acc) },
-        _ => gemm_u8i8_scalar(a, m, w, k, n, acc),
+/// Rows per int8 register tile.
+pub const Q8_MR: usize = 6;
+/// Columns per int8 register tile, and per packed weight strip.
+pub const Q8_NR: usize = 16;
+/// Bytes of the shared dimension one i32 lane consumes per step.
+pub const Q8_KG: usize = 4;
+/// Bytes of one k-group of a strip: `Q8_NR` columns x `Q8_KG` bytes.
+const Q8_GROUP: usize = Q8_NR * Q8_KG;
+
+/// The exact i32 sums of one tile, `[row][column]`.
+pub type Q8Block = [[i32; Q8_NR]; Q8_MR];
+
+/// Packs a column-major `k x n` i8 matrix (`w[j * k + i] = W(i, j)`) for the
+/// tile: `ceil(n / 16)` strips, each `ceil(k / 4)` k-groups of 16 columns x
+/// 4 bytes, `strips[((t * k4 + g) * 16 + c) * 4 + b] = W(4g + b, 16t + c)`
+/// ([`strip_index`]). Both edges are zero-padded, and a zero byte contributes exactly 0 to a
+/// sum. The result is `ceil(n / 16) * ceil(k / 4) * 64` bytes, no more.
+///
+/// # Panics
+///
+/// Panics if `w` is not `k * n` long.
+pub fn pack_strips_i8(w: &[i8], k: usize, n: usize) -> Vec<i8> {
+    assert_eq!(w.len(), k * n, "pack_strips_i8: {} weights for {k}x{n}", w.len());
+    let strip_len = k.div_ceil(Q8_KG) * Q8_GROUP;
+    let mut strips = vec![0i8; n.div_ceil(Q8_NR) * strip_len];
+    for (strip, cols) in strips.chunks_mut(strip_len.max(1)).zip(w.chunks((Q8_NR * k).max(1))) {
+        pack_strip_i8(cols, k, strip);
+    }
+    strips
+}
+
+/// Where [`pack_strips_i8`] puts `W(i, j)` when a strip has `k4` k-groups.
+pub fn strip_index(k4: usize, i: usize, j: usize) -> usize {
+    ((j / Q8_NR * k4 + i / Q8_KG) * Q8_NR + j % Q8_NR) * Q8_KG + i % Q8_KG
+}
+
+/// One strip of [`pack_strips_i8`]: up to 16 columns of length `k` into
+/// `strip`, every byte of which is written. Group by group, so the writes
+/// are the sequential side and each column is one read stream.
+fn pack_strip_i8(cols: &[i8], k: usize, strip: &mut [i8]) {
+    for (g, group) in strip.chunks_exact_mut(Q8_GROUP).enumerate() {
+        let from = g * Q8_KG;
+        let depth = (k - from).min(Q8_KG);
+        if depth < Q8_KG || cols.len() < Q8_NR * k {
+            group.fill(0);
+        }
+        for (dst, col) in group.chunks_exact_mut(Q8_KG).zip(cols.chunks_exact(k)) {
+            if depth == Q8_KG {
+                dst.copy_from_slice(&col[from..from + Q8_KG]);
+            } else {
+                dst[..depth].copy_from_slice(&col[from..]);
+            }
+        }
     }
 }
 
-/// Portable reference implementation; also the dispatch target when
-/// `EMBA_FORCE_SCALAR` pins the scalar tier.
+/// Every tile of `A · W` for quantized activations `A` (`m` rows of `4 * k4`
+/// bytes, row `i` at `a[i * lda..]`, read in place) and weights packed by
+/// [`pack_strips_i8`] (`n` columns, `k4` k-groups). Each finished tile goes
+/// to `finish(row0, rows, col0, cols, block)`: `block[r][c]` for `r < rows`,
+/// `c < cols` is the exact sum for `A` row `row0 + r` and column `col0 + c`.
+/// An edge tile still computes 6 x 16 — rows past the edge repeat a real row,
+/// columns past it multiply the strip's zeros — and the rest of its block is
+/// not meaningful. Six rows cross every strip before the next six start, left
+/// to right: their bytes of `A` stay in L1, the strips stream past (a
+/// transformer projection's are L1- or L2-resident), and the tile whose
+/// `col0 + cols == n` completes those rows of the product.
+///
+/// `level` picks the body — `simd::level()` outside tests — and every body
+/// returns the same bits.
+///
+/// # Panics
+///
+/// Panics if `level` is above [`detected`], `strips` is not the packed size
+/// for `k4` x `n`, `lda < 4 * k4`, or a row of `A` reaches past `a`.
+#[allow(clippy::too_many_arguments)]
+pub fn tiles_u8i8(
+    level: Level,
+    a: &[u8],
+    m: usize,
+    lda: usize,
+    strips: &[i8],
+    k4: usize,
+    n: usize,
+    mut finish: impl FnMut(usize, usize, usize, usize, &Q8Block),
+) {
+    // The SIMD bodies read through raw pointers; these are the checks their
+    // SAFETY comment cites.
+    assert!(level <= detected(), "tiles_u8i8: tier {level:?} is not available");
+    assert_eq!(strips.len(), n.div_ceil(Q8_NR) * k4 * Q8_GROUP, "tiles_u8i8: strips are not {k4} k-groups x {n} columns");
+    assert!(lda >= k4 * Q8_KG, "tiles_u8i8: row stride {lda} under {} bytes", k4 * Q8_KG);
+    assert!(m == 0 || a.len() >= (m - 1) * lda + k4 * Q8_KG, "tiles_u8i8: A {m}x{} (ld {lda}) reaches past its slice", k4 * Q8_KG);
+    for row0 in (0..m).step_by(Q8_MR) {
+        let rows = (m - row0).min(Q8_MR);
+        let a_row: [usize; Q8_MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * lda);
+        #[cfg(target_arch = "x86_64")]
+        let a_ptr = a_row.map(|o| a.as_ptr().wrapping_add(o));
+        for (t, col0) in (0..n).step_by(Q8_NR).enumerate() {
+            let strip = &strips[t * k4 * Q8_GROUP..(t + 1) * k4 * Q8_GROUP];
+            let cols = (n - col0).min(Q8_NR);
+            let mut block = [[0i32; Q8_NR]; Q8_MR];
+            match level {
+                // SAFETY: `level` is at most the detected tier. Every
+                // `a_ptr[r]` is the start of a real row `i < m`, and the
+                // assert above puts the `4 * k4` bytes from it inside `a`;
+                // `strip` holds `k4` groups of 64 bytes.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx2Vnni => unsafe { tile_q8_vnni(k4, a_ptr, strip.as_ptr(), &mut block) },
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx2 => unsafe { tile_q8_avx2(k4, a_ptr, strip.as_ptr(), &mut block) },
+                _ => tile_q8_portable(a, a_row, strip, &mut block),
+            }
+            finish(row0, rows, col0, cols, &block);
+        }
+    }
+}
+
+/// The portable body of the int8 tile: the same 6 x 16 x 4 products per
+/// k-group as the `vpdpbusd` body, summed in the same exact i32.
+#[inline(always)]
+fn tile_q8_portable(a: &[u8], a_row: [usize; Q8_MR], strip: &[i8], block: &mut Q8Block) {
+    for (g, group) in strip.chunks_exact(Q8_GROUP).enumerate() {
+        for (acc, at) in block.iter_mut().zip(a_row) {
+            let a4 = &a[at + g * Q8_KG..][..Q8_KG];
+            for (sum, w4) in acc.iter_mut().zip(group.chunks_exact(Q8_KG)) {
+                for (&av, &wv) in a4.iter().zip(w4) {
+                    *sum += av as i32 * wv as i32;
+                }
+            }
+        }
+    }
+}
+
+/// Exact integer GEMM between quantized activations (`m` rows of length
+/// `k`, unsigned) and a column-major i8 weight matrix (`n` columns of
+/// length `k`): packs one strip at a time and runs its tiles. A caller that
+/// multiplies by the same weights twice packs once ([`pack_strips_i8`]) and
+/// calls [`tiles_u8i8`] itself, as `crate::quant` does.
+///
+/// # Panics
+///
+/// Panics unless `a`, `w` and `acc` are exactly `m * k`, `k * n` and `m * n`
+/// long.
+pub fn gemm_u8i8(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &mut [i32]) {
+    assert_eq!(a.len(), m * k, "gemm_u8i8: {} activations for {m}x{k}", a.len());
+    assert_eq!(w.len(), k * n, "gemm_u8i8: {} weights for {k}x{n}", w.len());
+    assert_eq!(acc.len(), m * n, "gemm_u8i8: {} sums for {m}x{n}", acc.len());
+    if k == 0 {
+        return acc.fill(0);
+    }
+    let k4 = k.div_ceil(Q8_KG);
+    // The tile reads whole k-groups: rows whose length is not a multiple of
+    // 4 are copied out zero-padded first.
+    let padded: Vec<u8>;
+    let (a, lda) = if k.is_multiple_of(Q8_KG) {
+        (a, k)
+    } else {
+        let mut rows = vec![0u8; m * k4 * Q8_KG];
+        for (dst, src) in rows.chunks_exact_mut(k4 * Q8_KG).zip(a.chunks_exact(k)) {
+            dst[..k].copy_from_slice(src);
+        }
+        padded = rows;
+        (&padded[..], k4 * Q8_KG)
+    };
+    let (level, mut strip) = (level(), vec![0i8; k4 * Q8_GROUP]);
+    for (t, cols) in w.chunks(Q8_NR * k).enumerate() {
+        pack_strip_i8(cols, k, &mut strip);
+        tiles_u8i8(level, a, m, lda, &strip, k4, cols.len() / k, |row0, rows, _, cols, block| {
+            for (r, sums) in block.iter().enumerate().take(rows) {
+                let dst = &mut acc[(row0 + r) * n + t * Q8_NR..];
+                // A full row of the tile is one fixed-size copy.
+                match dst.first_chunk_mut() {
+                    Some(full) if cols == Q8_NR => *full = *sums,
+                    _ => dst[..cols].copy_from_slice(&sums[..cols]),
+                }
+            }
+        });
+    }
+}
+
+/// The definition the tile is held to: one dot product per output, in the
+/// order written. `a` is `m x k` row-major, `w` column-major, `acc` `m x n`.
 pub fn gemm_u8i8_scalar(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &mut [i32]) {
     for r in 0..m {
         let row = &a[r * k..(r + 1) * k];
         let out = &mut acc[r * n..(r + 1) * n];
         for (j, o) in out.iter_mut().enumerate() {
             let col = &w[j * k..(j + 1) * k];
-            let mut s = 0i32;
-            for i in 0..k {
-                s += row[i] as i32 * col[i] as i32;
-            }
-            *o = s;
+            *o = row.iter().zip(col).map(|(&x, &y)| x as i32 * y as i32).sum();
         }
     }
 }
@@ -343,250 +529,137 @@ pub fn gemm_u8i8_scalar(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &
 mod x86 {
     use std::arch::x86_64::*;
 
-    /// Horizontal sum of the eight i32 lanes.
-    #[inline]
+    /// `(min, max, largest |x| bit pattern)` — see `min_max`. Two
+    /// accumulators per reduction and an in-register fold at the end: on a
+    /// transformer-width row the dependent `min`/`max` chain, not the loads,
+    /// is what takes the time.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn hsum_epi32(v: __m256i) -> i32 {
-        let hi = _mm256_extracti128_si256(v, 1);
-        let lo = _mm256_castsi256_si128(v);
-        let s = _mm_add_epi32(hi, lo);
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_01_10_11));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-        _mm_cvtsi128_si32(s)
+    pub unsafe fn min_max_avx2(x: &[f32]) -> (f32, f32, u32) {
+        let (inf, ninf, abs) = (_mm256_set1_ps(f32::INFINITY), _mm256_set1_ps(f32::NEG_INFINITY), _mm256_set1_epi32(super::ABS_BITS as i32));
+        // Sign-cleared bit patterns are non-negative as i32 too.
+        let (mut mn, mut mx, mut top) = ([inf; 2], [ninf; 2], [_mm256_setzero_si256(); 2]);
+        let mut wide = x.chunks_exact(16);
+        for v16 in &mut wide {
+            for half in 0..2 {
+                let v = _mm256_loadu_ps(v16.as_ptr().add(8 * half));
+                mn[half] = _mm256_min_ps(mn[half], v);
+                mx[half] = _mm256_max_ps(mx[half], v);
+                top[half] = _mm256_max_epi32(top[half], _mm256_and_si256(_mm256_castps_si256(v), abs));
+            }
+        }
+        let mut rest = wide.remainder().chunks_exact(8);
+        for v8 in &mut rest {
+            let v = _mm256_loadu_ps(v8.as_ptr());
+            mn[0] = _mm256_min_ps(mn[0], v);
+            mx[0] = _mm256_max_ps(mx[0], v);
+            top[0] = _mm256_max_epi32(top[0], _mm256_and_si256(_mm256_castps_si256(v), abs));
+        }
+        let (mn, mx, top) = (_mm256_min_ps(mn[0], mn[1]), _mm256_max_ps(mx[0], mx[1]), _mm256_max_epi32(top[0], top[1]));
+        // 8 lanes -> 4 -> 2 -> 1.
+        let mn = _mm_min_ps(_mm256_castps256_ps128(mn), _mm256_extractf128_ps(mn, 1));
+        let mx = _mm_max_ps(_mm256_castps256_ps128(mx), _mm256_extractf128_ps(mx, 1));
+        let top = _mm_max_epi32(_mm256_castsi256_si128(top), _mm256_extracti128_si256(top, 1));
+        let mn = _mm_min_ps(mn, _mm_movehl_ps(mn, mn));
+        let mx = _mm_max_ps(mx, _mm_movehl_ps(mx, mx));
+        let top = _mm_max_epi32(top, _mm_unpackhi_epi64(top, top));
+        let mn = _mm_cvtss_f32(_mm_min_ss(mn, _mm_shuffle_ps(mn, mn, 1)));
+        let mx = _mm_cvtss_f32(_mm_max_ss(mx, _mm_shuffle_ps(mx, mx, 1)));
+        let top = _mm_cvtsi128_si32(_mm_max_epi32(top, _mm_shuffle_epi32(top, 1))) as u32;
+        let (tail_mn, tail_mx, tail_top) = super::min_max_scalar(rest.remainder());
+        (mn.min(tail_mn), mx.max(tail_mx), top.max(tail_top))
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_max_avx2(x: &[f32]) -> (f32, f32) {
-        let mut vmn = _mm256_set1_ps(f32::INFINITY);
-        let mut vmx = _mm256_set1_ps(f32::NEG_INFINITY);
-        let kc = x.len() - x.len() % 8;
-        let p = x.as_ptr();
-        let mut i = 0;
-        while i < kc {
-            let v = _mm256_loadu_ps(p.add(i));
-            vmn = _mm256_min_ps(vmn, v);
-            vmx = _mm256_max_ps(vmx, v);
-            i += 8;
-        }
-        let mut mn = [0.0f32; 8];
-        let mut mx = [0.0f32; 8];
-        _mm256_storeu_ps(mn.as_mut_ptr(), vmn);
-        _mm256_storeu_ps(mx.as_mut_ptr(), vmx);
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for l in 0..8 {
-            lo = lo.min(mn[l]);
-            hi = hi.max(mx[l]);
-        }
-        while i < x.len() {
-            let v = *x.get_unchecked(i);
-            lo = lo.min(v);
-            hi = hi.max(v);
-            i += 1;
-        }
-        (lo, hi)
-    }
-
-    /// Vectorized affine quantization: 8 floats -> 8 u8 per step via
-    /// `vcvtps2dq` (ties-even, matching the scalar `round_ties_even`) and
-    /// the saturating i32 -> i16 -> u8 packs, which implement the
-    /// `[0, 255]` clamp for free.
+    /// Vectorized affine quantization via `vcvtps2dq` (ties-even, matching
+    /// the scalar `round_ties_even`) and the saturating i32 -> i16 -> u8
+    /// packs, which implement the `[0, 255]` clamp for free: 32 floats per
+    /// step, then 8, then one.
     #[target_feature(enable = "avx2")]
     pub unsafe fn quantize_span_u8_avx2(x: &[f32], inv: f32, zp: i32, q: &mut [u8]) {
         let vinv = _mm256_set1_ps(inv);
         let vzp = _mm256_set1_epi32(zp);
-        let kc = x.len() - x.len() % 8;
         let xp = x.as_ptr();
         let qp = q.as_mut_ptr();
+        let quant = |i: usize| _mm256_add_epi32(_mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(xp.add(i)), vinv)), vzp);
+        // The 256-bit packs interleave their operands per 128-bit half; one
+        // dword permute puts the 32 bytes back in order.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
         let mut i = 0;
-        while i < kc {
-            let v = _mm256_mul_ps(_mm256_loadu_ps(xp.add(i)), vinv);
-            let qi = _mm256_add_epi32(_mm256_cvtps_epi32(v), vzp);
-            let lo = _mm256_castsi256_si128(qi);
-            let hi = _mm256_extracti128_si256(qi, 1);
-            let p16 = _mm_packs_epi32(lo, hi);
-            let p8 = _mm_packus_epi16(p16, p16);
-            _mm_storel_epi64(qp.add(i) as *mut __m128i, p8);
+        while i + 32 <= x.len() {
+            let lo = _mm256_packs_epi32(quant(i), quant(i + 8));
+            let hi = _mm256_packs_epi32(quant(i + 16), quant(i + 24));
+            let p8 = _mm256_permutevar8x32_epi32(_mm256_packus_epi16(lo, hi), order);
+            _mm256_storeu_si256(qp.add(i) as *mut __m256i, p8);
+            i += 32;
+        }
+        while i + 8 <= x.len() {
+            let qi = quant(i);
+            let p16 = _mm_packs_epi32(_mm256_castsi256_si128(qi), _mm256_extracti128_si256(qi, 1));
+            _mm_storel_epi64(qp.add(i) as *mut __m128i, _mm_packus_epi16(p16, p16));
             i += 8;
         }
         while i < x.len() {
-            *qp.add(i) =
-                ((*xp.add(i) * inv).round_ties_even() as i32 + zp).clamp(0, 255) as u8;
+            *qp.add(i) = ((*xp.add(i) * inv).round_ties_even() as i32 + zp).clamp(0, 255) as u8;
             i += 1;
         }
     }
 
-    /// AVX2 (no VNNI) u8xi8 GEMM tile: widen both operands to i16 and use
-    /// `madd_epi16`, whose pairwise i32 sums are exact — `maddubs` would
-    /// saturate at u8 range. Two rows x four columns per tile.
+    /// The AVX-VNNI body of the int8 tile: twelve 8-lane i32 accumulators
+    /// (with two weight vectors and one broadcast, 15 of the 16 registers).
+    /// Each k-group broadcasts 4 activation bytes per row against 16 columns x
+    /// 4 weight bytes, and `vpdpbusd` (unsigned x signed) adds the four
+    /// products into the lane that is that column's sum.
     ///
     /// # Safety
-    /// Requires AVX2; `a` must be `m * k` row-major, `w` `n * k`
-    /// column-major, `acc` `m * n`.
-    #[allow(clippy::needless_range_loop)] // `c` indexes the register tile in lockstep with the column offset
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_u8i8_avx2(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &mut [i32]) {
-        let kc = k - k % 16;
-        let mut r = 0;
-        while r < m {
-            let pair = r + 1 < m;
-            let a0 = a.as_ptr().add(r * k);
-            let a1 = if pair { a.as_ptr().add((r + 1) * k) } else { a0 };
-            let mut j = 0;
-            while j + 4 <= n {
-                let mut s = [[_mm256_setzero_si256(); 4]; 2];
-                let mut i = 0;
-                while i < kc {
-                    let va0 = _mm256_cvtepu8_epi16(_mm_loadu_si128(a0.add(i) as *const __m128i));
-                    let va1 = if pair {
-                        _mm256_cvtepu8_epi16(_mm_loadu_si128(a1.add(i) as *const __m128i))
-                    } else {
-                        va0
-                    };
-                    for c in 0..4 {
-                        let wp = w.as_ptr().add((j + c) * k + i);
-                        let vw = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp as *const __m128i));
-                        s[0][c] = _mm256_add_epi32(s[0][c], _mm256_madd_epi16(va0, vw));
-                        s[1][c] = _mm256_add_epi32(s[1][c], _mm256_madd_epi16(va1, vw));
-                    }
-                    i += 16;
-                }
-                for c in 0..4 {
-                    let mut t0 = hsum_epi32(s[0][c]);
-                    let mut t1 = hsum_epi32(s[1][c]);
-                    let wp = w.as_ptr().add((j + c) * k);
-                    let mut i = kc;
-                    while i < k {
-                        let wv = *wp.add(i) as i32;
-                        t0 += *a0.add(i) as i32 * wv;
-                        t1 += *a1.add(i) as i32 * wv;
-                        i += 1;
-                    }
-                    *acc.get_unchecked_mut(r * n + j + c) = t0;
-                    if pair {
-                        *acc.get_unchecked_mut((r + 1) * n + j + c) = t1;
-                    }
-                }
-                j += 4;
+    /// Requires AVX2 and AVX-VNNI. Every `a[r]` must be readable for
+    /// `4 * k4` bytes and `b` for `64 * k4`.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub unsafe fn tile_q8_vnni(k4: usize, a: [*const u8; 6], b: *const i8, block: &mut super::Q8Block) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; 6];
+        for g in 0..k4 {
+            let b0 = _mm256_loadu_si256(b.add(g * 64) as *const __m256i);
+            let b1 = _mm256_loadu_si256(b.add(g * 64 + 32) as *const __m256i);
+            for (row, a_row) in acc.iter_mut().zip(a) {
+                let av = _mm256_set1_epi32((a_row.add(g * 4) as *const i32).read_unaligned());
+                row[0] = _mm256_dpbusd_avx_epi32(row[0], av, b0);
+                row[1] = _mm256_dpbusd_avx_epi32(row[1], av, b1);
             }
-            // Remainder columns (AOA/head projections have n = 1 or 2).
-            while j < n {
-                let wp = w.as_ptr().add(j * k);
-                let mut s0 = _mm256_setzero_si256();
-                let mut s1 = _mm256_setzero_si256();
-                let mut i = 0;
-                while i < kc {
-                    let vw = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(i) as *const __m128i));
-                    let va0 = _mm256_cvtepu8_epi16(_mm_loadu_si128(a0.add(i) as *const __m128i));
-                    s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(va0, vw));
-                    if pair {
-                        let va1 =
-                            _mm256_cvtepu8_epi16(_mm_loadu_si128(a1.add(i) as *const __m128i));
-                        s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(va1, vw));
-                    }
-                    i += 16;
-                }
-                let mut t0 = hsum_epi32(s0);
-                let mut t1 = hsum_epi32(s1);
-                while i < k {
-                    let wv = *wp.add(i) as i32;
-                    t0 += *a0.add(i) as i32 * wv;
-                    t1 += *a1.add(i) as i32 * wv;
-                    i += 1;
-                }
-                *acc.get_unchecked_mut(r * n + j) = t0;
-                if pair {
-                    *acc.get_unchecked_mut((r + 1) * n + j) = t1;
-                }
-                j += 1;
-            }
-            r += 2;
+        }
+        for (sums, row) in block.iter_mut().zip(acc) {
+            _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, row[0]);
+            _mm256_storeu_si256(sums.as_mut_ptr().add(8) as *mut __m256i, row[1]);
         }
     }
 
-    /// AVX-VNNI u8xi8 GEMM tile: `vpdpbusd` takes unsigned x signed bytes
-    /// natively and accumulates into i32 in one instruction. Two rows x
-    /// four columns per tile.
+    /// The AVX2 (no VNNI) body: widen both operands to i16 and use
+    /// `madd_epi16`, whose pairwise i32 sums are exact — `maddubs` would
+    /// saturate at u8 range. `madd` leaves two partial sums per column, so 8
+    /// columns fill two accumulators per row and the tile takes its 16
+    /// columns as two halves; one `hadd` per row joins the partials at the
+    /// end.
     ///
     /// # Safety
-    /// Requires AVX2 and AVX-VNNI; `a` must be `m * k` row-major, `w`
-    /// `n * k` column-major, `acc` `m * n`.
-    #[allow(clippy::needless_range_loop)] // `c` indexes the register tile in lockstep with the column offset
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub unsafe fn gemm_u8i8_vnni(a: &[u8], m: usize, w: &[i8], k: usize, n: usize, acc: &mut [i32]) {
-        let kc = k - k % 32;
-        let mut r = 0;
-        while r < m {
-            let pair = r + 1 < m;
-            let a0 = a.as_ptr().add(r * k);
-            let a1 = if pair { a.as_ptr().add((r + 1) * k) } else { a0 };
-            let mut j = 0;
-            while j + 4 <= n {
-                let mut s = [[_mm256_setzero_si256(); 4]; 2];
-                let mut i = 0;
-                while i < kc {
-                    let va0 = _mm256_loadu_si256(a0.add(i) as *const __m256i);
-                    let va1 = if pair {
-                        _mm256_loadu_si256(a1.add(i) as *const __m256i)
-                    } else {
-                        va0
-                    };
-                    for c in 0..4 {
-                        let wp = w.as_ptr().add((j + c) * k + i);
-                        let vw = _mm256_loadu_si256(wp as *const __m256i);
-                        s[0][c] = _mm256_dpbusd_avx_epi32(s[0][c], va0, vw);
-                        s[1][c] = _mm256_dpbusd_avx_epi32(s[1][c], va1, vw);
-                    }
-                    i += 32;
+    /// Requires AVX2. Every `a[r]` must be readable for `4 * k4` bytes and
+    /// `b` for `64 * k4`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn tile_q8_avx2(k4: usize, a: [*const u8; 6], b: *const i8, block: &mut super::Q8Block) {
+        for half in 0..2 {
+            let mut acc = [[_mm256_setzero_si256(); 2]; 6];
+            for g in 0..k4 {
+                let bp = b.add(g * 64 + half * 32) as *const __m128i;
+                let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp));
+                let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(1)));
+                for (row, a_row) in acc.iter_mut().zip(a) {
+                    let a4 = (a_row.add(g * 4) as *const i32).read_unaligned();
+                    let av = _mm256_cvtepu8_epi16(_mm_set1_epi32(a4));
+                    row[0] = _mm256_add_epi32(row[0], _mm256_madd_epi16(av, b0));
+                    row[1] = _mm256_add_epi32(row[1], _mm256_madd_epi16(av, b1));
                 }
-                for c in 0..4 {
-                    let mut t0 = hsum_epi32(s[0][c]);
-                    let mut t1 = hsum_epi32(s[1][c]);
-                    let wp = w.as_ptr().add((j + c) * k);
-                    let mut i = kc;
-                    while i < k {
-                        let wv = *wp.add(i) as i32;
-                        t0 += *a0.add(i) as i32 * wv;
-                        t1 += *a1.add(i) as i32 * wv;
-                        i += 1;
-                    }
-                    *acc.get_unchecked_mut(r * n + j + c) = t0;
-                    if pair {
-                        *acc.get_unchecked_mut((r + 1) * n + j + c) = t1;
-                    }
-                }
-                j += 4;
             }
-            while j < n {
-                let wp = w.as_ptr().add(j * k);
-                let mut s0 = _mm256_setzero_si256();
-                let mut s1 = _mm256_setzero_si256();
-                let mut i = 0;
-                while i < kc {
-                    let vw = _mm256_loadu_si256(wp.add(i) as *const __m256i);
-                    let va0 = _mm256_loadu_si256(a0.add(i) as *const __m256i);
-                    s0 = _mm256_dpbusd_avx_epi32(s0, va0, vw);
-                    if pair {
-                        let va1 = _mm256_loadu_si256(a1.add(i) as *const __m256i);
-                        s1 = _mm256_dpbusd_avx_epi32(s1, va1, vw);
-                    }
-                    i += 32;
-                }
-                let mut t0 = hsum_epi32(s0);
-                let mut t1 = hsum_epi32(s1);
-                while i < k {
-                    let wv = *wp.add(i) as i32;
-                    t0 += *a0.add(i) as i32 * wv;
-                    t1 += *a1.add(i) as i32 * wv;
-                    i += 1;
-                }
-                *acc.get_unchecked_mut(r * n + j) = t0;
-                if pair {
-                    *acc.get_unchecked_mut((r + 1) * n + j) = t1;
-                }
-                j += 1;
+            for (sums, row) in block.iter_mut().zip(acc) {
+                // `hadd` works per 128-bit lane: columns [0 1 4 5 | 2 3 6 7].
+                let s = _mm256_permute4x64_epi64(_mm256_hadd_epi32(row[0], row[1]), 0b11_01_10_00);
+                _mm256_storeu_si256(sums.as_mut_ptr().add(8 * half) as *mut __m256i, s);
             }
-            r += 2;
         }
     }
 
@@ -653,7 +726,7 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{gemm_u8i8_avx2, gemm_u8i8_vnni, min_max_avx2, quantize_span_u8_avx2};
+use x86::{min_max_avx2, quantize_span_u8_avx2, tile_q8_avx2, tile_q8_vnni};
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::tile_6x16_avx2;
 
@@ -682,61 +755,30 @@ mod tests {
     use super::test_util::{bits, on_both_tiers};
     use super::*;
 
-    fn ref_gemm(a: &[u8], m: usize, w: &[i8], k: usize, n: usize) -> Vec<i32> {
-        let mut out = vec![0i32; m * n];
-        for r in 0..m {
-            for j in 0..n {
-                out[r * n + j] = (0..k)
-                    .map(|i| a[r * k + i] as i32 * w[j * k + i] as i32)
-                    .sum();
-            }
-        }
-        out
-    }
-
     #[test]
-    fn gemm_tiers_match_reference_exactly() {
+    fn gemm_matches_the_definition_on_every_tier() {
         let mut state = 0x1234_5678u32;
         let mut next = move || {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             state >> 16
         };
-        // Hit the 2x4 main tile, the single-row and remainder-column edges,
-        // and the scalar k-tail — with the 255 x ±127 corners that would
-        // expose a saturating maddubs shortcut.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (2, 31, 3),
-            (3, 32, 4),
-            (5, 64, 7),
-            (4, 133, 6),
-            (7, 16, 9),
-        ] {
+        // Full tiles, both edges and a k that needs padded rows — with the
+        // 255 x ±127 corners that would expose a saturating maddubs shortcut.
+        // `tests/prop_q8.rs` sweeps the shapes and calls each body directly.
+        for &(m, k, n) in &[(1usize, 1usize, 1usize), (6, 32, 16), (7, 133, 17), (13, 64, 35), (3, 0, 5), (0, 8, 4)] {
             let mut a: Vec<u8> = (0..m * k).map(|_| (next() % 256) as u8).collect();
             let mut w: Vec<i8> = (0..k * n).map(|_| (next() as i32 % 255 - 127) as i8).collect();
-            a[0] = 255;
-            w[0] = -127;
-            if k > 1 {
-                a[1] = 255;
-                w[1] = -127;
-            }
-            let expect = ref_gemm(&a, m, &w, k, n);
-            let mut out = vec![0i32; m * n];
-            gemm_u8i8_scalar(&a, m, &w, k, n, &mut out);
-            assert_eq!(out, expect, "scalar m={m} k={k} n={n}");
-            #[cfg(target_arch = "x86_64")]
-            {
-                if detected() >= Level::Avx2 {
-                    let mut out = vec![0i32; m * n];
-                    unsafe { gemm_u8i8_avx2(&a, m, &w, k, n, &mut out) };
-                    assert_eq!(out, expect, "avx2 m={m} k={k} n={n}");
-                }
-                if detected() >= Level::Avx2Vnni {
-                    let mut out = vec![0i32; m * n];
-                    unsafe { gemm_u8i8_vnni(&a, m, &w, k, n, &mut out) };
-                    assert_eq!(out, expect, "vnni m={m} k={k} n={n}");
-                }
-            }
+            a[..(m * k).min(2)].fill(255);
+            w[..k.min(2)].fill(-127);
+            let mut expect = vec![0i32; m * n];
+            gemm_u8i8_scalar(&a, m, &w, k, n, &mut expect);
+            let (fast, portable) = on_both_tiers(|| {
+                let mut out = vec![i32::MIN; m * n];
+                gemm_u8i8(&a, m, &w, k, n, &mut out);
+                out
+            });
+            assert_eq!(fast, expect, "detected tier m={m} k={k} n={n}");
+            assert_eq!(portable, expect, "portable m={m} k={k} n={n}");
         }
     }
 
@@ -747,18 +789,73 @@ mod tests {
             .collect();
         // Include an exact .5 product to pin ties-to-even agreement and
         // values that clamp at both ends.
-        let inv = 2.0f32;
-        let zp = 12;
-        let mut q_scalar = vec![0u8; xs.len()];
-        quantize_span_u8_scalar(&xs, inv, zp, &mut q_scalar);
-        #[cfg(target_arch = "x86_64")]
-        if detected() >= Level::Avx2 {
-            let mut q_simd = vec![0u8; xs.len()];
-            unsafe { quantize_span_u8_avx2(&xs, inv, zp, &mut q_simd) };
-            assert_eq!(q_scalar, q_simd);
+        let (fast, scalar) = on_both_tiers(|| {
+            let mut q = vec![0u8; xs.len()];
+            quantize_span_u8(&xs, 2.0, 12, &mut q);
+            (q, min_max(&xs))
+        });
+        assert_eq!(fast, scalar);
+    }
+
+    #[test]
+    fn min_max_answers_nan_for_any_non_finite_element() {
+        let xs: Vec<f32> = (0..21).map(|i| i as f32 * 0.5 - 3.0).collect();
+        assert_eq!(min_max(&xs), (-3.0, 7.0));
+        // In the vector body and in the tail, on both tiers.
+        for at in [0, 7, 15, 16, 20] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut poisoned = xs.clone();
+                poisoned[at] = bad;
+                let (fast, scalar) = on_both_tiers(|| min_max(&poisoned));
+                for (mn, mx) in [fast, scalar] {
+                    assert!(mn.is_nan() && mx.is_nan(), "{bad} at {at}: ({mn}, {mx})");
+                }
+            }
         }
-        let (mn, mx) = min_max(&xs);
-        assert_eq!(min_max_scalar(&xs), (mn, mx));
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_u8i8")]
+    fn gemm_rejects_short_activations() {
+        gemm_u8i8(&[0; 7], 2, &[0; 8], 4, 2, &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_u8i8")]
+    fn gemm_rejects_short_weights() {
+        gemm_u8i8(&[0; 8], 2, &[0; 7], 4, 2, &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_u8i8")]
+    fn gemm_rejects_a_short_accumulator() {
+        gemm_u8i8(&[0; 8], 2, &[0; 8], 4, 2, &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantize_span_u8")]
+    fn quantize_span_rejects_a_short_destination() {
+        quantize_span_u8(&[0.0; 9], 1.0, 0, &mut [0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past its slice")]
+    fn tiles_reject_rows_past_the_activations() {
+        let strips = pack_strips_i8(&[1; 8], 8, 1);
+        tiles_u8i8(level(), &[0; 15], 2, 8, &strips, 2, 1, |_, _, _, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "strips are not")]
+    fn tiles_reject_strips_of_the_wrong_size() {
+        tiles_u8i8(level(), &[0; 16], 2, 8, &[0; 64], 2, 1, |_, _, _, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "row stride")]
+    fn tiles_reject_a_stride_under_the_row() {
+        let strips = pack_strips_i8(&[1; 8], 8, 1);
+        tiles_u8i8(level(), &[0; 16], 2, 4, &strips, 2, 1, |_, _, _, _, _| {});
     }
 
     /// libm reference for the tanh GELU and its analytic derivative, in f64.

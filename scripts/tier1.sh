@@ -9,9 +9,10 @@ cargo test -q
 cargo clippy --workspace -- -D warnings
 
 # Forced-scalar leg: the tensor crate's whole suite again with every
-# `simd::level()` dispatch pinned to the portable definitions (GEMM tile,
-# u8xi8 dot, quantization passes), so those run on AVX2 CI boxes too and not
-# only inside the in-process `set_forced_scalar` tests; the suite's
+# `simd::level()` dispatch pinned to the portable definitions (both GEMM
+# tiles, f32 and u8xi8, and the quantization passes), so those run on AVX2
+# CI boxes too and not only inside the in-process `set_forced_scalar` tests
+# (`tests/prop_q8.rs` also calls each int8 tile body directly); the suite's
 # `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it.
 # Scoped to this one command — the bench gates below must time the
 # detected tier.
