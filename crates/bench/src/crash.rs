@@ -23,8 +23,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use emba_core::{
-    train_single_durable, CheckpointStore, DurabilityConfig, ModelKind, PretrainCache,
-    TrainReport,
+    train_single, CheckpointStore, DurabilityConfig, ModelKind, PretrainCache, TrainReport,
+    Trainer,
 };
 use emba_datagen::build;
 use emba_trace::{StepRecord, TraceSession, TrainObserver};
@@ -58,6 +58,11 @@ struct LossTrace {
 }
 
 impl TrainObserver for LossTrace {
+    // Pre-training reports as a run of its own with its own step numbering;
+    // only the last run — the fine-tune — is compared.
+    fn on_run_start(&mut self, _m: &emba_trace::RunMeta) {
+        self.steps.clear();
+    }
     fn on_step(&mut self, r: &StepRecord) {
         self.steps.push((r.step, r.loss));
     }
@@ -190,17 +195,14 @@ pub fn crash_run(
     let ds = build(id, profile.scale_for(id), profile.seed);
     let cfg = profile.cfg.clone();
     let mut cache = PretrainCache::new();
+    let mut run = |trainer: &mut Trainer<'_>| {
+        train_single(kind, &ds, &cfg, profile.seed, &mut cache, trainer).map(|(_, report)| report)
+    };
 
     // 1. Uninterrupted baseline.
     let mut baseline = LossTrace::default();
-    let (_, base_report) = emba_core::train_single_cached_observed(
-        kind,
-        &ds,
-        &cfg,
-        profile.seed,
-        &mut cache,
-        &mut baseline,
-    );
+    let base_report =
+        run(&mut Trainer::new(&mut baseline)).map_err(|e| format!("baseline failed: {e}"))?;
 
     // 2. Killed run: checkpoint at every optimizer step (smoke splits are
     // tiny), die early in the second epoch, past the first epoch-boundary
@@ -224,16 +226,7 @@ pub fn crash_run(
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            train_single_durable(
-                kind,
-                &ds,
-                &cfg,
-                profile.seed,
-                &mut cache,
-                &mut store,
-                &write_opts,
-                &mut killer,
-            )
+            run(&mut Trainer::durable(&mut killer, &mut store, write_opts))
         }));
         std::panic::set_hook(hook);
         if outcome.is_ok() {
@@ -261,22 +254,13 @@ pub fn crash_run(
         resume: true,
     };
     let mut resumed = LossTrace::default();
-    let (_, resumed_report) = {
+    let resumed_report = {
         let mut tee = Tee {
             a: &mut session,
             b: &mut resumed,
         };
-        train_single_durable(
-            kind,
-            &ds,
-            &cfg,
-            profile.seed,
-            &mut cache,
-            &mut store,
-            &resume_opts,
-            &mut tee,
-        )
-        .map_err(|e| format!("resume failed: {e}"))?
+        run(&mut Trainer::durable(&mut tee, &mut store, resume_opts.clone()))
+            .map_err(|e| format!("resume failed: {e}"))?
     };
     let summary = session.finish().map_err(|e| format!("flush event log: {e}"))?;
     if summary.resumes != 1 {
@@ -313,17 +297,8 @@ pub fn crash_run(
         .map_err(|e| e.to_string())?;
 
     let mut fallback = LossTrace::default();
-    let (_, fallback_report) = train_single_durable(
-        kind,
-        &ds,
-        &cfg,
-        profile.seed,
-        &mut cache,
-        &mut store,
-        &resume_opts,
-        &mut fallback,
-    )
-    .map_err(|e| format!("fall-back resume failed: {e}"))?;
+    let fallback_report = run(&mut Trainer::durable(&mut fallback, &mut store, resume_opts))
+        .map_err(|e| format!("fall-back resume failed: {e}"))?;
     if fallback.corrupt_skipped != 2 {
         return Err(format!(
             "expected 2 corrupt snapshots skipped, saw {}",

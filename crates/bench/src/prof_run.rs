@@ -21,7 +21,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use emba_core::{train_single_cached_observed, ModelKind, PretrainCache};
+use emba_core::{train_single, ModelKind, PretrainCache, Trainer};
 use emba_datagen::build;
 use emba_tensor::{kernels, prof};
 use emba_trace::{metrics, prof_export, MetricsSnapshot, OpRow, TraceSession};
@@ -105,14 +105,15 @@ pub fn profile_run(
         TraceSession::create(&runs_dir, name).map_err(|e| format!("open event log: {e}"))?;
     let log_path = session.path().to_path_buf();
     prof::enable(true);
-    let (_, report) = train_single_cached_observed(
+    let (_, report) = train_single(
         kind,
         &ds,
         &cfg,
         profile.seed,
         &mut PretrainCache::new(),
-        &mut session,
-    );
+        &mut Trainer::new(&mut session),
+    )
+    .map_err(|e| e.to_string())?;
     prof::enable(false);
     let prof_report = prof::report();
     session.record_profile(&prof_report);

@@ -57,7 +57,7 @@ impl Profile {
                     seed: 0,
                     nan_guard: false,
                 },
-                mlm_epochs: 8,
+                mlm_epochs: 0,
                 mlm_lr: 5e-4,
                 runs: 2,
                 dropout: emba_core::DEFAULT_DROPOUT,
@@ -88,6 +88,8 @@ impl Profile {
         p.cfg.max_len = 48;
         p.cfg.train.epochs = 3;
         p.cfg.train.patience = 3;
+        // MLM is off in the other profiles (results/PR21_one_trainer.md);
+        // smoke keeps one epoch so the trace and crash gates exercise it.
         p.cfg.mlm_epochs = 1;
         p.cfg.runs = 1;
         p.table2_datasets = vec![
@@ -109,7 +111,7 @@ impl Profile {
                 vocab_size: 8192,
                 max_len: 256,
                 train: TrainConfig::paper(),
-                mlm_epochs: 20,
+                mlm_epochs: 0,
                 mlm_lr: 5e-4,
                 runs: 5,
                 dropout: emba_core::DEFAULT_DROPOUT,

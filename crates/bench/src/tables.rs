@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use emba_core::{
-    run_experiment_cached, stats, train_single, ExperimentResult, ModelKind, PretrainCache,
+    run_experiment, stats, train_single, ExperimentResult, ModelKind, PretrainCache, Trainer,
 };
 use emba_datagen::{
     build, dataset_stats, downsample_positives, DatasetId, Record, WdcCategory, WdcSize,
@@ -86,7 +86,7 @@ fn run_grid(
         let mut row = Vec::new();
         for &kind in models {
             eprintln!("[grid] {} on {} ...", kind.name(), ds.name);
-            row.push(run_experiment_cached(kind, &ds, &profile.cfg, &mut cache));
+            row.push(run_experiment(kind, &ds, &profile.cfg, &mut cache));
         }
         all.push(row);
     }
@@ -246,7 +246,7 @@ pub fn table6(profile: &Profile) -> Artifact {
         let mut cells = vec!["original".to_string()];
         for &m in &models {
             eprintln!("[table6] {} baseline ...", m.name());
-            let r = run_experiment_cached(m, &base, &profile.cfg, &mut cache);
+            let r = run_experiment(m, &base, &profile.cfg, &mut cache);
             cells.push(pct(r.f1_mean));
             baseline.insert(m.name(), r.f1_mean);
         }
@@ -268,7 +268,7 @@ pub fn table6(profile: &Profile) -> Artifact {
         };
         for &m in &models {
             eprintln!("[table6] {} at ratio {ratio} ...", m.name());
-            let r = run_experiment_cached(m, &ds, &profile.cfg, &mut cache);
+            let r = run_experiment(m, &ds, &profile.cfg, &mut cache);
             let delta = r.f1_mean - baseline[m.name()];
             cells.push(format!("{} ({:+.1})", pct(r.f1_mean), 100.0 * delta));
             row.f1.push((m.name().to_string(), r.f1_mean, delta));
@@ -308,7 +308,7 @@ pub fn table7(profile: &Profile) -> Artifact {
     let mut cache = PretrainCache::new();
     for kind in ModelKind::table2() {
         eprintln!("[table7] {} ...", kind.name());
-        let r = run_experiment_cached(kind, &ds, &cfg, &mut cache);
+        let r = run_experiment(kind, &ds, &cfg, &mut cache);
         table.row(vec![
             r.model.clone(),
             format!("{:.0}", r.train_pairs_per_sec),
@@ -349,7 +349,10 @@ fn case_study_models(profile: &Profile) -> Vec<(ModelKind, emba_core::TrainedMat
         .into_iter()
         .map(|kind| {
             eprintln!("[case-study] training {} ...", kind.name());
-            let (m, _) = train_single(kind, &ds, &profile.cfg, profile.seed);
+            let cache = &mut PretrainCache::new();
+            let (m, _) =
+                train_single(kind, &ds, &profile.cfg, profile.seed, cache, &mut Trainer::quiet())
+                    .expect("a trainer without a store performs no I/O");
             (kind, m)
         })
         .collect()

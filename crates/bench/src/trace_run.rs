@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use emba_core::{train_single_cached_observed, ModelKind, PretrainCache};
+use emba_core::{train_single, ModelKind, PretrainCache, Trainer};
 use emba_datagen::build;
 use emba_trace::{RunSummary, TraceSession};
 use serde::Value;
@@ -49,14 +49,15 @@ pub fn trace_run(
     let mut session =
         TraceSession::create(&runs_dir, name).map_err(|e| format!("open event log: {e}"))?;
     let path = session.path().to_path_buf();
-    let (_, report) = train_single_cached_observed(
+    let (_, report) = train_single(
         kind,
         &ds,
         &cfg,
         profile.seed,
         &mut PretrainCache::new(),
-        &mut session,
-    );
+        &mut Trainer::new(&mut session),
+    )
+    .map_err(|e| e.to_string())?;
     let summary = session.finish().map_err(|e| format!("flush event log: {e}"))?;
 
     let events = validate_jsonl(&path)?;

@@ -140,7 +140,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{train_single, ExperimentConfig};
+    use crate::experiment::{tests::train_quiet as train_single, ExperimentConfig};
     use crate::train::TrainConfig;
     use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 

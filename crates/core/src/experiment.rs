@@ -2,18 +2,23 @@
 //! multi-run training, and aggregated statistics — the unit of work behind
 //! every cell of the paper's tables.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use emba_datagen::{Dataset, Record};
-use emba_nn::{mlm, GraphStamp, Module};
+use emba_nn::mlm::MlmConfig;
+use emba_nn::{GraphStamp, Module};
 use emba_tensor::{Graph, Tensor};
+use emba_trace::RunMeta;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::error::CoreError;
 use crate::kind::ModelKind;
 use crate::models::Matcher;
 use crate::pipeline::{EncodedExample, PipelineConfig, TextPipeline};
 use crate::stats::{mean, std_dev};
-use crate::train::{train_matcher_observed, TrainConfig, TrainReport};
+use crate::train::{TrainConfig, TrainReport, Trainer};
 
 /// Settings for one experiment cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -25,7 +30,9 @@ pub struct ExperimentConfig {
     pub max_len: usize,
     /// Trainer settings.
     pub train: TrainConfig,
-    /// MLM pre-training epochs for transformer backbones (0 disables).
+    /// MLM pre-training epochs for transformer backbones. `0`, the default,
+    /// skips it: over three seeds it did not beat a from-scratch fine-tune
+    /// beyond seed spread (results/PR21_one_trainer.md) and stays an ablation.
     pub mlm_epochs: usize,
     /// MLM learning rate.
     pub mlm_lr: f32,
@@ -46,7 +53,7 @@ impl Default for ExperimentConfig {
             vocab_size: 2048,
             max_len: 96,
             train: TrainConfig::default(),
-            mlm_epochs: 1,
+            mlm_epochs: 0,
             mlm_lr: 5e-4,
             runs: 1,
             dropout: default_dropout(),
@@ -79,8 +86,9 @@ pub struct ExperimentResult {
     pub infer_pairs_per_sec: f64,
 }
 
-/// A cache of MLM-pre-trained backbone parameters keyed by
-/// `(backbone kind, dataset name)`.
+/// A cache of MLM-pre-trained backbone parameters, keyed by everything that
+/// determines the checkpoint: backbone kind, encoder shape, the derived MLM
+/// [`TrainConfig`], and a hash of the corpus (lengths and content).
 ///
 /// The paper fine-tunes every model from the *same* public pre-trained BERT
 /// checkpoint; this cache reproduces that protocol — the first model that
@@ -88,7 +96,7 @@ pub struct ExperimentResult {
 /// repeated runs) start from identical pre-trained weights.
 #[derive(Default)]
 pub struct PretrainCache {
-    states: std::collections::HashMap<(crate::backbone::BackboneKind, String), Vec<Tensor>>,
+    states: std::collections::HashMap<String, Vec<Tensor>>,
 }
 
 impl PretrainCache {
@@ -111,107 +119,23 @@ impl PretrainCache {
 /// Trains one model on one dataset once; returns the trained model, its
 /// pipeline, and the report. Seeds control dataset-independent randomness
 /// (initialization, shuffling, dropout, masking).
+///
+/// Pre-training is paid once per `cache` entry and reports through
+/// `trainer`'s observer as a run of its own; fine-tuning runs on `trainer`
+/// as given. Everything before the fine-tune — pipeline fitting, model
+/// construction, MLM/skip-gram pre-training — is deterministic in `seed`
+/// and is re-executed when a durable trainer resumes; the snapshot then
+/// overwrites the model parameters, so the resumed run continues
+/// bit-exactly. Only a durable trainer can return an error.
 pub fn train_single(
     kind: ModelKind,
     dataset: &Dataset,
     cfg: &ExperimentConfig,
     seed: u64,
-) -> (TrainedMatcher, TrainReport) {
-    train_single_cached(kind, dataset, cfg, seed, &mut PretrainCache::new())
-}
-
-/// [`train_single`] with a shared [`PretrainCache`] so MLM pre-training is
-/// paid once per (backbone, dataset) instead of once per model run.
-pub fn train_single_cached(
-    kind: ModelKind,
-    dataset: &Dataset,
-    cfg: &ExperimentConfig,
-    seed: u64,
     cache: &mut PretrainCache,
-) -> (TrainedMatcher, TrainReport) {
-    train_single_cached_observed(kind, dataset, cfg, seed, cache, &mut emba_trace::NullObserver)
-}
-
-/// [`train_single_cached`] that reports the training run through `observer`
-/// (see [`crate::train_matcher_observed`]).
-pub fn train_single_cached_observed(
-    kind: ModelKind,
-    dataset: &Dataset,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    cache: &mut PretrainCache,
-    observer: &mut dyn emba_trace::TrainObserver,
-) -> (TrainedMatcher, TrainReport) {
-    let mut p = prepare(kind, dataset, cfg, seed, cache);
-    let report =
-        train_matcher_observed(p.model.as_mut(), &p.train, &p.valid, &p.test, &p.cfg, observer);
-    (p.into_trained(cfg.dropout), report)
-}
-
-/// [`train_single_cached_observed`] with crash safety: training snapshots
-/// into `store` and, when `opts.resume` is set, continues from the newest
-/// valid snapshot (see [`crate::train_matcher_durable`]).
-///
-/// Everything before the training loop — pipeline fitting, model
-/// construction, MLM/skip-gram pre-training — is deterministic in `seed`
-/// and is re-executed on resume; the snapshot then overwrites the model
-/// parameters, so the resumed run continues bit-exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn train_single_durable(
-    kind: ModelKind,
-    dataset: &Dataset,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    cache: &mut PretrainCache,
-    store: &mut crate::CheckpointStore,
-    opts: &crate::DurabilityConfig,
-    observer: &mut dyn emba_trace::TrainObserver,
-) -> Result<(TrainedMatcher, TrainReport), crate::CoreError> {
-    let mut p = prepare(kind, dataset, cfg, seed, cache);
-    let report = crate::train_matcher_durable(
-        p.model.as_mut(),
-        &p.train,
-        &p.valid,
-        &p.test,
-        &p.cfg,
-        store,
-        opts,
-        observer,
-    )?;
-    Ok((p.into_trained(cfg.dropout), report))
-}
-
-/// A model plus encoded splits, ready for the training loop.
-struct Prepared {
-    pipeline: TextPipeline,
-    model: Box<dyn Matcher>,
-    pos_fraction: f64,
-    train: Vec<EncodedExample>,
-    valid: Vec<EncodedExample>,
-    test: Vec<EncodedExample>,
-    cfg: TrainConfig,
-}
-
-impl Prepared {
-    fn into_trained(self, dropout: f32) -> TrainedMatcher {
-        TrainedMatcher {
-            pipeline: self.pipeline,
-            model: self.model,
-            dropout,
-            pos_fraction: self.pos_fraction,
-        }
-    }
-}
-
-/// The deterministic run prefix shared by plain and durable training:
-/// pipeline fitting, model construction, cached pre-training, encoding.
-fn prepare(
-    kind: ModelKind,
-    dataset: &Dataset,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    cache: &mut PretrainCache,
-) -> Prepared {
+    trainer: &mut Trainer<'_>,
+) -> Result<(TrainedMatcher, TrainReport), CoreError> {
+    let observer = &mut *trainer.observer;
     let pipeline = TextPipeline::fit(
         dataset,
         PipelineConfig {
@@ -236,42 +160,57 @@ fn prepare(
     // fastText-style embedding tables (the paper pre-trains its fastText
     // variant on the EM datasets).
     if cfg.mlm_epochs > 0 {
-        if model.bert_backbone_mut().is_none() {
-            if let Some(emb) = model.fasttext_embedding_mut() {
-                let mut pre_rng = StdRng::seed_from_u64(0xFA57);
-                let corpus = pipeline.mlm_corpus(dataset);
-                let sg = emba_nn::SkipGramConfig {
-                    epochs: cfg.mlm_epochs.min(2),
-                    ..emba_nn::SkipGramConfig::default()
-                };
-                emba_nn::pretrain_skipgram(
-                    emb,
-                    &corpus,
-                    emba_tokenizer::special::NUM_RESERVED,
-                    &sg,
-                    &mut pre_rng,
-                );
-            }
-        }
+        let corpus = pipeline.mlm_corpus(dataset);
         if let Some(bert) = model.bert_backbone_mut() {
-            let backbone_kind = kind.backbone().expect("bert backbone implies a kind");
-            let key = (backbone_kind, dataset.name.clone());
+            // Pre-training uses a fixed seed so the checkpoint does not
+            // depend on which fine-tuning run happened to trigger it.
+            let mlm_train = TrainConfig {
+                epochs: cfg.mlm_epochs,
+                lr: cfg.mlm_lr,
+                seed: 0xB0A0,
+                ..cfg.train.clone()
+            };
+            let mut hasher = DefaultHasher::new();
+            corpus.hash(&mut hasher);
+            let key = format!(
+                "{:?} {:?} {mlm_train:?} {:x}",
+                kind.backbone(),
+                bert.config(),
+                hasher.finish()
+            );
             if let Some(state) = cache.states.get(&key) {
                 bert.load_state(state);
             } else {
-                // Pre-training uses a fixed seed so the checkpoint does not
-                // depend on which fine-tuning run happened to trigger it.
-                let mut pre_rng = StdRng::seed_from_u64(0xB0A0);
-                let corpus = pipeline.mlm_corpus(dataset);
-                let mlm_cfg = mlm::MlmConfig {
+                let mlm_cfg = MlmConfig {
                     mask_prob: 0.15,
                     mask_token: emba_tokenizer::special::MASK,
                     num_reserved: emba_tokenizer::special::NUM_RESERVED,
-                    epochs: cfg.mlm_epochs,
-                    lr: cfg.mlm_lr,
                 };
-                mlm::pretrain_mlm(bert, &corpus, &mlm_cfg, &mut pre_rng);
+                Trainer::new(observer).pretrain_mlm(bert, &corpus, &mlm_cfg, &mlm_train)?;
                 cache.states.insert(key, bert.state());
+            }
+        } else if let Some(emb) = model.fasttext_embedding_mut() {
+            let sg = emba_nn::SkipGramConfig {
+                epochs: cfg.mlm_epochs.min(2),
+                ..emba_nn::SkipGramConfig::default()
+            };
+            observer.on_run_start(&RunMeta {
+                model: "skipgram".to_string(),
+                train_examples: corpus.len(),
+                valid_examples: 0,
+                epochs: sg.epochs,
+                batch_size: 1,
+                base_lr: f64::from(sg.lr),
+            });
+            let losses = emba_nn::pretrain_skipgram(
+                emb,
+                &corpus,
+                emba_tokenizer::special::NUM_RESERVED,
+                &sg,
+                &mut StdRng::seed_from_u64(0xFA57),
+            );
+            for (epoch, &loss) in losses.iter().enumerate() {
+                observer.on_epoch_end(epoch, f64::from(loss));
             }
         }
     }
@@ -279,26 +218,20 @@ fn prepare(
     let train = pipeline.encode_split(&dataset.train);
     let valid = pipeline.encode_split(&dataset.valid);
     let test = pipeline.encode_split(&dataset.test);
-    let mut train_cfg = cfg.train.clone();
-    train_cfg.seed = seed;
-    Prepared {
+    let train_cfg = TrainConfig { seed, ..cfg.train.clone() };
+    let report = trainer.fit(model.as_mut(), &train, &valid, &test, &train_cfg)?;
+    let trained = TrainedMatcher {
         pipeline,
         model,
+        dropout: cfg.dropout,
         pos_fraction,
-        train,
-        valid,
-        test,
-        cfg: train_cfg,
-    }
+    };
+    Ok((trained, report))
 }
 
-/// Runs the full multi-run protocol for one table cell.
-pub fn run_experiment(kind: ModelKind, dataset: &Dataset, cfg: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_cached(kind, dataset, cfg, &mut PretrainCache::new())
-}
-
-/// [`run_experiment`] with a shared [`PretrainCache`].
-pub fn run_experiment_cached(
+/// Runs the full multi-run protocol for one table cell; `cache` lets cells
+/// of one dataset share their pre-trained checkpoint.
+pub fn run_experiment(
     kind: ModelKind,
     dataset: &Dataset,
     cfg: &ExperimentConfig,
@@ -312,7 +245,9 @@ pub fn run_experiment_cached(
     let mut train_tps = Vec::new();
     let mut infer_tps = Vec::new();
     for run in 0..cfg.runs {
-        let (_, report) = train_single_cached(kind, dataset, cfg, 1000 + run as u64, cache);
+        let seed = 1000 + run as u64;
+        let (_, report) = train_single(kind, dataset, cfg, seed, cache, &mut Trainer::quiet())
+            .expect("a trainer without a store performs no I/O");
         f1_runs.push(report.test.matching.f1);
         if let Some(ids) = report.test.ids {
             acc1.push(ids.acc1);
@@ -430,7 +365,7 @@ impl TrainedMatcher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 
@@ -451,6 +386,16 @@ mod tests {
         }
     }
 
+    /// [`train_single`] with a fresh cache and no observer.
+    pub(crate) fn train_quiet(
+        kind: ModelKind,
+        ds: &Dataset,
+        cfg: &ExperimentConfig,
+        seed: u64,
+    ) -> (TrainedMatcher, TrainReport) {
+        train_single(kind, ds, cfg, seed, &mut PretrainCache::new(), &mut Trainer::quiet()).unwrap()
+    }
+
     fn tiny_ds() -> Dataset {
         build(
             DatasetId::Wdc(WdcCategory::Cameras, WdcSize::Small),
@@ -464,7 +409,7 @@ mod tests {
     #[test]
     fn run_experiment_aggregates_multiple_runs() {
         let ds = tiny_ds();
-        let result = run_experiment(ModelKind::EmbaSb, &ds, &quick_cfg());
+        let result = run_experiment(ModelKind::EmbaSb, &ds, &quick_cfg(), &mut PretrainCache::new());
         assert_eq!(result.f1_runs.len(), 2);
         assert!(result.f1_mean >= 0.0 && result.f1_mean <= 1.0);
         assert!(result.id_acc1.is_some());
@@ -477,7 +422,7 @@ mod tests {
         let ds = tiny_ds();
         let mut cfg = quick_cfg();
         cfg.runs = 1;
-        let result = run_experiment(ModelKind::DeepMatcher, &ds, &cfg);
+        let result = run_experiment(ModelKind::DeepMatcher, &ds, &cfg, &mut PretrainCache::new());
         assert!(result.id_acc1.is_none());
         assert!(result.id_f1.is_none());
     }
@@ -488,7 +433,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.runs = 1;
         cfg.train.epochs = 1;
-        let (trained, _) = train_single(ModelKind::EmbaSb, &ds, &cfg, 9);
+        let (trained, _) = train_quiet(ModelKind::EmbaSb, &ds, &cfg, 9);
         let p1 = trained.predict(&ds.test[0].left, &ds.test[0].right);
         let p2 = trained.predict(&ds.test[0].left, &ds.test[0].right);
         assert_eq!(p1.prob, p2.prob);
@@ -503,7 +448,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.runs = 1;
         cfg.train.epochs = 1;
-        let (trained, _) = train_single(ModelKind::EmbaSb, &ds, &cfg, 11);
+        let (trained, _) = train_quiet(ModelKind::EmbaSb, &ds, &cfg, 11);
         let pairs: Vec<(&emba_datagen::Record, &emba_datagen::Record)> = ds
             .test
             .iter()
@@ -527,10 +472,47 @@ mod tests {
     fn mlm_pretraining_path_runs() {
         let ds = tiny_ds();
         let mut cfg = quick_cfg();
-        cfg.runs = 1;
-        cfg.mlm_epochs = 1;
         cfg.train.epochs = 1;
-        let (_, report) = train_single(ModelKind::EmbaSb, &ds, &cfg, 2);
-        assert!(report.final_train_loss.is_finite());
+        let mut cache = PretrainCache::new();
+        for mlm_epochs in [1, 1, 2] {
+            cfg.mlm_epochs = mlm_epochs;
+            let quiet = &mut Trainer::quiet();
+            let (_, report) = train_single(ModelKind::EmbaSb, &ds, &cfg, 2, &mut cache, quiet).unwrap();
+            assert!(report.final_train_loss.is_finite());
+        }
+        // Keyed by (backbone, dataset name) alone, the 2-epoch run silently
+        // got the 1-epoch checkpoint.
+        assert_eq!(cache.len(), 2);
+        let states: Vec<_> = cache.states.values().collect();
+        assert_ne!(states[0], states[1]);
+    }
+
+    /// Two epochs of the hand-rolled MLM loop this replaced left the base
+    /// backbone where four epochs of fine-tuning stayed at chance (mean loss
+    /// 10.45 on this dataset); pre-trained through [`Trainer`] it reaches 6.65.
+    #[test]
+    fn pretrained_base_backbone_fine_tunes() {
+        let ds = build(
+            DatasetId::Wdc(WdcCategory::Computers, WdcSize::Small),
+            Scale(0.1),
+            42,
+        );
+        let cfg = ExperimentConfig {
+            vocab_size: 1024,
+            max_len: 64,
+            train: TrainConfig {
+                epochs: 4,
+                lr: 1e-3,
+                ..TrainConfig::default()
+            },
+            mlm_epochs: 2,
+            ..ExperimentConfig::default()
+        };
+        let (_, report) = train_quiet(ModelKind::Emba, &ds, &cfg, 0);
+        assert!(
+            report.final_train_loss < 9.0,
+            "fine-tuning from the MLM checkpoint is stuck at {}",
+            report.final_train_loss
+        );
     }
 }

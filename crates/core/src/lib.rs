@@ -12,18 +12,19 @@
 //!   and the single-task baselines (BERT, RoBERTa, DITTO, JointMatcher);
 //! * [`DeepMatcher`] — the attribute-aligned RNN baseline;
 //! * [`ModelKind`] — the registry/factory for all fifteen systems;
-//! * [`train_matcher`] / [`run_experiment`] — Algorithm 1 (dual-objective
-//!   Adam training with warmup, linear decay, early stopping) and the
-//!   5-run evaluation protocol with Welch t-tests ([`stats`]).
+//! * [`Trainer`] / [`run_experiment`] — Algorithm 1 (dual-objective Adam
+//!   training with warmup, linear decay, early stopping; the same loop runs
+//!   MLM pre-training) and the 5-run protocol with Welch t-tests ([`stats`]).
 //!
 //! # Quickstart
 //!
 //! ```no_run
-//! use emba_core::{run_experiment, ExperimentConfig, ModelKind};
+//! use emba_core::{run_experiment, ExperimentConfig, ModelKind, PretrainCache};
 //! use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 //!
 //! let ds = build(DatasetId::Wdc(WdcCategory::Computers, WdcSize::Small), Scale::TEST, 7);
-//! let result = run_experiment(ModelKind::Emba, &ds, &ExperimentConfig::default());
+//! let cfg = ExperimentConfig::default();
+//! let result = run_experiment(ModelKind::Emba, &ds, &cfg, &mut PretrainCache::new());
 //! println!("EMBA F1 = {:.2} ± {:.2}", 100.0 * result.f1_mean, 100.0 * result.f1_std);
 //! ```
 
@@ -59,9 +60,8 @@ pub use enc_cache::{record_content_hash, record_hash, EncodingCache};
 pub use deepmatcher::{DeepMatcher, DeepMatcherConfig};
 pub use error::CoreError;
 pub use experiment::{
-    run_experiment, run_experiment_cached, train_single, train_single_cached,
-    train_single_cached_observed, train_single_durable, ExperimentConfig, ExperimentResult,
-    Prediction, PretrainCache, TrainedMatcher,
+    run_experiment, train_single, ExperimentConfig, ExperimentResult, Prediction, PretrainCache,
+    TrainedMatcher,
 };
 pub use heads::{MatchHead, TokenAggregationHead};
 pub use kind::ModelKind;
@@ -71,10 +71,10 @@ pub use models::{
     TransformerMatcher,
 };
 pub use pipeline::{EncodedExample, PipelineConfig, TextPipeline};
-pub use resume::{train_matcher_durable, DurabilityConfig, TrainState};
+pub use resume::{DurabilityConfig, TrainState};
 pub use scorer::{PairScorer, Resolved};
 pub use store::CheckpointStore;
 pub use train::{
-    evaluate, evaluate_observed, train_matcher, train_matcher_observed, train_with_lr_sweep,
-    EarlyStopper, EvalResult, StopVerdict, StopperState, TrainConfig, TrainReport,
+    evaluate, evaluate_observed, train_matcher_observed, EarlyStopper, EvalResult, StopVerdict,
+    TrainConfig, TrainReport, Trainer,
 };

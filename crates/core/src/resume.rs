@@ -1,22 +1,20 @@
-//! Crash-safe training: the serializable [`TrainState`] and the
-//! [`train_matcher_durable`] entry point that checkpoints through a
-//! [`CheckpointStore`] and resumes from the newest valid snapshot.
+//! Crash-safe training: the serializable [`TrainState`] a durable
+//! [`crate::Trainer`] checkpoints through a [`CheckpointStore`], and the
+//! checks a snapshot must pass before a run resumes from it.
 //!
 //! The invariant, enforced by the fault-injection harness in `emba-bench`
 //! (`reproduce crash`): a run killed at any point and resumed from disk
 //! produces per-step losses and final test metrics *bit-identical* to the
 //! same-seed uninterrupted run. See DESIGN.md §6d for the format.
 
-use emba_nn::AdamState;
+use emba_nn::{AdamState, Module};
 use emba_tensor::Tensor;
 use emba_trace::TrainObserver;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::models::Matcher;
-use crate::pipeline::EncodedExample;
 use crate::store::CheckpointStore;
-use crate::train::{train_loop, Persist, StopperState, TrainConfig, TrainReport};
+use crate::train::{EarlyStopper, TrainConfig};
 
 /// Complete, serializable snapshot of a training run in flight.
 ///
@@ -24,7 +22,7 @@ use crate::train::{train_loop, Persist, StopperState, TrainConfig, TrainReport};
 /// wall-clock timing is deliberately absent (throughput is allowed to
 /// differ across a crash). Snapshots are taken only at optimizer-step
 /// boundaries, so there is never a half-accumulated batch to represent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrainState {
     /// The configuration that produced this state. A resume under a
     /// different configuration is rejected as incompatible.
@@ -42,7 +40,7 @@ pub struct TrainState {
     /// The xoshiro256++ RNG state (4 words) driving shuffles and dropout.
     pub rng: Vec<u64>,
     /// Early-stopping progress.
-    pub stopper: StopperState,
+    pub stopper: EarlyStopper,
     /// Epoch to (re-)enter.
     pub epoch: usize,
     /// Position within `order` to continue from; `0` means the epoch has
@@ -65,7 +63,7 @@ pub struct TrainState {
     pub final_train_loss: f64,
 }
 
-/// Persistence and resume settings for [`train_matcher_durable`].
+/// Persistence and resume settings of a durable [`crate::Trainer`].
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Write a snapshot every this many optimizer steps, on top of the
@@ -86,60 +84,15 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// [`crate::train_matcher_observed`] with crash safety: periodically
-/// snapshots the complete training state into `store` and, when
-/// `opts.resume` is set, continues from the newest *valid* snapshot found
-/// there.
-///
-/// Corrupt snapshots (truncation, bit flips, torn writes) are skipped —
-/// reported via [`TrainObserver::on_corrupt_skipped`] — and the next-newest
-/// one is used; if every snapshot is corrupt or the store is empty, the run
-/// starts from scratch. A snapshot that parses but belongs to a different
-/// run (other config, other splits, other architecture) is an error, not a
-/// silent restart: [`CoreError::Incompatible`].
-///
-/// Resuming is bit-exact: the continued run's per-step losses and final
-/// metrics equal the uninterrupted same-seed run's.
-#[allow(clippy::too_many_arguments)]
-pub fn train_matcher_durable(
-    model: &mut dyn Matcher,
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
-    test: &[EncodedExample],
-    cfg: &TrainConfig,
-    store: &mut CheckpointStore,
-    opts: &DurabilityConfig,
-    observer: &mut dyn TrainObserver,
-) -> Result<TrainReport, CoreError> {
-    let init = if opts.resume {
-        load_resume_state(store, model, train, valid, cfg, observer)?
-    } else {
-        None
-    };
-    train_loop(
-        model,
-        train,
-        valid,
-        test,
-        cfg,
-        observer,
-        Some(Persist {
-            store,
-            every: opts.every_steps,
-        }),
-        init,
-    )
-}
-
 /// Pulls the newest valid snapshot out of `store` and checks it belongs to
 /// this run. `Ok(None)` means "nothing usable — start fresh" (empty store,
 /// or every snapshot corrupt); a parseable-but-foreign snapshot is an
 /// [`CoreError::Incompatible`] error.
-fn load_resume_state(
+pub(crate) fn load_resume_state(
     store: &CheckpointStore,
-    model: &dyn Matcher,
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
+    model: &dyn Module,
+    train_examples: usize,
+    valid_examples: usize,
     cfg: &TrainConfig,
     observer: &mut dyn TrainObserver,
 ) -> Result<Option<TrainState>, CoreError> {
@@ -153,13 +106,10 @@ fn load_resume_state(
             "snapshot was written under a different training configuration".to_string(),
         ));
     }
-    if state.train_examples != train.len() || state.valid_examples != valid.len() {
+    if state.train_examples != train_examples || state.valid_examples != valid_examples {
         return Err(CoreError::Incompatible(format!(
-            "snapshot trained on {}/{} train/valid examples, this run has {}/{}",
-            state.train_examples,
-            state.valid_examples,
-            train.len(),
-            valid.len()
+            "snapshot trained on {}/{} train/valid examples, this run has {train_examples}/{valid_examples}",
+            state.train_examples, state.valid_examples,
         )));
     }
     check_param_shapes(model, &state.params, "params")?;
@@ -170,14 +120,13 @@ fn load_resume_state(
             state.rng.len()
         )));
     }
-    if state.order.len() != train.len() {
+    if state.order.len() != train_examples {
         return Err(CoreError::Incompatible(format!(
-            "snapshot carries an order of {} examples, split has {}",
+            "snapshot carries an order of {} examples, split has {train_examples}",
             state.order.len(),
-            train.len()
         )));
     }
-    if state.cursor > train.len() || state.epoch > state.cfg.epochs {
+    if state.cursor > train_examples || state.epoch > state.cfg.epochs {
         return Err(CoreError::Incompatible(format!(
             "snapshot cursor {}/epoch {} out of range",
             state.cursor, state.epoch
@@ -190,7 +139,7 @@ fn load_resume_state(
 /// (different architecture), so `Module::load_state` never panics on
 /// on-disk data.
 fn check_param_shapes(
-    model: &dyn Matcher,
+    model: &dyn Module,
     params: &[Tensor],
     which: &str,
 ) -> Result<(), CoreError> {
@@ -217,59 +166,14 @@ fn check_param_shapes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backbone::Backbone;
-    use crate::models::{AuxStrategy, EmStrategy, TransformerMatcher};
-    use crate::pipeline::{PipelineConfig, TextPipeline};
-    use crate::train::train_matcher_observed;
-    use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::pipeline::EncodedExample;
+    use crate::train::tests::{setup, tiny_model};
+    use crate::train::{train_matcher_observed, Trainer};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::HashMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn setup() -> (
-        Vec<EncodedExample>,
-        Vec<EncodedExample>,
-        Vec<EncodedExample>,
-        usize,
-        usize,
-    ) {
-        let ds = build(
-            DatasetId::Wdc(WdcCategory::Computers, WdcSize::Small),
-            Scale::TEST,
-            7,
-        );
-        let pipe = TextPipeline::fit(
-            &ds,
-            PipelineConfig {
-                vocab_size: 500,
-                max_len: 32,
-                ..PipelineConfig::default()
-            },
-        );
-        (
-            pipe.encode_split(&ds.train),
-            pipe.encode_split(&ds.valid),
-            pipe.encode_split(&ds.test),
-            pipe.vocab_size(),
-            ds.num_classes,
-        )
-    }
-
-    fn tiny_model(vocab: usize, classes: usize, seed: u64) -> TransformerMatcher {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let backbone = Backbone::from_bert_config(emba_nn::BertConfig::tiny(vocab), true, &mut rng);
-        TransformerMatcher::new(
-            "EMBA-tiny",
-            backbone,
-            EmStrategy::Aoa,
-            AuxStrategy::TokenAttention,
-            classes,
-            None,
-            &mut rng,
-        )
-    }
 
     fn cfg() -> TrainConfig {
         TrainConfig {
@@ -342,15 +246,13 @@ mod tests {
         }
     }
 
-    /// Runs training under an observer that crashes at `kill_at`,
+    /// Runs `run` on a durable trainer whose observer crashes at `kill_at`,
     /// swallowing the injected panic.
     fn run_killed(
-        model: &mut dyn Matcher,
-        splits: (&[EncodedExample], &[EncodedExample], &[EncodedExample]),
-        cfg: &TrainConfig,
         store: &mut CheckpointStore,
         every_steps: u64,
         kill_at: u64,
+        run: impl FnOnce(&mut Trainer<'_>),
     ) -> LossTrace {
         let mut killer = Killer {
             kill_at,
@@ -363,13 +265,28 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            train_matcher_durable(
-                model, splits.0, splits.1, splits.2, cfg, store, &opts, &mut killer,
-            )
+            run(&mut Trainer::durable(&mut killer, store, opts))
         }));
         std::panic::set_hook(hook);
         assert!(outcome.is_err(), "the injected crash should have fired");
         killer.inner
+    }
+
+    /// Every step the resumed run executed reproduces the uninterrupted
+    /// run's loss at the same global step, bit for bit.
+    fn assert_replays(baseline: &LossTrace, resumed: &LossTrace) {
+        assert!(!resumed.steps.is_empty());
+        let by_step: HashMap<u64, f64> = baseline.steps.iter().copied().collect();
+        for &(s, l) in &resumed.steps {
+            assert_eq!(by_step[&s].to_bits(), l.to_bits(), "loss diverged at step {s}: {} vs {l}", by_step[&s]);
+        }
+    }
+
+    fn assert_same_outcome(a: &crate::TrainReport, b: &crate::TrainReport) {
+        assert_eq!(a.test.matching.f1.to_bits(), b.test.matching.f1.to_bits());
+        assert_eq!(a.valid_f1.to_bits(), b.valid_f1.to_bits());
+        assert_eq!((a.best_epoch, a.epochs_run), (b.best_epoch, b.epochs_run));
+        assert_eq!(a.final_train_loss.to_bits(), b.final_train_loss.to_bits());
     }
 
     #[test]
@@ -387,14 +304,9 @@ mod tests {
         let tmp = TempDir::new();
         let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
         let mut m = tiny_model(vocab, classes, 0);
-        let killed = run_killed(
-            &mut m,
-            (&train, &valid, &test),
-            &cfg,
-            &mut store,
-            2,
-            steps_per_epoch + 1,
-        );
+        let killed = run_killed(&mut store, 2, steps_per_epoch + 1, |t| {
+            let _ = t.fit(&mut m, &train, &valid, &test, &cfg);
+        });
         assert!(killed.checkpoint_writes >= 1);
         assert!(!store.snapshots().unwrap().is_empty());
 
@@ -405,33 +317,14 @@ mod tests {
             every_steps: 2,
             resume: true,
         };
-        let report_b = train_matcher_durable(
-            &mut m, &train, &valid, &test, &cfg, &mut store, &opts, &mut resumed,
-        )
+        let report_b = Trainer::durable(&mut resumed, &mut store, opts)
+            .fit(&mut m, &train, &valid, &test, &cfg)
         .unwrap();
 
         assert_eq!(resumed.resumes, 1);
         assert_eq!(resumed.corrupt_skipped, 0);
-        assert!(!resumed.steps.is_empty());
-        // Every post-resume step reproduces the uninterrupted run's loss at
-        // the same global step, bit for bit.
-        let by_step: HashMap<u64, f64> = baseline.steps.iter().copied().collect();
-        for &(s, l) in &resumed.steps {
-            assert_eq!(
-                by_step[&s].to_bits(),
-                l.to_bits(),
-                "loss diverged at step {s}: {} vs {l}",
-                by_step[&s]
-            );
-        }
-        assert_eq!(report_a.test.matching.f1.to_bits(), report_b.test.matching.f1.to_bits());
-        assert_eq!(report_a.valid_f1.to_bits(), report_b.valid_f1.to_bits());
-        assert_eq!(report_a.best_epoch, report_b.best_epoch);
-        assert_eq!(report_a.epochs_run, report_b.epochs_run);
-        assert_eq!(
-            report_a.final_train_loss.to_bits(),
-            report_b.final_train_loss.to_bits()
-        );
+        assert_replays(&baseline, &resumed);
+        assert_same_outcome(&report_a, &report_b);
     }
 
     /// Regression test for batched execution: a durable run whose optimizer
@@ -441,7 +334,6 @@ mod tests {
     /// forward/backward order would show up as diverging losses.
     #[test]
     fn batched_window_run_resumes_bit_exactly() {
-        use rand::Rng;
         // Real WDC examples all truncate to max_len (one shared bucket), so
         // synthesize a split with genuinely mixed lengths: that forces the
         // window plan to pack multiple sub-batches per optimizer window.
@@ -503,14 +395,9 @@ mod tests {
         let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
         let mut m = tiny_model(vocab, classes, 0);
         // Checkpoint every 3 windows, die two windows past a boundary.
-        let killed = run_killed(
-            &mut m,
-            (&train, &valid, &test),
-            &cfg,
-            &mut store,
-            3,
-            steps_per_epoch + 2,
-        );
+        let killed = run_killed(&mut store, 3, steps_per_epoch + 2, |t| {
+            let _ = t.fit(&mut m, &train, &valid, &test, &cfg);
+        });
         assert!(killed.checkpoint_writes >= 1);
 
         let mut resumed = LossTrace::default();
@@ -519,26 +406,13 @@ mod tests {
             every_steps: 3,
             resume: true,
         };
-        let report_b = train_matcher_durable(
-            &mut m, &train, &valid, &test, &cfg, &mut store, &opts, &mut resumed,
-        )
+        let report_b = Trainer::durable(&mut resumed, &mut store, opts)
+            .fit(&mut m, &train, &valid, &test, &cfg)
         .unwrap();
 
         assert_eq!(resumed.resumes, 1);
-        let by_step: HashMap<u64, f64> = baseline.steps.iter().copied().collect();
-        for &(s, l) in &resumed.steps {
-            assert_eq!(
-                by_step[&s].to_bits(),
-                l.to_bits(),
-                "loss diverged at step {s}: {} vs {l}",
-                by_step[&s]
-            );
-        }
-        assert_eq!(report_a.test.matching.f1.to_bits(), report_b.test.matching.f1.to_bits());
-        assert_eq!(
-            report_a.final_train_loss.to_bits(),
-            report_b.final_train_loss.to_bits()
-        );
+        assert_replays(&baseline, &resumed);
+        assert_same_outcome(&report_a, &report_b);
     }
 
     #[test]
@@ -554,14 +428,9 @@ mod tests {
         let tmp = TempDir::new();
         let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
         let mut m = tiny_model(vocab, classes, 0);
-        run_killed(
-            &mut m,
-            (&train, &valid, &test),
-            &cfg,
-            &mut store,
-            2,
-            steps_per_epoch + 2,
-        );
+        run_killed(&mut store, 2, steps_per_epoch + 2, |t| {
+            let _ = t.fit(&mut m, &train, &valid, &test, &cfg);
+        });
         let snaps = store.snapshots().unwrap();
         assert!(snaps.len() >= 2, "need at least two snapshots to exercise fallback");
         // Torn write on the newest snapshot plus a stray partial temp file.
@@ -576,21 +445,15 @@ mod tests {
             every_steps: 2,
             resume: true,
         };
-        let report_b = train_matcher_durable(
-            &mut m, &train, &valid, &test, &cfg, &mut store, &opts, &mut resumed,
-        )
+        let report_b = Trainer::durable(&mut resumed, &mut store, opts)
+            .fit(&mut m, &train, &valid, &test, &cfg)
         .unwrap();
 
         assert_eq!(resumed.corrupt_skipped, 1, "exactly the torn snapshot is skipped");
         assert_eq!(resumed.resumes, 1);
         // Falling back to an older snapshot only means more steps to replay;
         // the outcome is still bit-identical.
-        assert_eq!(report_a.test.matching.f1.to_bits(), report_b.test.matching.f1.to_bits());
-        assert_eq!(report_a.valid_f1.to_bits(), report_b.valid_f1.to_bits());
-        assert_eq!(
-            report_a.final_train_loss.to_bits(),
-            report_b.final_train_loss.to_bits()
-        );
+        assert_same_outcome(&report_a, &report_b);
     }
 
     #[test]
@@ -607,17 +470,9 @@ mod tests {
         let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
         let mut resumed = LossTrace::default();
         let mut m = tiny_model(vocab, classes, 0);
-        let report_b = train_matcher_durable(
-            &mut m,
-            &train,
-            &valid,
-            &test,
-            &cfg,
-            &mut store,
-            &DurabilityConfig::default(),
-            &mut resumed,
-        )
-        .unwrap();
+        let report_b = Trainer::durable(&mut resumed, &mut store, DurabilityConfig::default())
+            .fit(&mut m, &train, &valid, &test, &cfg)
+            .unwrap();
 
         assert_eq!(resumed.resumes, 0);
         assert_eq!(report_a.test.matching.f1.to_bits(), report_b.test.matching.f1.to_bits());
@@ -635,40 +490,99 @@ mod tests {
         let tmp = TempDir::new();
         let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
         let mut m = tiny_model(vocab, classes, 0);
-        train_matcher_durable(
-            &mut m,
-            &train,
-            &valid,
-            &test,
-            &cfg_a,
-            &mut store,
-            &DurabilityConfig {
-                every_steps: 0,
-                resume: false,
-            },
-            &mut LossTrace::default(),
-        )
-        .unwrap();
+        let write_only = DurabilityConfig {
+            every_steps: 0,
+            resume: false,
+        };
+        Trainer::durable(&mut LossTrace::default(), &mut store, write_only)
+            .fit(&mut m, &train, &valid, &test, &cfg_a)
+            .unwrap();
 
         // Same store, different learning rate: must refuse, not silently
         // restart or mix states.
         let mut cfg_b = cfg_a.clone();
         cfg_b.lr = 1e-4;
         let mut m = tiny_model(vocab, classes, 0);
-        let err = train_matcher_durable(
-            &mut m,
-            &train,
-            &valid,
-            &test,
-            &cfg_b,
-            &mut store,
-            &DurabilityConfig::default(),
-            &mut LossTrace::default(),
-        )
-        .unwrap_err();
+        let err = Trainer::durable(&mut LossTrace::default(), &mut store, DurabilityConfig::default())
+            .fit(&mut m, &train, &valid, &test, &cfg_b)
+            .unwrap_err();
         assert!(
             matches!(err, CoreError::Incompatible(_)),
             "expected Incompatible, got {err}"
         );
+    }
+
+    /// MLM pre-training runs on the same loop, so durability is a call, not
+    /// a feature: killed between snapshots and resumed, it replays the
+    /// uninterrupted run's per-step losses (fresh masks included) bit for bit.
+    #[test]
+    fn durable_mlm_resumes_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let corpus: Vec<Vec<usize>> = (0..30)
+            .map(|_| (0..rng.gen_range(3..20)).map(|_| rng.gen_range(4..40)).collect())
+            .collect();
+        let mlm = emba_nn::mlm::MlmConfig {
+            mask_prob: 0.2,
+            mask_token: 1,
+            num_reserved: 4,
+        };
+        let cfg = TrainConfig {
+            batch_size: 4,
+            ..cfg()
+        };
+        let encoder = || emba_nn::BertEncoder::new(emba_nn::BertConfig::tiny(40), &mut StdRng::seed_from_u64(1));
+
+        let mut baseline = LossTrace::default();
+        let mut enc_a = encoder();
+        let loss_a = Trainer::new(&mut baseline).pretrain_mlm(&mut enc_a, &corpus, &mlm, &cfg).unwrap();
+
+        let tmp = TempDir::new();
+        let mut store = CheckpointStore::open(&tmp.0, 4).unwrap();
+        let killed = run_killed(&mut store, 3, 11, |t| {
+            let _ = t.pretrain_mlm(&mut encoder(), &corpus, &mlm, &cfg);
+        });
+        assert!(killed.checkpoint_writes >= 1);
+
+        let mut resumed = LossTrace::default();
+        let mut enc_b = encoder();
+        let opts = DurabilityConfig {
+            every_steps: 3,
+            resume: true,
+        };
+        let loss_b = Trainer::durable(&mut resumed, &mut store, opts)
+            .pretrain_mlm(&mut enc_b, &corpus, &mlm, &cfg)
+            .unwrap();
+
+        assert_eq!(resumed.resumes, 1);
+        assert_replays(&baseline, &resumed);
+        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
+        assert_eq!(enc_a.state(), enc_b.state());
+    }
+
+    #[test]
+    fn nan_guard_is_restored_when_a_durable_run_fails() {
+        let (train, valid, test, vocab, classes) = setup();
+        let tmp = TempDir::new();
+        let mut store = CheckpointStore::open(&tmp.0, 2).unwrap();
+        // The store's directory vanishes before the first save.
+        std::fs::remove_dir_all(&tmp.0).unwrap();
+        let cfg = TrainConfig {
+            nan_guard: true,
+            ..cfg()
+        };
+        let opts = DurabilityConfig {
+            every_steps: 1,
+            resume: false,
+        };
+        assert!(!emba_tensor::guard::enabled());
+        let outcome = Trainer::durable(&mut LossTrace::default(), &mut store, opts).fit(
+            &mut tiny_model(vocab, classes, 0),
+            &train,
+            &valid,
+            &test,
+            &cfg,
+        );
+        assert!(outcome.is_err(), "saving into a removed directory must fail");
+        assert!(!emba_tensor::guard::enabled(), "the guard leaked past the failed run");
     }
 }

@@ -1,21 +1,17 @@
-//! The multi-task training harness (the paper's Algorithm 1) plus
-//! evaluation and throughput measurement.
+//! Training: one [`Trainer`] and one loop under the paper's joint
+//! fine-tune (Algorithm 1), its crash-safe variant and MLM pre-training,
+//! plus evaluation and throughput measurement.
 //!
-//! Training follows the paper's protocol: Adam, a linearly decaying
-//! learning rate with one epoch of warmup, early stopping when validation
-//! F1 has not improved for `patience` epochs, and (optionally) a learning-
-//! rate sweep selecting the best validation F1. A mini-batch is an
-//! optimizer *window* of `batch_size` consecutive examples of the shuffled
-//! order; the window is split into length-bucketed sub-batches
-//! ([`crate::batching`]) that each run as one packed batched
-//! forward/backward, and their summed losses accumulate into the same
-//! gradient buffers the old per-example loop filled — the averaged update
-//! is unchanged.
+//! Every run follows the paper's protocol: Adam, a linearly decaying
+//! learning rate with one epoch of warmup, gradient-norm clipping, and —
+//! where there is a validation split — early stopping when validation F1
+//! has not improved for `patience` epochs.
 
 use std::time::Instant;
 
-use emba_nn::{clip_grad_norm, Adam, GraphStamp, LinearSchedule, Module};
-use emba_tensor::{guard, pool, prof, Graph};
+use emba_nn::mlm::{MlmConfig, MlmModel};
+use emba_nn::{clip_grad_norm, Adam, BertEncoder, GraphStamp, LinearSchedule, Module};
+use emba_tensor::{guard, pool, prof, Graph, Var};
 use emba_trace::{metrics, EvalRecord, NullObserver, RunMeta, StepRecord, TrainObserver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +22,7 @@ use crate::error::CoreError;
 use crate::metrics::{id_metrics, match_metrics, IdMetrics, MatchMetrics};
 use crate::models::Matcher;
 use crate::pipeline::EncodedExample;
-use crate::resume::TrainState;
+use crate::resume::{load_resume_state, DurabilityConfig, TrainState};
 use crate::store::CheckpointStore;
 
 /// Trainer settings.
@@ -110,23 +106,21 @@ pub enum StopVerdict {
 /// always false), which in the pre-fix loop counted as "no improvement"
 /// and silently burned patience while the model diverged. The stopper
 /// instead classifies non-finite scores explicitly.
-#[derive(Debug, Clone)]
+///
+/// Serializable as it stands, so a [`TrainState`] snapshot carries it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EarlyStopper {
     patience: usize,
     stale: usize,
-    best_f1: f64,
+    /// `None` before any finite score (JSON cannot carry a `-inf` sentinel).
+    best_f1: Option<f64>,
     best_epoch: usize,
 }
 
 impl EarlyStopper {
     /// A stopper that halts after `patience` epochs without improvement.
     pub fn new(patience: usize) -> Self {
-        Self {
-            patience,
-            stale: 0,
-            best_f1: f64::NEG_INFINITY,
-            best_epoch: 0,
-        }
+        Self { patience, ..Self::default() }
     }
 
     /// Classifies the validation score of `epoch`.
@@ -134,8 +128,8 @@ impl EarlyStopper {
         if !f1.is_finite() {
             return StopVerdict::NonFinite;
         }
-        if f1 > self.best_f1 {
-            self.best_f1 = f1;
+        if self.best_f1.is_none_or(|best| f1 > best) {
+            self.best_f1 = Some(f1);
             self.best_epoch = epoch;
             self.stale = 0;
             StopVerdict::Improved
@@ -151,48 +145,13 @@ impl EarlyStopper {
 
     /// Best finite F1 seen, or `-inf` if none yet.
     pub fn best_f1(&self) -> f64 {
-        self.best_f1
+        self.best_f1.unwrap_or(f64::NEG_INFINITY)
     }
 
     /// Epoch of the best finite F1.
     pub fn best_epoch(&self) -> usize {
         self.best_epoch
     }
-
-    /// Serializable snapshot of the stopper, for checkpointing.
-    pub fn state(&self) -> StopperState {
-        StopperState {
-            patience: self.patience,
-            stale: self.stale,
-            // The pre-improvement sentinel is `-inf`, which JSON cannot
-            // carry (it serializes to `null`); `None` stands in for it.
-            best_f1: self.best_f1.is_finite().then_some(self.best_f1),
-            best_epoch: self.best_epoch,
-        }
-    }
-
-    /// Rebuilds a stopper from a [`StopperState`] snapshot.
-    pub fn from_state(s: &StopperState) -> Self {
-        Self {
-            patience: s.patience,
-            stale: s.stale,
-            best_f1: s.best_f1.unwrap_or(f64::NEG_INFINITY),
-            best_epoch: s.best_epoch,
-        }
-    }
-}
-
-/// Serializable snapshot of an [`EarlyStopper`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StopperState {
-    /// Configured patience in epochs.
-    pub patience: usize,
-    /// Consecutive epochs without improvement so far.
-    pub stale: usize,
-    /// Best finite validation F1 seen, or `None` before any finite score.
-    pub best_f1: Option<f64>,
-    /// Epoch of the best finite F1.
-    pub best_epoch: usize,
 }
 
 /// Metrics of one evaluation pass.
@@ -314,25 +273,12 @@ pub fn evaluate_observed(
     result
 }
 
-/// Trains `model` on `train`, early-stops on `valid`, reports on `test`.
-///
-/// The model is left at its best-validation parameters.
-///
-/// # Panics
-///
-/// Panics if any split is empty.
-pub fn train_matcher(
-    model: &mut dyn Matcher,
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
-    test: &[EncodedExample],
-    cfg: &TrainConfig,
-) -> TrainReport {
-    train_matcher_observed(model, train, valid, test, cfg, &mut NullObserver)
-}
-
-/// Drains buffered non-finite guard reports into the observer.
-fn drain_guard(observer: &mut dyn TrainObserver) {
+/// Drains the non-finite guard's buffered reports into the observer, in a
+/// run that turned the guard on.
+fn drain_guard(cfg: &TrainConfig, observer: &mut dyn TrainObserver) {
+    if !cfg.nan_guard {
+        return;
+    }
     for r in guard::take_reports() {
         observer.on_non_finite(
             &format!("op:{}", r.op),
@@ -341,16 +287,26 @@ fn drain_guard(observer: &mut dyn TrainObserver) {
     }
 }
 
-/// [`train_matcher`] that reports the run through `observer`: run metadata,
-/// epoch boundaries, per-step loss / pre-clip gradient norm / effective
-/// learning rate / wall time, evaluation passes, best-state checkpointing,
-/// and non-finite events.
-///
-/// Two divergence conditions abort the run early, leaving the model at its
-/// best finite state: a non-finite per-example training loss, and a
-/// non-finite validation F1 (which the pre-fix loop treated as "no
-/// improvement", silently defeating early stopping — `NaN > best` is always
-/// false, so patience ticked down while the model diverged).
+/// Turns the thread-local non-finite guard on for a run with
+/// `cfg.nan_guard` and puts the previous setting back when dropped — on
+/// every exit, including the `?` returns of a failed durable run.
+struct NanGuard(Option<bool>);
+
+impl NanGuard {
+    fn install(cfg: &TrainConfig) -> Self {
+        Self(cfg.nan_guard.then(|| guard::enable(true)))
+    }
+}
+
+impl Drop for NanGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.0 {
+            guard::enable(prev);
+        }
+    }
+}
+
+/// [`Trainer::fit`] with no checkpoint store, reporting through `observer`.
 pub fn train_matcher_observed(
     model: &mut dyn Matcher,
     train: &[EncodedExample],
@@ -359,370 +315,430 @@ pub fn train_matcher_observed(
     cfg: &TrainConfig,
     observer: &mut dyn TrainObserver,
 ) -> TrainReport {
-    match train_loop(model, train, valid, test, cfg, observer, None, None) {
-        Ok(report) => report,
-        // Without a checkpoint store the loop performs no fallible I/O.
-        Err(e) => unreachable!("non-durable training cannot fail: {e}"),
+    // Without a checkpoint store the loop performs no fallible I/O.
+    Trainer::new(observer)
+        .fit(model, train, valid, test, cfg)
+        .unwrap_or_else(|e| unreachable!("non-durable training cannot fail: {e}"))
+}
+
+/// What the training loop optimises: the paper's joint fine-tune
+/// ([`FineTune`]) or MLM pre-training ([`MaskedLm`]).
+trait Objective {
+    /// Run name reported in [`RunMeta`].
+    fn name(&self) -> String;
+    /// The parameters being optimised.
+    fn module(&mut self) -> &mut dyn Module;
+    /// Token length of every training item; its length is the epoch size.
+    fn lens(&self) -> Vec<usize>;
+    /// One packed forward pass over `items`: the **summed** loss on the tape
+    /// and each item's loss value.
+    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
+        -> (Var, Vec<f32>);
+    /// Size of the validation split; `0` means there is none.
+    fn valid_examples(&self) -> usize {
+        0
+    }
+    /// Scores the validation split after `epoch`, if there is one.
+    fn validate(&self, _epoch: usize, _rng: &mut StdRng, _observer: &mut dyn TrainObserver)
+        -> Option<f64> {
+        None
     }
 }
 
-/// Periodic-save settings for [`train_loop`].
-pub(crate) struct Persist<'a> {
-    /// Where snapshots go.
-    pub store: &'a mut CheckpointStore,
-    /// Save every this many optimizer steps, in addition to the
-    /// unconditional save at every epoch boundary. `0` disables the
-    /// mid-epoch saves.
-    pub every: u64,
+/// Algorithm 1: the dual-objective fine-tune of a [`Matcher`].
+struct FineTune<'a> {
+    model: &'a mut dyn Matcher,
+    train: &'a [EncodedExample],
+    valid: &'a [EncodedExample],
 }
 
-/// The training loop behind both [`train_matcher_observed`] (no
-/// persistence, infallible) and [`crate::train_matcher_durable`]
-/// (periodic saves plus resume).
-///
-/// Determinism contract: given the same `cfg` and splits, resuming from
-/// any snapshot this loop wrote reproduces the uninterrupted run's
-/// per-step losses and final metrics *bit-exactly*. Everything numeric is
-/// checkpointed (parameters, Adam moments, RNG stream, shuffled order and
-/// cursor, partially accumulated epoch loss); snapshots are taken only at
-/// optimizer-step boundaries where gradients are zero and no batch is in
-/// flight. Only wall-clock-derived fields (throughput, `wall_ms`) differ
-/// across a crash/resume.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn train_loop(
-    model: &mut dyn Matcher,
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
-    test: &[EncodedExample],
-    cfg: &TrainConfig,
-    observer: &mut dyn TrainObserver,
-    mut persist: Option<Persist<'_>>,
-    init: Option<TrainState>,
-) -> Result<TrainReport, CoreError> {
-    assert!(
-        !train.is_empty() && !valid.is_empty() && !test.is_empty(),
-        "all three splits must be non-empty"
-    );
-    let steps_per_epoch = train.len().div_ceil(cfg.batch_size) as u64;
-    let schedule = LinearSchedule::new(
-        cfg.lr,
-        steps_per_epoch * cfg.warmup_epochs as u64,
-        steps_per_epoch * cfg.epochs as u64,
-    );
+impl Objective for FineTune<'_> {
+    fn name(&self) -> String {
+        self.model.name().to_string()
+    }
+    fn module(&mut self) -> &mut dyn Module {
+        self.model
+    }
+    fn lens(&self) -> Vec<usize> {
+        self.train.iter().map(|ex| ex.pair.ids.len()).collect()
+    }
+    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
+        -> (Var, Vec<f32>) {
+        let exs: Vec<&EncodedExample> = items.iter().map(|&i| &self.train[i]).collect();
+        let out = self.model.forward_batch(g, stamp, &exs, true, rng);
+        (out.loss, out.example_losses)
+    }
+    fn valid_examples(&self) -> usize {
+        self.valid.len()
+    }
+    fn validate(&self, epoch: usize, rng: &mut StdRng, observer: &mut dyn TrainObserver)
+        -> Option<f64> {
+        Some(evaluate_observed(&*self.model, self.valid, rng, epoch, "valid", observer).matching.f1)
+    }
+}
 
-    observer.on_run_start(&RunMeta {
-        model: model.name().to_string(),
-        train_examples: train.len(),
-        valid_examples: valid.len(),
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        base_lr: f64::from(cfg.lr),
-    });
-    let guard_was = cfg.nan_guard.then(|| guard::enable(true));
+/// Masked-language-model pre-training of a BERT encoder and its
+/// prediction head, masks redrawn every pass.
+struct MaskedLm<'a> {
+    model: MlmModel<'a>,
+    corpus: Vec<&'a [usize]>,
+    cfg: &'a MlmConfig,
+}
 
-    // Fresh-run state, overridden below when resuming from a snapshot.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut adam = Adam::new();
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut best_state: Vec<emba_tensor::Tensor> = model.state();
-    let mut step = 0u64;
-    let mut final_train_loss = 0.0f64;
-    let mut trained_pairs = 0usize;
-    let mut epochs_run = 0usize;
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut start_epoch = 0usize;
-    let mut resume_cursor = 0usize;
-    let mut resumed_epoch_loss = 0.0f64;
+impl Objective for MaskedLm<'_> {
+    fn name(&self) -> String {
+        let c = self.model.encoder.config();
+        format!("mlm:{}Lx{}d", c.layers, c.hidden)
+    }
+    fn module(&mut self) -> &mut dyn Module {
+        &mut self.model
+    }
+    fn lens(&self) -> Vec<usize> {
+        self.corpus.iter().map(|seq| seq.len()).collect()
+    }
+    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
+        -> (Var, Vec<f32>) {
+        let seqs: Vec<&[usize]> = items.iter().map(|&i| self.corpus[i]).collect();
+        self.model.forward_batch(g, stamp, &seqs, self.cfg, rng)
+    }
+}
 
-    if let Some(st) = init {
-        let words: [u64; 4] = st.rng.as_slice().try_into().map_err(|_| {
-            CoreError::Incompatible(format!("rng state has {} words, expected 4", st.rng.len()))
-        })?;
-        model.load_state(&st.params);
-        adam.load_state(model.as_module_mut(), &st.optim)
+/// The loop's live state: a [`TrainState`] whose counters and stopper the
+/// loop advances in place, plus the working forms of the fields
+/// [`Progress::snapshot`] serializes into it.
+struct Progress {
+    st: TrainState,
+    rng: StdRng,
+    adam: Adam,
+    /// Wall time of this process's share of the loop (never snapshotted).
+    train_secs: f64,
+}
+
+impl Progress {
+    fn fresh(obj: &mut dyn Objective, cfg: &TrainConfig, items: usize) -> Self {
+        let st = TrainState {
+            cfg: cfg.clone(),
+            train_examples: items,
+            valid_examples: obj.valid_examples(),
+            best_params: obj.module().state(),
+            stopper: EarlyStopper::new(cfg.patience),
+            order: (0..items).collect(),
+            ..TrainState::default()
+        };
+        Self { st, rng: StdRng::seed_from_u64(cfg.seed), adam: Adam::new(), train_secs: 0.0 }
+    }
+
+    /// Loads a validated snapshot into `obj`'s module and the loop state.
+    /// Mid-epoch (`cursor > 0`) the interrupted epoch's order is replayed
+    /// from the cursor; at an epoch boundary the restored permutation is the
+    /// reshuffle *input* — Fisher-Yates permutes in place, so each epoch's
+    /// order depends on the last.
+    fn restore(st: TrainState, obj: &mut dyn Objective) -> Result<Self, CoreError> {
+        let words: [u64; 4] = st.rng.as_slice().try_into().expect("load_resume_state checked it");
+        obj.module().load_state(&st.params);
+        let mut adam = Adam::new();
+        adam.load_state(obj.module(), &st.optim)
             .map_err(|e| CoreError::Incompatible(e.to_string()))?;
-        rng = StdRng::from_state(words);
-        stopper = EarlyStopper::from_state(&st.stopper);
-        best_state = st.best_params;
-        step = st.step;
-        trained_pairs = st.trained_pairs;
-        epochs_run = st.epochs_run;
-        final_train_loss = st.final_train_loss;
-        start_epoch = st.epoch;
-        resume_cursor = st.cursor;
-        resumed_epoch_loss = st.epoch_loss;
-        // Mid-epoch (cursor > 0): replay the interrupted epoch's shuffled
-        // order from where it left off. Epoch boundary (cursor == 0): the
-        // restored permutation is the reshuffle *input* — Fisher-Yates
-        // permutes in place, so each epoch's order depends on the last.
-        order = st.order;
-        observer.on_resume(start_epoch, step);
+        Ok(Self { st, rng: StdRng::from_state(words), adam, train_secs: 0.0 })
     }
 
-    let _train_scope = prof::scope("train");
-    let train_start = Instant::now();
-    'epochs: for epoch in start_epoch..cfg.epochs {
-        let _epoch_scope = prof::scope("epoch");
-        epochs_run = epoch + 1;
-        let start_i = if epoch == start_epoch { resume_cursor } else { 0 };
-        let mut epoch_loss = if start_i > 0 { resumed_epoch_loss } else { 0.0 };
-        if start_i == 0 {
-            observer.on_epoch_start(epoch);
-            shuffle(&mut order, &mut rng);
-        }
-        model.zero_grads();
-        // One optimizer window = `batch_size` consecutive entries of the
-        // shuffled order (the gradient-accumulation span of the per-example
-        // loop this replaced). Within a window, length-bucketed sub-batches
-        // each run as ONE packed forward/backward; the summed batch losses
-        // accumulate into the same gradient buffers, so the averaged update
-        // below is mathematically the per-example window update.
-        let mut i = start_i;
-        while i < order.len() {
-            let window_end = (i + cfg.batch_size).min(order.len());
-            let window = &order[i..window_end];
-            let window_len = window.len();
-            let batch_start = Instant::now();
-            let lens: Vec<usize> = window.iter().map(|&idx| train[idx].pair.ids.len()).collect();
-            let mut window_loss = 0.0f64;
-            for sub in plan_sub_batches(&lens) {
-                let exs: Vec<&EncodedExample> = sub.iter().map(|&j| &train[window[j]]).collect();
-                let example_scope = prof::scope("example");
-                let g = Graph::new();
-                let stamp = GraphStamp::next();
-                let out = {
-                    let _fwd_scope = prof::scope("forward");
-                    model.forward_batch(&g, stamp, &exs, true, &mut rng)
-                };
-                {
-                    let bwd_scope = prof::scope("backward");
-                    let grads = g.backward(out.loss);
-                    // Close at the end of the tape sweep: accumulation and
-                    // recycling record no ops, so leaving them inside would
-                    // show up as unattributed backward wall time.
-                    drop(bwd_scope);
-                    model.accumulate_gradients(&grads);
-                    // Return this sub-batch's activations and gradients to
-                    // the scratch pool before the next graph is built.
-                    grads.recycle();
-                    g.recycle();
+    /// Brings the serialized fields up to date and returns the snapshot.
+    /// Only called at optimizer-step boundaries: gradients are zero, no
+    /// window in flight.
+    fn snapshot(&mut self, obj: &mut dyn Objective) -> &TrainState {
+        self.st.params = obj.module().state();
+        self.st.optim = self.adam.state(obj.module());
+        self.st.rng = self.rng.state().to_vec();
+        &self.st
+    }
+}
+
+/// The one way into training: where a run reports (`observer`) and,
+/// optionally, where it persists and resumes (`store` + `opts`).
+///
+/// Determinism contract: given the same `cfg` and data, resuming from any
+/// snapshot a run wrote reproduces the uninterrupted run's per-step losses
+/// and final metrics *bit-exactly*; only wall-clock-derived fields
+/// (throughput, `wall_ms`) differ across a crash/resume.
+///
+/// Corrupt snapshots are skipped — reported via
+/// [`TrainObserver::on_corrupt_skipped`] — in favour of the next-newest; with
+/// none left the run starts from scratch. A snapshot that parses but belongs
+/// to a different run (other config, data or architecture) is an error, not
+/// a silent restart: [`CoreError::Incompatible`].
+pub struct Trainer<'a> {
+    pub(crate) observer: &'a mut dyn TrainObserver,
+    durable: Option<(&'a mut CheckpointStore, DurabilityConfig)>,
+}
+
+impl<'a> Trainer<'a> {
+    /// A trainer that reports through `observer` and writes nothing; its
+    /// runs cannot fail.
+    pub fn new(observer: &'a mut dyn TrainObserver) -> Self {
+        Self { observer, durable: None }
+    }
+
+    /// A trainer with no observer and no store.
+    pub fn quiet() -> Trainer<'static> {
+        // Zero-sized: the box allocates nothing and the leak loses nothing.
+        Trainer::new(Box::leak(Box::new(NullObserver)))
+    }
+
+    /// A trainer that also snapshots into `store` (every epoch boundary, plus
+    /// every `opts.every_steps` optimizer steps) and, with `opts.resume`,
+    /// continues from the newest valid snapshot found there.
+    pub fn durable(
+        observer: &'a mut dyn TrainObserver,
+        store: &'a mut CheckpointStore,
+        opts: DurabilityConfig,
+    ) -> Self {
+        Self { observer, durable: Some((store, opts)) }
+    }
+
+    /// Trains `model` on `train` (Algorithm 1), early-stops on `valid`,
+    /// reports on `test`; the model is left at its best-validation
+    /// parameters.
+    ///
+    /// Two divergence conditions abort the run early, leaving the model at
+    /// its best finite state: a non-finite per-example training loss, and a
+    /// non-finite validation F1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any split is empty.
+    pub fn fit(
+        &mut self,
+        model: &mut dyn Matcher,
+        train: &[EncodedExample],
+        valid: &[EncodedExample],
+        test: &[EncodedExample],
+        cfg: &TrainConfig,
+    ) -> Result<TrainReport, CoreError> {
+        assert!(
+            !train.is_empty() && !valid.is_empty() && !test.is_empty(),
+            "all three splits must be non-empty"
+        );
+        let _guard = NanGuard::install(cfg);
+        let mut p = self.run(&mut FineTune { model: &mut *model, train, valid }, cfg)?;
+
+        let infer_start = Instant::now();
+        let test_metrics =
+            evaluate_observed(model, test, &mut p.rng, p.st.epochs_run, "test", self.observer);
+        let infer_secs = infer_start.elapsed().as_secs_f64();
+        drain_guard(cfg, self.observer);
+        Ok(TrainReport {
+            valid_f1: p.st.stopper.best_f1(),
+            best_epoch: p.st.stopper.best_epoch(),
+            epochs_run: p.st.epochs_run,
+            test: test_metrics,
+            train_pairs_per_sec: p.st.trained_pairs as f64 / p.train_secs.max(1e-9),
+            infer_pairs_per_sec: test.len() as f64 / infer_secs.max(1e-9),
+            final_train_loss: p.st.final_train_loss,
+        })
+    }
+
+    /// Pre-trains `encoder` with MLM over `corpus` (already-tokenized
+    /// sequences) under the same loop and schedule as [`Trainer::fit`], with
+    /// a fresh [`MlmHead`](emba_nn::mlm::MlmHead) seeded from `cfg.seed`;
+    /// returns the last epoch's mean loss. Sequences that are empty, longer
+    /// than the encoder's `max_len`, or without a maskable token are skipped.
+    pub fn pretrain_mlm(
+        &mut self,
+        encoder: &mut BertEncoder,
+        corpus: &[Vec<usize>],
+        mlm: &MlmConfig,
+        cfg: &TrainConfig,
+    ) -> Result<f64, CoreError> {
+        let max_len = encoder.config().max_len;
+        let corpus: Vec<&[usize]> = corpus
+            .iter()
+            .map(Vec::as_slice)
+            .filter(|seq| seq.len() <= max_len && seq.iter().any(|&t| t >= mlm.num_reserved))
+            .collect();
+        assert!(!corpus.is_empty(), "MLM corpus has no maskable sequence");
+        let model = MlmModel::new(encoder, &mut StdRng::seed_from_u64(cfg.seed));
+        let _guard = NanGuard::install(cfg);
+        let _mlm_scope = prof::scope("mlm");
+        Ok(self.run(&mut MaskedLm { model, corpus, cfg: mlm }, cfg)?.st.final_train_loss)
+    }
+
+    /// The training loop. Each epoch reshuffles the item order and walks it
+    /// in optimizer *windows* of `batch_size` items; a window is split into
+    /// length-bucketed sub-batches ([`plan_sub_batches`]) that each run as
+    /// ONE packed forward/backward, their summed losses accumulating into
+    /// the same gradient buffers, so the window-averaged update equals the
+    /// per-item one.
+    fn run(&mut self, obj: &mut dyn Objective, cfg: &TrainConfig) -> Result<Progress, CoreError> {
+        let observer = &mut *self.observer;
+        let lens = obj.lens();
+        let items = lens.len();
+        let valid_examples = obj.valid_examples();
+        let steps_per_epoch = items.div_ceil(cfg.batch_size) as u64;
+        let schedule = LinearSchedule::new(
+            cfg.lr,
+            steps_per_epoch * cfg.warmup_epochs as u64,
+            steps_per_epoch * cfg.epochs as u64,
+        );
+        observer.on_run_start(&RunMeta {
+            model: obj.name(),
+            train_examples: items,
+            valid_examples,
+            epochs: cfg.epochs,
+            batch_size: cfg.batch_size,
+            base_lr: f64::from(cfg.lr),
+        });
+
+        let resumed = match &self.durable {
+            Some((store, opts)) if opts.resume => {
+                load_resume_state(store, obj.module(), items, valid_examples, cfg, observer)?
+            }
+            _ => None,
+        };
+        let mut p = match resumed {
+            Some(st) => {
+                let p = Progress::restore(st, obj)?;
+                observer.on_resume(p.st.epoch, p.st.step);
+                p
+            }
+            None => Progress::fresh(obj, cfg, items),
+        };
+
+        let _train_scope = prof::scope("train");
+        let train_start = Instant::now();
+        'epochs: while p.st.epoch < cfg.epochs {
+            let _epoch_scope = prof::scope("epoch");
+            let epoch = p.st.epoch;
+            p.st.epochs_run = epoch + 1;
+            if p.st.cursor == 0 {
+                p.st.epoch_loss = 0.0;
+                observer.on_epoch_start(epoch);
+                shuffle(&mut p.st.order, &mut p.rng);
+            }
+            obj.module().zero_grads();
+            while p.st.cursor < items {
+                let window_end = (p.st.cursor + cfg.batch_size).min(items);
+                let window = &p.st.order[p.st.cursor..window_end];
+                let window_len = window.len();
+                let batch_start = Instant::now();
+                let window_lens: Vec<usize> = window.iter().map(|&idx| lens[idx]).collect();
+                let mut window_loss = 0.0f64;
+                for sub in plan_sub_batches(&window_lens) {
+                    let sub_items: Vec<usize> = sub.iter().map(|&j| window[j]).collect();
+                    let example_scope = prof::scope("example");
+                    let g = Graph::new();
+                    let stamp = GraphStamp::next();
+                    let (loss, item_losses) = {
+                        let _fwd_scope = prof::scope("forward");
+                        obj.forward(&g, stamp, &sub_items, &mut p.rng)
+                    };
+                    {
+                        let bwd_scope = prof::scope("backward");
+                        let grads = g.backward(loss);
+                        // Close at the end of the tape sweep: accumulation and
+                        // recycling record no ops, so leaving them inside would
+                        // show up as unattributed backward wall time.
+                        drop(bwd_scope);
+                        obj.module().accumulate_gradients(&grads);
+                        // Return this sub-batch's activations and gradients to
+                        // the scratch pool before the next graph is built.
+                        grads.recycle();
+                        g.recycle();
+                    }
+                    // Close before the optimizer step below, so `optim` is a
+                    // sibling phase of `example` rather than a child.
+                    drop(example_scope);
+                    drain_guard(cfg, observer);
+                    for (&j, &l) in sub.iter().zip(&item_losses) {
+                        let loss = f64::from(l);
+                        p.st.epoch_loss += loss;
+                        window_loss += loss;
+                        if !loss.is_finite() {
+                            observer.on_non_finite(
+                                "train_loss",
+                                &format!(
+                                    "loss {loss} at epoch {epoch}, example {}; aborting run",
+                                    p.st.cursor + j
+                                ),
+                            );
+                            break 'epochs;
+                        }
+                    }
                 }
-                // Close before the optimizer step below, so `optim` is a
-                // sibling phase of `example` rather than a child.
-                drop(example_scope);
-                if cfg.nan_guard {
-                    drain_guard(observer);
-                }
-                for (&j, &l) in sub.iter().zip(&out.example_losses) {
-                    let loss = f64::from(l);
-                    epoch_loss += loss;
-                    window_loss += loss;
-                    if !loss.is_finite() {
-                        observer.on_non_finite(
-                            "train_loss",
-                            &format!(
-                                "loss {loss} at epoch {epoch}, example {}; aborting run",
-                                i + j
-                            ),
-                        );
-                        break 'epochs;
+                p.st.trained_pairs += window_len;
+
+                let optim_scope = prof::scope("optim");
+                // Average the accumulated gradients over the window, in place.
+                let scale = 1.0 / window_len as f32;
+                obj.module().visit_mut(&mut |param| param.grad.scale_mut(scale));
+                let grad_norm = clip_grad_norm(obj.module(), cfg.clip_norm);
+                let lr = schedule.lr(p.st.step);
+                p.adam.step(obj.module(), lr);
+                obj.module().zero_grads();
+                drop(optim_scope);
+                observer.on_step(&StepRecord {
+                    epoch,
+                    step: p.st.step,
+                    loss: window_loss / window_len as f64,
+                    grad_norm: f64::from(grad_norm),
+                    lr: f64::from(lr),
+                    wall_ms: batch_start.elapsed().as_secs_f64() * 1e3,
+                    examples: window_len,
+                });
+                p.st.step += 1;
+                p.st.cursor = window_end;
+
+                // Mid-epoch durability. The epoch's final boundary is covered
+                // by the richer epoch-end snapshot below instead.
+                if let Some((store, opts)) = &mut self.durable {
+                    let every = opts.every_steps;
+                    if every > 0 && p.st.step.is_multiple_of(every) && p.st.cursor < items {
+                        let seq = store.save(p.snapshot(obj))?;
+                        observer.on_checkpoint_write(seq, epoch, p.st.step);
                     }
                 }
             }
-            trained_pairs += window_len;
+            p.st.final_train_loss = p.st.epoch_loss / items as f64;
+            observer.on_epoch_end(epoch, p.st.final_train_loss);
 
-            let optim_scope = prof::scope("optim");
-            // Average the accumulated gradients over the window, in place.
-            let scale = 1.0 / window_len as f32;
-            model.visit_mut(&mut |p| p.grad.scale_mut(scale));
-            let grad_norm = clip_grad_norm(model.as_module_mut(), cfg.clip_norm);
-            let lr = schedule.lr(step);
-            adam.step(model.as_module_mut(), lr);
-            model.zero_grads();
-            drop(optim_scope);
-            observer.on_step(&StepRecord {
-                epoch,
-                step,
-                loss: window_loss / window_len as f64,
-                grad_norm: f64::from(grad_norm),
-                lr: f64::from(lr),
-                wall_ms: batch_start.elapsed().as_secs_f64() * 1e3,
-                examples: window_len,
-            });
-            step += 1;
-
-            // Mid-epoch durability: snapshot at optimizer-step boundaries
-            // (gradients are zero, no window in flight). The epoch's final
-            // boundary is covered by the richer epoch-end snapshot below
-            // instead.
-            if let Some(p) = persist.as_mut() {
-                if p.every > 0 && step.is_multiple_of(p.every) && window_end < order.len() {
-                    let snap = snapshot(
-                        model, &adam, &rng, &stopper, &best_state, cfg, train, valid,
-                        epoch,
-                        window_end,
-                        order.clone(),
-                        step, epoch_loss, trained_pairs, epochs_run, final_train_loss,
-                    );
-                    let seq = p.store.save(&snap)?;
-                    observer.on_checkpoint_write(seq, epoch, step);
+            if let Some(f1) = obj.validate(epoch, &mut p.rng, observer) {
+                drain_guard(cfg, observer);
+                match p.st.stopper.observe(epoch, f1) {
+                    StopVerdict::Improved => {
+                        p.st.best_params = obj.module().state();
+                        observer.on_checkpoint_save(epoch, f1);
+                    }
+                    StopVerdict::NoImprovement => {}
+                    StopVerdict::Halt => break,
+                    StopVerdict::NonFinite => {
+                        observer.on_non_finite(
+                            "valid_f1",
+                            &format!("validation F1 {f1} at epoch {epoch}; aborting run"),
+                        );
+                        break;
+                    }
                 }
             }
-            i = window_end;
-        }
-        final_train_loss = epoch_loss / train.len() as f64;
-        observer.on_epoch_end(epoch, final_train_loss);
 
-        let valid_metrics = evaluate_observed(model, valid, &mut rng, epoch, "valid", observer);
-        if cfg.nan_guard {
-            drain_guard(observer);
-        }
-        let f1 = valid_metrics.matching.f1;
-        match stopper.observe(epoch, f1) {
-            StopVerdict::Improved => {
-                best_state = model.state();
-                observer.on_checkpoint_save(epoch, f1);
-            }
-            StopVerdict::NoImprovement => {}
-            StopVerdict::Halt => break,
-            StopVerdict::NonFinite => {
-                observer.on_non_finite(
-                    "valid_f1",
-                    &format!("validation F1 {f1} at epoch {epoch}; aborting run"),
-                );
-                break;
+            // Epoch-end durability: saved after the validation verdict, so a
+            // resume re-enters at the top of the next epoch with the stopper,
+            // best parameters, and RNG stream exactly as the uninterrupted
+            // run would have them. Halted/diverged runs skip this via the
+            // breaks above — their outcome is final, not resumable work.
+            p.st.epoch += 1;
+            p.st.cursor = 0;
+            p.st.epoch_loss = 0.0;
+            if let Some((store, _)) = &mut self.durable {
+                let seq = store.save(p.snapshot(obj))?;
+                observer.on_checkpoint_write(seq, epoch, p.st.step);
             }
         }
+        p.train_secs = train_start.elapsed().as_secs_f64();
 
-        // Epoch-end durability: saved after the validation verdict, so a
-        // resume re-enters at the top of the next epoch with the stopper,
-        // best parameters, and RNG stream exactly as the uninterrupted run
-        // would have them. Halted/diverged runs skip this via the breaks
-        // above — their outcome is final, not resumable work.
-        if let Some(p) = persist.as_mut() {
-            // `order` must travel even though the next epoch reshuffles it:
-            // the in-place Fisher-Yates makes each epoch's permutation a
-            // function of the previous one, so reshuffling from the identity
-            // instead of the inherited permutation would break bit-exactness.
-            let snap = snapshot(
-                model, &adam, &rng, &stopper, &best_state, cfg, train, valid,
-                epoch + 1,
-                0,
-                order.clone(),
-                step, 0.0, trained_pairs, epochs_run, final_train_loss,
-            );
-            let seq = p.store.save(&snap)?;
-            observer.on_checkpoint_write(seq, epoch, step);
+        if valid_examples > 0 {
+            obj.module().load_state(&p.st.best_params);
+            observer.on_checkpoint_restore(p.st.stopper.best_epoch());
         }
-    }
-    let train_secs = train_start.elapsed().as_secs_f64();
-
-    model.load_state(&best_state);
-    observer.on_checkpoint_restore(stopper.best_epoch());
-
-    let infer_start = Instant::now();
-    let test_metrics = evaluate_observed(model, test, &mut rng, epochs_run, "test", observer);
-    let infer_secs = infer_start.elapsed().as_secs_f64();
-    if cfg.nan_guard {
-        drain_guard(observer);
-    }
-    if let Some(prev) = guard_was {
-        guard::enable(prev);
-    }
-
-    Ok(TrainReport {
-        valid_f1: stopper.best_f1(),
-        best_epoch: stopper.best_epoch(),
-        epochs_run,
-        test: test_metrics,
-        train_pairs_per_sec: trained_pairs as f64 / train_secs.max(1e-9),
-        infer_pairs_per_sec: test.len() as f64 / infer_secs.max(1e-9),
-        final_train_loss,
-    })
-}
-
-/// Packs the loop's live state into a [`TrainState`] snapshot.
-#[allow(clippy::too_many_arguments)]
-fn snapshot(
-    model: &mut dyn Matcher,
-    adam: &Adam,
-    rng: &StdRng,
-    stopper: &EarlyStopper,
-    best_state: &[emba_tensor::Tensor],
-    cfg: &TrainConfig,
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
-    epoch: usize,
-    cursor: usize,
-    order: Vec<usize>,
-    step: u64,
-    epoch_loss: f64,
-    trained_pairs: usize,
-    epochs_run: usize,
-    final_train_loss: f64,
-) -> TrainState {
-    TrainState {
-        cfg: cfg.clone(),
-        train_examples: train.len(),
-        valid_examples: valid.len(),
-        params: model.state(),
-        best_params: best_state.to_vec(),
-        optim: adam.state(model.as_module_mut()),
-        rng: rng.state().to_vec(),
-        stopper: stopper.state(),
-        epoch,
-        cursor,
-        order,
-        step,
-        epoch_loss,
-        trained_pairs,
-        epochs_run,
-        final_train_loss,
-    }
-}
-
-/// The paper's learning-rate sweep: trains one fresh model per candidate
-/// rate and keeps the one with the best validation F1.
-///
-/// `factory` must return a freshly initialized model each call (same
-/// architecture, new parameters).
-pub fn train_with_lr_sweep<F>(
-    factory: F,
-    rates: &[f32],
-    train: &[EncodedExample],
-    valid: &[EncodedExample],
-    test: &[EncodedExample],
-    cfg: &TrainConfig,
-) -> (Box<dyn Matcher>, TrainReport, f32)
-where
-    F: Fn() -> Box<dyn Matcher>,
-{
-    assert!(!rates.is_empty(), "sweep needs at least one rate");
-    let mut best: Option<(Box<dyn Matcher>, TrainReport, f32)> = None;
-    for &lr in rates {
-        let mut model = factory();
-        let mut run_cfg = cfg.clone();
-        run_cfg.lr = lr;
-        let report = train_matcher(model.as_mut(), train, valid, test, &run_cfg);
-        let better = best
-            .as_ref()
-            .is_none_or(|(_, b, _)| report.valid_f1 > b.valid_f1);
-        if better {
-            best = Some((model, report, lr));
-        }
-    }
-    best.expect("at least one rate was evaluated")
-}
-
-/// Object-safe helper so `train_matcher` can hand the matcher to functions
-/// expecting `&mut dyn Module`.
-trait AsModule {
-    fn as_module_mut(&mut self) -> &mut dyn Module;
-}
-
-impl AsModule for dyn Matcher + '_ {
-    fn as_module_mut(&mut self) -> &mut dyn Module {
-        self
+        Ok(p)
     }
 }
 
@@ -733,20 +749,14 @@ fn shuffle<T, R: Rng + ?Sized>(xs: &mut [T], rng: &mut R) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backbone::Backbone;
     use crate::models::{AuxStrategy, EmStrategy, TransformerMatcher};
     use crate::pipeline::{PipelineConfig, TextPipeline};
-    use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
+    use emba_datagen::{build, Dataset, DatasetId, Scale, WdcCategory, WdcSize};
 
-    fn setup() -> (
-        Vec<EncodedExample>,
-        Vec<EncodedExample>,
-        Vec<EncodedExample>,
-        usize,
-        usize,
-    ) {
+    fn fitted() -> (Dataset, TextPipeline) {
         let ds = build(
             DatasetId::Wdc(WdcCategory::Computers, WdcSize::Small),
             Scale::TEST,
@@ -760,6 +770,19 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
+        (ds, pipe)
+    }
+
+    /// The fixture of the training and resume tests: encoded splits, vocab
+    /// size and class count of a `Scale::TEST` dataset.
+    pub(crate) fn setup() -> (
+        Vec<EncodedExample>,
+        Vec<EncodedExample>,
+        Vec<EncodedExample>,
+        usize,
+        usize,
+    ) {
+        let (ds, pipe) = fitted();
         (
             pipe.encode_split(&ds.train),
             pipe.encode_split(&ds.valid),
@@ -769,7 +792,7 @@ mod tests {
         )
     }
 
-    fn tiny_model(vocab: usize, classes: usize, seed: u64) -> TransformerMatcher {
+    pub(crate) fn tiny_model(vocab: usize, classes: usize, seed: u64) -> TransformerMatcher {
         let mut rng = StdRng::seed_from_u64(seed);
         let backbone = Backbone::from_bert_config(emba_nn::BertConfig::tiny(vocab), true, &mut rng);
         TransformerMatcher::new(
@@ -806,7 +829,7 @@ mod tests {
             patience: 6,
             ..TrainConfig::default()
         };
-        let report = train_matcher(&mut model, &train, &valid, &test, &cfg);
+        let report = train_matcher_observed(&mut model, &train, &valid, &test, &cfg, &mut NullObserver);
         assert!(
             report.final_train_loss < initial_loss * 0.7,
             "training barely reduced the loss: {initial_loss} -> {}",
@@ -829,7 +852,7 @@ mod tests {
             patience: 2,
             ..TrainConfig::default()
         };
-        let report = train_matcher(&mut model, &train, &valid, &test, &cfg);
+        let report = train_matcher_observed(&mut model, &train, &valid, &test, &cfg, &mut NullObserver);
         assert!(report.epochs_run <= 4, "ran {} epochs", report.epochs_run);
     }
 
@@ -843,7 +866,7 @@ mod tests {
             batch_size: 4,
             ..TrainConfig::default()
         };
-        let report = train_matcher(&mut model, &train, &valid, &test, &cfg);
+        let report = train_matcher_observed(&mut model, &train, &valid, &test, &cfg, &mut NullObserver);
         // Re-evaluating the returned model on valid reproduces the reported
         // best F1 (deterministic in eval mode).
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -869,8 +892,9 @@ mod tests {
         let mut s = EarlyStopper::new(3);
         s.observe(0, 0.4);
         s.observe(1, 0.2);
-        let json = serde_json::to_string(&s.state()).unwrap();
-        let mut back = EarlyStopper::from_state(&serde_json::from_str(&json).unwrap());
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json, r#"{"patience":3,"stale":1,"best_f1":0.4,"best_epoch":0}"#);
+        let mut back: EarlyStopper = serde_json::from_str(&json).unwrap();
         // The twin continues exactly where the original would: one more
         // stale epoch, then halt.
         assert_eq!(back.observe(2, 0.2), StopVerdict::NoImprovement);
@@ -879,11 +903,12 @@ mod tests {
         assert!((back.best_f1() - 0.4).abs() < 1e-12);
 
         // The pre-improvement `-inf` sentinel cannot ride through JSON as a
-        // float; it maps to `None` and back.
+        // float; it is `None` (`null`) there and back.
         let fresh = EarlyStopper::new(2);
-        assert_eq!(fresh.state().best_f1, None);
-        let json = serde_json::to_string(&fresh.state()).unwrap();
-        let mut back = EarlyStopper::from_state(&serde_json::from_str(&json).unwrap());
+        assert_eq!(fresh.best_f1(), f64::NEG_INFINITY);
+        let json = serde_json::to_string(&fresh).unwrap();
+        assert!(json.contains(r#""best_f1":null"#), "{json}");
+        let mut back: EarlyStopper = serde_json::from_str(&json).unwrap();
         assert_eq!(back.observe(0, 0.1), StopVerdict::Improved);
     }
 
@@ -907,6 +932,8 @@ mod tests {
     struct Recording {
         events: Vec<String>,
         non_finite_sources: Vec<String>,
+        step_losses: Vec<f64>,
+        epoch_losses: Vec<f64>,
     }
 
     impl emba_trace::TrainObserver for Recording {
@@ -920,9 +947,11 @@ mod tests {
             assert!(r.lr.is_finite(), "schedule produced a non-finite lr");
             assert!(r.examples > 0);
             self.events.push("step".into());
+            self.step_losses.push(r.loss);
         }
-        fn on_epoch_end(&mut self, _e: usize, _l: f64) {
+        fn on_epoch_end(&mut self, _e: usize, l: f64) {
             self.events.push("epoch_end".into());
+            self.epoch_losses.push(l);
         }
         fn on_eval(&mut self, r: &emba_trace::EvalRecord) {
             self.events.push(format!("eval:{}", r.split));
@@ -1059,24 +1088,103 @@ mod tests {
         );
     }
 
+    /// Every per-step loss and the test F1 of a 2-epoch fine-tune, captured
+    /// at the commit before the loop moved under [`Trainer`]: the refactor
+    /// (and any later one) must leave the fine-tune path bit-identical.
     #[test]
-    fn lr_sweep_picks_a_rate() {
+    fn fine_tune_bits_are_pinned() {
         let (train, valid, test, vocab, classes) = setup();
+        let mut model = tiny_model(vocab, classes, 5);
         let cfg = TrainConfig {
             epochs: 2,
+            lr: 1e-3,
             batch_size: 4,
             ..TrainConfig::default()
         };
-        let (model, report, lr) = train_with_lr_sweep(
-            || Box::new(tiny_model(vocab, classes, 4)),
-            &[1e-4, 2e-3],
-            &train,
-            &valid,
-            &test,
-            &cfg,
-        );
-        assert!(lr == 1e-4 || lr == 2e-3);
-        assert!(report.valid_f1 >= 0.0);
-        assert_eq!(model.name(), "EMBA-tiny");
+        let mut obs = Recording::default();
+        let report = train_matcher_observed(&mut model, &train, &valid, &test, &cfg, &mut obs);
+        let bits: Vec<u64> = obs.step_losses.iter().map(|l| l.to_bits()).collect();
+        let pinned = [
+            0x401de0ef98000000u64,
+            0x4020a30de0000000,
+            0x402026687c000000,
+            0x401d581618000000,
+            0x401deb0338000000,
+            0x401b1418d8000000,
+        ];
+        assert_eq!(bits, pinned, "step losses {:?}", obs.step_losses);
+        assert_eq!(report.test.matching.f1.to_bits(), 0x3fdc71c71c71c71c);
+        assert_eq!(report.final_train_loss.to_bits(), 0x401cc7bb62aaaaab);
+    }
+
+    #[test]
+    fn mlm_takes_one_adam_step_per_window_and_its_loss_falls() {
+        let (ds, pipe) = fitted();
+        let corpus = pipe.mlm_corpus(&ds);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut encoder = BertEncoder::new(emba_nn::BertConfig::tiny(pipe.vocab_size()), &mut rng);
+        let cfg = TrainConfig {
+            epochs: 4,
+            lr: 2e-3,
+            ..TrainConfig::default()
+        };
+        let mlm = MlmConfig {
+            mask_prob: 0.2,
+            mask_token: emba_tokenizer::special::MASK,
+            num_reserved: emba_tokenizer::special::NUM_RESERVED,
+        };
+        let mut obs = Recording::default();
+        let mut objective = MaskedLm {
+            model: MlmModel::new(&mut encoder, &mut rng),
+            corpus: corpus.iter().map(Vec::as_slice).collect(),
+            cfg: &mlm,
+        };
+        let p = Trainer::new(&mut obs).run(&mut objective, &cfg).unwrap();
+        // The pre-`Trainer` loop stepped one `Adam` twice per sequence
+        // (encoder, then head), doubling its bias-correction counter.
+        let windows = corpus.len().div_ceil(cfg.batch_size) * cfg.epochs;
+        assert_eq!(p.adam.steps(), windows as u64);
+        assert_eq!(obs.step_losses.len(), windows);
+        assert_eq!(obs.events[0], "run_start");
+        assert!(!obs.events.iter().any(|e| e.starts_with("eval") || e.starts_with("checkpoint")));
+        let curve = &obs.epoch_losses;
+        assert_eq!(curve.len(), cfg.epochs);
+        assert!(curve.windows(2).all(|w| w[1] <= w[0]), "MLM loss rose: {curve:?}");
+    }
+
+    #[test]
+    fn pretraining_reduces_loss_on_a_patterned_corpus() {
+        // A corpus with strong bigram structure: token 2k is always followed
+        // by 2k+1. MLM should learn this quickly even at tiny scale.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut corpus = Vec::new();
+        for _ in 0..60 {
+            let mut seq = vec![2usize]; // [CLS]-like
+            for _ in 0..6 {
+                let k = rng.gen_range(2..10) * 2;
+                seq.push(k);
+                seq.push(k + 1);
+            }
+            corpus.push(seq);
+        }
+        let mut enc = BertEncoder::new(emba_nn::BertConfig::tiny(24), &mut rng);
+        let mlm = MlmConfig {
+            mask_prob: 0.2,
+            mask_token: 1,
+            num_reserved: 4,
+        };
+        let cfg = TrainConfig {
+            epochs: 6,
+            lr: 2e-3,
+            batch_size: 1,
+            seed: 3,
+            ..TrainConfig::default()
+        };
+        let mut obs = Recording::default();
+        let last = Trainer::new(&mut obs).pretrain_mlm(&mut enc, &corpus, &mlm, &cfg).unwrap();
+        let losses = &obs.epoch_losses;
+        assert_eq!(losses.len(), 6);
+        assert_eq!(last, losses[5]);
+        assert!(losses[5] < losses[0] * 0.8, "loss did not fall: {losses:?}");
     }
 }

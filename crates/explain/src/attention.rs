@@ -113,7 +113,7 @@ fn score_spans(spans: &[WordSpan], per_position: &[f64]) -> Vec<WordScore> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emba_core::{train_single, ExperimentConfig, ModelKind, TrainConfig};
+    use emba_core::{train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, Trainer};
     use emba_datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 
     fn trained(kind: ModelKind) -> (TrainedMatcher, Record, Record) {
@@ -134,7 +134,8 @@ mod tests {
             runs: 1,
             ..ExperimentConfig::default()
         };
-        let (m, _) = train_single(kind, &ds, &cfg, 1);
+        let (m, _) =
+            train_single(kind, &ds, &cfg, 1, &mut PretrainCache::new(), &mut Trainer::quiet()).unwrap();
         let p = ds.test[0].clone();
         (m, p.left, p.right)
     }

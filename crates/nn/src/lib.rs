@@ -13,8 +13,9 @@
 //! * [`GruCell`]/[`BiGru`] — the RNN substrate for the DeepMatcher baseline.
 //! * [`Adam`], [`LinearSchedule`] — the paper's optimizer and LR schedule
 //!   (linear decay with one epoch of warmup).
-//! * [`mlm`] — masked-language-model pre-training, standing in for the
-//!   public BERT checkpoint the paper fine-tunes.
+//! * [`mlm`] — the model side of masked-language-model pre-training
+//!   (masking, prediction head, row-packed masked forward pass); the
+//!   training loop is `emba_core::Trainer`'s.
 //!
 //! # Example: a tiny encoder forward pass
 //!

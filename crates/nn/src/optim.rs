@@ -45,7 +45,7 @@ pub struct MomentPair {
 /// every process, so an id-keyed snapshot could never be restored after a
 /// restart. Visit order is the same deterministic order the checkpoint
 /// format already relies on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdamState {
     /// Completed optimizer steps (drives bias correction).
     pub step: u64,

@@ -524,8 +524,12 @@ struct CorruptSkippedEvent {
 
 /// Folds the observer event stream into a [`RunSummary`].
 ///
+/// A builder that sees several runs (pre-training, then the fine-tune)
+/// aggregates them all: counters add up and `loss_curve` lists the runs'
+/// epochs in order.
+///
 /// Pool statistics are measured as a delta from construction time, so a
-/// builder made just before `train_matcher` reports only that run's hits and
+/// builder made just before a training run reports only that run's hits and
 /// misses even when earlier runs already warmed the pool.
 pub struct SummaryBuilder {
     pool_baseline: pool::PoolStats,

@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_dataset
 //! ```
 
-use emba::core::{run_experiment, ExperimentConfig, ModelKind, TrainConfig};
+use emba::core::{run_experiment, ExperimentConfig, ModelKind, PretrainCache, TrainConfig};
 use emba::datagen::{dataset_stats, generate, EntityWorld, PerturbConfig, Record, WorldSpec};
 use emba::datagen::{perturb_text, textgen};
 use rand::rngs::StdRng;
@@ -112,7 +112,7 @@ fn main() {
         ..ExperimentConfig::default()
     };
     for kind in [ModelKind::JointBert, ModelKind::Emba] {
-        let result = run_experiment(kind, &dataset, &cfg);
+        let result = run_experiment(kind, &dataset, &cfg, &mut PretrainCache::new());
         println!(
             "{:10} EM F1 {:.1} ± {:.1}   entity-ID acc1/acc2/F1: {}",
             result.model,

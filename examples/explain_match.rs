@@ -6,7 +6,9 @@
 //! cargo run --release --example explain_match
 //! ```
 
-use emba::core::{train_single, ExperimentConfig, ModelKind, TrainConfig, TrainedMatcher};
+use emba::core::{
+    train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, TrainedMatcher, Trainer,
+};
 use emba::datagen::{build, DatasetId, Record, Scale, WdcCategory, WdcSize};
 use emba::explain::{analyze, explain, render_attention, render_lime, LimeConfig, Style};
 
@@ -30,7 +32,9 @@ fn train(kind: ModelKind) -> TrainedMatcher {
         runs: 1,
         ..ExperimentConfig::default()
     };
-    let (trained, report) = train_single(kind, &dataset, &cfg, 3);
+    let (trained, report) =
+        train_single(kind, &dataset, &cfg, 3, &mut PretrainCache::new(), &mut Trainer::quiet())
+            .expect("a trainer without a store performs no I/O");
     println!(
         "trained {} — test F1 {:.1}",
         trained.model.name(),

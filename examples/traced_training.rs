@@ -7,11 +7,15 @@
 //!
 //! Writes `results/runs/example.jsonl` — one JSON object per event (run
 //! metadata, per-step loss / gradient norm / learning rate, evaluation
-//! passes, checkpointing) with a final `run_summary` line.
+//! passes, checkpointing) with a final `run_summary` line. MLM pre-training
+//! reports through the same observer as a run of its own (`run_start` with
+//! `model = "mlm:…"`) ahead of the fine-tune.
 
 use std::path::Path;
 
-use emba::core::{train_single_cached_observed, ExperimentConfig, ModelKind, PretrainCache, TrainConfig};
+use emba::core::{
+    train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, Trainer,
+};
 use emba::datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 use emba::trace::TraceSession;
 
@@ -34,7 +38,7 @@ fn main() {
             nan_guard: true,
             ..TrainConfig::default()
         },
-        mlm_epochs: 1,
+        mlm_epochs: 2,
         runs: 1,
         ..ExperimentConfig::default()
     };
@@ -42,18 +46,24 @@ fn main() {
     let mut session =
         TraceSession::create(Path::new("results/runs"), "example").expect("open event log");
     println!("logging to {} ...", session.path().display());
-    let (_, report) = train_single_cached_observed(
+    let (_, report) = train_single(
         ModelKind::EmbaSb,
         &dataset,
         &cfg,
         0,
         &mut PretrainCache::new(),
-        &mut session,
-    );
+        &mut Trainer::new(&mut session),
+    )
+    .expect("a trainer without a store performs no I/O");
     let summary = session.finish().expect("flush event log");
 
+    // The session saw two runs; its per-epoch curve lists them in order.
+    let (mlm_curve, fine_tune_curve) = summary.loss_curve.split_at(cfg.mlm_epochs);
+    println!("MLM loss per epoch:       {mlm_curve:.3?}");
+    println!("fine-tune loss per epoch: {fine_tune_curve:.3?}");
+
     println!(
-        "{} epochs, {} optimizer steps, best valid F1 {:.3} (epoch {}), test F1 {:.3}",
+        "{} epochs and {} optimizer steps over both runs, best valid F1 {:.3} (epoch {}), test F1 {:.3}",
         summary.epochs_run,
         summary.steps,
         summary.best_valid_f1,

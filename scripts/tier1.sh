@@ -23,13 +23,19 @@ EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor
 # API break fails here rather than in the benchmark pipeline.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+# The front door: quickstart trains EMBA and asserts test F1 > 0 and
+# p(samsung match) > p(sandisk/transcend non-match) before it exits 0.
+cargo run --release --example quickstart
+
 # Observability smoke: a tiny traced training run must produce a non-empty,
 # well-formed JSONL event log (the trace target itself validates every line
-# and exits non-zero on empty/malformed output).
+# and exits non-zero on empty/malformed output), in which MLM pre-training
+# shows up as a run of its own.
 rm -f results/runs/tier1-smoke.jsonl
 cargo run --release -p emba-bench --bin reproduce -- \
     trace --profile smoke --trace-name tier1-smoke
 test -s results/runs/tier1-smoke.jsonl
+grep -q '"event":"run_start","model":"mlm:' results/runs/tier1-smoke.jsonl
 
 # Profiler smoke: one profiled train+eval cycle. The profile target itself
 # validates that the Chrome trace parses with a non-empty traceEvents, that
@@ -157,7 +163,7 @@ assert snap["scored"] == report["requests"], "requests were dropped"
 PY
 
 # Quantized-inference gate: the int8 backend must track f32 within the
-# documented bounds (max |dp| <= 5e-3, |dF1| <= 0.005) on real test splits,
+# documented bounds (max |dp| <= 1e-2, |dF1| <= 0.005) on real test splits,
 # for BOTH the detected SIMD tier and the interleaved scalar-fallback leg
 # (the bench pins the portable kernels in-process for that leg), and a
 # profiled int8 pass must attribute linear_q8 ops. The gate deliberately

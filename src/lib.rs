@@ -20,11 +20,12 @@
 //! paper.
 //!
 //! ```no_run
-//! use emba::core::{run_experiment, ExperimentConfig, ModelKind};
+//! use emba::core::{run_experiment, ExperimentConfig, ModelKind, PretrainCache};
 //! use emba::datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
 //!
 //! let ds = build(DatasetId::Wdc(WdcCategory::Computers, WdcSize::Small), Scale::TEST, 7);
-//! let r = run_experiment(ModelKind::Emba, &ds, &ExperimentConfig::default());
+//! let cfg = ExperimentConfig::default();
+//! let r = run_experiment(ModelKind::Emba, &ds, &cfg, &mut PretrainCache::new());
 //! println!("EMBA F1 = {:.1}", 100.0 * r.f1_mean);
 //! ```
 

@@ -3,9 +3,9 @@
 
 use emba::core::{
     evaluate, run_experiment, train_single, ExperimentConfig, ModelKind, PretrainCache,
-    TrainConfig,
+    TrainConfig, TrainReport, TrainedMatcher, Trainer,
 };
-use emba::datagen::{build, dataset_stats, DatasetId, Scale, WdcCategory, WdcSize};
+use emba::datagen::{build, dataset_stats, Dataset, DatasetId, Scale, WdcCategory, WdcSize};
 use emba::explain::{analyze, explain, LimeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +27,12 @@ fn quick_cfg() -> ExperimentConfig {
     }
 }
 
+/// One quiet EMBA (SB) run with a fresh pre-training cache.
+fn train_emba_sb(ds: &Dataset, cfg: &ExperimentConfig, seed: u64) -> (TrainedMatcher, TrainReport) {
+    let cache = &mut PretrainCache::new();
+    train_single(ModelKind::EmbaSb, ds, cfg, seed, cache, &mut Trainer::quiet()).unwrap()
+}
+
 #[test]
 fn emba_trains_on_every_dataset_family() {
     // One representative of each generator family.
@@ -37,7 +43,7 @@ fn emba_trains_on_every_dataset_family() {
         DatasetId::Bikes,
     ] {
         let ds = build(id, Scale::TEST, 21);
-        let (trained, report) = train_single(ModelKind::EmbaSb, &ds, &quick_cfg(), 0);
+        let (trained, report) = train_emba_sb(&ds, &quick_cfg(), 0);
         assert!(
             report.test.matching.f1.is_finite(),
             "{}: non-finite F1",
@@ -59,7 +65,7 @@ fn multitask_and_single_task_models_coexist_on_one_dataset() {
     );
     let mut cache = PretrainCache::new();
     for kind in [ModelKind::EmbaSb, ModelKind::Ditto, ModelKind::DeepMatcher] {
-        let r = emba::core::run_experiment_cached(kind, &ds, &quick_cfg(), &mut cache);
+        let r = run_experiment(kind, &ds, &quick_cfg(), &mut cache);
         assert_eq!(r.id_acc1.is_some(), kind.is_multitask(), "{}", kind.name());
         assert!(r.f1_mean >= 0.0 && r.f1_mean <= 1.0);
     }
@@ -76,8 +82,8 @@ fn pretrain_cache_makes_runs_reproducible() {
         9,
     );
     let cfg = quick_cfg();
-    let (_, a) = train_single(ModelKind::EmbaSb, &ds, &cfg, 7);
-    let (_, b) = train_single(ModelKind::EmbaSb, &ds, &cfg, 7);
+    let (_, a) = train_emba_sb(&ds, &cfg, 7);
+    let (_, b) = train_emba_sb(&ds, &cfg, 7);
     assert_eq!(a.test.matching.f1, b.test.matching.f1);
     assert_eq!(a.valid_f1, b.valid_f1);
 }
@@ -89,7 +95,7 @@ fn evaluation_is_deterministic_after_training() {
         Scale::TEST,
         3,
     );
-    let (trained, _) = train_single(ModelKind::EmbaSb, &ds, &quick_cfg(), 1);
+    let (trained, _) = train_emba_sb(&ds, &quick_cfg(), 1);
     let pipe = &trained.pipeline;
     let test = pipe.encode_split(&ds.test);
     let mut r1 = StdRng::seed_from_u64(0);
@@ -106,7 +112,7 @@ fn explanations_run_against_trained_models() {
         Scale::TEST,
         13,
     );
-    let (trained, _) = train_single(ModelKind::EmbaSb, &ds, &quick_cfg(), 2);
+    let (trained, _) = train_emba_sb(&ds, &quick_cfg(), 2);
     let pair = &ds.test[0];
 
     let lime = explain(
@@ -150,7 +156,7 @@ fn fasttext_variant_skips_mlm_but_trains() {
     );
     let mut cfg = quick_cfg();
     cfg.mlm_epochs = 5; // would be expensive if not skipped for fastText
-    let r = run_experiment(ModelKind::EmbaFt, &ds, &cfg);
+    let r = run_experiment(ModelKind::EmbaFt, &ds, &cfg, &mut PretrainCache::new());
     assert!(r.f1_mean.is_finite());
     assert!(r.train_pairs_per_sec > 0.0);
 }
