@@ -10,13 +10,44 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use emba_bench::{
-    bench_batch, bench_blocking, bench_faults, bench_quant, bench_serve, bench_telemetry,
-    bench_tensor_kernels, crash_run, figure5, figure6, profile_run, render_table2, render_table3,
-    render_table4, render_table5, table1, table2_data, table4_data, table6, table7, trace_run,
-    Artifact, Profile,
+    figure5, figure6, render_table2, render_table3, render_table4, render_table5, table1,
+    table2_data, table4_data, table6, table7, Artifact, Profile,
 };
+
+/// The paper's nine artifacts; `all` (or no target) selects every one.
+const TARGETS: [&str; 9] = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure5", "figure6",
+];
+
+/// Options, each followed by one value.
+const FLAGS: [&str; 6] = [
+    "--profile",
+    "--runs",
+    "--epochs",
+    "--scale",
+    "--datasets",
+    "--out",
+];
+
+/// Bad command line: say why, list what is valid, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("valid targets: {} all", TARGETS.join(" "));
+    eprintln!(
+        "valid options: {} (each takes a value; see --help)",
+        FLAGS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+fn parse_value<T: FromStr>(flag: &str, value: &str, what: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} expects {what}, got {value:?}")))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,56 +56,71 @@ fn main() {
         return;
     }
 
-    let mut profile = match flag_value(&args, "--profile").as_deref() {
+    // Every token is a target from the closed set or an option with its
+    // value; anything else ends the run before a dataset is built.
+    let mut targets: Vec<&str> = Vec::new();
+    let mut options: Vec<(&str, &str)> = Vec::new();
+    let mut tokens = args.iter().map(String::as_str);
+    while let Some(token) = tokens.next() {
+        if token.starts_with('-') {
+            if !FLAGS.contains(&token) {
+                usage_error(&format!("unknown option {token:?}"));
+            }
+            match tokens.next() {
+                Some(value) if !value.starts_with("--") => options.push((token, value)),
+                _ => usage_error(&format!("{token} expects a value")),
+            }
+        } else if token == "all" || TARGETS.contains(&token) {
+            targets.push(token);
+        } else {
+            usage_error(&format!("unknown target {token:?}"));
+        }
+    }
+    let option = |flag: &str| {
+        options
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    };
+
+    let mut profile = match option("--profile") {
         Some("smoke") => Profile::smoke(),
         Some("full") => Profile::full(),
         Some("quick") | None => Profile::quick(),
-        Some(other) => {
-            eprintln!("unknown profile {other:?}; expected smoke|quick|full");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!(
+            "unknown profile {other:?}; expected smoke|quick|full"
+        )),
     };
-    if let Some(runs) = flag_value(&args, "--runs") {
-        profile.cfg.runs = runs.parse().expect("--runs expects an integer");
+    if let Some(runs) = option("--runs") {
+        profile.cfg.runs = parse_value("--runs", runs, "an integer");
     }
-    if let Some(epochs) = flag_value(&args, "--epochs") {
-        profile.cfg.train.epochs = epochs.parse().expect("--epochs expects an integer");
+    if let Some(epochs) = option("--epochs") {
+        profile.cfg.train.epochs = parse_value("--epochs", epochs, "an integer");
     }
-    if let Some(scale) = flag_value(&args, "--scale") {
-        profile.scale = emba_datagen::Scale(scale.parse().expect("--scale expects a float"));
+    if let Some(scale) = option("--scale") {
+        profile.scale = emba_datagen::Scale(parse_value("--scale", scale, "a float"));
     }
-    if let Some(names) = flag_value(&args, "--datasets") {
-        let wanted: Vec<&str> = names.split(',').collect();
+    if let Some(names) = option("--datasets") {
         let resolve = |name: &str| {
             emba_datagen::DatasetId::all()
                 .into_iter()
                 .find(|id| id.name() == name)
-                .unwrap_or_else(|| panic!("unknown dataset {name:?}; expected e.g. wdc-computers-small"))
+                .unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "unknown dataset {name:?}; expected e.g. wdc-computers-small"
+                    ))
+                })
         };
-        let ids: Vec<_> = wanted.iter().map(|n| resolve(n)).collect();
+        let ids: Vec<_> = names.split(',').map(resolve).collect();
         profile.table2_datasets = ids.clone();
         profile.table4_datasets = ids;
     }
-    let out_dir = PathBuf::from(flag_value(&args, "--out").unwrap_or_else(|| "results".into()));
+    let out_dir = PathBuf::from(option("--out").unwrap_or("results"));
     fs::create_dir_all(&out_dir).expect("create output directory");
 
-    // Positional arguments are targets; a token following a `--flag` is that
-    // flag's value, not a target.
-    let mut targets: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for arg in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if arg.starts_with("--") {
-            skip_next = true;
-            continue;
-        }
-        targets.push(arg.as_str());
-    }
     let targets: Vec<&str> = if targets.is_empty() || targets.contains(&"all") {
-        vec!["table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure5", "figure6"]
+        TARGETS.to_vec()
     } else {
         targets
     };
@@ -132,155 +178,6 @@ fn main() {
     if wants("figure6") {
         emit(figure6(&profile));
     }
-    if wants("bench") {
-        // Kernel timing runs fewer samples on the smoke profile so CI-style
-        // smoke runs stay fast.
-        let samples = if profile.name == "smoke" { 5 } else { 9 };
-        emit(bench_tensor_kernels(samples));
-    }
-    if wants("bench-batch") {
-        let (artifact, failures) = bench_batch(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench-batch gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("bench-blocking") {
-        let (artifact, failures) = bench_blocking(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench-blocking gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("bench-quant") {
-        let (artifact, failures) = bench_quant(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench-quant gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("bench-serve") {
-        let (artifact, failures) = bench_serve(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench-serve gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("serve-faults") {
-        let (artifact, failures) = bench_faults(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("serve-faults gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("bench-telemetry") {
-        let (artifact, failures) = bench_telemetry(&profile);
-        emit(artifact);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench-telemetry gate failed: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if wants("trace") {
-        let name = flag_value(&args, "--trace-name")
-            .unwrap_or_else(|| format!("trace-{}", profile.name));
-        match trace_run(&profile, emba_core::ModelKind::EmbaSb, &name, &out_dir) {
-            Ok(outcome) => {
-                eprintln!(
-                    "[saved] {} ({} events validated)",
-                    outcome.path.display(),
-                    outcome.events
-                );
-                println!(
-                    "trace run: {} epochs, {} steps, best valid F1 {:.4}, test F1 {:.4}, \
-                     pool hit-rate {:.1}%, {} non-finite events",
-                    outcome.summary.epochs_run,
-                    outcome.summary.steps,
-                    outcome.summary.best_valid_f1,
-                    outcome.test_f1,
-                    100.0 * outcome.summary.pool_hit_rate,
-                    outcome.summary.non_finite_events,
-                );
-            }
-            Err(msg) => {
-                eprintln!("trace run failed: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if wants("profile") {
-        let name = flag_value(&args, "--trace-name")
-            .unwrap_or_else(|| format!("profile-{}", profile.name));
-        match profile_run(&profile, emba_core::ModelKind::EmbaSb, &name, &out_dir) {
-            Ok((artifact, outcome)) => {
-                emit(artifact);
-                eprintln!("[saved] {}", outcome.trace_path.display());
-                eprintln!("[saved] {}", outcome.folded_path.display());
-                eprintln!("[saved] {}", outcome.log_path.display());
-                println!(
-                    "profile run: {} op rows, fwd/bwd coverage {:.1}%, disabled overhead \
-                     {:.3}%, test F1 {:.4}",
-                    outcome.op_rows,
-                    100.0 * outcome.coverage,
-                    outcome.overhead_pct,
-                    outcome.test_f1,
-                );
-            }
-            Err(msg) => {
-                eprintln!("profile run failed: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if wants("crash") {
-        let name = flag_value(&args, "--trace-name")
-            .unwrap_or_else(|| format!("crash-{}", profile.name));
-        match crash_run(&profile, emba_core::ModelKind::EmbaSb, &name, &out_dir) {
-            Ok(outcome) => {
-                eprintln!(
-                    "[saved] {} ({} events validated)",
-                    outcome.path.display(),
-                    outcome.events
-                );
-                println!(
-                    "crash harness: killed at step {}, {} steps replayed bit-identically, \
-                     {} corrupt snapshots skipped, test F1 {:.4}",
-                    outcome.killed_at_step,
-                    outcome.resumed_steps,
-                    outcome.corrupt_skipped,
-                    outcome.test_f1,
-                );
-            }
-            Err(msg) => {
-                eprintln!("crash harness failed: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 fn print_help() {
@@ -300,65 +197,7 @@ TARGETS (default: all):
     table7   training / inference throughput
     figure5  LIME explanations of the case-study pair
     figure6  attention visualization of the case-study pair
-    bench    f32 GEMM kernels as GFLOP/s and share of a measured FMA peak (BENCH_tensor.json);
-             not part of `all` — run as `reproduce bench --profile smoke`
-    bench-batch
-             batched train/eval throughput at B in {{1,4,8,16}} vs the
-             per-example path at the same accumulation window
-             (BENCH_batch.json), gated on the B=8 speedup floors plus
-             batched-vs-per-example equivalence. Not part of `all` —
-             run as `reproduce bench-batch --profile smoke`
-    bench-blocking
-             end-to-end catalog matching on a synthetic product catalog:
-             blocking index + per-record encoding cache vs the per-pair
-             predict path (BENCH_blocking.json), gated on the speedup,
-             blocking-recall, and encodes-per-pair floors. Not part of
-             `all` — run as `reproduce bench-blocking --profile smoke`
-    bench-quant
-             post-training int8 inference vs the f32 baseline: probability
-             and F1 equivalence on the test splits (SIMD tier and forced
-             scalar) plus interleaved encode+score throughput
-             (BENCH_quant.json), gated on the equivalence bounds, profiler
-             attribution of the quantized ops, and — on quick/full with a
-             SIMD tier available — the 1.5x speedup floor. Honors
-             EMBA_FORCE_SCALAR=1 for portable-path CI runs. Not part of
-             `all` — run as `reproduce bench-quant --profile smoke`
-    bench-serve
-             concurrent match serving through the emba-serve engine
-             (request coalescing + shared encoding cache) vs the serial
-             per-request predict path (BENCH_serve.json), gated on
-             all-requests-answered, served-vs-predict equivalence, and —
-             on quick/full — the speedup floor. Not part of `all` — run
-             as `reproduce bench-serve --profile smoke`
-    serve-faults
-             overload and fault-injection harness for the serving engine:
-             deterministic goodput simulation at 1-10x offered load plus
-             injected flush panics, NaN weights, poison records, and a 10x
-             admission burst (BENCH_faults.json), gated on exactly-once
-             answers, queue bounds, post-fault recovery, and goodput under
-             overload ≥ 50% of the no-overload baseline. Not part of
-             `all` — run as `reproduce serve-faults --profile smoke`
-    bench-telemetry
-             request-scoped tracing overhead (spans on vs off, exact
-             latencies from response timestamps) plus validation of the
-             live telemetry endpoint (/metrics exposition, /healthz,
-             /snapshot, /trace) (BENCH_telemetry.json), gated on the 3%
-             overhead ceiling on quick/full. Not part of `all` — run as
-             `reproduce bench-telemetry --profile smoke`
-    trace    one observed training run with the non-finite guard on; writes
-             the event log to results/runs/<name>.jsonl and validates it.
-             Not part of `all` — run as `reproduce trace --profile smoke`
-    profile  one profiled train+eval cycle: writes the chrome://tracing
-             timeline and folded flamegraph stacks to results/profiles/,
-             merges the per-op table into the run summary, and validates
-             percentiles, coverage, and the disabled-mode overhead
-             (BENCH_profile.json). Not part of `all` — run as
-             `reproduce profile --profile smoke`
-    crash    fault-injection harness for crash-safe training: kills a run
-             mid-epoch, resumes from the checkpoint store, corrupts
-             snapshots, and asserts every replay is bit-identical to the
-             uninterrupted baseline. Not part of `all` — run as
-             `reproduce crash --profile smoke`
+    all      every target above
 
 OPTIONS:
     --profile smoke|quick|full   compute budget (default quick)
@@ -367,7 +206,8 @@ OPTIONS:
     --scale F                    dataset scale vs Table 1 counts
     --datasets a,b,c             restrict table2-5 dataset rows by name
     --out DIR                    artifact directory (default results/)
-    --trace-name NAME            run-log name for the trace target
-                                 (default trace-<profile>)"
+
+Anything else — an unknown target or option, an option without its value —
+exits 2 before any work is done."
     );
 }

@@ -5,36 +5,12 @@
 //! function returns both a human-readable text block and a JSON artifact so
 //! `EXPERIMENTS.md` can cite machine-checkable numbers.
 
-pub mod batch_bench;
-pub mod blocking_bench;
-pub mod crash;
-pub mod fault_bench;
-pub mod kernel_bench;
-pub mod prof_run;
 pub mod profile;
-pub mod quant_bench;
 pub mod render;
-pub mod serve_bench;
 pub mod tables;
-pub mod telemetry_bench;
-pub mod trace_run;
 
-pub use batch_bench::{bench_batch, BatchPoint, EquivalenceReport, BATCH_SIZES};
-pub use blocking_bench::{
-    bench_blocking, MAX_ENCODES_PER_PAIR, REQUIRED_RECALL, REQUIRED_SPEEDUP,
-};
-pub use crash::{crash_run, CrashOutcome};
-pub use fault_bench::{bench_faults, FaultReport, OverloadPoint, MIN_GOODPUT_RATIO, MULTIPLIERS};
-pub use kernel_bench::bench_tensor_kernels;
-pub use prof_run::{profile_run, ProfOutcome};
 pub use profile::Profile;
-pub use quant_bench::{
-    bench_quant, MAX_ALLOWED_DF1, MAX_ALLOWED_DP, REQUIRED_SPEEDUP as REQUIRED_QUANT_SPEEDUP,
-};
 pub use render::Table;
-pub use serve_bench::{bench_serve, MAX_ABS_DPROB, REQUIRED_SPEEDUP as REQUIRED_SERVE_SPEEDUP};
-pub use telemetry_bench::{bench_telemetry, MAX_OVERHEAD_FRAC};
-pub use trace_run::{trace_run, validate_jsonl, TraceOutcome};
 pub use tables::{
     figure5, figure6, render_table2, render_table3, render_table4, render_table5, table1,
     table2_data, table4_data, table6, table7, Artifact,

@@ -89,7 +89,8 @@ impl Profile {
         p.cfg.train.epochs = 3;
         p.cfg.train.patience = 3;
         // MLM is off in the other profiles (results/PR21_one_trainer.md);
-        // smoke keeps one epoch so the trace and crash gates exercise it.
+        // smoke keeps one epoch so a smoke run still drives pre-training
+        // (the committed results/ were generated that way).
         p.cfg.mlm_epochs = 1;
         p.cfg.runs = 1;
         p.table2_datasets = vec![

@@ -474,12 +474,22 @@ pub(crate) mod tests {
         let mut cfg = quick_cfg();
         cfg.train.epochs = 1;
         let mut cache = PretrainCache::new();
+        let mut log = emba_trace::JsonlLogger::new(Vec::new());
         for mlm_epochs in [1, 1, 2] {
             cfg.mlm_epochs = mlm_epochs;
-            let quiet = &mut Trainer::quiet();
-            let (_, report) = train_single(ModelKind::EmbaSb, &ds, &cfg, 2, &mut cache, quiet).unwrap();
+            let trainer = &mut Trainer::new(&mut log);
+            let (_, report) = train_single(ModelKind::EmbaSb, &ds, &cfg, 2, &mut cache, trainer).unwrap();
             assert!(report.final_train_loss.is_finite());
         }
+        // Pre-training reports as a run of its own ahead of the fine-tune's;
+        // the second cell found its backbone in the cache.
+        let log = String::from_utf8(log.finish().unwrap()).unwrap();
+        let mlm_runs: Vec<bool> = log
+            .lines()
+            .filter(|l| l.contains(r#""event":"run_start""#))
+            .map(|l| l.contains(r#""event":"run_start","model":"mlm:"#))
+            .collect();
+        assert_eq!(mlm_runs, [true, false, false, true, false]);
         // Keyed by (backbone, dataset name) alone, the 2-epoch run silently
         // got the 1-epoch checkpoint.
         assert_eq!(cache.len(), 2);

@@ -2,10 +2,9 @@
 //! [`crate::Trainer`] checkpoints through a [`CheckpointStore`], and the
 //! checks a snapshot must pass before a run resumes from it.
 //!
-//! The invariant, enforced by the fault-injection harness in `emba-bench`
-//! (`reproduce crash`): a run killed at any point and resumed from disk
-//! produces per-step losses and final test metrics *bit-identical* to the
-//! same-seed uninterrupted run. See DESIGN.md §6d for the format.
+//! The invariant, enforced by the fault-injection tests below: a run killed
+//! at any point and resumed from disk produces per-step losses and final
+//! test metrics *bit-identical* to the same-seed uninterrupted run. See DESIGN.md §6d for the format.
 
 use emba_nn::{AdamState, Module};
 use emba_tensor::Tensor;
@@ -432,11 +431,17 @@ mod tests {
             let _ = t.fit(&mut m, &train, &valid, &test, &cfg);
         });
         let snaps = store.snapshots().unwrap();
-        assert!(snaps.len() >= 2, "need at least two snapshots to exercise fallback");
-        // Torn write on the newest snapshot plus a stray partial temp file.
-        let (_, newest) = snaps.last().unwrap();
+        assert!(snaps.len() >= 3, "need a valid snapshot behind the two damaged ones");
+        // Torn write on the newest snapshot, one flipped bit in the one
+        // before it, plus a stray partial temp file.
+        let (_, newest) = &snaps[snaps.len() - 1];
         let bytes = std::fs::read(newest).unwrap();
         std::fs::write(newest, &bytes[..bytes.len() / 3]).unwrap();
+        let (_, second) = &snaps[snaps.len() - 2];
+        let mut bytes = std::fs::read(second).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(second, &bytes).unwrap();
         std::fs::write(tmp.0.join("ckpt-999999.json.tmp"), "{\"partial\":").unwrap();
 
         let mut resumed = LossTrace::default();
@@ -449,10 +454,11 @@ mod tests {
             .fit(&mut m, &train, &valid, &test, &cfg)
         .unwrap();
 
-        assert_eq!(resumed.corrupt_skipped, 1, "exactly the torn snapshot is skipped");
+        assert_eq!(resumed.corrupt_skipped, 2, "exactly the two damaged snapshots are skipped");
         assert_eq!(resumed.resumes, 1);
         // Falling back to an older snapshot only means more steps to replay;
         // the outcome is still bit-identical.
+        assert_replays(&baseline, &resumed);
         assert_same_outcome(&report_a, &report_b);
     }
 

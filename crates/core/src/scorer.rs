@@ -4,9 +4,9 @@
 //! EMBA's AOA head is a pure function of two per-record token matrices, so a
 //! record is encoded once and every candidate pair it appears in is scored
 //! from the cached encoding. [`PairScorer`] is that sequence, written once;
-//! [`crate::match_catalog`], [`crate::CatalogScorer`], the serving engine and
-//! `bench-quant` are thin clients that differ only in where their keys and
-//! token ids come from.
+//! [`crate::match_catalog`], [`crate::CatalogScorer`] and the serving engine
+//! are thin clients that differ only in where their keys and token ids come
+//! from.
 //!
 //! # Launch policy
 //!

@@ -551,7 +551,7 @@ impl ServeCore {
 
     /// Installs a fault hook called inside the supervised scoring region of
     /// every flush with live requests — the injection point for the fault
-    /// harness (`reproduce serve-faults`). A hook that panics exercises the
+    /// tests (`tests/serve_faults.rs`). A hook that panics exercises the
     /// exact recovery path a real scoring panic would.
     pub fn set_flush_fault(&mut self, fault: FlushFault) {
         self.flush_fault = Some(fault);

@@ -83,7 +83,7 @@ impl ServeEngine {
 
     /// [`ServeEngine::start`] with a fault hook injected into the
     /// supervised scoring region of every flush — the entry point for the
-    /// fault harness (`reproduce serve-faults`) and the supervision tests.
+    /// supervision tests (`tests/serve_faults.rs`).
     pub fn start_with_fault(
         checkpoint: Checkpoint,
         cfg: ServeConfig,

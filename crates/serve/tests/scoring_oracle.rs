@@ -21,17 +21,19 @@
 //! records of a handful of tokens encoded alone (route 2 from its second
 //! pair on), whose projections are GEMMs of fewer rows than one tile.
 
+mod common;
+
+use common::matcher_over;
 use emba_core::batching::BUCKET_WIDTH;
 use emba_core::blocking::BlockingConfig;
 use emba_core::{
     match_catalog, record_hash, CatalogMatchConfig, CatalogScorer, Checkpoint, ModelKind,
-    PipelineConfig, TextPipeline, TrainedMatcher,
+    TrainedMatcher,
 };
 use emba_datagen::Record;
 use emba_nn::GraphStamp;
 use emba_serve::{MatchOutcome, ServeConfig, ServeCore};
 use emba_tensor::{backend, BackendKind, Graph};
-use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,34 +61,6 @@ fn record(rng: &mut StdRng, k: usize) -> Record {
         ("title", title.join(" ")),
         ("code", format!("mz{}", rng.gen_range(100..9999))),
     ])
-}
-
-fn matcher_over(records: &[Record]) -> TrainedMatcher {
-    let corpus: Vec<String> = records.iter().map(|r| r.text()).collect();
-    let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
-    let tok = WordPieceTokenizer::train(
-        &refs,
-        &TrainConfig {
-            vocab_size: 512,
-            min_pair_freq: 2,
-        },
-    );
-    let pipeline = TextPipeline::from_tokenizer(
-        tok,
-        PipelineConfig {
-            vocab_size: 512,
-            max_len: 64,
-            ..Default::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(5);
-    let model = ModelKind::EmbaSb.build(&pipeline, 4, 0.5, 0.1, &mut rng);
-    TrainedMatcher {
-        pipeline,
-        model,
-        dropout: 0.1,
-        pos_fraction: 0.5,
-    }
 }
 
 /// Route 1: the pair alone, in the given orientation.
@@ -192,7 +166,7 @@ proptest! {
     fn every_scoring_route_agrees_bit_for_bit(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut records: Vec<Record> = (0..6).map(|k| record(&mut rng, k)).collect();
-        let trained = matcher_over(&records);
+        let trained = matcher_over(ModelKind::EmbaSb, &records, 64);
         // `CatalogScorer` orients a pair by record hash and `match_catalog`
         // by index; sorting by hash makes the two orientations coincide.
         records.sort_by_key(|r| record_hash(&trained.pipeline.encode_single_record(r)));

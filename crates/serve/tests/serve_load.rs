@@ -14,69 +14,20 @@
 //! exactly once, deadlines must be honored or reported expired (never
 //! silently dropped), and shutdown must drain everything still queued.
 
+mod common;
+
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use emba_core::{Checkpoint, CheckpointStore, ModelKind, PipelineConfig, TextPipeline, TrainedMatcher};
+use common::{checkpoint_over, matcher_over, records, TempDir};
+use emba_core::{Checkpoint, CheckpointStore, ModelKind};
 use emba_datagen::Record;
 use emba_serve::{
     FakeClock, MatchOutcome, MatchResponse, ServeConfig, ServeCore, ServeEngine, ServeError,
 };
-use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// An untrained matcher over the given corpus — flush policy, accounting,
-/// and the split-vs-joint equivalence are all architectural, so random
-/// weights exercise exactly what trained weights would.
-fn matcher_over(kind: ModelKind, records: &[Record], max_len: usize) -> TrainedMatcher {
-    let corpus: Vec<String> = records.iter().map(|r| r.text()).collect();
-    let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
-    let tok = WordPieceTokenizer::train(
-        &refs,
-        &TrainConfig {
-            vocab_size: 512,
-            min_pair_freq: 2,
-        },
-    );
-    let pipeline = TextPipeline::from_tokenizer(
-        tok,
-        PipelineConfig {
-            vocab_size: 512,
-            max_len,
-            ..Default::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(5);
-    let model = kind.build(&pipeline, 4, 0.5, 0.1, &mut rng);
-    TrainedMatcher {
-        pipeline,
-        model,
-        dropout: 0.1,
-        pos_fraction: 0.5,
-    }
-}
-
-/// A random product-ish record from one generator seed.
-fn record_from_seed(seed: u64) -> Record {
-    const WORDS: &[&str] = &[
-        "samsung", "sandisk", "evo", "ultra", "ssd", "card", "128gb", "1tb", "sata", "nvme",
-        "pro", "extreme", "drive", "internal", "memory", "retail",
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..8);
-    let title: Vec<&str> = (0..n).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect();
-    Record::new(vec![
-        ("title", title.join(" ")),
-        ("code", format!("mz{}", rng.gen_range(100..9999))),
-    ])
-}
-
-fn records(n: u64) -> Vec<Record> {
-    (0..n).map(record_from_seed).collect()
-}
 
 fn core_over(recs: &[Record], cfg: ServeConfig) -> ServeCore {
     let trained = matcher_over(ModelKind::EmbaFt, recs, 128);
@@ -330,36 +281,10 @@ fn non_aoa_models_are_rejected_at_construction() {
 // Threaded engine tests
 // ---------------------------------------------------------------------------
 
-/// A scratch directory unique to each test case, removed on drop.
-struct TempDir(std::path::PathBuf);
-impl TempDir {
-    fn new() -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "emba-serve-load-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn checkpoint_over(recs: &[Record]) -> (Checkpoint, TrainedMatcher) {
-    let trained = matcher_over(ModelKind::EmbaFt, recs, 128);
-    let ckpt = Checkpoint::capture(&trained, ModelKind::EmbaFt, 4);
-    (ckpt, trained)
-}
-
 #[test]
 fn n_clients_under_load_each_answer_exactly_once() {
     let recs = records(16);
-    let (ckpt, _) = checkpoint_over(&recs);
+    let ckpt = checkpoint_over(&recs);
     let clock = Arc::new(FakeClock::new());
     let engine = ServeEngine::start(
         ckpt,
@@ -426,7 +351,7 @@ fn n_clients_under_load_each_answer_exactly_once() {
 #[test]
 fn fake_clock_expiry_is_reported_not_dropped() {
     let recs = records(4);
-    let (ckpt, _) = checkpoint_over(&recs);
+    let ckpt = checkpoint_over(&recs);
     let clock = Arc::new(FakeClock::new());
     let engine = ServeEngine::start(ckpt, ServeConfig::default(), clock.clone()).unwrap();
     let client = engine.client();
@@ -447,7 +372,7 @@ fn fake_clock_expiry_is_reported_not_dropped() {
 #[test]
 fn shutdown_drains_pending_requests() {
     let recs = records(6);
-    let (ckpt, _) = checkpoint_over(&recs);
+    let ckpt = checkpoint_over(&recs);
     let clock = Arc::new(FakeClock::new());
     let engine = ServeEngine::start(
         ckpt,
@@ -474,7 +399,8 @@ fn shutdown_drains_pending_requests() {
 #[test]
 fn engine_from_store_serves_the_restored_matcher() {
     let recs = records(6);
-    let (ckpt, trained) = checkpoint_over(&recs);
+    let trained = matcher_over(ModelKind::EmbaFt, &recs, 128);
+    let ckpt = Checkpoint::capture(&trained, ModelKind::EmbaFt, 4);
     let tmp = TempDir::new();
     let mut store = CheckpointStore::open(&tmp.0, 2).unwrap();
     store.save(&ckpt).unwrap();

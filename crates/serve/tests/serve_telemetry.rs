@@ -8,130 +8,18 @@
 //! telemetry server attached and scrapes all four endpoints under
 //! concurrent load.
 
+mod common;
+
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use emba_core::{Checkpoint, ModelKind, PipelineConfig, TextPipeline, TrainedMatcher};
-use emba_datagen::Record;
-use emba_serve::{
-    MatchOutcome, RecoverySource, ServeConfig, ServeCore, ServeEngine, SystemClock,
-};
-use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
+use common::{checkpoint_over, http_get, quiet_serve_panics, recoverable_core, records, TempDir};
+use emba_serve::{MatchOutcome, ServeConfig, ServeCore, ServeEngine, SystemClock};
 use emba_trace::{parse_exposition, parse_postmortem, validate_exposition, SpanKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Value;
-
-/// Injected flush panics are expected noise in this suite; silence the
-/// default panic report for the serving thread only.
-fn quiet_serve_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if std::thread::current().name() != Some("emba-serve") {
-                default(info);
-            }
-        }));
-    });
-}
-
-fn matcher_over(records: &[Record]) -> TrainedMatcher {
-    let corpus: Vec<String> = records.iter().map(|r| r.text()).collect();
-    let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
-    let tok = WordPieceTokenizer::train(
-        &refs,
-        &TrainConfig {
-            vocab_size: 512,
-            min_pair_freq: 2,
-        },
-    );
-    let pipeline = TextPipeline::from_tokenizer(
-        tok,
-        PipelineConfig {
-            vocab_size: 512,
-            max_len: 128,
-            ..Default::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(5);
-    let model = ModelKind::EmbaFt.build(&pipeline, 4, 0.5, 0.1, &mut rng);
-    TrainedMatcher {
-        pipeline,
-        model,
-        dropout: 0.1,
-        pos_fraction: 0.5,
-    }
-}
-
-fn record_from_seed(seed: u64) -> Record {
-    const WORDS: &[&str] = &[
-        "samsung", "sandisk", "evo", "ultra", "ssd", "card", "128gb", "1tb", "sata", "nvme",
-        "pro", "extreme", "drive", "internal", "memory", "retail",
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..8);
-    let title: Vec<&str> = (0..n).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect();
-    Record::new(vec![
-        ("title", title.join(" ")),
-        ("code", format!("mz{}", rng.gen_range(100..9999))),
-    ])
-}
-
-fn records(n: u64) -> Vec<Record> {
-    (0..n).map(record_from_seed).collect()
-}
-
-fn checkpoint_over(recs: &[Record]) -> Checkpoint {
-    Checkpoint::capture(&matcher_over(recs), ModelKind::EmbaFt, 4)
-}
-
-fn recoverable_core(recs: &[Record], cfg: ServeConfig) -> ServeCore {
-    let ckpt = checkpoint_over(recs);
-    let trained = ckpt.restore().expect("checkpoint restores");
-    let mut core = ServeCore::new(trained, cfg).expect("EmbaFt has the split scoring path");
-    core.set_recovery(RecoverySource::Checkpoint(Box::new(ckpt)));
-    core
-}
-
-/// A scratch directory unique to each test case, removed on drop.
-struct TempDir(std::path::PathBuf);
-impl TempDir {
-    fn new() -> Self {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "emba-serve-telemetry-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// One blocking HTTP GET against the telemetry server; returns (status,
-/// body).
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("telemetry endpoint accepts");
-    write!(s, "GET {path} HTTP/1.1\r\nHost: telemetry\r\nConnection: close\r\n\r\n").unwrap();
-    let mut buf = String::new();
-    s.read_to_string(&mut buf).expect("response is UTF-8");
-    let status: u16 = buf
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {buf:?}"));
-    let body = buf.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
 
 fn kinds(spans: &[emba_trace::ServeSpanEvent]) -> Vec<SpanKind> {
     spans.iter().map(|e| e.kind).collect()
@@ -522,6 +410,9 @@ fn endpoints_respond_under_concurrent_load() {
     assert!(!v.as_array().unwrap().is_empty(), "traced flushes appear in /trace");
     let first = &v.as_array().unwrap()[0];
     assert!(first.get("spans").and_then(Value::as_array).is_some());
+    // An absurd count is clamped to the timelines the worker holds.
+    let (status, all) = http_get(addr, &format!("/trace?last={}", usize::MAX));
+    assert_eq!((status, all), (200, body));
 
     // Unknown paths and non-GET methods are answered, not dropped.
     let (status, _) = http_get(addr, "/nope");
@@ -534,6 +425,62 @@ fn endpoints_respond_under_concurrent_load() {
     assert_eq!(body.trim(), "draining");
     let (status, _) = http_get(addr, "/metrics");
     assert_eq!(status, 503);
+    telemetry.stop();
+}
+
+/// The accept loop is one thread, so a request gets one deadline in total:
+/// a client trickling its head a byte at a time — each byte well inside any
+/// per-read timeout — is cut off, and the next scrape is answered.
+#[test]
+fn dribbling_client_is_cut_off_and_the_endpoint_stays_live() {
+    // `telemetry::IO_TIMEOUT`.
+    const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+    let recs = records(4);
+    let engine = ServeEngine::start(
+        checkpoint_over(&recs),
+        ServeConfig::default(),
+        Arc::new(SystemClock::new()),
+    )
+    .expect("engine starts");
+    let telemetry = engine.serve_telemetry("127.0.0.1:0").expect("telemetry binds");
+    let addr = telemetry.addr();
+
+    let mut slow = TcpStream::connect(addr).expect("telemetry endpoint accepts");
+    slow.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    let start = Instant::now();
+    let mut reply = Vec::new();
+    // "GET /healthz HTTP/1.1" would take 2.1 s to arrive at this pace, and
+    // its blank line never comes.
+    for &byte in b"GET /healthz HTTP/1.1".iter().cycle() {
+        if slow.write_all(&[byte]).is_err() {
+            break;
+        }
+        let mut chunk = [0u8; 256];
+        match slow.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => {
+                reply.extend_from_slice(&chunk[..n]);
+                break;
+            }
+            Err(_) => {} // nothing yet: 100 ms have passed, send the next byte
+        }
+        assert!(
+            start.elapsed() < 2 * REQUEST_DEADLINE,
+            "still being served after {:?}",
+            start.elapsed()
+        );
+    }
+    let held = start.elapsed();
+    assert!(held >= REQUEST_DEADLINE - Duration::from_millis(200), "cut off early, at {held:?}");
+    assert!(
+        reply.is_empty() || reply.starts_with(b"HTTP/1.1 408"),
+        "a request that never finished was answered {:?}",
+        String::from_utf8_lossy(&reply)
+    );
+
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!((status, body.trim()), (200, "live"));
+    engine.shutdown();
     telemetry.stop();
 }
 

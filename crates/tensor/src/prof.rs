@@ -13,13 +13,12 @@
 //! on this thread. Inside a forward or backward pass — where consecutive
 //! tape ops are back to back — this attributes exactly the op's compute, and
 //! it makes per-op self-times sum to the enclosing phase's wall time by
-//! construction (the property the `reproduce profile` gate checks).
+//! construction (`tests::self_times_sum_to_phase_wall_time`).
 //!
 //! Like [`crate::guard`] and the scratch [`crate::pool`], the profiler is
 //! thread-local: the engine is single-threaded per run, so there is no
 //! cross-thread state and concurrent test runs cannot observe each other.
-//! The disabled fast path is a single `thread_local` bool read per op
-//! (measured ≤2% on the kernel-bench shapes by `reproduce profile`).
+//! The disabled fast path is a single `thread_local` bool read per op.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -458,9 +457,8 @@ mod tests {
 
     #[test]
     fn self_times_sum_to_phase_wall_time() {
-        // The delta-accounting invariant the `reproduce profile` gate relies
-        // on: op self-times under a phase account for (almost all of) the
-        // phase's wall time.
+        // The delta-accounting invariant: op self-times under a phase
+        // account for (almost all of) the phase's wall time.
         let r = with_clean_profiler(|| {
             let g = Graph::new();
             let a = g.leaf(Tensor::from_vec(32, 32, vec![0.01; 32 * 32]));

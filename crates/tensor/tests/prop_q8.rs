@@ -6,7 +6,7 @@
 
 use emba_tensor::quant::{linear_q8_forward, linear_q8_rows, quantize_row_u8, QuantizedRows, RowQuant};
 use emba_tensor::simd::{self, Level};
-use emba_tensor::{Graph, QuantizedMatrix, Tensor};
+use emba_tensor::{prof, Graph, QuantizedMatrix, Tensor};
 
 /// Deterministic values in `[0, 1)`.
 struct Lcg(u32);
@@ -317,6 +317,8 @@ fn quantized_rows_are_keyed_by_node_and_die_with_the_tape() {
     let (xa, xb, xc) = (rng.tensor(10, 64, -1.0, 1.0), rng.tensor(10, 64, 0.0, 5.0), rng.tensor(10, 64, -9.0, -2.0));
     let (w, b) = (QuantizedMatrix::quantize(&rng.tensor(64, 32, -1.0, 1.0)), rng.tensor(1, 32, -1.0, 1.0));
     let expect = |x: &Tensor, gelu| bits(&linear_q8_forward(x, &w, &b, gelu));
+    prof::reset();
+    let profiling = prof::enable(true);
     let g = Graph::new();
     let (a, bb) = (g.leaf(xa.clone()), g.leaf(xb.clone()));
     // a, then another node of the same shape, then a again — and the fused
@@ -326,6 +328,10 @@ fn quantized_rows_are_keyed_by_node_and_die_with_the_tape() {
     assert_eq!(bits(&g.value(g.linear_q8_gelu(a, &w, &b))), expect(&xa, true));
     assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b))), expect(&xa, false));
     g.recycle();
+    // The profiler charges quantized work to rows of its own.
+    prof::enable(profiling);
+    let calls = |op| prof::report().ops.iter().filter(|o| o.op == op).map(|o| o.calls).sum::<u64>();
+    assert_eq!((calls("linear_q8"), calls("linear_q8_gelu")), (3, 1));
     // A new tape's node 0 is a different value under the same index.
     let g = Graph::new();
     let c = g.leaf(xc.clone());

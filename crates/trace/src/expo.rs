@@ -16,7 +16,7 @@
 //!
 //! [`parse_exposition`] is the matching reader: enough of the format to
 //! round-trip what [`prometheus_text`] writes, used by the exposition tests
-//! and the telemetry bench harness to validate a live scrape.
+//! and the serve telemetry tests to validate a live scrape.
 //! [`validate_exposition`] layers the histogram invariants (monotone
 //! cumulative buckets, strictly increasing edges, `+Inf == _count`) on top.
 //!

@@ -356,8 +356,7 @@ fn tagged(event: &str, v: Value) -> Value {
 /// field naming the hook. All floats in the output are finite or `null`.
 /// The sink is flushed after the `run_summary` line and again on drop, so a
 /// run that is killed (or panics) between events loses at most the buffered
-/// tail, never the whole log — pairing with the crash harness, which
-/// replays from whatever the log last recorded.
+/// tail, never the whole log.
 pub struct JsonlLogger<W: Write> {
     /// `None` only after [`JsonlLogger::finish`] moved the sink out (the
     /// `Option` lets `finish` coexist with the flush-on-drop impl).

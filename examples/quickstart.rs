@@ -6,9 +6,10 @@
 //! ```
 
 use emba::core::{
-    train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, Trainer,
+    match_metrics, train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, Trainer,
 };
 use emba::datagen::{build, DatasetId, Record, Scale, WdcCategory, WdcSize};
+use emba::tensor::backend::{self, BackendKind};
 
 fn main() {
     // 1. A benchmark dataset: the synthetic analog of WDC computers (small),
@@ -98,11 +99,42 @@ fn main() {
         if is_match >= 0.5 { "MATCH" } else { "NON-MATCH" }
     );
 
+    // 5. The same test split with the linear layers in int8: post-training
+    //    quantization, nothing retrained.
+    let pairs: Vec<(&Record, &Record)> = dataset.test.iter().map(|ex| (&ex.left, &ex.right)).collect();
+    let gold: Vec<bool> = dataset.test.iter().map(|ex| ex.is_match).collect();
+    let probs_under = |kind: BackendKind| -> Vec<f64> {
+        let _backend = backend::install(kind);
+        trained.predict_batch(&pairs).iter().map(|p| p.prob).collect()
+    };
+    let f1_of = |probs: &[f64]| {
+        let preds: Vec<bool> = probs.iter().map(|&p| p > 0.5).collect();
+        match_metrics(&preds, &gold).f1
+    };
+    let (f32_probs, int8_probs) = (probs_under(BackendKind::F32), probs_under(BackendKind::Int8));
+    let (f32_f1, int8_f1) = (f1_of(&f32_probs), f1_of(&int8_probs));
+    let max_dp = f32_probs.iter().zip(&int8_probs).fold(0f64, |m, (a, b)| m.max((a - b).abs()));
+    println!(
+        "int8 ({}) against f32 on the test split: F1 {:.1} vs {:.1}, max |dp| {max_dp:.2e}",
+        BackendKind::Int8.label(),
+        100.0 * int8_f1,
+        100.0 * f32_f1,
+    );
+
     // The front door doubles as a gate (scripts/tier1.sh runs it): a model
-    // that learned nothing scores F1 = 0 and rates both pairs at the base rate.
+    // that learned nothing scores F1 = 0 and rates both pairs at the base rate,
+    // and int8 on a trained model must track f32. The |dp| bound is this
+    // model's: it reads 2.96e-2 on its least certain pair, 1.5e-3 on average
+    // (DESIGN.md §6k, "The |Δp| bound is per model").
     assert!(report.test.matching.f1 > 0.0, "EMBA learned nothing: test F1 = 0");
     assert!(
         is_match > non_match,
         "the samsung match ({is_match:.3}) must outscore the sandisk/transcend non-match ({non_match:.3})"
+    );
+    assert!(f32_f1 > 0.0, "f32 test F1 = 0: the int8 comparison would be vacuous");
+    assert!(max_dp <= 5e-2, "int8 moved a match probability by {max_dp:.2e} (> 5e-2)");
+    assert!(
+        (int8_f1 - f32_f1).abs() <= 0.005,
+        "int8 moved test F1 from {f32_f1:.4} to {int8_f1:.4} (> 0.005)"
     );
 }

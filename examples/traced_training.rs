@@ -10,6 +10,11 @@
 //! passes, checkpointing) with a final `run_summary` line. MLM pre-training
 //! reports through the same observer as a run of its own (`run_start` with
 //! `model = "mlm:…"`) ahead of the fine-tune.
+//!
+//! The run is also profiled: the tape-op profiler is armed around it, its
+//! per-op table and phase timers are merged into the `run_summary` line, and
+//! `results/profiles/example.trace.json` (chrome://tracing, Perfetto) and
+//! `example.folded` (flamegraph stacks) are written next to the log.
 
 use std::path::Path;
 
@@ -17,7 +22,8 @@ use emba::core::{
     train_single, ExperimentConfig, ModelKind, PretrainCache, TrainConfig, Trainer,
 };
 use emba::datagen::{build, DatasetId, Scale, WdcCategory, WdcSize};
-use emba::trace::TraceSession;
+use emba::tensor::prof;
+use emba::trace::{prof_export, TraceSession};
 
 fn main() {
     let dataset = build(
@@ -46,6 +52,7 @@ fn main() {
     let mut session =
         TraceSession::create(Path::new("results/runs"), "example").expect("open event log");
     println!("logging to {} ...", session.path().display());
+    prof::enable(true);
     let (_, report) = train_single(
         ModelKind::EmbaSb,
         &dataset,
@@ -55,7 +62,13 @@ fn main() {
         &mut Trainer::new(&mut session),
     )
     .expect("a trainer without a store performs no I/O");
+    prof::enable(false);
+    let profile = prof::report();
+    session.record_profile(&profile);
     let summary = session.finish().expect("flush event log");
+    let (trace, folded) = prof_export::write_profile_artifacts(Path::new("results"), "example", &profile)
+        .expect("write profile artifacts");
+    println!("profile: {} and {}", trace.display(), folded.display());
 
     // The session saw two runs; its per-epoch curve lists them in order.
     let (mlm_curve, fine_tune_curve) = summary.loss_curve.split_at(cfg.mlm_epochs);

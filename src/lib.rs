@@ -15,9 +15,10 @@
 //! | [`explain`] | `emba-explain` | LIME and attention analyses |
 //! | [`trace`] | `emba-trace` | training-run observability: JSONL logs + summaries |
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the `emba-bench`
+//! See `examples/quickstart.rs` for a five-minute tour, the `emba-bench`
 //! crate's `reproduce` binary for regenerating every table and figure of the
-//! paper.
+//! paper (its only job), and `benchmark/` for the end-to-end benchmark that
+//! measures speed.
 //!
 //! ```no_run
 //! use emba::core::{run_experiment, ExperimentConfig, ModelKind, PretrainCache};
