@@ -8,7 +8,7 @@ use emba_datagen::{Dataset, Record};
 use emba_nn::mlm::MlmConfig;
 use emba_nn::{GraphStamp, Module};
 use emba_tensor::{Graph, Tensor};
-use emba_trace::RunMeta;
+use emba_trace::{RunMeta, TrainEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -194,14 +194,14 @@ pub fn train_single(
                 epochs: cfg.mlm_epochs.min(2),
                 ..emba_nn::SkipGramConfig::default()
             };
-            observer.on_run_start(&RunMeta {
+            observer.on_event(TrainEvent::RunStart(&RunMeta {
                 model: "skipgram".to_string(),
                 train_examples: corpus.len(),
                 valid_examples: 0,
                 epochs: sg.epochs,
                 batch_size: 1,
                 base_lr: f64::from(sg.lr),
-            });
+            }));
             let losses = emba_nn::pretrain_skipgram(
                 emb,
                 &corpus,
@@ -210,7 +210,7 @@ pub fn train_single(
                 &mut StdRng::seed_from_u64(0xFA57),
             );
             for (epoch, &loss) in losses.iter().enumerate() {
-                observer.on_epoch_end(epoch, f64::from(loss));
+                observer.on_event(TrainEvent::EpochEnd(epoch, f64::from(loss)));
             }
         }
     }

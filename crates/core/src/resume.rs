@@ -8,7 +8,7 @@
 
 use emba_nn::{AdamState, Module};
 use emba_tensor::Tensor;
-use emba_trace::TrainObserver;
+use emba_trace::{TrainEvent, TrainObserver};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -95,8 +95,9 @@ pub(crate) fn load_resume_state(
     cfg: &TrainConfig,
     observer: &mut dyn TrainObserver,
 ) -> Result<Option<TrainState>, CoreError> {
-    let Some((_seq, state)) =
-        store.load_latest::<TrainState>(|file, reason| observer.on_corrupt_skipped(file, reason))?
+    let Some((_seq, state)) = store.load_latest::<TrainState>(|file, reason| {
+        observer.on_event(TrainEvent::CorruptSkipped(file, reason))
+    })?
     else {
         return Ok(None);
     };

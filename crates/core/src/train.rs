@@ -12,7 +12,9 @@ use std::time::Instant;
 use emba_nn::mlm::{MlmConfig, MlmModel};
 use emba_nn::{clip_grad_norm, Adam, BertEncoder, GraphStamp, LinearSchedule, Module};
 use emba_tensor::{guard, pool, prof, Graph, Var};
-use emba_trace::{metrics, EvalRecord, NullObserver, RunMeta, StepRecord, TrainObserver};
+use emba_trace::{
+    metrics, EvalRecord, NullObserver, RunMeta, StepRecord, TrainEvent, TrainObserver,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -261,7 +263,7 @@ pub fn evaluate_observed(
         matching: match_metrics(&preds, &gold),
         ids,
     };
-    observer.on_eval(&EvalRecord {
+    observer.on_event(TrainEvent::Eval(&EvalRecord {
         epoch,
         split: split.to_string(),
         precision: result.matching.precision,
@@ -269,7 +271,7 @@ pub fn evaluate_observed(
         f1: result.matching.f1,
         accuracy: result.matching.accuracy,
         wall_secs: start.elapsed().as_secs_f64(),
-    });
+    }));
     result
 }
 
@@ -280,10 +282,10 @@ fn drain_guard(cfg: &TrainConfig, observer: &mut dyn TrainObserver) {
         return;
     }
     for r in guard::take_reports() {
-        observer.on_non_finite(
+        observer.on_event(TrainEvent::NonFinite(
             &format!("op:{}", r.op),
             &format!("non-finite [{}, {}] output from `{}`", r.rows, r.cols, r.op),
-        );
+        ));
     }
 }
 
@@ -579,14 +581,14 @@ impl<'a> Trainer<'a> {
             steps_per_epoch * cfg.warmup_epochs as u64,
             steps_per_epoch * cfg.epochs as u64,
         );
-        observer.on_run_start(&RunMeta {
+        observer.on_event(TrainEvent::RunStart(&RunMeta {
             model: obj.name(),
             train_examples: items,
             valid_examples,
             epochs: cfg.epochs,
             batch_size: cfg.batch_size,
             base_lr: f64::from(cfg.lr),
-        });
+        }));
 
         let resumed = match &self.durable {
             Some((store, opts)) if opts.resume => {
@@ -597,7 +599,7 @@ impl<'a> Trainer<'a> {
         let mut p = match resumed {
             Some(st) => {
                 let p = Progress::restore(st, obj)?;
-                observer.on_resume(p.st.epoch, p.st.step);
+                observer.on_event(TrainEvent::Resume(p.st.epoch, p.st.step));
                 p
             }
             None => Progress::fresh(obj, cfg, items),
@@ -611,7 +613,7 @@ impl<'a> Trainer<'a> {
             p.st.epochs_run = epoch + 1;
             if p.st.cursor == 0 {
                 p.st.epoch_loss = 0.0;
-                observer.on_epoch_start(epoch);
+                observer.on_event(TrainEvent::EpochStart(epoch));
                 shuffle(&mut p.st.order, &mut p.rng);
             }
             obj.module().zero_grads();
@@ -653,13 +655,13 @@ impl<'a> Trainer<'a> {
                         p.st.epoch_loss += loss;
                         window_loss += loss;
                         if !loss.is_finite() {
-                            observer.on_non_finite(
+                            observer.on_event(TrainEvent::NonFinite(
                                 "train_loss",
                                 &format!(
                                     "loss {loss} at epoch {epoch}, example {}; aborting run",
                                     p.st.cursor + j
                                 ),
-                            );
+                            ));
                             break 'epochs;
                         }
                     }
@@ -675,7 +677,7 @@ impl<'a> Trainer<'a> {
                 p.adam.step(obj.module(), lr);
                 obj.module().zero_grads();
                 drop(optim_scope);
-                observer.on_step(&StepRecord {
+                observer.on_event(TrainEvent::Step(&StepRecord {
                     epoch,
                     step: p.st.step,
                     loss: window_loss / window_len as f64,
@@ -683,7 +685,7 @@ impl<'a> Trainer<'a> {
                     lr: f64::from(lr),
                     wall_ms: batch_start.elapsed().as_secs_f64() * 1e3,
                     examples: window_len,
-                });
+                }));
                 p.st.step += 1;
                 p.st.cursor = window_end;
 
@@ -693,27 +695,27 @@ impl<'a> Trainer<'a> {
                     let every = opts.every_steps;
                     if every > 0 && p.st.step.is_multiple_of(every) && p.st.cursor < items {
                         let seq = store.save(p.snapshot(obj))?;
-                        observer.on_checkpoint_write(seq, epoch, p.st.step);
+                        observer.on_event(TrainEvent::CheckpointWrite(seq, epoch, p.st.step));
                     }
                 }
             }
             p.st.final_train_loss = p.st.epoch_loss / items as f64;
-            observer.on_epoch_end(epoch, p.st.final_train_loss);
+            observer.on_event(TrainEvent::EpochEnd(epoch, p.st.final_train_loss));
 
             if let Some(f1) = obj.validate(epoch, &mut p.rng, observer) {
                 drain_guard(cfg, observer);
                 match p.st.stopper.observe(epoch, f1) {
                     StopVerdict::Improved => {
                         p.st.best_params = obj.module().state();
-                        observer.on_checkpoint_save(epoch, f1);
+                        observer.on_event(TrainEvent::CheckpointSave(epoch, f1));
                     }
                     StopVerdict::NoImprovement => {}
                     StopVerdict::Halt => break,
                     StopVerdict::NonFinite => {
-                        observer.on_non_finite(
+                        observer.on_event(TrainEvent::NonFinite(
                             "valid_f1",
                             &format!("validation F1 {f1} at epoch {epoch}; aborting run"),
-                        );
+                        ));
                         break;
                     }
                 }
@@ -729,14 +731,14 @@ impl<'a> Trainer<'a> {
             p.st.epoch_loss = 0.0;
             if let Some((store, _)) = &mut self.durable {
                 let seq = store.save(p.snapshot(obj))?;
-                observer.on_checkpoint_write(seq, epoch, p.st.step);
+                observer.on_event(TrainEvent::CheckpointWrite(seq, epoch, p.st.step));
             }
         }
         p.train_secs = train_start.elapsed().as_secs_f64();
 
         if valid_examples > 0 {
             obj.module().load_state(&p.st.best_params);
-            observer.on_checkpoint_restore(p.st.stopper.best_epoch());
+            observer.on_event(TrainEvent::CheckpointRestore(p.st.stopper.best_epoch()));
         }
         Ok(p)
     }

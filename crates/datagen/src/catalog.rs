@@ -1,6 +1,6 @@
 //! Single-table catalogs for blocking-then-matching experiments.
 //!
-//! The pair generators in [`crate::world`] emit pre-paired examples — the
+//! The pair generators in `crate::world` emit pre-paired examples — the
 //! shape supervised training consumes. Catalog-scale matching starts one
 //! step earlier: a flat pile of offer records with *no* pairing, where a
 //! blocking stage must propose candidate pairs and a matcher scores them.

@@ -40,7 +40,7 @@ pub struct Paper {
     pub title: Vec<String>,
     /// `(first, last)` author names.
     pub authors: Vec<(String, String)>,
-    /// Index into [`VENUES`].
+    /// Index into `VENUES`.
     pub venue: usize,
     /// Publication year.
     pub year: u32,

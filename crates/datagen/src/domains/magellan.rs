@@ -34,7 +34,7 @@ const BABY_COLORS: &[&str] = &[
 pub struct BabyProduct {
     /// Brand name.
     pub brand: String,
-    /// Category index into [`BABY_CATEGORIES`] (the entity-ID target).
+    /// Category index into `BABY_CATEGORIES` (the entity-ID target).
     pub category: usize,
     /// Model name.
     pub model: String,
@@ -118,7 +118,7 @@ const BIKE_COLORS: &[&str] = &["black", "red", "blue", "silver", "white", "grey"
 /// A canonical bike-resale entity.
 #[derive(Debug, Clone)]
 pub struct Bike {
-    /// Brand index into [`BIKE_BRANDS`] (the entity-ID target).
+    /// Brand index into `BIKE_BRANDS` (the entity-ID target).
     pub brand: usize,
     /// Model line.
     pub model: String,
@@ -227,7 +227,7 @@ pub struct Book {
     pub subject: String,
     /// Author name.
     pub author: (String, String),
-    /// Publisher index into [`PUBLISHERS`] (the entity-ID target).
+    /// Publisher index into `PUBLISHERS` (the entity-ID target).
     pub publisher: usize,
     /// Page count.
     pub pages: u32,

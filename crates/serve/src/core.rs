@@ -69,9 +69,10 @@
 //! produces NaN would reproduce it after every restore.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::fs::File;
 use std::io::BufWriter;
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -80,11 +81,11 @@ use emba_datagen::Record;
 use emba_tensor::BackendKind;
 use emba_trace::metrics::{self, Histogram, HistogramSummary, MetricsSnapshot};
 use emba_trace::{write_postmortem, JsonlLogger, ServeSpanEvent, ServeSummary, SpanKind};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use crate::clock::Clock;
 use crate::error::ServeError;
-use crate::spans::{span, FlightRecorder, FlushTimeline};
+use crate::spans::{FlightRecorder, FlushTimeline};
 
 /// Knobs for the serving engine.
 #[derive(Debug, Clone)]
@@ -134,9 +135,9 @@ pub struct ServeConfig {
     /// degradation episode resolves or when `drain` fails queued requests.
     /// `None` disables dumps.
     pub postmortem_dir: Option<PathBuf>,
-    /// JSONL file for serve lifecycle events (shed, expired, degraded,
-    /// restart, quarantine, postmortem) — the serving counterpart of the
-    /// training run log. `None` disables the log.
+    /// JSONL file for serve lifecycle events (shed, expired, failed,
+    /// degraded, restart, quarantine, postmortem) — the serving counterpart
+    /// of the training run log. `None` disables the log.
     pub event_log: Option<PathBuf>,
     /// Kernel backend the scoring path runs under. `Int8` serves every
     /// flush through the post-training quantized GEMM path (weights are
@@ -265,6 +266,11 @@ struct Pending {
 }
 
 impl Pending {
+    /// What an answer needs of a request: its id and when it was enqueued.
+    fn who(&self) -> (u64, u64) {
+        (self.id, self.enqueued_ns)
+    }
+
     /// The instant the deadline trigger fires: half the budget spent.
     fn half_budget_ns(&self) -> u64 {
         let budget = self.deadline_ns.saturating_sub(self.enqueued_ns);
@@ -327,9 +333,10 @@ pub struct ServerSnapshot {
     pub trace_dropped: u64,
     /// Distribution of flush batch sizes.
     pub batch_size: HistogramSummary,
-    /// Per-request enqueue→answer latency (clock ns) for requests that
-    /// reached a flush (scored, expired, or failed — shed responses are
-    /// answered at admission and excluded).
+    /// Enqueue→answer wait (clock ns) of every admitted request answered so
+    /// far: `count == scored + expired + failed + shed`. A high-water victim
+    /// waited like any other admitted request; a request rejected at
+    /// admission never did, and its ~0 ns would only flatter the histogram.
     pub request_latency: HistogramSummary,
     /// The serving thread's full metrics registry (`serve.*` plus the
     /// cache's `catalog.cache.*`).
@@ -344,8 +351,8 @@ pub struct ServerSnapshot {
 
 impl ServerSnapshot {
     /// Converts into the trace crate's [`ServeSummary`] — the serving
-    /// section of a run's JSONL `run_summary` line. Counts come from the
-    /// same lifecycle events the engine logs, so the summary, the event
+    /// section of a run's JSONL `run_summary` line. Counts are tallies of
+    /// the same facts the engine logs and spans, so the summary, the event
     /// log, and the live endpoints can never disagree.
     pub fn to_summary(&self) -> ServeSummary {
         ServeSummary {
@@ -387,6 +394,84 @@ pub struct ProfPhase {
     pub total_ns: u64,
 }
 
+/// A lifecycle fact of a serving run: each of the sixteen span kinds, plus the
+/// postmortem dump (which has no span of its own). Everything the core
+/// reports goes through [`ServeCore::emit`] (or its halves, `count` and
+/// `record`) under one of these, and [`Fact::row`] says which sinks hear it.
+#[derive(Debug, Clone, Copy)]
+enum Fact {
+    Admitted,
+    Rejected,
+    Shed,
+    Expired,
+    QueueWait,
+    Flush,
+    Encode,
+    CacheHit,
+    Score,
+    Reply,
+    Failed,
+    DegradedEnter,
+    DegradedExit,
+    RestartAttempt,
+    Restarted,
+    Quarantine,
+    Postmortem,
+}
+
+/// What one [`Fact`] feeds besides its per-core tally.
+struct Row {
+    /// The span kind it is recorded under.
+    span: Option<SpanKind>,
+    /// The registry counter it adds to.
+    counter: Option<&'static str>,
+    /// Its duration is a request's enqueue→answer wait, recorded into
+    /// [`ServerSnapshot::request_latency`].
+    latency: bool,
+    /// The event-log line it writes.
+    jsonl: Option<&'static str>,
+    /// A supervision fact: owned by no request, and its span is recorded even
+    /// with [`ServeConfig::trace_spans`] off (they are rare and postmortems
+    /// need them).
+    always: bool,
+}
+
+/// Both shed layers log under one event name; `detail` tells them apart.
+const SHED_EVENT: &str = "serve_shed";
+/// Name of the request-latency histogram, in the registry and in the snapshot.
+const REQUEST_NS: &str = "serve.request_ns";
+/// For a fact with nothing to add to its kind.
+const NO_DETAIL: fmt::Arguments<'static> = format_args!("");
+
+impl Fact {
+    const COUNT: usize = Fact::Postmortem as usize + 1;
+
+    /// The one table behind every sink (DESIGN.md §6j prints it).
+    #[rustfmt::skip]
+    fn row(self) -> Row {
+        let (span, counter, latency, jsonl, always) = match self {
+            Fact::Admitted       => (Some(SpanKind::Admitted),       Some("serve.enqueued"),         false, None,                     false),
+            Fact::Rejected       => (Some(SpanKind::Rejected),       Some("serve.shed.admission"),   false, Some(SHED_EVENT),         false),
+            Fact::Shed           => (Some(SpanKind::Shed),           Some("serve.shed.deadline"),    true,  Some(SHED_EVENT),         false),
+            Fact::Expired        => (Some(SpanKind::Expired),        Some("serve.expired"),          true,  Some("serve_expired"),    false),
+            Fact::QueueWait      => (Some(SpanKind::QueueWait),      None,                           false, None,                     false),
+            Fact::Flush          => (Some(SpanKind::Flush),          Some("serve.flushes"),          false, None,                     false),
+            Fact::Encode         => (Some(SpanKind::Encode),         Some("serve.encodes"),          false, None,                     false),
+            Fact::CacheHit       => (Some(SpanKind::CacheHit),       None,                           false, None,                     false),
+            Fact::Score          => (Some(SpanKind::Score),          None,                           false, None,                     false),
+            Fact::Reply          => (Some(SpanKind::Reply),          Some("serve.scored"),           true,  None,                     false),
+            Fact::Failed         => (Some(SpanKind::Failed),         Some("serve.failed"),           true,  Some("serve_failed"),     false),
+            Fact::DegradedEnter  => (Some(SpanKind::DegradedEnter),  Some("serve.degraded_entries"), false, Some("serve_degraded"),   true),
+            Fact::DegradedExit   => (Some(SpanKind::DegradedExit),   None,                           false, Some("serve_recovered"),  true),
+            Fact::RestartAttempt => (Some(SpanKind::RestartAttempt), None,                           false, Some("serve_restart"),    true),
+            Fact::Restarted      => (Some(SpanKind::Restarted),      Some("serve.restarts"),         false, None,                     true),
+            Fact::Quarantine     => (Some(SpanKind::Quarantine),     None,                           false, Some("serve_quarantine"), true),
+            Fact::Postmortem     => (None,                           Some("serve.postmortems"),      false, Some("serve_postmortem"), true),
+        };
+        Row { span, counter, latency, jsonl, always }
+    }
+}
+
 /// The single-threaded serving state machine. See the module docs for the
 /// lifecycle; [`crate::ServeEngine`] is the threaded wrapper.
 pub struct ServeCore {
@@ -394,15 +479,13 @@ pub struct ServeCore {
     cfg: ServeConfig,
     scorer: PairScorer,
     pending: VecDeque<Pending>,
-    enqueued: u64,
-    scored: u64,
-    expired: u64,
-    rejected: u64,
-    shed: u64,
-    failed: u64,
-    flushes: u64,
-    encodes: u64,
-    restarts: u64,
+    /// How often each [`Fact`] happened (`Encode` counts records, not
+    /// flushes); [`ServeCore::snapshot`] reads its counters from here.
+    tally: [u64; Fact::COUNT],
+    /// Requests drained by the flush in progress, `0` between flushes:
+    /// answers given and request spans recorded while it is set belong to
+    /// that flush.
+    flushing: usize,
     peak_queue_depth: usize,
     /// The matcher faulted (a scoring panic) and has not been restored yet.
     suspect: bool,
@@ -429,8 +512,6 @@ pub struct ServeCore {
     timelines: VecDeque<FlushTimeline>,
     /// Lifecycle event log (None = disabled).
     event_log: Option<JsonlLogger<BufWriter<File>>>,
-    degraded_entries: u64,
-    postmortems: u64,
     /// Panic reason of the open degradation episode; dumped as the
     /// postmortem when the episode resolves (restart or drain failure).
     pending_postmortem: Option<String>,
@@ -445,23 +526,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// JSONL payload for `serve_shed` / `serve_expired` lifecycle events.
-#[derive(Serialize)]
-struct RequestEvent {
-    id: u64,
-    t_ns: u64,
-    /// Shed policy (`admission` / `deadline`) or expiry wait, event-specific.
-    detail: String,
-}
-
-/// JSONL payload for supervision lifecycle events (`serve_degraded`,
-/// `serve_restart`, `serve_recovered`, `serve_quarantine`).
-#[derive(Serialize)]
-struct SupervisionEvent {
-    t_ns: u64,
-    detail: String,
 }
 
 /// JSONL payload for `serve_postmortem`.
@@ -488,19 +552,15 @@ impl ServeCore {
             return Err(ServeError::UnsupportedModel);
         }
         let backoff_ns = cfg.restart_backoff_ns.max(1);
-        let event_log = match &cfg.event_log {
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent)
-                            .map_err(|e| ServeError::EventLog(e.to_string()))?;
-                    }
-                }
-                let file =
-                    File::create(path).map_err(|e| ServeError::EventLog(e.to_string()))?;
-                Some(JsonlLogger::new(BufWriter::new(file)))
+        let open_log = |path: &PathBuf| -> std::io::Result<_> {
+            if let Some(parent) = path.parent() {
+                std::fs::create_dir_all(parent)?; // a no-op for a bare file name
             }
-            None => None,
+            Ok(JsonlLogger::new(BufWriter::new(File::create(path)?)))
+        };
+        let event_log = match cfg.event_log.as_ref().map(open_log).transpose() {
+            Ok(log) => log,
+            Err(e) => return Err(ServeError::EventLog(e.to_string())),
         };
         let recorder = FlightRecorder::new(cfg.flight_recorder);
         // Steady-state span count per flush: queue-wait + reply per request
@@ -512,15 +572,8 @@ impl ServeCore {
             cfg,
             scorer,
             pending: VecDeque::new(),
-            enqueued: 0,
-            scored: 0,
-            expired: 0,
-            rejected: 0,
-            shed: 0,
-            failed: 0,
-            flushes: 0,
-            encodes: 0,
-            restarts: 0,
+            tally: [0; Fact::COUNT],
+            flushing: 0,
             peak_queue_depth: 0,
             suspect: false,
             backoff_ns,
@@ -536,8 +589,6 @@ impl ServeCore {
             flush_spans: Vec::with_capacity(span_capacity),
             timelines: VecDeque::new(),
             event_log,
-            degraded_entries: 0,
-            postmortems: 0,
             pending_postmortem: None,
         })
     }
@@ -573,7 +624,7 @@ impl ServeCore {
 
     /// Postmortem dumps written so far.
     pub fn postmortems(&self) -> u64 {
-        self.postmortems
+        self.tally(Fact::Postmortem)
     }
 
     /// Up to `last` most recent traced flush timelines, oldest first.
@@ -589,30 +640,118 @@ impl ServeCore {
         self.span_clock.as_ref().map_or(fallback_ns, |c| c.now_ns())
     }
 
-    /// Records one request-lifecycle span into the current flush's trace
-    /// buffer. Callers gate on `cfg.trace_spans`.
-    fn trace_span(&mut self, e: ServeSpanEvent) {
-        self.flush_spans.push(e);
+    fn tally(&self, fact: Fact) -> u64 {
+        self.tally[fact as usize]
     }
 
-    /// Records a supervision span (always, even with request tracing off —
-    /// these are rare and postmortems need them).
-    fn sup_span(&mut self, kind: SpanKind, t_ns: u64, detail: String) {
-        let mut e = span(0, kind, t_ns, 0, self.flushes);
-        e.detail = detail;
-        self.recorder.record(e);
-    }
-
-    /// Writes one lifecycle event to the JSONL event log, if configured.
-    fn log_event<T: Serialize>(&mut self, event: &str, record: &T) {
-        if let Some(log) = self.event_log.as_mut() {
-            log.log_event(event, record);
+    /// Adds `n` occurrences of `fact` to its tally and registry counter;
+    /// returns the new tally.
+    fn count(&mut self, fact: Fact, n: u64) -> u64 {
+        self.tally[fact as usize] += n;
+        if let Some(name) = fact.row().counter {
+            metrics::counter_add(name, n);
         }
+        self.tally(fact)
+    }
+
+    /// Writes `fact`'s line to the JSONL event log, if there is one.
+    fn log<T: Serialize>(&mut self, fact: Fact, payload: &T) {
+        if let (Some(log), Some(event)) = (self.event_log.as_mut(), fact.row().jsonl) {
+            log.log_event(event, payload);
+        }
+    }
+
+    /// Tells every sink but the tally about one occurrence of `fact`: the
+    /// latency histograms, the span and the event log. A request's span goes
+    /// into the trace of the flush in progress, if there is one; any other
+    /// straight into the ring. `detail` is rendered only if a span or a log
+    /// line wants it, so a `Scored` answer with tracing and the event log
+    /// off builds no string.
+    fn record(&mut self, fact: Fact, id: u64, t_ns: u64, dur_ns: u64, detail: fmt::Arguments<'_>) {
+        let row = fact.row();
+        if row.latency {
+            self.latency.record(dur_ns as f64);
+            metrics::observe_ns(REQUEST_NS, dur_ns);
+        }
+        let kind = row.span.filter(|_| row.always || self.cfg.trace_spans);
+        let logged = row.jsonl.is_some() && self.event_log.is_some();
+        if kind.is_none() && !logged {
+            return;
+        }
+        let detail = detail.to_string();
+        if logged {
+            // Request facts carry their id; supervision facts have none.
+            let id = (!row.always).then(|| ("id".to_string(), Value::UInt(id)));
+            let rest = [
+                ("t_ns".to_string(), Value::UInt(t_ns)),
+                ("detail".to_string(), Value::Str(detail.clone())),
+            ];
+            self.log(fact, &Value::Object(id.into_iter().chain(rest).collect()));
+        }
+        if let Some(kind) = kind {
+            // Supervision spans name the latest flush, a request's the one
+            // handling it (`0` before any does).
+            let in_flush = self.flushing > 0 && !row.always;
+            let flush = if in_flush || row.always { self.tally(Fact::Flush) } else { 0 };
+            let e = ServeSpanEvent { trace_id: id, kind, t_ns, dur_ns, flush, detail };
+            if in_flush {
+                self.flush_spans.push(e);
+            } else {
+                self.recorder.record(e);
+            }
+        }
+    }
+
+    /// One occurrence of `fact`, to every sink: [`ServeCore::count`] then
+    /// [`ServeCore::record`].
+    fn emit(&mut self, fact: Fact, id: u64, t_ns: u64, dur_ns: u64, detail: fmt::Arguments<'_>) {
+        self.count(fact, 1);
+        self.record(fact, id, t_ns, dur_ns, detail);
+    }
+
+    /// The one place a request is answered: emits the terminal `fact`, with
+    /// the request's wait as its duration, and builds the response.
+    fn answer(
+        &mut self,
+        fact: Fact,
+        (id, enqueued_ns): (u64, u64),
+        outcome: MatchOutcome,
+        now_ns: u64,
+        detail: fmt::Arguments<'_>,
+    ) -> MatchResponse {
+        self.emit(fact, id, now_ns, now_ns.saturating_sub(enqueued_ns), detail);
+        MatchResponse {
+            id,
+            outcome,
+            enqueued_ns,
+            completed_ns: now_ns,
+            batch_size: self.flushing,
+        }
+    }
+
+    /// Answers `req` [`MatchOutcome::Failed`] for `reason`.
+    fn fail(&mut self, req: &Pending, reason: &str, now_ns: u64) -> MatchResponse {
+        let outcome = MatchOutcome::Failed(reason.to_string());
+        self.answer(Fact::Failed, req.who(), outcome, now_ns, format_args!("{reason}"))
+    }
+
+    /// Answers `req` [`MatchOutcome::Expired`] if its deadline has passed —
+    /// the cheapest possible answer for a request that can no longer be
+    /// served in time — and hands it back otherwise.
+    fn expire_if_overdue(&mut self, req: Pending, now_ns: u64) -> Result<MatchResponse, Pending> {
+        if now_ns <= req.deadline_ns {
+            return Err(req);
+        }
+        let detail = format_args!("waited_ns={}", now_ns.saturating_sub(req.enqueued_ns));
+        Ok(self.answer(Fact::Expired, req.who(), MatchOutcome::Expired, now_ns, detail))
     }
 
     /// Closes the current flush's trace: moves its spans into the ring and
     /// retains them as a [`FlushTimeline`].
     fn finish_flush_trace(&mut self, flush: u64, start_ns: u64) {
+        if !self.cfg.trace_spans {
+            return;
+        }
         let end_ns = self.span_now(start_ns);
         // Clone rather than `mem::take`: the buffer keeps its steady-state
         // capacity across flushes (one timeline allocation per flush is
@@ -627,14 +766,13 @@ impl ServeCore {
         }
     }
 
-    /// Quarantines one cache key and records the fact (span + event log).
-    fn quarantine_key(&mut self, key: u64, now_ns: u64) {
-        self.scorer.quarantine(key);
-        self.sup_span(SpanKind::Quarantine, now_ns, format!("key={key:016x}"));
-        self.log_event(
-            "serve_quarantine",
-            &SupervisionEvent { t_ns: now_ns, detail: format!("key={key:016x}") },
-        );
+    /// Quarantines both cache keys of a request whose flush faulted: the
+    /// fault may have been either encoding's.
+    fn quarantine(&mut self, req: &Pending, now_ns: u64) {
+        for key in [req.left_key, req.right_key] {
+            self.scorer.quarantine(key);
+            self.emit(Fact::Quarantine, 0, now_ns, 0, format_args!("key={key:016x}"));
+        }
     }
 
     /// Dumps the flight recorder to `postmortem-NNNN.jsonl` under the
@@ -643,43 +781,21 @@ impl ServeCore {
     /// holds the failing flush's request spans *and* the restart/backoff
     /// transitions that followed.
     fn dump_postmortem(&mut self, reason: &str, now_ns: u64) {
-        let Some(dir) = self.cfg.postmortem_dir.clone() else { return };
-        let path = dir.join(format!("postmortem-{:04}.jsonl", self.postmortems + 1));
+        let Some(dir) = self.cfg.postmortem_dir.as_ref() else { return };
+        let path = dir.join(format!("postmortem-{:04}.jsonl", self.postmortems() + 1));
         let events = self.recorder.events();
-        match write_postmortem(
-            &path,
-            reason,
-            self.recorder.recorded(),
-            self.recorder.dropped(),
-            &events,
-        ) {
+        let (recorded, dropped) = (self.recorder.recorded(), self.recorder.dropped());
+        let (reason, spans) = match write_postmortem(&path, reason, recorded, dropped, &events) {
             Ok(()) => {
-                self.postmortems += 1;
-                metrics::counter_add("serve.postmortems", 1);
-                self.log_event(
-                    "serve_postmortem",
-                    &PostmortemEvent {
-                        t_ns: now_ns,
-                        path: path.display().to_string(),
-                        reason: reason.to_string(),
-                        spans: events.len(),
-                    },
-                );
+                self.count(Fact::Postmortem, 1);
+                (reason.to_string(), events.len())
             }
-            Err(e) => {
-                // A failing dump must never take the engine down; the event
-                // log (if any) records that history was lost.
-                self.log_event(
-                    "serve_postmortem",
-                    &PostmortemEvent {
-                        t_ns: now_ns,
-                        path: path.display().to_string(),
-                        reason: format!("dump failed: {e}"),
-                        spans: 0,
-                    },
-                );
-            }
-        }
+            // A failing dump must never take the engine down; the event log
+            // (if any) records that history was lost.
+            Err(e) => (format!("dump failed: {e}"), 0),
+        };
+        let path = path.display().to_string();
+        self.log(Fact::Postmortem, &PostmortemEvent { t_ns: now_ns, path, reason, spans });
     }
 
     /// The serving configuration.
@@ -717,22 +833,8 @@ impl ServeCore {
         deadline_ns: u64,
     ) -> Vec<MatchResponse> {
         if self.cfg.max_queue_depth > 0 && self.pending.len() >= self.cfg.max_queue_depth {
-            self.rejected += 1;
-            metrics::counter_add("serve.shed.admission", 1);
-            if self.cfg.trace_spans {
-                self.recorder.record(span(id, SpanKind::Rejected, now_ns, 0, 0));
-            }
-            self.log_event(
-                "serve_shed",
-                &RequestEvent { id, t_ns: now_ns, detail: "admission".to_string() },
-            );
-            return vec![MatchResponse {
-                id,
-                outcome: MatchOutcome::Rejected,
-                enqueued_ns: now_ns,
-                completed_ns: now_ns,
-                batch_size: 0,
-            }];
+            let (outcome, policy) = (MatchOutcome::Rejected, format_args!("admission"));
+            return vec![self.answer(Fact::Rejected, (id, now_ns), outcome, now_ns, policy)];
         }
         self.pending.push_back(Pending {
             id,
@@ -743,53 +845,25 @@ impl ServeCore {
             enqueued_ns: now_ns,
             deadline_ns,
         });
-        self.enqueued += 1;
         self.peak_queue_depth = self.peak_queue_depth.max(self.pending.len());
-        metrics::counter_add("serve.enqueued", 1);
-        if self.cfg.trace_spans {
-            self.recorder.record(span(id, SpanKind::Admitted, now_ns, 0, 0));
-        }
+        self.emit(Fact::Admitted, id, now_ns, 0, NO_DETAIL);
 
         // High-water shed: drop the requests with the least remaining
         // budget first — they are the most likely to expire before service
         // anyway, so shedding them preserves goodput for the rest.
         let mut out = Vec::new();
-        if self.cfg.shed_high_water > 0 {
-            while self.pending.len() > self.cfg.shed_high_water {
-                let victim_idx = self
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, p)| p.deadline_ns.saturating_sub(now_ns))
-                    .map(|(i, _)| i)
-                    .expect("queue above high water is non-empty");
-                let victim = self
-                    .pending
-                    .remove(victim_idx)
-                    .expect("victim index in bounds");
-                self.shed += 1;
-                metrics::counter_add("serve.shed.deadline", 1);
-                if self.cfg.trace_spans {
-                    self.recorder.record(span(victim.id, SpanKind::Shed, now_ns, 0, 0));
-                }
-                self.log_event(
-                    "serve_shed",
-                    &RequestEvent {
-                        id: victim.id,
-                        t_ns: now_ns,
-                        detail: "deadline".to_string(),
-                    },
-                );
-                out.push(MatchResponse {
-                    id: victim.id,
-                    outcome: MatchOutcome::Rejected,
-                    enqueued_ns: victim.enqueued_ns,
-                    completed_ns: now_ns,
-                    batch_size: 0,
-                });
-            }
+        while self.cfg.shed_high_water > 0 && self.pending.len() > self.cfg.shed_high_water {
+            let victim_idx = self
+                .pending
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, p)| p.deadline_ns.saturating_sub(now_ns))
+                .map(|(i, _)| i)
+                .expect("queue above high water is non-empty");
+            let victim = self.pending.remove(victim_idx).expect("victim index in bounds");
+            let (outcome, policy) = (MatchOutcome::Rejected, format_args!("deadline"));
+            out.push(self.answer(Fact::Shed, victim.who(), outcome, now_ns, policy));
         }
-        metrics::gauge_set("serve.queue_depth", self.pending.len() as f64);
         out
     }
 
@@ -814,9 +888,7 @@ impl ServeCore {
     /// only expired requests — live ones stay queued for the healed
     /// matcher.
     pub fn poll(&mut self, now_ns: u64) -> Vec<MatchResponse> {
-        if self.suspect {
-            self.try_restart(now_ns);
-        }
+        self.try_restart(now_ns);
         let mut out = Vec::new();
         while self.flush_due(now_ns) {
             let before = self.pending.len();
@@ -859,12 +931,11 @@ impl ServeCore {
             }
             out.extend(self.flush(now_ns));
         }
-        // A degraded core with nothing queued still owes its postmortem:
-        // the engine is exiting and the episode will never resolve.
-        if self.suspect {
-            if let Some(r) = self.pending_postmortem.take() {
-                self.dump_postmortem(&format!("shut down while degraded after: {r}"), now_ns);
-            }
+        // A degraded core with nothing queued still owes its postmortem
+        // (an open episode means degraded): the engine is exiting and the
+        // episode will never resolve.
+        if let Some(r) = self.pending_postmortem.take() {
+            self.dump_postmortem(&format!("shut down while degraded after: {r}"), now_ns);
         }
         out
     }
@@ -873,95 +944,38 @@ impl ServeCore {
     /// expire, the rest fail with a shutdown reason. Only reachable when a
     /// degraded core could not be restored during [`ServeCore::drain`].
     fn fail_all_pending(&mut self, now_ns: u64) -> Vec<MatchResponse> {
-        let pending: Vec<Pending> = self.pending.drain(..).collect();
-        metrics::gauge_set("serve.queue_depth", 0.0);
-        let out: Vec<MatchResponse> = pending
-            .into_iter()
-            .map(|req| {
-                let lat = now_ns.saturating_sub(req.enqueued_ns);
-                self.latency.record(lat as f64);
-                metrics::observe_ns("serve.request_ns", lat);
-                let outcome = if now_ns > req.deadline_ns {
-                    self.expired += 1;
-                    metrics::counter_add("serve.expired", 1);
-                    if self.cfg.trace_spans {
-                        self.recorder.record(span(req.id, SpanKind::Expired, now_ns, lat, 0));
-                    }
-                    self.log_event(
-                        "serve_expired",
-                        &RequestEvent {
-                            id: req.id,
-                            t_ns: now_ns,
-                            detail: format!("waited_ns={lat}"),
-                        },
-                    );
-                    MatchOutcome::Expired
-                } else {
-                    self.failed += 1;
-                    metrics::counter_add("serve.failed", 1);
-                    if self.cfg.trace_spans {
-                        self.recorder.record(span(req.id, SpanKind::Failed, now_ns, lat, 0));
-                    }
-                    MatchOutcome::Failed("shutting down while degraded".to_string())
-                };
-                MatchResponse {
-                    id: req.id,
-                    outcome,
-                    enqueued_ns: req.enqueued_ns,
-                    completed_ns: now_ns,
-                    batch_size: 0,
-                }
-            })
-            .collect();
+        let mut out = self.expire_overdue(now_ns);
+        while let Some(req) = self.pending.pop_front() {
+            out.push(self.fail(&req, "shutting down while degraded", now_ns));
+        }
         // The drain could not heal the matcher: preserve the episode's
         // history before the engine exits.
-        let reason = self
-            .pending_postmortem
-            .take()
-            .map(|r| format!("drain failed while degraded after: {r}"))
-            .unwrap_or_else(|| "drain failed while degraded".to_string());
+        let reason = match self.pending_postmortem.take() {
+            Some(r) => format!("drain failed while degraded after: {r}"),
+            None => "drain failed while degraded".to_string(),
+        };
         self.dump_postmortem(&reason, now_ns);
         out
     }
 
-    /// Attempts to restore the matcher from the recovery source. Gated on
-    /// the backoff schedule; a failed (or panicking) restore doubles the
+    /// Attempts to restore a suspect matcher from the recovery source. Gated
+    /// on the backoff schedule; a failed (or panicking) restore doubles the
     /// backoff up to the configured cap.
     fn try_restart(&mut self, now_ns: u64) {
-        if !self.suspect || now_ns < self.next_restart_ns {
+        // (With nothing to restore from, `drain` will fail the queue.)
+        if !self.suspect || now_ns < self.next_restart_ns || self.recovery.is_none() {
             return;
         }
-        if self.recovery.is_none() {
-            return; // nothing to restore from; drain() will fail the queue
-        }
-        self.sup_span(
-            SpanKind::RestartAttempt,
-            now_ns,
-            format!("backoff_ns={}", self.backoff_ns),
-        );
-        self.log_event(
-            "serve_restart",
-            &SupervisionEvent {
-                t_ns: now_ns,
-                detail: format!("attempt backoff_ns={}", self.backoff_ns),
-            },
-        );
+        let backoff_ns = self.backoff_ns;
+        let detail = format_args!("attempt backoff_ns={backoff_ns}");
+        self.emit(Fact::RestartAttempt, 0, now_ns, 0, detail);
         let recovery = self.recovery.as_ref().expect("presence checked above");
-        let restored =
-            std::panic::catch_unwind(AssertUnwindSafe(|| recovery.restore()));
-        match restored {
+        match catch_unwind(AssertUnwindSafe(|| recovery.restore())) {
             Ok(Ok(trained)) if self.scorer.probe(trained.model.as_ref()) => {
                 self.trained = trained;
                 self.suspect = false;
-                self.restarts += 1;
-                metrics::counter_add("serve.restarts", 1);
-                metrics::gauge_set("serve.degraded", 0.0);
-                self.sup_span(SpanKind::Restarted, now_ns, String::new());
-                self.sup_span(SpanKind::DegradedExit, now_ns, String::new());
-                self.log_event(
-                    "serve_recovered",
-                    &SupervisionEvent { t_ns: now_ns, detail: "matcher restored".to_string() },
-                );
+                self.emit(Fact::Restarted, 0, now_ns, 0, NO_DETAIL);
+                self.emit(Fact::DegradedExit, 0, now_ns, 0, format_args!("matcher restored"));
                 // The episode is over; its history (failing flush spans,
                 // degraded entry, every restart attempt with its backoff,
                 // the successful restart) is complete — dump it.
@@ -969,14 +983,18 @@ impl ServeCore {
                     self.dump_postmortem(&format!("recovered after: {reason}"), now_ns);
                 }
             }
-            _ => {
-                self.next_restart_ns = now_ns.saturating_add(self.backoff_ns);
-                self.backoff_ns = self
-                    .backoff_ns
-                    .saturating_mul(2)
-                    .min(self.cfg.restart_backoff_max_ns.max(1));
-            }
+            _ => self.schedule_restart(now_ns),
         }
+    }
+
+    /// Schedules the next restart attempt one backoff from now and doubles
+    /// the backoff, up to the configured cap.
+    fn schedule_restart(&mut self, now_ns: u64) {
+        self.next_restart_ns = now_ns.saturating_add(self.backoff_ns);
+        self.backoff_ns = self
+            .backoff_ns
+            .saturating_mul(2)
+            .min(self.cfg.restart_backoff_max_ns.max(1));
     }
 
     /// Marks the matcher suspect after a fault and schedules the next
@@ -985,68 +1003,25 @@ impl ServeCore {
     /// dumped once the episode resolves (restart success or drain failure).
     fn enter_degraded(&mut self, now_ns: u64, reason: &str) {
         self.suspect = true;
-        self.degraded_entries += 1;
-        metrics::counter_add("serve.degraded_entries", 1);
-        metrics::gauge_set("serve.degraded", 1.0);
-        self.next_restart_ns = now_ns.saturating_add(self.backoff_ns);
-        self.backoff_ns = self
-            .backoff_ns
-            .saturating_mul(2)
-            .min(self.cfg.restart_backoff_max_ns.max(1));
-        self.sup_span(
-            SpanKind::DegradedEnter,
-            now_ns,
-            format!("{reason}; next_restart_ns={}", self.next_restart_ns),
-        );
-        self.log_event(
-            "serve_degraded",
-            &SupervisionEvent {
-                t_ns: now_ns,
-                detail: format!("{reason}; next_restart_ns={}", self.next_restart_ns),
-            },
-        );
-        if self.pending_postmortem.is_none() {
-            self.pending_postmortem = Some(reason.to_string());
-        }
+        self.schedule_restart(now_ns);
+        let next_restart_ns = self.next_restart_ns;
+        let detail = format_args!("{reason}; next_restart_ns={next_restart_ns}");
+        self.emit(Fact::DegradedEnter, 0, now_ns, 0, detail);
+        self.pending_postmortem.get_or_insert_with(|| reason.to_string());
     }
 
     /// Sheds every already-expired request from the queue without touching
-    /// the matcher — the degraded-mode flush, and the cheapest possible
-    /// answer for a request that can no longer be served in time.
+    /// the matcher — the degraded-mode flush.
     fn expire_overdue(&mut self, now_ns: u64) -> Vec<MatchResponse> {
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if now_ns > self.pending[i].deadline_ns {
-                let req = self.pending.remove(i).expect("index in bounds");
-                self.expired += 1;
-                metrics::counter_add("serve.expired", 1);
-                let lat = now_ns.saturating_sub(req.enqueued_ns);
-                self.latency.record(lat as f64);
-                metrics::observe_ns("serve.request_ns", lat);
-                if self.cfg.trace_spans {
-                    self.recorder.record(span(req.id, SpanKind::Expired, now_ns, lat, 0));
-                }
-                self.log_event(
-                    "serve_expired",
-                    &RequestEvent {
-                        id: req.id,
-                        t_ns: now_ns,
-                        detail: format!("waited_ns={lat}"),
-                    },
-                );
-                out.push(MatchResponse {
-                    id: req.id,
-                    outcome: MatchOutcome::Expired,
-                    enqueued_ns: req.enqueued_ns,
-                    completed_ns: now_ns,
-                    batch_size: 0,
-                });
-            } else {
-                i += 1;
+        // One turn of the queue in place: order and capacity survive.
+        for _ in 0..self.pending.len() {
+            let req = self.pending.pop_front().expect("counted above");
+            match self.expire_if_overdue(req, now_ns) {
+                Ok(response) => out.push(response),
+                Err(live) => self.pending.push_back(live),
             }
         }
-        metrics::gauge_set("serve.queue_depth", self.pending.len() as f64);
         out
     }
 
@@ -1054,235 +1029,126 @@ impl ServeCore {
     /// requests immediately, live ones through the cached encode-once path
     /// under panic supervision.
     fn flush(&mut self, now_ns: u64) -> Vec<MatchResponse> {
+        self.try_restart(now_ns);
         if self.suspect {
-            self.try_restart(now_ns);
-            if self.suspect {
-                return self.expire_overdue(now_ns);
-            }
+            return self.expire_overdue(now_ns);
         }
         let take = self.pending.len().min(self.cfg.max_batch.max(1));
         if take == 0 {
             return Vec::new();
         }
         let batch: Vec<Pending> = self.pending.drain(..take).collect();
-        self.flushes += 1;
-        let ord = self.flushes;
-        let trace = self.cfg.trace_spans;
-        metrics::counter_add("serve.flushes", 1);
-        metrics::gauge_set("serve.queue_depth", self.pending.len() as f64);
+        self.flushing = take;
+        let ord = self.count(Fact::Flush, 1);
         self.batch_sizes.record(take as f64);
 
         // Shed-at-flush: answer already-expired requests before the encode
         // stage so they cost zero backbone work.
-        let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-        let mut responses: Vec<MatchResponse> = Vec::with_capacity(batch.len());
+        let mut live: Vec<Pending> = Vec::with_capacity(take);
+        let mut responses: Vec<MatchResponse> = Vec::with_capacity(take);
         for req in batch {
-            if now_ns > req.deadline_ns {
-                self.expired += 1;
-                metrics::counter_add("serve.expired", 1);
-                let lat = now_ns.saturating_sub(req.enqueued_ns);
-                self.latency.record(lat as f64);
-                metrics::observe_ns("serve.request_ns", lat);
-                if trace {
-                    self.trace_span(span(req.id, SpanKind::Expired, now_ns, lat, ord));
-                }
-                self.log_event(
-                    "serve_expired",
-                    &RequestEvent {
-                        id: req.id,
-                        t_ns: now_ns,
-                        detail: format!("waited_ns={lat}"),
-                    },
-                );
-                responses.push(MatchResponse {
-                    id: req.id,
-                    outcome: MatchOutcome::Expired,
-                    enqueued_ns: req.enqueued_ns,
-                    completed_ns: now_ns,
-                    batch_size: take,
-                });
-            } else {
-                if trace {
-                    // The queue-wait span: from admission to this flush
-                    // picking the request up.
-                    self.trace_span(span(
-                        req.id,
-                        SpanKind::QueueWait,
-                        req.enqueued_ns,
-                        now_ns.saturating_sub(req.enqueued_ns),
-                        ord,
-                    ));
-                }
-                live.push(req);
-            }
-        }
-        if live.is_empty() {
-            if trace {
-                self.finish_flush_trace(ord, now_ns);
-            }
-            return responses;
-        }
-
-        // The supervised region: tokenize + encode + score may panic on
-        // poison input or corrupted state. A panic must fail only this
-        // flush, never the engine.
-        let flush_span_start = self.span_now(now_ns);
-        let scored = std::panic::catch_unwind(AssertUnwindSafe(|| self.score_live(&live, now_ns)));
-        if trace {
-            self.trace_span(span(
-                0,
-                SpanKind::Flush,
-                flush_span_start,
-                self.span_now(now_ns).saturating_sub(flush_span_start),
-                ord,
-            ));
-        }
-        match scored {
-            Ok(probs) => {
-                self.backoff_ns = self.cfg.restart_backoff_ns.max(1);
-                for (req, prob) in live.into_iter().zip(probs) {
-                    let lat = now_ns.saturating_sub(req.enqueued_ns);
-                    self.latency.record(lat as f64);
-                    metrics::observe_ns("serve.request_ns", lat);
-                    let outcome = if prob.is_finite() {
-                        self.scored += 1;
-                        metrics::counter_add("serve.scored", 1);
-                        if trace {
-                            self.trace_span(span(req.id, SpanKind::Reply, now_ns, lat, ord));
-                        }
-                        MatchOutcome::Scored {
-                            prob,
-                            is_match: prob >= self.cfg.threshold,
-                        }
-                    } else {
-                        // Never hand a NaN/Inf probability to a client; the
-                        // pair's cached encodings are suspect too.
-                        self.failed += 1;
-                        metrics::counter_add("serve.failed", 1);
-                        self.quarantine_key(req.left_key, now_ns);
-                        self.quarantine_key(req.right_key, now_ns);
-                        if trace {
-                            let mut e = span(req.id, SpanKind::Failed, now_ns, lat, ord);
-                            e.detail = "non-finite probability".to_string();
-                            self.trace_span(e);
-                        }
-                        MatchOutcome::Failed("non-finite probability".to_string())
-                    };
-                    responses.push(MatchResponse {
-                        id: req.id,
-                        outcome,
-                        enqueued_ns: req.enqueued_ns,
-                        completed_ns: now_ns,
-                        batch_size: take,
-                    });
-                }
-                if trace {
-                    self.finish_flush_trace(ord, now_ns);
+            match self.expire_if_overdue(req, now_ns) {
+                Ok(response) => responses.push(response),
+                Err(req) => {
+                    // From admission to this flush picking the request up.
+                    let waited_ns = now_ns.saturating_sub(req.enqueued_ns);
+                    self.emit(Fact::QueueWait, req.id, req.enqueued_ns, waited_ns, NO_DETAIL);
+                    live.push(req);
                 }
             }
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                self.failed += live.len() as u64;
-                metrics::counter_add("serve.failed", live.len() as u64);
-                for req in live {
-                    // The fault may have been any of this batch's cached
-                    // encodings: quarantine them all so nothing poisoned
-                    // outlives the flush that exposed it.
-                    self.quarantine_key(req.left_key, now_ns);
-                    self.quarantine_key(req.right_key, now_ns);
-                    let lat = now_ns.saturating_sub(req.enqueued_ns);
-                    self.latency.record(lat as f64);
-                    metrics::observe_ns("serve.request_ns", lat);
-                    if trace {
-                        let mut e = span(req.id, SpanKind::Failed, now_ns, lat, ord);
-                        e.detail = format!("panic during flush: {reason}");
-                        self.trace_span(e);
+        }
+        let mut fault = None;
+        if !live.is_empty() {
+            // The supervised region: tokenize + encode + score may panic on
+            // poison input or corrupted state. A panic must fail only this
+            // flush, never the engine.
+            let started = self.span_now(now_ns);
+            let scored = catch_unwind(AssertUnwindSafe(|| self.score_live(&live, ord, now_ns)));
+            let took_ns = self.span_now(now_ns).saturating_sub(started);
+            self.record(Fact::Flush, 0, started, took_ns, NO_DETAIL);
+            match scored {
+                Ok(probs) => {
+                    self.backoff_ns = self.cfg.restart_backoff_ns.max(1);
+                    for (req, prob) in live.into_iter().zip(probs) {
+                        responses.push(if prob.is_finite() {
+                            let is_match = prob >= self.cfg.threshold;
+                            let outcome = MatchOutcome::Scored { prob, is_match };
+                            self.answer(Fact::Reply, req.who(), outcome, now_ns, NO_DETAIL)
+                        } else {
+                            // Never hand a NaN/Inf probability to a client; the
+                            // pair's cached encodings are suspect too.
+                            self.quarantine(&req, now_ns);
+                            self.fail(&req, "non-finite probability", now_ns)
+                        });
                     }
-                    responses.push(MatchResponse {
-                        id: req.id,
-                        outcome: MatchOutcome::Failed(format!("panic during flush: {reason}")),
-                        enqueued_ns: req.enqueued_ns,
-                        completed_ns: now_ns,
-                        batch_size: take,
-                    });
                 }
-                // Close the failing flush's trace *before* entering the
-                // degraded state, so the ring holds the request spans when
-                // the episode's postmortem is eventually dumped.
-                if trace {
-                    self.finish_flush_trace(ord, now_ns);
+                Err(payload) => {
+                    let reason = format!("panic during flush: {}", panic_reason(payload.as_ref()));
+                    for req in live {
+                        // The fault may have been any of this batch's cached
+                        // encodings: quarantine them all so nothing poisoned
+                        // outlives the flush that exposed it.
+                        self.quarantine(&req, now_ns);
+                        responses.push(self.fail(&req, &reason, now_ns));
+                    }
+                    fault = Some(reason);
                 }
-                self.enter_degraded(now_ns, &format!("panic during flush: {reason}"));
             }
+        }
+        // Close the flush's trace *before* entering the degraded state, so
+        // the ring holds a failing flush's request spans when the episode's
+        // postmortem is eventually dumped.
+        self.flushing = 0;
+        self.finish_flush_trace(ord, now_ns);
+        if let Some(reason) = fault {
+            self.enter_degraded(now_ns, &reason);
         }
         responses
     }
 
-    /// The fallible compute of one flush: the scorer's resolve step (cache
+    /// The fallible compute of flush `ord`: the scorer's resolve step (cache
     /// hits reuse the resident tensor without tokenizing; misses are
     /// tokenized and encoded in one grouped call) and its score step over
     /// every live pair, with the span clock sampled in between. Runs inside
     /// `catch_unwind` — anything here may panic without killing the engine.
-    fn score_live(&mut self, live: &[Pending], now_ns: u64) -> Vec<f32> {
+    fn score_live(&mut self, live: &[Pending], ord: u64, now_ns: u64) -> Vec<f32> {
         if let Some(fault) = self.flush_fault.as_mut() {
-            fault(self.flushes);
+            fault(ord);
         }
-        let ord = self.flushes;
-        let trace = self.cfg.trace_spans;
         let pipeline = &self.trained.pipeline;
-        let stage_start = self.span_now(now_ns);
+        let started = self.span_now(now_ns);
         let resolved = self.scorer.resolve(
             self.trained.model.as_ref(),
             live.iter()
                 .flat_map(|req| [(req.left_key, &req.left), (req.right_key, &req.right)]),
             |rec| pipeline.encode_single_record(rec),
         );
-        self.encodes += resolved.misses as u64;
-        metrics::counter_add("serve.encodes", resolved.misses as u64);
         metrics::observe_ns("serve.encode_batch_ns", resolved.elapsed.as_nanos() as u64);
-        if trace {
+        if resolved.hits > 0 {
             // One aggregate span per flush, not one per hit: per-key spans
             // would put a `format!` on every warm request's hot path.
-            if resolved.hits > 0 {
-                let mut e = span(0, SpanKind::CacheHit, stage_start, 0, ord);
-                e.detail = format!("hits={}", resolved.hits);
-                self.trace_span(e);
-            }
-            let mut e = span(
-                0,
-                SpanKind::Encode,
-                stage_start,
-                self.span_now(stage_start).saturating_sub(stage_start),
-                ord,
-            );
-            e.detail = format!("misses={}", resolved.misses);
-            self.trace_span(e);
+            self.emit(Fact::CacheHit, 0, started, 0, format_args!("hits={}", resolved.hits));
         }
+        let encoded = self.span_now(started);
+        self.count(Fact::Encode, resolved.misses as u64);
+        let took_ns = encoded.saturating_sub(started);
+        self.record(Fact::Encode, 0, started, took_ns, format_args!("misses={}", resolved.misses));
 
-        let stage_start = self.span_now(stage_start);
         let (probs, took) = self.scorer.score(
             self.trained.model.as_ref(),
             &resolved,
             live.iter().map(|req| (req.left_key, req.right_key)),
         );
         metrics::observe_ns("serve.score_batch_ns", took.as_nanos() as u64);
-        if trace {
-            let mut e = span(
-                0,
-                SpanKind::Score,
-                stage_start,
-                self.span_now(stage_start).saturating_sub(stage_start),
-                ord,
-            );
-            e.detail = format!("pairs={}", probs.len());
-            self.trace_span(e);
-        }
+        let took_ns = self.span_now(encoded).saturating_sub(encoded);
+        self.emit(Fact::Score, 0, encoded, took_ns, format_args!("pairs={}", probs.len()));
         probs
     }
 
-    /// Current statistics. Publishes the cache's metrics (delta-safe — see
-    /// [`emba_core::EncodingCache::publish_metrics`]) and snapshots the thread's
-    /// registry, so calling this repeatedly never inflates counters.
+    /// Current statistics. Publishes the gauges and the cache's metrics
+    /// (delta-safe — see [`emba_core::EncodingCache::publish_metrics`]) and
+    /// snapshots the thread's registry, so calling this repeatedly never
+    /// inflates counters.
     pub fn snapshot(&mut self) -> ServerSnapshot {
         self.scorer.publish_metrics();
         metrics::gauge_set("serve.queue_depth", self.pending.len() as f64);
@@ -1301,16 +1167,16 @@ impl ServeCore {
             Vec::new()
         };
         ServerSnapshot {
-            enqueued: self.enqueued,
-            scored: self.scored,
-            expired: self.expired,
-            rejected: self.rejected,
-            shed: self.shed,
-            failed: self.failed,
-            restarts: self.restarts,
+            enqueued: self.tally(Fact::Admitted),
+            scored: self.tally(Fact::Reply),
+            expired: self.tally(Fact::Expired),
+            rejected: self.tally(Fact::Rejected),
+            shed: self.tally(Fact::Shed),
+            failed: self.tally(Fact::Failed),
+            restarts: self.tally(Fact::Restarted),
             degraded: self.suspect,
-            flushes: self.flushes,
-            encodes: self.encodes,
+            flushes: self.tally(Fact::Flush),
+            encodes: self.tally(Fact::Encode),
             queue_depth: self.pending.len(),
             peak_queue_depth: self.peak_queue_depth,
             routes_depth: 0,
@@ -1319,12 +1185,12 @@ impl ServeCore {
             cache_hit_rate: self.scorer.cache().hit_rate(),
             cache_resident: self.scorer.cache().len(),
             cache_quarantines: self.scorer.cache().quarantines(),
-            degraded_entries: self.degraded_entries,
-            postmortems: self.postmortems,
+            degraded_entries: self.tally(Fact::DegradedEnter),
+            postmortems: self.postmortems(),
             trace_events: self.recorder.recorded(),
             trace_dropped: self.recorder.dropped(),
             batch_size: self.batch_sizes.summary("serve.batch_size"),
-            request_latency: self.latency.summary("serve.request_ns"),
+            request_latency: self.latency.summary(REQUEST_NS),
             registry: metrics::snapshot(),
             profile_phases,
             backend: self.cfg.backend.label().to_string(),
@@ -1333,20 +1199,20 @@ impl ServeCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use emba_core::{ModelKind, PipelineConfig, TextPipeline};
     use emba_tensor::{prof, QuantizedMatrix};
     use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
     use rand::SeedableRng;
 
-    fn record(text: &str) -> Record {
+    pub(crate) fn record(text: &str) -> Record {
         Record::new(vec![("title", text)])
     }
 
     /// An untrained BERT-small EMBA over a two-record corpus; its 64×64
     /// projections are above the int8 quantization floor.
-    fn bert_matcher() -> TrainedMatcher {
+    pub(crate) fn bert_matcher() -> TrainedMatcher {
         let tok = WordPieceTokenizer::train(
             &["sandisk ultra 128gb card", "samsung evo 1tb ssd"],
             &TrainConfig { vocab_size: 128, min_pair_freq: 2 },

@@ -23,6 +23,7 @@
 //! thread exits, so every accepted request is answered exactly once even
 //! across teardown.
 
+use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,6 +55,17 @@ pub(crate) enum EngineMsg {
     Snapshot(Sender<ServerSnapshot>),
     Timelines(usize, Sender<Vec<FlushTimeline>>),
     Shutdown,
+}
+
+/// Sends the worker a question carrying its own reply channel and waits for
+/// the answer; `None` if the worker is gone.
+pub(crate) fn ask<T>(
+    tx: &Sender<EngineMsg>,
+    question: impl FnOnce(Sender<T>) -> EngineMsg,
+) -> Option<T> {
+    let (reply, answer) = mpsc::channel();
+    tx.send(question(reply)).ok()?;
+    answer.recv().ok()
 }
 
 /// A long-lived match-serving engine: one worker thread, one MPSC queue.
@@ -188,22 +200,14 @@ impl ServeEngine {
     /// `serve.*` section). [`ServerSnapshot::routes_depth`] is filled in
     /// with the worker's live reply-route count.
     pub fn snapshot(&self) -> Result<ServerSnapshot, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.tx
-            .send(EngineMsg::Snapshot(tx))
-            .map_err(|_| ServeError::EngineDied)?;
-        rx.recv().map_err(|_| ServeError::EngineDied)
+        ask(&self.tx, EngineMsg::Snapshot).ok_or(ServeError::EngineDied)
     }
 
     /// The most recent traced flush timelines, newest last. Empty unless
     /// [`ServeConfig::trace_spans`] is on. `last` caps how many come back
     /// (the worker keeps at most [`ServeConfig::recent_timelines`]).
     pub fn timelines(&self, last: usize) -> Result<Vec<FlushTimeline>, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.tx
-            .send(EngineMsg::Timelines(last, tx))
-            .map_err(|_| ServeError::EngineDied)?;
-        rx.recv().map_err(|_| ServeError::EngineDied)
+        ask(&self.tx, |tx| EngineMsg::Timelines(last, tx)).ok_or(ServeError::EngineDied)
     }
 
     /// Starts the live telemetry endpoint on `addr` (e.g. `127.0.0.1:0`
@@ -275,10 +279,9 @@ impl ServeClient {
 /// The worker loop: route messages into the core, poll after every message
 /// and tick, drain on shutdown.
 fn run_worker(mut core: ServeCore, rx: Receiver<EngineMsg>, clock: Arc<dyn Clock>) {
-    let mut routes: std::collections::HashMap<u64, Sender<MatchResponse>> =
-        std::collections::HashMap::new();
+    let mut routes: HashMap<u64, Sender<MatchResponse>> = HashMap::new();
     let mut next_id: u64 = 0;
-    let deliver = |routes: &mut std::collections::HashMap<u64, Sender<MatchResponse>>,
+    let deliver = |routes: &mut HashMap<u64, Sender<MatchResponse>>,
                    responses: Vec<MatchResponse>| {
         for resp in responses {
             if let Some(reply) = routes.remove(&resp.id) {
@@ -290,8 +293,17 @@ fn run_worker(mut core: ServeCore, rx: Receiver<EngineMsg>, clock: Arc<dyn Clock
             }
         }
     };
+    // Set by `Shutdown`: from then on the loop only empties the channel —
+    // whatever was sent before the worker got here is still answered, by the
+    // same arms as ever — and stops when nothing is left in it.
+    let mut draining = false;
     loop {
-        let msg = if core.queue_depth() == 0 && !core.degraded() {
+        let msg = if draining {
+            match rx.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(_) => break,
+            }
+        } else if core.queue_depth() == 0 && !core.degraded() {
             // Nothing pending and nothing to heal: block until a message.
             match rx.recv() {
                 Ok(msg) => Some(msg),
@@ -329,40 +341,61 @@ fn run_worker(mut core: ServeCore, rx: Receiver<EngineMsg>, clock: Arc<dyn Clock
             Some(EngineMsg::Timelines(last, tx)) => {
                 let _ = tx.send(core.timelines(last));
             }
-            Some(EngineMsg::Shutdown) => break,
+            Some(EngineMsg::Shutdown) => draining = true,
             None => {}
         }
-        let responses = core.poll(clock.now_ns());
-        deliver(&mut routes, responses);
-    }
-    // Shutdown (or all clients gone): first drain any Score messages still
-    // sitting in the channel, then flush the core. Every accepted request
-    // is answered exactly once.
-    while let Ok(msg) = rx.try_recv() {
-        match msg {
-            EngineMsg::Score {
-                left,
-                right,
-                deadline_ns,
-                reply,
-            } => {
-                let id = next_id;
-                next_id += 1;
-                routes.insert(id, reply);
-                let admission = core.enqueue(id, left, right, clock.now_ns(), deadline_ns);
-                deliver(&mut routes, admission);
-            }
-            EngineMsg::Snapshot(tx) => {
-                let mut snap = core.snapshot();
-                snap.routes_depth = routes.len();
-                let _ = tx.send(snap);
-            }
-            EngineMsg::Timelines(last, tx) => {
-                let _ = tx.send(core.timelines(last));
-            }
-            EngineMsg::Shutdown => {}
+        if !draining {
+            let responses = core.poll(clock.now_ns());
+            deliver(&mut routes, responses);
         }
     }
+    // Shutdown (or all clients gone): flush the core. Every accepted request
+    // is answered exactly once.
     let responses = core.drain(clock.now_ns());
     deliver(&mut routes, responses);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::FakeClock;
+    use crate::core::tests::{bert_matcher, record};
+
+    /// Whatever is in the channel when the worker reads `Shutdown` is still
+    /// answered, by the arms that answer it on any other day.
+    #[test]
+    fn messages_behind_shutdown_are_answered() {
+        let cfg = ServeConfig { max_batch: 100, trace_spans: true, ..Default::default() };
+        let core = ServeCore::new(bert_matcher(), cfg).expect("EmbaSb has the split scoring path");
+        let (tx, rx) = mpsc::channel();
+        let score = |text: &str| {
+            let (reply, answer) = mpsc::channel();
+            let (left, right) = (record(text), record("samsung evo ssd"));
+            tx.send(EngineMsg::Score { left, right, deadline_ns: u64::MAX, reply }).unwrap();
+            answer
+        };
+        let before = score("sandisk ultra card");
+        tx.send(EngineMsg::Shutdown).unwrap();
+        let behind = score("sandisk 128gb card");
+        let (snap_tx, snapshot) = mpsc::channel();
+        tx.send(EngineMsg::Snapshot(snap_tx)).unwrap();
+        let (lines_tx, timelines) = mpsc::channel();
+        tx.send(EngineMsg::Timelines(4, lines_tx)).unwrap();
+        tx.send(EngineMsg::Shutdown).unwrap();
+
+        run_worker(core, rx, Arc::new(FakeClock::new()));
+
+        for answer in [before, behind] {
+            let resp = answer.try_recv().expect("drained at shutdown");
+            assert!(matches!(resp.outcome, crate::MatchOutcome::Scored { .. }));
+            assert!(answer.try_recv().is_err(), "request {} answered twice", resp.id);
+        }
+        // Neither fills a batch nor is due: both were still queued, with
+        // their routes held, when the snapshot was taken.
+        let snap = snapshot.try_recv().expect("snapshot behind shutdown answered");
+        assert_eq!((snap.enqueued, snap.queue_depth, snap.routes_depth), (2, 2, 2));
+        assert!(snapshot.try_recv().is_err());
+        assert!(timelines.try_recv().expect("timelines behind shutdown answered").is_empty());
+        assert!(timelines.try_recv().is_err());
+    }
 }

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use emba_trace::prof_export::{chrome_trace_spans, TraceSpan};
-use emba_trace::{ServeSpanEvent, SpanKind};
+use emba_trace::ServeSpanEvent;
 use serde::Serialize;
 
 /// Fixed-size ring of the most recent span events. Oldest events are
@@ -116,21 +116,15 @@ impl FlushTimeline {
     }
 }
 
-/// Convenience constructor for the span events the core records.
-pub(crate) fn span(
-    trace_id: u64,
-    kind: SpanKind,
-    t_ns: u64,
-    dur_ns: u64,
-    flush: u64,
-) -> ServeSpanEvent {
-    ServeSpanEvent { trace_id, kind, t_ns, dur_ns, flush, detail: String::new() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emba_trace::SpanKind;
     use serde::Value;
+
+    fn span(trace_id: u64, kind: SpanKind, t_ns: u64, dur_ns: u64, flush: u64) -> ServeSpanEvent {
+        ServeSpanEvent { trace_id, kind, t_ns, dur_ns, flush, detail: String::new() }
+    }
 
     fn ev(trace_id: u64, t_ns: u64) -> ServeSpanEvent {
         span(trace_id, SpanKind::Reply, t_ns, 10, 1)

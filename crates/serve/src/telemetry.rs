@@ -23,17 +23,15 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use emba_trace::prometheus_text;
 
-use crate::core::ServerSnapshot;
-use crate::engine::EngineMsg;
+use crate::engine::{ask, EngineMsg};
 use crate::error::ServeError;
-use crate::spans::FlushTimeline;
 
 /// Most request bytes the server will buffer before giving up on a client.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -203,7 +201,7 @@ fn handle_connection(mut stream: TcpStream, tx: &Sender<EngineMsg>) -> std::io::
     let (status, content_type, body) = match parse_request(&buf) {
         Route::MethodNotAllowed => ("405 Method Not Allowed", "text/plain", "GET only\n"),
         Route::NotFound => ("404 Not Found", "text/plain", "not found\n"),
-        Route::Metrics => match fetch_snapshot(tx) {
+        Route::Metrics => match ask(tx, EngineMsg::Snapshot) {
             Some(snap) => {
                 rendered = prometheus_text(&snap.registry);
                 (
@@ -214,19 +212,19 @@ fn handle_connection(mut stream: TcpStream, tx: &Sender<EngineMsg>) -> std::io::
             }
             None => DRAINING,
         },
-        Route::Healthz => match fetch_snapshot(tx) {
+        Route::Healthz => match ask(tx, EngineMsg::Snapshot) {
             Some(snap) if snap.degraded => ("503 Service Unavailable", "text/plain", "degraded\n"),
             Some(_) => ("200 OK", "text/plain", "live\n"),
             None => DRAINING,
         },
-        Route::Snapshot => match fetch_snapshot(tx) {
+        Route::Snapshot => match ask(tx, EngineMsg::Snapshot) {
             Some(snap) => {
                 rendered = json(serde_json::to_string(&snap));
                 ("200 OK", "application/json", rendered.as_str())
             }
             None => DRAINING,
         },
-        Route::Trace(last) => match fetch_timelines(tx, last) {
+        Route::Trace(last) => match ask(tx, |reply| EngineMsg::Timelines(last, reply)) {
             Some(timelines) => {
                 rendered = json(serde_json::to_string(&timelines));
                 ("200 OK", "application/json", rendered.as_str())
@@ -242,18 +240,6 @@ fn handle_connection(mut stream: TcpStream, tx: &Sender<EngineMsg>) -> std::io::
 fn head_complete(buf: &[u8], scanned: usize) -> bool {
     let tail = &buf[scanned.saturating_sub(3)..];
     tail.windows(4).any(|w| w == b"\r\n\r\n") || tail.windows(2).any(|w| w == b"\n\n")
-}
-
-fn fetch_snapshot(tx: &Sender<EngineMsg>) -> Option<ServerSnapshot> {
-    let (stx, srx) = mpsc::channel();
-    tx.send(EngineMsg::Snapshot(stx)).ok()?;
-    srx.recv().ok()
-}
-
-fn fetch_timelines(tx: &Sender<EngineMsg>, last: usize) -> Option<Vec<FlushTimeline>> {
-    let (ttx, trx) = mpsc::channel();
-    tx.send(EngineMsg::Timelines(last, ttx)).ok()?;
-    trx.recv().ok()
 }
 
 fn respond(

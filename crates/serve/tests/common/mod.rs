@@ -1,9 +1,10 @@
 //! Fixtures shared by the serve integration tests.
 #![allow(dead_code)] // each test binary uses its own subset
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -13,6 +14,7 @@ use emba_serve::{RecoverySource, ServeConfig, ServeCore};
 use emba_tokenizer::{TrainConfig, WordPieceTokenizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Value;
 
 /// Injected flush panics are expected noise in these suites; silence the
 /// default panic report for the serving thread (and only that thread) so
@@ -120,6 +122,17 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Lines of a JSONL event log, counted by their `"event"` tag.
+pub fn events_by_name(log: &Path) -> HashMap<String, u64> {
+    let mut by_name = HashMap::new();
+    for line in std::fs::read_to_string(log).expect("event log written").lines() {
+        let v: Value = serde_json::from_str(line).expect("event log line is JSON");
+        let name = v.get("event").and_then(Value::as_str).expect("tagged event");
+        *by_name.entry(name.to_string()).or_insert(0) += 1;
+    }
+    by_name
 }
 
 /// One blocking HTTP GET against the telemetry server; returns (status,

@@ -167,6 +167,13 @@ fn overload_accounting_partitions_every_request() {
     );
     assert_eq!(snap.enqueued + snap.rejected, n);
     assert_eq!(snap.queue_depth, 0);
+    assert!(snap.shed > 0, "the burst must cross the high-water mark");
+    assert_eq!(
+        snap.request_latency.count,
+        snap.scored + snap.expired + snap.failed + snap.shed,
+        "every admitted request's wait is recorded, shed victims' included; \
+         admission rejects never waited"
+    );
     assert!(snap.peak_queue_depth <= 8);
     assert_eq!(snap.failed, 0, "no faults were injected");
     assert!(snap.scored > 0, "overload must not collapse to zero goodput");

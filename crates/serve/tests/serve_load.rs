@@ -17,15 +17,20 @@
 mod common;
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::{checkpoint_over, matcher_over, records, TempDir};
+use common::{
+    checkpoint_over, events_by_name, matcher_over, quiet_serve_panics, records, TempDir,
+};
 use emba_core::{Checkpoint, CheckpointStore, ModelKind};
 use emba_datagen::Record;
 use emba_serve::{
-    FakeClock, MatchOutcome, MatchResponse, ServeConfig, ServeCore, ServeEngine, ServeError,
+    FakeClock, MatchOutcome, MatchResponse, RecoverySource, ServeConfig, ServeCore, ServeEngine,
+    ServeError,
 };
+use emba_tensor::Tensor;
+use emba_trace::{metrics, SpanKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -199,20 +204,53 @@ fn cache_is_shared_across_flushes() {
 fn randomized_timelines_answer_every_request_exactly_once() {
     // Seeded scenario sweep (the vendored proptest has no tuple
     // strategies; structure comes from a seeded RNG): random budgets,
-    // arrival gaps, and poll times. Invariants: every request is answered
-    // exactly once; Scored ⇒ answered at or before its deadline;
-    // Expired ⇒ answered after it.
+    // arrival gaps, poll times, queue bound and high-water mark, and one
+    // injected flush panic per timeline. A third of the timelines start on
+    // NaN weights (every flush before the panic's restart fails its
+    // requests as non-finite) and a third have nothing to restart from (the
+    // drain fails what is left). Invariants: every request is answered
+    // exactly once; Scored ⇒ answered at or before its deadline; Expired ⇒
+    // answered after it; and per outcome the responses, the snapshot
+    // counters, the flight recorder's terminal spans, the JSONL event log
+    // and the metrics registry all count the same.
+    quiet_serve_panics();
     let recs = records(10);
+    let healthy = checkpoint_over(&recs);
+    let mut poisoned = checkpoint_over(&recs);
+    for t in &mut poisoned.params {
+        *t = Tensor::from_vec(t.rows(), t.cols(), vec![f32::NAN; t.rows() * t.cols()]);
+    }
+    let tmp = TempDir::new();
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(0x10ad ^ seed);
-        let mut core = core_over(
-            &recs,
+        let log = tmp.0.join(format!("events-{seed}.jsonl"));
+        let max_queue_depth = rng.gen_range(3..9);
+        let start = if seed % 3 == 1 { &poisoned } else { &healthy };
+        let mut core = ServeCore::new(
+            start.restore().expect("checkpoint restores"),
             ServeConfig {
                 max_batch: 4,
+                max_queue_depth,
+                shed_high_water: rng.gen_range(2..=max_queue_depth),
+                restart_backoff_ns: 500,
+                restart_backoff_max_ns: 2_000,
+                trace_spans: true,
+                flight_recorder: 100_000, // nothing is overwritten
+                event_log: Some(log.clone()),
                 ..Default::default()
             },
-        );
-        let n = rng.gen_range(5..14);
+        )
+        .expect("EmbaFt has the split scoring path");
+        if seed % 3 != 2 {
+            core.set_recovery(RecoverySource::Checkpoint(Box::new(healthy.clone())));
+        }
+        let faulty_flush = rng.gen_range(1..4);
+        core.set_flush_fault(Box::new(move |flush| {
+            assert!(flush != faulty_flush, "injected fault in flush {flush}");
+        }));
+        let registry_before = metrics::snapshot();
+
+        let n = rng.gen_range(12..30);
         let mut now: u64 = 0;
         let mut deadlines: HashMap<u64, u64> = HashMap::new();
         let mut answered: HashMap<u64, MatchResponse> = HashMap::new();
@@ -231,7 +269,7 @@ fn randomized_timelines_answer_every_request_exactly_once() {
             let j = rng.gen_range(0..recs.len());
             let deadline = now + rng.gen_range(0..10_000);
             deadlines.insert(id, deadline);
-            core.enqueue(id, recs[i].clone(), recs[j].clone(), now, deadline);
+            record_answers(core.enqueue(id, recs[i].clone(), recs[j].clone(), now, deadline));
             if rng.gen_bool(0.5) {
                 now += rng.gen_range(0..3_000);
                 record_answers(core.poll(now));
@@ -246,23 +284,65 @@ fn randomized_timelines_answer_every_request_exactly_once() {
             "seed {seed}: {} of {n} requests answered",
             answered.len()
         );
+        let (mut scored, mut expired, mut turned_away, mut failed) = (0, 0, 0, 0);
         for (id, resp) in &answered {
             match resp.outcome {
-                MatchOutcome::Scored { .. } => assert!(
-                    resp.completed_ns <= deadlines[id],
-                    "seed {seed}: request {id} scored after its deadline"
-                ),
-                MatchOutcome::Expired => assert!(
-                    resp.completed_ns > deadlines[id],
-                    "seed {seed}: request {id} expired before its deadline"
-                ),
-                ref other => panic!("seed {seed}: request {id} answered {other:?}"),
+                MatchOutcome::Scored { .. } => {
+                    scored += 1;
+                    assert!(
+                        resp.completed_ns <= deadlines[id],
+                        "seed {seed}: request {id} scored after its deadline"
+                    );
+                }
+                MatchOutcome::Expired => {
+                    expired += 1;
+                    assert!(
+                        resp.completed_ns > deadlines[id],
+                        "seed {seed}: request {id} expired before its deadline"
+                    );
+                }
+                MatchOutcome::Rejected => turned_away += 1,
+                MatchOutcome::Failed(_) => failed += 1,
             }
         }
+        assert!(failed > 0, "seed {seed}: the injected fault failed nothing");
+
         let snap = core.snapshot();
-        assert_eq!(snap.enqueued, n);
-        assert_eq!(snap.scored + snap.expired, n);
+        let spans = core.flight_recorder().events();
+        drop(core); // flushes the event log
         assert_eq!(snap.queue_depth, 0);
+        assert_eq!(snap.trace_dropped, 0);
+        assert_eq!(snap.enqueued + snap.rejected, n);
+        assert_eq!(snap.enqueued, snap.scored + snap.expired + snap.shed + snap.failed);
+        assert_eq!(snap.request_latency.count, snap.enqueued, "every admitted request waited");
+        assert_eq!(
+            (snap.scored, snap.expired, snap.rejected + snap.shed, snap.failed),
+            (scored, expired, turned_away, failed),
+            "seed {seed}: snapshot vs responses"
+        );
+
+        let spans_of = |kind: SpanKind| spans.iter().filter(|e| e.kind == kind).count() as u64;
+        let logged = events_by_name(&log);
+        let lines_of = |event: &str| logged.get(event).copied().unwrap_or(0);
+        let counter = |m: &metrics::MetricsSnapshot, name: &str| {
+            m.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+        };
+        let gained = |name: &str| counter(&snap.registry, name) - counter(&registry_before, name);
+        for (what, counted, span_kind, counter_name, event) in [
+            ("admitted", snap.enqueued, SpanKind::Admitted, "serve.enqueued", None),
+            ("scored", snap.scored, SpanKind::Reply, "serve.scored", None),
+            ("expired", snap.expired, SpanKind::Expired, "serve.expired", Some("serve_expired")),
+            ("failed", snap.failed, SpanKind::Failed, "serve.failed", Some("serve_failed")),
+            ("rejected", snap.rejected, SpanKind::Rejected, "serve.shed.admission", None),
+            ("shed", snap.shed, SpanKind::Shed, "serve.shed.deadline", None),
+        ] {
+            assert_eq!(spans_of(span_kind), counted, "seed {seed}: {what} spans");
+            assert_eq!(gained(counter_name), counted, "seed {seed}: {what} in the registry");
+            if let Some(event) = event {
+                assert_eq!(lines_of(event), counted, "seed {seed}: {what} in the event log");
+            }
+        }
+        assert_eq!(lines_of("serve_shed"), snap.rejected + snap.shed, "seed {seed}: shed lines");
     }
 }
 
@@ -374,25 +454,44 @@ fn shutdown_drains_pending_requests() {
     let recs = records(6);
     let ckpt = checkpoint_over(&recs);
     let clock = Arc::new(FakeClock::new());
-    let engine = ServeEngine::start(
+    // The first flush parks the worker inside `poll` until the test lets it
+    // go, so what is sent meanwhile is still in the channel when the worker
+    // comes back to it.
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let engine = ServeEngine::start_with_fault(
         ckpt,
         ServeConfig {
-            max_batch: 100, // never fills
+            max_batch: 3,
             ..Default::default()
         },
         clock,
+        Box::new(move |flush| {
+            if flush == 1 {
+                entered_tx.send(()).expect("test is waiting");
+                released.recv().expect("test releases the flush");
+            }
+        }),
     )
     .unwrap();
     let client = engine.client();
-    // Huge budgets and a frozen clock: no trigger will ever fire. Shutdown
-    // must still answer all three.
-    let rxs: Vec<_> = (0..3)
+    // Huge budgets and a frozen clock: only the fill trigger fires, once.
+    let mut rxs: Vec<_> = (0..3)
         .map(|k| client.submit(&recs[2 * k], &recs[2 * k + 1], u64::MAX))
         .collect();
-    engine.shutdown();
+    entered.recv().expect("the full batch flushes");
+    // Two more submits race the shutdown. They never fill a batch, so on
+    // either side of `Shutdown` only the drain can answer them. (What sits
+    // *behind* `Shutdown` in the channel, snapshot and timelines requests
+    // included, is `engine::tests::messages_behind_shutdown_are_answered`.)
+    let stopper = std::thread::spawn(move || engine.shutdown());
+    rxs.extend((0..2).map(|k| client.submit(&recs[k], &recs[k + 3], u64::MAX)));
+    release.send(()).expect("worker is parked");
+    stopper.join().expect("shutdown returns");
     for rx in rxs {
         let resp = rx.recv_timeout(Duration::from_secs(30)).expect("drained at shutdown");
         assert!(matches!(resp.outcome, MatchOutcome::Scored { .. }));
+        assert!(rx.recv().is_err(), "request {} answered twice", resp.id);
     }
 }
 

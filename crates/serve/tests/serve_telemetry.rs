@@ -10,13 +10,15 @@
 
 mod common;
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{checkpoint_over, http_get, quiet_serve_panics, recoverable_core, records, TempDir};
+use common::{
+    checkpoint_over, events_by_name, http_get, quiet_serve_panics, recoverable_core, records,
+    TempDir,
+};
 use emba_serve::{MatchOutcome, ServeConfig, ServeCore, ServeEngine, SystemClock};
 use emba_trace::{parse_exposition, parse_postmortem, validate_exposition, SpanKind};
 use serde::Value;
@@ -276,6 +278,7 @@ fn failed_drain_dumps_postmortem_with_unanswered_queue() {
 
 #[test]
 fn event_log_agrees_with_snapshot_summary() {
+    quiet_serve_panics();
     let tmp = TempDir::new();
     let log_path = tmp.0.join("serve-events.jsonl");
     let recs = records(4);
@@ -300,23 +303,28 @@ fn event_log_agrees_with_snapshot_summary() {
         let responses = core.poll(20_000);
         assert_eq!(responses.len(), 2);
         assert!(responses.iter().all(|r| r.outcome == MatchOutcome::Expired));
+        // A third is in time, and its flush panics.
+        core.set_flush_fault(Box::new(|_| panic!("injected telemetry fault")));
+        assert!(core.enqueue(3, recs[0].clone(), recs[3].clone(), 20_000, 30_000).is_empty());
+        let responses = core.poll(25_000);
+        assert_eq!(responses.len(), 1);
+        assert!(matches!(responses[0].outcome, MatchOutcome::Failed(_)));
         core.snapshot().to_summary()
         // core drops here, flushing the event log
     };
 
-    let text = std::fs::read_to_string(&log_path).expect("event log written");
-    let mut by_event: HashMap<String, u64> = HashMap::new();
-    for line in text.lines() {
-        let v: Value = serde_json::from_str(line).expect("event log line is JSON");
-        let event = v.get("event").and_then(Value::as_str).expect("tagged event");
-        *by_event.entry(event.to_string()).or_insert(0) += 1;
-    }
-    assert_eq!(by_event.get("serve_shed").copied().unwrap_or(0), summary.rejected + summary.shed);
-    assert_eq!(by_event.get("serve_expired").copied().unwrap_or(0), summary.expired);
+    // Every terminal outcome but `Scored` has a line per request.
+    let by_event = events_by_name(&log_path);
+    let lines = |event: &str| by_event.get(event).copied().unwrap_or(0);
+    assert_eq!(lines("serve_shed"), summary.rejected + summary.shed);
+    assert_eq!(lines("serve_expired"), summary.expired);
+    assert_eq!(lines("serve_failed"), summary.failed);
+    assert_eq!(lines("serve_degraded"), summary.degraded_entries);
     assert_eq!(summary.rejected, 1);
     assert_eq!(summary.expired, 2);
-    assert_eq!(summary.enqueued, 2);
-    assert_eq!(summary.degraded_entries, 0);
+    assert_eq!(summary.failed, 1);
+    assert_eq!(summary.enqueued, 3);
+    assert_eq!(summary.degraded_entries, 1);
 }
 
 // ---------------------------------------------------------------------------

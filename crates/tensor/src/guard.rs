@@ -47,7 +47,7 @@ pub fn enabled() -> bool {
 }
 
 /// Records a non-finite op output. Called by the tape; reports beyond
-/// [`MAX_REPORTS`] are dropped.
+/// `MAX_REPORTS` are dropped.
 pub fn record(op: &'static str, rows: usize, cols: usize) {
     REPORTS.with(|r| {
         let mut r = r.borrow_mut();

@@ -5,10 +5,16 @@
 //! learning-rate schedule, an early stop that never fires) invisible until
 //! the run is over. This crate adds a thin observer seam:
 //!
-//! * [`TrainObserver`] — a trait with default no-op hooks for every
-//!   interesting moment of a run: epoch boundaries, optimizer steps (loss,
-//!   pre-clip gradient norm, effective learning rate, wall time), evaluation
-//!   passes, best-state checkpointing, and non-finite events.
+//! * [`TrainEvent`] — every interesting moment of a run as one value: epoch
+//!   boundaries, optimizer steps (loss, pre-clip gradient norm, effective
+//!   learning rate, wall time), evaluation passes, best-state checkpointing,
+//!   durable snapshots, and non-finite events. It knows its JSONL name and
+//!   serializes to its JSONL fields.
+//! * [`TrainObserver`] — the trait a training loop reports to. Producers
+//!   call only [`TrainObserver::on_event`]; its default hands the payload to
+//!   one named no-op hook per variant, so an observer that cares about a few
+//!   moments implements those hooks and one that treats all alike (a logger,
+//!   a tee) overrides `on_event` alone.
 //! * [`JsonlLogger`] — streams one JSON object per event to any `Write`
 //!   sink, conventionally `results/runs/<name>.jsonl`. Every object carries
 //!   an `"event"` discriminator; non-finite floats are sanitized to `null`
@@ -103,7 +109,7 @@ pub struct EvalRecord {
 }
 
 /// Aggregate view of a finished run, assembled by [`SummaryBuilder`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Epochs actually executed (early stopping may cut the budget short).
     pub epochs_run: usize,
@@ -275,7 +281,8 @@ pub struct ServeSummary {
     pub cache_hit_rate: f64,
     /// Distribution of flush batch sizes.
     pub batch_size: metrics::HistogramSummary,
-    /// Per-request enqueue→answer latency, nanoseconds.
+    /// Enqueue→answer wait of every admitted request (scored, expired,
+    /// failed, or shed above the high-water mark), nanoseconds.
     pub request_latency: metrics::HistogramSummary,
     /// Kernel backend that served the run (`"f32"`, `"int8-avx2"`,
     /// `"int8-scalar"`, ...). Empty in summaries written before PR 10.
@@ -283,38 +290,153 @@ pub struct ServeSummary {
     pub backend: String,
 }
 
-/// Hooks into a training run. Every method has a no-op default, so observers
-/// implement only what they care about.
-pub trait TrainObserver {
-    /// Called once before the first epoch.
-    fn on_run_start(&mut self, _meta: &RunMeta) {}
-    /// Called at the start of each epoch (zero-based).
-    fn on_epoch_start(&mut self, _epoch: usize) {}
-    /// Called after each optimizer step.
-    fn on_step(&mut self, _record: &StepRecord) {}
-    /// Called at the end of each epoch with its mean training loss.
-    fn on_epoch_end(&mut self, _epoch: usize, _mean_loss: f64) {}
-    /// Called after each evaluation pass.
-    fn on_eval(&mut self, _record: &EvalRecord) {}
-    /// Called when the best-so-far state is captured.
-    fn on_checkpoint_save(&mut self, _epoch: usize, _valid_f1: f64) {}
-    /// Called when the best state is restored at the end of the run.
-    fn on_checkpoint_restore(&mut self, _epoch: usize) {}
-    /// Called when a non-finite value is detected. `source` identifies where
-    /// (`"op:softmax_rows"`, `"train_loss"`, `"valid_f1"`); `detail` is a
+/// One moment of a training run: the payload of the [`TrainObserver`] hook of
+/// the same name, in that hook's argument order. Serializes to the moment's
+/// JSONL fields.
+#[derive(Debug, Clone, Copy)]
+pub enum TrainEvent<'a> {
+    /// Once, before the first epoch.
+    RunStart(&'a RunMeta),
+    /// The start of an epoch (zero-based).
+    EpochStart(usize),
+    /// One optimizer step.
+    Step(&'a StepRecord),
+    /// The end of an epoch, and its mean training loss.
+    EpochEnd(usize, f64),
+    /// One evaluation pass.
+    Eval(&'a EvalRecord),
+    /// The best-so-far state was captured: its epoch and validation F1.
+    CheckpointSave(usize, f64),
+    /// The best state (of this epoch) was restored at the end of the run.
+    CheckpointRestore(usize),
+    /// A non-finite value was detected: a source identifying where
+    /// (`"op:softmax_rows"`, `"train_loss"`, `"valid_f1"`) and a
     /// human-readable elaboration.
+    NonFinite(&'a str, &'a str),
+    /// The run continues from a durable snapshot instead of starting from
+    /// scratch: the epoch and global step it resumes at.
+    Resume(usize, u64),
+    /// A durable snapshot landed on disk (post-rename, so the bytes survive a
+    /// crash from this moment on): the store's sequence number, then the
+    /// snapshot's epoch and global step.
+    CheckpointWrite(u64, usize, u64),
+    /// A corrupt, truncated, or unreadable snapshot (file name, reason) was
+    /// skipped while searching the store for the newest valid one.
+    CorruptSkipped(&'a str, &'a str),
+    /// Once, after the run, with the aggregate summary.
+    RunEnd(&'a RunSummary),
+}
+
+impl TrainEvent<'_> {
+    /// The `"event"` tag of this moment's JSONL line.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TrainEvent::RunStart(_) => "run_start",
+            TrainEvent::EpochStart(_) => "epoch_start",
+            TrainEvent::Step(_) => "step",
+            TrainEvent::EpochEnd(..) => "epoch_end",
+            TrainEvent::Eval(_) => "eval",
+            TrainEvent::CheckpointSave(..) => "checkpoint_save",
+            TrainEvent::CheckpointRestore(_) => "checkpoint_restore",
+            TrainEvent::NonFinite(..) => "non_finite",
+            TrainEvent::Resume(..) => "resume",
+            TrainEvent::CheckpointWrite(..) => "checkpoint_write",
+            TrainEvent::CorruptSkipped(..) => "corrupt_skipped",
+            TrainEvent::RunEnd(_) => "run_summary",
+        }
+    }
+}
+
+impl Serialize for TrainEvent<'_> {
+    fn to_value(&self) -> Value {
+        fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        }
+        match *self {
+            TrainEvent::RunStart(meta) => meta.to_value(),
+            TrainEvent::Step(record) => record.to_value(),
+            TrainEvent::Eval(record) => record.to_value(),
+            TrainEvent::RunEnd(summary) => summary.to_value(),
+            // The two epoch lines share a shape, as do the two best-state
+            // lines: the start / restore half carries a null.
+            TrainEvent::EpochStart(epoch) => {
+                object([("epoch", epoch.to_value()), ("mean_loss", Value::Null)])
+            }
+            TrainEvent::EpochEnd(epoch, mean_loss) => {
+                object([("epoch", epoch.to_value()), ("mean_loss", mean_loss.to_value())])
+            }
+            TrainEvent::CheckpointSave(epoch, valid_f1) => {
+                object([("epoch", epoch.to_value()), ("valid_f1", valid_f1.to_value())])
+            }
+            TrainEvent::CheckpointRestore(epoch) => {
+                object([("epoch", epoch.to_value()), ("valid_f1", Value::Null)])
+            }
+            TrainEvent::NonFinite(source, detail) => {
+                object([("source", source.to_value()), ("detail", detail.to_value())])
+            }
+            TrainEvent::Resume(epoch, step) => {
+                object([("epoch", epoch.to_value()), ("step", step.to_value())])
+            }
+            TrainEvent::CheckpointWrite(seq, epoch, step) => object([
+                ("seq", seq.to_value()),
+                ("epoch", epoch.to_value()),
+                ("step", step.to_value()),
+            ]),
+            TrainEvent::CorruptSkipped(file, reason) => {
+                object([("file", file.to_value()), ("reason", reason.to_value())])
+            }
+        }
+    }
+}
+
+/// Hooks into a training run. Training loops call only
+/// [`TrainObserver::on_event`]; an observer either overrides it, or keeps the
+/// default and implements the named hooks it cares about (every one is a
+/// no-op by default).
+pub trait TrainObserver {
+    /// Receives every event of the run. The default hands the payload to the
+    /// named hook of the same variant.
+    fn on_event(&mut self, event: TrainEvent<'_>) {
+        match event {
+            TrainEvent::RunStart(meta) => self.on_run_start(meta),
+            TrainEvent::EpochStart(epoch) => self.on_epoch_start(epoch),
+            TrainEvent::Step(record) => self.on_step(record),
+            TrainEvent::EpochEnd(epoch, mean_loss) => self.on_epoch_end(epoch, mean_loss),
+            TrainEvent::Eval(record) => self.on_eval(record),
+            TrainEvent::CheckpointSave(epoch, valid_f1) => self.on_checkpoint_save(epoch, valid_f1),
+            TrainEvent::CheckpointRestore(epoch) => self.on_checkpoint_restore(epoch),
+            TrainEvent::NonFinite(source, detail) => self.on_non_finite(source, detail),
+            TrainEvent::Resume(epoch, step) => self.on_resume(epoch, step),
+            TrainEvent::CheckpointWrite(seq, epoch, step) => {
+                self.on_checkpoint_write(seq, epoch, step)
+            }
+            TrainEvent::CorruptSkipped(file, reason) => self.on_corrupt_skipped(file, reason),
+            TrainEvent::RunEnd(summary) => self.on_run_end(summary),
+        }
+    }
+    /// [`TrainEvent::RunStart`].
+    fn on_run_start(&mut self, _meta: &RunMeta) {}
+    /// [`TrainEvent::EpochStart`].
+    fn on_epoch_start(&mut self, _epoch: usize) {}
+    /// [`TrainEvent::Step`].
+    fn on_step(&mut self, _record: &StepRecord) {}
+    /// [`TrainEvent::EpochEnd`].
+    fn on_epoch_end(&mut self, _epoch: usize, _mean_loss: f64) {}
+    /// [`TrainEvent::Eval`].
+    fn on_eval(&mut self, _record: &EvalRecord) {}
+    /// [`TrainEvent::CheckpointSave`].
+    fn on_checkpoint_save(&mut self, _epoch: usize, _valid_f1: f64) {}
+    /// [`TrainEvent::CheckpointRestore`].
+    fn on_checkpoint_restore(&mut self, _epoch: usize) {}
+    /// [`TrainEvent::NonFinite`].
     fn on_non_finite(&mut self, _source: &str, _detail: &str) {}
-    /// Called once when a run continues from a durable snapshot instead of
-    /// starting from scratch: the epoch and global step it resumes at.
+    /// [`TrainEvent::Resume`].
     fn on_resume(&mut self, _epoch: usize, _step: u64) {}
-    /// Called after a durable snapshot lands on disk (post-rename, so the
-    /// bytes survive a crash from this moment on). `seq` is the store's
-    /// snapshot sequence number.
+    /// [`TrainEvent::CheckpointWrite`].
     fn on_checkpoint_write(&mut self, _seq: u64, _epoch: usize, _step: u64) {}
-    /// Called when a corrupt, truncated, or unreadable snapshot is skipped
-    /// while searching the store for the newest valid one.
+    /// [`TrainEvent::CorruptSkipped`].
     fn on_corrupt_skipped(&mut self, _file: &str, _reason: &str) {}
-    /// Called once after the run with the aggregate summary.
+    /// [`TrainEvent::RunEnd`].
     fn on_run_end(&mut self, _summary: &RunSummary) {}
 }
 
@@ -398,16 +520,12 @@ impl<W: Write> JsonlLogger<W> {
         Ok(out)
     }
 
-    /// Writes one tagged line outside the [`TrainObserver`] vocabulary —
-    /// the serving path uses this for its lifecycle events (`serve_shed`,
-    /// `serve_restart`, ...) and postmortem dumps, so serving runs produce
-    /// the same JSONL shape as training runs. Same sanitization and
-    /// durability rules as the observer hooks.
+    /// Writes one tagged line. Every [`TrainEvent`] comes through here, and
+    /// so do lines outside that vocabulary: the serving path's lifecycle
+    /// events (`serve_shed`, `serve_restart`, ...) and postmortem dumps, so
+    /// serving runs produce the same JSONL shape, sanitization and
+    /// durability as training runs.
     pub fn log_event<T: Serialize>(&mut self, event: &str, record: &T) {
-        self.emit(event, record);
-    }
-
-    fn emit<T: Serialize>(&mut self, event: &str, record: &T) {
         if self.io_error.is_some() {
             return;
         }
@@ -440,85 +558,9 @@ impl<W: Write> Drop for JsonlLogger<W> {
 }
 
 impl<W: Write> TrainObserver for JsonlLogger<W> {
-    fn on_run_start(&mut self, meta: &RunMeta) {
-        self.emit("run_start", meta);
+    fn on_event(&mut self, event: TrainEvent<'_>) {
+        self.log_event(event.name(), &event);
     }
-    fn on_epoch_start(&mut self, epoch: usize) {
-        self.emit("epoch_start", &EpochEvent { epoch, mean_loss: None });
-    }
-    fn on_step(&mut self, record: &StepRecord) {
-        self.emit("step", record);
-    }
-    fn on_epoch_end(&mut self, epoch: usize, mean_loss: f64) {
-        self.emit("epoch_end", &EpochEvent { epoch, mean_loss: Some(mean_loss) });
-    }
-    fn on_eval(&mut self, record: &EvalRecord) {
-        self.emit("eval", record);
-    }
-    fn on_checkpoint_save(&mut self, epoch: usize, valid_f1: f64) {
-        self.emit("checkpoint_save", &CheckpointEvent { epoch, valid_f1: Some(valid_f1) });
-    }
-    fn on_checkpoint_restore(&mut self, epoch: usize) {
-        self.emit("checkpoint_restore", &CheckpointEvent { epoch, valid_f1: None });
-    }
-    fn on_non_finite(&mut self, source: &str, detail: &str) {
-        self.emit(
-            "non_finite",
-            &NonFiniteEvent { source: source.to_string(), detail: detail.to_string() },
-        );
-    }
-    fn on_resume(&mut self, epoch: usize, step: u64) {
-        self.emit("resume", &ResumeEvent { epoch, step });
-    }
-    fn on_checkpoint_write(&mut self, seq: u64, epoch: usize, step: u64) {
-        self.emit("checkpoint_write", &CheckpointWriteEvent { seq, epoch, step });
-    }
-    fn on_corrupt_skipped(&mut self, file: &str, reason: &str) {
-        self.emit(
-            "corrupt_skipped",
-            &CorruptSkippedEvent { file: file.to_string(), reason: reason.to_string() },
-        );
-    }
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        self.emit("run_summary", summary);
-    }
-}
-
-#[derive(Serialize, Deserialize)]
-struct EpochEvent {
-    epoch: usize,
-    mean_loss: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CheckpointEvent {
-    epoch: usize,
-    valid_f1: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct NonFiniteEvent {
-    source: String,
-    detail: String,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ResumeEvent {
-    epoch: usize,
-    step: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CheckpointWriteEvent {
-    seq: u64,
-    epoch: usize,
-    step: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CorruptSkippedEvent {
-    file: String,
-    reason: String,
 }
 
 /// Folds the observer event stream into a [`RunSummary`].
@@ -532,23 +574,11 @@ struct CorruptSkippedEvent {
 /// misses even when earlier runs already warmed the pool.
 pub struct SummaryBuilder {
     pool_baseline: pool::PoolStats,
-    epochs_run: usize,
-    steps: u64,
-    loss_curve: Vec<f64>,
     grad_norms: Vec<f64>,
-    best_epoch: usize,
-    best_valid_f1: f64,
-    train_secs: f64,
-    eval_secs: f64,
-    checkpoint_saves: usize,
-    non_finite_events: usize,
-    resumes: usize,
-    checkpoint_writes: usize,
-    corrupt_skipped: usize,
-    profile_ops: Vec<OpRow>,
-    phase_timers: Vec<PhaseRow>,
-    catalog: Option<CatalogSummary>,
-    serve: Option<ServeSummary>,
+    /// The summary so far. The pool and gradient-norm fields are filled in by
+    /// [`SummaryBuilder::finish`]; `best_valid_f1` is −∞ until a best state
+    /// is captured and leaves `finish` as 0 in that case.
+    summary: RunSummary,
 }
 
 impl SummaryBuilder {
@@ -556,43 +586,28 @@ impl SummaryBuilder {
     pub fn new() -> Self {
         Self {
             pool_baseline: pool::stats(),
-            epochs_run: 0,
-            steps: 0,
-            loss_curve: Vec::new(),
             grad_norms: Vec::new(),
-            best_epoch: 0,
-            best_valid_f1: f64::NEG_INFINITY,
-            train_secs: 0.0,
-            eval_secs: 0.0,
-            checkpoint_saves: 0,
-            non_finite_events: 0,
-            resumes: 0,
-            checkpoint_writes: 0,
-            corrupt_skipped: 0,
-            profile_ops: Vec::new(),
-            phase_timers: Vec::new(),
-            catalog: None,
-            serve: None,
+            summary: RunSummary { best_valid_f1: f64::NEG_INFINITY, ..RunSummary::default() },
         }
     }
 
     /// Merges a tape-op profiler report into the summary: the per-op table
     /// (descending self time) and the phase timers in stable sorted order.
     pub fn record_profile(&mut self, report: &ProfReport) {
-        self.profile_ops = prof_export::op_table(report);
-        self.phase_timers = prof_export::phase_rows(report);
+        self.summary.profile_ops = prof_export::op_table(report);
+        self.summary.phase_timers = prof_export::phase_rows(report);
     }
 
     /// Attaches a catalog-matching section to the summary (last write wins
     /// when a run matches several catalogs).
     pub fn record_catalog(&mut self, catalog: CatalogSummary) {
-        self.catalog = Some(catalog);
+        self.summary.catalog = Some(catalog);
     }
 
     /// Attaches a serving section to the summary (last write wins when a
     /// run snapshots the engine several times — pass the final snapshot).
     pub fn record_serve(&mut self, serve: ServeSummary) {
-        self.serve = Some(serve);
+        self.summary.serve = Some(serve);
     }
 
     /// Finalizes the aggregate.
@@ -601,37 +616,21 @@ impl SummaryBuilder {
         let hits = now.hits.saturating_sub(self.pool_baseline.hits);
         let misses = now.misses.saturating_sub(self.pool_baseline.misses);
         let lookups = hits + misses;
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-        for &g in &self.grad_norms {
-            min = min.min(g);
-            max = max.max(g);
-            sum += g;
-        }
-        let n = self.grad_norms.len();
+        let (norms, n) = (&self.grad_norms, self.grad_norms.len());
+        let min = norms.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = norms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let sum: f64 = norms.iter().sum();
+        let best = self.summary.best_valid_f1;
         RunSummary {
-            epochs_run: self.epochs_run,
-            steps: self.steps,
-            loss_curve: self.loss_curve.clone(),
             grad_norm_min: if n == 0 { 0.0 } else { min },
             grad_norm_mean: if n == 0 { 0.0 } else { sum / n as f64 },
             grad_norm_max: if n == 0 { 0.0 } else { max },
-            grad_norm_last: self.grad_norms.last().copied().unwrap_or(0.0),
-            best_epoch: self.best_epoch,
-            best_valid_f1: if self.best_valid_f1.is_finite() { self.best_valid_f1 } else { 0.0 },
+            grad_norm_last: norms.last().copied().unwrap_or(0.0),
+            best_valid_f1: if best.is_finite() { best } else { 0.0 },
             pool_hits: hits,
             pool_misses: misses,
             pool_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-            train_secs: self.train_secs,
-            eval_secs: self.eval_secs,
-            checkpoint_saves: self.checkpoint_saves,
-            non_finite_events: self.non_finite_events,
-            resumes: self.resumes,
-            checkpoint_writes: self.checkpoint_writes,
-            corrupt_skipped: self.corrupt_skipped,
-            profile_ops: self.profile_ops.clone(),
-            phase_timers: self.phase_timers.clone(),
-            catalog: self.catalog.clone(),
-            serve: self.serve.clone(),
+            ..self.summary.clone()
         }
     }
 }
@@ -643,36 +642,32 @@ impl Default for SummaryBuilder {
 }
 
 impl TrainObserver for SummaryBuilder {
-    fn on_step(&mut self, record: &StepRecord) {
-        self.steps += 1;
-        self.grad_norms.push(record.grad_norm);
-        self.train_secs += record.wall_ms / 1e3;
-    }
-    fn on_epoch_end(&mut self, _epoch: usize, mean_loss: f64) {
-        self.epochs_run += 1;
-        self.loss_curve.push(mean_loss);
-    }
-    fn on_eval(&mut self, record: &EvalRecord) {
-        self.eval_secs += record.wall_secs;
-    }
-    fn on_checkpoint_save(&mut self, epoch: usize, valid_f1: f64) {
-        self.checkpoint_saves += 1;
-        if valid_f1 > self.best_valid_f1 {
-            self.best_valid_f1 = valid_f1;
-            self.best_epoch = epoch;
+    fn on_event(&mut self, event: TrainEvent<'_>) {
+        let s = &mut self.summary;
+        match event {
+            TrainEvent::Step(record) => {
+                s.steps += 1;
+                self.grad_norms.push(record.grad_norm);
+                s.train_secs += record.wall_ms / 1e3;
+            }
+            TrainEvent::EpochEnd(_, mean_loss) => {
+                s.epochs_run += 1;
+                s.loss_curve.push(mean_loss);
+            }
+            TrainEvent::Eval(record) => s.eval_secs += record.wall_secs,
+            TrainEvent::CheckpointSave(epoch, valid_f1) => {
+                s.checkpoint_saves += 1;
+                if valid_f1 > s.best_valid_f1 {
+                    s.best_valid_f1 = valid_f1;
+                    s.best_epoch = epoch;
+                }
+            }
+            TrainEvent::NonFinite(..) => s.non_finite_events += 1,
+            TrainEvent::Resume(..) => s.resumes += 1,
+            TrainEvent::CheckpointWrite(..) => s.checkpoint_writes += 1,
+            TrainEvent::CorruptSkipped(..) => s.corrupt_skipped += 1,
+            _ => {}
         }
-    }
-    fn on_non_finite(&mut self, _source: &str, _detail: &str) {
-        self.non_finite_events += 1;
-    }
-    fn on_resume(&mut self, _epoch: usize, _step: u64) {
-        self.resumes += 1;
-    }
-    fn on_checkpoint_write(&mut self, _seq: u64, _epoch: usize, _step: u64) {
-        self.checkpoint_writes += 1;
-    }
-    fn on_corrupt_skipped(&mut self, _file: &str, _reason: &str) {
-        self.corrupt_skipped += 1;
     }
 }
 
@@ -719,60 +714,16 @@ impl TraceSession {
     /// flushes the file.
     pub fn finish(mut self) -> io::Result<RunSummary> {
         let summary = self.summary.finish();
-        self.logger.on_run_end(&summary);
+        self.logger.on_event(TrainEvent::RunEnd(&summary));
         self.logger.finish()?;
         Ok(summary)
     }
 }
 
 impl TrainObserver for TraceSession {
-    fn on_run_start(&mut self, meta: &RunMeta) {
-        self.logger.on_run_start(meta);
-        self.summary.on_run_start(meta);
-    }
-    fn on_epoch_start(&mut self, epoch: usize) {
-        self.logger.on_epoch_start(epoch);
-        self.summary.on_epoch_start(epoch);
-    }
-    fn on_step(&mut self, record: &StepRecord) {
-        self.logger.on_step(record);
-        self.summary.on_step(record);
-    }
-    fn on_epoch_end(&mut self, epoch: usize, mean_loss: f64) {
-        self.logger.on_epoch_end(epoch, mean_loss);
-        self.summary.on_epoch_end(epoch, mean_loss);
-    }
-    fn on_eval(&mut self, record: &EvalRecord) {
-        self.logger.on_eval(record);
-        self.summary.on_eval(record);
-    }
-    fn on_checkpoint_save(&mut self, epoch: usize, valid_f1: f64) {
-        self.logger.on_checkpoint_save(epoch, valid_f1);
-        self.summary.on_checkpoint_save(epoch, valid_f1);
-    }
-    fn on_checkpoint_restore(&mut self, epoch: usize) {
-        self.logger.on_checkpoint_restore(epoch);
-        self.summary.on_checkpoint_restore(epoch);
-    }
-    fn on_non_finite(&mut self, source: &str, detail: &str) {
-        self.logger.on_non_finite(source, detail);
-        self.summary.on_non_finite(source, detail);
-    }
-    fn on_resume(&mut self, epoch: usize, step: u64) {
-        self.logger.on_resume(epoch, step);
-        self.summary.on_resume(epoch, step);
-    }
-    fn on_checkpoint_write(&mut self, seq: u64, epoch: usize, step: u64) {
-        self.logger.on_checkpoint_write(seq, epoch, step);
-        self.summary.on_checkpoint_write(seq, epoch, step);
-    }
-    fn on_corrupt_skipped(&mut self, file: &str, reason: &str) {
-        self.logger.on_corrupt_skipped(file, reason);
-        self.summary.on_corrupt_skipped(file, reason);
-    }
-    fn on_run_end(&mut self, summary: &RunSummary) {
-        self.logger.on_run_end(summary);
-        self.summary.on_run_end(summary);
+    fn on_event(&mut self, event: TrainEvent<'_>) {
+        self.logger.on_event(event);
+        self.summary.on_event(event);
     }
 }
 
@@ -809,20 +760,38 @@ mod tests {
 
     /// Drives a miniature two-epoch run through any observer.
     fn drive(obs: &mut dyn TrainObserver) {
-        obs.on_run_start(&meta());
-        obs.on_epoch_start(0);
-        obs.on_step(&step(0, 0, 0.9, 2.0));
-        obs.on_step(&step(0, 1, 0.7, 4.0));
-        obs.on_epoch_end(0, 0.8);
-        obs.on_eval(&eval(0, "valid", 0.5));
-        obs.on_checkpoint_save(0, 0.5);
-        obs.on_epoch_start(1);
-        obs.on_step(&step(1, 2, 0.5, 1.0));
-        obs.on_epoch_end(1, 0.5);
-        obs.on_eval(&eval(1, "valid", 0.6));
-        obs.on_checkpoint_save(1, 0.6);
-        obs.on_checkpoint_restore(1);
-        obs.on_eval(&eval(2, "test", 0.55));
+        use TrainEvent::*;
+        for event in [
+            RunStart(&meta()),
+            EpochStart(0),
+            Step(&step(0, 0, 0.9, 2.0)),
+            Step(&step(0, 1, 0.7, 4.0)),
+            EpochEnd(0, 0.8),
+            Eval(&eval(0, "valid", 0.5)),
+            CheckpointSave(0, 0.5),
+            EpochStart(1),
+            Step(&step(1, 2, 0.5, 1.0)),
+            EpochEnd(1, 0.5),
+            Eval(&eval(1, "valid", 0.6)),
+            CheckpointSave(1, 0.6),
+            CheckpointRestore(1),
+            Eval(&eval(2, "test", 0.55)),
+        ] {
+            obs.on_event(event);
+        }
+    }
+
+    /// The recovery and divergence events `drive` leaves out.
+    fn drive_recovery(obs: &mut dyn TrainObserver) {
+        use TrainEvent::*;
+        for event in [
+            NonFinite("train_loss", "loss went NaN at step 0"),
+            CorruptSkipped("ckpt-000007.json", "checksum mismatch"),
+            Resume(3, 42),
+            CheckpointWrite(8, 3, 44),
+        ] {
+            obs.on_event(event);
+        }
     }
 
     fn parse_lines(bytes: &[u8]) -> Vec<Value> {
@@ -837,40 +806,39 @@ mod tests {
             .collect()
     }
 
+    /// The log of `drive` + `drive_recovery`, byte for byte as the twelve
+    /// hand-written hooks and their six event structs wrote it before
+    /// [`TrainEvent`] replaced them (captured at that commit).
+    const GOLDEN_LOG: &str = r#"{"event":"run_start","model":"emba-sb","train_examples":64,"valid_examples":16,"epochs":2,"batch_size":8,"base_lr":0.001}
+{"event":"epoch_start","epoch":0,"mean_loss":null}
+{"event":"step","epoch":0,"step":0,"loss":0.9,"grad_norm":2.0,"lr":0.001,"wall_ms":2.0,"examples":8}
+{"event":"step","epoch":0,"step":1,"loss":0.7,"grad_norm":4.0,"lr":0.001,"wall_ms":2.0,"examples":8}
+{"event":"epoch_end","epoch":0,"mean_loss":0.8}
+{"event":"eval","epoch":0,"split":"valid","precision":0.9,"recall":0.8,"f1":0.5,"accuracy":0.85,"wall_secs":0.01}
+{"event":"checkpoint_save","epoch":0,"valid_f1":0.5}
+{"event":"epoch_start","epoch":1,"mean_loss":null}
+{"event":"step","epoch":1,"step":2,"loss":0.5,"grad_norm":1.0,"lr":0.001,"wall_ms":2.0,"examples":8}
+{"event":"epoch_end","epoch":1,"mean_loss":0.5}
+{"event":"eval","epoch":1,"split":"valid","precision":0.9,"recall":0.8,"f1":0.6,"accuracy":0.85,"wall_secs":0.01}
+{"event":"checkpoint_save","epoch":1,"valid_f1":0.6}
+{"event":"checkpoint_restore","epoch":1,"valid_f1":null}
+{"event":"eval","epoch":2,"split":"test","precision":0.9,"recall":0.8,"f1":0.55,"accuracy":0.85,"wall_secs":0.01}
+{"event":"non_finite","source":"train_loss","detail":"loss went NaN at step 0"}
+{"event":"corrupt_skipped","file":"ckpt-000007.json","reason":"checksum mismatch"}
+{"event":"resume","epoch":3,"step":42}
+{"event":"checkpoint_write","seq":8,"epoch":3,"step":44}
+"#;
+
+    /// Order, names and payload of every event kind but `run_summary`, in one
+    /// comparison.
     #[test]
     fn jsonl_logger_emits_events_in_order() {
         let mut logger = JsonlLogger::new(Vec::new());
         drive(&mut logger);
-        assert_eq!(logger.events(), 14);
+        drive_recovery(&mut logger);
+        assert_eq!(logger.events(), 18);
         let out = logger.finish().unwrap();
-        let lines = parse_lines(&out);
-        assert_eq!(
-            event_names(&lines),
-            [
-                "run_start",
-                "epoch_start",
-                "step",
-                "step",
-                "epoch_end",
-                "eval",
-                "checkpoint_save",
-                "epoch_start",
-                "step",
-                "epoch_end",
-                "eval",
-                "checkpoint_save",
-                "checkpoint_restore",
-                "eval",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-        );
-        // Spot-check payload fields survive the round trip.
-        assert_eq!(lines[0].get("model").and_then(Value::as_str), Some("emba-sb"));
-        assert_eq!(lines[2].get("loss").and_then(Value::as_f64), Some(0.9));
-        assert_eq!(lines[2].get("grad_norm").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(lines[5].get("split").and_then(Value::as_str), Some("valid"));
+        assert_eq!(std::str::from_utf8(&out).unwrap(), GOLDEN_LOG);
     }
 
     /// Asserts no Float anywhere in the tree is non-finite.
@@ -886,8 +854,8 @@ mod tests {
     #[test]
     fn non_finite_floats_become_null() {
         let mut logger = JsonlLogger::new(Vec::new());
-        logger.on_step(&step(0, 0, f64::NAN, f64::INFINITY));
-        logger.on_non_finite("train_loss", "loss went NaN at step 0");
+        logger.on_event(TrainEvent::Step(&step(0, 0, f64::NAN, f64::INFINITY)));
+        logger.on_event(TrainEvent::NonFinite("train_loss", "loss went NaN at step 0"));
         let out = logger.finish().unwrap();
         let lines = parse_lines(&out);
         assert_eq!(lines.len(), 2);
@@ -920,30 +888,12 @@ mod tests {
 
     #[test]
     fn recovery_events_log_and_aggregate() {
-        let mut logger = JsonlLogger::new(Vec::new());
+        // (Their log lines are the tail of `GOLDEN_LOG`.)
         let mut builder = SummaryBuilder::new();
-        for obs in [&mut logger as &mut dyn TrainObserver, &mut builder] {
-            obs.on_corrupt_skipped("ckpt-000007.json", "checksum mismatch");
-            obs.on_resume(3, 42);
-            obs.on_checkpoint_write(8, 3, 44);
-            obs.on_checkpoint_write(9, 3, 46);
-        }
-        let out = logger.finish().unwrap();
-        let lines = parse_lines(&out);
-        assert_eq!(
-            event_names(&lines),
-            ["corrupt_skipped", "resume", "checkpoint_write", "checkpoint_write"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(lines[0].get("file").and_then(Value::as_str), Some("ckpt-000007.json"));
-        assert_eq!(lines[0].get("reason").and_then(Value::as_str), Some("checksum mismatch"));
-        assert_eq!(lines[1].get("epoch").and_then(Value::as_u64), Some(3));
-        assert_eq!(lines[1].get("step").and_then(Value::as_u64), Some(42));
-        assert_eq!(lines[2].get("seq").and_then(Value::as_u64), Some(8));
-
+        drive_recovery(&mut builder);
+        builder.on_event(TrainEvent::CheckpointWrite(9, 3, 46));
         let s = builder.finish();
+        assert_eq!(s.non_finite_events, 1);
         assert_eq!(s.resumes, 1);
         assert_eq!(s.checkpoint_writes, 2);
         assert_eq!(s.corrupt_skipped, 1);
@@ -1039,9 +989,9 @@ mod tests {
         let flushes = std::rc::Rc::new(std::cell::Cell::new(0usize));
         let sink = FlushCounter { lines: Vec::new(), flushes: flushes.clone() };
         let mut logger = JsonlLogger::new(sink);
-        logger.on_step(&step(0, 0, 0.5, 1.0));
+        logger.on_event(TrainEvent::Step(&step(0, 0, 0.5, 1.0)));
         assert_eq!(flushes.get(), 0, "ordinary events must not force a flush");
-        logger.on_run_end(&SummaryBuilder::new().finish());
+        logger.on_event(TrainEvent::RunEnd(&SummaryBuilder::new().finish()));
         assert_eq!(flushes.get(), 1, "the summary line must be flushed immediately");
         drop(logger);
         assert_eq!(flushes.get(), 2, "dropping an unfinished logger must flush");

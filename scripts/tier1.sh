@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the test suite, a warning-free clippy pass, and
-# the two examples that double as gates. Behaviour is gated by tests and
-# speed by `benchmark/` (DESIGN.md §7); nothing here times anything. Run from
-# the workspace root before pushing.
+# Tier-1 gate: release build, the test suite, warning-free clippy and rustdoc
+# passes, and the two examples that double as gates. Behaviour is gated by
+# tests and speed by `benchmark/` (DESIGN.md §7); nothing here times anything.
+# Run from the workspace root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
+# Dead intra-doc links (a renamed internal, a public doc pointing at a
+# private item) fail here rather than rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Forced-scalar leg: the tensor crate's whole suite again with every
 # `simd::level()` dispatch pinned to the portable definitions (both GEMM
