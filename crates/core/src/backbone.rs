@@ -6,7 +6,7 @@
 //! `encode` call so every matcher is backbone-agnostic.
 
 use emba_nn::{BertConfig, BertEncoder, GraphStamp, Linear, Module, Param};
-use emba_tensor::{Graph, RowGroups, Var};
+use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -109,16 +109,7 @@ impl FastTextEncoder {
     }
 
     fn encode_batch(&self, g: &Graph, stamp: GraphStamp, seqs: &[&[usize]]) -> SeqBatchOutput {
-        assert!(!seqs.is_empty(), "cannot encode an empty batch");
-        let total: usize = seqs.iter().map(|ids| ids.len()).sum();
-        let mut ids = Vec::with_capacity(total);
-        let mut lens = Vec::with_capacity(seqs.len());
-        for seq in seqs {
-            assert!(!seq.is_empty(), "cannot encode an empty sequence");
-            ids.extend_from_slice(seq);
-            lens.push(seq.len());
-        }
-        let groups = RowGroups::from_lens(&lens);
+        let (ids, groups) = Self::pack(seqs);
         let tokens = self.embedding.forward(g, stamp, &ids);
         let mean = g.mean_rows_grouped(tokens, &groups); // [B, dim]
         let pooled = g.tanh(self.pool_proj.forward(g, stamp, mean));
@@ -128,6 +119,23 @@ impl FastTextEncoder {
             last_attention: Vec::new(),
             groups,
         }
+    }
+
+    /// [`FastTextEncoder::encode_batch`]'s token rows with no tape: the
+    /// embedding lookup itself.
+    fn encode_eval(&self, seqs: &[&[usize]]) -> (Tensor, RowGroups) {
+        let (ids, groups) = Self::pack(seqs);
+        let mut tokens = vec![0.0; ids.len() * self.dim()];
+        self.embedding.lookup_into(&ids, &mut tokens);
+        (Tensor::from_vec(ids.len(), self.dim(), tokens), groups)
+    }
+
+    /// The sequences' ids back to back, and their row ranges.
+    fn pack(seqs: &[&[usize]]) -> (Vec<usize>, RowGroups) {
+        assert!(!seqs.is_empty(), "cannot encode an empty batch");
+        assert!(seqs.iter().all(|seq| !seq.is_empty()), "cannot encode an empty sequence");
+        let lens: Vec<usize> = seqs.iter().map(|seq| seq.len()).collect();
+        (seqs.concat(), RowGroups::from_lens(&lens))
     }
 }
 
@@ -276,20 +284,7 @@ impl Backbone {
                 encoder,
                 use_segments,
             } => {
-                let zeros: Vec<Vec<usize>>;
-                let adjusted: Vec<(&[usize], &[usize])>;
-                let batch: &[(&[usize], &[usize])] = if *use_segments {
-                    seqs
-                } else {
-                    zeros = seqs.iter().map(|(ids, _)| vec![0; ids.len()]).collect();
-                    adjusted = seqs
-                        .iter()
-                        .zip(&zeros)
-                        .map(|(&(ids, _), z)| (ids, z.as_slice()))
-                        .collect();
-                    &adjusted
-                };
-                let out = encoder.forward_batch(g, stamp, batch, train, rng);
+                let out = with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, stamp, seqs, train, rng));
                 SeqBatchOutput {
                     tokens: out.tokens,
                     pooled: out.pooled,
@@ -303,6 +298,31 @@ impl Backbone {
             }
         }
     }
+
+    /// The token rows [`Backbone::encode_batch`] computes in eval mode, bit
+    /// for bit, with no tape: the BERT variants through
+    /// [`BertEncoder::encode_eval`] under `backend` (RoBERTa's segments
+    /// zeroed as there), fastText through its embedding lookup.
+    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups) {
+        match self {
+            Backbone::Bert { encoder, use_segments } => with_bert_segments(*use_segments, seqs, |seqs| encoder.encode_eval(seqs, backend)),
+            Backbone::FastText(ft) => {
+                let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();
+                ft.encode_eval(&ids)
+            }
+        }
+    }
+}
+
+/// Calls `f` with `seqs` as a BERT backbone reads them: every segment 0
+/// unless `use_segments` (off for RoBERTa).
+fn with_bert_segments<T>(use_segments: bool, seqs: &[(&[usize], &[usize])], f: impl FnOnce(&[(&[usize], &[usize])]) -> T) -> T {
+    if use_segments {
+        return f(seqs);
+    }
+    let zeros = vec![0; seqs.iter().map(|(ids, _)| ids.len()).max().unwrap_or(0)];
+    let zeroed: Vec<(&[usize], &[usize])> = seqs.iter().map(|&(ids, _)| (ids, &zeros[..ids.len()])).collect();
+    f(&zeroed)
 }
 
 impl Module for Backbone {
@@ -386,6 +406,26 @@ mod tests {
         let p2 = g.value(swapped.pooled);
         for (a, c) in p1.data().iter().zip(p2.data()) {
             assert!((a - c).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn encode_eval_is_encode_batch_for_every_kind() {
+        let seqs: [(&[usize], &[usize]); 2] = [(&[2, 10, 11, 3, 12, 3], &[0, 0, 0, 0, 1, 1]), (&[7], &[1])];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in [BackboneKind::Base, BackboneKind::Small, BackboneKind::Distil, BackboneKind::Roberta, BackboneKind::FastText] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let b = Backbone::new(kind, 100, 32, DEFAULT_DROPOUT, &mut rng);
+            for backend in [BackendKind::F32, BackendKind::Int8] {
+                let g = Graph::new();
+                let want = {
+                    let _backend = emba_tensor::backend::install(backend);
+                    g.value(b.encode_batch(&g, GraphStamp::next(), &seqs, false, &mut rng).tokens)
+                };
+                let (got, groups) = b.encode_eval(&seqs, backend);
+                assert_eq!(groups.lens(), [6, 1]);
+                assert_eq!(bits(&got), bits(&want), "{kind:?} under {backend:?}");
+            }
         }
     }
 

@@ -170,11 +170,13 @@ pub trait Matcher: Module {
 
     /// Encodes standalone records for the encode-once catalog path: each
     /// record is framed as `[CLS] ids [SEP]` (segment 0) and run through
-    /// the backbone in eval mode; the returned tensors are the `[mᵢ, h]`
-    /// content-token representations `E`, detached from the tape so they
-    /// can be cached across graph recycles. Returns `None` when the model
-    /// has no split scoring path (its pair representation is not a pure
-    /// function of per-record encodings).
+    /// the backbone in eval mode under the thread's installed backend; the
+    /// returned tensors are the `[mᵢ, h]` content-token representations `E`,
+    /// owned, so they can be cached. [`TransformerMatcher`] runs the
+    /// forward-only encoder and records nothing on `g` (`g` and `stamp`
+    /// stay in the signature for callers that pass them). Returns `None`
+    /// when the model has no split scoring path (its pair representation is
+    /// not a pure function of per-record encodings).
     fn encode_records_standalone(
         &self,
         _g: &Graph,
@@ -518,10 +520,14 @@ impl Matcher for TransformerMatcher {
         }
     }
 
+    /// Runs [`Backbone::encode_eval`] — the forward-only encoder, under the
+    /// backend installed on this thread (read once, here) — and records
+    /// nothing on `_g`: `_g` and `_stamp` are unused, kept for the trait's
+    /// signature.
     fn encode_records_standalone(
         &self,
-        g: &Graph,
-        stamp: GraphStamp,
+        _g: &Graph,
+        _stamp: GraphStamp,
         records: &[&[usize]],
     ) -> Option<Vec<Tensor>> {
         if self.em != EmStrategy::Aoa {
@@ -531,31 +537,29 @@ impl Matcher for TransformerMatcher {
             return Some(Vec::new());
         }
         // `[CLS] ids [SEP]`, all segment 0 — the standalone-record frame the
-        // MLM corpus also uses. Eval mode draws nothing from the RNG.
-        let framed: Vec<(Vec<usize>, Vec<usize>)> = records
+        // MLM corpus also uses.
+        let framed: Vec<Vec<usize>> = records
             .iter()
             .map(|ids| {
                 let mut seq = Vec::with_capacity(ids.len() + 2);
                 seq.push(emba_tokenizer::special::CLS);
                 seq.extend_from_slice(ids);
                 seq.push(emba_tokenizer::special::SEP);
-                let segments = vec![0usize; seq.len()];
-                (seq, segments)
+                seq
             })
             .collect();
+        let zeros = vec![0usize; framed.iter().map(Vec::len).max().unwrap_or(0)];
         let seqs: Vec<(&[usize], &[usize])> =
-            framed.iter().map(|(ids, segs)| (&ids[..], &segs[..])).collect();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-        let batch = self.backbone.encode_batch(g, stamp, &seqs, false, &mut rng);
-        // Detach each record's content rows (specials stripped) into an
-        // owned tensor the caller can cache beyond this tape's lifetime.
-        let tokens = g.value(batch.tokens);
+            framed.iter().map(|ids| (&ids[..], &zeros[..ids.len()])).collect();
+        let (tokens, groups) = self.backbone.encode_eval(&seqs, emba_tensor::backend::kind());
+        // Each record's content rows (specials stripped) into a tensor of its
+        // own, which the caller may cache.
         let h = tokens.cols();
         let encodings = records
             .iter()
             .enumerate()
             .map(|(i, ids)| {
-                let content = batch.groups.start(i) + 1; // skip [CLS]
+                let content = groups.start(i) + 1; // skip [CLS]
                 let data =
                     tokens.data()[content * h..(content + ids.len()) * h].to_vec();
                 Tensor::from_vec(ids.len(), h, data)
@@ -818,6 +822,17 @@ mod tests {
             nonzero as f64 > total as f64 * 0.9,
             "only {nonzero}/{total} params received gradient"
         );
+    }
+
+    #[test]
+    fn standalone_encoding_records_no_tape_node() {
+        let (_, _, classes) = example();
+        let mut rng = StdRng::seed_from_u64(4);
+        let model = TransformerMatcher::new("emba", tiny_backbone(&mut rng), EmStrategy::Aoa, AuxStrategy::TokenAttention, classes, None, &mut rng);
+        let g = Graph::new();
+        let encs = model.encode_records_standalone(&g, GraphStamp::next(), &[&[5, 6, 7], &[8]]).expect("AOA has the split path");
+        assert!(g.is_empty(), "the split encode recorded {} nodes", g.len());
+        assert_eq!(encs.iter().map(Tensor::shape).collect::<Vec<_>>(), [(3, 16), (1, 16)]);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!
 //! # Launch policy
 //!
-//! Each step is one grouped graph launch under the scorer's backend, in the
+//! Each step is one grouped launch under the scorer's backend, in the
 //! order the batch arrived: [`PairScorer::resolve`] encodes a batch's misses
 //! with a single [`Matcher::encode_records_standalone`] call (split only
-//! past `ENCODE_LAUNCH` records, a memory bound that serving's default
-//! flush never reaches) and [`PairScorer::score`] runs a single
+//! past `ENCODE_LAUNCH` records, a cache and memory bound that serving's
+//! default flush never reaches) and [`PairScorer::score`] runs a single
 //! [`Matcher::score_encoded_pairs`] call — one attention-over-attention op
 //! that reads the resolved encodings where they lie, pair by pair, in the
 //! order the pairs were given (a run of pairs with the same left record
@@ -44,12 +44,12 @@ use crate::models::Matcher;
 
 const NO_SPLIT_PATH: &str = "PairScorer requires an AOA matcher with a split scoring path";
 
-/// Most records one backbone launch encodes. A graph keeps every layer's
-/// activations until it is recycled, so a `match_catalog` window's 250+
-/// misses in one launch cost +170 MB of peak RSS and, on a cold heap, 1.6–2.9 s
-/// against 1.0 s — for the same warm throughput as launches of 64 (DESIGN.md
-/// "Scoring pipeline"). A serving flush at the default `max_batch` and a
-/// `CatalogScorer::score` call never reach it.
+/// Most records one backbone launch encodes. A launch's buffer plan grows
+/// with its rows, and a `match_catalog` window's 250+ misses in one launch
+/// (a plan of tens of MB instead of a few) measured 2–5 % fewer pairs/s on
+/// the int8 and dense catalogs, +35 MB of peak RSS and a slower cold call
+/// than launches of 64 (DESIGN.md "Scoring pipeline"). A serving flush at
+/// the default `max_batch` and a `CatalogScorer::score` call never reach it.
 const ENCODE_LAUNCH: usize = 64;
 
 /// The encodings one [`PairScorer::resolve`] call gathered, and what
@@ -105,9 +105,10 @@ impl PairScorer {
 
     /// Whether `model` has the split scoring path, probed by encoding and
     /// scoring a one-token record under this scorer's backend. Under `Int8`
-    /// that forward also builds and caches every linear layer's quantized
-    /// weights, so a long-lived caller that probes at construction (and after
-    /// every model swap) never pays quantization on a request.
+    /// that encode also builds and caches the quantized weights of every
+    /// linear layer a split-path request runs, so a long-lived caller that
+    /// probes at construction (and after every model swap) never pays
+    /// quantization on a request.
     pub fn probe(&self, model: &dyn Matcher) -> bool {
         let _backend = backend::install(self.backend);
         let g = Graph::new();

@@ -6,9 +6,10 @@
 //! attends only to its own rows, so no `[ΣT, ΣT]` mask tensor is ever
 //! materialized. The per-example API is the batch-of-one special case.
 
-use emba_tensor::{Graph, RowGroups, Tensor, Var};
+use emba_tensor::{fwd, Graph, RowGroups, Tensor, Var};
 use rand::Rng;
 
+use crate::eval::{Exec, Parts};
 use crate::layers::{dropout, Linear};
 use crate::param::{GraphStamp, Module, Param};
 
@@ -49,6 +50,11 @@ impl MultiHeadAttention {
     /// Number of attention heads.
     pub fn heads(&self) -> usize {
         self.heads
+    }
+
+    /// The query projection.
+    pub(crate) fn query(&self) -> &Linear {
+        &self.query
     }
 
     /// Runs block-diagonal self-attention over a row-packed batch
@@ -118,6 +124,31 @@ impl MultiHeadAttention {
         rng: &mut R,
     ) -> Var {
         self.forward_with_probs(g, stamp, x, train, rng).0
+    }
+
+    /// [`MultiHeadAttention::forward_batch_with_probs`] in eval mode with no
+    /// tape, over the `[ΣT, hidden]` rows `x`: leaves the output projection
+    /// in `p.q` (Q, K, V, the heads' probabilities and the context pass
+    /// through `p.q`, `p.k`, `p.v` and `p.probs` on the way).
+    pub(crate) fn eval(&self, ex: &mut Exec, x: &[f32], groups: &RowGroups, p: &mut Parts<'_>) {
+        let _scope = emba_tensor::prof::scope("attention");
+        let input = ex.input();
+        ex.linear(&self.query, x, input, p.q, None);
+        ex.linear(&self.key, x, input, p.k, None);
+        ex.linear(&self.value, x, input, p.v, None);
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let (n, w, d) = (groups.total(), groups.max_len(), self.head_dim);
+        let ld = self.heads * d;
+        for (h, probs) in p.probs.chunks_exact_mut(n * w).enumerate() {
+            fwd::attention_scores_grouped_into(p.q, p.k, ld, h * d..(h + 1) * d, scale, groups, probs);
+            fwd::note("attention_scores_grouped", probs, (n, w), || vec![(n, d); 2]);
+        }
+        // The context lands in `k`, which the scores were the last to read.
+        let probs: Vec<&[f32]> = p.probs.chunks_exact(n * w).collect();
+        fwd::matmul_grouped_into(&probs, p.v, ld, groups, p.k);
+        fwd::note("matmul_grouped", p.k, (n, ld), || [(n, w)].repeat(self.heads).into_iter().chain([(n, ld)]).collect());
+        let context = ex.input();
+        ex.linear(&self.output, p.k, context, p.q, None);
     }
 
     /// Sums the per-head attention probabilities of a recorded forward pass

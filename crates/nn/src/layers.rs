@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use emba_tensor::{backend, Graph, QuantizedMatrix, Tensor, Var};
+use emba_tensor::{backend, fwd, Graph, QuantizedMatrix, Tensor, Var};
 use rand::Rng;
 
 use crate::param::{GraphStamp, Module, Param};
@@ -61,16 +61,19 @@ impl Linear {
     /// The int8 twin of the current weights, quantizing (once) on first use
     /// or after the weight tensor changed.
     pub fn quantized_weight(&self) -> Arc<QuantizedMatrix> {
+        self.cached_quantized_weight().unwrap_or_else(|| {
+            let q = Arc::new(QuantizedMatrix::quantize(&self.weight.value));
+            let key = quant_key(&self.weight.value);
+            *self.quant.borrow_mut() = Some(QuantCache { key, q: q.clone() });
+            q
+        })
+    }
+
+    /// The int8 twin [`Linear::quantized_weight`] built for the current
+    /// weights, if it has built one — never quantizes.
+    pub fn cached_quantized_weight(&self) -> Option<Arc<QuantizedMatrix>> {
         let key = quant_key(&self.weight.value);
-        let mut slot = self.quant.borrow_mut();
-        match slot.as_ref() {
-            Some(c) if c.key == key => c.q.clone(),
-            _ => {
-                let q = Arc::new(QuantizedMatrix::quantize(&self.weight.value));
-                *slot = Some(QuantCache { key, q: q.clone() });
-                q
-            }
-        }
+        self.quant.borrow().as_ref().filter(|c| c.key == key).map(|c| c.q.clone())
     }
 
     /// Input width.
@@ -83,13 +86,13 @@ impl Linear {
         self.weight.value.cols()
     }
 
-    /// Applies the projection to an `[m, in]` input, producing `[m, out]`,
-    /// via the fused affine tape op.
-    /// Whether this layer runs int8 when the quantized backend is installed.
-    fn quantizable(&self) -> bool {
+    /// Whether this layer runs int8 under a quantized backend.
+    pub(crate) fn quantizable(&self) -> bool {
         self.weight.value.rows() * self.weight.value.cols() >= QUANT_MIN_ELEMS
     }
 
+    /// Applies the projection to an `[m, in]` input, producing `[m, out]`,
+    /// via the fused affine tape op.
     pub fn forward(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
         if backend::quantized() && self.quantizable() {
             let q = self.quantized_weight();
@@ -153,6 +156,15 @@ impl Embedding {
     pub fn forward(&self, g: &Graph, stamp: GraphStamp, ids: &[usize]) -> Var {
         let w = self.weight.bind(g, stamp);
         g.embedding(w, ids)
+    }
+
+    /// The rows for `ids` into `out` (`[len(ids), dim]`), with no tape:
+    /// [`Embedding::forward`]'s values, recorded to the profiler as its
+    /// `embedding` op.
+    pub fn lookup_into(&self, ids: &[usize], out: &mut [f32]) {
+        let shape = self.weight.value.shape();
+        fwd::embedding_into(self.weight.value.data(), shape, ids, out);
+        fwd::note("embedding", out, (ids.len(), shape.1), || vec![shape]);
     }
 }
 

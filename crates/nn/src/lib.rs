@@ -32,6 +32,7 @@
 //! ```
 
 mod attention;
+mod eval;
 mod gru;
 mod layers;
 pub mod mlm;

@@ -8,11 +8,12 @@
 //! tanh pooler over `[CLS]` — is present so the EMBA/JointBERT heads built
 //! on top match the paper exactly.
 
-use emba_tensor::{Graph, RowGroups, Tensor, Var};
+use emba_tensor::{fwd, BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::attention::MultiHeadAttention;
+use crate::eval::{self, Exec, Parts, Plan};
 use crate::layers::{dropout, Embedding, LayerNorm, Linear};
 use crate::param::{GraphStamp, Module, Param};
 
@@ -159,6 +160,22 @@ impl EncoderLayer {
         let x = self.ff_norm.forward(g, stamp, g.add(x, ff_out));
         (x, probs)
     }
+
+    /// [`EncoderLayer::forward`] in eval mode with no tape: `x ← layer(x)`
+    /// in place, through the plan's buffers.
+    fn eval(&self, ex: &mut Exec, x: &mut [f32], groups: &RowGroups, p: &mut Parts<'_>) {
+        let _scope = emba_tensor::prof::scope("layer");
+        self.attention.eval(ex, x, groups, p);
+        eval::add_layer_norm(&self.attn_norm, x, p.q, p.row);
+        {
+            let _ffn_scope = emba_tensor::prof::scope("ffn");
+            let input = ex.input();
+            ex.linear(&self.ff.up, x, input, p.ff, Some(&mut *p.pre));
+            let hidden = ex.input();
+            ex.linear(&self.ff.down, p.ff, hidden, p.k, None);
+        }
+        eval::add_layer_norm(&self.ff_norm, x, p.k, p.row);
+    }
 }
 
 impl Module for EncoderLayer {
@@ -240,10 +257,15 @@ impl BertEncoder {
         self.cfg.hidden
     }
 
-    /// The `[CLS]` pooler projection — the one linear layer reachable from
-    /// outside, so callers can observe [`Linear::quantized_weight`] caching.
-    pub fn pooler(&self) -> &Linear {
-        &self.pooler
+    /// Layer `layer`'s query projection — the one linear layer reachable
+    /// from outside, so callers can observe [`Linear::quantized_weight`]
+    /// caching on a weight every encode reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no layer `layer`.
+    pub fn query_projection(&self, layer: usize) -> &Linear {
+        self.layers[layer].attention.query()
     }
 
     /// Encodes one token sequence.
@@ -291,32 +313,7 @@ impl BertEncoder {
         train: bool,
         rng: &mut R,
     ) -> BertBatchOutput {
-        assert!(!seqs.is_empty(), "cannot encode an empty batch");
-        let total: usize = seqs.iter().map(|(ids, _)| ids.len()).sum();
-        let mut ids = Vec::with_capacity(total);
-        let mut positions = Vec::with_capacity(total);
-        let mut segments = Vec::with_capacity(total);
-        let mut lens = Vec::with_capacity(seqs.len());
-        for (token_ids, segment_ids) in seqs {
-            let len = token_ids.len();
-            assert!(len > 0, "cannot encode an empty sequence");
-            assert!(
-                len <= self.cfg.max_len,
-                "sequence length {len} exceeds max_len {}",
-                self.cfg.max_len
-            );
-            assert_eq!(
-                segment_ids.len(),
-                len,
-                "segment ids length {} != token ids length {len}",
-                segment_ids.len()
-            );
-            ids.extend_from_slice(token_ids);
-            positions.extend(0..len);
-            segments.extend_from_slice(segment_ids);
-            lens.push(len);
-        }
-        let groups = RowGroups::from_lens(&lens);
+        let Packed { ids, positions, segments, groups } = self.pack(seqs);
         let _scope = emba_tensor::prof::scope("bert");
 
         let tok = self.token_emb.forward(g, stamp, &ids);
@@ -343,6 +340,87 @@ impl BertEncoder {
             groups,
         }
     }
+
+    /// The `[ΣT, hidden]` token representations [`BertEncoder::forward_batch`]
+    /// computes in eval mode, bit for bit, computed without a tape under
+    /// `backend`, with the sequences' row ranges.
+    ///
+    /// One forward pass and nothing else: no `Graph` or node, no pooler or
+    /// `[CLS]` gather, no dropout. Each op is the tape op's kernel call on the
+    /// same operands in the same order, recorded to the profiler (and checked
+    /// by the non-finite guard, when enabled) under the tape op's name. The
+    /// activations live in the returned tensor, updated in place layer by
+    /// layer; everything else is one pooled buffer per launch (Q, K, V, the
+    /// heads' scores, the FFN's hidden rows and pre-activation), taken once
+    /// and returned once. Under a quantized backend each linear with at least
+    /// 2048 weights runs the int8 tile, on one quantization per input.
+    ///
+    /// # Panics
+    ///
+    /// As [`BertEncoder::forward_batch`].
+    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups) {
+        let Packed { ids, positions, segments, groups } = self.pack(seqs);
+        let _scope = emba_tensor::prof::scope("bert");
+        let mut ex = Exec::new(backend);
+        let (n, h) = (groups.total(), self.cfg.hidden);
+        let f32_ffn = self.layers.iter().any(|l| !ex.runs_q8(&l.ff.up));
+        let mut plan = Plan::new(n, h, self.cfg.ff_dim, self.cfg.heads, groups.max_len(), f32_ffn);
+        let mut p = plan.parts();
+        // The embedding sum as the tape adds it, `(token + position) +
+        // segment`, then its layer norm into the activations.
+        self.token_emb.lookup_into(&ids, p.q);
+        self.position_emb.lookup_into(&positions, p.k);
+        self.segment_emb.lookup_into(&segments, p.v);
+        for addend in [&*p.k, &*p.v] {
+            fwd::add_assign(p.q, addend);
+            fwd::note("add", p.q, (n, h), || vec![(n, h); 2]);
+        }
+        let mut x = vec![0.0; n * h];
+        eval::layer_norm(&self.emb_norm, p.q, &mut x);
+        for layer in &self.layers {
+            layer.eval(&mut ex, &mut x, &groups, &mut p);
+        }
+        (Tensor::from_vec(n, h, x), groups)
+    }
+
+    /// Row-packs `seqs`: ids, positions restarting at 0 per sequence,
+    /// segments and the row ranges, each sequence checked.
+    fn pack(&self, seqs: &[(&[usize], &[usize])]) -> Packed {
+        assert!(!seqs.is_empty(), "cannot encode an empty batch");
+        let total: usize = seqs.iter().map(|(ids, _)| ids.len()).sum();
+        let mut ids = Vec::with_capacity(total);
+        let mut positions = Vec::with_capacity(total);
+        let mut segments = Vec::with_capacity(total);
+        let mut lens = Vec::with_capacity(seqs.len());
+        for (token_ids, segment_ids) in seqs {
+            let len = token_ids.len();
+            assert!(len > 0, "cannot encode an empty sequence");
+            assert!(
+                len <= self.cfg.max_len,
+                "sequence length {len} exceeds max_len {}",
+                self.cfg.max_len
+            );
+            assert_eq!(
+                segment_ids.len(),
+                len,
+                "segment ids length {} != token ids length {len}",
+                segment_ids.len()
+            );
+            ids.extend_from_slice(token_ids);
+            positions.extend(0..len);
+            segments.extend_from_slice(segment_ids);
+            lens.push(len);
+        }
+        Packed { ids, positions, segments, groups: RowGroups::from_lens(&lens) }
+    }
+}
+
+/// A row-packed batch of sequences (see [`BertEncoder::pack`]).
+struct Packed {
+    ids: Vec<usize>,
+    positions: Vec<usize>,
+    segments: Vec<usize>,
+    groups: RowGroups,
 }
 
 impl Module for BertEncoder {

@@ -1226,13 +1226,15 @@ pub(crate) mod tests {
         TrainedMatcher { pipeline, model, dropout: 0.1, pos_fraction: 0.5 }
     }
 
-    fn pooler_weights(core: &mut ServeCore) -> Arc<QuantizedMatrix> {
+    /// The int8 twin of layer 0's query projection — a weight every encode
+    /// reads — as the last forward built it; `None` if none has.
+    fn query_weights(core: &mut ServeCore) -> Option<Arc<QuantizedMatrix>> {
         core.trained
             .model
             .bert_backbone_mut()
             .expect("EmbaSb has a BERT backbone")
-            .pooler()
-            .quantized_weight()
+            .query_projection(0)
+            .cached_quantized_weight()
     }
 
     fn quantized_op_calls() -> u64 {
@@ -1263,9 +1265,9 @@ pub(crate) mod tests {
         core.set_recovery(RecoverySource::Checkpoint(Box::new(ckpt)));
         assert!(quantized_op_calls() > 0, "construction probe ran no quantized op");
 
-        let warm = pooler_weights(&mut core);
+        let warm = query_weights(&mut core).expect("construction probe quantized no query projection");
         assert!(matches!(flush_one(&mut core, 0, 0), MatchOutcome::Scored { .. }));
-        assert!(Arc::ptr_eq(&warm, &pooler_weights(&mut core)), "first flush re-quantized");
+        assert!(Arc::ptr_eq(&warm, &query_weights(&mut core).unwrap()), "first flush re-quantized");
 
         // Fault the next flush, then let the supervisor restore the matcher
         // with nothing queued: the only forward in that poll is the probe.
@@ -1277,9 +1279,9 @@ pub(crate) mod tests {
         assert!(!core.degraded(), "restart from the retained checkpoint");
         assert!(quantized_op_calls() > 0, "restart probe ran no quantized op");
 
-        let warm = pooler_weights(&mut core);
+        let warm = query_weights(&mut core).expect("restart probe quantized no query projection");
         assert!(matches!(flush_one(&mut core, 2, 1_000_000_000), MatchOutcome::Scored { .. }));
-        assert!(Arc::ptr_eq(&warm, &pooler_weights(&mut core)), "post-restart flush re-quantized");
+        assert!(Arc::ptr_eq(&warm, &query_weights(&mut core).unwrap()), "post-restart flush re-quantized");
         prof::enable(was);
         prof::reset();
     }

@@ -8,9 +8,11 @@
 //! because parents are always recorded before children) and accumulates
 //! gradients for every node.
 //!
-//! Graphs are cheap to create; the training loops in `emba-core` build one
-//! graph per example and accumulate parameter gradients across a mini-batch,
-//! mirroring the paper's remark that the AOA module is computed per sample.
+//! Graphs are cheap to create; the training loop in `emba-core` builds one
+//! per row-packed sub-batch and accumulates parameter gradients across an
+//! optimizer window. The tape is the training path and the oracle of
+//! `emba_nn`'s forward-only encoder, which runs the same forward loops
+//! ([`crate::fwd`]) without recording anything.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -21,7 +23,7 @@ use crate::groups::RowGroups;
 use crate::kernels::Epilogue;
 use crate::quant::{QuantizedMatrix, QuantizedRows};
 use crate::tensor::Tensor;
-use crate::{backend, guard, kernels, pool, prof, simd};
+use crate::{backend, fwd, kernels, pool, prof, simd};
 
 /// Advances a xorshift64* state and maps the step to a uniform `f32` in
 /// `[0, 1)` (top 24 bits). Used by [`Graph::dropout`] so forward and backward
@@ -208,23 +210,17 @@ impl Graph {
         charged: Option<Vec<(usize, usize)>>,
         backward: Option<BackwardFn>,
     ) -> Var {
-        // Debug-only non-finite guard: when enabled, scan every op output as
-        // it is recorded and report offenders by op name (see [`guard`]).
-        if guard::enabled() && !value.all_finite() {
-            let (rows, cols) = value.shape();
-            guard::record(op, rows, cols);
-        }
+        // The op's kernel already ran (its output is `value`): the guard
+        // scans it and the profiler's self-time is the delta from the
+        // previous event, which is exactly this op's compute inside a forward
+        // pass. Disabled cost is the two `enabled()` checks.
+        fwd::note(op, value.data(), value.shape(), || {
+            charged.clone().unwrap_or_else(|| {
+                let nodes = self.nodes.borrow();
+                parents.iter().map(|&p| nodes[p].value.shape()).collect()
+            })
+        });
         let mut nodes = self.nodes.borrow_mut();
-        // Opt-in profiler: the op's kernel already ran (its output is
-        // `value`), so record now — self-time is the delta from the previous
-        // profiler event, which is exactly this op's compute inside a
-        // forward pass. Disabled cost is the single `enabled()` check.
-        if prof::enabled() {
-            let (rows, cols) = value.shape();
-            let parent_shapes: Vec<(usize, usize)> = parents.iter().map(|&p| nodes[p].value.shape()).collect();
-            let flops = prof::estimate_flops(op, charged.as_ref().unwrap_or(&parent_shapes), (rows, cols));
-            prof::record_op(op, false, 4 * (rows * cols) as u64, flops);
-        }
         nodes.push(Node {
             op,
             value,
@@ -240,9 +236,13 @@ impl Graph {
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&self, a: Var, b: Var) -> Var {
-        let out = self.value(a).add(&self.value(b));
+        let (va, vb) = (self.value(a), self.value(b));
+        assert_eq!(va.shape(), vb.shape(), "add: shape mismatch {:?} vs {:?}", va.shape(), vb.shape());
+        let mut out = pool::take_uninit(va.len());
+        out.copy_from_slice(va.data());
+        fwd::add_assign(&mut out, vb.data());
         self.push("add",
-            out,
+            Tensor::from_vec(va.rows(), va.cols(), out),
             vec![a.0, b.0],
             Some(Box::new(|g, sink| {
                 sink.add(0, g.clone());
@@ -687,11 +687,8 @@ impl Graph {
     pub fn embedding(&self, weight: Var, ids: &[usize]) -> Var {
         let vw = self.value(weight);
         let (v, h) = vw.shape();
-        let mut out = Vec::with_capacity(ids.len() * h);
-        for &id in ids {
-            assert!(id < v, "embedding id {id} out of range for vocab {v}");
-            out.extend_from_slice(vw.row_slice(id));
-        }
+        let mut out = pool::take_uninit(ids.len() * h);
+        fwd::embedding_into(vw.data(), (v, h), ids, &mut out);
         let out = Tensor::from_vec(ids.len(), h, out);
         let ids = ids.to_vec();
         self.push("embedding",
@@ -920,14 +917,8 @@ impl Graph {
         assert_eq!(groups.total(), nrows, "attention_scores_grouped: groups cover {} rows, q has {nrows}", groups.total());
         let (c0, d) = (cols.start, cols.len());
         let w = groups.max_len();
-        let mut out = pool::take(nrows * w);
-        for (r0, r1) in blocks(groups) {
-            let (t, at) = (r1 - r0, r0 * ld + c0);
-            kernels::gemm_strided(t, d, t, &vq.data()[at..], ld, 1, &vk.data()[at..], 1, ld, &mut out[r0 * w..], w, Epilogue::Store);
-            for r in r0..r1 {
-                kernels::scaled_softmax_in_place(&mut out[r * w..r * w + t], scale);
-            }
-        }
+        let mut out = pool::take_uninit(nrows * w);
+        fwd::attention_scores_grouped_into(vq.data(), vk.data(), ld, cols, scale, groups, &mut out);
         let out = Tensor::from_vec(nrows, w, out);
         let p = out.clone();
         let groups = groups.clone();
@@ -940,9 +931,9 @@ impl Graph {
                 // Softmax JVP per group into one packed [Σ T²] buffer, then a
                 // pair of GEMMs per group that add into the head's columns of
                 // the parents' gradients.
-                let mut ds_all = pool::take_uninit(blocks(&groups).map(|(r0, r1)| (r1 - r0).pow(2)).sum());
+                let mut ds_all = pool::take_uninit(groups.blocks().map(|(r0, r1)| (r1 - r0).pow(2)).sum());
                 let mut off = 0;
-                for (r0, r1) in blocks(&groups) {
+                for (r0, r1) in groups.blocks() {
                     let t = r1 - r0;
                     for (r, ds) in (r0..r1).zip(ds_all[off..off + t * t].chunks_exact_mut(t)) {
                         kernels::softmax_row_backward_scaled(&g.data()[r * w..r * w + t], &p.data()[r * w..r * w + t], scale, ds);
@@ -953,7 +944,7 @@ impl Graph {
                 for (pos, other, transposed) in [(0, &vk, false), (1, &vq, true)] {
                     sink.accum(pos, nrows, ld, &mut |dst| {
                         let mut off = 0;
-                        for (r0, r1) in blocks(&groups) {
+                        for (r0, r1) in groups.blocks() {
                             let (t, at) = (r1 - r0, r0 * ld + c0);
                             let (ds, (rs, cs)) = (&ds_all[off..off + t * t], if transposed { (1, t) } else { (t, 1) });
                             kernels::gemm_strided(t, t, d, ds, rs, cs, &other.data()[at..], ld, 1, &mut dst[at..], ld, Epilogue::Add);
@@ -984,14 +975,9 @@ impl Graph {
             assert_eq!(vp.shape(), (nrows, w), "matmul_grouped: probs must be [{nrows}, {w}]");
         }
         let d = ld / vps.len();
-        let mut out = pool::take(nrows * ld);
-        for (r0, r1) in blocks(groups) {
-            let t = r1 - r0;
-            for (h, vp) in vps.iter().enumerate() {
-                let at = r0 * ld + h * d;
-                kernels::gemm_strided(t, t, d, &vp.data()[r0 * w..], w, 1, &vv.data()[at..], ld, 1, &mut out[at..], ld, Epilogue::Store);
-            }
-        }
+        let mut out = pool::take_uninit(nrows * ld);
+        let probs_data: Vec<&[f32]> = vps.iter().map(Tensor::data).collect();
+        fwd::matmul_grouped_into(&probs_data, vv.data(), ld, groups, &mut out);
         let out = Tensor::from_vec(nrows, ld, out);
         let groups = groups.clone();
         let heads = vps.len();
@@ -1002,14 +988,14 @@ impl Graph {
                 for (h, vp) in vps.iter().enumerate() {
                     // dP_{h,g} += dO_{h,g} · V_{h,g}ᵀ.
                     sink.accum(h, nrows, w, &mut |dp| {
-                        for (r0, r1) in blocks(&groups) {
+                        for (r0, r1) in groups.blocks() {
                             let (t, at) = (r1 - r0, r0 * ld + h * d);
                             kernels::gemm_strided(t, d, t, &g.data()[at..], ld, 1, &vv.data()[at..], 1, ld, &mut dp[r0 * w..], w, Epilogue::Add);
                         }
                     });
                     // dV_{h,g} += P_{h,g}ᵀ · dO_{h,g}.
                     sink.accum(heads, nrows, ld, &mut |dv| {
-                        for (r0, r1) in blocks(&groups) {
+                        for (r0, r1) in groups.blocks() {
                             let (t, at) = (r1 - r0, r0 * ld + h * d);
                             kernels::gemm_strided(t, t, d, &vp.data()[r0 * w..], 1, w, &g.data()[at..], ld, 1, &mut dv[at..], ld, Epilogue::Add);
                         }
@@ -1490,11 +1476,6 @@ impl Graph {
             }
         }
     }
-}
-
-/// The non-empty row ranges of `groups`.
-fn blocks(groups: &RowGroups) -> impl Iterator<Item = (usize, usize)> + '_ {
-    (0..groups.len()).map(|i| groups.range(i)).filter(|(r0, r1)| r1 > r0)
 }
 
 /// One side of a pair of [`Graph::aoa_pool`]: the tensor the view reads, its

@@ -81,6 +81,11 @@ impl RowGroups {
     pub fn lens(&self) -> Vec<usize> {
         (0..self.len()).map(|i| self.len_of(i)).collect()
     }
+
+    /// The non-empty row ranges, in order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.len()).map(|i| self.range(i)).filter(|(r0, r1)| r1 > r0)
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! * [`Graph`] — a single-use autodiff tape. Operations are recorded during
 //!   the forward pass and [`Graph::backward`] replays them in reverse to
 //!   produce gradients for every recorded node.
+//! * [`fwd`] — the forward loops the tape's grouped and gather ops share
+//!   with `emba_nn`'s forward-only encoder, which records no tape.
 //! * [`gradcheck`] — finite-difference gradient checking used by the property
 //!   tests to validate every analytic gradient in the tape.
 //! * [`guard`] — an opt-in non-finite guard that scans every recorded op
@@ -50,6 +52,7 @@
 //! ```
 
 pub mod backend;
+pub mod fwd;
 pub mod gradcheck;
 mod graph;
 mod groups;

@@ -1,13 +1,14 @@
 //! Thread-local scratch-buffer pool.
 //!
-//! Training builds one autodiff tape per example, so the same tensor shapes
-//! are allocated and dropped thousands of times per epoch. This pool lets the
-//! hot path hand freed `Vec<f32>` buffers back for reuse instead of returning
-//! them to the allocator: [`take`] pops a buffer of the exact requested
-//! length (zero-filled, matching `vec![0.0; len]` semantics) and [`put`]
-//! returns one. Buckets are keyed by length because the workload's shapes
-//! recur exactly — model dimensions are fixed per run — which makes exact
-//! keying hit nearly always while keeping lookup trivial.
+//! Training builds one autodiff tape per optimizer step, so the same tensor
+//! shapes are allocated and dropped thousands of times per epoch. This pool
+//! lets the hot path hand freed `Vec<f32>` buffers back for reuse instead of
+//! returning them to the allocator: [`take`] pops a buffer of the exact
+//! requested length (zero-filled, matching `vec![0.0; len]` semantics) and
+//! [`put`] returns one. Buckets are keyed by length: a training run's shapes
+//! recur exactly, and a caller whose sizes do not (an encode launch's, which
+//! follow its token count) rounds them to a power of two first, so the pool
+//! holds a handful of sizes rather than one per launch.
 //!
 //! The pool is thread-local: the engine is single-threaded per training run,
 //! and thread-locals avoid both locking and cross-thread buffer migration.
@@ -20,7 +21,9 @@
 //! * Buffers return to the pool only through explicit recycle points —
 //!   `Tensor::recycle`, `Graph::recycle`, `Gradients::recycle` — which use
 //!   `Arc::try_unwrap`, so a buffer still shared (e.g. a checkpointed value)
-//!   is never recycled out from under a holder.
+//!   is never recycled out from under a holder; and the owners of plain
+//!   scratch (`kernels::PackedPanel`, the AOA workspace, the forward-only
+//!   encoder's per-launch plan), which [`put`] it back when they are done.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

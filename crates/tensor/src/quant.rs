@@ -203,7 +203,15 @@ impl QuantizedRows {
     /// same two allocations: a tape quantizes a dozen inputs of two widths
     /// per pass, and one buffer that stays in cache serves them all.
     pub fn requantize(&mut self, x: &Tensor) {
-        let (m, k) = x.shape();
+        self.requantize_rows(x.data(), x.shape());
+    }
+
+    /// [`QuantizedRows::requantize`] for the row-major `(m, k)` matrix `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` holds fewer than `m * k` values.
+    pub fn requantize_rows(&mut self, x: &[f32], (m, k): (usize, usize)) {
         self.shape = (m, k);
         let stride = self.stride();
         if self.q.len() < m * stride {
@@ -213,7 +221,7 @@ impl QuantizedRows {
         for r in 0..m {
             let (q, pad) = self.q[r * stride..(r + 1) * stride].split_at_mut(k);
             pad.fill(0);
-            self.rows.push(quantize_row_u8(&x.data()[r * k..(r + 1) * k], q));
+            self.rows.push(quantize_row_u8(&x[r * k..(r + 1) * k], q));
         }
     }
 
@@ -248,10 +256,23 @@ pub fn linear_q8_forward(x: &Tensor, w: &QuantizedMatrix, bias: &Tensor, gelu: b
 
 /// [`linear_q8_forward`] for an input that is already quantized.
 pub fn linear_q8_rows(x: &QuantizedRows, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Tensor {
+    let mut out = pool::take_uninit(x.shape().0 * w.out_dim);
+    linear_q8_rows_into(x, w, bias, gelu, &mut out);
+    Tensor::from_vec(x.shape().0, w.out_dim, out)
+}
+
+/// [`linear_q8_rows`] into a caller's row-major `(m, n)` buffer, every
+/// element of which it writes.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions, the bias or `out` do not fit.
+pub fn linear_q8_rows_into(x: &QuantizedRows, w: &QuantizedMatrix, bias: &Tensor, gelu: bool, out: &mut [f32]) {
     let (m, k) = x.shape();
     let n = w.out_dim;
     assert_eq!(k, w.in_dim, "linear_q8: inner dims {k} vs {}", w.in_dim);
     assert_eq!(bias.shape(), (1, n), "linear_q8: bias shape");
+    assert_eq!(out.len(), m * n, "linear_q8: output must be {m}x{n}");
     // Like the weights' own per-column operands, the bias is read a whole
     // strip at a time.
     let mut bs = bias.data();
@@ -261,7 +282,6 @@ pub fn linear_q8_rows(x: &QuantizedRows, w: &QuantizedMatrix, bias: &Tensor, gel
         bs = &padded;
     }
     let (lda, level) = (x.stride(), simd::level());
-    let mut out = pool::take_uninit(m * n);
     simd::tiles_u8i8(level, x.q(), m, lda, &w.strips, lda / simd::Q8_KG, n, |row0, rows, col0, cols, block| {
         // By value: the tile's columns of each operand stay in registers
         // across its rows.
@@ -284,7 +304,6 @@ pub fn linear_q8_rows(x: &QuantizedRows, w: &QuantizedMatrix, bias: &Tensor, gel
             simd::gelu_span(&mut out[row0 * n..(row0 + rows) * n]);
         }
     });
-    Tensor::from_vec(m, n, out)
 }
 
 /// The leading strip's worth of a per-column operand.

@@ -13,13 +13,15 @@ cargo clippy --workspace -- -D warnings
 # private item) fail here rather than rot.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# Forced-scalar leg: the tensor crate's whole suite again with every
+# Forced-scalar leg: the tensor and nn crates' whole suites again with every
 # `simd::level()` dispatch pinned to the portable definitions (both GEMM
 # tiles, f32 and u8xi8, and the quantization passes), so those run on AVX2
 # CI boxes too and not only inside the in-process `set_forced_scalar` tests
 # (`tests/prop_q8.rs` also calls each int8 tile body directly); the suite's
-# `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it.
-EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor
+# `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it, and
+# nn's `tests/eval_bits.rs` holds the forward-only encoder to the tape on
+# the portable tiles.
+EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor -p emba-nn
 
 # The end-to-end benchmark is a workspace of its own built against this
 # one's public API: its unit tests plus every workload at --tiny size, so an
