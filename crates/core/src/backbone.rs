@@ -3,7 +3,8 @@
 //! The paper evaluates EMBA over four language-model backbones — BERT-base,
 //! BERT-small (SB), distilBERT (DB), and fastText (FT) — plus a
 //! RoBERTa-style single-task baseline. [`Backbone`] unifies them behind one
-//! `encode` call so every matcher is backbone-agnostic.
+//! `encode_batch` call (and its tape-free twin `encode_eval`) so every
+//! matcher is backbone-agnostic.
 
 use emba_nn::{BertConfig, BertEncoder, GraphStamp, Linear, Module, Param};
 use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
@@ -43,23 +44,12 @@ impl BackboneKind {
     }
 }
 
-/// One encoded sequence: per-token states plus a pooled representation.
-pub struct SeqOutput {
-    /// `[seq, hidden]` token representations.
-    pub tokens: Var,
-    /// `[1, hidden]` pooled representation of the `[CLS]` position.
-    pub pooled: Var,
-    /// Last-layer per-head self-attention probabilities (empty for
-    /// fastText, which has no attention).
-    pub last_attention: Vec<Var>,
-}
-
-/// A batch of encoded sequences in row-packed form.
+/// A batch of encoded sequences in row-packed form. The pooled `[CLS]` form
+/// is not part of it: [`Backbone::pool`] computes it for the heads that
+/// read it.
 pub struct SeqBatchOutput {
     /// `[ΣT, hidden]` token representations, row-packed in batch order.
     pub tokens: Var,
-    /// `[B, hidden]` pooled representations (row `i` = sequence `i`).
-    pub pooled: Var,
     /// Last-layer per-head grouped `[ΣT, W]` attention probabilities (empty
     /// for fastText).
     pub last_attention: Vec<Var>,
@@ -97,28 +87,19 @@ impl FastTextEncoder {
         &mut self.embedding
     }
 
-    fn encode(&self, g: &Graph, stamp: GraphStamp, ids: &[usize]) -> SeqOutput {
-        let tokens = self.embedding.forward(g, stamp, ids);
-        let mean = g.mean_axis0(tokens);
-        let pooled = g.tanh(self.pool_proj.forward(g, stamp, mean));
-        SeqOutput {
-            tokens,
-            pooled,
-            last_attention: Vec::new(),
-        }
-    }
-
     fn encode_batch(&self, g: &Graph, stamp: GraphStamp, seqs: &[&[usize]]) -> SeqBatchOutput {
         let (ids, groups) = Self::pack(seqs);
-        let tokens = self.embedding.forward(g, stamp, &ids);
-        let mean = g.mean_rows_grouped(tokens, &groups); // [B, dim]
-        let pooled = g.tanh(self.pool_proj.forward(g, stamp, mean));
         SeqBatchOutput {
-            tokens,
-            pooled,
+            tokens: self.embedding.forward(g, stamp, &ids),
             last_attention: Vec::new(),
             groups,
         }
+    }
+
+    /// The pooled form: `tanh` of a projection of each sequence's mean.
+    fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+        let mean = g.mean_rows_grouped(tokens, groups); // [B, dim]
+        g.tanh(self.pool_proj.forward(g, stamp, mean))
     }
 
     /// [`FastTextEncoder::encode_batch`]'s token rows with no tape: the
@@ -235,42 +216,8 @@ impl Backbone {
         }
     }
 
-    /// Encodes a token sequence with segment ids.
-    pub fn encode(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        ids: &[usize],
-        segments: &[usize],
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> SeqOutput {
-        match self {
-            Backbone::Bert {
-                encoder,
-                use_segments,
-            } => {
-                let zeros;
-                let segs: &[usize] = if *use_segments {
-                    segments
-                } else {
-                    zeros = vec![0; ids.len()];
-                    &zeros
-                };
-                let out = encoder.forward(g, stamp, ids, segs, train, rng);
-                SeqOutput {
-                    tokens: out.tokens,
-                    pooled: out.pooled,
-                    last_attention: out.last_attention,
-                }
-            }
-            Backbone::FastText(ft) => ft.encode(g, stamp, ids),
-        }
-    }
-
     /// Encodes a batch of `(ids, segments)` sequences in one row-packed
-    /// forward pass. Semantically equivalent to [`Backbone::encode`] per
-    /// sequence; sequences never attend across the batch.
+    /// forward pass; sequences never attend across the batch.
     pub fn encode_batch(
         &self,
         g: &Graph,
@@ -287,7 +234,6 @@ impl Backbone {
                 let out = with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, stamp, seqs, train, rng));
                 SeqBatchOutput {
                     tokens: out.tokens,
-                    pooled: out.pooled,
                     last_attention: out.last_attention,
                     groups: out.groups,
                 }
@@ -299,16 +245,30 @@ impl Backbone {
         }
     }
 
+    /// The `[B, hidden]` pooled representations of the packed `tokens` laid
+    /// out by `groups`, on the tape (row `i` = sequence `i`): BERT's tanh
+    /// pooler over each `[CLS]` row, fastText's tanh projection of each
+    /// sequence's mean. Only the heads that read `[CLS]` call it.
+    pub fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+        match self {
+            Backbone::Bert { encoder, .. } => encoder.pool(g, stamp, tokens, groups),
+            Backbone::FastText(ft) => ft.pool(g, stamp, tokens, groups),
+        }
+    }
+
     /// The token rows [`Backbone::encode_batch`] computes in eval mode, bit
     /// for bit, with no tape: the BERT variants through
     /// [`BertEncoder::encode_eval`] under `backend` (RoBERTa's segments
-    /// zeroed as there), fastText through its embedding lookup.
-    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups) {
+    /// zeroed as there), fastText through its embedding lookup. The third
+    /// value is a one-sequence batch's summed last-layer attention, which
+    /// only the BERT variants have.
+    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups, Option<Tensor>) {
         match self {
             Backbone::Bert { encoder, use_segments } => with_bert_segments(*use_segments, seqs, |seqs| encoder.encode_eval(seqs, backend)),
             Backbone::FastText(ft) => {
                 let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();
-                ft.encode_eval(&ids)
+                let (tokens, groups) = ft.encode_eval(&ids);
+                (tokens, groups, None)
             }
         }
     }
@@ -346,21 +306,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One sequence through `encode_batch` in eval mode: its token rows, its
+    /// pooled row, and how many last-layer attention heads it kept.
+    fn encode_one(b: &Backbone, ids: &[usize], segments: &[usize]) -> (Tensor, Tensor, usize) {
+        let g = Graph::new();
+        let stamp = GraphStamp::next();
+        let out = b.encode_batch(&g, stamp, &[(ids, segments)], false, &mut StdRng::seed_from_u64(0));
+        let pooled = b.pool(&g, stamp, out.tokens, &out.groups);
+        (g.value(out.tokens), g.value(pooled), out.last_attention.len())
+    }
+
     fn encode_with(kind: BackboneKind) -> (usize, usize) {
         let mut rng = StdRng::seed_from_u64(0);
         let b = Backbone::new(kind, 100, 32, DEFAULT_DROPOUT, &mut rng);
-        let g = Graph::new();
-        let out = b.encode(
-            &g,
-            GraphStamp::next(),
-            &[2, 10, 11, 3, 12, 3],
-            &[0, 0, 0, 0, 1, 1],
-            false,
-            &mut rng,
-        );
-        let (rows, cols) = g.value(out.tokens).shape();
-        assert_eq!(g.value(out.pooled).shape(), (1, cols));
-        (rows, cols)
+        let (tokens, pooled, _) = encode_one(&b, &[2, 10, 11, 3, 12, 3], &[0, 0, 0, 0, 1, 1]);
+        assert_eq!(pooled.shape(), (1, tokens.cols()));
+        tokens.shape()
     }
 
     #[test]
@@ -376,34 +337,29 @@ mod tests {
     fn roberta_ignores_segments() {
         let mut rng = StdRng::seed_from_u64(1);
         let b = Backbone::new(BackboneKind::Roberta, 50, 16, DEFAULT_DROPOUT, &mut rng);
-        let g = Graph::new();
-        let a = b.encode(&g, GraphStamp::next(), &[2, 5, 3], &[0, 0, 0], false, &mut rng);
-        let c = b.encode(&g, GraphStamp::next(), &[2, 5, 3], &[0, 1, 1], false, &mut rng);
-        assert_eq!(g.value(a.tokens), g.value(c.tokens));
+        let (a, ..) = encode_one(&b, &[2, 5, 3], &[0, 0, 0]);
+        let (c, ..) = encode_one(&b, &[2, 5, 3], &[0, 1, 1]);
+        assert_eq!(a, c);
     }
 
     #[test]
     fn bert_respects_segments() {
         let mut rng = StdRng::seed_from_u64(2);
         let b = Backbone::new(BackboneKind::Small, 50, 16, DEFAULT_DROPOUT, &mut rng);
-        let g = Graph::new();
-        let a = b.encode(&g, GraphStamp::next(), &[2, 5, 3], &[0, 0, 0], false, &mut rng);
-        let c = b.encode(&g, GraphStamp::next(), &[2, 5, 3], &[0, 1, 1], false, &mut rng);
-        assert_ne!(g.value(a.tokens), g.value(c.tokens));
+        let (a, ..) = encode_one(&b, &[2, 5, 3], &[0, 0, 0]);
+        let (c, ..) = encode_one(&b, &[2, 5, 3], &[0, 1, 1]);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn fasttext_has_no_attention_and_no_position() {
         let mut rng = StdRng::seed_from_u64(3);
         let b = Backbone::new(BackboneKind::FastText, 50, 16, DEFAULT_DROPOUT, &mut rng);
-        let g = Graph::new();
-        let out = b.encode(&g, GraphStamp::next(), &[5, 6], &[0, 0], false, &mut rng);
-        assert!(out.last_attention.is_empty());
+        let (_, p1, heads) = encode_one(&b, &[5, 6], &[0, 0]);
+        assert_eq!(heads, 0);
         // Bag-of-words: permuting ids permutes token rows but leaves the
         // pooled mean unchanged.
-        let swapped = b.encode(&g, GraphStamp::next(), &[6, 5], &[0, 0], false, &mut rng);
-        let p1 = g.value(out.pooled);
-        let p2 = g.value(swapped.pooled);
+        let (_, p2, _) = encode_one(&b, &[6, 5], &[0, 0]);
         for (a, c) in p1.data().iter().zip(p2.data()) {
             assert!((a - c).abs() < 1e-5);
         }
@@ -422,7 +378,7 @@ mod tests {
                     let _backend = emba_tensor::backend::install(backend);
                     g.value(b.encode_batch(&g, GraphStamp::next(), &seqs, false, &mut rng).tokens)
                 };
-                let (got, groups) = b.encode_eval(&seqs, backend);
+                let (got, groups, _) = b.encode_eval(&seqs, backend);
                 assert_eq!(groups.lens(), [6, 1]);
                 assert_eq!(bits(&got), bits(&want), "{kind:?} under {backend:?}");
             }

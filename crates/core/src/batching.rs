@@ -1,10 +1,13 @@
-//! Length-bucketed sub-batch planning for batched training and evaluation.
+//! Length-bucketed sub-batch planning for batched training.
 //!
 //! An optimizer window (the gradient-accumulation span of `batch_size`
 //! consecutive examples of the epoch's shuffled order) is split into
 //! sub-batches of similar sequence length so each packed forward pass wastes
 //! little work on the ragged tail: lengths are rounded up to a multiple of
 //! [`BUCKET_WIDTH`] and examples sharing a rounded length run together.
+//! Inference does not bucket: its grouped kernels give the same bits
+//! whatever a batch's composition, so bucketing would only split a call into
+//! more launches.
 //!
 //! The plan is a pure function of the window's lengths — no RNG, no
 //! wall-clock — so a resumed run that replays the same shuffled order

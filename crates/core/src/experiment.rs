@@ -6,8 +6,8 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 
 use emba_datagen::{Dataset, Record};
 use emba_nn::mlm::MlmConfig;
-use emba_nn::{GraphStamp, Module};
-use emba_tensor::{Graph, Tensor};
+use emba_nn::Module;
+use emba_tensor::Tensor;
 use emba_trace::{RunMeta, TrainEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ use crate::kind::ModelKind;
 use crate::models::Matcher;
 use crate::pipeline::{EncodedExample, PipelineConfig, TextPipeline};
 use crate::stats::{mean, std_dev};
-use crate::train::{TrainConfig, TrainReport, Trainer};
+use crate::train::{TrainConfig, TrainReport, Trainer, EVAL_BATCH};
 
 /// Settings for one experiment cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -309,10 +309,10 @@ impl TrainedMatcher {
             .expect("predict_batch returns one prediction per pair")
     }
 
-    /// Predicts match probabilities for many record pairs with batched
-    /// forward passes: pairs are grouped into length buckets (see
-    /// [`crate::batching::plan_sub_batches`]) and each bucket runs as one
-    /// row-packed forward. Results are returned in input order.
+    /// Predicts match probabilities for many record pairs, in input order:
+    /// each run of 16 consecutive pairs, whatever their lengths, is one
+    /// [`Matcher::infer_batch`] launch. A pair's probability is the same
+    /// bits whichever call or launch it is in.
     ///
     /// The per-pair attention and AOA γ visualizations are only materialized
     /// for single-pair calls ([`TrainedMatcher::predict`]); batched calls
@@ -333,24 +333,16 @@ impl TrainedMatcher {
                 self.pipeline.encode_example(&example)
             })
             .collect();
-        let lens: Vec<usize> = encoded.iter().map(|e| e.pair.ids.len()).collect();
         let mut rng = StdRng::seed_from_u64(0);
-        let mut out: Vec<Option<Prediction>> = vec![None; encoded.len()];
-        for sub in crate::batching::plan_sub_batches(&lens) {
-            let exs: Vec<&EncodedExample> = sub.iter().map(|&j| &encoded[j]).collect();
-            let g = Graph::new();
-            let batch = self
-                .model
-                .forward_batch(&g, GraphStamp::next(), &exs, false, &mut rng);
-            for (k, &j) in sub.iter().enumerate() {
-                out[j] = Some(Prediction {
-                    prob: f64::from(batch.match_probs[k]),
-                    attention: batch.attention.clone(),
-                    gamma: batch.gamma.clone(),
-                    encoded: encoded[j].clone(),
-                });
+        let mut probs = Vec::with_capacity(encoded.len());
+        let (mut attention, mut gamma) = (None, None);
+        for chunk in encoded.chunks(EVAL_BATCH) {
+            let exs: Vec<&EncodedExample> = chunk.iter().collect();
+            let inference = self.model.infer_batch(&exs, &mut rng);
+            probs.extend(inference.match_probs);
+            if pairs.len() == 1 {
+                (attention, gamma) = (inference.attention, inference.gamma);
             }
-            g.recycle();
         }
         if !pairs.is_empty() {
             let per_example = start.elapsed().as_nanos() as u64 / pairs.len() as u64;
@@ -358,8 +350,15 @@ impl TrainedMatcher {
                 emba_trace::metrics::observe_ns("predict.example_ns", per_example);
             }
         }
-        out.into_iter()
-            .map(|p| p.expect("every pair lands in exactly one sub-batch"))
+        encoded
+            .into_iter()
+            .zip(probs)
+            .map(|(encoded, prob)| Prediction {
+                prob: f64::from(prob),
+                attention: attention.clone(),
+                gamma: gamma.clone(),
+                encoded,
+            })
             .collect()
     }
 }

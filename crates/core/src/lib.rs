@@ -49,9 +49,7 @@ pub mod stats;
 mod store;
 mod train;
 
-pub use backbone::{
-    Backbone, BackboneKind, FastTextEncoder, SeqBatchOutput, SeqOutput, DEFAULT_DROPOUT,
-};
+pub use backbone::{Backbone, BackboneKind, FastTextEncoder, SeqBatchOutput, DEFAULT_DROPOUT};
 pub use catalog::{
     match_catalog, CatalogMatchConfig, CatalogMatchReport, CatalogScorer, ScoredPair,
 };
@@ -67,7 +65,7 @@ pub use heads::{MatchHead, TokenAggregationHead};
 pub use kind::ModelKind;
 pub use metrics::{id_metrics, match_metrics, IdMetrics, MatchMetrics};
 pub use models::{
-    numeric_vocab_table, AuxStrategy, BatchOutput, EmStrategy, Matcher, ModelOutput,
+    numeric_vocab_table, AuxStrategy, BatchOutput, EmStrategy, Inference, Matcher, ModelOutput,
     TransformerMatcher,
 };
 pub use pipeline::{EncodedExample, PipelineConfig, TextPipeline};

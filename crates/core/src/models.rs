@@ -104,7 +104,29 @@ pub struct BatchOutput {
     pub gamma: Option<Tensor>,
 }
 
+/// What one inference call over `B` examples returns: everything
+/// [`BatchOutput`] holds but the losses.
+pub struct Inference {
+    /// Per-example match probabilities.
+    pub match_probs: Vec<f32>,
+    /// Per-example RECORD1 entity-ID predictions (multi-task models only).
+    pub id1_preds: Option<Vec<usize>>,
+    /// Per-example RECORD2 entity-ID predictions.
+    pub id2_preds: Option<Vec<usize>>,
+    /// Summed last-layer self-attention, populated only for `B = 1`.
+    pub attention: Option<Tensor>,
+    /// AOA γ over RECORD1 tokens, populated only for `B = 1`.
+    pub gamma: Option<Tensor>,
+}
+
 /// Object-safe interface every matcher implements.
+///
+/// Training runs [`Matcher::forward_batch`] on the autodiff tape; joint
+/// inference ([`crate::evaluate`], [`crate::TrainedMatcher::predict_batch`])
+/// runs [`Matcher::infer_batch`], which returns the same probabilities bit
+/// for bit; the split path encodes records once with
+/// [`Matcher::encode_records_standalone`] and pairs them with
+/// [`Matcher::score_encoded_pairs`].
 pub trait Matcher: Module {
     /// Runs one example through the model.
     fn forward(
@@ -117,7 +139,8 @@ pub trait Matcher: Module {
     ) -> ModelOutput;
 
     /// Runs a mini-batch of examples through the model on one shared tape,
-    /// returning the **summed** loss.
+    /// returning the **summed** loss: the training path, and the oracle
+    /// [`Matcher::infer_batch`] is held to.
     ///
     /// The default implementation loops [`Matcher::forward`] — correct for
     /// any matcher, with no speedup. [`TransformerMatcher`] overrides it with
@@ -166,6 +189,23 @@ pub trait Matcher: Module {
             attention,
             gamma,
         }
+    }
+
+    /// Scores a batch of examples in eval mode (no dropout, no loss): the
+    /// probabilities, ID predictions and `B = 1` visualizations
+    /// [`Matcher::forward_batch`] returns with `train = false`, bit for bit,
+    /// whatever the batch's composition.
+    ///
+    /// The default implementation runs exactly that on a fresh tape.
+    /// [`TransformerMatcher`] runs its backbone through the forward-only
+    /// encoder under the thread's installed backend and only its heads on a
+    /// tape.
+    fn infer_batch(&self, exs: &[&EncodedExample], rng: &mut dyn RngCore) -> Inference {
+        let g = Graph::new();
+        let BatchOutput { match_probs, id1_preds, id2_preds, attention, gamma, .. } =
+            self.forward_batch(&g, GraphStamp::next(), exs, false, rng);
+        g.recycle();
+        Inference { match_probs, id1_preds, id2_preds, attention, gamma }
     }
 
     /// Encodes standalone records for the encode-once catalog path: each
@@ -307,43 +347,32 @@ impl TransformerMatcher {
         let stacked = g.concat_rows(&rows);
         g.mean_axis0(stacked)
     }
-}
 
-impl Matcher for TransformerMatcher {
-    fn forward(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        ex: &EncodedExample,
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> ModelOutput {
-        let out = self.forward_batch(g, stamp, &[ex], train, rng);
-        ModelOutput {
-            loss: out.loss,
-            match_prob: out.match_probs[0],
-            id1_pred: out.id1_preds.as_ref().map(|p| p[0]),
-            id2_pred: out.id2_preds.as_ref().map(|p| p[0]),
-            attention: out.attention,
-            gamma: out.gamma,
-        }
+    /// Whether a head reads the pooled `[CLS]` form.
+    fn reads_cls(&self) -> bool {
+        matches!(self.em, EmStrategy::Cls | EmStrategy::RelevanceNumeric)
+            || matches!(self.aux, AuxStrategy::Cls | AuxStrategy::ClsSep)
     }
 
-    fn forward_batch(
+    /// Every EM and aux head over the packed `[ΣT, h]` token rows of `exs`,
+    /// laid out by `groups` — the one place their arithmetic lives. Training
+    /// records it after the backbone on the training tape; inference on a
+    /// small tape whose input is a leaf of the forward-only encoder's rows.
+    fn heads(
         &self,
         g: &Graph,
         stamp: GraphStamp,
+        tokens: Var,
+        groups: &RowGroups,
         exs: &[&EncodedExample],
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> BatchOutput {
-        assert!(!exs.is_empty(), "cannot run an empty batch");
+    ) -> HeadLogits {
         let b = exs.len();
-        let seqs: Vec<(&[usize], &[usize])> = exs
-            .iter()
-            .map(|ex| (&ex.pair.ids[..], &ex.pair.segments[..]))
-            .collect();
-        let batch = self.backbone.encode_batch(g, stamp, &seqs, train, rng);
+        // Only the strategies that read `[CLS]` run the pooler. It is
+        // recorded ahead of the per-record gathers because the backward
+        // sweep sums `tokens`' gradient over its readers in tape order:
+        // moving it would change a `[CLS]` model's training bits.
+        let pooled = self.reads_cls().then(|| self.backbone.pool(g, stamp, tokens, groups));
+        let cls = || pooled.expect("reads_cls covers every [CLS] reader");
 
         // Row-packed per-record token matrices: one strided gather per side
         // for the whole batch instead of two `slice_rows` per example.
@@ -352,7 +381,7 @@ impl Matcher for TransformerMatcher {
         let mut left_lens = Vec::with_capacity(b);
         let mut right_lens = Vec::with_capacity(b);
         for (i, ex) in exs.iter().enumerate() {
-            let s = batch.groups.start(i);
+            let s = groups.start(i);
             left_rows.extend(ex.pair.left.clone().map(|p| s + p));
             right_rows.extend(ex.pair.right.clone().map(|p| s + p));
             left_lens.push(ex.pair.left.len());
@@ -360,13 +389,13 @@ impl Matcher for TransformerMatcher {
         }
         let g1 = RowGroups::from_lens(&left_lens);
         let g2 = RowGroups::from_lens(&right_lens);
-        let e1 = g.gather_rows(batch.tokens, &left_rows);
-        let e2 = g.gather_rows(batch.tokens, &right_rows);
+        let e1 = g.gather_rows(tokens, &left_rows);
+        let e2 = g.gather_rows(tokens, &right_rows);
 
         // ----- EM representation -------------------------------------------------
         let mut gamma = None;
         let em_repr = match self.em {
-            EmStrategy::Cls => batch.pooled,
+            EmStrategy::Cls => cls(),
             EmStrategy::Aoa => {
                 let out = attention_over_attention_batch(g, &g1.row_views(e1), &g2.row_views(e2));
                 gamma = Some(out.gamma);
@@ -404,7 +433,7 @@ impl Matcher for TransformerMatcher {
                 let mut rows = Vec::with_capacity(b);
                 for (i, ex) in exs.iter().enumerate() {
                     let pair = &ex.pair;
-                    let s = batch.groups.start(i);
+                    let s = groups.start(i);
                     let left_ids: std::collections::HashSet<usize> =
                         pair.ids[pair.left.clone()].iter().copied().collect();
                     let right_ids: std::collections::HashSet<usize> =
@@ -423,49 +452,36 @@ impl Matcher for TransformerMatcher {
                         }
                     }
                     let full = (s + pair.left.start)..(s + pair.right.end);
-                    let rel_pool = Self::pool_positions(g, batch.tokens, &relevant, &full);
-                    let num_pool = Self::pool_positions(g, batch.tokens, &numeric_pos, &full);
-                    let pooled_i = g.slice_rows(batch.pooled, i, i + 1);
+                    let rel_pool = Self::pool_positions(g, tokens, &relevant, &full);
+                    let num_pool = Self::pool_positions(g, tokens, &numeric_pos, &full);
+                    let pooled_i = g.slice_rows(cls(), i, i + 1);
                     rows.push(g.concat_cols(&[pooled_i, rel_pool, num_pool]));
                 }
                 g.concat_rows(&rows)
             }
         };
-        let match_logit = self.match_head.forward(g, stamp, em_repr); // [B, 1]
-        let targets: Vec<f32> = exs
-            .iter()
-            .map(|ex| if ex.is_match { 1.0 } else { 0.0 })
-            .collect();
-        // `bce_with_logits` averages over rows; rescale to the summed loss.
-        let mut loss = g.scale(g.bce_with_logits(match_logit, &targets), b as f32);
-        let logit_v = g.value(match_logit);
-        let match_probs: Vec<f32> = (0..b).map(|r| sigmoid(logit_v.get(r, 0))).collect();
-        let mut example_losses: Vec<f32> = (0..b)
-            .map(|r| bce_loss_value(logit_v.get(r, 0), targets[r]))
-            .collect();
+        let em = self.match_head.forward(g, stamp, em_repr); // [B, 1]
 
         // ----- auxiliary entity-ID tasks -----------------------------------------
-        let mut id1_preds = None;
-        let mut id2_preds = None;
-        if self.aux != AuxStrategy::None {
+        let ids = (self.aux != AuxStrategy::None).then(|| {
             let id1 = self.id1_head.as_ref().expect("aux heads exist");
             let id2 = self.id2_head.as_ref().expect("aux heads exist");
-            let (logits1, logits2) = match self.aux {
+            match self.aux {
                 AuxStrategy::None => unreachable!(),
                 AuxStrategy::Cls => (
-                    id1.classify_pooled(g, stamp, batch.pooled),
-                    id2.classify_pooled(g, stamp, batch.pooled),
+                    id1.classify_pooled(g, stamp, cls()),
+                    id2.classify_pooled(g, stamp, cls()),
                 ),
                 AuxStrategy::ClsSep => {
                     // Each first [SEP] sits immediately after its left record.
                     let seps: Vec<usize> = exs
                         .iter()
                         .enumerate()
-                        .map(|(i, ex)| batch.groups.start(i) + ex.pair.left.end)
+                        .map(|(i, ex)| groups.start(i) + ex.pair.left.end)
                         .collect();
-                    let sep = g.gather_rows(batch.tokens, &seps);
+                    let sep = g.gather_rows(tokens, &seps);
                     (
-                        id1.classify_pooled(g, stamp, batch.pooled),
+                        id1.classify_pooled(g, stamp, cls()),
                         id2.classify_pooled(g, stamp, sep),
                     )
                 }
@@ -477,7 +493,58 @@ impl Matcher for TransformerMatcher {
                     id1.forward_batch(g, stamp, e1, &g1),
                     id2.forward_batch(g, stamp, e2, &g2),
                 ),
-            };
+            }
+        });
+        // γ is a visualization: only a batch of one keeps it.
+        HeadLogits { em, ids, gamma: gamma.filter(|_| b == 1) }
+    }
+}
+
+impl Matcher for TransformerMatcher {
+    fn forward(
+        &self,
+        g: &Graph,
+        stamp: GraphStamp,
+        ex: &EncodedExample,
+        train: bool,
+        rng: &mut dyn RngCore,
+    ) -> ModelOutput {
+        let out = self.forward_batch(g, stamp, &[ex], train, rng);
+        ModelOutput {
+            loss: out.loss,
+            match_prob: out.match_probs[0],
+            id1_pred: out.id1_preds.as_ref().map(|p| p[0]),
+            id2_pred: out.id2_preds.as_ref().map(|p| p[0]),
+            attention: out.attention,
+            gamma: out.gamma,
+        }
+    }
+
+    fn forward_batch(
+        &self,
+        g: &Graph,
+        stamp: GraphStamp,
+        exs: &[&EncodedExample],
+        train: bool,
+        rng: &mut dyn RngCore,
+    ) -> BatchOutput {
+        assert!(!exs.is_empty(), "cannot run an empty batch");
+        let b = exs.len();
+        let batch = self.backbone.encode_batch(g, stamp, &pair_seqs(exs), train, rng);
+        let heads = self.heads(g, stamp, batch.tokens, &batch.groups, exs);
+        let (match_probs, id1_preds, id2_preds) = heads.predictions(g);
+
+        let targets: Vec<f32> = exs
+            .iter()
+            .map(|ex| if ex.is_match { 1.0 } else { 0.0 })
+            .collect();
+        // `bce_with_logits` averages over rows; rescale to the summed loss.
+        let mut loss = g.scale(g.bce_with_logits(heads.em, &targets), b as f32);
+        let logit_v = g.value(heads.em);
+        let mut example_losses: Vec<f32> = (0..b)
+            .map(|r| bce_loss_value(logit_v.get(r, 0), targets[r]))
+            .collect();
+        if let Some((logits1, logits2)) = heads.ids {
             let c1: Vec<usize> = exs.iter().map(|ex| ex.left_class).collect();
             let c2: Vec<usize> = exs.iter().map(|ex| ex.right_class).collect();
             let ce1 = g.scale(g.cross_entropy(logits1, &c1), b as f32);
@@ -489,26 +556,12 @@ impl Matcher for TransformerMatcher {
                 example_losses[r] +=
                     ce_loss_value(v1.row_slice(r), c1[r]) + ce_loss_value(v2.row_slice(r), c2[r]);
             }
-            id1_preds = Some(v1.argmax_rows());
-            id2_preds = Some(v2.argmax_rows());
         }
 
         // The visualization outputs inspect one example at a time; only a
         // batch of one materializes them.
-        let (attention, gamma) = if b == 1 {
-            let attention = if batch.last_attention.is_empty() {
-                None
-            } else {
-                Some(emba_nn::MultiHeadAttention::summed_probs(
-                    g,
-                    &batch.last_attention,
-                ))
-            };
-            (attention, gamma)
-        } else {
-            (None, None)
-        };
-
+        let attention = (b == 1 && !batch.last_attention.is_empty())
+            .then(|| emba_nn::MultiHeadAttention::summed_probs(g, &batch.last_attention));
         BatchOutput {
             loss,
             example_losses,
@@ -516,8 +569,23 @@ impl Matcher for TransformerMatcher {
             id1_preds,
             id2_preds,
             attention,
-            gamma,
+            gamma: heads.gamma,
         }
+    }
+
+    /// The backbone runs [`Backbone::encode_eval`] — the forward-only
+    /// encoder, under the backend installed on this thread (read once, here)
+    /// — and only the heads run on a tape, a small one whose input is a leaf
+    /// of the encoder's token rows: the heads [`Matcher::forward_batch`]
+    /// records, on the same values.
+    fn infer_batch(&self, exs: &[&EncodedExample], _rng: &mut dyn RngCore) -> Inference {
+        assert!(!exs.is_empty(), "cannot run an empty batch");
+        let (tokens, groups, attention) = self.backbone.encode_eval(&pair_seqs(exs), emba_tensor::backend::kind());
+        let g = Graph::new();
+        let heads = self.heads(&g, GraphStamp::next(), g.leaf(tokens), &groups, exs);
+        let (match_probs, id1_preds, id2_preds) = heads.predictions(&g);
+        g.recycle();
+        Inference { match_probs, id1_preds, id2_preds, attention, gamma: heads.gamma }
     }
 
     /// Runs [`Backbone::encode_eval`] — the forward-only encoder, under the
@@ -551,7 +619,7 @@ impl Matcher for TransformerMatcher {
         let zeros = vec![0usize; framed.iter().map(Vec::len).max().unwrap_or(0)];
         let seqs: Vec<(&[usize], &[usize])> =
             framed.iter().map(|ids| (&ids[..], &zeros[..ids.len()])).collect();
-        let (tokens, groups) = self.backbone.encode_eval(&seqs, emba_tensor::backend::kind());
+        let (tokens, groups, _) = self.backbone.encode_eval(&seqs, emba_tensor::backend::kind());
         // Each record's content rows (specials stripped) into a tensor of its
         // own, which the caller may cache.
         let h = tokens.cols();
@@ -639,6 +707,35 @@ impl Module for TransformerMatcher {
             h.visit_mut(f);
         }
     }
+}
+
+/// What [`TransformerMatcher`]'s heads compute over one packed batch.
+struct HeadLogits {
+    /// `[B, 1]` match logits.
+    em: Var,
+    /// `[B, classes]` RECORD1 and RECORD2 entity-ID logits (multi-task
+    /// models only).
+    ids: Option<(Var, Var)>,
+    /// AOA γ over RECORD1 tokens, for a batch of one.
+    gamma: Option<Tensor>,
+}
+
+impl HeadLogits {
+    /// Match probabilities and entity-ID predictions, read off the logits.
+    fn predictions(&self, g: &Graph) -> (Vec<f32>, Option<Vec<usize>>, Option<Vec<usize>>) {
+        let em = g.value(self.em);
+        let probs = (0..em.rows()).map(|r| sigmoid(em.get(r, 0))).collect();
+        let (id1, id2) = self
+            .ids
+            .map(|(l1, l2)| (g.value(l1).argmax_rows(), g.value(l2).argmax_rows()))
+            .unzip();
+        (probs, id1, id2)
+    }
+}
+
+/// Each example's joint `(ids, segments)` sequence.
+fn pair_seqs<'a>(exs: &[&'a EncodedExample]) -> Vec<(&'a [usize], &'a [usize])> {
+    exs.iter().map(|ex| (&ex.pair.ids[..], &ex.pair.segments[..])).collect()
 }
 
 fn sigmoid(x: f32) -> f32 {

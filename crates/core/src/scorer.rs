@@ -21,9 +21,8 @@
 //! shares one packing of it, so sorted candidates score fastest). The grouped
 //! kernels take mixed lengths natively and are bit-identical across batch
 //! compositions, so length bucketing
-//! ([`crate::batching::plan_sub_batches`], which the padded joint path still
-//! uses) would only fragment a batch into more launches — see DESIGN.md
-//! "Scoring pipeline" for the measurements.
+//! ([`crate::batching::plan_sub_batches`]) would only fragment a batch into
+//! more launches — see DESIGN.md "Scoring pipeline" for the measurements.
 //!
 //! # Poison policy
 //!

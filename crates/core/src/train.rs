@@ -184,9 +184,11 @@ pub struct TrainReport {
     pub final_train_loss: f64,
 }
 
-/// Examples per batched evaluation forward pass (split into length buckets
-/// by [`plan_sub_batches`] before running).
-const EVAL_BATCH: usize = 16;
+/// Examples per joint inference launch ([`Matcher::infer_batch`]), in
+/// [`evaluate`] and [`crate::TrainedMatcher::predict_batch`]. A chunk runs
+/// whole: its mixed lengths cost no bits, and bucketing them by length would
+/// only split it into more launches.
+pub(crate) const EVAL_BATCH: usize = 16;
 
 /// Evaluates a model over a split.
 pub fn evaluate(model: &dyn Matcher, examples: &[EncodedExample], rng: &mut StdRng) -> EvalResult {
@@ -213,27 +215,22 @@ pub fn evaluate_observed(
     // batching consecutive examples changes nothing but throughput.
     for (chunk_i, chunk) in examples.chunks(EVAL_BATCH).enumerate() {
         let base = chunk_i * EVAL_BATCH;
-        let lens: Vec<usize> = chunk.iter().map(|ex| ex.pair.ids.len()).collect();
-        for sub in plan_sub_batches(&lens) {
-            let _example_scope = prof::scope("example");
-            let sub_start = Instant::now();
-            let exs: Vec<&EncodedExample> = sub.iter().map(|&j| &chunk[j]).collect();
-            let g = Graph::new();
-            let out = {
-                let _fwd_scope = prof::scope("forward");
-                model.forward_batch(&g, GraphStamp::next(), &exs, false, rng)
-            };
-            for (k, &j) in sub.iter().enumerate() {
-                preds[base + j] = out.match_probs[k] >= 0.5;
-                if let (Some(p1), Some(p2)) = (&out.id1_preds, &out.id2_preds) {
-                    id_preds[base + j] = Some((p1[k], p2[k]));
-                }
+        let _example_scope = prof::scope("example");
+        let chunk_start = Instant::now();
+        let exs: Vec<&EncodedExample> = chunk.iter().collect();
+        let out = {
+            let _fwd_scope = prof::scope("forward");
+            model.infer_batch(&exs, rng)
+        };
+        for (k, &p) in out.match_probs.iter().enumerate() {
+            preds[base + k] = p >= 0.5;
+            if let (Some(p1), Some(p2)) = (&out.id1_preds, &out.id2_preds) {
+                id_preds[base + k] = Some((p1[k], p2[k]));
             }
-            g.recycle();
-            let per_example_ns = sub_start.elapsed().as_nanos() as u64 / sub.len() as u64;
-            for _ in 0..sub.len() {
-                metrics::observe_ns("eval.example_ns", per_example_ns);
-            }
+        }
+        let per_example_ns = chunk_start.elapsed().as_nanos() as u64 / chunk.len() as u64;
+        for _ in 0..chunk.len() {
+            metrics::observe_ns("eval.example_ns", per_example_ns);
         }
     }
     let mut id1_pred = Vec::new();

@@ -2,9 +2,9 @@
 //! the paper uses (Di Cicco et al., 2019; Ribeiro et al., 2016).
 //!
 //! Both records' descriptions are perturbed by randomly dropping words, the
-//! model is queried on every perturbed pair, and a ridge-regularized,
-//! locality-weighted linear regression is fitted over the keep/drop
-//! indicator features. The resulting coefficients are the per-word
+//! model scores every perturbed pair in one `predict_batch` call, and a
+//! ridge-regularized, locality-weighted linear regression is fitted over the
+//! keep/drop indicator features. The resulting coefficients are the per-word
 //! importances: positive pushes toward *match*, negative toward
 //! *non-match* (Figure 5's blue/orange words).
 
@@ -90,33 +90,38 @@ pub fn explain(matcher: &TrainedMatcher, left: &Record, right: &Record, cfg: &Li
     let n_feats = features.len();
     assert!(n_feats > 0, "cannot explain a pair with no words");
 
-    let base_prob = matcher.predict(left, right).prob;
-
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut xs: Vec<Vec<f64>> = Vec::with_capacity(cfg.samples);
-    let mut ys: Vec<f64> = Vec::with_capacity(cfg.samples);
-    let mut weights: Vec<f64> = Vec::with_capacity(cfg.samples);
-
-    for s in 0..cfg.samples {
-        let mask: Vec<bool> = if s == 0 {
-            vec![true; n_feats]
-        } else {
+    let masks: Vec<Vec<bool>> = (0..cfg.samples)
+        .map(|s| {
+            if s == 0 {
+                return vec![true; n_feats];
+            }
             // Drop each word independently; keep at least one per record.
             let mut m: Vec<bool> = (0..n_feats).map(|_| rng.gen_bool(0.7)).collect();
             ensure_one_kept(&features, &mut m, Side::Left);
             ensure_one_kept(&features, &mut m, Side::Right);
             m
-        };
-        let (l, r) = apply_mask(left, right, &features, &mask);
-        let prob = matcher.predict(&l, &r).prob;
-        let dropped = mask.iter().filter(|&&k| !k).count() as f64 / n_feats as f64;
-        let pi = (-dropped * dropped / (cfg.kernel_width * cfg.kernel_width)).exp();
-        xs.push(mask.iter().map(|&k| f64::from(u8::from(k))).collect());
-        ys.push(prob);
-        weights.push(pi);
-    }
+        })
+        .collect();
 
-    let coefs = weighted_ridge(&xs, &ys, &weights, cfg.ridge);
+    // The unperturbed pair and every perturbation, scored in one call.
+    let perturbed: Vec<(Record, Record)> =
+        masks.iter().map(|mask| apply_mask(left, right, &features, mask)).collect();
+    let pairs: Vec<(&Record, &Record)> =
+        std::iter::once((left, right)).chain(perturbed.iter().map(|(l, r)| (l, r))).collect();
+    let probs: Vec<f64> = matcher.predict_batch(&pairs).iter().map(|p| p.prob).collect();
+    let (base_prob, ys) = (probs[0], &probs[1..]);
+
+    let (xs, weights): (Vec<Vec<f64>>, Vec<f64>) = masks
+        .iter()
+        .map(|mask| {
+            let dropped = mask.iter().filter(|&&k| !k).count() as f64 / n_feats as f64;
+            let pi = (-dropped * dropped / (cfg.kernel_width * cfg.kernel_width)).exp();
+            (mask.iter().map(|&k| f64::from(u8::from(k))).collect(), pi)
+        })
+        .unzip();
+
+    let coefs = weighted_ridge(&xs, ys, &weights, cfg.ridge);
     LimeExplanation {
         base_prob,
         words: features

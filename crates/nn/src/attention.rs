@@ -155,13 +155,24 @@ impl MultiHeadAttention {
     /// into a single `[seq, seq]` matrix, the form used by the paper's
     /// attention-score visualizations.
     pub fn summed_probs(g: &Graph, probs: &[Var]) -> Tensor {
-        assert!(!probs.is_empty(), "no attention probabilities recorded");
-        let mut total = g.value(probs[0]);
-        for &p in &probs[1..] {
-            total.add_scaled_in_place(&g.value(p), 1.0);
-        }
-        total
+        let values: Vec<Tensor> = probs.iter().map(|&p| g.value(p)).collect();
+        let rows = values.first().map_or(0, Tensor::rows);
+        sum_heads(values.iter().map(Tensor::data), rows)
     }
+}
+
+/// Head 0 + head 1 + … of per-head `[rows, W]` probabilities, in head order:
+/// the one sum behind [`MultiHeadAttention::summed_probs`] and the
+/// forward-only encoder's attention.
+pub(crate) fn sum_heads<'a>(mut heads: impl Iterator<Item = &'a [f32]>, rows: usize) -> Tensor {
+    let first = heads.next().expect("no attention probabilities recorded");
+    let mut total = Tensor::from_vec(rows, first.len() / rows, first.to_vec());
+    for head in heads {
+        for (t, &p) in total.data_mut().iter_mut().zip(head) {
+            *t += p;
+        }
+    }
+    total
 }
 
 impl Module for MultiHeadAttention {

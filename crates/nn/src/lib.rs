@@ -8,8 +8,8 @@
 //! * [`Linear`], [`Embedding`], [`LayerNorm`] — the basic layers.
 //! * [`MultiHeadAttention`], [`BertEncoder`] — a miniature BERT with
 //!   token/position/segment embeddings, post-LN encoder layers, and a tanh
-//!   pooler. The paper's `[CLS]`-based baselines read `pooled`; EMBA reads
-//!   the per-token outputs.
+//!   pooler. The paper's `[CLS]`-based baselines read
+//!   [`BertEncoder::pool`]; EMBA reads only the per-token outputs.
 //! * [`GruCell`]/[`BiGru`] — the RNN substrate for the DeepMatcher baseline.
 //! * [`Adam`], [`LinearSchedule`] — the paper's optimizer and LR schedule
 //!   (linear decay with one epoch of warmup).

@@ -12,7 +12,7 @@ use emba_tensor::{fwd, BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::attention::MultiHeadAttention;
+use crate::attention::{self, MultiHeadAttention};
 use crate::eval::{self, Exec, Parts, Plan};
 use crate::layers::{dropout, Embedding, LayerNorm, Linear};
 use crate::param::{GraphStamp, Module, Param};
@@ -197,22 +197,18 @@ impl Module for EncoderLayer {
 pub struct BertOutput {
     /// `[seq, hidden]` final-layer token representations.
     pub tokens: Var,
-    /// Tanh-pooled `[1, hidden]` representation of the `[CLS]` position.
-    pub pooled: Var,
     /// Per-head `[seq, seq]` attention probabilities of the **last** layer,
     /// kept for the paper's attention-score analysis (Figure 6).
     pub last_attention: Vec<Var>,
 }
 
 /// Output of one batched [`BertEncoder`] forward pass over `B` row-packed
-/// sequences.
+/// sequences. The `[CLS]` pooler is not part of it: a head that reads the
+/// pooled form asks [`BertEncoder::pool`] for it.
 pub struct BertBatchOutput {
     /// `[ΣT, hidden]` final-layer token representations, row-packed in batch
     /// order with no padding.
     pub tokens: Var,
-    /// Tanh-pooled `[B, hidden]` representations of each sequence's `[CLS]`
-    /// position (row `i` belongs to sequence `i`).
-    pub pooled: Var,
     /// Per-head `[ΣT, W]` grouped attention probabilities of the **last**
     /// layer (`W` = longest sequence in the batch; padding columns are zero).
     pub last_attention: Vec<Var>,
@@ -289,7 +285,6 @@ impl BertEncoder {
         let out = self.forward_batch(g, stamp, &[(token_ids, segment_ids)], train, rng);
         BertOutput {
             tokens: out.tokens,
-            pooled: out.pooled,
             last_attention: out.last_attention,
         }
     }
@@ -329,36 +324,43 @@ impl BertEncoder {
             x = next;
             last_attention = probs;
         }
-
-        let starts: Vec<usize> = (0..groups.len()).map(|i| groups.start(i)).collect();
-        let cls = g.gather_rows(x, &starts);
-        let pooled = g.tanh(self.pooler.forward(g, stamp, cls));
         BertBatchOutput {
             tokens: x,
-            pooled,
             last_attention,
             groups,
         }
     }
 
+    /// BERT's pooler on the tape: `tanh(W · h_[CLS] + b)` for each sequence
+    /// of the packed `[ΣT, hidden]` `tokens` laid out by `groups`, as a
+    /// `[B, hidden]` matrix (row `i` belongs to sequence `i`).
+    pub fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+        let starts: Vec<usize> = (0..groups.len()).map(|i| groups.start(i)).collect();
+        let cls = g.gather_rows(tokens, &starts);
+        g.tanh(self.pooler.forward(g, stamp, cls))
+    }
+
     /// The `[ΣT, hidden]` token representations [`BertEncoder::forward_batch`]
     /// computes in eval mode, bit for bit, computed without a tape under
-    /// `backend`, with the sequences' row ranges.
+    /// `backend`, with the sequences' row ranges. For a batch of one
+    /// sequence it also returns the last layer's per-head attention
+    /// probabilities summed into one `[T, T]` matrix, the sum
+    /// [`MultiHeadAttention::summed_probs`] takes of the tape's.
     ///
-    /// One forward pass and nothing else: no `Graph` or node, no pooler or
-    /// `[CLS]` gather, no dropout. Each op is the tape op's kernel call on the
-    /// same operands in the same order, recorded to the profiler (and checked
-    /// by the non-finite guard, when enabled) under the tape op's name. The
-    /// activations live in the returned tensor, updated in place layer by
-    /// layer; everything else is one pooled buffer per launch (Q, K, V, the
-    /// heads' scores, the FFN's hidden rows and pre-activation), taken once
-    /// and returned once. Under a quantized backend each linear with at least
-    /// 2048 weights runs the int8 tile, on one quantization per input.
+    /// One forward pass and nothing else: no `Graph` or node, no dropout.
+    /// Each op is the tape op's kernel call on the same operands in the same
+    /// order, recorded to the profiler (and checked by the non-finite guard,
+    /// when enabled) under the tape op's name. The activations live in the
+    /// returned tensor, updated in place layer by layer; everything else is
+    /// one pooled buffer per launch (Q, K, V, the heads' scores, the FFN's
+    /// hidden rows and pre-activation), taken once and returned once. Under a
+    /// quantized backend each linear with at least 2048 weights runs the int8
+    /// tile, on one quantization per input.
     ///
     /// # Panics
     ///
     /// As [`BertEncoder::forward_batch`].
-    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups) {
+    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups, Option<Tensor>) {
         let Packed { ids, positions, segments, groups } = self.pack(seqs);
         let _scope = emba_tensor::prof::scope("bert");
         let mut ex = Exec::new(backend);
@@ -380,7 +382,11 @@ impl BertEncoder {
         for layer in &self.layers {
             layer.eval(&mut ex, &mut x, &groups, &mut p);
         }
-        (Tensor::from_vec(n, h, x), groups)
+        // The plan's scores still hold the last layer's, one `[T, T]` block
+        // per head when there is one sequence.
+        let attention = (groups.len() == 1 && !self.layers.is_empty())
+            .then(|| attention::sum_heads(p.probs.chunks_exact(n * n), n));
+        (Tensor::from_vec(n, h, x), groups, attention)
     }
 
     /// Row-packs `seqs`: ids, positions restarting at 0 per sequence,
@@ -478,7 +484,8 @@ mod tests {
             &mut rng,
         );
         assert_eq!(g.value(out.tokens).shape(), (4, 16));
-        assert_eq!(g.value(out.pooled).shape(), (1, 16));
+        let pooled = enc.pool(&g, GraphStamp::next(), out.tokens, &RowGroups::from_lens(&[4]));
+        assert_eq!(g.value(pooled).shape(), (1, 16));
         assert_eq!(out.last_attention.len(), 2);
     }
 
@@ -513,7 +520,8 @@ mod tests {
         let g = Graph::new();
         let stamp = GraphStamp::next();
         let out = enc.forward(&g, stamp, &[1, 2, 3, 4], &[0, 0, 1, 1], false, &mut rng);
-        let combined = g.concat_rows(&[out.tokens, out.pooled]);
+        let pooled = enc.pool(&g, stamp, out.tokens, &RowGroups::from_lens(&[4]));
+        let combined = g.concat_rows(&[out.tokens, pooled]);
         let sq = g.mul(combined, combined);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -544,7 +552,7 @@ mod tests {
         ];
         let batch = enc.forward_batch(&g, stamp, &seqs, false, &mut rng);
         let tokens = g.value(batch.tokens);
-        let pooled = g.value(batch.pooled);
+        let pooled = g.value(enc.pool(&g, stamp, batch.tokens, &batch.groups));
         assert_eq!(tokens.shape(), (11, 16));
         assert_eq!(pooled.shape(), (3, 16));
         for p in &batch.last_attention {
@@ -561,7 +569,8 @@ mod tests {
             for (r, rr) in (r0..r1).enumerate() {
                 assert_eq!(bits(tokens.row_slice(rr)), bits(st.row_slice(r)), "tokens differ for sequence {i}");
             }
-            assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single.pooled).data()), "pooled differs for sequence {i}");
+            let single_pooled = enc.pool(&g, stamp, single.tokens, &RowGroups::from_lens(&[ids.len()]));
+            assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single_pooled).data()), "pooled differs for sequence {i}");
             // Per-head probabilities of the last layer: `[T, T]` alone, the
             // same values in the sequence's rows of the batch's `[ΣT, W]`.
             assert_eq!(single.last_attention.len(), batch.last_attention.len());

@@ -1,8 +1,9 @@
 //! The forward-only encoder against its oracle, the tape.
 //!
 //! `BertEncoder::encode_eval` must return `forward_batch`'s eval-mode token
-//! rows bit for bit, under f32 and int8, for one record and for 64+ records
-//! of every length from 1 to `max_len`, on the configs of every backbone
+//! rows bit for bit, under f32 and int8, for one record (with its summed
+//! last-layer attention) and for 64+ records of every length from 1 to
+//! `max_len`, on the configs of every backbone
 //! kind: base, small and distil; RoBERTa (base with every segment 0); and
 //! fastText, whose token rows are the embedding lookup. `BertConfig::tiny`'s
 //! linears are all below the int8 floor, so under int8 it runs f32 GEMMs —
@@ -12,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use emba_nn::{BertConfig, BertEncoder, Embedding, GraphStamp, Module};
+use emba_nn::{BertConfig, BertEncoder, Embedding, GraphStamp, Module, MultiHeadAttention};
 use emba_tensor::{backend, prof, BackendKind, Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,16 +54,21 @@ fn refs(batch: &[(Vec<usize>, Vec<usize>)]) -> Vec<(&[usize], &[usize])> {
     batch.iter().map(|(i, s)| (&i[..], &s[..])).collect()
 }
 
-/// The tape's eval-mode tokens and the encoder's, under `kind`.
-fn both(enc: &BertEncoder, seqs: &[(&[usize], &[usize])], kind: BackendKind) -> (Tensor, Tensor) {
+/// What the tape computes in eval mode against what the encoder does, under
+/// `kind`: the token rows, and for one sequence the summed last-layer
+/// attention.
+fn both(enc: &BertEncoder, seqs: &[(&[usize], &[usize])], kind: BackendKind) -> Vec<(&'static str, Tensor, Tensor)> {
     let g = Graph::new();
     let tape = {
         let _backend = backend::install(kind);
         enc.forward_batch(&g, GraphStamp::next(), seqs, false, &mut StdRng::seed_from_u64(0))
     };
-    let (tokens, groups) = enc.encode_eval(seqs, kind);
+    let (tokens, groups, attention) = enc.encode_eval(seqs, kind);
     assert_eq!(groups, tape.groups);
-    (g.value(tape.tokens), tokens)
+    assert_eq!(attention.is_some(), seqs.len() == 1, "summed attention is for a batch of one");
+    let mut out = vec![("tokens", g.value(tape.tokens), tokens)];
+    out.extend(attention.map(|got| ("summed attention", MultiHeadAttention::summed_probs(&g, &tape.last_attention), got)));
+    out
 }
 
 #[test]
@@ -80,9 +86,10 @@ fn encode_eval_is_the_tape_bit_for_bit() {
         for batch in batches(max_len, zero_segments, 10 + i as u64) {
             let seqs = refs(&batch);
             for kind in [BackendKind::F32, BackendKind::Int8] {
-                let (want, got) = both(&enc, &seqs, kind);
-                assert_eq!(got.shape(), want.shape());
-                assert!(bits(got.data()) == bits(want.data()), "{name}, {} records, {kind:?}: encode_eval differs from the tape", seqs.len());
+                for (what, want, got) in both(&enc, &seqs, kind) {
+                    assert_eq!(got.shape(), want.shape());
+                    assert!(bits(got.data()) == bits(want.data()), "{name}, {} records, {kind:?}: encode_eval's {what} differ from the tape", seqs.len());
+                }
             }
         }
     }
@@ -119,7 +126,7 @@ fn encode_eval_reports_the_tape_ops_it_runs() {
     let batch = &batches(BertConfig::small(VOCAB).max_len, false, 8)[1];
     let seqs = refs(batch);
     let layers = BertConfig::small(VOCAB).layers as u64;
-    for (kind, pooler) in [(BackendKind::F32, "linear"), (BackendKind::Int8, "linear_q8")] {
+    for kind in [BackendKind::F32, BackendKind::Int8] {
         let mut tape = profiled(|| {
             let _backend = backend::install(kind);
             let g = Graph::new();
@@ -128,16 +135,10 @@ fn encode_eval_reports_the_tape_ops_it_runs() {
         let eval = profiled(|| {
             enc.encode_eval(&seqs, kind);
         });
-        // What the encoder does not run: parameter leaves, the pooler's
-        // linear and tanh over the gathered `[CLS]` rows, and the residual
+        // What the encoder does not run: parameter leaves and the residual
         // adds (folded into the layer norms).
         tape.retain(|(_, op), _| *op != "leaf");
-        for (op, calls) in [(pooler, 1), ("gather_rows", 1), ("tanh", 1)] {
-            let at = ("bert".to_string(), op);
-            *tape.get_mut(&at).unwrap_or_else(|| panic!("tape ran no {op}")) -= calls;
-        }
         assert_eq!(tape.remove(&("bert/layer".to_string(), "add")), Some(2 * layers));
-        tape.retain(|_, calls| *calls > 0);
         assert_eq!(eval, tape, "{kind:?}");
         if kind == BackendKind::F32 {
             assert!(eval.keys().all(|(_, op)| !op.starts_with("linear_q8")), "an f32 encode recorded a quantized op");

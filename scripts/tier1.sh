@@ -20,8 +20,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # (`tests/prop_q8.rs` also calls each int8 tile body directly); the suite's
 # `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it, and
 # nn's `tests/eval_bits.rs` holds the forward-only encoder to the tape on
-# the portable tiles.
+# the portable tiles. Core's `tests/infer_bits.rs` does the same for joint
+# inference (`Matcher::infer_batch`) on every model of Tables 2 and 4.
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor -p emba-nn
+EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --test infer_bits
 
 # The end-to-end benchmark is a workspace of its own built against this
 # one's public API: its unit tests plus every workload at --tiny size, so an
