@@ -16,6 +16,11 @@
 //! is exactly the composition independence that launch policy relies on.
 //! Int8 must additionally stay within [`INT8_BOUND`] of f32.
 //!
+//! A second oracle runs the routes under every SIMD tier this CPU supports
+//! and holds their probabilities bit-equal across tiers, f32 and int8 alike:
+//! a new kernel tier leaves every probability, and so every golden file of
+//! the end-to-end benchmark, as it was.
+//!
 //! The model is `ModelKind::EmbaSb`: a real transformer backbone, so
 //! attention, layer norm and the GEMM tile edges are all in play — including
 //! records of a handful of tokens encoded alone (route 2 from its second
@@ -33,7 +38,7 @@ use emba_core::{
 use emba_datagen::Record;
 use emba_nn::GraphStamp;
 use emba_serve::{MatchOutcome, ServeConfig, ServeCore};
-use emba_tensor::{backend, BackendKind, Graph};
+use emba_tensor::{backend, simd, BackendKind, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -157,6 +162,25 @@ fn four_routes(trained: &TrainedMatcher, records: &[Record], kind: BackendKind) 
         }
     }
     scored.iter().map(|p| p.prob).collect()
+}
+
+#[test]
+fn every_simd_tier_scores_the_same_bits() {
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut records: Vec<Record> = (0..6).map(|k| record(&mut rng, k)).collect();
+    let trained = matcher_over(ModelKind::EmbaSb, &records, 64);
+    records.sort_by_key(|r| record_hash(&trained.pipeline.encode_single_record(r)));
+    let runs = simd::on_every_tier(|_| {
+        [BackendKind::F32, BackendKind::Int8].map(|kind| {
+            let probs = four_routes(&trained, &records, kind);
+            probs.iter().map(|p| p.to_bits()).collect::<Vec<u32>>()
+        })
+    });
+    let (_, portable) = &runs[0];
+    for (tier, probs) in &runs {
+        assert_eq!(probs[0], portable[0], "f32 on {tier:?} differs from the portable tier");
+        assert_eq!(probs[1], portable[1], "int8 on {tier:?} differs from the portable tier");
+    }
 }
 
 proptest! {

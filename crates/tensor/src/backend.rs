@@ -82,6 +82,7 @@ impl Backend for Int8Backend {
             simd::Level::Scalar => "int8-scalar",
             simd::Level::Avx2 => "int8-avx2",
             simd::Level::Avx2Vnni => "int8-avx2-vnni",
+            simd::Level::Avx512 => "int8-avx512-vnni",
         }
     }
 

@@ -10,7 +10,9 @@
 //!
 //! * **The tile** is `MR×NR` = 6×16: twelve 8-lane accumulators, two B
 //!   vectors and one broadcast fill 15 of the 16 vector registers, and each
-//!   step of the shared dimension feeds 12 FMAs from 8 loads.
+//!   step of the shared dimension feeds 12 FMAs from 8 loads. On the
+//!   AVX-512 tier one tile covers two adjacent strips, 6×32 in twelve
+//!   16-lane accumulators (one strip for a panel's odd last one).
 //! * **A is read in place.** The tile broadcasts `A(i, p)` straight from the
 //!   caller's matrix, one scalar per row per step, whatever the strides. The
 //!   six row streams (or, transposed, one stream of 6 adjacent floats) fit
@@ -37,12 +39,13 @@
 //!   first adds to C. An edge tile still computes 6×16 — rows past the edge
 //!   repeat a real row of A, columns past it multiply the strip's zero
 //!   padding — and stores only what exists.
-//! * **Two micro-kernels, one arithmetic.** `simd::tile_6x16_avx2` and the
-//!   portable `tile_portable` both run, per element of C and per slice, the
-//!   one chain `acc = fma(A(i,p), B(p,j), acc)` for `p` ascending from
-//!   `acc = 0`, then the epilogue — so the tiers agree bit for bit, and a row
-//!   of C does not depend on how many rows are computed with it
-//!   (`tests/prop_gemm.rs` holds both to that chain).
+//! * **Three micro-kernels, one arithmetic.** `simd::tile_6x16_avx2`,
+//!   `simd::tile_6x32_avx512` and the portable `tile_portable` all run, per
+//!   element of C and per slice, the one chain `acc = fma(A(i,p), B(p,j),
+//!   acc)` for `p` ascending from `acc = 0`, then the epilogue — so the
+//!   tiers agree bit for bit, and a row of C does not depend on how many
+//!   rows or columns are computed with it (`tests/prop_gemm.rs` holds every
+//!   tier to that chain).
 //! * **`Aᵀ` is read in place too** (`gemm_tn`, the backward passes): the
 //!   tile's six broadcasts then come from six adjacent floats per step. Ten
 //!   interleaved `train_eval_joint` benchmark pairs against a variant that
@@ -312,23 +315,25 @@ fn run_panel(m: usize, a: &[f32], a_rs: usize, a_cs: usize, panel: &PackedPanel,
         accumulate,
         bias,
         // One cached-atomic read per panel, not per tile; `simd::level()`
-        // honors the EMBA_FORCE_SCALAR override so CI can pin the portable
-        // tile.
-        use_avx2: simd::level() >= simd::Level::Avx2,
+        // honors the EMBA_FORCE_SCALAR cap so CI can pin the portable tile.
+        level: simd::level(),
     };
+    // The AVX-512 tile takes two adjacent strips at a time.
+    let (strips, group) = (nc.div_ceil(NR), if step.level == simd::Level::Avx512 { 2 } else { 1 });
     for ic in (0..m).step_by(MC) {
         let mc = (m - ic).min(MC);
         let dst: &mut [f32] = match pre.as_mut() {
             Some((pre, _)) => pre,
             None => &mut *out,
         };
-        for jt in 0..nc.div_ceil(NR) {
-            let b_strip = &panel.strips[jt * kc * NR..(jt + 1) * kc * NR];
+        for jt in (0..strips).step_by(group) {
+            let width = (strips - jt).min(group);
+            let b_strips = &panel.strips[jt * kc * NR..(jt + width) * kc * NR];
             let col0 = jt * NR;
-            let cols = (nc - col0).min(NR);
+            let cols = (nc - col0).min(width * NR);
             for row0 in (ic..ic + mc).step_by(MR) {
                 let rows = (ic + mc - row0).min(MR);
-                step.run(a, b_strip, dst, row0, rows, col0, cols);
+                step.run(a, b_strips, dst, row0, rows, col0, cols);
             }
         }
         if let (true, Some((pre, ld))) = (last, pre.as_ref()) {
@@ -350,33 +355,64 @@ struct TileStep<'a> {
     ldd: usize,
     accumulate: bool,
     bias: Option<&'a [f32]>,
-    use_avx2: bool,
+    level: simd::Level,
 }
 
 impl TileStep<'_> {
-    /// Computes the `rows × cols` tile at `(row0, col0)` and finishes it into
-    /// `dst`. Rows past an edge re-read the tile's last real row of A and
-    /// columns past an edge multiply the strip's zero padding; neither is
-    /// stored.
+    /// Computes the `rows × cols` tile at `(row0, col0)` over the packed
+    /// strips `b_strips` (`cols.div_ceil(NR)` of them, `kc × NR` floats
+    /// each) and finishes it into `dst`. Rows past an edge re-read the
+    /// tile's last real row of A and columns past an edge multiply the
+    /// strip's zero padding; neither is stored.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn run(&self, a: &[f32], b_strip: &[f32], dst: &mut [f32], row0: usize, rows: usize, col0: usize, cols: usize) {
+    fn run(&self, a: &[f32], b_strips: &[f32], dst: &mut [f32], row0: usize, rows: usize, col0: usize, cols: usize) {
         let a_row: [usize; MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * self.a_rs);
-        let at = row0 * self.ldd + col0;
-        let bias = self.bias.map(|b| &b[col0..col0 + cols]);
-        match self.use_avx2 {
+        let strips = cols.div_ceil(NR);
+        let strip_len = self.kc * NR;
+        match self.level {
             #[cfg(target_arch = "x86_64")]
-            true => {
-                assert!(a_row.iter().all(|&o| o < a.len()) && at + (rows - 1) * self.ldd + cols <= dst.len());
-                let bias = bias.map_or(std::ptr::null(), <[f32]>::as_ptr);
-                // SAFETY: `use_avx2` is only set when `simd::level()` detected
-                // AVX2+FMA. Each `a_row[r]` was just checked to lie in `a`
-                // and addresses `A(i, 0)` for a real row `i < m`; the view
-                // `run_panel` asserted then puts the `kc` strided reads
-                // from it inside `a`. `b_strip` holds `kc * NR` packed
-                // floats. The tile touches `rows` rows of `cols` floats from
-                // `dst[at]` at stride `ldd`, the last of which was just
-                // checked to end inside `dst`, and `cols` bias values.
+            simd::Level::Avx512 => {
+                simd::tally(simd::Site::GemmF32, simd::Level::Avx512, strips as u64);
+                let (at, bias) = self.check_raw(a, &a_row, dst, row0, rows, col0, cols);
+                assert!(b_strips.len() == strips * strip_len && strips <= 2);
+                // SAFETY: `simd::level()` is `Avx512` only on a CPU with
+                // AVX-512 F. `check_raw` and the assert above checked every
+                // bound the tile's contract names, for 1 or 2 strips.
+                unsafe {
+                    let a_ptr = a_row.map(|o| a.as_ptr().add(o));
+                    let (b, c) = (b_strips.as_ptr(), dst.as_mut_ptr().add(at));
+                    if strips == 2 {
+                        simd::tile_6x32_avx512::<2>(self.kc, a_ptr, self.a_cs, b, strip_len, c, self.ldd, rows, cols, self.accumulate, bias);
+                    } else {
+                        simd::tile_6x32_avx512::<1>(self.kc, a_ptr, self.a_cs, b, strip_len, c, self.ldd, rows, cols, self.accumulate, bias);
+                    }
+                }
+            }
+            // The one-strip bodies take a tile a strip at a time.
+            _ => {
+                for s in 0..strips {
+                    let strip = &b_strips[s * strip_len..(s + 1) * strip_len];
+                    self.run_strip(a, a_row, strip, dst, row0, rows, col0 + s * NR, (cols - s * NR).min(NR));
+                }
+            }
+        }
+    }
+
+    /// [`TileStep::run`] for one strip (`cols <= NR`) on the AVX2 or the
+    /// portable body.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run_strip(&self, a: &[f32], a_row: [usize; MR], b_strip: &[f32], dst: &mut [f32], row0: usize, rows: usize, col0: usize, cols: usize) {
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            simd::Level::Avx2 | simd::Level::Avx2Vnni => {
+                simd::tally(simd::Site::GemmF32, simd::Level::Avx2, 1);
+                let (at, bias) = self.check_raw(a, &a_row, dst, row0, rows, col0, cols);
+                assert!(b_strip.len() == self.kc * NR && cols <= NR);
+                // SAFETY: `simd::level()` is `Avx2` or above only on a CPU
+                // with AVX2+FMA. `check_raw` and the assert above checked
+                // every bound the tile's contract names.
                 unsafe {
                     let a_ptr = a_row.map(|o| a.as_ptr().add(o));
                     let c = dst.as_mut_ptr().add(at);
@@ -384,6 +420,9 @@ impl TileStep<'_> {
                 }
             }
             _ => {
+                simd::tally(simd::Site::GemmF32, simd::Level::Scalar, 1);
+                let at = row0 * self.ldd + col0;
+                let bias = self.bias.map(|b| &b[col0..col0 + cols]);
                 let mut acc = [[0.0f32; NR]; MR];
                 tile_portable(a, a_row, self.a_cs, b_strip, &mut acc);
                 for (acc_row, r) in acc.iter().zip(0..rows) {
@@ -402,15 +441,28 @@ impl TileStep<'_> {
             }
         }
     }
+
+    /// Checks what an explicit-SIMD tile reads and writes besides B: each
+    /// `a_row[r]` lies in `a` (it addresses `A(i, 0)` for a real row
+    /// `i < m`, and the view `run_panel` asserted puts the `kc` strided
+    /// reads from it inside `a`), and the `rows` rows of `cols` floats from
+    /// `(row0, col0)` at stride `ldd` end inside `dst`. Returns that first
+    /// element's offset and the tile's `cols` bias values, or null.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn check_raw(&self, a: &[f32], a_row: &[usize; MR], dst: &[f32], row0: usize, rows: usize, col0: usize, cols: usize) -> (usize, *const f32) {
+        let at = row0 * self.ldd + col0;
+        assert!(a_row.iter().all(|&o| o < a.len()) && at + (rows - 1) * self.ldd + cols <= dst.len());
+        (at, self.bias.map_or(std::ptr::null(), |b| b[col0..col0 + cols].as_ptr()))
+    }
 }
 
-/// The portable twin of `simd::tile_6x16_avx2`: the same FMA chain per
+/// The portable twin of the explicit-SIMD tiles: the same FMA chain per
 /// element, spelled with `f32::mul_add` over fixed-size rows so the compiler
 /// unrolls and vectorizes it. `a_row[r]` is the offset of `A(row r, first p)`.
 #[inline(always)]
 fn tile_portable(a: &[f32], a_row: [usize; MR], a_cs: usize, b_strip: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(test)]
-    PORTABLE_TILES.with(|n| n.set(n.get() + 1));
     for (p, bp) in b_strip.chunks_exact(NR).enumerate() {
         let bp: &[f32; NR] = bp.try_into().expect("strip rows are NR wide");
         for r in 0..MR {
@@ -420,12 +472,6 @@ fn tile_portable(a: &[f32], a_row: [usize; MR], a_cs: usize, b_strip: &[f32], ac
             }
         }
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Tiles this thread ran through [`tile_portable`].
-    static PORTABLE_TILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 // ----- row reductions -------------------------------------------------------
@@ -621,7 +667,7 @@ pub fn layer_norm_row_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::test_util::{bits, on_both_tiers};
+    use crate::simd::test_util::{agreed_on_every_tier, between_sweeps, bits, ran};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -711,44 +757,33 @@ mod tests {
     #[test]
     fn forced_scalar_env_runs_the_portable_tile() {
         // tier1.sh's `EMBA_FORCE_SCALAR=1 cargo test -p emba-tensor` leg exists
-        // to run the portable tile on AVX2 machines. With the variable
-        // exported nothing in this process ever un-forces the scalar tier, so
-        // every tile of a GEMM must be counted; without it other tests toggle
-        // the tier concurrently and only a CPU without AVX2 pins the count.
+        // to run the portable tile on SIMD machines: with the variable
+        // exported, every tile of a GEMM outside a tier sweep must be
+        // portable. (`simd::tests::every_tier_dispatches_to_its_own_body`
+        // holds each tier's dispatch to its own body.)
         let forced = std::env::var("EMBA_FORCE_SCALAR")
             .is_ok_and(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"));
         let mut rng = StdRng::seed_from_u64(20);
         let (m, k, n) = (13, 40, 33);
         let (a, b) = (rand_vec(&mut rng, m * k), rand_vec(&mut rng, k * n));
         let mut out = vec![0.0f32; m * n];
-        let before = PORTABLE_TILES.with(std::cell::Cell::get);
-        gemm_nn(m, k, n, &a, &b, &mut out);
-        let ran = PORTABLE_TILES.with(std::cell::Cell::get) - before;
-        let portable = forced || simd::detected() == simd::Level::Scalar;
-        if portable {
-            assert_eq!(ran, (m.div_ceil(MR) * n.div_ceil(NR)) as u64, "GEMM tiles bypassed the portable tile");
+        let (tier, before, after) = between_sweeps(|| {
+            let before = ran(simd::Site::GemmF32);
+            gemm_nn(m, k, n, &a, &b, &mut out);
+            (simd::level(), before, ran(simd::Site::GemmF32))
+        });
+        if forced || simd::detected() == simd::Level::Scalar {
+            assert_eq!(tier, simd::Level::Scalar);
+            assert_eq!(after[0] - before[0], (m.div_ceil(MR) * n.div_ceil(NR)) as u64, "GEMM tiles bypassed the portable tile");
         }
         assert_close(&out, &reference_nn(m, k, n, &a, &b), 1e-5, "nn 13x40x33");
-
-        // The fused attention-over-attention op multiplies through a packed
-        // panel it holds itself; that route must land on the same tile. Two
-        // pairs of `E1: [13, 40]` against `E2: [7, 40]` are two `Iᵀ` products
-        // of 7 rows by 13 columns, and nothing else in the forward is a GEMM.
-        let (e1, e2) = (crate::Tensor::from_vec(m, k, a), crate::Tensor::from_vec(7, k, rand_vec(&mut rng, 7 * k)));
-        let views = |t| [crate::RowView::Tensor(t), crate::RowView::Tensor(t)];
-        let before = PORTABLE_TILES.with(std::cell::Cell::get);
-        crate::Graph::new().aoa_pool(&views(&e1), &views(&e2));
-        let ran = PORTABLE_TILES.with(std::cell::Cell::get) - before;
-        if portable {
-            assert_eq!(ran, 2 * (7usize.div_ceil(MR) * m.div_ceil(NR)) as u64, "aoa_pool bypassed the portable tile");
-        }
     }
 
     /// `gemm_strided` into `out` against the same product assembled by hand
     /// from `PackedPanel::pack` + `gemm_panel`, one `KC × NC` panel at a time.
     #[allow(clippy::too_many_arguments)]
     fn assert_panels_match(m: usize, k: usize, n: usize, a: &[f32], a_rs: usize, a_cs: usize, b: &[f32], b_rs: usize, b_cs: usize, ctx: &str) {
-        let (detected, scalar) = on_both_tiers(|| {
+        let (whole, by_panel) = agreed_on_every_tier(|| {
             let mut whole = vec![f32::NAN; m * n];
             gemm_strided(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, &mut whole, n, Epilogue::Store);
             let mut by_panel = vec![f32::NAN; m * n];
@@ -762,11 +797,11 @@ mod tests {
                     gemm_panel(m, &a[pc * a_cs..], a_rs, a_cs, &panel, &mut by_panel[jc..], n, epilogue);
                 }
             }
+            let (whole, by_panel) = (bits(&whole), bits(&by_panel));
+            assert_eq!(whole, by_panel, "{ctx} on {:?}: by-panel differs from gemm_strided", simd::level());
             (whole, by_panel)
         });
-        assert_eq!(bits(&detected.0), bits(&detected.1), "{ctx}: by-panel differs from gemm_strided");
-        assert_eq!(bits(&scalar.0), bits(&scalar.1), "{ctx}: by-panel differs from gemm_strided on the scalar tier");
-        assert_eq!(bits(&detected.0), bits(&scalar.0), "{ctx}: tiers differ");
+        assert_eq!(whole, by_panel, "{ctx}");
     }
 
     #[test]
@@ -850,12 +885,12 @@ mod tests {
         for row in rows {
             for s in [1.0f32, 0.176_776_7] {
                 let want = softmax_f64(&row, s);
-                let (got, scalar) = on_both_tiers(|| {
+                let got = agreed_on_every_tier(|| {
                     let mut r = row.clone();
                     scaled_softmax_in_place(&mut r, s);
-                    r
+                    bits(&r)
                 });
-                assert_eq!(bits(&got), bits(&scalar), "tiers differ at width {}", row.len());
+                let got: Vec<f32> = got.into_iter().map(f32::from_bits).collect();
                 let sum: f64 = got.iter().map(|&v| f64::from(v)).sum();
                 assert!((sum - 1.0).abs() <= 1e-6, "width {} sums to {sum}", row.len());
                 for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
@@ -898,14 +933,13 @@ mod tests {
             let gamma = rand_vec(&mut rng, w);
             let beta = rand_vec(&mut rng, w);
             let want = layer_norm_f64(&x, &gamma, &beta);
-            let (got, scalar) = on_both_tiers(|| {
+            let got = agreed_on_every_tier(|| {
                 let mut y = vec![0.0f32; w];
-                let stats = layer_norm_row(&x, &gamma, &beta, &mut y);
-                (y, stats)
+                let (mean, istd) = layer_norm_row(&x, &gamma, &beta, &mut y);
+                (bits(&y), mean.to_bits(), istd.to_bits())
             });
-            assert_eq!(bits(&got.0), bits(&scalar.0), "tiers differ at width {w}");
-            assert_eq!(got.1, scalar.1);
             for (i, (&g, &e)) in got.0.iter().zip(&want).enumerate() {
+                let g = f32::from_bits(g);
                 assert!((f64::from(g) - e).abs() <= 1e-5, "width {w} [{i}]: {g} vs {e}");
             }
         }
@@ -921,12 +955,12 @@ mod tests {
             let beta = vec![0.0f32; w];
             let mut y = vec![0.0f32; w];
             let (mean, istd) = layer_norm_row(&x, &gamma, &beta, &mut y);
-            let (got, scalar) = on_both_tiers(|| {
+            let got = agreed_on_every_tier(|| {
                 let (mut dx, mut dg, mut db) = (vec![0.0f32; w], vec![1.0f32; w], vec![2.0f32; w]);
                 layer_norm_row_backward(&g, &x, &gamma, mean, istd, &mut dx, &mut dg, &mut db);
-                (dx, dg, db)
+                [dx, dg, db].map(|v| bits(&v))
             });
-            assert_eq!(bits(&got.0), bits(&scalar.0), "tiers differ at width {w}");
+            let [dx_got, dg_got, db_got] = got.map(|v| v.into_iter().map(f32::from_bits).collect::<Vec<f32>>());
 
             let (m, s) = (f64::from(mean), f64::from(istd));
             let xhat: Vec<f64> = x.iter().map(|&v| (f64::from(v) - m) * s).collect();
@@ -935,11 +969,11 @@ mod tests {
             let mean_dh = d.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f64>() / w as f64;
             for i in 0..w {
                 let dx = s * (d[i] - mean_d - xhat[i] * mean_dh);
-                assert!((f64::from(got.0[i]) - dx).abs() <= 1e-5 * (1.0 + dx.abs()), "width {w} dx[{i}]");
+                assert!((f64::from(dx_got[i]) - dx).abs() <= 1e-5 * (1.0 + dx.abs()), "width {w} dx[{i}]");
                 // Parameter gradients accumulate on top of what was there.
                 let dg = 1.0 + f64::from(g[i]) * xhat[i];
-                assert!((f64::from(got.1[i]) - dg).abs() <= 1e-5, "width {w} dgamma[{i}]");
-                assert_eq!(got.2[i], 2.0 + g[i], "width {w} dbeta[{i}]");
+                assert!((f64::from(dg_got[i]) - dg).abs() <= 1e-5, "width {w} dgamma[{i}]");
+                assert_eq!(db_got[i], 2.0 + g[i], "width {w} dbeta[{i}]");
             }
         }
     }

@@ -2,11 +2,18 @@
 //!
 //! Detection runs once per process (`is_x86_feature_detected!` walks CPUID
 //! every call, which is far too slow for a per-GEMM decision) and is cached
-//! in an atomic. A forced-scalar override — seeded from the
-//! `EMBA_FORCE_SCALAR` environment variable and togglable in-process via
-//! [`set_forced_scalar`] — lets CI and the quantization bench exercise the
-//! portable fallback on any machine, and lets a single bench process measure
-//! both paths interleaved on the same core.
+//! in an atomic as the set of tiers this CPU runs. Kernels dispatch on
+//! [`level`]: the best of those tiers at or under a cap. The cap starts at
+//! [`Level::Scalar`] when the `EMBA_FORCE_SCALAR` environment variable is
+//! set (so CI exercises the portable definitions on any machine) and
+//! uncapped otherwise; [`set_max_level`] moves it in-process, and
+//! [`on_every_tier`] runs a closure under each tier in turn, which is how
+//! the tests hold every tier to the same bits.
+//!
+//! The tiers, in ascending order: the portable definitions, AVX2+FMA,
+//! AVX2 plus AVX-VNNI, and AVX-512 (F, BW, VL and VNNI, on top of AVX2+FMA).
+//! A CPU need not have every tier below its best: an AVX-512 part without
+//! AVX-VNNI skips `Avx2Vnni`, and a cap there lands on `Avx2`.
 //!
 //! Four kernel families live here:
 //!
@@ -14,24 +21,29 @@
 //!   6 x 16 outer-product tile over weights packed once
 //!   ([`pack_strips_i8`]). Activations are *unsigned* (asymmetric per-row
 //!   quantization, see `crate::quant`), weights signed — exactly the operand
-//!   pair `vpdpbusd` (AVX-VNNI) fuses into one multiply-widen-accumulate:
-//!   each step broadcasts 4 bytes of an activation row, read in place, against
-//!   16 columns x 4 k-bytes of a packed strip, so an i32 lane IS one output
-//!   column and nothing is ever summed across lanes. The plain-AVX2 body must
-//!   NOT use the tempting `_mm256_maddubs_epi16` shortcut: with u8
-//!   activations a pair sum reaches `2 * 255 * 127 = 64770 > i16::MAX` and
-//!   saturates silently. It instead widens both operands to i16 and uses
-//!   `_mm256_madd_epi16`, which pair-sums into i32 exactly. Integer
-//!   accumulation is exact and order-independent, so the VNNI, AVX2 and
-//!   portable bodies are bit-identical and a tile's result does not depend
-//!   on the rows or columns computed beside it.
+//!   pair `vpdpbusd` (AVX-VNNI, AVX512-VNNI) fuses into one
+//!   multiply-widen-accumulate: each step broadcasts 4 bytes of an activation
+//!   row, read in place, against 16 columns x 4 k-bytes of a packed strip, so
+//!   an i32 lane IS one output column and nothing is ever summed across
+//!   lanes. A strip's k-group is 64 bytes, one zmm register: the AVX-512 body
+//!   runs two adjacent strips per step, a 6 x 32 tile, and hands back each
+//!   strip's 6 x 16 block in order. The plain-AVX2 body must NOT use the
+//!   tempting `_mm256_maddubs_epi16` shortcut: with u8 activations a pair sum
+//!   reaches `2 * 255 * 127 = 64770 > i16::MAX` and saturates silently. It
+//!   instead widens both operands to i16 and uses `_mm256_madd_epi16`, which
+//!   pair-sums into i32 exactly. Integer accumulation is exact and
+//!   order-independent, so every body is bit-identical and a tile's result
+//!   does not depend on the rows or columns computed beside it.
 //! * activation quantization ([`min_max`], [`quantize_span_u8`]): the
 //!   min/max pass (which also spots a non-finite element) and the
 //!   scale-round-clamp pass, both vectorized — at transformer widths the
-//!   scalar version costs as much as the GEMM it feeds.
-//! * f32 GEMM tile (`tile_6x16_avx2`): the explicit AVX2+FMA micro-kernel
-//!   under every f32 matrix product; `kernels::tile_portable` is its twin,
-//!   the same FMA chain spelled with `f32::mul_add`.
+//!   scalar version costs as much as the GEMM it feeds. The AVX2 bodies serve
+//!   the AVX-512 tier too.
+//! * f32 GEMM tiles (`tile_6x16_avx2`, `tile_6x32_avx512`): the explicit
+//!   micro-kernels under every f32 matrix product. The AVX-512 tile runs two
+//!   adjacent packed 16-column strips in 16-lane registers (one on a panel's
+//!   odd last strip); `kernels::tile_portable` is the twin of both, the same
+//!   FMA chain spelled with `f32::mul_add`.
 //! * transcendentals ([`gelu_span`], [`gelu_grad_span`], the softmax
 //!   exponent): one range-reduced exp2 polynomial shared by the f32 and
 //!   int8 backends, forward and backward — no libm on the hot path.
@@ -41,8 +53,9 @@
 //! runs reproduce SIMD runs bit-for-bit.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Instruction-set tier selected for kernel dispatch, best first.
+/// Instruction-set tier selected for kernel dispatch, in ascending order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// Portable fallback; also what `EMBA_FORCE_SCALAR` pins.
@@ -51,98 +64,177 @@ pub enum Level {
     Avx2,
     /// AVX2 plus AVX-VNNI `vpdpbusd` fused u8xi8 dot-accumulate.
     Avx2Vnni,
+    /// AVX-512 F, BW, VL and VNNI on top of AVX2+FMA: the f32 and int8
+    /// tiles in 16-lane registers, two packed strips per tile.
+    Avx512,
 }
 
 impl Level {
+    /// Every tier, portable first.
+    pub const ALL: [Level; 4] = [Level::Scalar, Level::Avx2, Level::Avx2Vnni, Level::Avx512];
+
     /// Stable lower-case label used in bench reports and backend names.
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
             Level::Avx2 => "avx2",
             Level::Avx2Vnni => "avx2+vnni",
+            Level::Avx512 => "avx512+vnni",
         }
+    }
+
+    fn bit(self) -> u8 {
+        1 << self as u8
     }
 }
 
-const DETECT_UNKNOWN: u8 = 0;
-const DETECT_SCALAR: u8 = 1;
-const DETECT_AVX2: u8 = 2;
-const DETECT_AVX2_VNNI: u8 = 3;
+/// `Level::bit` of every tier this CPU runs (never 0: the portable tier
+/// always runs); 0 until detected.
+static SUPPORTED: AtomicU8 = AtomicU8::new(0);
 
-static DETECTED: AtomicU8 = AtomicU8::new(DETECT_UNKNOWN);
-
-const FORCE_UNKNOWN: u8 = 0;
-const FORCE_OFF: u8 = 1;
-const FORCE_ON: u8 = 2;
-
-static FORCED_SCALAR: AtomicU8 = AtomicU8::new(FORCE_UNKNOWN);
+/// The dispatch tier as a `Level` discriminant, or `UNSET` before the
+/// first [`level`] call reads the environment.
+static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
+const UNSET: u8 = u8::MAX;
 
 #[cfg(target_arch = "x86_64")]
 fn detect() -> u8 {
+    let mut tiers = Level::Scalar.bit();
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        tiers |= Level::Avx2.bit();
         if is_x86_feature_detected!("avxvnni") {
-            DETECT_AVX2_VNNI
-        } else {
-            DETECT_AVX2
+            tiers |= Level::Avx2Vnni.bit();
         }
-    } else {
-        DETECT_SCALAR
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vl")
+            && is_x86_feature_detected!("avx512vnni")
+        {
+            tiers |= Level::Avx512.bit();
+        }
     }
+    tiers
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect() -> u8 {
-    DETECT_SCALAR
+    Level::Scalar.bit()
 }
 
-/// The best tier this CPU supports, detected once and cached.
+/// Whether this CPU runs `level`'s kernels, detected once and cached.
+pub fn supports(level: Level) -> bool {
+    let mut tiers = SUPPORTED.load(Ordering::Relaxed);
+    if tiers == 0 {
+        tiers = detect();
+        SUPPORTED.store(tiers, Ordering::Relaxed);
+    }
+    tiers & level.bit() != 0
+}
+
+/// Every tier this CPU runs, portable first.
+pub fn available() -> impl Iterator<Item = Level> {
+    Level::ALL.into_iter().filter(|&l| supports(l))
+}
+
+/// The best tier this CPU supports.
 pub fn detected() -> Level {
-    match DETECTED.load(Ordering::Relaxed) {
-        DETECT_UNKNOWN => {
-            let d = detect();
-            DETECTED.store(d, Ordering::Relaxed);
-            decode(d)
-        }
-        d => decode(d),
-    }
+    best_under(Level::Avx512)
 }
 
-fn decode(d: u8) -> Level {
-    match d {
-        DETECT_AVX2 => Level::Avx2,
-        DETECT_AVX2_VNNI => Level::Avx2Vnni,
-        _ => Level::Scalar,
-    }
+/// The best tier this CPU supports at or under `cap`.
+fn best_under(cap: Level) -> Level {
+    available().filter(|&l| l <= cap).last().unwrap_or(Level::Scalar)
 }
 
-/// Whether the scalar fallback is currently forced (env or programmatic).
-pub fn forced_scalar() -> bool {
-    match FORCED_SCALAR.load(Ordering::Relaxed) {
-        FORCE_UNKNOWN => {
-            let on = std::env::var("EMBA_FORCE_SCALAR")
-                .map(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"))
-                .unwrap_or(false);
-            FORCED_SCALAR.store(if on { FORCE_ON } else { FORCE_OFF }, Ordering::Relaxed);
-            on
-        }
-        f => f == FORCE_ON,
-    }
+/// Caps dispatch at `cap`: [`level`] becomes the best tier this CPU
+/// supports at or under it. Process-wide; `EMBA_FORCE_SCALAR` is the same
+/// cap at [`Level::Scalar`], set before the first dispatch.
+pub fn set_max_level(cap: Level) {
+    LEVEL.store(best_under(cap) as u8, Ordering::Relaxed);
 }
 
-/// Override the forced-scalar knob in-process (benches interleave both
-/// paths on the same core; tests pin the portable path deterministically).
-pub fn set_forced_scalar(on: bool) {
-    FORCED_SCALAR.store(if on { FORCE_ON } else { FORCE_OFF }, Ordering::Relaxed);
-}
-
-/// The tier kernels actually dispatch on: [`detected`] unless scalar is
-/// forced.
+/// The tier kernels actually dispatch on: the best supported tier under
+/// the cap.
 pub fn level() -> Level {
-    if forced_scalar() {
-        Level::Scalar
-    } else {
-        detected()
+    match LEVEL.load(Ordering::Relaxed) {
+        UNSET => {
+            let forced = std::env::var("EMBA_FORCE_SCALAR")
+                .is_ok_and(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"));
+            let level = if forced { Level::Scalar } else { detected() };
+            // A cap set meanwhile wins over the environment's.
+            match LEVEL.compare_exchange(UNSET, level as u8, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => level,
+                Err(set) => decode(set),
+            }
+        }
+        l => decode(l),
     }
+}
+
+fn decode(l: u8) -> Level {
+    Level::ALL[usize::from(l)]
+}
+
+/// Serializes [`on_every_tier`] sweeps, so one sweep's cap is not moved
+/// under another's.
+static SWEEP: Mutex<()> = Mutex::new(());
+
+/// Runs `f` once under each tier this CPU supports, portable first, and
+/// returns each tier with its result; the cap is restored afterwards, even
+/// if `f` panics. Sweeps in concurrent threads take turns. Every kernel in
+/// this crate returns the same bits on every tier, so the results of a
+/// deterministic `f` should all be equal.
+pub fn on_every_tier<T>(mut f: impl FnMut(Level) -> T) -> Vec<(Level, T)> {
+    let _turn = SWEEP.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = RestoreCap(level());
+    available()
+        .map(|tier| {
+            set_max_level(tier);
+            (tier, f(tier))
+        })
+        .collect()
+}
+
+/// Puts the cap back to the tier it held when dropped.
+struct RestoreCap(Level);
+
+impl Drop for RestoreCap {
+    fn drop(&mut self) {
+        set_max_level(self.0);
+    }
+}
+
+/// Call sites whose dispatched body the tests count, by tier.
+#[derive(Clone, Copy)]
+pub(crate) enum Site {
+    /// `kernels::run_panel`'s f32 tile, counted in 6 x 16 tiles.
+    GemmF32,
+    /// [`tiles_u8i8`], counted in 6 x 16 tiles.
+    TilesU8i8,
+    /// [`quantize_span_u8`] calls.
+    QuantizeSpan,
+    /// [`min_max`] calls.
+    MinMax,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `[site][body tier]`: bodies this thread ran.
+    static RAN: std::cell::Cell<[[u64; 4]; 4]> = const { std::cell::Cell::new([[0; 4]; 4]) };
+}
+
+/// Counts `n` runs of `site`'s `body` tier on this thread; free outside
+/// this crate's tests.
+#[inline(always)]
+pub(crate) fn tally(site: Site, body: Level, n: u64) {
+    #[cfg(test)]
+    RAN.with(|ran| {
+        let mut counts = ran.get();
+        counts[site as usize][body as usize] += n;
+        ran.set(counts);
+    });
+    #[cfg(not(test))]
+    let _ = (site, body, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +254,14 @@ pub fn quantize_span_u8(x: &[f32], inv: f32, zp: i32, q: &mut [u8]) {
         // SAFETY: the tier was detected, and the kernel stays inside the two
         // slices, whose lengths were just checked equal.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx2Vnni => unsafe { quantize_span_u8_avx2(x, inv, zp, q) },
-        _ => quantize_span_u8_scalar(x, inv, zp, q),
+        Level::Avx2 | Level::Avx2Vnni | Level::Avx512 => {
+            tally(Site::QuantizeSpan, Level::Avx2, 1);
+            unsafe { quantize_span_u8_avx2(x, inv, zp, q) }
+        }
+        _ => {
+            tally(Site::QuantizeSpan, Level::Scalar, 1);
+            quantize_span_u8_scalar(x, inv, zp, q)
+        }
     }
 }
 
@@ -189,8 +287,14 @@ pub fn min_max(x: &[f32]) -> (f32, f32) {
     let (mn, mx, top) = match level() {
         // SAFETY: the tier was detected; the kernel only reads `x`.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 | Level::Avx2Vnni if x.len() >= 8 => unsafe { min_max_avx2(x) },
-        _ => min_max_scalar(x),
+        Level::Avx2 | Level::Avx2Vnni | Level::Avx512 if x.len() >= 8 => {
+            tally(Site::MinMax, Level::Avx2, 1);
+            unsafe { min_max_avx2(x) }
+        }
+        _ => {
+            tally(Site::MinMax, Level::Scalar, 1);
+            min_max_scalar(x)
+        }
     };
     if top >= NON_FINITE_BITS {
         (f32::NAN, f32::NAN)
@@ -398,15 +502,16 @@ fn pack_strip_i8(cols: &[i8], k: usize, strip: &mut [i8]) {
 /// not meaningful. Six rows cross every strip before the next six start, left
 /// to right: their bytes of `A` stay in L1, the strips stream past (a
 /// transformer projection's are L1- or L2-resident), and the tile whose
-/// `col0 + cols == n` completes those rows of the product.
+/// `col0 + cols == n` completes those rows of the product. The AVX-512 body
+/// computes two adjacent strips at once and finishes them in that order.
 ///
 /// `level` picks the body — `simd::level()` outside tests — and every body
 /// returns the same bits.
 ///
 /// # Panics
 ///
-/// Panics if `level` is above [`detected`], `strips` is not the packed size
-/// for `k4` x `n`, `lda < 4 * k4`, or a row of `A` reaches past `a`.
+/// Panics if this CPU does not support `level`, `strips` is not the packed
+/// size for `k4` x `n`, `lda < 4 * k4`, or a row of `A` reaches past `a`.
 #[allow(clippy::too_many_arguments)]
 pub fn tiles_u8i8(
     level: Level,
@@ -420,31 +525,66 @@ pub fn tiles_u8i8(
 ) {
     // The SIMD bodies read through raw pointers; these are the checks their
     // SAFETY comment cites.
-    assert!(level <= detected(), "tiles_u8i8: tier {level:?} is not available");
+    assert!(supports(level), "tiles_u8i8: tier {level:?} is not available");
     assert_eq!(strips.len(), n.div_ceil(Q8_NR) * k4 * Q8_GROUP, "tiles_u8i8: strips are not {k4} k-groups x {n} columns");
     assert!(lda >= k4 * Q8_KG, "tiles_u8i8: row stride {lda} under {} bytes", k4 * Q8_KG);
     assert!(m == 0 || a.len() >= (m - 1) * lda + k4 * Q8_KG, "tiles_u8i8: A {m}x{} (ld {lda}) reaches past its slice", k4 * Q8_KG);
+    let strip_len = k4 * Q8_GROUP;
+    let (count, group) = (n.div_ceil(Q8_NR), if level == Level::Avx512 { 2 } else { 1 });
+    // The SIMD bodies overwrite the blocks they fill; the portable one adds.
+    let mut blocks = [[[0i32; Q8_NR]; Q8_MR]; 2];
     for row0 in (0..m).step_by(Q8_MR) {
         let rows = (m - row0).min(Q8_MR);
         let a_row: [usize; Q8_MR] = std::array::from_fn(|r| (row0 + r.min(rows - 1)) * lda);
         #[cfg(target_arch = "x86_64")]
         let a_ptr = a_row.map(|o| a.as_ptr().wrapping_add(o));
-        for (t, col0) in (0..n).step_by(Q8_NR).enumerate() {
-            let strip = &strips[t * k4 * Q8_GROUP..(t + 1) * k4 * Q8_GROUP];
-            let cols = (n - col0).min(Q8_NR);
-            let mut block = [[0i32; Q8_NR]; Q8_MR];
+        for t0 in (0..count).step_by(group) {
+            let width = (count - t0).min(group);
             match level {
-                // SAFETY: `level` is at most the detected tier. Every
-                // `a_ptr[r]` is the start of a real row `i < m`, and the
-                // assert above puts the `4 * k4` bytes from it inside `a`;
-                // `strip` holds `k4` groups of 64 bytes.
+                // SAFETY: this CPU supports `level`. Every `a_ptr[r]` is the
+                // start of a real row `i < m`, and the assert above puts the
+                // `4 * k4` bytes from it inside `a`; strip `t0 + j` for
+                // `j < width` holds `k4` groups of 64 bytes inside `strips`.
                 #[cfg(target_arch = "x86_64")]
-                Level::Avx2Vnni => unsafe { tile_q8_vnni(k4, a_ptr, strip.as_ptr(), &mut block) },
-                #[cfg(target_arch = "x86_64")]
-                Level::Avx2 => unsafe { tile_q8_avx2(k4, a_ptr, strip.as_ptr(), &mut block) },
-                _ => tile_q8_portable(a, a_row, strip, &mut block),
+                Level::Avx512 => {
+                    tally(Site::TilesU8i8, Level::Avx512, width as u64);
+                    let b = strips[t0 * strip_len..].as_ptr();
+                    unsafe {
+                        if width == 2 {
+                            tile_q8_avx512::<2>(k4, a_ptr, b, strip_len, &mut blocks);
+                        } else {
+                            tile_q8_avx512::<1>(k4, a_ptr, b, strip_len, &mut blocks);
+                        }
+                    }
+                }
+                _ => {
+                    for (j, block) in blocks.iter_mut().enumerate().take(width) {
+                        let strip = &strips[(t0 + j) * strip_len..(t0 + j + 1) * strip_len];
+                        // SAFETY: as above, with `strip` the one strip read.
+                        match level {
+                            #[cfg(target_arch = "x86_64")]
+                            Level::Avx2Vnni => {
+                                tally(Site::TilesU8i8, Level::Avx2Vnni, 1);
+                                unsafe { tile_q8_vnni(k4, a_ptr, strip.as_ptr(), block) }
+                            }
+                            #[cfg(target_arch = "x86_64")]
+                            Level::Avx2 => {
+                                tally(Site::TilesU8i8, Level::Avx2, 1);
+                                unsafe { tile_q8_avx2(k4, a_ptr, strip.as_ptr(), block) }
+                            }
+                            _ => {
+                                tally(Site::TilesU8i8, Level::Scalar, 1);
+                                *block = [[0; Q8_NR]; Q8_MR];
+                                tile_q8_portable(a, a_row, strip, block)
+                            }
+                        }
+                    }
+                }
             }
-            finish(row0, rows, col0, cols, &block);
+            for (j, block) in blocks.iter().enumerate().take(width) {
+                let col0 = (t0 + j) * Q8_NR;
+                finish(row0, rows, col0, (n - col0).min(Q8_NR), block);
+            }
         }
     }
 }
@@ -663,6 +803,38 @@ mod x86 {
         }
     }
 
+    /// The AVX-512 body: `S` adjacent strips (two, or one for the last of
+    /// an odd count) in twelve or six 16-lane i32 accumulators. A strip's
+    /// k-group is 64 bytes, one zmm load; each row broadcasts its 4 bytes
+    /// once for every strip, and `vpdpbusd` adds the four products into the
+    /// lane that is that column's sum, as in the AVX-VNNI body. Strip `s`
+    /// starts `s * stride` bytes after `b` and its sums land in `blocks[s]`.
+    ///
+    /// # Safety
+    /// Requires AVX-512 F and VNNI. Every `a[r]` must be readable for
+    /// `4 * k4` bytes and, for `s < S`, `b + s * stride` for `64 * k4`.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub unsafe fn tile_q8_avx512<const S: usize>(k4: usize, a: [*const u8; 6], b: *const i8, stride: usize, blocks: &mut [super::Q8Block; 2]) {
+        let mut acc = [[_mm512_setzero_si512(); S]; 6];
+        let mut bv = [_mm512_setzero_si512(); S];
+        for g in 0..k4 {
+            for (s, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_loadu_si512(b.add(s * stride + g * 64) as *const __m512i);
+            }
+            for (row, a_row) in acc.iter_mut().zip(a) {
+                let av = _mm512_set1_epi32((a_row.add(g * 4) as *const i32).read_unaligned());
+                for (sum, &w) in row.iter_mut().zip(&bv) {
+                    *sum = _mm512_dpbusd_epi32(*sum, av, w);
+                }
+            }
+        }
+        for (s, block) in blocks.iter_mut().enumerate().take(S) {
+            for (sums, row) in block.iter_mut().zip(&acc) {
+                _mm512_storeu_si512(sums.as_mut_ptr() as *mut __m512i, row[s]);
+            }
+        }
+    }
+
     /// The f32 GEMM micro-kernel: a 6 x 16 tile of `A·B` in twelve 8-lane
     /// accumulators (with two B vectors and one broadcast, 15 of the 16
     /// registers). `A(r, p)` is broadcast from `a[r] + p * a_cs` — the
@@ -723,26 +895,100 @@ mod x86 {
             }
         }
     }
+
+    /// The AVX-512 f32 micro-kernel: the 6 x 16 tile of `tile_6x16_avx2` on
+    /// `S` adjacent packed strips at once — with `S = 2` a 6 x 32 tile in
+    /// twelve 16-lane accumulators (two B loads and six broadcasts feed 12
+    /// FMAs per step), with `S = 1` the last strip of an odd count. Strip `s`
+    /// starts `s * stride` floats after `b` and covers columns `16s..16s+16`
+    /// of the tile. Every element runs the same chain and epilogue as the
+    /// AVX2 tile, in the same order, so the two agree bit for bit; edge
+    /// columns are masked out of every load and store.
+    ///
+    /// # Safety
+    /// Requires AVX-512 F. For every `r < 6` and `p < kc`, `a[r] + p * a_cs`
+    /// must be readable; for `s < S`, `b + s * stride` must hold `kc * 16`
+    /// floats; for `r < rows`, `c + r * ldc` must be writable (and, with
+    /// `accumulate`, readable) for `cols <= 16 * S` floats; `bias` is null or
+    /// holds `cols` floats.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn tile_6x32_avx512<const S: usize>(
+        kc: usize,
+        a: [*const f32; 6],
+        a_cs: usize,
+        b: *const f32,
+        stride: usize,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+        accumulate: bool,
+        bias: *const f32,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); S]; 6];
+        let mut bv = [_mm512_setzero_ps(); S];
+        for p in 0..kc {
+            for (s, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(b.add(s * stride + p * 16));
+            }
+            for (row, a_row) in acc.iter_mut().zip(a) {
+                let av = _mm512_set1_ps(*a_row.add(p * a_cs));
+                for (sum, &w) in row.iter_mut().zip(&bv) {
+                    *sum = _mm512_fmadd_ps(av, w, *sum);
+                }
+            }
+        }
+        for s in 0..S {
+            // Lane `l` of strip `s` is column `16s + l`: live when below `cols`.
+            let width = cols.saturating_sub(16 * s).min(16);
+            let live: __mmask16 = ((1u32 << width) - 1) as u16;
+            for (r, row) in acc.iter().enumerate().take(rows) {
+                let dst = c.add(r * ldc + 16 * s);
+                let mut v = row[s];
+                if accumulate {
+                    v = _mm512_add_ps(_mm512_maskz_loadu_ps(live, dst), v);
+                }
+                if !bias.is_null() {
+                    v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(live, bias.add(16 * s)));
+                }
+                _mm512_mask_storeu_ps(dst, live, v);
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{min_max_avx2, quantize_span_u8_avx2, tile_q8_avx2, tile_q8_vnni};
+use x86::{min_max_avx2, quantize_span_u8_avx2, tile_q8_avx2, tile_q8_avx512, tile_q8_vnni};
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::tile_6x16_avx2;
+pub(crate) use x86::{tile_6x16_avx2, tile_6x32_avx512};
 
 /// Helpers for this crate's tier bit-identity tests.
 #[cfg(test)]
 pub(crate) mod test_util {
-    use super::{forced_scalar, set_forced_scalar};
+    use super::{on_every_tier, Site, RAN, SWEEP};
+    use std::sync::PoisonError;
 
-    /// Runs `f` on the detected tier and again with the scalar tier forced.
-    pub(crate) fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
-        let detected = f();
-        let before = forced_scalar();
-        set_forced_scalar(true);
-        let scalar = f();
-        set_forced_scalar(before);
-        (detected, scalar)
+    /// What `f` returns under every tier, after asserting that every tier
+    /// returns the same as the portable one.
+    pub(crate) fn agreed_on_every_tier<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> T {
+        let mut runs = on_every_tier(|_| f()).into_iter();
+        let (_, portable) = runs.next().expect("every CPU runs the portable tier");
+        for (tier, other) in runs {
+            assert_eq!(other, portable, "{tier:?} differs from the portable tier");
+        }
+        portable
+    }
+
+    /// Runs `f` while no [`on_every_tier`] sweep can move the cap.
+    pub(crate) fn between_sweeps<T>(f: impl FnOnce() -> T) -> T {
+        let _turn = SWEEP.lock().unwrap_or_else(PoisonError::into_inner);
+        f()
+    }
+
+    /// Bodies of `site` this thread has run, indexed by tier.
+    pub(crate) fn ran(site: Site) -> [u64; 4] {
+        RAN.with(|ran| ran.get()[site as usize])
     }
 
     pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
@@ -752,7 +998,7 @@ pub(crate) mod test_util {
 
 #[cfg(test)]
 mod tests {
-    use super::test_util::{bits, on_both_tiers};
+    use super::test_util::{agreed_on_every_tier, bits, ran};
     use super::*;
 
     #[test]
@@ -772,13 +1018,13 @@ mod tests {
             w[..k.min(2)].fill(-127);
             let mut expect = vec![0i32; m * n];
             gemm_u8i8_scalar(&a, m, &w, k, n, &mut expect);
-            let (fast, portable) = on_both_tiers(|| {
+            for (tier, out) in on_every_tier(|_| {
                 let mut out = vec![i32::MIN; m * n];
                 gemm_u8i8(&a, m, &w, k, n, &mut out);
                 out
-            });
-            assert_eq!(fast, expect, "detected tier m={m} k={k} n={n}");
-            assert_eq!(portable, expect, "portable m={m} k={k} n={n}");
+            }) {
+                assert_eq!(out, expect, "{tier:?} m={m} k={k} n={n}");
+            }
         }
     }
 
@@ -789,26 +1035,24 @@ mod tests {
             .collect();
         // Include an exact .5 product to pin ties-to-even agreement and
         // values that clamp at both ends.
-        let (fast, scalar) = on_both_tiers(|| {
+        agreed_on_every_tier(|| {
             let mut q = vec![0u8; xs.len()];
             quantize_span_u8(&xs, 2.0, 12, &mut q);
             (q, min_max(&xs))
         });
-        assert_eq!(fast, scalar);
     }
 
     #[test]
     fn min_max_answers_nan_for_any_non_finite_element() {
         let xs: Vec<f32> = (0..21).map(|i| i as f32 * 0.5 - 3.0).collect();
         assert_eq!(min_max(&xs), (-3.0, 7.0));
-        // In the vector body and in the tail, on both tiers.
+        // In the vector body and in the tail, on every tier.
         for at in [0, 7, 15, 16, 20] {
             for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                 let mut poisoned = xs.clone();
                 poisoned[at] = bad;
-                let (fast, scalar) = on_both_tiers(|| min_max(&poisoned));
-                for (mn, mx) in [fast, scalar] {
-                    assert!(mn.is_nan() && mx.is_nan(), "{bad} at {at}: ({mn}, {mx})");
+                for (tier, (mn, mx)) in on_every_tier(|_| min_max(&poisoned)) {
+                    assert!(mn.is_nan() && mx.is_nan(), "{tier:?}, {bad} at {at}: ({mn}, {mx})");
                 }
             }
         }
@@ -939,32 +1183,108 @@ mod tests {
             vals.push(((s >> 16) as f32 / 4096.0) - 8.0);
         }
         vals.extend_from_slice(&[0.0, -0.0, 1e-20, -1e-20, 40.0, -40.0]);
-        let (fast, scalar) = on_both_tiers(|| {
+        let fast = agreed_on_every_tier(|| {
             let mut v = vals.clone();
             gelu_span(&mut v);
-            v
+            bits(&v)
         });
-        assert_eq!(bits(&fast), bits(&scalar));
         // The span kernel is the elementwise definition, whatever the length.
         let each: Vec<f32> = vals.iter().map(|&x| fast_gelu(x)).collect();
-        assert_eq!(bits(&fast), bits(&each));
+        assert_eq!(fast, bits(&each));
 
         let g: Vec<f32> = vals.iter().map(|x| x * 0.37 - 1.0).collect();
-        let (fast, scalar) = on_both_tiers(|| {
+        let fast = agreed_on_every_tier(|| {
             let mut dx = vec![0.0; vals.len()];
             gelu_grad_span(&vals, &g, &mut dx);
-            dx
+            bits(&dx)
         });
-        assert_eq!(bits(&fast), bits(&scalar));
         let each: Vec<f32> = vals.iter().zip(&g).map(|(&x, &gi)| gi * fast_gelu_grad(x)).collect();
-        assert_eq!(bits(&fast), bits(&each));
+        assert_eq!(fast, bits(&each));
     }
 
     #[test]
     fn forced_scalar_pins_level() {
-        let before = forced_scalar();
-        set_forced_scalar(true);
-        assert_eq!(level(), Level::Scalar);
-        set_forced_scalar(before);
+        // A cap pins dispatch to the best supported tier under it, and every
+        // supported tier is reachable.
+        for (tier, dispatched) in on_every_tier(|_| level()) {
+            assert_eq!(dispatched, tier);
+        }
+        let restore = level();
+        test_util::between_sweeps(|| {
+            set_max_level(Level::Scalar);
+            assert_eq!(level(), Level::Scalar);
+            set_max_level(Level::Avx512);
+            assert_eq!(level(), detected());
+            set_max_level(restore);
+        });
+        assert!(supports(Level::Scalar) && supports(detected()));
+        assert!(available().all(|tier| tier <= detected()));
+    }
+
+    /// The body each call site runs for a dispatch tier. A site with no body
+    /// of a tier's own runs the best one below it; a missing `match` arm
+    /// falls through to the portable body with the same bits, and only
+    /// these counts see it.
+    fn expected_body(site: Site, tier: Level) -> Level {
+        match (site, tier) {
+            (_, Level::Scalar) => Level::Scalar,
+            (Site::TilesU8i8, tier) => tier,
+            (Site::GemmF32, Level::Avx512) => Level::Avx512,
+            _ => Level::Avx2,
+        }
+    }
+
+    #[test]
+    fn every_tier_dispatches_to_its_own_body() {
+        // Shapes with an odd and an even number of 16-column strips, and
+        // ragged row and column edges.
+        let (m, k, n) = (13usize, 40usize, 53usize);
+        let tiles = (m.div_ceil(6) * n.div_ceil(16)) as u64;
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 17) as f32 * 0.1 - 0.8).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 13) as f32 * 0.05 - 0.3).collect();
+        let (a8, w8): (Vec<u8>, Vec<i8>) = ((0..m * k).map(|i| (i * 7 % 256) as u8).collect(), (0..k * n).map(|i| (i * 5 % 255) as i8).collect());
+        let strips = pack_strips_i8(&w8, k, n);
+        let views = [crate::Tensor::from_vec(m, k, a.clone()), crate::Tensor::from_vec(7, k, b[..7 * k].to_vec())];
+        let counted = |site: Site, run: &mut dyn FnMut()| {
+            let before = ran(site);
+            run();
+            let after = ran(site);
+            std::array::from_fn::<u64, 4, _>(|t| after[t] - before[t])
+        };
+        let labels = on_every_tier(|tier| {
+            let only = |site: Site, n: u64| {
+                let mut want = [0u64; 4];
+                want[expected_body(site, tier) as usize] = n;
+                want
+            };
+            let mut out = vec![0.0f32; m * n];
+            let got = counted(Site::GemmF32, &mut || crate::kernels::gemm_nn(m, k, n, &a, &b, &mut out));
+            assert_eq!(got, only(Site::GemmF32, tiles), "{tier:?}: gemm_nn");
+            // The attention-over-attention op multiplies through a packed
+            // panel it holds itself: two `Iᵀ` products of 7 rows by 13
+            // columns, and nothing else in its forward is a GEMM.
+            let got = counted(Site::GemmF32, &mut || {
+                let [e1, e2] = &views;
+                let pair = |t| [crate::RowView::Tensor(t), crate::RowView::Tensor(t)];
+                crate::Graph::new().aoa_pool(&pair(e1), &pair(e2));
+            });
+            assert_eq!(got, only(Site::GemmF32, 2 * (7usize.div_ceil(6) * m.div_ceil(16)) as u64), "{tier:?}: aoa_pool");
+            let got = counted(Site::TilesU8i8, &mut || tiles_u8i8(level(), &a8, m, k, &strips, k / 4, n, |_, _, _, _, _| {}));
+            assert_eq!(got, only(Site::TilesU8i8, tiles), "{tier:?}: tiles_u8i8");
+            let mut q = vec![0u8; k];
+            let got = counted(Site::QuantizeSpan, &mut || quantize_span_u8(&a[..k], 3.0, 7, &mut q));
+            assert_eq!(got, only(Site::QuantizeSpan, 1), "{tier:?}: quantize_span_u8");
+            let got = counted(Site::MinMax, &mut || {
+                min_max(&a[..k]);
+            });
+            assert_eq!(got, only(Site::MinMax, 1), "{tier:?}: min_max");
+            crate::backend::Backend::name(&crate::backend::Int8Backend)
+        });
+        // Reports name the int8 body that served them: one label per tier.
+        let names: Vec<&str> = labels.iter().map(|&(_, name)| name).collect();
+        assert!(names.iter().enumerate().all(|(i, l)| !names[..i].contains(l)), "{names:?}");
+        if let Some(&(_, name)) = labels.iter().find(|(tier, _)| *tier == Level::Avx512) {
+            assert_eq!(name, "int8-avx512-vnni");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The fused attention-over-attention op (`Graph::aoa_pool`) held to its
-//! contract: the forward is a fixed arithmetic, bit for bit, on both SIMD
-//! tiers; a pair's bits do not depend on the launch around it or on whether
+//! contract: the forward is a fixed arithmetic, bit for bit, on every SIMD
+//! tier this CPU runs; a pair's bits do not depend on the launch around it or on whether
 //! its packed `E1` was reused; scratch never leaks between pairs; gradients
 //! match the per-pair composition of general tape ops; an empty side and a
 //! non-finite input keep their documented results.
@@ -13,16 +13,6 @@ use rand::{Rng, SeedableRng};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Runs `f` on the detected tier and again with the scalar tier forced.
-fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
-    let detected = f();
-    let before = simd::forced_scalar();
-    simd::set_forced_scalar(true);
-    let scalar = f();
-    simd::set_forced_scalar(before);
-    (detected, scalar)
 }
 
 fn encoding(rng: &mut StdRng, rows: usize, h: usize) -> Tensor {
@@ -89,22 +79,21 @@ fn forward_matches_the_public_kernel_arithmetic_on_both_tiers() {
             .map(|(m, n)| (encoding(&mut rng, m, h), encoding(&mut rng, n, h)))
             .collect();
         let pairs: Vec<(&Tensor, &Tensor)> = operands.iter().map(|(a, b)| (a, b)).collect();
-        let (detected, scalar) = on_both_tiers(|| launch(&pairs));
-        assert_eq!(bits(detected.0.data()), bits(scalar.0.data()), "h {h}: pooled differs across tiers");
-        assert_eq!(bits(detected.1.data()), bits(scalar.1.data()), "h {h}: gamma differs across tiers");
-        let (pooled, gamma) = detected;
-        assert_eq!(pooled.shape(), (pairs.len(), h));
-        let mut at = 0;
-        for (idx, (e1, e2)) in pairs.iter().enumerate() {
-            let (m, n) = (e1.rows(), e2.rows());
-            let (want_pooled, want_gamma) = reference_pair(e1, e2);
-            assert_eq!(bits(pooled.row_slice(idx)), bits(&want_pooled), "h {h} pair {m}x{n}: pooled");
-            assert_eq!(bits(&gamma.data()[at..at + m]), bits(&want_gamma), "h {h} pair {m}x{n}: gamma");
-            let total: f32 = want_gamma.iter().sum();
-            assert!((total - 1.0).abs() < 1e-4, "h {h} pair {m}x{n}: gamma sums to {total}");
-            at += m;
+        // One reference; every tier's launch must reproduce its bits.
+        let reference: Vec<_> = pairs.iter().map(|(e1, e2)| reference_pair(e1, e2)).collect();
+        for (tier, (pooled, gamma)) in simd::on_every_tier(|_| launch(&pairs)) {
+            assert_eq!(pooled.shape(), (pairs.len(), h));
+            let mut at = 0;
+            for (idx, ((e1, e2), (want_pooled, want_gamma))) in pairs.iter().zip(&reference).enumerate() {
+                let (m, n) = (e1.rows(), e2.rows());
+                assert_eq!(bits(pooled.row_slice(idx)), bits(want_pooled), "{tier:?} h {h} pair {m}x{n}: pooled");
+                assert_eq!(bits(&gamma.data()[at..at + m]), bits(want_gamma), "{tier:?} h {h} pair {m}x{n}: gamma");
+                let total: f32 = want_gamma.iter().sum();
+                assert!((total - 1.0).abs() < 1e-4, "h {h} pair {m}x{n}: gamma sums to {total}");
+                at += m;
+            }
+            assert_eq!(gamma.shape(), (at, 1));
         }
-        assert_eq!(gamma.shape(), (at, 1));
     }
 }
 
@@ -302,10 +291,13 @@ fn backward_is_bit_identical_across_tiers_and_leaves_detached_views_alone() {
         let grads = g.backward(g.mean_all(g.mul(pooled, pooled)));
         (bits(grads.get(v1).unwrap().data()), bits(grads.get(v2).unwrap().data()))
     };
-    let (detected, scalar) = on_both_tiers(run);
-    assert_eq!(detected, scalar);
+    let runs = simd::on_every_tier(|_| run());
+    let (_, portable) = &runs[0];
+    for (tier, grads) in &runs {
+        assert_eq!(grads, portable, "{tier:?}");
+    }
     // Rows 0..2 and 5..9 of E2 are read by pair 0 only; every row got some.
-    assert!(detected.1.chunks(h).all(|row| row.iter().any(|&b| f32::from_bits(b) != 0.0)));
+    assert!(portable.1.chunks(h).all(|row| row.iter().any(|&b| f32::from_bits(b) != 0.0)));
 }
 
 // ----- (e) an empty side ---------------------------------------------------------

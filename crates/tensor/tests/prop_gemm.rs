@@ -4,8 +4,10 @@
 //! of the shared dimension, the one chain `acc = fma(A(i,p), B(p,j), acc)`
 //! for `p` ascending from zero, the slices summed in order, then the
 //! epilogue. That chain is spelled out here with `f32::mul_add` and compared
-//! **bit for bit** on both SIMD tiers, over shapes that straddle the 6-row,
-//! 16-column and `KC` edges, with every operand a view (leading dimension
+//! **bit for bit** on every SIMD tier this CPU runs, over shapes that
+//! straddle the 6-row, 16- and 32-column and `KC` edges (an odd and an even
+//! number of 16-column strips, for the AVX-512 tile's strip pairs), with
+//! every operand a view (leading dimension
 //! wider than the view, non-zero column offset) into a buffer of canary
 //! words that must come back untouched. The grouped attention ops that hand
 //! such views to the kernel are checked at the tape level: head views against
@@ -19,21 +21,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const MS: [usize; 5] = [1, 5, 6, 7, 13];
-const NS: [usize; 6] = [1, 2, 15, 16, 17, 130];
+const NS: [usize; 10] = [1, 2, 15, 16, 17, 31, 32, 33, 48, 130];
 const KS: [usize; 6] = [1, 32, 100, 256, 257, 600];
 
 /// A quiet NaN with a payload no arithmetic here produces.
 const CANARY: u32 = 0x7fc0_beef;
-
-/// Runs `f` on the detected tier and again with the scalar tier forced.
-fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
-    let detected = f();
-    let before = simd::forced_scalar();
-    simd::set_forced_scalar(true);
-    let scalar = f();
-    simd::set_forced_scalar(before);
-    (detected, scalar)
-}
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -223,26 +215,23 @@ fn every_element_is_the_fma_chain_then_the_epilogue_bit_for_bit() {
                             gemm(&a, &b, m, k, n, out.view(), ld, ep);
                             (out, pre)
                         };
-                        let ((out, pre), (out_scalar, pre_scalar)) = on_both_tiers(run);
-                        assert_eq!(bits(&out.buf), bits(&out_scalar.buf), "{tag}: tiers differ");
-                        assert_eq!(
-                            bits(&pre),
-                            bits(&pre_scalar),
-                            "{tag}: tiers differ in the saved pre-activation"
-                        );
-                        assert!(
-                            out.canaries_intact(),
-                            "{tag}: wrote outside the output view"
-                        );
-                        let pre_touched = epilogue == 3;
-                        assert!(
-                            pre[..11]
-                                .iter()
-                                .chain(&pre[11 + m * n..])
-                                .all(|v| v.to_bits() == CANARY)
-                                && (pre_touched || pre.iter().all(|v| v.to_bits() == CANARY)),
-                            "{tag}: wrote outside the pre-activation buffer"
-                        );
+                        let runs = simd::on_every_tier(|_| run());
+                        for (tier, (out, pre)) in &runs {
+                            assert!(
+                                out.canaries_intact(),
+                                "{tag} {tier:?}: wrote outside the output view"
+                            );
+                            let pre_touched = epilogue == 3;
+                            assert!(
+                                pre[..11]
+                                    .iter()
+                                    .chain(&pre[11 + m * n..])
+                                    .all(|v| v.to_bits() == CANARY)
+                                    && (pre_touched
+                                        || pre.iter().all(|v| v.to_bits() == CANARY)),
+                                "{tag} {tier:?}: wrote outside the pre-activation buffer"
+                            );
+                        }
                         for i in 0..m {
                             for j in 0..n {
                                 let start = (epilogue == 1).then(|| prior[i * n + j]);
@@ -250,20 +239,25 @@ fn every_element_is_the_fma_chain_then_the_epilogue_bit_for_bit() {
                                 if epilogue >= 2 {
                                     want += bias[j];
                                 }
+                                let pre_want = want;
                                 if epilogue == 3 {
-                                    assert_eq!(
-                                        pre[11 + i * n + j].to_bits(),
-                                        want.to_bits(),
-                                        "{tag}: pre[{i},{j}]"
-                                    );
                                     want = simd::fast_gelu(want);
                                 }
-                                assert_eq!(
-                                    out.at(i, j).to_bits(),
-                                    want.to_bits(),
-                                    "{tag}: C[{i},{j}] = {} want {want}",
-                                    out.at(i, j)
-                                );
+                                for (tier, (out, pre)) in &runs {
+                                    if epilogue == 3 {
+                                        assert_eq!(
+                                            pre[11 + i * n + j].to_bits(),
+                                            pre_want.to_bits(),
+                                            "{tag} {tier:?}: pre[{i},{j}]"
+                                        );
+                                    }
+                                    assert_eq!(
+                                        out.at(i, j).to_bits(),
+                                        want.to_bits(),
+                                        "{tag} {tier:?}: C[{i},{j}] = {} want {want}",
+                                        out.at(i, j)
+                                    );
+                                }
                             }
                         }
                     }

@@ -1,5 +1,5 @@
 //! The int8 GEMM path held to its definitions, bit for bit: the 6 x 16 tile
-//! (VNNI, AVX2 and portable bodies) against one scalar dot product per
+//! (AVX-512, VNNI, AVX2 and portable bodies) against one scalar dot product per
 //! output, the fused epilogue against the unfused quantize / multiply /
 //! rescale / activate sequence, and the tape's shared `QuantizedRows`
 //! against quantizing per use.
@@ -28,22 +28,6 @@ impl Lcg {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Every body this machine can run, portable first.
-fn bodies() -> Vec<Level> {
-    [Level::Scalar, Level::Avx2, Level::Avx2Vnni].into_iter().filter(|&l| l <= simd::detected()).collect()
-}
-
-/// Runs `f` on the dispatched tier and again with the portable one forced.
-fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
-    let before = simd::forced_scalar();
-    simd::set_forced_scalar(false);
-    let detected = f();
-    simd::set_forced_scalar(true);
-    let scalar = f();
-    simd::set_forced_scalar(before);
-    (detected, scalar)
 }
 
 /// `A · W` through `tiles_u8i8` at `level`, with `A` at row stride `lda`.
@@ -90,18 +74,17 @@ fn every_tile_body_matches_the_scalar_definition() {
                 }
                 let strips = simd::pack_strips_i8(&w, k, n);
                 assert_eq!(strips.len(), n.div_ceil(16) * k.div_ceil(4) * 64, "documented extent");
-                for level in bodies() {
+                for level in simd::available() {
                     let got = run_tiles(level, &canvas[16..16 + (m - 1) * lda + k.next_multiple_of(4)], m, lda, &strips, k, n);
                     assert_eq!(got, expect, "{level:?} m={m} k={k} n={n}");
                 }
-                let (fast, portable) = on_both_tiers(|| {
+                for (tier, acc) in simd::on_every_tier(|_| {
                     let mut acc = vec![i32::MIN; 8 + m * n + 8];
                     simd::gemm_u8i8(&a, m, &w, k, n, &mut acc[8..8 + m * n]);
                     acc
-                });
-                for acc in [fast, portable] {
-                    assert_eq!(&acc[8..8 + m * n], &expect[..], "gemm_u8i8 m={m} k={k} n={n}");
-                    assert!(acc[..8].iter().chain(&acc[8 + m * n..]).all(|&v| v == i32::MIN), "canary m={m} k={k} n={n}");
+                }) {
+                    assert_eq!(&acc[8..8 + m * n], &expect[..], "gemm_u8i8 {tier:?} m={m} k={k} n={n}");
+                    assert!(acc[..8].iter().chain(&acc[8 + m * n..]).all(|&v| v == i32::MIN), "canary {tier:?} m={m} k={k} n={n}");
                 }
             }
         }
@@ -123,7 +106,7 @@ fn a_rows_padding_never_reaches_a_sum() {
         canvas[r * lda..][..k].copy_from_slice(&a[r * k..(r + 1) * k]);
     }
     let strips = simd::pack_strips_i8(&w, k, n);
-    for level in bodies() {
+    for level in simd::available() {
         assert_eq!(run_tiles(level, &canvas, m, lda, &strips, k, n), expect, "{level:?}");
     }
 }
@@ -220,10 +203,10 @@ fn fused_epilogue_matches_the_unfused_forward_bit_for_bit() {
             if m >= 5 {
                 assert!(wide > 0 && narrow > 0 && constant > 0, "m={m} k={k} n={n}: {wide} i64 / {narrow} i32 / {constant} constant rows");
             }
-            let (fast, portable) = on_both_tiers(|| linear_q8_forward(&x, &q, &bias, gelu));
             let expect: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits(&fast), expect, "detected tier m={m} k={k} n={n} gelu={gelu}");
-            assert_eq!(bits(&portable), expect, "portable m={m} k={k} n={n} gelu={gelu}");
+            for (tier, out) in simd::on_every_tier(|_| linear_q8_forward(&x, &q, &bias, gelu)) {
+                assert_eq!(bits(&out), expect, "{tier:?} m={m} k={k} n={n} gelu={gelu}");
+            }
         }
     }
 }
@@ -251,22 +234,20 @@ fn a_non_finite_element_makes_its_whole_row_nan_on_every_tier() {
     let x = Tensor::from_vec(9, 40, x);
     let q = QuantizedMatrix::quantize(&w);
     for gelu in [false, true] {
-        let (fast, portable) = on_both_tiers(|| linear_q8_forward(&x, &q, &bias, gelu));
-        for (tier, out) in [("detected", fast), ("portable", portable)] {
+        for (tier, out) in simd::on_every_tier(|_| linear_q8_forward(&x, &q, &bias, gelu)) {
             for r in 0..9 {
                 let row = &out.data()[r * 16..(r + 1) * 16];
                 if r % 2 == 1 {
-                    assert!(row.iter().all(|v| v.is_nan()), "{tier} gelu={gelu}: poisoned row {r} is {row:?}");
+                    assert!(row.iter().all(|v| v.is_nan()), "{tier:?} gelu={gelu}: poisoned row {r} is {row:?}");
                 } else {
-                    assert!(row.iter().all(|v| v.is_finite()), "{tier} gelu={gelu}: clean row {r} is {row:?}");
+                    assert!(row.iter().all(|v| v.is_finite()), "{tier:?} gelu={gelu}: clean row {r} is {row:?}");
                 }
             }
         }
     }
     let mut q8 = [0u8; 40];
-    let (fast, portable) = on_both_tiers(|| quantize_row_u8(&x.data()[40..80], &mut q8.clone()));
-    for rq in [fast, portable] {
-        assert!(matches!(rq, RowQuant::Constant(c) if c.is_nan()), "{rq:?}");
+    for (tier, rq) in simd::on_every_tier(|_| quantize_row_u8(&x.data()[40..80], &mut q8.clone())) {
+        assert!(matches!(rq, RowQuant::Constant(c) if c.is_nan()), "{tier:?}: {rq:?}");
     }
     assert!(matches!(quantize_row_u8(&x.data()[..40], &mut q8), RowQuant::Affine { .. }));
 }
@@ -348,12 +329,16 @@ fn quantize_span_matches_its_scalar_twin_at_every_length() {
         let xs: Vec<f32> = (0..len).map(|i| if i % 11 == 0 { 0.25 * (i as f32 - 20.0) } else { 300.0 * rng.unit() - 100.0 }).collect();
         let mut expect = vec![0u8; len];
         simd::quantize_span_u8_scalar(&xs, 2.0, -37, &mut expect);
-        let mut got = vec![0xEEu8; len + 2];
-        simd::quantize_span_u8(&xs, 2.0, -37, &mut got[1..len + 1]);
-        assert_eq!(&got[1..len + 1], &expect[..], "len {len}");
-        assert_eq!((got[0], got[len + 1]), (0xEE, 0xEE), "len {len}: wrote outside the span");
-        let (fast, portable) = on_both_tiers(|| simd::min_max(&xs));
-        assert_eq!(fast, portable, "min_max len {len}");
+        let runs = simd::on_every_tier(|_| {
+            let mut got = vec![0xEEu8; len + 2];
+            simd::quantize_span_u8(&xs, 2.0, -37, &mut got[1..len + 1]);
+            (got, simd::min_max(&xs))
+        });
+        for (tier, (got, min_max)) in &runs {
+            assert_eq!(&got[1..len + 1], &expect[..], "{tier:?} len {len}");
+            assert_eq!((got[0], got[len + 1]), (0xEE, 0xEE), "{tier:?} len {len}: wrote outside the span");
+            assert_eq!(*min_max, runs[0].1 .1, "{tier:?} min_max len {len}");
+        }
     }
 }
 

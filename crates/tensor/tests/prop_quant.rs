@@ -264,8 +264,8 @@ fn constant_and_positive_rows_stay_exact_or_affine() {
 fn scalar_and_simd_forwards_agree_bitwise() {
     // The integer GEMM is exact at every tier, quantization rounds
     // ties-to-even at every tier, and the rescale applies identical f32 ops
-    // per element, so forcing the scalar path must reproduce the SIMD
-    // result bit-for-bit.
+    // per element, so every tier must reproduce the portable result
+    // bit-for-bit.
     let mut vals = Vec::new();
     let mut s = 0x9e37_79b9u32;
     for _ in 0..(7 * 67 + 67 * 5 + 5) {
@@ -276,10 +276,8 @@ fn scalar_and_simd_forwards_agree_bitwise() {
     let w = Tensor::from_vec(67, 5, vals[7 * 67..7 * 67 + 67 * 5].to_vec());
     let b = Tensor::from_vec(1, 5, vals[7 * 67 + 67 * 5..].to_vec());
     let q = QuantizedMatrix::quantize(&w);
-    let before = simd::forced_scalar();
-    let fast = linear_q8_forward(&x, &q, &b, true);
-    simd::set_forced_scalar(true);
-    let scalar = linear_q8_forward(&x, &q, &b, true);
-    simd::set_forced_scalar(before);
-    assert_eq!(fast.data(), scalar.data());
+    let runs = simd::on_every_tier(|_| linear_q8_forward(&x, &q, &b, true));
+    for (tier, out) in &runs {
+        assert_eq!(out.data(), runs[0].1.data(), "{tier:?} differs from the portable tier");
+    }
 }

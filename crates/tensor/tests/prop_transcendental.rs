@@ -227,8 +227,8 @@ proptest! {
     }
 }
 
-/// Graph-level twin of the kernel tier tests: forcing the scalar tier changes
-/// no bit of gelu, softmax, attention or layer-norm, forward or backward.
+/// Graph-level twin of the kernel tier tests: no tier changes a bit of gelu,
+/// softmax, attention or layer-norm, forward or backward.
 #[test]
 fn ops_are_bit_identical_across_tiers() {
     let data: Vec<f32> = (0..9 * 21).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.11).collect();
@@ -247,10 +247,8 @@ fn ops_are_bit_identical_across_tiers() {
         out.extend(bits(grads.get(gamma).unwrap().data()));
         out
     };
-    let detected = run();
-    let before = simd::forced_scalar();
-    simd::set_forced_scalar(true);
-    let scalar = run();
-    simd::set_forced_scalar(before);
-    assert_eq!(detected, scalar);
+    let runs = simd::on_every_tier(|_| run());
+    for (tier, out) in &runs {
+        assert_eq!(out, &runs[0].1, "{tier:?} differs from the portable tier");
+    }
 }

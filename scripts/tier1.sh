@@ -13,15 +13,17 @@ cargo clippy --workspace -- -D warnings
 # private item) fail here rather than rot.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# Forced-scalar leg: the tensor and nn crates' whole suites again with every
-# `simd::level()` dispatch pinned to the portable definitions (both GEMM
-# tiles, f32 and u8xi8, and the quantization passes), so those run on AVX2
-# CI boxes too and not only inside the in-process `set_forced_scalar` tests
-# (`tests/prop_q8.rs` also calls each int8 tile body directly); the suite's
-# `forced_scalar_env_runs_the_portable_tile` fails if GEMM bypasses it, and
-# nn's `tests/eval_bits.rs` holds the forward-only encoder to the tape on
-# the portable tiles. Core's `tests/infer_bits.rs` does the same for joint
-# inference (`Matcher::infer_batch`) on every model of Tables 2 and 4.
+# Forced-scalar leg: the tensor and nn crates' whole suites again with the
+# `simd::level()` cap at the portable tier (both GEMM tiles, f32 and u8xi8,
+# and the quantization passes), so every test that does not sweep the tiers
+# itself runs the portable definitions too; the sweeping tests
+# (`simd::on_every_tier`, used by the tensor suites and serve's
+# `scoring_oracle`) already run every tier the CPU has, AVX-512 included.
+# The suite's `forced_scalar_env_runs_the_portable_tile` fails if GEMM
+# bypasses the cap, and nn's `tests/eval_bits.rs` holds the forward-only
+# encoder to the tape on the portable tiles. Core's `tests/infer_bits.rs`
+# does the same for joint inference (`Matcher::infer_batch`) on every model
+# of Tables 2 and 4.
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor -p emba-nn
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --test infer_bits
 
