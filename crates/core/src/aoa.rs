@@ -21,12 +21,14 @@
 //! representation for the downstream tasks", every softmax here normalizes
 //! only over a pair's own tokens. [`attention_over_attention`] spells the six
 //! steps out in general tape ops and keeps every intermediate — the readable
-//! reference for the explanations and the tests' oracle. The model runs
-//! [`attention_over_attention_batch`]: one tape op ([`Graph::aoa_pool`]) over
-//! row views of each pair's `E1` / `E2`, a pair at a time in a cache-resident
-//! workspace with no padding at all, keeping only the pooled rows and γ.
+//! reference for the explanations and the tests' oracle. The models run one
+//! fused op instead, a pair at a time in a cache-resident workspace with no
+//! padding at all, keeping only the pooled rows and γ: [`Graph::aoa_pool`]
+//! over the groups of two packed nodes when training, and its forward loop
+//! [`emba_tensor::fwd::aoa_pool_into`] over cached encodings, with no tape,
+//! when scoring.
 
-use emba_tensor::{Graph, RowView, Tensor, Var};
+use emba_tensor::{Graph, Var};
 
 /// Handles to every intermediate of one AOA application, kept for the
 //  ablation study and the attention analyses.
@@ -67,33 +69,10 @@ pub fn attention_over_attention(g: &Graph, e1: Var, e2: Var) -> AoaOutput {
     }
 }
 
-/// What one **batched** AOA application over `G` record pairs produces.
-pub struct AoaBatchOutput {
-    /// `[G, h]` pooled pair representations, one row per pair.
-    pub pooled: Var,
-    /// `[ΣM, 1]` per-RECORD1-token importances, pair after pair. Each pair's
-    /// segment sums to 1. Off the tape: nothing differentiates through it.
-    pub gamma: Tensor,
-}
-
-/// Applies attention-over-attention to a whole mini-batch of record pairs in
-/// one tape op.
-///
-/// Pair `i` is `left[i]` (its RECORD1 tokens) against `right[i]`. A view is
-/// a group of a packed batch (`RowGroups::row_views`) in the joint forward pass and
-/// a whole cached encoding when scoring; consecutive pairs whose left views
-/// are the same rows share one packing of `E1`. Semantically identical to
-/// calling [`attention_over_attention`] per pair.
-pub fn attention_over_attention_batch(g: &Graph, left: &[RowView<'_>], right: &[RowView<'_>]) -> AoaBatchOutput {
-    let _scope = emba_tensor::prof::scope("aoa");
-    let (pooled, gamma) = g.aoa_pool(left, right);
-    AoaBatchOutput { pooled, gamma }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emba_tensor::RowGroups;
+    use emba_tensor::{RowGroups, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -238,9 +217,8 @@ mod tests {
         let g = Graph::new();
         let e1 = g.leaf(Tensor::concat_rows(&e1_all));
         let e2 = g.leaf(Tensor::concat_rows(&e2_all));
-        let batch = attention_over_attention_batch(&g, &g1.row_views(e1), &g2.row_views(e2));
-        let pooled = g.value(batch.pooled);
-        let gamma = batch.gamma;
+        let (pooled, gamma) = g.aoa_pool(e1, &g1, e2, &g2);
+        let pooled = g.value(pooled);
         assert_eq!(pooled.shape(), (3, h));
         assert_eq!(gamma.shape(), (g1.total(), 1));
 
@@ -271,8 +249,8 @@ mod tests {
         emba_tensor::gradcheck::check_gradients(
             &[e1, e2],
             |g, vars| {
-                let out = attention_over_attention_batch(g, &g1.row_views(vars[0]), &g2.row_views(vars[1]));
-                let sq = g.mul(out.pooled, out.pooled);
+                let (pooled, _) = g.aoa_pool(vars[0], &g1, vars[1], &g2);
+                let sq = g.mul(pooled, pooled);
                 g.mean_all(sq)
             },
             1e-2,

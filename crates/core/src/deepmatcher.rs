@@ -14,7 +14,7 @@ use emba_nn::{BiGru, Embedding, GraphStamp, Linear, Module, Param};
 use emba_tensor::{Graph, Var};
 use rand::RngCore;
 
-use crate::models::{Matcher, ModelOutput};
+use crate::models::{BatchOutput, Matcher};
 use crate::pipeline::EncodedExample;
 
 /// Hyperparameters for [`DeepMatcher`].
@@ -106,17 +106,9 @@ impl DeepMatcher {
         }
         out
     }
-}
 
-impl Matcher for DeepMatcher {
-    fn forward(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        ex: &EncodedExample,
-        _train: bool,
-        _rng: &mut dyn RngCore,
-    ) -> ModelOutput {
+    /// One example's loss and match probability.
+    fn forward_one(&self, g: &Graph, stamp: GraphStamp, ex: &EncodedExample) -> (Var, f32) {
         let mut pairs = Self::aligned(&ex.left_attrs, &ex.right_attrs);
         let flat_left: Vec<usize>;
         let flat_right: Vec<usize>;
@@ -148,11 +140,37 @@ impl Matcher for DeepMatcher {
         let loss = g.cross_entropy_weighted(logits, &[target], Some(&self.class_weights));
 
         let probs = g.value(logits).softmax_rows();
-        ModelOutput {
-            loss,
-            match_prob: probs.get(0, 1),
-            id1_pred: None,
-            id2_pred: None,
+        (loss, probs.get(0, 1))
+    }
+}
+
+impl Matcher for DeepMatcher {
+    /// The examples one after another on the shared tape: DeepMatcher has
+    /// no batched pass.
+    fn forward_batch(
+        &self,
+        g: &Graph,
+        stamp: GraphStamp,
+        exs: &[&EncodedExample],
+        _train: bool,
+        _rng: &mut dyn RngCore,
+    ) -> BatchOutput {
+        assert!(!exs.is_empty(), "cannot run an empty batch");
+        let mut loss: Option<Var> = None;
+        let mut example_losses = Vec::with_capacity(exs.len());
+        let mut match_probs = Vec::with_capacity(exs.len());
+        for ex in exs {
+            let (ex_loss, prob) = self.forward_one(g, stamp, ex);
+            example_losses.push(g.value(ex_loss).item());
+            loss = Some(loss.map_or(ex_loss, |acc| g.add(acc, ex_loss)));
+            match_probs.push(prob);
+        }
+        BatchOutput {
+            loss: loss.expect("non-empty batch"),
+            example_losses,
+            match_probs,
+            id1_preds: None,
+            id2_preds: None,
             attention: None,
             gamma: None,
         }
@@ -219,8 +237,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward(&g, GraphStamp::next(), &exs[0], false, &mut rng);
-        assert!((0.0..=1.0).contains(&out.match_prob));
+        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        assert!((0.0..=1.0).contains(&out.match_probs[0]));
         assert!(g.value(out.loss).item().is_finite());
     }
 
@@ -232,8 +250,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward(&g, GraphStamp::next(), &exs[0], false, &mut rng);
-        assert!(out.match_prob.is_finite());
+        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        assert!(out.match_probs[0].is_finite());
     }
 
     #[test]
@@ -253,7 +271,7 @@ mod tests {
         let mut model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
         let stamp = GraphStamp::next();
-        let out = model.forward(&g, stamp, &exs[0], true, &mut rng);
+        let out = model.forward_batch(&g, stamp, &[&exs[0]], true, &mut rng);
         let grads = g.backward(out.loss);
         model.zero_grads();
         model.accumulate_gradients(&grads);
@@ -281,7 +299,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward(&g, GraphStamp::next(), &exs[0], false, &mut rng);
-        assert!(out.match_prob.is_finite());
+        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        assert!(out.match_probs[0].is_finite());
     }
 }

@@ -1,6 +1,7 @@
 //! Task heads: learned token aggregation for the entity-ID tasks and the
 //! binary match classifier.
 
+use emba_nn::eval::Exec;
 use emba_nn::{GraphStamp, Linear, Module, Param};
 use emba_tensor::{Graph, RowGroups, Var};
 use rand::Rng;
@@ -120,6 +121,13 @@ impl MatchHead {
     /// `[1, 1]` match logit.
     pub fn forward(&self, g: &Graph, stamp: GraphStamp, pooled: Var) -> Var {
         self.proj.forward(g, stamp, pooled)
+    }
+
+    /// The `[G, 1]` logits [`MatchHead::forward`] records for the `[G, dim]`
+    /// rows `pooled`, off the tape through `ex`.
+    pub(crate) fn logits_into(&self, ex: &mut Exec, pooled: &[f32], out: &mut [f32]) {
+        let input = ex.input();
+        ex.linear(&self.proj, pooled, input, out, None);
     }
 }
 

@@ -216,13 +216,13 @@ mod tests {
             let model = kind.build(&pipe, ds.num_classes, 0.25, crate::DEFAULT_DROPOUT, &mut rng);
             let ex = pipe.encode_example(&ds.train[0]);
             let g = Graph::new();
-            let out = model.forward(&g, GraphStamp::next(), &ex, false, &mut rng);
+            let out = model.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng);
             assert!(
-                out.match_prob.is_finite(),
+                out.match_probs[0].is_finite(),
                 "{} produced a non-finite probability",
                 kind.name()
             );
-            assert_eq!(out.id1_pred.is_some(), kind.is_multitask(), "{}", kind.name());
+            assert_eq!(out.id1_preds.is_some(), kind.is_multitask(), "{}", kind.name());
         }
     }
 

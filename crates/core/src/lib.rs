@@ -65,8 +65,7 @@ pub use heads::{MatchHead, TokenAggregationHead};
 pub use kind::ModelKind;
 pub use metrics::{id_metrics, match_metrics, IdMetrics, MatchMetrics};
 pub use models::{
-    numeric_vocab_table, AuxStrategy, BatchOutput, EmStrategy, Inference, Matcher, ModelOutput,
-    TransformerMatcher,
+    numeric_vocab_table, AuxStrategy, BatchOutput, EmStrategy, Inference, Matcher, TransformerMatcher,
 };
 pub use pipeline::{EncodedExample, PipelineConfig, TextPipeline};
 pub use resume::{DurabilityConfig, TrainState};

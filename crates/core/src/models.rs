@@ -19,11 +19,11 @@
 //! | BERT / RoBERTa / DITTO | `[CLS]`           | none (single task)       |
 //! | JointMatcher   | `[CLS]` ‖ relevance ‖ numeric pools | none           |
 
+use emba_nn::eval::Exec;
 use emba_nn::{GraphStamp, Module, Param};
-use emba_tensor::{Graph, RowGroups, RowView, Tensor, Var};
+use emba_tensor::{backend, fwd, pool, prof, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 
-use crate::aoa::attention_over_attention_batch;
 use crate::backbone::Backbone;
 use crate::heads::{MatchHead, TokenAggregationHead};
 use crate::pipeline::EncodedExample;
@@ -62,24 +62,6 @@ pub enum AuxStrategy {
     TokenAvg,
     /// EMBA's learned token aggregation.
     TokenAttention,
-}
-
-/// Output of one matcher forward pass.
-pub struct ModelOutput {
-    /// Total training loss (Eq. 3 for multi-task models; BCE alone for
-    /// single-task ones).
-    pub loss: Var,
-    /// Match probability.
-    pub match_prob: f32,
-    /// Predicted entity-ID class for RECORD1 (multi-task models only).
-    pub id1_pred: Option<usize>,
-    /// Predicted entity-ID class for RECORD2.
-    pub id2_pred: Option<usize>,
-    /// Summed last-layer self-attention `[seq, seq]`, when the backbone has
-    /// attention (used by the Figure 6 visualization).
-    pub attention: Option<Tensor>,
-    /// AOA γ over RECORD1 token positions, when the EM strategy is AOA.
-    pub gamma: Option<Tensor>,
 }
 
 /// Output of one batched matcher forward pass over `B` examples.
@@ -128,23 +110,10 @@ pub struct Inference {
 /// [`Matcher::encode_records_standalone`] and pairs them with
 /// [`Matcher::score_encoded_pairs`].
 pub trait Matcher: Module {
-    /// Runs one example through the model.
-    fn forward(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        ex: &EncodedExample,
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> ModelOutput;
-
     /// Runs a mini-batch of examples through the model on one shared tape,
     /// returning the **summed** loss: the training path, and the oracle
-    /// [`Matcher::infer_batch`] is held to.
-    ///
-    /// The default implementation loops [`Matcher::forward`] — correct for
-    /// any matcher, with no speedup. [`TransformerMatcher`] overrides it with
-    /// a row-packed batched pass.
+    /// [`Matcher::infer_batch`] is held to. [`TransformerMatcher`] runs one
+    /// row-packed batched pass; [`crate::DeepMatcher`] loops its examples.
     fn forward_batch(
         &self,
         g: &Graph,
@@ -152,44 +121,7 @@ pub trait Matcher: Module {
         exs: &[&EncodedExample],
         train: bool,
         rng: &mut dyn RngCore,
-    ) -> BatchOutput {
-        assert!(!exs.is_empty(), "cannot run an empty batch");
-        let mut loss: Option<Var> = None;
-        let mut example_losses = Vec::with_capacity(exs.len());
-        let mut match_probs = Vec::with_capacity(exs.len());
-        let mut id1_preds = Vec::new();
-        let mut id2_preds = Vec::new();
-        let mut attention = None;
-        let mut gamma = None;
-        for ex in exs {
-            let out = self.forward(g, stamp, ex, train, rng);
-            example_losses.push(g.value(out.loss).item());
-            loss = Some(match loss {
-                Some(acc) => g.add(acc, out.loss),
-                None => out.loss,
-            });
-            match_probs.push(out.match_prob);
-            if let Some(p) = out.id1_pred {
-                id1_preds.push(p);
-            }
-            if let Some(p) = out.id2_pred {
-                id2_preds.push(p);
-            }
-            if exs.len() == 1 {
-                attention = out.attention;
-                gamma = out.gamma;
-            }
-        }
-        BatchOutput {
-            loss: loss.expect("non-empty batch"),
-            example_losses,
-            match_probs,
-            id1_preds: (!id1_preds.is_empty()).then_some(id1_preds),
-            id2_preds: (!id2_preds.is_empty()).then_some(id2_preds),
-            attention,
-            gamma,
-        }
-    }
+    ) -> BatchOutput;
 
     /// Scores a batch of examples in eval mode (no dropout, no loss): the
     /// probabilities, ID predictions and `B = 1` visualizations
@@ -229,7 +161,8 @@ pub trait Matcher: Module {
     /// Scores candidate pairs of cached per-record encodings through the
     /// pair-combination module and match head only — no backbone work.
     /// Probabilities match [`Matcher::forward_batch`]'s `match_probs` for
-    /// the same token representations. Returns `None` when unsupported
+    /// the same token representations. [`TransformerMatcher`] runs off the
+    /// tape and records nothing on `g`. Returns `None` when unsupported
     /// (see [`Matcher::encode_records_standalone`]).
     fn score_encoded_pairs(
         &self,
@@ -397,9 +330,10 @@ impl TransformerMatcher {
         let em_repr = match self.em {
             EmStrategy::Cls => cls(),
             EmStrategy::Aoa => {
-                let out = attention_over_attention_batch(g, &g1.row_views(e1), &g2.row_views(e2));
-                gamma = Some(out.gamma);
-                out.pooled
+                let _scope = prof::scope("aoa");
+                let (pooled, pair_gamma) = g.aoa_pool(e1, &g1, e2, &g2);
+                gamma = Some(pair_gamma);
+                pooled
             }
             EmStrategy::TokenAvgConcat => {
                 let m1 = g.mean_rows_grouped(e1, &g1);
@@ -501,25 +435,6 @@ impl TransformerMatcher {
 }
 
 impl Matcher for TransformerMatcher {
-    fn forward(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        ex: &EncodedExample,
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> ModelOutput {
-        let out = self.forward_batch(g, stamp, &[ex], train, rng);
-        ModelOutput {
-            loss: out.loss,
-            match_prob: out.match_probs[0],
-            id1_pred: out.id1_preds.as_ref().map(|p| p[0]),
-            id2_pred: out.id2_preds.as_ref().map(|p| p[0]),
-            attention: out.attention,
-            gamma: out.gamma,
-        }
-    }
-
     fn forward_batch(
         &self,
         g: &Graph,
@@ -580,7 +495,7 @@ impl Matcher for TransformerMatcher {
     /// records, on the same values.
     fn infer_batch(&self, exs: &[&EncodedExample], _rng: &mut dyn RngCore) -> Inference {
         assert!(!exs.is_empty(), "cannot run an empty batch");
-        let (tokens, groups, attention) = self.backbone.encode_eval(&pair_seqs(exs), emba_tensor::backend::kind());
+        let (tokens, groups, attention) = self.backbone.encode_eval(&pair_seqs(exs), backend::kind());
         let g = Graph::new();
         let heads = self.heads(&g, GraphStamp::next(), g.leaf(tokens), &groups, exs);
         let (match_probs, id1_preds, id2_preds) = heads.predictions(&g);
@@ -619,7 +534,7 @@ impl Matcher for TransformerMatcher {
         let zeros = vec![0usize; framed.iter().map(Vec::len).max().unwrap_or(0)];
         let seqs: Vec<(&[usize], &[usize])> =
             framed.iter().map(|ids| (&ids[..], &zeros[..ids.len()])).collect();
-        let (tokens, groups, _) = self.backbone.encode_eval(&seqs, emba_tensor::backend::kind());
+        let (tokens, groups, _) = self.backbone.encode_eval(&seqs, backend::kind());
         // Each record's content rows (specials stripped) into a tensor of its
         // own, which the caller may cache.
         let h = tokens.cols();
@@ -636,10 +551,17 @@ impl Matcher for TransformerMatcher {
         Some(encodings)
     }
 
+    /// The heads' AOA and match head with no tape: [`fwd::aoa_pool_into`]
+    /// reads the cached encodings where they lie, then the match head runs
+    /// through [`Exec`] under the backend installed on this thread — the
+    /// tape's kernel calls on the same operands, reported to the profiler
+    /// and the non-finite guard under its op names (`aoa_pool`, `linear`).
+    /// Records nothing on `_g`; `_g` and `_stamp` are kept for the trait's
+    /// signature.
     fn score_encoded_pairs(
         &self,
-        g: &Graph,
-        stamp: GraphStamp,
+        _g: &Graph,
+        _stamp: GraphStamp,
         pairs: &[(&Tensor, &Tensor)],
     ) -> Option<Vec<f32>> {
         if self.em != EmStrategy::Aoa {
@@ -648,29 +570,23 @@ impl Matcher for TransformerMatcher {
         if pairs.is_empty() {
             return Some(Vec::new());
         }
-        let _scope = emba_tensor::prof::scope("score_pairs");
-        // The cached encodings are read where they lie: no copy, no tape node.
-        let (left, right): (Vec<RowView<'_>>, Vec<RowView<'_>>) =
-            pairs.iter().map(|&(a, b)| (RowView::Tensor(a), RowView::Tensor(b))).unzip();
-        let out = attention_over_attention_batch(g, &left, &right);
-        let logits = self.match_head.forward(g, stamp, out.pooled); // [B, 1]
-        let v = g.value(logits);
+        let _scope = prof::scope("score_pairs");
+        let h = self.match_head.dim();
+        let mut pooled = pool::take_uninit(pairs.len() * h);
+        {
+            let _scope = prof::scope("aoa");
+            let operands: Vec<(&[f32], &[f32])> = pairs.iter().map(|(a, b)| (a.data(), b.data())).collect();
+            fwd::aoa_pool_into(&operands, h, &mut pooled, None);
+            fwd::note("aoa_pool", &pooled, (pairs.len(), h), || pairs.iter().flat_map(|(a, b)| [a.shape(), b.shape()]).collect());
+        }
+        let mut logits = vec![0.0; pairs.len()];
+        self.match_head.logits_into(&mut Exec::new(backend::kind()), &pooled, &mut logits);
+        pool::put(pooled);
         // Non-finite guard: sigmoid saturates ±∞ to a confident 0.0/1.0, so
         // corrupted weights (NaN/Inf anywhere upstream) could otherwise leak
         // out as plausible-looking probabilities. Surface them as NaN so the
         // serving boundary can fail the request instead of answering it.
-        Some(
-            (0..pairs.len())
-                .map(|r| {
-                    let z = v.get(r, 0);
-                    if z.is_finite() {
-                        sigmoid(z)
-                    } else {
-                        f32::NAN
-                    }
-                })
-                .collect(),
-        )
+        Some(logits.into_iter().map(|z| if z.is_finite() { sigmoid(z) } else { f32::NAN }).collect())
     }
 
     fn name(&self) -> &str {
@@ -794,7 +710,7 @@ mod tests {
         (pipe, ex, ds.num_classes)
     }
 
-    fn run(em: EmStrategy, aux: AuxStrategy) -> ModelOutput {
+    fn run(em: EmStrategy, aux: AuxStrategy) -> BatchOutput {
         let (pipe, ex, classes) = example();
         let mut rng = StdRng::seed_from_u64(1);
         let numeric = (em == EmStrategy::RelevanceNumeric)
@@ -809,7 +725,7 @@ mod tests {
             &mut rng,
         );
         let g = Graph::new();
-        model.forward(&g, GraphStamp::next(), &ex, false, &mut rng)
+        model.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng)
     }
 
     #[test]
@@ -822,8 +738,8 @@ mod tests {
             EmStrategy::RelevanceNumeric,
         ] {
             let out = run(em, AuxStrategy::None);
-            assert!(out.match_prob.is_finite() && (0.0..=1.0).contains(&out.match_prob));
-            assert!(out.id1_pred.is_none());
+            assert!(out.match_probs[0].is_finite() && (0.0..=1.0).contains(&out.match_probs[0]));
+            assert!(out.id1_preds.is_none());
         }
         for aux in [
             AuxStrategy::Cls,
@@ -832,7 +748,7 @@ mod tests {
             AuxStrategy::TokenAttention,
         ] {
             let out = run(EmStrategy::Cls, aux);
-            assert!(out.id1_pred.is_some() && out.id2_pred.is_some());
+            assert!(out.id1_preds.is_some() && out.id2_preds.is_some());
         }
     }
 
@@ -883,8 +799,8 @@ mod tests {
             &mut rng2,
         );
         let g = Graph::new();
-        let ls = single.forward(&g, GraphStamp::next(), &ex, false, &mut rng);
-        let lm = multi.forward(&g, GraphStamp::next(), &ex, false, &mut rng2);
+        let ls = single.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng);
+        let lm = multi.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng2);
         assert!(g.value(lm.loss).item() > g.value(ls.loss).item());
     }
 
@@ -903,7 +819,7 @@ mod tests {
         );
         let g = Graph::new();
         let stamp = GraphStamp::next();
-        let out = model.forward(&g, stamp, &ex, false, &mut rng);
+        let out = model.forward_batch(&g, stamp, &[&ex], false, &mut rng);
         let grads = g.backward(out.loss);
         model.zero_grads();
         model.accumulate_gradients(&grads);

@@ -815,7 +815,7 @@ pub(crate) mod tests {
         let mut initial_loss = 0.0f64;
         for ex in &train {
             let g = Graph::new();
-            let out = untrained.forward(&g, GraphStamp::next(), ex, false, &mut rng);
+            let out = untrained.forward_batch(&g, GraphStamp::next(), &[ex], false, &mut rng);
             initial_loss += f64::from(g.value(out.loss).item());
         }
         initial_loss /= train.len() as f64;
@@ -1019,21 +1019,26 @@ pub(crate) mod tests {
     }
 
     impl Matcher for NanMatcher {
-        fn forward(
+        fn forward_batch(
             &self,
             g: &Graph,
             stamp: GraphStamp,
-            _ex: &EncodedExample,
+            exs: &[&EncodedExample],
             _train: bool,
             _rng: &mut dyn rand::RngCore,
-        ) -> crate::models::ModelOutput {
-            let v = self.p.bind(g, stamp);
-            let loss = g.scale(g.sum_all(v), f32::NAN);
-            crate::models::ModelOutput {
-                loss,
-                match_prob: 0.5,
-                id1_pred: None,
-                id2_pred: None,
+        ) -> crate::models::BatchOutput {
+            // One NaN loss per example, summed on the tape.
+            let mut loss: Option<Var> = None;
+            for _ in exs {
+                let ex_loss = g.scale(g.sum_all(self.p.bind(g, stamp)), f32::NAN);
+                loss = Some(loss.map_or(ex_loss, |acc| g.add(acc, ex_loss)));
+            }
+            crate::models::BatchOutput {
+                loss: loss.expect("non-empty batch"),
+                example_losses: vec![f32::NAN; exs.len()],
+                match_probs: vec![0.5; exs.len()],
+                id1_preds: None,
+                id2_preds: None,
                 attention: None,
                 gamma: None,
             }

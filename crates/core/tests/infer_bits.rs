@@ -11,14 +11,18 @@
 //! - (b) each pair alone: its probability, AOA γ and summed last-layer
 //!   attention.
 //!
+//! The split path's score (`Matcher::score_encoded_pairs`), which runs with
+//! no tape, is held the same way to the tape ops it replaced, on every SIMD
+//! tier.
+//!
 //! Every parameter is perturbed first, so no zero bias or unit layer-norm
 //! gain can hide a wrong path.
 
 use emba_core::batching::plan_sub_batches;
-use emba_core::{EncodedExample, Matcher, ModelKind, PipelineConfig, TextPipeline, DEFAULT_DROPOUT};
+use emba_core::{EncodedExample, MatchHead, Matcher, ModelKind, PipelineConfig, TextPipeline, DEFAULT_DROPOUT};
 use emba_datagen::{build, Dataset, DatasetId, PairExample, Record, Scale};
-use emba_nn::GraphStamp;
-use emba_tensor::{backend, BackendKind, Graph, Tensor};
+use emba_nn::{GraphStamp, Module};
+use emba_tensor::{backend, simd, BackendKind, Graph, RowGroups, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -129,4 +133,66 @@ fn infer_batch_is_the_tape_bit_for_bit() {
     // has attention.
     assert_eq!(with_gamma, 5 * 2 * CHUNK);
     assert_eq!(with_attention, 13 * 2 * CHUNK);
+}
+
+/// `model`'s match head, rebuilt from its parameters: the first `[h, 1]`
+/// weight it visits and the bias after it (the backbone has no `[h, 1]`
+/// weight, and the entity-ID heads come after the match head).
+fn match_head_of(model: &dyn Matcher, h: usize) -> MatchHead {
+    let mut params = Vec::new();
+    model.visit(&mut |p| params.push(p.value.clone()));
+    let at = params.iter().position(|t| t.shape() == (h, 1)).expect("the model has a match head");
+    let mut head = MatchHead::new(h, &mut StdRng::seed_from_u64(0));
+    let mut own = params[at..at + 2].iter();
+    head.visit_mut(&mut |p| p.value = own.next().expect("weight and bias").clone());
+    head
+}
+
+/// The split score as the tape computed it: a leaf of each side's packed
+/// encodings → `Graph::aoa_pool` over the two groups → the match head →
+/// sigmoid, a non-finite logit read as NaN.
+fn tape_score(head: &MatchHead, pairs: &[(&Tensor, &Tensor)]) -> Vec<u32> {
+    let pack = |side: Vec<&Tensor>| (Tensor::concat_rows(&side), RowGroups::from_lens(&side.iter().map(|t| t.rows()).collect::<Vec<_>>()));
+    let (e1, g1) = pack(pairs.iter().map(|p| p.0).collect());
+    let (e2, g2) = pack(pairs.iter().map(|p| p.1).collect());
+    let g = Graph::new();
+    let (pooled, _) = g.aoa_pool(g.leaf(e1), &g1, g.leaf(e2), &g2);
+    let logits = g.value(head.forward(&g, GraphStamp::next(), pooled));
+    let prob = |z: f32| if z.is_finite() { 1.0 / (1.0 + (-z).exp()) } else { f32::NAN };
+    logits.data().iter().map(|&z| prob(z).to_bits()).collect()
+}
+
+#[test]
+fn split_score_is_the_tape_bit_for_bit() {
+    let ds = build(DatasetId::DblpScholar, Scale(0.02), 7);
+    for kind in [ModelKind::EmbaSb, ModelKind::Emba] {
+        let (model, exs) = model_and_chunk(kind, &ds);
+        // The chunk's left records of mixed lengths, then a one-token record
+        // and an empty one.
+        let mut records: Vec<&[usize]> = exs.iter().map(|ex| &ex.pair.ids[ex.pair.left.clone()]).collect();
+        records.push(&records[0][..1]);
+        records.push(&[]);
+        let n = records.len();
+        // Runs of three pairs sharing a left record (one packing of it),
+        // every record against the empty one, and the two short records
+        // against themselves.
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i + 5) % n), (i, n - 1)])
+            .chain([(n - 2, n - 2), (n - 1, 0)])
+            .collect();
+        for backend_kind in [BackendKind::F32, BackendKind::Int8] {
+            let what = format!("{} under {backend_kind:?}", kind.name());
+            simd::on_every_tier(|tier| {
+                let _backend = backend::install(backend_kind);
+                let g = Graph::new();
+                let encs = model.encode_records_standalone(&g, GraphStamp::next(), &records).expect("EMBA has the split path");
+                assert!(encs[n - 2].rows() == 1 && encs[n - 1].rows() == 0, "{what}: the short records");
+                let operands: Vec<(&Tensor, &Tensor)> = pairs.iter().map(|&(i, j)| (&encs[i], &encs[j])).collect();
+                let got = model.score_encoded_pairs(&g, GraphStamp::next(), &operands).expect("EMBA has the split path");
+                assert!(g.is_empty(), "{what} on {tier:?}: the split path recorded {} nodes", g.len());
+                let got: Vec<u32> = got.iter().map(|p| p.to_bits()).collect();
+                assert_eq!(got, tape_score(&match_head_of(model.as_ref(), encs[0].cols()), &operands), "{what} on {tier:?}");
+            });
+        }
+    }
 }

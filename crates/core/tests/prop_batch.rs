@@ -115,14 +115,14 @@ fn per_example_outputs(
     exs.iter()
         .map(|ex| {
             let g = Graph::new();
-            let o = model.forward(&g, GraphStamp::next(), ex, false, &mut rng);
+            let o = model.forward_batch(&g, GraphStamp::next(), &[ex], false, &mut rng);
             let loss = g.value(o.loss).item();
             g.recycle();
             (
                 loss,
-                o.match_prob,
-                o.id1_pred.expect("multi-task model predicts ids"),
-                o.id2_pred.expect("multi-task model predicts ids"),
+                o.match_probs[0],
+                o.id1_preds.expect("multi-task model predicts ids")[0],
+                o.id2_preds.expect("multi-task model predicts ids")[0],
             )
         })
         .collect()
@@ -166,17 +166,17 @@ proptest! {
             let a = model.forward_batch(&ga, GraphStamp::next(), &[&ex], false, &mut rng);
             let a_loss = ga.value(a.loss).item();
             let gb = Graph::new();
-            let b = model.forward(&gb, GraphStamp::next(), &ex, false, &mut rng);
+            let b = model.forward_batch(&gb, GraphStamp::next(), &[&ex], false, &mut rng);
             let b_loss = gb.value(b.loss).item();
             let out = (
                 a.match_probs[0].to_bits(),
                 a_loss.to_bits(),
                 a.id1_preds.unwrap()[0],
                 a.id2_preds.unwrap()[0],
-                b.match_prob.to_bits(),
+                b.match_probs[0].to_bits(),
                 b_loss.to_bits(),
-                b.id1_pred.unwrap(),
-                b.id2_pred.unwrap(),
+                b.id1_preds.unwrap()[0],
+                b.id2_preds.unwrap()[0],
             );
             ga.recycle();
             gb.recycle();

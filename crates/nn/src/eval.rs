@@ -1,6 +1,8 @@
-//! What [`BertEncoder::encode_eval`](crate::BertEncoder::encode_eval) runs on:
-//! the per-launch buffer plan, the one linear dispatch (an f32 GEMM epilogue
-//! or the int8 tile) and the layer-norm row passes.
+//! What the forward-only paths run on: the one linear dispatch ([`Exec`]:
+//! an f32 GEMM epilogue or the int8 tile), which
+//! [`BertEncoder::encode_eval`](crate::BertEncoder::encode_eval) and
+//! `emba_core`'s pair scorer share, and the encoder's per-launch buffer plan
+//! and layer-norm row passes.
 //!
 //! Nothing here records a tape node. Every op is the tape op's own kernel
 //! call on the same operands in the same order — the tape stays the training
@@ -14,8 +16,9 @@ use emba_tensor::{fwd, pool, BackendKind};
 
 use crate::layers::{LayerNorm, Linear};
 
-/// The backend of one launch and the int8 path's quantized input.
-pub(crate) struct Exec {
+/// The forward-only executor of one launch: its backend, read once, and the
+/// int8 path's quantized input.
+pub struct Exec {
     quantized: bool,
     /// The activation the last int8 linear read, quantized once for every
     /// linear that reads it (Q, K and V share one), and its tag.
@@ -26,8 +29,8 @@ pub(crate) struct Exec {
 
 impl Exec {
     /// Execution under `backend`, read once here and never per op.
-    pub(crate) fn new(backend: BackendKind) -> Self {
-        Self { quantized: backend.backend().quantized(), q8: QuantizedRows::default(), q8_input: None, inputs: 0 }
+    pub fn new(backend: BackendKind) -> Self {
+        Self { quantized: backend.quantized(), q8: QuantizedRows::default(), q8_input: None, inputs: 0 }
     }
 
     /// Whether `lin` runs int8 — the rule `Linear::forward` applies.
@@ -38,7 +41,7 @@ impl Exec {
     /// A fresh tag for an activation that linears are about to read: every
     /// linear given the same tag reads the same values, so an int8 input is
     /// quantized once per tag.
-    pub(crate) fn input(&mut self) -> u32 {
+    pub fn input(&mut self) -> u32 {
         self.inputs += 1;
         self.inputs
     }
@@ -46,7 +49,9 @@ impl Exec {
     /// `out = x · W + b` for the `[m, in]` rows `x` (tagged `x_id`), or
     /// `gelu` of it when `pre` is given (the f32 path's pre-activation
     /// scratch; the int8 tile applies GELU in place and ignores it).
-    pub(crate) fn linear(&mut self, lin: &Linear, x: &[f32], x_id: u32, out: &mut [f32], pre: Option<&mut [f32]>) {
+    /// The tape's [`Linear::forward`] (or `forward_gelu`) values, bit for
+    /// bit, reported under the same op name.
+    pub fn linear(&mut self, lin: &Linear, x: &[f32], x_id: u32, out: &mut [f32], pre: Option<&mut [f32]>) {
         let (k, n) = lin.weight.value.shape();
         let m = x.len() / k;
         assert!(x.len() == m * k && out.len() == m * n, "linear: [{}] · {k}x{n} into [{}]", x.len(), out.len());

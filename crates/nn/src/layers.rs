@@ -94,7 +94,7 @@ impl Linear {
     /// Applies the projection to an `[m, in]` input, producing `[m, out]`,
     /// via the fused affine tape op.
     pub fn forward(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
-        if backend::quantized() && self.quantizable() {
+        if backend::kind().quantized() && self.quantizable() {
             let q = self.quantized_weight();
             return g.linear_q8(x, &q, &self.bias.value);
         }
@@ -106,7 +106,7 @@ impl Linear {
     /// Applies the projection followed by GELU as one fused tape op,
     /// producing `[m, out]`.
     pub fn forward_gelu(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
-        if backend::quantized() && self.quantizable() {
+        if backend::kind().quantized() && self.quantizable() {
             let q = self.quantized_weight();
             return g.linear_q8_gelu(x, &q, &self.bias.value);
         }

@@ -13,6 +13,8 @@
 //! * [`GruCell`]/[`BiGru`] — the RNN substrate for the DeepMatcher baseline.
 //! * [`Adam`], [`LinearSchedule`] — the paper's optimizer and LR schedule
 //!   (linear decay with one epoch of warmup).
+//! * [`eval`] — the forward-only executor: [`eval::Exec`] runs a
+//!   [`Linear`] off the tape with the tape's bits, under either backend.
 //! * [`mlm`] — the model side of masked-language-model pre-training
 //!   (masking, prediction head, row-packed masked forward pass); the
 //!   training loop is `emba_core::Trainer`'s.
@@ -27,12 +29,13 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let enc = BertEncoder::new(BertConfig::tiny(100), &mut rng);
 //! let g = Graph::new();
-//! let out = enc.forward(&g, GraphStamp::next(), &[2, 17, 42, 3], &[0, 0, 1, 1], false, &mut rng);
+//! let seq: (&[usize], &[usize]) = (&[2, 17, 42, 3], &[0, 0, 1, 1]);
+//! let out = enc.forward_batch(&g, GraphStamp::next(), &[seq], false, &mut rng);
 //! assert_eq!(g.value(out.tokens).shape(), (4, 16));
 //! ```
 
 mod attention;
-mod eval;
+pub mod eval;
 mod gru;
 mod layers;
 pub mod mlm;
@@ -47,4 +50,4 @@ pub use layers::{dropout, Embedding, LayerNorm, Linear};
 pub use optim::{Adam, AdamState, AdamStateError, LinearSchedule, MomentPair};
 pub use param::{clip_grad_norm, GraphStamp, Module, Param};
 pub use skipgram::{pretrain_skipgram, SkipGramConfig};
-pub use transformer::{summed_last_attention, BertBatchOutput, BertConfig, BertEncoder, BertOutput};
+pub use transformer::{BertBatchOutput, BertConfig, BertEncoder};

@@ -193,15 +193,6 @@ impl Module for EncoderLayer {
     }
 }
 
-/// Output of one [`BertEncoder`] forward pass.
-pub struct BertOutput {
-    /// `[seq, hidden]` final-layer token representations.
-    pub tokens: Var,
-    /// Per-head `[seq, seq]` attention probabilities of the **last** layer,
-    /// kept for the paper's attention-score analysis (Figure 6).
-    pub last_attention: Vec<Var>,
-}
-
 /// Output of one batched [`BertEncoder`] forward pass over `B` row-packed
 /// sequences. The `[CLS]` pooler is not part of it: a head that reads the
 /// pooled form asks [`BertEncoder::pool`] for it.
@@ -262,31 +253,6 @@ impl BertEncoder {
     /// Panics if there is no layer `layer`.
     pub fn query_projection(&self, layer: usize) -> &Linear {
         self.layers[layer].attention.query()
-    }
-
-    /// Encodes one token sequence.
-    ///
-    /// `token_ids` and `segment_ids` must have equal length not exceeding
-    /// `config().max_len`. Position ids are implicit (0..len).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty, too long, or the id slices have
-    /// mismatched lengths.
-    pub fn forward<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        token_ids: &[usize],
-        segment_ids: &[usize],
-        train: bool,
-        rng: &mut R,
-    ) -> BertOutput {
-        let out = self.forward_batch(g, stamp, &[(token_ids, segment_ids)], train, rng);
-        BertOutput {
-            tokens: out.tokens,
-            last_attention: out.last_attention,
-        }
     }
 
     /// Encodes a batch of token sequences in one row-packed forward pass.
@@ -452,13 +418,6 @@ impl Module for BertEncoder {
     }
 }
 
-/// Sums the last-layer per-head attention into a `[seq, seq]` matrix, as the
-/// paper does (summing over the multi-head attention of the last layer,
-/// following Wolf et al.).
-pub fn summed_last_attention(g: &Graph, out: &BertOutput) -> Tensor {
-    MultiHeadAttention::summed_probs(g, &out.last_attention)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,19 +429,17 @@ mod tests {
         BertEncoder::new(BertConfig::tiny(50), &mut rng)
     }
 
+    /// One sequence through [`BertEncoder::forward_batch`].
+    fn forward_one(enc: &BertEncoder, g: &Graph, stamp: GraphStamp, ids: &[usize], segs: &[usize], rng: &mut StdRng) -> BertBatchOutput {
+        enc.forward_batch(g, stamp, &[(ids, segs)], false, rng)
+    }
+
     #[test]
     fn forward_shapes() {
         let enc = encoder(0);
         let mut rng = StdRng::seed_from_u64(1);
         let g = Graph::new();
-        let out = enc.forward(
-            &g,
-            GraphStamp::next(),
-            &[2, 5, 9, 3],
-            &[0, 0, 1, 1],
-            false,
-            &mut rng,
-        );
+        let out = forward_one(&enc, &g, GraphStamp::next(), &[2, 5, 9, 3], &[0, 0, 1, 1], &mut rng);
         assert_eq!(g.value(out.tokens).shape(), (4, 16));
         let pooled = enc.pool(&g, GraphStamp::next(), out.tokens, &RowGroups::from_lens(&[4]));
         assert_eq!(g.value(pooled).shape(), (1, 16));
@@ -495,7 +452,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let run = |rng: &mut StdRng| {
             let g = Graph::new();
-            let out = enc.forward(&g, GraphStamp::next(), &[1, 2, 3], &[0, 0, 0], false, rng);
+            let out = forward_one(&enc, &g, GraphStamp::next(), &[1, 2, 3], &[0, 0, 0], rng);
             g.value(out.tokens)
         };
         let a = run(&mut rng);
@@ -508,8 +465,8 @@ mod tests {
         let enc = encoder(3);
         let mut rng = StdRng::seed_from_u64(4);
         let g = Graph::new();
-        let a = enc.forward(&g, GraphStamp::next(), &[1, 2], &[0, 0], false, &mut rng);
-        let b = enc.forward(&g, GraphStamp::next(), &[1, 2], &[0, 1], false, &mut rng);
+        let a = forward_one(&enc, &g, GraphStamp::next(), &[1, 2], &[0, 0], &mut rng);
+        let b = forward_one(&enc, &g, GraphStamp::next(), &[1, 2], &[0, 1], &mut rng);
         assert_ne!(g.value(a.tokens), g.value(b.tokens));
     }
 
@@ -519,7 +476,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let g = Graph::new();
         let stamp = GraphStamp::next();
-        let out = enc.forward(&g, stamp, &[1, 2, 3, 4], &[0, 0, 1, 1], false, &mut rng);
+        let out = forward_one(&enc, &g, stamp, &[1, 2, 3, 4], &[0, 0, 1, 1], &mut rng);
         let pooled = enc.pool(&g, stamp, out.tokens, &RowGroups::from_lens(&[4]));
         let combined = g.concat_rows(&[out.tokens, pooled]);
         let sq = g.mul(combined, combined);
@@ -563,7 +520,7 @@ mod tests {
         // sequences shorter than one 6-row GEMM tile.
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (i, (ids, segs)) in seqs.iter().enumerate() {
-            let single = enc.forward(&g, stamp, ids, segs, false, &mut rng);
+            let single = forward_one(&enc, &g, stamp, ids, segs, &mut rng);
             let st = g.value(single.tokens);
             let (r0, r1) = batch.groups.range(i);
             for (r, rr) in (r0..r1).enumerate() {
@@ -592,7 +549,7 @@ mod tests {
         let g = Graph::new();
         let ids: Vec<usize> = (0..40).map(|i| i % 10).collect();
         let segs = vec![0; 40];
-        let _ = enc.forward(&g, GraphStamp::next(), &ids, &segs, false, &mut rng);
+        let _ = forward_one(&enc, &g, GraphStamp::next(), &ids, &segs, &mut rng);
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Forward loops shared by the autodiff tape and the forward-only encoder.
+//! Forward loops shared by the autodiff tape and the forward-only paths.
 //!
 //! Each function here is the one copy of an op's forward arithmetic over
 //! plain slices. The tape op ([`Graph::embedding`](crate::Graph::embedding),
 //! [`Graph::add`](crate::Graph::add),
 //! [`Graph::attention_scores_grouped`](crate::Graph::attention_scores_grouped),
-//! [`Graph::matmul_grouped`](crate::Graph::matmul_grouped)) calls it on its
-//! parents' values and records a node; `emba_nn`'s forward-only encoder calls
-//! it on its own buffers and records only what [`note`] writes. The kernels,
-//! their order and their operands are the same, so the tape is the bit-exact
-//! oracle of the encoder.
+//! [`Graph::matmul_grouped`](crate::Graph::matmul_grouped),
+//! [`Graph::aoa_pool`](crate::Graph::aoa_pool)) calls it on its parents'
+//! values and records a node; `emba_nn`'s forward-only encoder and
+//! `emba_core`'s pair scorer call it on their own buffers and record only
+//! what [`note`] writes. The kernels, their order and their operands are the
+//! same, so the tape is the bit-exact oracle of both.
 
 use std::ops::Range;
 
 use crate::groups::RowGroups;
 use crate::kernels::{self, Epilogue};
-use crate::{guard, prof};
+use crate::{guard, pool, prof};
 
 /// What the tape does for every op it records, for an op that records no
 /// node: the non-finite [`guard`] scan of its output (when enabled) and the
@@ -87,4 +88,134 @@ pub fn matmul_grouped_into(probs: &[&[f32]], v: &[f32], ld: usize, groups: &RowG
             kernels::gemm_strided(t, t, d, &p[r0 * w..], w, 1, &v[at..], ld, 1, &mut out[at..], ld, Epilogue::Store);
         }
     }
+}
+
+/// Attention-over-attention pooling of `G` record pairs: pair `g` is
+/// `pairs[g] = (E1, E2)`, row-major `[m, h]` and `[n, h]` token matrices.
+/// With `I = E1·E2ᵀ`: `α` = column softmax of `I`, `β` = row softmax, `β̄` =
+/// mean of `β`'s rows, `γ = α·β̄ᵀ`, and row `g` of `pooled` (`[G, h]`, every
+/// element written) is `γᵀ·E1` — zero if a side is empty. When `gamma` is
+/// given (`ΣM` long) it receives every pair's `γ`, pair after pair.
+///
+/// Pairs run one at a time in one reused workspace, so a launch of any size
+/// keeps one pair's `m × n` blocks; a run of pairs whose `E1` is the same
+/// slice (a catalog's candidates sorted by left record) shares one packing
+/// of it.
+///
+/// # Panics
+///
+/// Panics if `pooled` is not `G × h` or an operand is not a whole number of
+/// rows.
+pub fn aoa_pool_into(pairs: &[(&[f32], &[f32])], h: usize, pooled: &mut [f32], mut gamma: Option<&mut [f32]>) {
+    assert_eq!(pooled.len(), pairs.len() * h, "aoa_pool: output must be {}x{h}", pairs.len());
+    let mut at = 0;
+    aoa_pairs(pairs, h, |idx, ws, e1, _| {
+        // `γᵀ·E1` as the GEMM tile's own chain for one row of C: `i`
+        // ascending from zero.
+        let row = &mut pooled[idx * h..(idx + 1) * h];
+        row.fill(0.0);
+        for (&gi, e1_row) in ws.gamma.iter().zip(e1.chunks_exact(h.max(1))) {
+            for (o, &x) in row.iter_mut().zip(e1_row) {
+                *o = gi.mul_add(x, *o);
+            }
+        }
+        if let Some(gamma) = gamma.as_deref_mut() {
+            gamma[at..at + ws.gamma.len()].copy_from_slice(ws.gamma);
+        }
+        at += ws.gamma.len();
+    });
+}
+
+/// The workspace of [`aoa_pairs`] at one pair's `m × n`, as that pair's
+/// forward leaves it: `αᵀ` (`[n, m]`, softmaxed in place from `Iᵀ`), `α`
+/// (`[m, n]`, so each `γ_i` is a dot of two rows), `β` (`[m, n]`, softmaxed in
+/// place from `I`), `β̄` (`[n]`), `γ` (`[m]`), and two vectors of scratch for
+/// the tape's backward pass.
+pub(crate) struct AoaBlocks<'a> {
+    pub(crate) it: &'a mut [f32],
+    pub(crate) alpha: &'a mut [f32],
+    pub(crate) beta: &'a mut [f32],
+    pub(crate) beta_bar: &'a mut [f32],
+    pub(crate) gamma: &'a mut [f32],
+    pub(crate) dgamma: &'a mut [f32],
+    pub(crate) dbeta_bar: &'a mut [f32],
+}
+
+/// `dst[c*rows + r] = src[r*cols + c]` for a `rows × cols` block.
+fn transpose_block(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
+}
+
+/// AOA's forward, pair by pair: computes each pair into one reused
+/// workspace and hands it to `each(index, blocks, E1, E2)` before the next
+/// pair overwrites it. [`aoa_pool_into`] and the tape op's backward pass
+/// both run this — one implementation, and nothing of a pair outlives its
+/// turn.
+///
+/// The interaction is computed as `Iᵀ = E2·E1ᵀ`, not `I`: `E1` is then the
+/// GEMM's packed operand, so consecutive pairs with the same left slice share
+/// one [`kernels::PackedPanel`], and `α`'s columns are contiguous rows for
+/// [`kernels::scaled_softmax_in_place`]. Either way an element is the chain
+/// `fma(E2(j,p), E1(i,p), acc)` over ascending `p`.
+pub(crate) fn aoa_pairs(pairs: &[(&[f32], &[f32])], h: usize, mut each: impl FnMut(usize, &mut AoaBlocks<'_>, &[f32], &[f32])) {
+    let rows = |e: &[f32]| {
+        assert!(e.len().is_multiple_of(h.max(1)), "aoa_pool: {} values are not rows of width {h}", e.len());
+        e.len() / h.max(1)
+    };
+    let dims = |&(e1, e2): &(&[f32], &[f32])| (rows(e1), rows(e2));
+    let need = pairs.iter().map(dims).map(|(m, n)| 3 * m * n + 3 * m + 2 * n).max().unwrap_or(0);
+    // Rounded up so the pool sees a handful of sizes, not one per batch.
+    let mut ws = pool::take_uninit(need.next_power_of_two());
+    let mut panel = kernels::PackedPanel::default();
+    let mut packed: &[f32] = &[];
+    for (idx, pair) in pairs.iter().enumerate() {
+        let (e1, e2) = *pair;
+        let (m, n) = dims(pair);
+        let (it, rest) = ws.split_at_mut(m * n);
+        let (alpha, rest) = rest.split_at_mut(m * n);
+        let (beta, rest) = rest.split_at_mut(m * n);
+        let (beta_bar, rest) = rest.split_at_mut(n);
+        let (gamma, rest) = rest.split_at_mut(m);
+        let (dgamma, rest) = rest.split_at_mut(m);
+        let b = &mut AoaBlocks { it, alpha, beta, beta_bar, gamma, dgamma, dbeta_bar: &mut rest[..n] };
+        // A panel holds at most `KC × NC`; a wider or longer `E1` is packed
+        // slice by slice inside `gemm_strided` instead.
+        let fits = h <= kernels::KC && m <= kernels::NC;
+        if fits && !std::ptr::eq(packed, e1) {
+            panel.pack(e1, 1, h, h, m);
+            packed = e1;
+        }
+        if m > 0 && n > 0 {
+            if fits {
+                kernels::gemm_panel(n, e2, h, 1, &panel, b.it, m, Epilogue::Store);
+            } else {
+                kernels::gemm_strided(n, h, m, e2, h, 1, e1, 1, h, b.it, m, Epilogue::Store);
+            }
+            transpose_block(b.it, n, m, b.beta);
+            for col in b.it.chunks_exact_mut(m) {
+                kernels::scaled_softmax_in_place(col, 1.0);
+            }
+            b.beta_bar.fill(0.0);
+            for row in b.beta.chunks_exact_mut(n) {
+                kernels::scaled_softmax_in_place(row, 1.0);
+                for (o, &v) in b.beta_bar.iter_mut().zip(row.iter()) {
+                    *o += v;
+                }
+            }
+            let inv = 1.0 / m as f32;
+            b.beta_bar.iter_mut().for_each(|o| *o *= inv);
+            transpose_block(b.it, n, m, b.alpha);
+            for (o, row) in b.gamma.iter_mut().zip(b.alpha.chunks_exact(n)) {
+                *o = kernels::dot(row, b.beta_bar);
+            }
+        } else {
+            b.gamma.fill(0.0);
+        }
+        each(idx, b, e1, e2);
+    }
+    pool::put(ws);
 }

@@ -10,8 +10,8 @@
 //!
 //! Graphs are cheap to create; the training loop in `emba-core` builds one
 //! per row-packed sub-batch and accumulates parameter gradients across an
-//! optimizer window. The tape is the training path and the oracle of
-//! `emba_nn`'s forward-only encoder, which runs the same forward loops
+//! optimizer window. The tape is the training path and the oracle of the
+//! forward-only encoder and pair scorer, which run the same forward loops
 //! ([`crate::fwd`]) without recording anything.
 
 use std::cell::RefCell;
@@ -23,7 +23,7 @@ use crate::groups::RowGroups;
 use crate::kernels::Epilogue;
 use crate::quant::{QuantizedMatrix, QuantizedRows};
 use crate::tensor::Tensor;
-use crate::{backend, fwd, kernels, pool, prof, simd};
+use crate::{fwd, kernels, pool, prof, quant, simd};
 
 /// Advances a xorshift64* state and maps the step to a uniform `f32` in
 /// `[0, 1)` (top 24 bits). Used by [`Graph::dropout`] so forward and backward
@@ -45,16 +45,6 @@ fn xorshift_unit(state: &mut u64) -> f32 {
 /// silently reads the wrong node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
-
-/// Rows of a `[_, h]` token matrix, as an operand of [`Graph::aoa_pool`].
-#[derive(Debug, Clone)]
-pub enum RowView<'a> {
-    /// Rows `range` of a tape node; gradients flow back into those rows.
-    Node(Var, Range<usize>),
-    /// Every row of a tensor that is not on the tape (a cached encoding):
-    /// read where it lies, with no node recorded and no gradient.
-    Tensor(&'a Tensor),
-}
 
 /// Receives gradient contributions for the parents of a node, indexed by the
 /// parent's position in the node's parent list.
@@ -90,7 +80,7 @@ struct Node {
     saved: Option<Tensor>,
     /// The operand shapes the profiler charges FLOPs by, when the op read
     /// views of its parents (an attention head's columns, an AOA pair's
-    /// rows) rather than whole parents. Built only while profiling.
+    /// groups) rather than whole parents. Built only while profiling.
     charged: Option<Vec<(usize, usize)>>,
 }
 
@@ -426,14 +416,14 @@ impl Graph {
         )
     }
 
-    /// Quantized affine map `x · dequant(w) + bias` executed through the
-    /// installed [`backend`](crate::backend) (inference only).
+    /// Quantized affine map `x · dequant(w) + bias` on the int8 GEMM path
+    /// of [`quant`] (inference only).
     ///
     /// The weight is a pre-quantized int8 matrix, not a tape node, and the
     /// op records **no backward closure**: a backward sweep treats it like a
     /// leaf and produces no gradient. Training must run under the f32
-    /// backend; `emba-nn`'s `Linear` only emits this op when
-    /// `backend::quantized()` is true.
+    /// backend; `emba-nn`'s `Linear` only emits this op when the installed
+    /// [`BackendKind`](crate::BackendKind) is quantized.
     pub fn linear_q8(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor) -> Var {
         self.push_q8("linear_q8", x, w, bias, false)
     }
@@ -452,7 +442,7 @@ impl Graph {
                 input.1.requantize(&self.value(x));
                 input.0 = Some(x.0);
             }
-            backend::current().linear_q8_rows(&input.1, w, bias, gelu)
+            quant::linear_q8_rows(&input.1, w, bias, gelu)
         };
         self.push(op, out, vec![x.0], None)
     }
@@ -475,7 +465,7 @@ impl Graph {
         );
         let (m, d, n) = (vq.rows(), vq.cols(), vk.rows());
         let mut buf = pool::take_uninit(m * n);
-        backend::gemm_nt(m, d, n, vq.data(), vk.data(), &mut buf);
+        kernels::gemm_nt(m, d, n, vq.data(), vk.data(), &mut buf);
         for row in buf.chunks_exact_mut(n.max(1)) {
             kernels::scaled_softmax_in_place(row, scale);
         }
@@ -589,42 +579,6 @@ impl Graph {
         )
     }
 
-    /// Log-softmax over each row (numerically stable).
-    pub fn log_softmax_rows(&self, a: Var) -> Var {
-        let vx = self.value(a);
-        let (m, n) = vx.shape();
-        let mut out = vec![0.0f32; m * n];
-        for r in 0..m {
-            let row = vx.row_slice(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-            for (o, &x) in out[r * n..(r + 1) * n].iter_mut().zip(row) {
-                *o = x - lse;
-            }
-        }
-        let out = Tensor::from_vec(m, n, out);
-        let p = out.map(f32::exp);
-        self.push("log_softmax_rows",
-            out,
-            vec![a.0],
-            Some(Box::new(move |g, sink| {
-                // dx = g - softmax(x) * rowsum(g)
-                let (m, n) = g.shape();
-                let mut dx = g.clone();
-                {
-                    let data = dx.data_mut();
-                    for r in 0..m {
-                        let s: f32 = g.row_slice(r).iter().sum();
-                        for c in 0..n {
-                            data[r * n + c] -= p.get(r, c) * s;
-                        }
-                    }
-                }
-                sink.add(0, dx);
-            })),
-        )
-    }
-
     // ----- normalization -----------------------------------------------------------
 
     /// Per-row layer normalization with learned scale and shift:
@@ -720,30 +674,6 @@ impl Graph {
                 let scaled = g.scale(1.0 / m as f32);
                 let parts: Vec<&Tensor> = (0..m).map(|_| &scaled).collect();
                 sink.add(0, Tensor::concat_rows(&parts));
-            })),
-        )
-    }
-
-    /// Mean over columns: `[m, n] -> [m, 1]`.
-    pub fn mean_axis1(&self, a: Var) -> Var {
-        let va = self.value(a);
-        let (m, n) = va.shape();
-        let out = va.mean_axis1();
-        self.push("mean_axis1",
-            out,
-            vec![a.0],
-            Some(Box::new(move |g, sink| {
-                let mut dx = Tensor::zeros(m, n);
-                {
-                    let data = dx.data_mut();
-                    for r in 0..m {
-                        let gv = g.get(r, 0) / n as f32;
-                        for c in 0..n {
-                            data[r * n + c] = gv;
-                        }
-                    }
-                }
-                sink.add(0, dx);
             })),
         )
     }
@@ -1007,67 +937,39 @@ impl Graph {
 
     /// Attention-over-attention pooling of `G` record pairs in one op.
     ///
-    /// Pair `g` is two [`RowView`]s read in place, `left[g]` = `E1: [m, h]`
-    /// and `right[g]` = `E2: [n, h]`. With `I = E1·E2ᵀ`: `α` = column softmax
-    /// of `I`, `β` = row softmax, `β̄` = mean of `β`'s rows, `γ = α·β̄ᵀ`, and
-    /// row `g` of the `[G, h]` result is `γᵀ·E1` (zero if a side is empty).
-    /// Returns it with every pair's `γ` packed as `[ΣM, 1]` — a plain tensor,
-    /// nothing differentiates through it. Nothing else of a pair is kept: the
-    /// backward pass re-runs the forward (see `aoa_pairs`).
+    /// Pair `g` is group `g` of `left` (`E1: [m, h]`, its rows laid out by
+    /// `left_groups`) against group `g` of `right` (`E2: [n, h]`), read in
+    /// place. Row `g` of the `[G, h]` result is `γᵀ·E1`, computed by
+    /// [`fwd::aoa_pool_into`]. Returns it with every pair's `γ` packed as
+    /// `[ΣM, 1]` — a plain tensor, nothing differentiates through it. Nothing
+    /// else of a pair is kept: the backward pass re-runs the forward.
     ///
     /// # Panics
     ///
-    /// Panics if there are no pairs, the sides differ in count, a view
-    /// reaches past its node's rows, or the views' widths differ.
-    pub fn aoa_pool(&self, left: &[RowView<'_>], right: &[RowView<'_>]) -> (Var, Tensor) {
-        assert!(!left.is_empty(), "aoa_pool: no pairs");
-        assert_eq!(left.len(), right.len(), "aoa_pool: {} left vs {} right views", left.len(), right.len());
-        // A run of views into one node shares a parent slot, so a packed
-        // batch has two parents and one gradient buffer each.
-        let mut parents: Vec<usize> = Vec::new();
-        let mut operand = |view: &RowView<'_>, last: &mut Option<usize>| match *view {
-            RowView::Tensor(t) => AoaOperand { value: t.clone(), rows: 0..t.rows(), slot: None },
-            RowView::Node(var, ref rows) => {
-                let value = self.value(var);
-                assert!(rows.start <= rows.end && rows.end <= value.rows(), "aoa_pool: view {rows:?} reaches past {} rows", value.rows());
-                if last.is_none_or(|at| parents[at] != var.0) {
-                    parents.push(var.0);
-                    *last = Some(parents.len() - 1);
-                }
-                AoaOperand { value, rows: rows.clone(), slot: *last }
-            }
-        };
-        let (mut last1, mut last2) = (None, None);
-        let pairs: Vec<[AoaOperand; 2]> = left.iter().zip(right).map(|(l, r)| [operand(l, &mut last1), operand(r, &mut last2)]).collect();
-        let h = pairs[0][0].value.cols();
-        for side in pairs.iter().flatten() {
-            assert_eq!(side.value.cols(), h, "aoa_pool: width mismatch {} vs {h}", side.value.cols());
+    /// Panics if there are no pairs, the sides differ in group count, a
+    /// side's groups do not cover its node's rows, or the widths differ.
+    pub fn aoa_pool(&self, left: Var, left_groups: &RowGroups, right: Var, right_groups: &RowGroups) -> (Var, Tensor) {
+        let (v1, v2) = (self.value(left), self.value(right));
+        let h = v1.cols();
+        assert!(!left_groups.is_empty(), "aoa_pool: no pairs");
+        assert_eq!(left_groups.len(), right_groups.len(), "aoa_pool: {} left vs {} right groups", left_groups.len(), right_groups.len());
+        assert_eq!(v2.cols(), h, "aoa_pool: width mismatch {} vs {h}", v2.cols());
+        for (v, groups) in [(&v1, left_groups), (&v2, right_groups)] {
+            assert_eq!(groups.total(), v.rows(), "aoa_pool: groups cover {} rows, the node has {}", groups.total(), v.rows());
         }
-
-        let mut pooled = pool::take(pairs.len() * h);
-        let mut gamma = pool::take_uninit(pairs.iter().map(|p| p[0].rows.len()).sum());
-        let mut at = 0;
-        aoa_pairs(&pairs, h, |idx, ws, e1, _| {
-            // `γᵀ·E1` as the GEMM tile's own chain for one row of C: `i`
-            // ascending from zero.
-            let row = &mut pooled[idx * h..(idx + 1) * h];
-            for (&gi, e1_row) in ws.gamma.iter().zip(e1.chunks_exact(h.max(1))) {
-                for (o, &x) in row.iter_mut().zip(e1_row) {
-                    *o = gi.mul_add(x, *o);
-                }
-            }
-            gamma[at..at + ws.gamma.len()].copy_from_slice(ws.gamma);
-            at += ws.gamma.len();
-        });
+        let (lg, rg) = (left_groups.clone(), right_groups.clone());
+        let mut pooled = pool::take_uninit(lg.len() * h);
+        let mut gamma = pool::take_uninit(lg.total());
+        fwd::aoa_pool_into(&aoa_operands(&v1, &lg, &v2, &rg), h, &mut pooled, Some(&mut gamma));
         let gamma = Tensor::from_vec(gamma.len(), 1, gamma);
-        let charged = prof::enabled().then(|| pairs.iter().flatten().map(|side| (side.rows.len(), h)).collect());
+        let charged = prof::enabled().then(|| (0..lg.len()).flat_map(|i| [(lg.len_of(i), h), (rg.len_of(i), h)]).collect());
         let pooled = self.push_node("aoa_pool",
-            Tensor::from_vec(pairs.len(), h, pooled),
-            parents,
+            Tensor::from_vec(lg.len(), h, pooled),
+            vec![left.0, right.0],
             Some(gamma.clone()),
             charged,
             Some(Box::new(move |g, sink| {
-                aoa_pairs(&pairs, h, |idx, ws, e1, e2| {
+                fwd::aoa_pairs(&aoa_operands(&v1, &lg, &v2, &rg), h, |idx, ws, e1, e2| {
                     let (m, n) = (ws.gamma.len(), ws.beta_bar.len());
                     if m == 0 || n == 0 {
                         return;
@@ -1097,24 +999,19 @@ impl Graph {
                             di_row[c] = via_alpha + b_row[c] * (ws.dbeta_bar[c] * inv_m - rho);
                         }
                     }
-                    // dE1 += γ·dxᵀ + dI·E2 and dE2 += dIᵀ·E1, at the views' rows.
-                    let [left, right] = &pairs[idx];
-                    if let Some(slot) = left.slot {
-                        sink.accum(slot, left.value.rows(), h, &mut |d| {
-                            let d = &mut d[left.rows.start * h..];
-                            for (&gi, d_row) in ws.gamma.iter().zip(d.chunks_exact_mut(h.max(1))) {
-                                for (o, &x) in d_row.iter_mut().zip(dx) {
-                                    *o = gi.mul_add(x, *o);
-                                }
+                    // dE1 += γ·dxᵀ + dI·E2 and dE2 += dIᵀ·E1, at the groups' rows.
+                    sink.accum(0, v1.rows(), h, &mut |d| {
+                        let d = &mut d[lg.start(idx) * h..];
+                        for (&gi, d_row) in ws.gamma.iter().zip(d.chunks_exact_mut(h.max(1))) {
+                            for (o, &x) in d_row.iter_mut().zip(dx) {
+                                *o = gi.mul_add(x, *o);
                             }
-                            kernels::gemm_strided(m, n, h, di, n, 1, e2, h, 1, d, h, Epilogue::Add);
-                        });
-                    }
-                    if let Some(slot) = right.slot {
-                        sink.accum(slot, right.value.rows(), h, &mut |d| {
-                            kernels::gemm_strided(n, m, h, di, 1, n, e1, h, 1, &mut d[right.rows.start * h..], h, Epilogue::Add);
-                        });
-                    }
+                        }
+                        kernels::gemm_strided(m, n, h, di, n, 1, e2, h, 1, d, h, Epilogue::Add);
+                    });
+                    sink.accum(1, v2.rows(), h, &mut |d| {
+                        kernels::gemm_strided(n, m, h, di, 1, n, e1, h, 1, &mut d[rg.start(idx) * h..], h, Epilogue::Add);
+                    });
                 });
             })),
         );
@@ -1478,110 +1375,13 @@ impl Graph {
     }
 }
 
-/// One side of a pair of [`Graph::aoa_pool`]: the tensor the view reads, its
-/// rows, and — for a view of a node — the node's slot among the op's parents.
-struct AoaOperand {
-    value: Tensor,
-    rows: Range<usize>,
-    slot: Option<usize>,
-}
-
-impl AoaOperand {
-    fn data(&self) -> &[f32] {
-        let h = self.value.cols();
-        &self.value.data()[self.rows.start * h..self.rows.end * h]
-    }
-}
-
-/// The workspace of [`aoa_pairs`] at one pair's `m × n`, as that pair's
-/// forward leaves it: `αᵀ` (`[n, m]`, softmaxed in place from `Iᵀ`), `α`
-/// (`[m, n]`, so each `γ_i` is a dot of two rows), `β` (`[m, n]`, softmaxed in
-/// place from `I`), `β̄` (`[n]`), `γ` (`[m]`), and two vectors of scratch for
-/// the backward pass.
-struct AoaBlocks<'a> {
-    it: &'a mut [f32],
-    alpha: &'a mut [f32],
-    beta: &'a mut [f32],
-    beta_bar: &'a mut [f32],
-    gamma: &'a mut [f32],
-    dgamma: &'a mut [f32],
-    dbeta_bar: &'a mut [f32],
-}
-
-/// `dst[c*rows + r] = src[r*cols + c]` for a `rows × cols` block.
-fn transpose_block(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    for (r, row) in src.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            dst[c * rows + r] = v;
-        }
-    }
-}
-
-/// The forward pass of [`Graph::aoa_pool`], pair by pair: computes each
-/// pair into one reused workspace and hands it to `each(index, blocks, E1,
-/// E2)` before the next pair overwrites it. The op's forward and backward
-/// both run this — one implementation, and nothing of a pair outlives its
-/// turn.
-///
-/// The interaction is computed as `Iᵀ = E2·E1ᵀ`, not `I`: `E1` is then the
-/// GEMM's packed operand, so consecutive pairs with the same left rows (a
-/// catalog's candidates sorted by left record) share one
-/// [`kernels::PackedPanel`], and `α`'s columns are contiguous rows for
-/// [`kernels::scaled_softmax_in_place`]. Either way an element is the chain
-/// `fma(E2(j,p), E1(i,p), acc)` over ascending `p`.
-fn aoa_pairs(pairs: &[[AoaOperand; 2]], h: usize, mut each: impl FnMut(usize, &mut AoaBlocks<'_>, &[f32], &[f32])) {
-    let dims = |p: &[AoaOperand; 2]| (p[0].rows.len(), p[1].rows.len());
-    let need = pairs.iter().map(dims).map(|(m, n)| 3 * m * n + 3 * m + 2 * n).max().unwrap_or(0);
-    // Rounded up so the pool sees a handful of sizes, not one per batch.
-    let mut ws = pool::take_uninit(need.next_power_of_two());
-    let mut panel = kernels::PackedPanel::default();
-    let mut packed: &[f32] = &[];
-    for (idx, pair) in pairs.iter().enumerate() {
-        let (e1, e2) = (pair[0].data(), pair[1].data());
-        let (m, n) = dims(pair);
-        let (it, rest) = ws.split_at_mut(m * n);
-        let (alpha, rest) = rest.split_at_mut(m * n);
-        let (beta, rest) = rest.split_at_mut(m * n);
-        let (beta_bar, rest) = rest.split_at_mut(n);
-        let (gamma, rest) = rest.split_at_mut(m);
-        let (dgamma, rest) = rest.split_at_mut(m);
-        let b = &mut AoaBlocks { it, alpha, beta, beta_bar, gamma, dgamma, dbeta_bar: &mut rest[..n] };
-        // A panel holds at most `KC × NC`; a wider or longer `E1` is packed
-        // slice by slice inside `gemm_strided` instead.
-        let fits = h <= kernels::KC && m <= kernels::NC;
-        if fits && !std::ptr::eq(packed, e1) {
-            panel.pack(e1, 1, h, h, m);
-            packed = e1;
-        }
-        if m > 0 && n > 0 {
-            if fits {
-                kernels::gemm_panel(n, e2, h, 1, &panel, b.it, m, Epilogue::Store);
-            } else {
-                kernels::gemm_strided(n, h, m, e2, h, 1, e1, 1, h, b.it, m, Epilogue::Store);
-            }
-            transpose_block(b.it, n, m, b.beta);
-            for col in b.it.chunks_exact_mut(m) {
-                kernels::scaled_softmax_in_place(col, 1.0);
-            }
-            b.beta_bar.fill(0.0);
-            for row in b.beta.chunks_exact_mut(n) {
-                kernels::scaled_softmax_in_place(row, 1.0);
-                for (o, &v) in b.beta_bar.iter_mut().zip(row.iter()) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / m as f32;
-            b.beta_bar.iter_mut().for_each(|o| *o *= inv);
-            transpose_block(b.it, n, m, b.alpha);
-            for (o, row) in b.gamma.iter_mut().zip(b.alpha.chunks_exact(n)) {
-                *o = kernels::dot(row, b.beta_bar);
-            }
-        } else {
-            b.gamma.fill(0.0);
-        }
-        each(idx, b, e1, e2);
-    }
-    pool::put(ws);
+/// Every pair's operands: group `g`'s rows of `v1` and of `v2`.
+fn aoa_operands<'a>(v1: &'a Tensor, g1: &RowGroups, v2: &'a Tensor, g2: &RowGroups) -> Vec<(&'a [f32], &'a [f32])> {
+    let rows = |v: &'a Tensor, groups: &RowGroups, i: usize| {
+        let ((r0, r1), h) = (groups.range(i), v.cols());
+        &v.data()[r0 * h..r1 * h]
+    };
+    (0..g1.len()).map(|i| (rows(v1, g1, i), rows(v2, g2, i))).collect()
 }
 
 /// Jacobian-vector product of a row softmax: `dx = p ⊙ (g − rowdot(g, p))`,

@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use crate::graph::{RowView, Var};
-
 /// Partition of the rows of a packed matrix into consecutive groups.
 ///
 /// Stored as `G + 1` offsets (`offsets[0] == 0`, strictly increasing is not
@@ -70,11 +68,6 @@ impl RowGroups {
     /// matrices).
     pub fn max_len(&self) -> usize {
         (0..self.len()).map(|i| self.len_of(i)).max().unwrap_or(0)
-    }
-
-    /// Each group's rows of the packed node `packed`, as one [`RowView`].
-    pub fn row_views(&self, packed: Var) -> Vec<RowView<'static>> {
-        self.offsets.windows(2).map(|w| RowView::Node(packed, w[0]..w[1])).collect()
     }
 
     /// Per-group row counts.

@@ -9,8 +9,9 @@
 //! * [`Graph`] — a single-use autodiff tape. Operations are recorded during
 //!   the forward pass and [`Graph::backward`] replays them in reverse to
 //!   produce gradients for every recorded node.
-//! * [`fwd`] — the forward loops the tape's grouped and gather ops share
-//!   with `emba_nn`'s forward-only encoder, which records no tape.
+//! * [`fwd`] — the forward loops the tape's grouped, gather and AOA ops
+//!   share with the forward-only encoder and pair scorer, which record no
+//!   tape.
 //! * [`gradcheck`] — finite-difference gradient checking used by the property
 //!   tests to validate every analytic gradient in the tape.
 //! * [`guard`] — an opt-in non-finite guard that scans every recorded op
@@ -18,10 +19,9 @@
 //! * [`prof`] — an opt-in op-level profiler that attributes self wall-time,
 //!   output bytes, and estimated FLOPs to every forward and backward tape op
 //!   under a hierarchical phase-scope stack.
-//! * [`backend`] — the `Backend` trait seam between the tape and kernel
-//!   execution, with a thread-installable post-training int8 backend
-//!   ([`quant`]) and cached CPU-feature dispatch to explicit `std::arch`
-//!   micro-kernels ([`simd`]).
+//! * [`backend`] — the thread-installable [`BackendKind`] that selects the
+//!   post-training int8 path ([`quant`]); every kernel dispatches on cached
+//!   CPU features to explicit `std::arch` micro-kernels ([`simd`]).
 //!
 //! # Design notes
 //!
@@ -65,7 +65,7 @@ pub mod simd;
 mod tensor;
 
 pub use backend::BackendKind;
-pub use graph::{GradSink, Gradients, Graph, RowView, Var};
+pub use graph::{GradSink, Gradients, Graph, Var};
 pub use groups::RowGroups;
 pub use quant::QuantizedMatrix;
 pub use tensor::Tensor;

@@ -262,19 +262,19 @@ pub fn estimate_flops(op: &str, parents: &[(usize, usize)], out: (usize, usize))
         // Block-diagonal probs·values, every head into its columns of one
         // out [ΣT, hidden]; the parents are one [ΣT, W] probs per head, then v.
         "matmul_grouped" => 2 * elems * parents.first().map_or(0, |p| p.1 as u64),
-        // Each pair's two views, `(m, h)` then `(n, h)`: E2·E1ᵀ and γᵀ·E1, plus
+        // Each pair's two operands, `(m, h)` then `(n, h)`: E2·E1ᵀ and γᵀ·E1, plus
         // two softmaxes (7 each), β̄ (1) and γ (2) per element of the m×n block.
         "aoa_pool" => parents.chunks_exact(2).map(|v| (v[0].0 as u64, v[1].0 as u64, v[0].1 as u64)).map(|(m, n, h)| 2 * m * n * h + 2 * m * h + 17 * m * n).sum(),
         "softmax_col_grouped" => 7 * elems,
         "mean_rows_grouped" => in_elems(0),
         "weighted_sum_rows_grouped" => 2 * in_elems(1),
-        "softmax_rows" | "softmax_cols" | "log_softmax_rows" => 7 * elems,
+        "softmax_rows" | "softmax_cols" => 7 * elems,
         "layer_norm" => 8 * elems,
         "gelu" => 15 * elems,
         "tanh" | "sigmoid" => 10 * elems,
         // Loss ops reduce to a scalar; charge by the logits size.
         "cross_entropy" | "cross_entropy_weighted" | "bce_with_logits" => 10 * in_elems(0),
-        "sum_all" | "mean_all" | "mean_axis0" | "mean_axis1" => in_elems(0),
+        "sum_all" | "mean_all" | "mean_axis0" => in_elems(0),
         "embedding" | "leaf" | "transpose" | "concat_rows" | "concat_cols" | "slice_rows"
         | "slice_cols" | "gather_rows" => 0,
         // add, sub, mul, scale, relu, dropout, anything new: one per element.

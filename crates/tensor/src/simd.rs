@@ -1244,7 +1244,6 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i % 13) as f32 * 0.05 - 0.3).collect();
         let (a8, w8): (Vec<u8>, Vec<i8>) = ((0..m * k).map(|i| (i * 7 % 256) as u8).collect(), (0..k * n).map(|i| (i * 5 % 255) as i8).collect());
         let strips = pack_strips_i8(&w8, k, n);
-        let views = [crate::Tensor::from_vec(m, k, a.clone()), crate::Tensor::from_vec(7, k, b[..7 * k].to_vec())];
         let counted = |site: Site, run: &mut dyn FnMut()| {
             let before = ran(site);
             run();
@@ -1260,13 +1259,12 @@ mod tests {
             let mut out = vec![0.0f32; m * n];
             let got = counted(Site::GemmF32, &mut || crate::kernels::gemm_nn(m, k, n, &a, &b, &mut out));
             assert_eq!(got, only(Site::GemmF32, tiles), "{tier:?}: gemm_nn");
-            // The attention-over-attention op multiplies through a packed
-            // panel it holds itself: two `Iᵀ` products of 7 rows by 13
-            // columns, and nothing else in its forward is a GEMM.
+            // Attention-over-attention multiplies through a packed panel it
+            // holds itself: two `Iᵀ` products of 7 rows by 13 columns, and
+            // nothing else in its forward is a GEMM.
             let got = counted(Site::GemmF32, &mut || {
-                let [e1, e2] = &views;
-                let pair = |t| [crate::RowView::Tensor(t), crate::RowView::Tensor(t)];
-                crate::Graph::new().aoa_pool(&pair(e1), &pair(e2));
+                let pair = (&a[..], &b[..7 * k]);
+                crate::fwd::aoa_pool_into(&[pair, pair], k, &mut vec![0.0; 2 * k], None);
             });
             assert_eq!(got, only(Site::GemmF32, 2 * (7usize.div_ceil(6) * m.div_ceil(16)) as u64), "{tier:?}: aoa_pool");
             let got = counted(Site::TilesU8i8, &mut || tiles_u8i8(level(), &a8, m, k, &strips, k / 4, n, |_, _, _, _, _| {}));
@@ -1278,7 +1276,7 @@ mod tests {
                 min_max(&a[..k]);
             });
             assert_eq!(got, only(Site::MinMax, 1), "{tier:?}: min_max");
-            crate::backend::Backend::name(&crate::backend::Int8Backend)
+            crate::BackendKind::Int8.label()
         });
         // Reports name the int8 body that served them: one label per tier.
         let names: Vec<&str> = labels.iter().map(|&(_, name)| name).collect();

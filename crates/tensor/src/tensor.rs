@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{backend, kernels, pool};
+use crate::{kernels, pool};
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -410,7 +410,7 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = pool::take_uninit(m * n);
-        backend::gemm_nn(m, k, n, &self.data, &other.data, &mut out);
+        kernels::gemm_nn(m, k, n, &self.data, &other.data, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -423,7 +423,7 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = pool::take_uninit(m * n);
-        backend::gemm_nt(m, k, n, &self.data, &other.data, &mut out);
+        kernels::gemm_nt(m, k, n, &self.data, &other.data, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -436,7 +436,7 @@ impl Tensor {
         );
         let (m, k, n) = (self.cols, self.rows, other.cols);
         let mut out = pool::take_uninit(m * n);
-        backend::gemm_tn(m, k, n, &self.data, &other.data, &mut out);
+        kernels::gemm_tn(m, k, n, &self.data, &other.data, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -478,15 +478,6 @@ impl Tensor {
             *o *= inv;
         }
         Self::from_vec(1, self.cols, out)
-    }
-
-    /// Mean over columns: `[m, n] -> [m, 1]`.
-    pub fn mean_axis1(&self) -> Self {
-        let inv = 1.0 / self.cols.max(1) as f32;
-        let out = (0..self.rows)
-            .map(|r| self.row_slice(r).iter().sum::<f32>() * inv)
-            .collect();
-        Self::from_vec(self.rows, 1, out)
     }
 
     /// Index of the largest element in each row.
@@ -710,7 +701,6 @@ mod tests {
     fn means_and_reductions() {
         let t = Tensor::from_rows(&[&[1.0, 3.0], &[5.0, 7.0]]);
         assert_eq!(t.mean_axis0().data(), &[3.0, 5.0]);
-        assert_eq!(t.mean_axis1().data(), &[2.0, 6.0]);
         assert_eq!(t.sum(), 16.0);
         assert_eq!(t.mean(), 4.0);
         assert_eq!(t.max(), 7.0);

@@ -1,12 +1,14 @@
-//! The fused attention-over-attention op (`Graph::aoa_pool`) held to its
-//! contract: the forward is a fixed arithmetic, bit for bit, on every SIMD
-//! tier this CPU runs; a pair's bits do not depend on the launch around it or on whether
+//! Fused attention-over-attention held to its contract: the forward loop the
+//! pair scorer runs (`fwd::aoa_pool_into`, over slices) is a fixed
+//! arithmetic, bit for bit, on every SIMD tier this CPU runs, and the tape op
+//! (`Graph::aoa_pool`, over the groups of two packed nodes) returns the same
+//! bits; a pair's bits do not depend on the launch around it or on whether
 //! its packed `E1` was reused; scratch never leaks between pairs; gradients
 //! match the per-pair composition of general tape ops; an empty side and a
 //! non-finite input keep their documented results.
 
 use emba_tensor::kernels::{dot, gemm_nt, scaled_softmax_in_place, KC, NC, NR};
-use emba_tensor::{pool, simd, Graph, RowGroups, RowView, Tensor, Var};
+use emba_tensor::{fwd, pool, simd, Graph, RowGroups, Tensor, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,11 +57,26 @@ fn reference_pair(e1: &Tensor, e2: &Tensor) -> (Vec<f32>, Vec<f32>) {
     (pooled, gamma)
 }
 
-/// One launch over whole-tensor views; returns `(pooled [G, h], γ [ΣM, 1])`.
+/// One forward-only launch over whole tensors, read where they lie, into
+/// output buffers drawn from the scratch pool as the pair scorer's are;
+/// returns `(pooled [G, h], γ [ΣM, 1])`.
 fn launch(pairs: &[(&Tensor, &Tensor)]) -> (Tensor, Tensor) {
+    let h = pairs[0].0.cols();
+    let operands: Vec<(&[f32], &[f32])> = pairs.iter().map(|(a, b)| (a.data(), b.data())).collect();
+    let mut pooled = pool::take_uninit(pairs.len() * h);
+    let mut gamma = pool::take_uninit(pairs.iter().map(|p| p.0.rows()).sum());
+    fwd::aoa_pool_into(&operands, h, &mut pooled, Some(&mut gamma));
+    (Tensor::from_vec(pairs.len(), h, pooled), Tensor::from_vec(gamma.len(), 1, gamma))
+}
+
+/// The same pairs through the tape op, as training runs it: each side
+/// packed into one leaf whose groups are its records.
+fn tape(pairs: &[(&Tensor, &Tensor)]) -> (Tensor, Tensor) {
+    let pack = |side: Vec<&Tensor>| (Tensor::concat_rows(&side), RowGroups::from_lens(&side.iter().map(|t| t.rows()).collect::<Vec<_>>()));
+    let (e1, g1) = pack(pairs.iter().map(|p| p.0).collect());
+    let (e2, g2) = pack(pairs.iter().map(|p| p.1).collect());
     let g = Graph::new();
-    let (left, right): (Vec<_>, Vec<_>) = pairs.iter().map(|&(a, b)| (RowView::Tensor(a), RowView::Tensor(b))).unzip();
-    let (pooled, gamma) = g.aoa_pool(&left, &right);
+    let (pooled, gamma) = g.aoa_pool(g.leaf(e1), &g1, g.leaf(e2), &g2);
     (g.value(pooled), gamma)
 }
 
@@ -69,6 +86,8 @@ const LENS: [usize; 9] = [1, 2, 5, 6, 7, 16, 17, 30, 64];
 
 #[test]
 fn forward_matches_the_public_kernel_arithmetic_on_both_tiers() {
+    // Both routes — the forward loop over slices and the tape op over
+    // groups — on every tier, against one reference.
     let mut rng = StdRng::seed_from_u64(101);
     for h in [3usize, 64, 128] {
         // One ragged launch holding every (m, n) combination, each with its
@@ -81,13 +100,14 @@ fn forward_matches_the_public_kernel_arithmetic_on_both_tiers() {
         let pairs: Vec<(&Tensor, &Tensor)> = operands.iter().map(|(a, b)| (a, b)).collect();
         // One reference; every tier's launch must reproduce its bits.
         let reference: Vec<_> = pairs.iter().map(|(e1, e2)| reference_pair(e1, e2)).collect();
-        for (tier, (pooled, gamma)) in simd::on_every_tier(|_| launch(&pairs)) {
+        let runs = simd::on_every_tier(|_| [launch(&pairs), tape(&pairs)]);
+        for (tier, (route, (pooled, gamma))) in runs.into_iter().flat_map(|(tier, both)| ["fwd", "tape"].into_iter().zip(both).map(move |r| (tier, r))) {
             assert_eq!(pooled.shape(), (pairs.len(), h));
             let mut at = 0;
             for (idx, ((e1, e2), (want_pooled, want_gamma))) in pairs.iter().zip(&reference).enumerate() {
                 let (m, n) = (e1.rows(), e2.rows());
-                assert_eq!(bits(pooled.row_slice(idx)), bits(want_pooled), "{tier:?} h {h} pair {m}x{n}: pooled");
-                assert_eq!(bits(&gamma.data()[at..at + m]), bits(want_gamma), "{tier:?} h {h} pair {m}x{n}: gamma");
+                assert_eq!(bits(pooled.row_slice(idx)), bits(want_pooled), "{route} {tier:?} h {h} pair {m}x{n}: pooled");
+                assert_eq!(bits(&gamma.data()[at..at + m]), bits(want_gamma), "{route} {tier:?} h {h} pair {m}x{n}: gamma");
                 let total: f32 = want_gamma.iter().sum();
                 assert!((total - 1.0).abs() < 1e-4, "h {h} pair {m}x{n}: gamma sums to {total}");
                 at += m;
@@ -129,30 +149,19 @@ fn a_pair_is_bit_equal_alone_in_a_crowd_and_whatever_panel_it_finds() {
         assert_eq!(gamma_at(idx), alone.1, "gamma of pair {idx}");
     }
 
-    // The same record reached as rows of two different nodes: once as a leaf
-    // of its own, once inside a packed matrix at a row offset (other memory,
-    // so another packing), with a same-left pair in front of each.
-    let g = Graph::new();
-    let leaf = g.leaf(a.clone());
-    let packed = g.leaf(Tensor::concat_rows(&[&others[3], &a, &others[4]]));
-    let in_packed = others[3].rows()..others[3].rows() + a.rows();
-    let right = g.leaf(b.clone());
-    let left = [
-        RowView::Node(leaf, 0..a.rows()),
-        RowView::Node(leaf, 0..a.rows()),
-        RowView::Node(packed, in_packed.clone()),
-        RowView::Node(packed, in_packed),
-    ];
-    let right = [RowView::Tensor(&others[7]), RowView::Node(right, 0..b.rows()), RowView::Tensor(&others[8]), RowView::Tensor(&b)];
-    let (pooled, gamma) = g.aoa_pool(&left, &right);
-    let pooled = g.value(pooled);
+    // The same record as groups of a packed node at row offsets (other
+    // memory, so another packing each time), as the tape op reads training
+    // batches.
+    let pairs = [(&a, &others[7]), (&a, &b), (&others[3], &others[8]), (&a, &b)];
+    let (pooled, gamma) = tape(&pairs);
     for idx in [1, 3] {
-        assert_eq!(bits(pooled.row_slice(idx)), alone.0, "pooled through node view {idx}");
-        assert_eq!(bits(&gamma.data()[idx * a.rows()..(idx + 1) * a.rows()]), alone.1, "gamma through node view {idx}");
+        let at: usize = pairs[..idx].iter().map(|p| p.0.rows()).sum();
+        assert_eq!(bits(pooled.row_slice(idx)), alone.0, "pooled through group {idx}");
+        assert_eq!(bits(&gamma.data()[at..at + a.rows()]), alone.1, "gamma through group {idx}");
     }
 }
 
-// ----- (c) scratch stays scratch; views stay inside their nodes --------------
+// ----- (c) scratch stays scratch; groups stay inside their nodes -------------
 
 /// A NaN with a payload no arithmetic here produces.
 const CANARY: u32 = 0x7fc5_a5a5;
@@ -166,7 +175,7 @@ fn stale_pool_contents_never_reach_a_result_and_writes_stay_in_their_blocks() {
     pool::clear();
     let clean = launch(&pairs);
 
-    // Every buffer the op can draw — the workspace (a power of two), the
+    // Every buffer a launch can draw — the workspace (a power of two), the
     // panel, the [G, h] output, the packed γ — comes back full of canaries.
     let canary = f32::from_bits(CANARY);
     let rows: usize = pairs.iter().map(|p| p.0.rows()).sum();
@@ -194,18 +203,19 @@ fn stale_pool_contents_never_reach_a_result_and_writes_stay_in_their_blocks() {
 }
 
 #[test]
-#[should_panic(expected = "reaches past")]
+#[should_panic(expected = "groups cover 5 rows, the node has 4")]
 fn a_view_past_its_nodes_rows_panics() {
     let g = Graph::new();
     let e = g.leaf(Tensor::ones(4, 3));
-    g.aoa_pool(&[RowView::Node(e, 2..5)], &[RowView::Node(e, 0..4)]);
+    g.aoa_pool(e, &RowGroups::from_lens(&[2, 3]), e, &RowGroups::from_lens(&[2, 2]));
 }
 
 #[test]
 #[should_panic(expected = "width mismatch")]
 fn operands_of_different_widths_panic() {
-    let (a, b) = (Tensor::ones(4, 3), Tensor::ones(4, 5));
-    Graph::new().aoa_pool(&[RowView::Tensor(&a)], &[RowView::Tensor(&b)]);
+    let g = Graph::new();
+    let one = RowGroups::from_lens(&[4]);
+    g.aoa_pool(g.leaf(Tensor::ones(4, 3)), &one, g.leaf(Tensor::ones(4, 5)), &one);
 }
 
 // ----- (d) gradients ----------------------------------------------------------
@@ -236,9 +246,9 @@ proptest! {
     ) {
         let lens: Vec<(usize, usize)> = left_lens.into_iter().zip(right_lens).collect();
         // A packed batch on each side, as the joint forward pass builds it,
-        // plus one more pair that reads group 0 of the LEFT matrix on both
-        // sides (a record paired with itself), so that matrix's rows collect
-        // gradient from three views.
+        // and a second op that pairs every LEFT record with itself, so that
+        // matrix's rows collect gradient from both sides of one op and from
+        // two ops.
         let mut rng = StdRng::seed_from_u64(seed);
         let (g1, g2) = (
             RowGroups::from_lens(&lens.iter().map(|l| l.0).collect::<Vec<_>>()),
@@ -246,27 +256,27 @@ proptest! {
         );
         let e1 = encoding(&mut rng, g1.total(), h);
         let e2 = encoding(&mut rng, g2.total(), h);
-        let weights = Tensor::rand_normal(lens.len() + 1, h, 0.0, 1.0, &mut rng);
+        let weights = Tensor::rand_normal(2 * lens.len(), h, 0.0, 1.0, &mut rng);
 
         let g = Graph::new();
         let (v1, v2) = (g.leaf(e1.clone()), g.leaf(e2.clone()));
-        let (mut left, mut right) = (g1.row_views(v1), g2.row_views(v2));
-        left.push(left[0].clone());
-        right.push(left[0].clone());
-        let (pooled, _) = g.aoa_pool(&left, &right);
+        let (across, _) = g.aoa_pool(v1, &g1, v2, &g2);
+        let (own, _) = g.aoa_pool(v1, &g1, v1, &g1);
+        let pooled = g.concat_rows(&[across, own]);
         let loss = g.sum_all(g.mul(pooled, g.leaf(weights.clone())));
         let fused = g.backward(loss);
 
         let r = Graph::new();
         let (r1, r2) = (r.leaf(e1.clone()), r.leaf(e2.clone()));
-        let mut rows: Vec<Var> = (0..lens.len())
-            .map(|i| {
-                let ((a0, a1), (b0, b1)) = (g1.range(i), g2.range(i));
-                per_pair_reference(&r, r.slice_rows(r1, a0, a1), r.slice_rows(r2, b0, b1))
-            })
-            .collect();
-        let own = r.slice_rows(r1, 0, g1.len_of(0));
-        rows.push(per_pair_reference(&r, own, own));
+        let side = |v: Var, groups: &RowGroups, i: usize| {
+            let (r0, r1) = groups.range(i);
+            r.slice_rows(v, r0, r1)
+        };
+        let mut rows: Vec<Var> = (0..lens.len()).map(|i| per_pair_reference(&r, side(r1, &g1, i), side(r2, &g2, i))).collect();
+        rows.extend((0..lens.len()).map(|i| {
+            let own = side(r1, &g1, i);
+            per_pair_reference(&r, own, own)
+        }));
         let ref_pooled = r.concat_rows(&rows);
         let ref_loss = r.sum_all(r.mul(ref_pooled, r.leaf(weights)));
         let reference = r.backward(ref_loss);
@@ -278,16 +288,15 @@ proptest! {
 }
 
 #[test]
-fn backward_is_bit_identical_across_tiers_and_leaves_detached_views_alone() {
+fn backward_is_bit_identical_across_tiers() {
     let mut rng = StdRng::seed_from_u64(105);
     let h = 20;
-    let (e1, e2, cached) = (encoding(&mut rng, 13, h), encoding(&mut rng, 9, h), encoding(&mut rng, 7, h));
+    let (e1, e2) = (encoding(&mut rng, 13, h), encoding(&mut rng, 9, h));
+    let (g1, g2) = (RowGroups::from_lens(&[6, 7]), RowGroups::from_lens(&[4, 5]));
     let run = || {
         let g = Graph::new();
         let (v1, v2) = (g.leaf(e1.clone()), g.leaf(e2.clone()));
-        let left = [RowView::Node(v1, 0..6), RowView::Node(v1, 6..13), RowView::Tensor(&cached)];
-        let right = [RowView::Node(v2, 0..9), RowView::Tensor(&cached), RowView::Node(v2, 2..5)];
-        let (pooled, _) = g.aoa_pool(&left, &right);
+        let (pooled, _) = g.aoa_pool(v1, &g1, v2, &g2);
         let grads = g.backward(g.mean_all(g.mul(pooled, pooled)));
         (bits(grads.get(v1).unwrap().data()), bits(grads.get(v2).unwrap().data()))
     };
@@ -296,8 +305,10 @@ fn backward_is_bit_identical_across_tiers_and_leaves_detached_views_alone() {
     for (tier, grads) in &runs {
         assert_eq!(grads, portable, "{tier:?}");
     }
-    // Rows 0..2 and 5..9 of E2 are read by pair 0 only; every row got some.
-    assert!(portable.1.chunks(h).all(|row| row.iter().any(|&b| f32::from_bits(b) != 0.0)));
+    // Every row of both sides got some.
+    for grad in [&portable.0, &portable.1] {
+        assert!(grad.chunks(h).all(|row| row.iter().any(|&b| f32::from_bits(b) != 0.0)));
+    }
 }
 
 // ----- (e) an empty side ---------------------------------------------------------
@@ -307,7 +318,10 @@ fn an_empty_side_pools_to_a_zero_row() {
     let mut rng = StdRng::seed_from_u64(106);
     let h = 8;
     let (a, b, empty) = (encoding(&mut rng, 4, h), encoding(&mut rng, 3, h), Tensor::zeros(0, h));
-    let (pooled, gamma) = launch(&[(&a, &b), (&a, &empty), (&empty, &b), (&empty, &empty), (&a, &b)]);
+    let pairs = [(&a, &b), (&a, &empty), (&empty, &b), (&empty, &empty), (&a, &b)];
+    let (pooled, gamma) = launch(&pairs);
+    let (tape_pooled, tape_gamma) = tape(&pairs);
+    assert_eq!((bits(tape_pooled.data()), bits(tape_gamma.data())), (bits(pooled.data()), bits(gamma.data())), "tape vs fwd");
     for idx in 1..4 {
         assert!(pooled.row_slice(idx).iter().all(|&v| v == 0.0), "pair {idx} with an empty side");
     }
@@ -320,7 +334,7 @@ fn an_empty_side_pools_to_a_zero_row() {
     // And no gradient flows from such a pair.
     let g = Graph::new();
     let (va, ve) = (g.leaf(a), g.leaf(empty));
-    let (pooled, _) = g.aoa_pool(&[RowView::Node(va, 0..4)], &[RowView::Node(ve, 0..0)]);
+    let (pooled, _) = g.aoa_pool(va, &RowGroups::from_lens(&[4]), ve, &RowGroups::from_lens(&[0]));
     let grads = g.backward(g.sum_all(pooled));
     assert!(grads.get(va).is_none_or(|d| d.data().iter().all(|&v| v == 0.0)));
 }

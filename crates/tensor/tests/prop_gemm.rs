@@ -16,7 +16,7 @@
 
 use emba_tensor::gradcheck::check_gradients;
 use emba_tensor::kernels::{self, Epilogue, KC};
-use emba_tensor::{simd, Graph, RowGroups, RowView, Tensor};
+use emba_tensor::{fwd, simd, Graph, RowGroups, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -546,9 +546,9 @@ fn gradients_flow_through_head_views_and_dropped_probabilities() {
 
 #[test]
 fn aoa_views_at_row_offsets_read_their_own_rows() {
-    // The fused AOA op multiplies row views of packed matrices in place: each
-    // pair's result must be, bit for bit, what the same rows give as
-    // standalone tensors.
+    // The fused AOA op multiplies the groups of packed matrices in place:
+    // each pair's result must be, bit for bit, what the same rows give as
+    // standalone slices.
     let mut rng = StdRng::seed_from_u64(48);
     let (ga, gb) = (
         RowGroups::from_lens(&[4, 9, 2]),
@@ -561,15 +561,16 @@ fn aoa_views_at_row_offsets_read_their_own_rows() {
     );
     let g = Graph::new();
     let (va, vb) = (g.leaf(a.clone()), g.leaf(b.clone()));
-    let (pooled, gamma) = g.aoa_pool(&ga.row_views(va), &gb.row_views(vb));
+    let (pooled, gamma) = g.aoa_pool(va, &ga, vb, &gb);
     let pooled = g.value(pooled);
     assert_eq!(pooled.shape(), (ga.len(), h));
     assert_eq!(gamma.shape(), (ga.total(), 1));
     for gi in 0..ga.len() {
         let ((ar0, ar1), (br0, br1)) = (ga.range(gi), gb.range(gi));
         let (e1, e2) = (a.slice_rows(ar0, ar1), b.slice_rows(br0, br1));
-        let (alone, alone_gamma) = g.aoa_pool(&[RowView::Tensor(&e1)], &[RowView::Tensor(&e2)]);
-        assert_eq!(bits(pooled.row_slice(gi)), bits(g.value(alone).data()), "pair {gi} pooled");
-        assert_eq!(bits(&gamma.data()[ar0..ar1]), bits(alone_gamma.data()), "pair {gi} gamma");
+        let (mut alone, mut alone_gamma) = (vec![0.0; h], vec![0.0; e1.rows()]);
+        fwd::aoa_pool_into(&[(e1.data(), e2.data())], h, &mut alone, Some(&mut alone_gamma));
+        assert_eq!(bits(pooled.row_slice(gi)), bits(&alone), "pair {gi} pooled");
+        assert_eq!(bits(&gamma.data()[ar0..ar1]), bits(&alone_gamma), "pair {gi} gamma");
     }
 }

@@ -90,14 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn grad_log_softmax(x in tensor(2, 5)) {
-        check(&[x], |g, v| {
-            let p = g.log_softmax_rows(v[0]);
-            g.mean_all(p)
-        });
-    }
-
-    #[test]
     fn grad_layer_norm(x in tensor(3, 6), gamma in tensor(1, 6), beta in tensor(1, 6)) {
         check(&[x, gamma, beta], |g, v| {
             let y = g.layer_norm(v[0], v[1], v[2]);
@@ -112,13 +104,8 @@ proptest! {
             let y = g.add_bias(v[0], v[1]);
             g.sum_all(y)
         });
-        check(std::slice::from_ref(&x), |g, v| {
-            let y = g.mean_axis0(v[0]);
-            let sq = g.mul(y, y);
-            g.sum_all(sq)
-        });
         check(&[x], |g, v| {
-            let y = g.mean_axis1(v[0]);
+            let y = g.mean_axis0(v[0]);
             let sq = g.mul(y, y);
             g.sum_all(sq)
         });

@@ -130,7 +130,7 @@ proptest! {
         // row softmax, group mean, row-dot, weighted pooling — is one op; one
         // gradcheck over all of it, with every pooled coordinate weighted.
         check(&[a, b], |g, v| {
-            let (pooled, _) = g.aoa_pool(&ga.row_views(v[0]), &gb.row_views(v[1]));
+            let (pooled, _) = g.aoa_pool(v[0], &ga, v[1], &gb);
             g.sum_all(g.mul(pooled, g.leaf(w.clone())))
         });
     }
@@ -177,7 +177,7 @@ proptest! {
         let (alpha, beta) = (g.softmax_cols(inter), g.softmax_rows(inter));
         let gamma_p = g.matmul_nt(alpha, g.mean_axis0(beta));
         let pooled_p = g.matmul_tn(gamma_p, qv);
-        let (pooled_g, gamma_g) = g.aoa_pool(&groups.row_views(qv), &groups.row_views(kv));
+        let (pooled_g, gamma_g) = g.aoa_pool(qv, &groups, kv, &groups);
         assert_close(&gamma_g, &g.value(gamma_p), 1e-5, "aoa gamma");
         assert_close(&g.value(pooled_g), &g.value(pooled_p), 1e-5, "aoa pooled");
 

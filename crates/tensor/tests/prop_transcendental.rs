@@ -3,7 +3,7 @@
 //! propagation, tier bit-identity, and composition independence (a row's
 //! result is bit-equal alone, inside a batch, or under a wider padded `W`).
 
-use emba_tensor::{simd, Graph, RowGroups, RowView, Tensor};
+use emba_tensor::{fwd, simd, Graph, RowGroups, Tensor};
 use proptest::prelude::*;
 
 const GELU_C: f64 = 0.797_884_560_802_865_4;
@@ -199,14 +199,13 @@ proptest! {
         let (e1, e2, e1_wide, e2_wide) = (rows(ta, 0), rows(tb, 11), rows(ta2, 23), rows(wide, 37));
         let (ga1, ga2) = (RowGroups::from_lens(&[ta]), RowGroups::from_lens(&[ta, ta2]));
         let (gb1, gb2) = (RowGroups::from_lens(&[tb]), RowGroups::from_lens(&[tb, wide]));
+        let (mut alone, mut alone_gamma) = (vec![0.0; 5], vec![0.0; ta]);
+        fwd::aoa_pool_into(&[(e1.data(), e2.data())], 5, &mut alone, Some(&mut alone_gamma));
+        let (mut both, mut both_gamma) = (vec![0.0; 10], vec![0.0; ta + ta2]);
+        fwd::aoa_pool_into(&[(e1.data(), e2.data()), (e1_wide.data(), e2_wide.data())], 5, &mut both, Some(&mut both_gamma));
+        prop_assert_eq!(bits(&alone), bits(&both[..5]));
+        prop_assert_eq!(bits(&alone_gamma), bits(&both_gamma[..ta]));
         let g = Graph::new();
-        let (alone, alone_gamma) = g.aoa_pool(&[RowView::Tensor(&e1)], &[RowView::Tensor(&e2)]);
-        let (both, both_gamma) = g.aoa_pool(
-            &[RowView::Tensor(&e1), RowView::Tensor(&e1_wide)],
-            &[RowView::Tensor(&e2), RowView::Tensor(&e2_wide)],
-        );
-        prop_assert_eq!(bits(g.value(alone).data()), bits(g.value(both).row_slice(0)));
-        prop_assert_eq!(bits(alone_gamma.data()), bits(&both_gamma.data()[..ta]));
 
         // Token-attention column softmax: a segment alone vs packed first.
         let col: Vec<f32> = (0..ta + ta2).map(|r| val(r, 3)).collect();

@@ -6,6 +6,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# DESIGN.md describes the system as it is; history goes to CHANGES.md and
+# results/PR*.md. Fail before it grows back past 60 KB.
+design_bytes=$(wc -c < DESIGN.md)
+if [ "$design_bytes" -ge 60000 ]; then
+    echo "DESIGN.md is $design_bytes bytes; keep it under 60 KB (move history to results/)" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
@@ -23,7 +31,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # bypasses the cap, and nn's `tests/eval_bits.rs` holds the forward-only
 # encoder to the tape on the portable tiles. Core's `tests/infer_bits.rs`
 # does the same for joint inference (`Matcher::infer_batch`) on every model
-# of Tables 2 and 4.
+# of Tables 2 and 4, and for the split path's tape-free pair score
+# (`split_score_is_the_tape_bit_for_bit`).
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor -p emba-nn
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --test infer_bits
 
