@@ -6,7 +6,7 @@
 //! `encode_batch` call (and its tape-free twin `encode_eval`) so every
 //! matcher is backbone-agnostic.
 
-use emba_nn::{BertConfig, BertEncoder, GraphStamp, Linear, Module, Param};
+use emba_nn::{BertConfig, BertEncoder, Linear, Module, Param};
 use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -87,19 +87,19 @@ impl FastTextEncoder {
         &mut self.embedding
     }
 
-    fn encode_batch(&self, g: &Graph, stamp: GraphStamp, seqs: &[&[usize]]) -> SeqBatchOutput {
+    fn encode_batch(&self, g: &Graph, seqs: &[&[usize]]) -> SeqBatchOutput {
         let (ids, groups) = Self::pack(seqs);
         SeqBatchOutput {
-            tokens: self.embedding.forward(g, stamp, &ids),
+            tokens: self.embedding.forward(g, &ids),
             last_attention: Vec::new(),
             groups,
         }
     }
 
     /// The pooled form: `tanh` of a projection of each sequence's mean.
-    fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+    fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
         let mean = g.mean_rows_grouped(tokens, groups); // [B, dim]
-        g.tanh(self.pool_proj.forward(g, stamp, mean))
+        g.tanh(self.pool_proj.forward(g, mean))
     }
 
     /// [`FastTextEncoder::encode_batch`]'s token rows with no tape: the
@@ -221,7 +221,6 @@ impl Backbone {
     pub fn encode_batch(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         seqs: &[(&[usize], &[usize])],
         train: bool,
         rng: &mut dyn RngCore,
@@ -231,7 +230,7 @@ impl Backbone {
                 encoder,
                 use_segments,
             } => {
-                let out = with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, stamp, seqs, train, rng));
+                let out = with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, seqs, train, rng));
                 SeqBatchOutput {
                     tokens: out.tokens,
                     last_attention: out.last_attention,
@@ -240,7 +239,7 @@ impl Backbone {
             }
             Backbone::FastText(ft) => {
                 let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();
-                ft.encode_batch(g, stamp, &ids)
+                ft.encode_batch(g, &ids)
             }
         }
     }
@@ -249,10 +248,10 @@ impl Backbone {
     /// out by `groups`, on the tape (row `i` = sequence `i`): BERT's tanh
     /// pooler over each `[CLS]` row, fastText's tanh projection of each
     /// sequence's mean. Only the heads that read `[CLS]` call it.
-    pub fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+    pub fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
         match self {
-            Backbone::Bert { encoder, .. } => encoder.pool(g, stamp, tokens, groups),
-            Backbone::FastText(ft) => ft.pool(g, stamp, tokens, groups),
+            Backbone::Bert { encoder, .. } => encoder.pool(g, tokens, groups),
+            Backbone::FastText(ft) => ft.pool(g, tokens, groups),
         }
     }
 
@@ -310,9 +309,8 @@ mod tests {
     /// pooled row, and how many last-layer attention heads it kept.
     fn encode_one(b: &Backbone, ids: &[usize], segments: &[usize]) -> (Tensor, Tensor, usize) {
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let out = b.encode_batch(&g, stamp, &[(ids, segments)], false, &mut StdRng::seed_from_u64(0));
-        let pooled = b.pool(&g, stamp, out.tokens, &out.groups);
+        let out = b.encode_batch(&g, &[(ids, segments)], false, &mut StdRng::seed_from_u64(0));
+        let pooled = b.pool(&g, out.tokens, &out.groups);
         (g.value(out.tokens), g.value(pooled), out.last_attention.len())
     }
 
@@ -376,7 +374,7 @@ mod tests {
                 let g = Graph::new();
                 let want = {
                     let _backend = emba_tensor::backend::install(backend);
-                    g.value(b.encode_batch(&g, GraphStamp::next(), &seqs, false, &mut rng).tokens)
+                    g.value(b.encode_batch(&g, &seqs, false, &mut rng).tokens)
                 };
                 let (got, groups, _) = b.encode_eval(&seqs, backend);
                 assert_eq!(groups.lens(), [6, 1]);

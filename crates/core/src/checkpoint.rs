@@ -225,10 +225,9 @@ mod tests {
         // hardcoded rate, which this catches.
         let ex = trained.pipeline.encode_example(&ds.test[0]);
         let loss_of = |t: &TrainedMatcher| {
-            use emba_nn::GraphStamp;
             let mut rng = StdRng::seed_from_u64(99);
             let g = emba_tensor::Graph::new();
-            let out = t.model.forward_batch(&g, GraphStamp::next(), &[&ex], true, &mut rng);
+            let out = t.model.forward_batch(&g, &[&ex], true, &mut rng);
             g.value(out.loss).item()
         };
         assert_eq!(loss_of(&trained), loss_of(&restored));

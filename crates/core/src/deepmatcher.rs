@@ -10,7 +10,7 @@
 //! class-weighted cross-entropy (the paper fixes the positive/negative
 //! weighting to the training distribution).
 
-use emba_nn::{BiGru, Embedding, GraphStamp, Linear, Module, Param};
+use emba_nn::{BiGru, Embedding, Linear, Module, Param};
 use emba_tensor::{Graph, Var};
 use rand::RngCore;
 
@@ -78,16 +78,16 @@ impl DeepMatcher {
     }
 
     /// Encodes one attribute value into a `[1, 2*rnn_hidden]` summary.
-    fn summarize(&self, g: &Graph, stamp: GraphStamp, ids: &[usize]) -> Var {
+    fn summarize(&self, g: &Graph, ids: &[usize]) -> Var {
         let ids = if ids.is_empty() {
             &[emba_tokenizer::special::UNK][..]
         } else {
             ids
         };
-        let emb = self.embedding.forward(g, stamp, ids);
-        let states = self.rnn.forward(g, stamp, emb);
+        let emb = self.embedding.forward(g, ids);
+        let states = self.rnn.forward(g, emb);
         // Learned attention pooling over timesteps.
-        let scores = self.attn_scorer.forward(g, stamp, states); // [t, 1]
+        let scores = self.attn_scorer.forward(g, states); // [t, 1]
         let weights = g.softmax_rows(g.transpose(scores)); // [1, t]
         g.matmul(weights, states) // [1, 2h]
     }
@@ -108,7 +108,7 @@ impl DeepMatcher {
     }
 
     /// One example's loss and match probability.
-    fn forward_one(&self, g: &Graph, stamp: GraphStamp, ex: &EncodedExample) -> (Var, f32) {
+    fn forward_one(&self, g: &Graph, ex: &EncodedExample) -> (Var, f32) {
         let mut pairs = Self::aligned(&ex.left_attrs, &ex.right_attrs);
         let flat_left: Vec<usize>;
         let flat_right: Vec<usize>;
@@ -122,8 +122,8 @@ impl DeepMatcher {
         let comparisons: Vec<Var> = pairs
             .iter()
             .map(|(l, r)| {
-                let u = self.summarize(g, stamp, l);
-                let v = self.summarize(g, stamp, r);
+                let u = self.summarize(g, l);
+                let v = self.summarize(g, r);
                 let diff = g.sub(u, v);
                 // |x| = relu(x) + relu(-x), smooth except at 0.
                 let abs = g.add(g.relu(diff), g.relu(g.scale(diff, -1.0)));
@@ -134,8 +134,8 @@ impl DeepMatcher {
         let stacked = g.concat_rows(&comparisons);
         let aggregated = g.mean_axis0(stacked);
 
-        let hidden = g.relu(self.hidden_layer.forward(g, stamp, aggregated));
-        let logits = self.output_layer.forward(g, stamp, hidden);
+        let hidden = g.relu(self.hidden_layer.forward(g, aggregated));
+        let logits = self.output_layer.forward(g, hidden);
         let target = usize::from(ex.is_match);
         let loss = g.cross_entropy_weighted(logits, &[target], Some(&self.class_weights));
 
@@ -150,7 +150,6 @@ impl Matcher for DeepMatcher {
     fn forward_batch(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         exs: &[&EncodedExample],
         _train: bool,
         _rng: &mut dyn RngCore,
@@ -160,7 +159,7 @@ impl Matcher for DeepMatcher {
         let mut example_losses = Vec::with_capacity(exs.len());
         let mut match_probs = Vec::with_capacity(exs.len());
         for ex in exs {
-            let (ex_loss, prob) = self.forward_one(g, stamp, ex);
+            let (ex_loss, prob) = self.forward_one(g, ex);
             example_losses.push(g.value(ex_loss).item());
             loss = Some(loss.map_or(ex_loss, |acc| g.add(acc, ex_loss)));
             match_probs.push(prob);
@@ -237,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
         assert!((0.0..=1.0).contains(&out.match_probs[0]));
         assert!(g.value(out.loss).item().is_finite());
     }
@@ -250,7 +249,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
         assert!(out.match_probs[0].is_finite());
     }
 
@@ -270,8 +269,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let out = model.forward_batch(&g, stamp, &[&exs[0]], true, &mut rng);
+        let out = model.forward_batch(&g, &[&exs[0]], true, &mut rng);
         let grads = g.backward(out.loss);
         model.zero_grads();
         model.accumulate_gradients(&grads);
@@ -299,7 +297,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
-        let out = model.forward_batch(&g, GraphStamp::next(), &[&exs[0]], false, &mut rng);
+        let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
         assert!(out.match_probs[0].is_finite());
     }
 }

@@ -333,12 +333,11 @@ impl TrainedMatcher {
                 self.pipeline.encode_example(&example)
             })
             .collect();
-        let mut rng = StdRng::seed_from_u64(0);
         let mut probs = Vec::with_capacity(encoded.len());
         let (mut attention, mut gamma) = (None, None);
         for chunk in encoded.chunks(EVAL_BATCH) {
             let exs: Vec<&EncodedExample> = chunk.iter().collect();
-            let inference = self.model.infer_batch(&exs, &mut rng);
+            let inference = self.model.infer_batch(&exs);
             probs.extend(inference.match_probs);
             if pairs.len() == 1 {
                 (attention, gamma) = (inference.attention, inference.gamma);

@@ -2,7 +2,7 @@
 //! binary match classifier.
 
 use emba_nn::eval::Exec;
-use emba_nn::{GraphStamp, Linear, Module, Param};
+use emba_nn::{Linear, Module, Param};
 use emba_tensor::{Graph, RowGroups, Var};
 use rand::Rng;
 
@@ -36,25 +36,20 @@ impl TokenAggregationHead {
     }
 
     /// Computes `[1, classes]` logits from `[k, hidden]` token states.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, tokens: Var) -> Var {
-        let (pooled, _) = self.pool(g, stamp, tokens);
-        self.classifier.forward(g, stamp, pooled)
+    pub fn forward(&self, g: &Graph, tokens: Var) -> Var {
+        let (pooled, _) = self.pool(g, tokens);
+        self.classifier.forward(g, pooled)
     }
 
     /// Like [`TokenAggregationHead::forward`] but also returns the learned
     /// `[k, 1]` aggregation weights (used in the attention analyses).
-    pub fn forward_with_weights(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        tokens: Var,
-    ) -> (Var, Var) {
-        let (pooled, weights) = self.pool(g, stamp, tokens);
-        (self.classifier.forward(g, stamp, pooled), weights)
+    pub fn forward_with_weights(&self, g: &Graph, tokens: Var) -> (Var, Var) {
+        let (pooled, weights) = self.pool(g, tokens);
+        (self.classifier.forward(g, pooled), weights)
     }
 
-    fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var) -> (Var, Var) {
-        let scores = self.scorer.forward(g, stamp, tokens); // [k, 1]
+    fn pool(&self, g: &Graph, tokens: Var) -> (Var, Var) {
+        let scores = self.scorer.forward(g, tokens); // [k, 1]
         let scores_row = g.transpose(scores); // [1, k]
         let weights_row = g.softmax_rows(scores_row); // [1, k]
         let pooled = g.matmul(weights_row, tokens); // [1, h]
@@ -65,24 +60,18 @@ impl TokenAggregationHead {
     /// states: one softmax-aggregated record representation per group, then
     /// the shared classifier. Semantically equivalent to
     /// [`TokenAggregationHead::forward`] per record.
-    pub fn forward_batch(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        tokens: Var,
-        groups: &RowGroups,
-    ) -> Var {
-        let scores = self.scorer.forward(g, stamp, tokens); // [ΣT, 1]
+    pub fn forward_batch(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
+        let scores = self.scorer.forward(g, tokens); // [ΣT, 1]
         let weights = g.softmax_col_grouped(scores, groups); // per-record distribution
         let pooled = g.weighted_sum_rows_grouped(weights, tokens, groups); // [G, h]
-        self.classifier.forward(g, stamp, pooled)
+        self.classifier.forward(g, pooled)
     }
 
     /// Classifies a pre-pooled `[1, hidden]` representation directly
     /// (used by the `[CLS]`-based ablations that share this classifier
     /// structure).
-    pub fn classify_pooled(&self, g: &Graph, stamp: GraphStamp, pooled: Var) -> Var {
-        self.classifier.forward(g, stamp, pooled)
+    pub fn classify_pooled(&self, g: &Graph, pooled: Var) -> Var {
+        self.classifier.forward(g, pooled)
     }
 }
 
@@ -119,8 +108,8 @@ impl MatchHead {
     }
 
     /// `[1, 1]` match logit.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, pooled: Var) -> Var {
-        self.proj.forward(g, stamp, pooled)
+    pub fn forward(&self, g: &Graph, pooled: Var) -> Var {
+        self.proj.forward(g, pooled)
     }
 
     /// The `[G, 1]` logits [`MatchHead::forward`] records for the `[G, dim]`
@@ -153,7 +142,7 @@ mod tests {
         let head = TokenAggregationHead::new(8, 5, &mut rng);
         let g = Graph::new();
         let tokens = g.leaf(Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng));
-        let (logits, weights) = head.forward_with_weights(&g, GraphStamp::next(), tokens);
+        let (logits, weights) = head.forward_with_weights(&g, tokens);
         assert_eq!(g.value(logits).shape(), (1, 5));
         let w = g.value(weights);
         assert_eq!(w.shape(), (6, 1));
@@ -183,9 +172,8 @@ mod tests {
             rows[pos] = marker(c);
             let flat: Vec<f32> = rows.into_iter().flatten().collect();
             let g = Graph::new();
-            let stamp = GraphStamp::next();
             let tokens = g.leaf(Tensor::from_vec(5, h, flat));
-            let logits = head.forward(&g, stamp, tokens);
+            let logits = head.forward(&g, tokens);
             let loss = g.cross_entropy(logits, &[c]);
             last_loss = g.value(loss).item();
             let grads = g.backward(loss);
@@ -200,7 +188,6 @@ mod tests {
     fn batched_aggregation_matches_per_record() {
         let mut rng = StdRng::seed_from_u64(4);
         let head = TokenAggregationHead::new(8, 5, &mut rng);
-        let stamp = GraphStamp::next();
         let records = [
             Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng),
             Tensor::rand_normal(2, 8, 0.0, 1.0, &mut rng),
@@ -209,10 +196,10 @@ mod tests {
         let groups = RowGroups::from_lens(&[6, 2, 4]);
         let g = Graph::new();
         let packed = g.leaf(Tensor::concat_rows(&records.iter().collect::<Vec<_>>()));
-        let batched = g.value(head.forward_batch(&g, stamp, packed, &groups));
+        let batched = g.value(head.forward_batch(&g, packed, &groups));
         assert_eq!(batched.shape(), (3, 5));
         for (i, rec) in records.iter().enumerate() {
-            let single = g.value(head.forward(&g, stamp, g.leaf(rec.clone())));
+            let single = g.value(head.forward(&g, g.leaf(rec.clone())));
             for (x, y) in batched.row_slice(i).iter().zip(single.data()) {
                 assert!((x - y).abs() < 1e-5, "logits differ for record {i}");
             }
@@ -225,7 +212,7 @@ mod tests {
         let head = MatchHead::new(16, &mut rng);
         let g = Graph::new();
         let pooled = g.leaf(Tensor::rand_normal(1, 16, 0.0, 1.0, &mut rng));
-        let logit = head.forward(&g, GraphStamp::next(), pooled);
+        let logit = head.forward(&g, pooled);
         assert_eq!(g.value(logit).shape(), (1, 1));
         assert_eq!(head.dim(), 16);
     }
@@ -236,7 +223,7 @@ mod tests {
         let head = TokenAggregationHead::new(4, 2, &mut rng);
         let g = Graph::new();
         let pooled = g.leaf(Tensor::rand_normal(1, 4, 0.0, 1.0, &mut rng));
-        let logits = head.classify_pooled(&g, GraphStamp::next(), pooled);
+        let logits = head.classify_pooled(&g, pooled);
         assert_eq!(g.value(logits).shape(), (1, 2));
     }
 }

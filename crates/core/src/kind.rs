@@ -192,7 +192,6 @@ mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
     use emba_datagen::{build as build_ds, DatasetId, Scale, WdcCategory, WdcSize};
-    use emba_nn::GraphStamp;
     use emba_tensor::Graph;
     use rand::SeedableRng;
 
@@ -216,7 +215,7 @@ mod tests {
             let model = kind.build(&pipe, ds.num_classes, 0.25, crate::DEFAULT_DROPOUT, &mut rng);
             let ex = pipe.encode_example(&ds.train[0]);
             let g = Graph::new();
-            let out = model.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng);
+            let out = model.forward_batch(&g, &[&ex], false, &mut rng);
             assert!(
                 out.match_probs[0].is_finite(),
                 "{} produced a non-finite probability",

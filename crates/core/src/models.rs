@@ -117,7 +117,6 @@ pub trait Matcher: Module {
     fn forward_batch(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         exs: &[&EncodedExample],
         train: bool,
         rng: &mut dyn RngCore,
@@ -128,14 +127,15 @@ pub trait Matcher: Module {
     /// [`Matcher::forward_batch`] returns with `train = false`, bit for bit,
     /// whatever the batch's composition.
     ///
-    /// The default implementation runs exactly that on a fresh tape.
+    /// Eval mode draws no randomness, so this takes no RNG. The default
+    /// implementation runs exactly that on a fresh tape.
     /// [`TransformerMatcher`] runs its backbone through the forward-only
     /// encoder under the thread's installed backend and only its heads on a
     /// tape.
-    fn infer_batch(&self, exs: &[&EncodedExample], rng: &mut dyn RngCore) -> Inference {
+    fn infer_batch(&self, exs: &[&EncodedExample]) -> Inference {
         let g = Graph::new();
         let BatchOutput { match_probs, id1_preds, id2_preds, attention, gamma, .. } =
-            self.forward_batch(&g, GraphStamp::next(), exs, false, rng);
+            self.forward_batch(&g, exs, false, &mut NoDraws);
         g.recycle();
         Inference { match_probs, id1_preds, id2_preds, attention, gamma }
     }
@@ -145,10 +145,11 @@ pub trait Matcher: Module {
     /// the backbone in eval mode under the thread's installed backend; the
     /// returned tensors are the `[mᵢ, h]` content-token representations `E`,
     /// owned, so they can be cached. [`TransformerMatcher`] runs the
-    /// forward-only encoder and records nothing on `g` (`g` and `stamp`
-    /// stay in the signature for callers that pass them). Returns `None`
-    /// when the model has no split scoring path (its pair representation is
-    /// not a pure function of per-record encodings).
+    /// forward-only encoder and records nothing on `_g`. `_g` and `_stamp`
+    /// are unused and stay only because the frozen `benchmark/` calls these
+    /// signatures. Returns `None` when the model has no split scoring path
+    /// (its pair representation is not a pure function of per-record
+    /// encodings).
     fn encode_records_standalone(
         &self,
         _g: &Graph,
@@ -162,8 +163,9 @@ pub trait Matcher: Module {
     /// pair-combination module and match head only — no backbone work.
     /// Probabilities match [`Matcher::forward_batch`]'s `match_probs` for
     /// the same token representations. [`TransformerMatcher`] runs off the
-    /// tape and records nothing on `g`. Returns `None` when unsupported
-    /// (see [`Matcher::encode_records_standalone`]).
+    /// tape and records nothing on `_g`; `_g` and `_stamp` stay as in
+    /// [`Matcher::encode_records_standalone`]. Returns `None` when
+    /// unsupported (see there).
     fn score_encoded_pairs(
         &self,
         _g: &Graph,
@@ -294,7 +296,6 @@ impl TransformerMatcher {
     fn heads(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         tokens: Var,
         groups: &RowGroups,
         exs: &[&EncodedExample],
@@ -304,7 +305,7 @@ impl TransformerMatcher {
         // recorded ahead of the per-record gathers because the backward
         // sweep sums `tokens`' gradient over its readers in tape order:
         // moving it would change a `[CLS]` model's training bits.
-        let pooled = self.reads_cls().then(|| self.backbone.pool(g, stamp, tokens, groups));
+        let pooled = self.reads_cls().then(|| self.backbone.pool(g, tokens, groups));
         let cls = || pooled.expect("reads_cls covers every [CLS] reader");
 
         // Row-packed per-record token matrices: one strided gather per side
@@ -394,7 +395,7 @@ impl TransformerMatcher {
                 g.concat_rows(&rows)
             }
         };
-        let em = self.match_head.forward(g, stamp, em_repr); // [B, 1]
+        let em = self.match_head.forward(g, em_repr); // [B, 1]
 
         // ----- auxiliary entity-ID tasks -----------------------------------------
         let ids = (self.aux != AuxStrategy::None).then(|| {
@@ -403,8 +404,8 @@ impl TransformerMatcher {
             match self.aux {
                 AuxStrategy::None => unreachable!(),
                 AuxStrategy::Cls => (
-                    id1.classify_pooled(g, stamp, cls()),
-                    id2.classify_pooled(g, stamp, cls()),
+                    id1.classify_pooled(g, cls()),
+                    id2.classify_pooled(g, cls()),
                 ),
                 AuxStrategy::ClsSep => {
                     // Each first [SEP] sits immediately after its left record.
@@ -415,17 +416,17 @@ impl TransformerMatcher {
                         .collect();
                     let sep = g.gather_rows(tokens, &seps);
                     (
-                        id1.classify_pooled(g, stamp, cls()),
-                        id2.classify_pooled(g, stamp, sep),
+                        id1.classify_pooled(g, cls()),
+                        id2.classify_pooled(g, sep),
                     )
                 }
                 AuxStrategy::TokenAvg => (
-                    id1.classify_pooled(g, stamp, g.mean_rows_grouped(e1, &g1)),
-                    id2.classify_pooled(g, stamp, g.mean_rows_grouped(e2, &g2)),
+                    id1.classify_pooled(g, g.mean_rows_grouped(e1, &g1)),
+                    id2.classify_pooled(g, g.mean_rows_grouped(e2, &g2)),
                 ),
                 AuxStrategy::TokenAttention => (
-                    id1.forward_batch(g, stamp, e1, &g1),
-                    id2.forward_batch(g, stamp, e2, &g2),
+                    id1.forward_batch(g, e1, &g1),
+                    id2.forward_batch(g, e2, &g2),
                 ),
             }
         });
@@ -438,15 +439,14 @@ impl Matcher for TransformerMatcher {
     fn forward_batch(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         exs: &[&EncodedExample],
         train: bool,
         rng: &mut dyn RngCore,
     ) -> BatchOutput {
         assert!(!exs.is_empty(), "cannot run an empty batch");
         let b = exs.len();
-        let batch = self.backbone.encode_batch(g, stamp, &pair_seqs(exs), train, rng);
-        let heads = self.heads(g, stamp, batch.tokens, &batch.groups, exs);
+        let batch = self.backbone.encode_batch(g, &pair_seqs(exs), train, rng);
+        let heads = self.heads(g, batch.tokens, &batch.groups, exs);
         let (match_probs, id1_preds, id2_preds) = heads.predictions(g);
 
         let targets: Vec<f32> = exs
@@ -493,11 +493,11 @@ impl Matcher for TransformerMatcher {
     /// — and only the heads run on a tape, a small one whose input is a leaf
     /// of the encoder's token rows: the heads [`Matcher::forward_batch`]
     /// records, on the same values.
-    fn infer_batch(&self, exs: &[&EncodedExample], _rng: &mut dyn RngCore) -> Inference {
+    fn infer_batch(&self, exs: &[&EncodedExample]) -> Inference {
         assert!(!exs.is_empty(), "cannot run an empty batch");
         let (tokens, groups, attention) = self.backbone.encode_eval(&pair_seqs(exs), backend::kind());
         let g = Graph::new();
-        let heads = self.heads(&g, GraphStamp::next(), g.leaf(tokens), &groups, exs);
+        let heads = self.heads(&g, g.leaf(tokens), &groups, exs);
         let (match_probs, id1_preds, id2_preds) = heads.predictions(&g);
         g.recycle();
         Inference { match_probs, id1_preds, id2_preds, attention, gamma: heads.gamma }
@@ -505,8 +505,7 @@ impl Matcher for TransformerMatcher {
 
     /// Runs [`Backbone::encode_eval`] — the forward-only encoder, under the
     /// backend installed on this thread (read once, here) — and records
-    /// nothing on `_g`: `_g` and `_stamp` are unused, kept for the trait's
-    /// signature.
+    /// nothing on `_g` (the frozen `benchmark/` calls this signature).
     fn encode_records_standalone(
         &self,
         _g: &Graph,
@@ -556,8 +555,8 @@ impl Matcher for TransformerMatcher {
     /// through [`Exec`] under the backend installed on this thread — the
     /// tape's kernel calls on the same operands, reported to the profiler
     /// and the non-finite guard under its op names (`aoa_pool`, `linear`).
-    /// Records nothing on `_g`; `_g` and `_stamp` are kept for the trait's
-    /// signature.
+    /// Records nothing on `_g` (the frozen `benchmark/` calls this
+    /// signature).
     fn score_encoded_pairs(
         &self,
         _g: &Graph,
@@ -649,6 +648,19 @@ impl HeadLogits {
     }
 }
 
+/// The RNG an eval-mode [`Matcher::forward_batch`] is handed: eval mode
+/// skips dropout and draws nothing, and a draw here would be a bug.
+struct NoDraws;
+
+impl RngCore for NoDraws {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("eval mode draws no randomness")
+    }
+    fn next_u64(&mut self) -> u64 {
+        unreachable!("eval mode draws no randomness")
+    }
+}
+
 /// Each example's joint `(ids, segments)` sequence.
 fn pair_seqs<'a>(exs: &[&'a EncodedExample]) -> Vec<(&'a [usize], &'a [usize])> {
     exs.iter().map(|ex| (&ex.pair.ids[..], &ex.pair.segments[..])).collect()
@@ -725,7 +737,7 @@ mod tests {
             &mut rng,
         );
         let g = Graph::new();
-        model.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng)
+        model.forward_batch(&g, &[&ex], false, &mut rng)
     }
 
     #[test]
@@ -799,8 +811,8 @@ mod tests {
             &mut rng2,
         );
         let g = Graph::new();
-        let ls = single.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng);
-        let lm = multi.forward_batch(&g, GraphStamp::next(), &[&ex], false, &mut rng2);
+        let ls = single.forward_batch(&g, &[&ex], false, &mut rng);
+        let lm = multi.forward_batch(&g, &[&ex], false, &mut rng2);
         assert!(g.value(lm.loss).item() > g.value(ls.loss).item());
     }
 
@@ -818,8 +830,7 @@ mod tests {
             &mut rng,
         );
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let out = model.forward_batch(&g, stamp, &[&ex], false, &mut rng);
+        let out = model.forward_batch(&g, &[&ex], false, &mut rng);
         let grads = g.backward(out.loss);
         model.zero_grads();
         model.accumulate_gradients(&grads);

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use emba_nn::mlm::{MlmConfig, MlmModel};
-use emba_nn::{clip_grad_norm, Adam, BertEncoder, GraphStamp, LinearSchedule, Module};
+use emba_nn::{clip_grad_norm, Adam, BertEncoder, LinearSchedule, Module};
 use emba_tensor::{guard, pool, prof, Graph, Var};
 use emba_trace::{
     metrics, EvalRecord, NullObserver, RunMeta, StepRecord, TrainEvent, TrainObserver,
@@ -191,8 +191,11 @@ pub struct TrainReport {
 pub(crate) const EVAL_BATCH: usize = 16;
 
 /// Evaluates a model over a split.
-pub fn evaluate(model: &dyn Matcher, examples: &[EncodedExample], rng: &mut StdRng) -> EvalResult {
-    evaluate_observed(model, examples, rng, 0, "eval", &mut NullObserver)
+///
+/// `_rng` is unused (evaluation draws no randomness); the frozen
+/// `benchmark/` calls this signature.
+pub fn evaluate(model: &dyn Matcher, examples: &[EncodedExample], _rng: &mut StdRng) -> EvalResult {
+    evaluate_observed(model, examples, 0, "eval", &mut NullObserver)
 }
 
 /// [`evaluate`] that also times the pass and reports it through `observer`
@@ -200,7 +203,6 @@ pub fn evaluate(model: &dyn Matcher, examples: &[EncodedExample], rng: &mut StdR
 pub fn evaluate_observed(
     model: &dyn Matcher,
     examples: &[EncodedExample],
-    rng: &mut StdRng,
     epoch: usize,
     split: &str,
     observer: &mut dyn TrainObserver,
@@ -220,7 +222,7 @@ pub fn evaluate_observed(
         let exs: Vec<&EncodedExample> = chunk.iter().collect();
         let out = {
             let _fwd_scope = prof::scope("forward");
-            model.infer_batch(&exs, rng)
+            model.infer_batch(&exs)
         };
         for (k, &p) in out.match_probs.iter().enumerate() {
             preds[base + k] = p >= 0.5;
@@ -331,15 +333,13 @@ trait Objective {
     fn lens(&self) -> Vec<usize>;
     /// One packed forward pass over `items`: the **summed** loss on the tape
     /// and each item's loss value.
-    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
-        -> (Var, Vec<f32>);
+    fn forward(&self, g: &Graph, items: &[usize], rng: &mut StdRng) -> (Var, Vec<f32>);
     /// Size of the validation split; `0` means there is none.
     fn valid_examples(&self) -> usize {
         0
     }
     /// Scores the validation split after `epoch`, if there is one.
-    fn validate(&self, _epoch: usize, _rng: &mut StdRng, _observer: &mut dyn TrainObserver)
-        -> Option<f64> {
+    fn validate(&self, _epoch: usize, _observer: &mut dyn TrainObserver) -> Option<f64> {
         None
     }
 }
@@ -361,18 +361,16 @@ impl Objective for FineTune<'_> {
     fn lens(&self) -> Vec<usize> {
         self.train.iter().map(|ex| ex.pair.ids.len()).collect()
     }
-    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
-        -> (Var, Vec<f32>) {
+    fn forward(&self, g: &Graph, items: &[usize], rng: &mut StdRng) -> (Var, Vec<f32>) {
         let exs: Vec<&EncodedExample> = items.iter().map(|&i| &self.train[i]).collect();
-        let out = self.model.forward_batch(g, stamp, &exs, true, rng);
+        let out = self.model.forward_batch(g, &exs, true, rng);
         (out.loss, out.example_losses)
     }
     fn valid_examples(&self) -> usize {
         self.valid.len()
     }
-    fn validate(&self, epoch: usize, rng: &mut StdRng, observer: &mut dyn TrainObserver)
-        -> Option<f64> {
-        Some(evaluate_observed(&*self.model, self.valid, rng, epoch, "valid", observer).matching.f1)
+    fn validate(&self, epoch: usize, observer: &mut dyn TrainObserver) -> Option<f64> {
+        Some(evaluate_observed(&*self.model, self.valid, epoch, "valid", observer).matching.f1)
     }
 }
 
@@ -395,10 +393,9 @@ impl Objective for MaskedLm<'_> {
     fn lens(&self) -> Vec<usize> {
         self.corpus.iter().map(|seq| seq.len()).collect()
     }
-    fn forward(&self, g: &Graph, stamp: GraphStamp, items: &[usize], rng: &mut StdRng)
-        -> (Var, Vec<f32>) {
+    fn forward(&self, g: &Graph, items: &[usize], rng: &mut StdRng) -> (Var, Vec<f32>) {
         let seqs: Vec<&[usize]> = items.iter().map(|&i| self.corpus[i]).collect();
-        self.model.forward_batch(g, stamp, &seqs, self.cfg, rng)
+        self.model.forward_batch(g, &seqs, self.cfg, rng)
     }
 }
 
@@ -518,11 +515,10 @@ impl<'a> Trainer<'a> {
             "all three splits must be non-empty"
         );
         let _guard = NanGuard::install(cfg);
-        let mut p = self.run(&mut FineTune { model: &mut *model, train, valid }, cfg)?;
+        let p = self.run(&mut FineTune { model: &mut *model, train, valid }, cfg)?;
 
         let infer_start = Instant::now();
-        let test_metrics =
-            evaluate_observed(model, test, &mut p.rng, p.st.epochs_run, "test", self.observer);
+        let test_metrics = evaluate_observed(model, test, p.st.epochs_run, "test", self.observer);
         let infer_secs = infer_start.elapsed().as_secs_f64();
         drain_guard(cfg, self.observer);
         Ok(TrainReport {
@@ -625,10 +621,9 @@ impl<'a> Trainer<'a> {
                     let sub_items: Vec<usize> = sub.iter().map(|&j| window[j]).collect();
                     let example_scope = prof::scope("example");
                     let g = Graph::new();
-                    let stamp = GraphStamp::next();
                     let (loss, item_losses) = {
                         let _fwd_scope = prof::scope("forward");
-                        obj.forward(&g, stamp, &sub_items, &mut p.rng)
+                        obj.forward(&g, &sub_items, &mut p.rng)
                     };
                     {
                         let bwd_scope = prof::scope("backward");
@@ -699,7 +694,7 @@ impl<'a> Trainer<'a> {
             p.st.final_train_loss = p.st.epoch_loss / items as f64;
             observer.on_event(TrainEvent::EpochEnd(epoch, p.st.final_train_loss));
 
-            if let Some(f1) = obj.validate(epoch, &mut p.rng, observer) {
+            if let Some(f1) = obj.validate(epoch, observer) {
                 drain_guard(cfg, observer);
                 match p.st.stopper.observe(epoch, f1) {
                     StopVerdict::Improved => {
@@ -815,7 +810,7 @@ pub(crate) mod tests {
         let mut initial_loss = 0.0f64;
         for ex in &train {
             let g = Graph::new();
-            let out = untrained.forward_batch(&g, GraphStamp::next(), &[ex], false, &mut rng);
+            let out = untrained.forward_batch(&g, &[ex], false, &mut rng);
             initial_loss += f64::from(g.value(out.loss).item());
         }
         initial_loss /= train.len() as f64;
@@ -1022,7 +1017,6 @@ pub(crate) mod tests {
         fn forward_batch(
             &self,
             g: &Graph,
-            stamp: GraphStamp,
             exs: &[&EncodedExample],
             _train: bool,
             _rng: &mut dyn rand::RngCore,
@@ -1030,7 +1024,7 @@ pub(crate) mod tests {
             // One NaN loss per example, summed on the tape.
             let mut loss: Option<Var> = None;
             for _ in exs {
-                let ex_loss = g.scale(g.sum_all(self.p.bind(g, stamp)), f32::NAN);
+                let ex_loss = g.scale(g.sum_all(self.p.bind(g)), f32::NAN);
                 loss = Some(loss.map_or(ex_loss, |acc| g.add(acc, ex_loss)));
             }
             crate::models::BatchOutput {

@@ -85,7 +85,7 @@ fn tape_bucketed(model: &dyn Matcher, exs: &[EncodedExample]) -> Vec<Answer> {
     for sub in plan {
         let batch: Vec<&EncodedExample> = sub.iter().map(|&j| &exs[j]).collect();
         let g = Graph::new();
-        let o = model.forward_batch(&g, GraphStamp::next(), &batch, false, &mut StdRng::seed_from_u64(0));
+        let o = model.forward_batch(&g, &batch, false, &mut StdRng::seed_from_u64(0));
         for (k, answer) in answers(&o.match_probs, &o.id1_preds, &o.id2_preds).into_iter().enumerate() {
             out[sub[k]] = Some(answer);
         }
@@ -110,7 +110,7 @@ fn infer_batch_is_the_tape_bit_for_bit() {
 
             // (a) One launch over the whole chunk.
             let want = tape_bucketed(model.as_ref(), &exs);
-            let got = model.infer_batch(&refs, &mut StdRng::seed_from_u64(0));
+            let got = model.infer_batch(&refs);
             assert_eq!(got.id1_preds.is_some(), kind.is_multitask(), "{what}");
             assert_eq!(answers(&got.match_probs, &got.id1_preds, &got.id2_preds), want, "{what}: chunk");
             assert!(got.gamma.is_none() && got.attention.is_none(), "{what}: a chunk kept a visualization");
@@ -118,8 +118,8 @@ fn infer_batch_is_the_tape_bit_for_bit() {
             // (b) One pair at a time.
             for (i, ex) in refs.iter().enumerate() {
                 let g = Graph::new();
-                let tape = model.forward_batch(&g, GraphStamp::next(), &[ex], false, &mut StdRng::seed_from_u64(0));
-                let got = model.infer_batch(&[ex], &mut StdRng::seed_from_u64(0));
+                let tape = model.forward_batch(&g, &[ex], false, &mut StdRng::seed_from_u64(0));
+                let got = model.infer_batch(&[ex]);
                 assert_eq!(got.match_probs[0].to_bits(), tape.match_probs[0].to_bits(), "{what}: pair {i}");
                 assert_eq!(bits(&got.gamma), bits(&tape.gamma), "{what}: pair {i}'s gamma");
                 assert_eq!(bits(&got.attention), bits(&tape.attention), "{what}: pair {i}'s attention");
@@ -157,7 +157,7 @@ fn tape_score(head: &MatchHead, pairs: &[(&Tensor, &Tensor)]) -> Vec<u32> {
     let (e2, g2) = pack(pairs.iter().map(|p| p.1).collect());
     let g = Graph::new();
     let (pooled, _) = g.aoa_pool(g.leaf(e1), &g1, g.leaf(e2), &g2);
-    let logits = g.value(head.forward(&g, GraphStamp::next(), pooled));
+    let logits = g.value(head.forward(&g, pooled));
     let prob = |z: f32| if z.is_finite() { 1.0 / (1.0 + (-z).exp()) } else { f32::NAN };
     logits.data().iter().map(|&z| prob(z).to_bits()).collect()
 }

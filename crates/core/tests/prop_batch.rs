@@ -11,7 +11,7 @@
 
 use emba_core::batching::plan_sub_batches;
 use emba_core::{AuxStrategy, Backbone, EmStrategy, EncodedExample, Matcher, TransformerMatcher};
-use emba_nn::{BertConfig, GraphStamp};
+use emba_nn::BertConfig;
 use emba_tensor::Graph;
 use emba_tokenizer::EncodedPair;
 use proptest::prelude::*;
@@ -96,7 +96,7 @@ fn batched_outputs(
     for sub in plan_sub_batches(&lens) {
         let batch: Vec<&EncodedExample> = sub.iter().map(|&j| &exs[j]).collect();
         let g = Graph::new();
-        let b = model.forward_batch(&g, GraphStamp::next(), &batch, false, &mut rng);
+        let b = model.forward_batch(&g, &batch, false, &mut rng);
         let id1 = b.id1_preds.as_ref().expect("multi-task model predicts ids");
         let id2 = b.id2_preds.as_ref().expect("multi-task model predicts ids");
         for (k, &j) in sub.iter().enumerate() {
@@ -115,7 +115,7 @@ fn per_example_outputs(
     exs.iter()
         .map(|ex| {
             let g = Graph::new();
-            let o = model.forward_batch(&g, GraphStamp::next(), &[ex], false, &mut rng);
+            let o = model.forward_batch(&g, &[ex], false, &mut rng);
             let loss = g.value(o.loss).item();
             g.recycle();
             (
@@ -163,10 +163,10 @@ proptest! {
         let (a_bits, a_loss, a1, a2, b_bits, b_loss, b1, b2) = MODEL.with(|model| {
             let mut rng = StdRng::seed_from_u64(9);
             let ga = Graph::new();
-            let a = model.forward_batch(&ga, GraphStamp::next(), &[&ex], false, &mut rng);
+            let a = model.forward_batch(&ga, &[&ex], false, &mut rng);
             let a_loss = ga.value(a.loss).item();
             let gb = Graph::new();
-            let b = model.forward_batch(&gb, GraphStamp::next(), &[&ex], false, &mut rng);
+            let b = model.forward_batch(&gb, &[&ex], false, &mut rng);
             let b_loss = gb.value(b.loss).item();
             let out = (
                 a.match_probs[0].to_bits(),
@@ -200,7 +200,7 @@ proptest! {
         let total = MODEL.with(|model| {
             let mut rng = StdRng::seed_from_u64(9);
             let g = Graph::new();
-            let out = model.forward_batch(&g, GraphStamp::next(), &refs, false, &mut rng);
+            let out = model.forward_batch(&g, &refs, false, &mut rng);
             let total = f64::from(g.value(out.loss).item());
             g.recycle();
             total

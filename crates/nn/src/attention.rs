@@ -4,14 +4,14 @@
 //! `[ΣT, hidden]` activation matrix ([`emba_tensor::RowGroups`] records the
 //! per-sequence row ranges) and runs block-diagonal attention: each sequence
 //! attends only to its own rows, so no `[ΣT, ΣT]` mask tensor is ever
-//! materialized. The per-example API is the batch-of-one special case.
+//! materialized. One sequence is the batch-of-one case.
 
 use emba_tensor::{fwd, Graph, RowGroups, Tensor, Var};
 use rand::Rng;
 
 use crate::eval::{Exec, Parts};
 use crate::layers::{dropout, Linear};
-use crate::param::{GraphStamp, Module, Param};
+use crate::param::{Module, Param};
 
 /// Multi-head self-attention with output projection.
 #[derive(Debug)]
@@ -67,16 +67,15 @@ impl MultiHeadAttention {
     pub fn forward_batch_with_probs<R: Rng + ?Sized>(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         x: Var,
         groups: &RowGroups,
         train: bool,
         rng: &mut R,
     ) -> (Var, Vec<Var>) {
         let _scope = emba_tensor::prof::scope("attention");
-        let q = self.query.forward(g, stamp, x);
-        let k = self.key.forward(g, stamp, x);
-        let v = self.value.forward(g, stamp, x);
+        let q = self.query.forward(g, x);
+        let k = self.key.forward(g, x);
+        let v = self.value.forward(g, x);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
         // Each head is a column range of q/k/v, read in place; every head's
@@ -90,40 +89,9 @@ impl MultiHeadAttention {
             probs.push(p);
         }
         let ctx = g.matmul_grouped(&dropped, v, groups);
-        let out = self.output.forward(g, stamp, ctx);
+        let out = self.output.forward(g, ctx);
         let out = dropout(g, out, self.dropout_p, train, rng);
         (out, probs)
-    }
-
-    /// Runs self-attention over `x: [seq, hidden]`, returning the attended
-    /// output and, per head, the `[seq, seq]` attention probability
-    /// variables (used for the paper's Figure 6 visualizations).
-    ///
-    /// Thin batch-of-one wrapper over
-    /// [`MultiHeadAttention::forward_batch_with_probs`].
-    pub fn forward_with_probs<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        x: Var,
-        train: bool,
-        rng: &mut R,
-    ) -> (Var, Vec<Var>) {
-        let groups = RowGroups::from_lens(&[g.value(x).rows()]);
-        self.forward_batch_with_probs(g, stamp, x, &groups, train, rng)
-    }
-
-    /// [`MultiHeadAttention::forward_with_probs`] without retaining the
-    /// probability handles.
-    pub fn forward<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        x: Var,
-        train: bool,
-        rng: &mut R,
-    ) -> Var {
-        self.forward_with_probs(g, stamp, x, train, rng).0
     }
 
     /// [`MultiHeadAttention::forward_batch_with_probs`] in eval mode with no
@@ -196,13 +164,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Eval-mode attention over the one sequence `x`.
+    fn one_sequence(mha: &MultiHeadAttention, g: &Graph, x: Var, rng: &mut StdRng) -> (Var, Vec<Var>) {
+        mha.forward_batch_with_probs(g, x, &RowGroups::from_lens(&[g.value(x).rows()]), false, rng)
+    }
+
     #[test]
     fn output_shape_matches_input() {
         let mut rng = StdRng::seed_from_u64(0);
         let mha = MultiHeadAttention::new(16, 4, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(5, 16, 0.0, 1.0, &mut rng));
-        let (y, probs) = mha.forward_with_probs(&g, GraphStamp::next(), x, false, &mut rng);
+        let (y, probs) = one_sequence(&mha, &g, x, &mut rng);
         assert_eq!(g.value(y).shape(), (5, 16));
         assert_eq!(probs.len(), 4);
         for p in &probs {
@@ -216,7 +189,7 @@ mod tests {
         let mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(4, 8, 0.0, 1.0, &mut rng));
-        let (_, probs) = mha.forward_with_probs(&g, GraphStamp::next(), x, false, &mut rng);
+        let (_, probs) = one_sequence(&mha, &g, x, &mut rng);
         for p in probs {
             let v = g.value(p);
             for r in 0..v.rows() {
@@ -232,7 +205,7 @@ mod tests {
         let mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(3, 8, 0.0, 1.0, &mut rng));
-        let (_, probs) = mha.forward_with_probs(&g, GraphStamp::next(), x, false, &mut rng);
+        let (_, probs) = one_sequence(&mha, &g, x, &mut rng);
         let summed = MultiHeadAttention::summed_probs(&g, &probs);
         for r in 0..3 {
             let s: f32 = summed.row_slice(r).iter().sum();
@@ -245,9 +218,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
         let x = g.leaf(Tensor::rand_normal(3, 8, 0.0, 1.0, &mut rng));
-        let y = mha.forward(&g, stamp, x, false, &mut rng);
+        let (y, _) = one_sequence(&mha, &g, x, &mut rng);
         let sq = g.mul(y, y);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -265,17 +237,15 @@ mod tests {
     fn batched_matches_per_example() {
         let mut rng = StdRng::seed_from_u64(5);
         let mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
-        let stamp = GraphStamp::next();
         let a = Tensor::rand_normal(3, 8, 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(5, 8, 0.0, 1.0, &mut rng);
 
         let g = Graph::new();
         let packed = g.leaf(Tensor::concat_rows(&[&a, &b]));
         let groups = RowGroups::from_lens(&[3, 5]);
-        let (yp, probs) =
-            mha.forward_batch_with_probs(&g, stamp, packed, &groups, false, &mut rng);
-        let (ya, _) = mha.forward_with_probs(&g, stamp, g.leaf(a), false, &mut rng);
-        let (yb, _) = mha.forward_with_probs(&g, stamp, g.leaf(b), false, &mut rng);
+        let (yp, probs) = mha.forward_batch_with_probs(&g, packed, &groups, false, &mut rng);
+        let (ya, _) = one_sequence(&mha, &g, g.leaf(a), &mut rng);
+        let (yb, _) = one_sequence(&mha, &g, g.leaf(b), &mut rng);
 
         let vp = g.value(yp);
         let ref_out = Tensor::concat_rows(&[&g.value(ya), &g.value(yb)]);
@@ -298,12 +268,11 @@ mod tests {
         // those of attention over a copy of just those columns.
         let mut rng = StdRng::seed_from_u64(6);
         let mha = MultiHeadAttention::new(12, 3, 0.0, &mut rng);
-        let stamp = GraphStamp::next();
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(9, 12, 0.0, 1.0, &mut rng));
         let groups = RowGroups::from_lens(&[2, 7]);
-        let (_, probs) = mha.forward_batch_with_probs(&g, stamp, x, &groups, false, &mut rng);
-        let (q, k) = (mha.query.forward(&g, stamp, x), mha.key.forward(&g, stamp, x));
+        let (_, probs) = mha.forward_batch_with_probs(&g, x, &groups, false, &mut rng);
+        let (q, k) = (mha.query.forward(&g, x), mha.key.forward(&g, x));
         for (h, p) in probs.iter().enumerate() {
             let (qh, kh) = (g.slice_cols(q, 4 * h, 4 * h + 4), g.slice_cols(k, 4 * h, 4 * h + 4));
             let want = g.attention_scores_grouped(qh, kh, 0..4, 0.5, &groups);
@@ -317,10 +286,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut mha = MultiHeadAttention::new(8, 2, 0.3, &mut rng);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
         let x = g.leaf(Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng));
         let groups = RowGroups::from_lens(&[2, 4]);
-        let (y, probs) = mha.forward_batch_with_probs(&g, stamp, x, &groups, true, &mut rng);
+        let (y, probs) = mha.forward_batch_with_probs(&g, x, &groups, true, &mut rng);
         // The returned probabilities are the undropped ones: rows still sum to 1.
         for p in &probs {
             let v = g.value(*p);

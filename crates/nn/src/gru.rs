@@ -8,7 +8,7 @@ use emba_tensor::{Graph, Tensor, Var};
 use rand::Rng;
 
 use crate::layers::Linear;
-use crate::param::{GraphStamp, Module, Param};
+use crate::param::{Module, Param};
 
 /// A single GRU cell with the standard update/reset/candidate gates.
 #[derive(Debug)]
@@ -42,10 +42,10 @@ impl GruCell {
 
     /// One step: consumes `x: [1, in]` and `h: [1, hidden]`, returns the new
     /// `[1, hidden]` state.
-    pub fn step(&self, g: &Graph, stamp: GraphStamp, x: Var, h: Var) -> Var {
+    pub fn step(&self, g: &Graph, x: Var, h: Var) -> Var {
         let hd = self.hidden;
-        let xi = self.input.forward(g, stamp, x); // [1, 3h]
-        let hz = self.hidden_zr.forward(g, stamp, h); // [1, 2h]
+        let xi = self.input.forward(g, x); // [1, 3h]
+        let hz = self.hidden_zr.forward(g, h); // [1, 2h]
 
         let xz = g.slice_cols(xi, 0, hd);
         let xr = g.slice_cols(xi, hd, 2 * hd);
@@ -56,7 +56,7 @@ impl GruCell {
         let z = g.sigmoid(g.add(xz, hzz));
         let r = g.sigmoid(g.add(xr, hzr));
         let rh = g.mul(r, h);
-        let n = g.tanh(g.add(xn, self.hidden_n.forward(g, stamp, rh)));
+        let n = g.tanh(g.add(xn, self.hidden_n.forward(g, rh)));
 
         // h' = (1 - z) ⊙ n + z ⊙ h  =  n + z ⊙ (h - n)
         let delta = g.mul(z, g.sub(h, n));
@@ -66,7 +66,7 @@ impl GruCell {
     /// Runs the cell across `xs: [seq, in]`, returning `[seq, hidden]` with
     /// one row per timestep. `reverse` scans right-to-left (output rows stay
     /// in input order).
-    pub fn scan(&self, g: &Graph, stamp: GraphStamp, xs: Var, reverse: bool) -> Var {
+    pub fn scan(&self, g: &Graph, xs: Var, reverse: bool) -> Var {
         let seq = g.shape(xs).0;
         assert!(seq > 0, "cannot scan an empty sequence");
         let mut h = g.leaf(Tensor::zeros(1, self.hidden));
@@ -78,7 +78,7 @@ impl GruCell {
         };
         for t in order {
             let x = g.slice_rows(xs, t, t + 1);
-            h = self.step(g, stamp, x, h);
+            h = self.step(g, x, h);
             states[t] = h;
         }
         g.concat_rows(&states)
@@ -120,9 +120,9 @@ impl BiGru {
     }
 
     /// Encodes `xs: [seq, in]` into `[seq, 2*hidden]`.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, xs: Var) -> Var {
-        let fwd = self.forward.scan(g, stamp, xs, false);
-        let bwd = self.backward.scan(g, stamp, xs, true);
+    pub fn forward(&self, g: &Graph, xs: Var) -> Var {
+        let fwd = self.forward.scan(g, xs, false);
+        let bwd = self.backward.scan(g, xs, true);
         g.concat_cols(&[fwd, bwd])
     }
 }
@@ -150,7 +150,7 @@ mod tests {
         let cell = GruCell::new(4, 6, &mut rng);
         let g = Graph::new();
         let xs = g.leaf(Tensor::rand_normal(5, 4, 0.0, 1.0, &mut rng));
-        let hs = cell.scan(&g, GraphStamp::next(), xs, false);
+        let hs = cell.scan(&g, xs, false);
         assert_eq!(g.value(hs).shape(), (5, 6));
     }
 
@@ -161,7 +161,7 @@ mod tests {
         let cell = GruCell::new(3, 4, &mut rng);
         let g = Graph::new();
         let xs = g.leaf(Tensor::rand_normal(20, 3, 0.0, 5.0, &mut rng));
-        let hs = cell.scan(&g, GraphStamp::next(), xs, false);
+        let hs = cell.scan(&g, xs, false);
         assert!(g.value(hs).data().iter().all(|&v| v.abs() <= 1.0 + 1e-5));
     }
 
@@ -175,9 +175,8 @@ mod tests {
         let flipped = Tensor::from_rows(&flipped_rows);
 
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let rev = g.value(cell.scan(&g, stamp, g.leaf(x), true));
-        let fwd_on_flipped = g.value(cell.scan(&g, stamp, g.leaf(flipped), false));
+        let rev = g.value(cell.scan(&g, g.leaf(x), true));
+        let fwd_on_flipped = g.value(cell.scan(&g, g.leaf(flipped), false));
         // Reverse scan at row t equals forward scan over the flipped input at
         // row seq-1-t.
         for t in 0..4 {
@@ -191,9 +190,8 @@ mod tests {
         let mut net = BiGru::new(3, 5, &mut rng);
         assert_eq!(net.out_dim(), 10);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
         let xs = g.leaf(Tensor::rand_normal(4, 3, 0.0, 1.0, &mut rng));
-        let hs = net.forward(&g, stamp, xs);
+        let hs = net.forward(&g, xs);
         assert_eq!(g.value(hs).shape(), (4, 10));
         let sq = g.mul(hs, hs);
         let loss = g.mean_all(sq);

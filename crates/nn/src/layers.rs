@@ -7,7 +7,7 @@ use std::sync::Arc;
 use emba_tensor::{backend, fwd, Graph, QuantizedMatrix, Tensor, Var};
 use rand::Rng;
 
-use crate::param::{GraphStamp, Module, Param};
+use crate::param::{Module, Param};
 
 /// Cached int8 twin of a weight matrix, keyed so weight updates invalidate
 /// it: the buffer address plus the bit patterns of the first and last
@@ -93,25 +93,25 @@ impl Linear {
 
     /// Applies the projection to an `[m, in]` input, producing `[m, out]`,
     /// via the fused affine tape op.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
+    pub fn forward(&self, g: &Graph, x: Var) -> Var {
         if backend::kind().quantized() && self.quantizable() {
             let q = self.quantized_weight();
             return g.linear_q8(x, &q, &self.bias.value);
         }
-        let w = self.weight.bind(g, stamp);
-        let b = self.bias.bind(g, stamp);
+        let w = self.weight.bind(g);
+        let b = self.bias.bind(g);
         g.linear(x, w, b)
     }
 
     /// Applies the projection followed by GELU as one fused tape op,
     /// producing `[m, out]`.
-    pub fn forward_gelu(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
+    pub fn forward_gelu(&self, g: &Graph, x: Var) -> Var {
         if backend::kind().quantized() && self.quantizable() {
             let q = self.quantized_weight();
             return g.linear_q8_gelu(x, &q, &self.bias.value);
         }
-        let w = self.weight.bind(g, stamp);
-        let b = self.bias.bind(g, stamp);
+        let w = self.weight.bind(g);
+        let b = self.bias.bind(g);
         g.linear_bias_gelu(x, w, b)
     }
 }
@@ -153,8 +153,8 @@ impl Embedding {
     }
 
     /// Gathers the rows for `ids`, producing `[len(ids), dim]`.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, ids: &[usize]) -> Var {
-        let w = self.weight.bind(g, stamp);
+    pub fn forward(&self, g: &Graph, ids: &[usize]) -> Var {
+        let w = self.weight.bind(g);
         g.embedding(w, ids)
     }
 
@@ -196,9 +196,9 @@ impl LayerNorm {
     }
 
     /// Normalizes each row of an `[m, dim]` input.
-    pub fn forward(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
-        let gamma = self.gamma.bind(g, stamp);
-        let beta = self.beta.bind(g, stamp);
+    pub fn forward(&self, g: &Graph, x: Var) -> Var {
+        let gamma = self.gamma.bind(g);
+        let beta = self.beta.bind(g);
         g.layer_norm(x, gamma, beta)
     }
 }
@@ -237,7 +237,7 @@ mod tests {
         lin.bias.value = Tensor::row(&[1.0, -1.0]);
         let g = Graph::new();
         let x = g.leaf(Tensor::ones(4, 3));
-        let y = lin.forward(&g, GraphStamp::next(), x);
+        let y = lin.forward(&g, x);
         let v = g.value(y);
         assert_eq!(v.shape(), (4, 2));
         assert_eq!(v.row_slice(0), &[1.0, -1.0]);
@@ -250,9 +250,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut lin = Linear::new(2, 2, &mut rng);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
         let x = g.leaf(Tensor::ones(1, 2));
-        let y = lin.forward(&g, stamp, x);
+        let y = lin.forward(&g, x);
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         lin.accumulate_gradients(&grads);
@@ -265,7 +264,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let emb = Embedding::new(10, 4, &mut rng);
         let g = Graph::new();
-        let e = emb.forward(&g, GraphStamp::next(), &[3, 3, 7]);
+        let e = emb.forward(&g, &[3, 3, 7]);
         let v = g.value(e);
         assert_eq!(v.shape(), (3, 4));
         assert_eq!(v.row_slice(0), v.row_slice(1));
@@ -282,7 +281,7 @@ mod tests {
             8,
             (0..16).map(|i| i as f32).collect(),
         ));
-        let y = ln.forward(&g, GraphStamp::next(), x);
+        let y = ln.forward(&g, x);
         let v = g.value(y);
         for r in 0..2 {
             let row = v.row_slice(r);

@@ -3,8 +3,9 @@
 //! Everything the paper's models need, implemented from scratch on top of
 //! [`emba_tensor`]:
 //!
-//! * [`Param`]/[`Module`] — trainable parameters with graph binding and a
-//!   deterministic visitor used by optimizers and checkpoints.
+//! * [`Param`]/[`Module`] — trainable parameters, each one leaf per
+//!   [`Graph`](emba_tensor::Graph) it is bound in, and a deterministic
+//!   visitor used by optimizers and checkpoints.
 //! * [`Linear`], [`Embedding`], [`LayerNorm`] — the basic layers.
 //! * [`MultiHeadAttention`], [`BertEncoder`] — a miniature BERT with
 //!   token/position/segment embeddings, post-LN encoder layers, and a tanh
@@ -22,7 +23,7 @@
 //! # Example: a tiny encoder forward pass
 //!
 //! ```
-//! use emba_nn::{BertConfig, BertEncoder, GraphStamp};
+//! use emba_nn::{BertConfig, BertEncoder};
 //! use emba_tensor::Graph;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -30,7 +31,7 @@
 //! let enc = BertEncoder::new(BertConfig::tiny(100), &mut rng);
 //! let g = Graph::new();
 //! let seq: (&[usize], &[usize]) = (&[2, 17, 42, 3], &[0, 0, 1, 1]);
-//! let out = enc.forward_batch(&g, GraphStamp::next(), &[seq], false, &mut rng);
+//! let out = enc.forward_batch(&g, &[seq], false, &mut rng);
 //! assert_eq!(g.value(out.tokens).shape(), (4, 16));
 //! ```
 

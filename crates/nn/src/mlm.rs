@@ -11,7 +11,7 @@ use emba_tensor::{Graph, Var};
 use rand::Rng;
 
 use crate::layers::{LayerNorm, Linear};
-use crate::param::{GraphStamp, Module, Param};
+use crate::param::{Module, Param};
 use crate::transformer::BertEncoder;
 
 /// The transform head applied to masked positions before the vocabulary
@@ -34,16 +34,11 @@ impl MlmHead {
     }
 
     /// Projects `[k, hidden]` masked-position states to `[k, vocab]` logits.
-    pub fn forward(
-        &self,
-        g: &Graph,
-        stamp: GraphStamp,
-        states: Var,
-    ) -> Var {
-        let h = self.transform.forward(g, stamp, states);
+    pub fn forward(&self, g: &Graph, states: Var) -> Var {
+        let h = self.transform.forward(g, states);
         let h = g.gelu(h);
-        let h = self.norm.forward(g, stamp, h);
-        self.decoder.forward(g, stamp, h)
+        let h = self.norm.forward(g, h);
+        self.decoder.forward(g, h)
     }
 }
 
@@ -156,7 +151,6 @@ impl<'a> MlmModel<'a> {
     pub fn forward_batch<R: Rng + ?Sized>(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         seqs: &[&[usize]],
         cfg: &MlmConfig,
         rng: &mut R,
@@ -169,12 +163,12 @@ impl<'a> MlmModel<'a> {
             .iter()
             .map(|m| (m.input.as_slice(), &segments[..m.input.len()]))
             .collect();
-        let out = self.encoder.forward_batch(g, stamp, &batch, true, rng);
+        let out = self.encoder.forward_batch(g, &batch, true, rng);
         let mut rows = Vec::new();
         for (i, m) in masked.iter().enumerate() {
             rows.extend(m.positions.iter().map(|&p| out.groups.start(i) + p));
         }
-        let logits = self.head.forward(g, stamp, g.gather_rows(out.tokens, &rows));
+        let logits = self.head.forward(g, g.gather_rows(out.tokens, &rows));
         let mut total: Option<Var> = None;
         let mut losses = Vec::with_capacity(masked.len());
         let mut r0 = 0;
@@ -260,7 +254,7 @@ mod tests {
         let mut model = MlmModel::new(&mut enc, &mut rng);
         let seqs: [&[usize]; 3] = [&[2, 10, 11, 12, 3], &[2, 20, 3], &[2, 30, 31, 32, 33, 34, 3]];
         let g = Graph::new();
-        let (loss, per_seq) = model.forward_batch(&g, GraphStamp::next(), &seqs, &cfg(), &mut rng);
+        let (loss, per_seq) = model.forward_batch(&g, &seqs, &cfg(), &mut rng);
         assert_eq!(per_seq.len(), 3);
         assert!((g.value(loss).item() - per_seq.iter().sum::<f32>()).abs() < 1e-4);
         model.accumulate_gradients(&g.backward(loss));

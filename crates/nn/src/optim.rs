@@ -244,7 +244,7 @@ impl LinearSchedule {
 mod tests {
     use super::*;
     use crate::layers::Linear;
-    use crate::param::{GraphStamp, Module};
+    use crate::param::Module;
     use emba_tensor::{Graph, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -260,8 +260,7 @@ mod tests {
         for _ in 0..300 {
             lin.zero_grads();
             let g = Graph::new();
-            let stamp = GraphStamp::next();
-            let w = lin.weight.bind(&g, stamp);
+            let w = lin.weight.bind(&g);
             let sq = g.mul(w, w);
             let loss = g.sum_all(sq);
             let grads = g.backward(loss);
@@ -284,9 +283,8 @@ mod tests {
         for _ in 0..400 {
             lin.zero_grads();
             let g = Graph::new();
-            let stamp = GraphStamp::next();
             let x = g.leaf(xs.clone());
-            let pred = lin.forward(&g, stamp, x);
+            let pred = lin.forward(&g, x);
             let diff = g.sub(pred, g.leaf(ys.clone()));
             let sq = g.mul(diff, diff);
             let loss = g.mean_all(sq);
@@ -317,8 +315,7 @@ mod tests {
     fn descend(lin: &mut Linear, adam: &mut Adam, lr: f32) {
         lin.zero_grads();
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let w = lin.weight.bind(&g, stamp);
+        let w = lin.weight.bind(&g);
         let sq = g.mul(w, w);
         let loss = g.sum_all(sq);
         let grads = g.backward(loss);

@@ -6,27 +6,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use emba_tensor::{Gradients, Graph, Tensor, Var};
 
 static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(0);
-static NEXT_GRAPH_STAMP: AtomicU64 = AtomicU64::new(0);
 
-/// A fresh stamp identifying one forward graph, used so a parameter bound
-/// twice within the same graph (weight sharing, e.g. a GRU cell applied at
-/// every timestep) reuses its leaf [`Var`] instead of creating a duplicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphStamp(u64);
+/// An inert token, kept only because the frozen `benchmark/` passes one to
+/// the two split-path methods of `emba_core::Matcher`,
+/// `encode_records_standalone` and `score_encoded_pairs`, which ignore it.
+/// It holds no state: a [`Param`] keys its leaf on [`Graph::id`]. The
+/// benchmark's next coordinated edit drops the argument and this type.
+#[derive(Debug, Clone, Copy)]
+pub struct GraphStamp;
 
 impl GraphStamp {
-    /// Produces a stamp for a new forward pass.
+    /// The token; every call returns the same value.
     pub fn next() -> Self {
-        GraphStamp(NEXT_GRAPH_STAMP.fetch_add(1, Ordering::Relaxed))
+        GraphStamp
     }
 }
 
 /// A trainable tensor with its accumulated gradient.
 ///
 /// The binding between a parameter and the [`Var`] that represents it inside
-/// the current forward graph is tracked internally: call [`Param::bind`]
-/// during the forward pass and [`Param::accumulate`] after
-/// [`Graph::backward`].
+/// the current forward graph is tracked internally, keyed by [`Graph::id`]:
+/// call [`Param::bind`] during the forward pass and [`Param::accumulate`]
+/// after [`Graph::backward`].
 #[derive(Debug)]
 pub struct Param {
     id: u64,
@@ -34,7 +35,8 @@ pub struct Param {
     pub value: Tensor,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Tensor,
-    bound: Cell<Option<(GraphStamp, Var)>>,
+    /// `(Graph::id, leaf)` of the last bind.
+    bound: Cell<Option<(u64, Var)>>,
 }
 
 impl Param {
@@ -64,17 +66,17 @@ impl Param {
         self.value.is_empty()
     }
 
-    /// Registers this parameter as a leaf of `g`, reusing the existing leaf
-    /// when already bound under the same `stamp` (weight sharing within one
-    /// forward pass).
-    pub fn bind(&self, g: &Graph, stamp: GraphStamp) -> Var {
-        if let Some((s, v)) = self.bound.get() {
-            if s == stamp {
+    /// This parameter's leaf on `g`: recorded on the first bind in `g`,
+    /// reused by every later one (weight sharing within one forward pass).
+    /// A leaf bound on another graph is never handed out here.
+    pub fn bind(&self, g: &Graph) -> Var {
+        if let Some((id, v)) = self.bound.get() {
+            if id == g.id() {
                 return v;
             }
         }
         let v = g.leaf(self.value.clone());
-        self.bound.set(Some((stamp, v)));
+        self.bound.set(Some((g.id(), v)));
         v
     }
 
@@ -202,23 +204,38 @@ mod tests {
     }
 
     #[test]
-    fn bind_reuses_var_within_one_stamp() {
+    fn bind_reuses_var_within_one_graph() {
         let p = Param::new(Tensor::ones(1, 1));
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let v1 = p.bind(&g, stamp);
-        let v2 = p.bind(&g, stamp);
+        let v1 = p.bind(&g);
+        let v2 = p.bind(&g);
         assert_eq!(v1, v2);
-        let v3 = p.bind(&g, GraphStamp::next());
-        assert_ne!(v1, v3);
+        assert_eq!(g.len(), 1, "a second bind in the same graph records nothing");
+    }
+
+    #[test]
+    fn bind_in_a_second_graph_records_one_leaf_there() {
+        let p = Param::new(Tensor::row(&[1.5, -2.25]));
+        let g_a = Graph::new();
+        p.bind(&g_a);
+        let g_b = Graph::new();
+        // B's node 0 is another tensor, so a `Var` left over from A would
+        // read the wrong value below.
+        g_b.leaf(Tensor::zeros(1, 1));
+        let before = g_b.len();
+        let v = p.bind(&g_b);
+        assert_eq!(g_b.len(), before + 1);
+        assert_eq!(p.bind(&g_b), v);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g_b.value(v)), bits(&p.value));
+        assert_eq!(g_a.len(), 1);
     }
 
     #[test]
     fn accumulate_folds_gradient_and_clears_binding() {
         let mut p = Param::new(Tensor::row(&[2.0, 3.0]));
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let v = p.bind(&g, stamp);
+        let v = p.bind(&g);
         let sq = g.mul(v, v);
         let loss = g.sum_all(sq);
         let grads = g.backward(loss);
@@ -233,9 +250,8 @@ mod tests {
     fn weight_sharing_accumulates_both_uses() {
         let mut p = Param::new(Tensor::row(&[5.0]));
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let v1 = p.bind(&g, stamp);
-        let v2 = p.bind(&g, stamp);
+        let v1 = p.bind(&g);
+        let v2 = p.bind(&g);
         let s = g.add(v1, v2); // same var twice
         let loss = g.sum_all(s);
         let grads = g.backward(loss);

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::attention::{self, MultiHeadAttention};
 use crate::eval::{self, Exec, Parts, Plan};
 use crate::layers::{dropout, Embedding, LayerNorm, Linear};
-use crate::param::{GraphStamp, Module, Param};
+use crate::param::{Module, Param};
 
 /// Hyperparameters of a [`BertEncoder`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -100,9 +100,9 @@ impl FeedForward {
         }
     }
 
-    fn forward(&self, g: &Graph, stamp: GraphStamp, x: Var) -> Var {
-        let h = self.up.forward_gelu(g, stamp, x);
-        self.down.forward(g, stamp, h)
+    fn forward(&self, g: &Graph, x: Var) -> Var {
+        let h = self.up.forward_gelu(g, x);
+        self.down.forward(g, h)
     }
 }
 
@@ -141,23 +141,20 @@ impl EncoderLayer {
     fn forward<R: Rng + ?Sized>(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         x: Var,
         groups: &RowGroups,
         train: bool,
         rng: &mut R,
     ) -> (Var, Vec<Var>) {
         let _scope = emba_tensor::prof::scope("layer");
-        let (attn_out, probs) =
-            self.attention
-                .forward_batch_with_probs(g, stamp, x, groups, train, rng);
-        let x = self.attn_norm.forward(g, stamp, g.add(x, attn_out));
+        let (attn_out, probs) = self.attention.forward_batch_with_probs(g, x, groups, train, rng);
+        let x = self.attn_norm.forward(g, g.add(x, attn_out));
         let ff_out = {
             let _ffn_scope = emba_tensor::prof::scope("ffn");
-            let ff_out = self.ff.forward(g, stamp, x);
+            let ff_out = self.ff.forward(g, x);
             dropout(g, ff_out, self.dropout_p, train, rng)
         };
-        let x = self.ff_norm.forward(g, stamp, g.add(x, ff_out));
+        let x = self.ff_norm.forward(g, g.add(x, ff_out));
         (x, probs)
     }
 
@@ -269,7 +266,6 @@ impl BertEncoder {
     pub fn forward_batch<R: Rng + ?Sized>(
         &self,
         g: &Graph,
-        stamp: GraphStamp,
         seqs: &[(&[usize], &[usize])],
         train: bool,
         rng: &mut R,
@@ -277,16 +273,16 @@ impl BertEncoder {
         let Packed { ids, positions, segments, groups } = self.pack(seqs);
         let _scope = emba_tensor::prof::scope("bert");
 
-        let tok = self.token_emb.forward(g, stamp, &ids);
-        let pos = self.position_emb.forward(g, stamp, &positions);
-        let seg = self.segment_emb.forward(g, stamp, &segments);
+        let tok = self.token_emb.forward(g, &ids);
+        let pos = self.position_emb.forward(g, &positions);
+        let seg = self.segment_emb.forward(g, &segments);
         let sum = g.add(g.add(tok, pos), seg);
-        let mut x = self.emb_norm.forward(g, stamp, sum);
+        let mut x = self.emb_norm.forward(g, sum);
         x = dropout(g, x, self.cfg.dropout, train, rng);
 
         let mut last_attention = Vec::new();
         for layer in &self.layers {
-            let (next, probs) = layer.forward(g, stamp, x, &groups, train, rng);
+            let (next, probs) = layer.forward(g, x, &groups, train, rng);
             x = next;
             last_attention = probs;
         }
@@ -300,10 +296,10 @@ impl BertEncoder {
     /// BERT's pooler on the tape: `tanh(W · h_[CLS] + b)` for each sequence
     /// of the packed `[ΣT, hidden]` `tokens` laid out by `groups`, as a
     /// `[B, hidden]` matrix (row `i` belongs to sequence `i`).
-    pub fn pool(&self, g: &Graph, stamp: GraphStamp, tokens: Var, groups: &RowGroups) -> Var {
+    pub fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
         let starts: Vec<usize> = (0..groups.len()).map(|i| groups.start(i)).collect();
         let cls = g.gather_rows(tokens, &starts);
-        g.tanh(self.pooler.forward(g, stamp, cls))
+        g.tanh(self.pooler.forward(g, cls))
     }
 
     /// The `[ΣT, hidden]` token representations [`BertEncoder::forward_batch`]
@@ -430,8 +426,8 @@ mod tests {
     }
 
     /// One sequence through [`BertEncoder::forward_batch`].
-    fn forward_one(enc: &BertEncoder, g: &Graph, stamp: GraphStamp, ids: &[usize], segs: &[usize], rng: &mut StdRng) -> BertBatchOutput {
-        enc.forward_batch(g, stamp, &[(ids, segs)], false, rng)
+    fn forward_one(enc: &BertEncoder, g: &Graph, ids: &[usize], segs: &[usize], rng: &mut StdRng) -> BertBatchOutput {
+        enc.forward_batch(g, &[(ids, segs)], false, rng)
     }
 
     #[test]
@@ -439,9 +435,9 @@ mod tests {
         let enc = encoder(0);
         let mut rng = StdRng::seed_from_u64(1);
         let g = Graph::new();
-        let out = forward_one(&enc, &g, GraphStamp::next(), &[2, 5, 9, 3], &[0, 0, 1, 1], &mut rng);
+        let out = forward_one(&enc, &g, &[2, 5, 9, 3], &[0, 0, 1, 1], &mut rng);
         assert_eq!(g.value(out.tokens).shape(), (4, 16));
-        let pooled = enc.pool(&g, GraphStamp::next(), out.tokens, &RowGroups::from_lens(&[4]));
+        let pooled = enc.pool(&g, out.tokens, &RowGroups::from_lens(&[4]));
         assert_eq!(g.value(pooled).shape(), (1, 16));
         assert_eq!(out.last_attention.len(), 2);
     }
@@ -452,7 +448,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let run = |rng: &mut StdRng| {
             let g = Graph::new();
-            let out = forward_one(&enc, &g, GraphStamp::next(), &[1, 2, 3], &[0, 0, 0], rng);
+            let out = forward_one(&enc, &g, &[1, 2, 3], &[0, 0, 0], rng);
             g.value(out.tokens)
         };
         let a = run(&mut rng);
@@ -465,8 +461,8 @@ mod tests {
         let enc = encoder(3);
         let mut rng = StdRng::seed_from_u64(4);
         let g = Graph::new();
-        let a = forward_one(&enc, &g, GraphStamp::next(), &[1, 2], &[0, 0], &mut rng);
-        let b = forward_one(&enc, &g, GraphStamp::next(), &[1, 2], &[0, 1], &mut rng);
+        let a = forward_one(&enc, &g, &[1, 2], &[0, 0], &mut rng);
+        let b = forward_one(&enc, &g, &[1, 2], &[0, 1], &mut rng);
         assert_ne!(g.value(a.tokens), g.value(b.tokens));
     }
 
@@ -475,9 +471,8 @@ mod tests {
         let mut enc = encoder(5);
         let mut rng = StdRng::seed_from_u64(6);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
-        let out = forward_one(&enc, &g, stamp, &[1, 2, 3, 4], &[0, 0, 1, 1], &mut rng);
-        let pooled = enc.pool(&g, stamp, out.tokens, &RowGroups::from_lens(&[4]));
+        let out = forward_one(&enc, &g, &[1, 2, 3, 4], &[0, 0, 1, 1], &mut rng);
+        let pooled = enc.pool(&g, out.tokens, &RowGroups::from_lens(&[4]));
         let combined = g.concat_rows(&[out.tokens, pooled]);
         let sq = g.mul(combined, combined);
         let loss = g.mean_all(sq);
@@ -501,15 +496,14 @@ mod tests {
         let enc = encoder(11);
         let mut rng = StdRng::seed_from_u64(12);
         let g = Graph::new();
-        let stamp = GraphStamp::next();
         let seqs: [(&[usize], &[usize]); 3] = [
             (&[2, 5, 9, 3], &[0, 0, 1, 1]),
             (&[1, 2], &[0, 1]),
             (&[7, 7, 7, 1, 4], &[0, 0, 0, 1, 1]),
         ];
-        let batch = enc.forward_batch(&g, stamp, &seqs, false, &mut rng);
+        let batch = enc.forward_batch(&g, &seqs, false, &mut rng);
         let tokens = g.value(batch.tokens);
-        let pooled = g.value(enc.pool(&g, stamp, batch.tokens, &batch.groups));
+        let pooled = g.value(enc.pool(&g, batch.tokens, &batch.groups));
         assert_eq!(tokens.shape(), (11, 16));
         assert_eq!(pooled.shape(), (3, 16));
         for p in &batch.last_attention {
@@ -520,13 +514,13 @@ mod tests {
         // sequences shorter than one 6-row GEMM tile.
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (i, (ids, segs)) in seqs.iter().enumerate() {
-            let single = forward_one(&enc, &g, stamp, ids, segs, &mut rng);
+            let single = forward_one(&enc, &g, ids, segs, &mut rng);
             let st = g.value(single.tokens);
             let (r0, r1) = batch.groups.range(i);
             for (r, rr) in (r0..r1).enumerate() {
                 assert_eq!(bits(tokens.row_slice(rr)), bits(st.row_slice(r)), "tokens differ for sequence {i}");
             }
-            let single_pooled = enc.pool(&g, stamp, single.tokens, &RowGroups::from_lens(&[ids.len()]));
+            let single_pooled = enc.pool(&g, single.tokens, &RowGroups::from_lens(&[ids.len()]));
             assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single_pooled).data()), "pooled differs for sequence {i}");
             // Per-head probabilities of the last layer: `[T, T]` alone, the
             // same values in the sequence's rows of the batch's `[ΣT, W]`.
@@ -549,7 +543,7 @@ mod tests {
         let g = Graph::new();
         let ids: Vec<usize> = (0..40).map(|i| i % 10).collect();
         let segs = vec![0; 40];
-        let _ = forward_one(&enc, &g, GraphStamp::next(), &ids, &segs, &mut rng);
+        let _ = forward_one(&enc, &g, &ids, &segs, &mut rng);
     }
 
     #[test]

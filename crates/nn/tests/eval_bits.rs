@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use emba_nn::{BertConfig, BertEncoder, Embedding, GraphStamp, Module, MultiHeadAttention};
+use emba_nn::{BertConfig, BertEncoder, Embedding, Module, MultiHeadAttention};
 use emba_tensor::{backend, prof, BackendKind, Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +61,7 @@ fn both(enc: &BertEncoder, seqs: &[(&[usize], &[usize])], kind: BackendKind) -> 
     let g = Graph::new();
     let tape = {
         let _backend = backend::install(kind);
-        enc.forward_batch(&g, GraphStamp::next(), seqs, false, &mut StdRng::seed_from_u64(0))
+        enc.forward_batch(&g, seqs, false, &mut StdRng::seed_from_u64(0))
     };
     let (tokens, groups, attention) = enc.encode_eval(seqs, kind);
     assert_eq!(groups, tape.groups);
@@ -102,7 +102,7 @@ fn fasttext_rows_are_the_tape_embedding() {
     for batch in batches(64, true, 4) {
         let ids: Vec<usize> = batch.iter().flat_map(|(ids, _)| ids.iter().copied()).collect();
         let g = Graph::new();
-        let want = g.value(emb.forward(&g, GraphStamp::next(), &ids));
+        let want = g.value(emb.forward(&g, &ids));
         let mut got = vec![0.0; ids.len() * 128];
         emb.lookup_into(&ids, &mut got);
         assert_eq!(bits(&got), bits(want.data()));
@@ -130,7 +130,7 @@ fn encode_eval_reports_the_tape_ops_it_runs() {
         let mut tape = profiled(|| {
             let _backend = backend::install(kind);
             let g = Graph::new();
-            enc.forward_batch(&g, GraphStamp::next(), &seqs, false, &mut StdRng::seed_from_u64(0));
+            enc.forward_batch(&g, &seqs, false, &mut StdRng::seed_from_u64(0));
         });
         let eval = profiled(|| {
             enc.encode_eval(&seqs, kind);

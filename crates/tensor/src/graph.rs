@@ -16,6 +16,7 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
@@ -88,8 +89,8 @@ struct Node {
 ///
 /// All operation methods take `&self`; interior mutability keeps call sites
 /// ergonomic while the tape grows.
-#[derive(Default)]
 pub struct Graph {
+    id: u64,
     nodes: RefCell<Vec<Node>>,
     /// The node the last `linear_q8` read, quantized: the next one to read
     /// the same node (K and V after Q) multiplies these rows again instead of
@@ -153,10 +154,23 @@ impl GradSink for TapeSink<'_> {
     }
 }
 
+impl Default for Graph {
+    fn default() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Self { id: NEXT_ID.fetch_add(1, Ordering::Relaxed), nodes: RefCell::default(), q8_input: RefCell::default() }
+    }
+}
+
 impl Graph {
-    /// Creates an empty tape.
+    /// Creates an empty tape with a fresh [`Graph::id`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// This tape's identity, shared by no other `Graph` of the process:
+    /// what a [`Var`] cached off the tape is keyed by.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of recorded nodes.

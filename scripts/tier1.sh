@@ -14,6 +14,20 @@ if [ "$design_bytes" -ge 60000 ]; then
     exit 1
 fi
 
+# A `Param` finds its leaf by `Graph::id`; `GraphStamp` is an inert token
+# left only in the two split-path signatures the frozen benchmark calls.
+# Fail if it spreads back beyond its definition, those two methods and the
+# tests that call them.
+stray_stamps=$(git grep -l -w GraphStamp -- crates examples src tests | grep -v -x -F \
+    -e crates/nn/src/param.rs -e crates/nn/src/lib.rs \
+    -e crates/core/src/models.rs -e crates/core/src/scorer.rs \
+    -e crates/core/tests/catalog_matching.rs -e crates/core/tests/infer_bits.rs \
+    -e crates/serve/tests/scoring_oracle.rs || true)
+if [ -n "$stray_stamps" ]; then
+    echo "GraphStamp outside its allowlist: $stray_stamps" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
