@@ -6,7 +6,7 @@
 //! `encode_batch` call (and its tape-free twin `encode_eval`) so every
 //! matcher is backbone-agnostic.
 
-use emba_nn::{BertConfig, BertEncoder, Linear, Module, Param};
+use emba_nn::{BertBatchOutput, BertConfig, BertEncoder, Linear, Module, Param};
 use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -44,19 +44,6 @@ impl BackboneKind {
     }
 }
 
-/// A batch of encoded sequences in row-packed form. The pooled `[CLS]` form
-/// is not part of it: [`Backbone::pool`] computes it for the heads that
-/// read it.
-pub struct SeqBatchOutput {
-    /// `[ΣT, hidden]` token representations, row-packed in batch order.
-    pub tokens: Var,
-    /// Last-layer per-head grouped `[ΣT, W]` attention probabilities (empty
-    /// for fastText).
-    pub last_attention: Vec<Var>,
-    /// Row ranges of each sequence inside the packed matrices.
-    pub groups: RowGroups,
-}
-
 /// fastText-style encoder: a subword embedding table; the sequence
 /// representation is the token embeddings themselves and the pooled form is
 /// a tanh projection of their mean. No position information — a bag of
@@ -87,9 +74,9 @@ impl FastTextEncoder {
         &mut self.embedding
     }
 
-    fn encode_batch(&self, g: &Graph, seqs: &[&[usize]]) -> SeqBatchOutput {
+    fn encode_batch(&self, g: &Graph, seqs: &[&[usize]]) -> BertBatchOutput {
         let (ids, groups) = Self::pack(seqs);
-        SeqBatchOutput {
+        BertBatchOutput {
             tokens: self.embedding.forward(g, &ids),
             last_attention: Vec::new(),
             groups,
@@ -120,16 +107,7 @@ impl FastTextEncoder {
     }
 }
 
-impl Module for FastTextEncoder {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.embedding.visit(f);
-        self.pool_proj.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.embedding.visit_mut(f);
-        self.pool_proj.visit_mut(f);
-    }
-}
+emba_nn::module_params!(FastTextEncoder: embedding, pool_proj);
 
 /// A unified encoder backbone.
 //
@@ -178,8 +156,8 @@ impl Backbone {
         }
     }
 
-    /// Instantiates a backbone from an explicit BERT config (used by tests
-    /// and the throughput bench to pin sizes).
+    /// Instantiates a backbone from an explicit BERT config (tests use it to
+    /// pin sizes).
     pub fn from_bert_config<R: rand::Rng + ?Sized>(
         cfg: BertConfig,
         use_segments: bool,
@@ -217,25 +195,21 @@ impl Backbone {
     }
 
     /// Encodes a batch of `(ids, segments)` sequences in one row-packed
-    /// forward pass; sequences never attend across the batch.
+    /// forward pass; sequences never attend across the batch. fastText
+    /// returns no `last_attention`.
     pub fn encode_batch(
         &self,
         g: &Graph,
         seqs: &[(&[usize], &[usize])],
         train: bool,
         rng: &mut dyn RngCore,
-    ) -> SeqBatchOutput {
+    ) -> BertBatchOutput {
         match self {
             Backbone::Bert {
                 encoder,
                 use_segments,
             } => {
-                let out = with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, seqs, train, rng));
-                SeqBatchOutput {
-                    tokens: out.tokens,
-                    last_attention: out.last_attention,
-                    groups: out.groups,
-                }
+                with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, seqs, train, rng))
             }
             Backbone::FastText(ft) => {
                 let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();

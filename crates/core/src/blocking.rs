@@ -119,11 +119,6 @@ impl BlockingIndex {
         self.num_records
     }
 
-    /// Number of distinct keys.
-    pub fn num_keys(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Keys whose posting list exceeds `cfg.max_posting` (stop keys).
     pub fn num_stop_keys(&self, cfg: &BlockingConfig) -> usize {
         self.postings.values().filter(|p| p.len() > cfg.max_posting).count()

@@ -101,32 +101,7 @@ impl Checkpoint {
             &mut rng,
         );
 
-        // Validate shapes before committing.
-        let mut i = 0usize;
-        let mut mismatch = None;
-        model.visit(&mut |p| {
-            if mismatch.is_some() {
-                return;
-            }
-            match self.params.get(i) {
-                Some(t) if t.shape() == p.value.shape() => {}
-                Some(t) => {
-                    mismatch = Some(format!(
-                        "parameter {i}: snapshot {:?} vs model {:?}",
-                        t.shape(),
-                        p.value.shape()
-                    ))
-                }
-                None => mismatch = Some(format!("snapshot ends at parameter {i}")),
-            }
-            i += 1;
-        });
-        if mismatch.is_none() && i != self.params.len() {
-            mismatch = Some(format!("snapshot has {} extra tensors", self.params.len() - i));
-        }
-        if let Some(msg) = mismatch {
-            return Err(CheckpointError::ShapeMismatch(msg));
-        }
+        model.check_state(&self.params).map_err(CheckpointError::ShapeMismatch)?;
         model.load_state(&self.params);
         Ok(TrainedMatcher {
             pipeline,

@@ -10,7 +10,7 @@
 //! class-weighted cross-entropy (the paper fixes the positive/negative
 //! weighting to the training distribution).
 
-use emba_nn::{BiGru, Embedding, Linear, Module, Param};
+use emba_nn::{BiGru, Embedding, Linear};
 use emba_tensor::{Graph, Var};
 use rand::RngCore;
 
@@ -189,28 +189,14 @@ impl Matcher for DeepMatcher {
     }
 }
 
-impl Module for DeepMatcher {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.embedding.visit(f);
-        self.rnn.visit(f);
-        self.attn_scorer.visit(f);
-        self.hidden_layer.visit(f);
-        self.output_layer.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.embedding.visit_mut(f);
-        self.rnn.visit_mut(f);
-        self.attn_scorer.visit_mut(f);
-        self.hidden_layer.visit_mut(f);
-        self.output_layer.visit_mut(f);
-    }
-}
+emba_nn::module_params!(DeepMatcher: embedding, rnn, attn_scorer, hidden_layer, output_layer);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{PipelineConfig, TextPipeline};
     use emba_datagen::{build, DatasetId, Scale};
+    use emba_nn::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

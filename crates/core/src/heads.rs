@@ -2,7 +2,7 @@
 //! binary match classifier.
 
 use emba_nn::eval::Exec;
-use emba_nn::{Linear, Module, Param};
+use emba_nn::Linear;
 use emba_tensor::{Graph, RowGroups, Var};
 use rand::Rng;
 
@@ -75,16 +75,7 @@ impl TokenAggregationHead {
     }
 }
 
-impl Module for TokenAggregationHead {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.scorer.visit(f);
-        self.classifier.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.scorer.visit_mut(f);
-        self.classifier.visit_mut(f);
-    }
-}
+emba_nn::module_params!(TokenAggregationHead: scorer, classifier);
 
 /// Binary match head: a linear map from a pooled `[1, d]` representation to
 /// a single logit, trained with binary cross-entropy (the paper's BCEL term
@@ -120,18 +111,12 @@ impl MatchHead {
     }
 }
 
-impl Module for MatchHead {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.proj.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.proj.visit_mut(f);
-    }
-}
+emba_nn::module_params!(MatchHead: proj);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emba_nn::Module;
     use emba_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -195,6 +195,39 @@ mod tests {
     use emba_tensor::Graph;
     use rand::SeedableRng;
 
+    /// `(name, tensors, shape digest, value digest)` of each kind's
+    /// [`emba_nn::Module::state`] as built below. The shape digest pins the
+    /// checkpoint layout; the value digest also pins the order of parameters
+    /// that share a shape (a layer norm's gamma and beta). A change that
+    /// moves a layout on purpose breaks every saved checkpoint and
+    /// recaptures this table.
+    const LAYOUTS: [(&str, usize, u64, u64); 15] = [
+        ("EMBA", 81, 0xf9c9_12bf_465a_7b2f, 0xd65c_ec22_9d68_772a),
+        ("EMBA (FT)", 13, 0xb485_51f6_2e1b_fa15, 0x1b7a_900d_fcc1_af66),
+        ("EMBA (SB)", 49, 0xadda_177e_78ab_f7ef, 0x2686_5d12_a89a_fee3),
+        ("EMBA (DB)", 49, 0x3512_0245_ceb5_3b2f, 0x3cdb_9e10_7784_175f),
+        ("DeepMatcher", 19, 0x8bac_b470_3e3f_a090, 0xbe90_1931_46da_e128),
+        ("BERT", 73, 0x63fe_1e2c_3a47_5157, 0x533e_1f21_3757_ff45),
+        ("RoBERTa", 73, 0x63fe_1e2c_3a47_5157, 0x533e_1f21_3757_ff45),
+        ("DITTO", 73, 0x63fe_1e2c_3a47_5157, 0x533e_1f21_3757_ff45),
+        ("JointMatcher", 73, 0x6952_15d6_048a_c057, 0x1ffb_8715_a4ff_f863),
+        ("JointBERT", 81, 0xf9c9_12bf_465a_7b2f, 0xd65c_ec22_9d68_772a),
+        ("JointBERT-S", 81, 0xf9c9_12bf_465a_7b2f, 0xd65c_ec22_9d68_772a),
+        ("JointBERT-T", 81, 0x28bd_f93e_2a30_f2af, 0xe083_ec27_df24_afc7),
+        ("JointBERT-CT", 81, 0xf9c9_12bf_465a_7b2f, 0xd65c_ec22_9d68_772a),
+        ("EMBA-CLS", 81, 0xf9c9_12bf_465a_7b2f, 0xd65c_ec22_9d68_772a),
+        ("EMBA-SurfCon", 81, 0x28bd_f93e_2a30_f2af, 0xe083_ec27_df24_afc7),
+    ];
+
+    /// FNV-1a digests of a snapshot's shape sequence, and of that plus
+    /// every value's bits.
+    fn layout_digests(state: &[emba_tensor::Tensor]) -> (u64, u64) {
+        let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01b3);
+        let shapes = state.iter().fold(0xcbf2_9ce4_8422_2325, |h, t| fnv(fnv(h, t.rows() as u64), t.cols() as u64));
+        let values = state.iter().flat_map(|t| t.data()).fold(shapes, |h, x| fnv(h, u64::from(x.to_bits())));
+        (shapes, values)
+    }
+
     #[test]
     fn every_model_kind_builds_and_runs() {
         let ds = build_ds(
@@ -222,6 +255,15 @@ mod tests {
                 kind.name()
             );
             assert_eq!(out.id1_preds.is_some(), kind.is_multitask(), "{}", kind.name());
+
+            let state = model.state();
+            let &(_, tensors, shapes, values) =
+                LAYOUTS.iter().find(|l| l.0 == kind.name()).expect("every kind has a pinned layout");
+            assert_eq!((state.len(), layout_digests(&state)), (tensors, (shapes, values)), "{}", kind.name());
+            assert!(model.check_state(&state).is_ok(), "{}", kind.name());
+            let mut short = state;
+            short.pop();
+            assert!(model.check_state(&short).is_err(), "{} accepted a snapshot one tensor short", kind.name());
         }
     }
 

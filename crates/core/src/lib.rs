@@ -49,7 +49,7 @@ pub mod stats;
 mod store;
 mod train;
 
-pub use backbone::{Backbone, BackboneKind, FastTextEncoder, SeqBatchOutput, DEFAULT_DROPOUT};
+pub use backbone::{Backbone, BackboneKind, FastTextEncoder, DEFAULT_DROPOUT};
 pub use catalog::{
     match_catalog, CatalogMatchConfig, CatalogMatchReport, CatalogScorer, ScoredPair,
 };

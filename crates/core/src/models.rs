@@ -20,7 +20,7 @@
 //! | JointMatcher   | `[CLS]` ‖ relevance ‖ numeric pools | none           |
 
 use emba_nn::eval::Exec;
-use emba_nn::{GraphStamp, Module, Param};
+use emba_nn::{GraphStamp, Module};
 use emba_tensor::{backend, fwd, pool, prof, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 
@@ -251,16 +251,6 @@ impl TransformerMatcher {
             id2_head,
             numeric_vocab,
         }
-    }
-
-    /// The EM strategy.
-    pub fn em_strategy(&self) -> EmStrategy {
-        self.em
-    }
-
-    /// The auxiliary strategy.
-    pub fn aux_strategy(&self) -> AuxStrategy {
-        self.aux
     }
 
     /// Mean pool of positions (given as absolute row indices); falls back to
@@ -601,28 +591,7 @@ impl Matcher for TransformerMatcher {
     }
 }
 
-impl Module for TransformerMatcher {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.backbone.visit(f);
-        self.match_head.visit(f);
-        if let Some(h) = &self.id1_head {
-            h.visit(f);
-        }
-        if let Some(h) = &self.id2_head {
-            h.visit(f);
-        }
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.visit_mut(f);
-        self.match_head.visit_mut(f);
-        if let Some(h) = &mut self.id1_head {
-            h.visit_mut(f);
-        }
-        if let Some(h) = &mut self.id2_head {
-            h.visit_mut(f);
-        }
-    }
-}
+emba_nn::module_params!(TransformerMatcher: backbone, match_head, id1_head, id2_head);
 
 /// What [`TransformerMatcher`]'s heads compute over one packed batch.
 struct HeadLogits {

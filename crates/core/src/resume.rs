@@ -112,8 +112,12 @@ pub(crate) fn load_resume_state(
             state.train_examples, state.valid_examples,
         )));
     }
-    check_param_shapes(model, &state.params, "params")?;
-    check_param_shapes(model, &state.best_params, "best_params")?;
+    // Checked here so `load_state` never panics on data read from disk.
+    for (which, params) in [("params", &state.params), ("best_params", &state.best_params)] {
+        model
+            .check_state(params)
+            .map_err(|e| CoreError::Incompatible(format!("snapshot {which}: {e}")))?;
+    }
     if state.rng.len() != 4 {
         return Err(CoreError::Incompatible(format!(
             "rng state has {} words, expected 4",
@@ -133,34 +137,6 @@ pub(crate) fn load_resume_state(
         )));
     }
     Ok(Some(state))
-}
-
-/// Rejects snapshots whose tensor list cannot be loaded into `model`
-/// (different architecture), so `Module::load_state` never panics on
-/// on-disk data.
-fn check_param_shapes(
-    model: &dyn Module,
-    params: &[Tensor],
-    which: &str,
-) -> Result<(), CoreError> {
-    let mut shapes = Vec::new();
-    model.visit(&mut |p| shapes.push(p.value.shape()));
-    if shapes.len() != params.len() {
-        return Err(CoreError::Incompatible(format!(
-            "snapshot {which} holds {} tensors, model has {} parameters",
-            params.len(),
-            shapes.len()
-        )));
-    }
-    for (i, (t, &(rows, cols))) in params.iter().zip(&shapes).enumerate() {
-        if t.shape() != (rows, cols) {
-            return Err(CoreError::Incompatible(format!(
-                "snapshot {which}[{i}] is {:?}, model expects ({rows}, {cols})",
-                t.shape()
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1004,14 +1004,7 @@ pub(crate) mod tests {
         }
     }
 
-    impl Module for NanMatcher {
-        fn visit(&self, f: &mut dyn FnMut(&emba_nn::Param)) {
-            f(&self.p);
-        }
-        fn visit_mut(&mut self, f: &mut dyn FnMut(&mut emba_nn::Param)) {
-            f(&mut self.p);
-        }
-    }
+    emba_nn::module_params!(NanMatcher: p);
 
     impl Matcher for NanMatcher {
         fn forward_batch(

@@ -11,7 +11,6 @@ use rand::Rng;
 
 use crate::eval::{Exec, Parts};
 use crate::layers::{dropout, Linear};
-use crate::param::{Module, Param};
 
 /// Multi-head self-attention with output projection.
 #[derive(Debug)]
@@ -143,24 +142,12 @@ pub(crate) fn sum_heads<'a>(mut heads: impl Iterator<Item = &'a [f32]>, rows: us
     total
 }
 
-impl Module for MultiHeadAttention {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.query.visit(f);
-        self.key.visit(f);
-        self.value.visit(f);
-        self.output.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.query.visit_mut(f);
-        self.key.visit_mut(f);
-        self.value.visit_mut(f);
-        self.output.visit_mut(f);
-    }
-}
+crate::module_params!(MultiHeadAttention: query, key, value, output);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -8,7 +8,6 @@ use emba_tensor::{Graph, Tensor, Var};
 use rand::Rng;
 
 use crate::layers::Linear;
-use crate::param::{Module, Param};
 
 /// A single GRU cell with the standard update/reset/candidate gates.
 #[derive(Debug)]
@@ -85,18 +84,7 @@ impl GruCell {
     }
 }
 
-impl Module for GruCell {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.input.visit(f);
-        self.hidden_zr.visit(f);
-        self.hidden_n.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.input.visit_mut(f);
-        self.hidden_zr.visit_mut(f);
-        self.hidden_n.visit_mut(f);
-    }
-}
+crate::module_params!(GruCell: input, hidden_zr, hidden_n);
 
 /// A bidirectional GRU: forward and backward cells with concatenated states.
 #[derive(Debug)]
@@ -127,20 +115,12 @@ impl BiGru {
     }
 }
 
-impl Module for BiGru {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.forward.visit(f);
-        self.backward.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.forward.visit_mut(f);
-        self.backward.visit_mut(f);
-    }
-}
+crate::module_params!(BiGru: forward, backward);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use emba_tensor::{backend, fwd, Graph, QuantizedMatrix, Tensor, Var};
 use rand::Rng;
 
-use crate::param::{Module, Param};
+use crate::param::Param;
 
 /// Cached int8 twin of a weight matrix, keyed so weight updates invalidate
 /// it: the buffer address plus the bit patterns of the first and last
@@ -116,16 +116,7 @@ impl Linear {
     }
 }
 
-impl Module for Linear {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        f(&self.bias);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-}
+crate::module_params!(Linear: weight, bias);
 
 /// A lookup table mapping integer ids to learned `[1, dim]` rows.
 #[derive(Debug)]
@@ -168,14 +159,7 @@ impl Embedding {
     }
 }
 
-impl Module for Embedding {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-    }
-}
+crate::module_params!(Embedding: weight);
 
 /// Per-row layer normalization with learned scale and shift.
 #[derive(Debug)]
@@ -203,16 +187,7 @@ impl LayerNorm {
     }
 }
 
-impl Module for LayerNorm {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.gamma);
-        f(&self.beta);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
-    }
-}
+crate::module_params!(LayerNorm: gamma, beta);
 
 /// Applies inverted dropout when `train` is set; identity otherwise.
 pub fn dropout<R: Rng + ?Sized>(g: &Graph, x: Var, p: f32, train: bool, rng: &mut R) -> Var {
@@ -226,6 +201,7 @@ pub fn dropout<R: Rng + ?Sized>(g: &Graph, x: Var, p: f32, train: bool, rng: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -11,7 +11,6 @@ use emba_tensor::{Graph, Var};
 use rand::Rng;
 
 use crate::layers::{LayerNorm, Linear};
-use crate::param::{Module, Param};
 use crate::transformer::BertEncoder;
 
 /// The transform head applied to masked positions before the vocabulary
@@ -42,18 +41,7 @@ impl MlmHead {
     }
 }
 
-impl Module for MlmHead {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.transform.visit(f);
-        self.norm.visit(f);
-        self.decoder.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.transform.visit_mut(f);
-        self.norm.visit_mut(f);
-        self.decoder.visit_mut(f);
-    }
-}
+crate::module_params!(MlmHead: transform, norm, decoder);
 
 /// Masking settings.
 #[derive(Debug, Clone, Copy)]
@@ -123,8 +111,8 @@ pub fn mask_sequence<R: Rng + ?Sized>(
     }
 }
 
-/// An encoder and its [`MlmHead`] as **one** [`Module`], so a training
-/// loop clips and steps both with a single optimizer call.
+/// An encoder and its [`MlmHead`] as **one** [`Module`](crate::Module), so a
+/// training loop clips and steps both with a single optimizer call.
 pub struct MlmModel<'a> {
     /// The encoder being pre-trained.
     pub encoder: &'a mut BertEncoder,
@@ -184,20 +172,12 @@ impl<'a> MlmModel<'a> {
     }
 }
 
-impl Module for MlmModel<'_> {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.encoder.visit(f);
-        self.head.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.encoder.visit_mut(f);
-        self.head.visit_mut(f);
-    }
-}
+crate::module_params!(MlmModel<'_>: encoder, head);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

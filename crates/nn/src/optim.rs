@@ -117,40 +117,19 @@ impl Adam {
     /// optimizer untouched) if the snapshot's parameter count or any moment
     /// shape disagrees with the module.
     pub fn load_state(&mut self, module: &dyn Module, state: &AdamState) -> Result<(), AdamStateError> {
-        let mut keyed = Vec::with_capacity(state.moments.len());
-        let mut idx = 0usize;
-        let mut error = None;
-        module.visit(&mut |p| {
-            if error.is_some() {
-                return;
-            }
-            match state.moments.get(idx) {
-                Some(mo) if mo.m.shape() == p.value.shape() && mo.v.shape() == p.value.shape() => {
-                    keyed.push((p.id(), Moments { m: mo.m.clone(), v: mo.v.clone() }));
-                }
-                Some(mo) => {
-                    error = Some(AdamStateError(format!(
-                        "parameter {idx}: snapshot moments {:?}/{:?} vs value {:?}",
-                        mo.m.shape(),
-                        mo.v.shape(),
-                        p.value.shape()
-                    )))
-                }
-                None => error = Some(AdamStateError(format!("snapshot ends at parameter {idx}"))),
-            }
-            idx += 1;
-        });
-        if let Some(e) = error {
-            return Err(e);
+        let ms: Vec<Tensor> = state.moments.iter().map(|mo| mo.m.clone()).collect();
+        let vs: Vec<Tensor> = state.moments.iter().map(|mo| mo.v.clone()).collect();
+        for (which, moments) in [("first", &ms), ("second", &vs)] {
+            module.check_state(moments).map_err(|e| AdamStateError(format!("{which} moments: {e}")))?;
         }
-        if idx != state.moments.len() {
-            return Err(AdamStateError(format!(
-                "snapshot has {} moments for {idx} parameters",
-                state.moments.len()
-            )));
-        }
+        let mut ids = Vec::new();
+        module.visit(&mut |p| ids.push(p.id()));
         self.step = state.step;
-        self.state = keyed.into_iter().collect();
+        self.state = ids
+            .into_iter()
+            .zip(ms.into_iter().zip(vs))
+            .map(|(id, (m, v))| (id, Moments { m, v }))
+            .collect();
         Ok(())
     }
 

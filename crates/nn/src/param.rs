@@ -100,7 +100,9 @@ impl Param {
 ///
 /// The visitor pattern sidesteps the borrow gymnastics of returning nested
 /// `&mut` collections and gives a deterministic parameter order, which the
-/// checkpoint format and the optimizers rely on.
+/// checkpoint format and the optimizers rely on. A struct states that order
+/// once, as the field list of a [`module_params!`](crate::module_params)
+/// call; a [`Param`], an `Option` and a `Vec` of modules are modules too.
 pub trait Module {
     /// Visits every parameter in a fixed, deterministic order.
     fn visit(&self, f: &mut dyn FnMut(&Param));
@@ -133,25 +135,87 @@ pub trait Module {
         out
     }
 
+    /// Whether `state` fits this module: one tensor per parameter, in visit
+    /// order, each of its parameter's shape. Every snapshot loader runs this
+    /// check before it changes anything and maps the message into its own
+    /// error.
+    fn check_state(&self, state: &[Tensor]) -> Result<(), String> {
+        let mut shapes = Vec::new();
+        self.visit(&mut |p| shapes.push(p.value.shape()));
+        if shapes.len() != state.len() {
+            return Err(format!("{} tensors for {} parameters", state.len(), shapes.len()));
+        }
+        for (i, (t, &shape)) in state.iter().zip(&shapes).enumerate() {
+            if t.shape() != shape {
+                return Err(format!("shape mismatch at parameter {i}: snapshot {:?}, module {shape:?}", t.shape()));
+            }
+        }
+        Ok(())
+    }
+
     /// Restores parameter values from a [`Module::state`] snapshot.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot length or any tensor shape disagrees with the
-    /// module's parameters.
+    /// Panics if [`Module::check_state`] rejects the snapshot.
     fn load_state(&mut self, state: &[Tensor]) {
-        let mut i = 0;
-        self.visit_mut(&mut |p| {
-            assert!(i < state.len(), "state snapshot too short at parameter {i}");
-            assert_eq!(
-                state[i].shape(),
-                p.value.shape(),
-                "state snapshot shape mismatch at parameter {i}"
-            );
-            p.value = state[i].clone();
-            i += 1;
-        });
-        assert_eq!(i, state.len(), "state snapshot has {} extra tensors", state.len() - i);
+        self.check_state(state).unwrap_or_else(|e| panic!("state snapshot: {e}"));
+        let mut values = state.iter();
+        self.visit_mut(&mut |p| p.value = values.next().expect("checked length").clone());
+    }
+}
+
+/// Implements [`Module`] for a struct from the fields that hold its
+/// parameters, listed once in visit order:
+/// `module_params!(Linear: weight, bias);`.
+#[macro_export]
+macro_rules! module_params {
+    ($ty:ty: $($field:ident),+ $(,)?) => {
+        impl $crate::Module for $ty {
+            fn visit(&self, f: &mut dyn FnMut(&$crate::Param)) {
+                $(self.$field.visit(f);)+
+            }
+            fn visit_mut(&mut self, f: &mut dyn FnMut(&mut $crate::Param)) {
+                $(self.$field.visit_mut(f);)+
+            }
+        }
+    };
+}
+
+impl Module for Param {
+    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+        f(self);
+    }
+    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(self);
+    }
+}
+
+/// An optional head: its parameters when present, none when absent.
+impl<M: Module> Module for Option<M> {
+    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+        if let Some(m) = self {
+            m.visit(f);
+        }
+    }
+    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        if let Some(m) = self {
+            m.visit_mut(f);
+        }
+    }
+}
+
+/// A stack of modules, visited front to back.
+impl<M: Module> Module for Vec<M> {
+    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+        for m in self {
+            m.visit(f);
+        }
+    }
+    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for m in self {
+            m.visit_mut(f);
+        }
     }
 }
 
@@ -185,16 +249,7 @@ mod tests {
         b: Param,
     }
 
-    impl Module for Pair {
-        fn visit(&self, f: &mut dyn FnMut(&Param)) {
-            f(&self.a);
-            f(&self.b);
-        }
-        fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-            f(&mut self.a);
-            f(&mut self.b);
-        }
-    }
+    crate::module_params!(Pair: a, b);
 
     fn pair() -> Pair {
         Pair {

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use crate::attention::{self, MultiHeadAttention};
 use crate::eval::{self, Exec, Parts, Plan};
 use crate::layers::{dropout, Embedding, LayerNorm, Linear};
-use crate::param::{Module, Param};
 
 /// Hyperparameters of a [`BertEncoder`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -106,16 +105,7 @@ impl FeedForward {
     }
 }
 
-impl Module for FeedForward {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.up.visit(f);
-        self.down.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.up.visit_mut(f);
-        self.down.visit_mut(f);
-    }
-}
+crate::module_params!(FeedForward: up, down);
 
 /// One post-LN transformer encoder layer.
 #[derive(Debug)]
@@ -175,20 +165,7 @@ impl EncoderLayer {
     }
 }
 
-impl Module for EncoderLayer {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.attention.visit(f);
-        self.attn_norm.visit(f);
-        self.ff.visit(f);
-        self.ff_norm.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.attention.visit_mut(f);
-        self.attn_norm.visit_mut(f);
-        self.ff.visit_mut(f);
-        self.ff_norm.visit_mut(f);
-    }
-}
+crate::module_params!(EncoderLayer: attention, attn_norm, ff, ff_norm);
 
 /// Output of one batched [`BertEncoder`] forward pass over `B` row-packed
 /// sequences. The `[CLS]` pooler is not part of it: a head that reads the
@@ -391,32 +368,12 @@ struct Packed {
     groups: RowGroups,
 }
 
-impl Module for BertEncoder {
-    fn visit(&self, f: &mut dyn FnMut(&Param)) {
-        self.token_emb.visit(f);
-        self.position_emb.visit(f);
-        self.segment_emb.visit(f);
-        self.emb_norm.visit(f);
-        for l in &self.layers {
-            l.visit(f);
-        }
-        self.pooler.visit(f);
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.token_emb.visit_mut(f);
-        self.position_emb.visit_mut(f);
-        self.segment_emb.visit_mut(f);
-        self.emb_norm.visit_mut(f);
-        for l in &mut self.layers {
-            l.visit_mut(f);
-        }
-        self.pooler.visit_mut(f);
-    }
-}
+crate::module_params!(BertEncoder: token_emb, position_emb, segment_emb, emb_norm, layers, pooler);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

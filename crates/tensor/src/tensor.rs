@@ -251,20 +251,6 @@ impl Tensor {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Reinterprets the buffer with a new shape of identical length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows * cols != self.len()`.
-    pub fn reshape(&self, rows: usize, cols: usize) -> Self {
-        assert_eq!(rows * cols, self.len(), "cannot reshape {}x{} into {rows}x{cols}", self.rows, self.cols);
-        Self {
-            rows,
-            cols,
-            data: Arc::clone(&self.data),
-        }
-    }
-
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
