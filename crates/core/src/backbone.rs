@@ -3,12 +3,12 @@
 //! The paper evaluates EMBA over four language-model backbones — BERT-base,
 //! BERT-small (SB), distilBERT (DB), and fastText (FT) — plus a
 //! RoBERTa-style single-task baseline. [`Backbone`] unifies them behind one
-//! `encode_batch` call (and its tape-free twin `encode_eval`) so every
-//! matcher is backbone-agnostic.
+//! `encode` call, run on the tape or forward only (see [`emba_nn::eval`]),
+//! so every matcher is backbone-agnostic.
 
-use emba_nn::{BertBatchOutput, BertConfig, BertEncoder, Linear, Module, Param};
+use emba_nn::eval::{self, Buffer, Exec, Ops};
+use emba_nn::{BertConfig, BertEncoder, Linear, Module, Param};
 use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// Transformer dropout rate used when nothing overrides it — the BERT
@@ -74,28 +74,17 @@ impl FastTextEncoder {
         &mut self.embedding
     }
 
-    fn encode_batch(&self, g: &Graph, seqs: &[&[usize]]) -> BertBatchOutput {
+    /// The token rows of `seqs` — their embeddings, nothing more — and the
+    /// sequences' row ranges.
+    fn forward<O: Ops>(&self, o: &mut O, seqs: &[&[usize]]) -> (O::V, RowGroups) {
         let (ids, groups) = Self::pack(seqs);
-        BertBatchOutput {
-            tokens: self.embedding.forward(g, &ids),
-            last_attention: Vec::new(),
-            groups,
-        }
+        (o.embedding(&self.embedding, &ids), groups)
     }
 
     /// The pooled form: `tanh` of a projection of each sequence's mean.
     fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
         let mean = g.mean_rows_grouped(tokens, groups); // [B, dim]
         g.tanh(self.pool_proj.forward(g, mean))
-    }
-
-    /// [`FastTextEncoder::encode_batch`]'s token rows with no tape: the
-    /// embedding lookup itself.
-    fn encode_eval(&self, seqs: &[&[usize]]) -> (Tensor, RowGroups) {
-        let (ids, groups) = Self::pack(seqs);
-        let mut tokens = vec![0.0; ids.len() * self.dim()];
-        self.embedding.lookup_into(&ids, &mut tokens);
-        (Tensor::from_vec(ids.len(), self.dim(), tokens), groups)
     }
 
     /// The sequences' ids back to back, and their row ranges.
@@ -195,25 +184,17 @@ impl Backbone {
     }
 
     /// Encodes a batch of `(ids, segments)` sequences in one row-packed
-    /// forward pass; sequences never attend across the batch. fastText
-    /// returns no `last_attention`.
-    pub fn encode_batch(
-        &self,
-        g: &Graph,
-        seqs: &[(&[usize], &[usize])],
-        train: bool,
-        rng: &mut dyn RngCore,
-    ) -> BertBatchOutput {
+    /// forward pass run by `o`; sequences never attend across the batch.
+    /// Returns the token rows, the sequences' row ranges and the last
+    /// layer's per-head attention probabilities, which fastText does not
+    /// have. RoBERTa reads every segment as 0.
+    pub fn encode<O: Ops>(&self, o: &mut O, seqs: &[(&[usize], &[usize])]) -> (O::V, RowGroups, Vec<O::V>) {
         match self {
-            Backbone::Bert {
-                encoder,
-                use_segments,
-            } => {
-                with_bert_segments(*use_segments, seqs, |seqs| encoder.forward_batch(g, seqs, train, rng))
-            }
+            Backbone::Bert { encoder, use_segments } => with_bert_segments(*use_segments, seqs, |seqs| encoder.forward(o, seqs)),
             Backbone::FastText(ft) => {
                 let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();
-                ft.encode_batch(g, &ids)
+                let (tokens, groups) = ft.forward(o, &ids);
+                (tokens, groups, Vec::new())
             }
         }
     }
@@ -229,21 +210,14 @@ impl Backbone {
         }
     }
 
-    /// The token rows [`Backbone::encode_batch`] computes in eval mode, bit
-    /// for bit, with no tape: the BERT variants through
-    /// [`BertEncoder::encode_eval`] under `backend` (RoBERTa's segments
-    /// zeroed as there), fastText through its embedding lookup. The third
-    /// value is a one-sequence batch's summed last-layer attention, which
-    /// only the BERT variants have.
+    /// [`Backbone::encode`] run forward only by [`Exec`] under `backend`:
+    /// the tape's eval-mode token rows, bit for bit, with no graph node. The
+    /// third value is a one-sequence batch's last-layer attention summed over
+    /// heads, which only the BERT variants have.
     pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups, Option<Tensor>) {
-        match self {
-            Backbone::Bert { encoder, use_segments } => with_bert_segments(*use_segments, seqs, |seqs| encoder.encode_eval(seqs, backend)),
-            Backbone::FastText(ft) => {
-                let ids: Vec<&[usize]> = seqs.iter().map(|&(ids, _)| ids).collect();
-                let (tokens, groups) = ft.encode_eval(&ids);
-                (tokens, groups, None)
-            }
-        }
+        let (tokens, groups, attention) = self.encode(&mut Exec::new(backend), seqs);
+        let summed = (groups.len() == 1 && !attention.is_empty()).then(|| eval::sum_heads(attention.iter().map(Buffer::data), groups.total()));
+        (tokens.to_tensor(), groups, summed)
     }
 }
 
@@ -276,16 +250,17 @@ impl Module for Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emba_nn::eval::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// One sequence through `encode_batch` in eval mode: its token rows, its
-    /// pooled row, and how many last-layer attention heads it kept.
+    /// One sequence through `encode` on the tape in eval mode: its token
+    /// rows, its pooled row, and how many last-layer attention heads it kept.
     fn encode_one(b: &Backbone, ids: &[usize], segments: &[usize]) -> (Tensor, Tensor, usize) {
         let g = Graph::new();
-        let out = b.encode_batch(&g, &[(ids, segments)], false, &mut StdRng::seed_from_u64(0));
-        let pooled = b.pool(&g, out.tokens, &out.groups);
-        (g.value(out.tokens), g.value(pooled), out.last_attention.len())
+        let (tokens, groups, last_attention) = b.encode(&mut Tape::new(&g, None), &[(ids, segments)]);
+        let pooled = b.pool(&g, tokens, &groups);
+        (g.value(tokens), g.value(pooled), last_attention.len())
     }
 
     fn encode_with(kind: BackboneKind) -> (usize, usize) {
@@ -337,6 +312,8 @@ mod tests {
         }
     }
 
+    /// `encode_eval` returns the tape's token rows for every kind, and
+    /// summed attention exactly for one sequence on a BERT backbone.
     #[test]
     fn encode_eval_is_encode_batch_for_every_kind() {
         let seqs: [(&[usize], &[usize]); 2] = [(&[2, 10, 11, 3, 12, 3], &[0, 0, 0, 0, 1, 1]), (&[7], &[1])];
@@ -348,11 +325,14 @@ mod tests {
                 let g = Graph::new();
                 let want = {
                     let _backend = emba_tensor::backend::install(backend);
-                    g.value(b.encode_batch(&g, &seqs, false, &mut rng).tokens)
+                    g.value(b.encode(&mut Tape::new(&g, None), &seqs).0)
                 };
-                let (got, groups, _) = b.encode_eval(&seqs, backend);
+                let (got, groups, attention) = b.encode_eval(&seqs, backend);
                 assert_eq!(groups.lens(), [6, 1]);
                 assert_eq!(bits(&got), bits(&want), "{kind:?} under {backend:?}");
+                assert!(attention.is_none(), "{kind:?}: summed attention for a batch of two");
+                let (_, _, one) = b.encode_eval(&seqs[..1], backend);
+                assert_eq!(one.map(|a| a.shape()), (kind != BackboneKind::FastText).then_some((6, 6)), "{kind:?}: summed attention for one sequence");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Task heads: learned token aggregation for the entity-ID tasks and the
 //! binary match classifier.
 
-use emba_nn::eval::Exec;
+use emba_nn::eval::{Buffer, Exec, Ops};
 use emba_nn::Linear;
 use emba_tensor::{Graph, RowGroups, Var};
 use rand::Rng;
@@ -105,9 +105,8 @@ impl MatchHead {
 
     /// The `[G, 1]` logits [`MatchHead::forward`] records for the `[G, dim]`
     /// rows `pooled`, off the tape through `ex`.
-    pub(crate) fn logits_into(&self, ex: &mut Exec, pooled: &[f32], out: &mut [f32]) {
-        let input = ex.input();
-        ex.linear(&self.proj, pooled, input, out, None);
+    pub(crate) fn logits(&self, ex: &mut Exec, pooled: &Buffer) -> Buffer {
+        ex.linear(&self.proj, pooled, false)
     }
 }
 

@@ -19,9 +19,9 @@
 //! | BERT / RoBERTa / DITTO | `[CLS]`           | none (single task)       |
 //! | JointMatcher   | `[CLS]` ‖ relevance ‖ numeric pools | none           |
 
-use emba_nn::eval::Exec;
+use emba_nn::eval::{Exec, Tape};
 use emba_nn::{GraphStamp, Module};
-use emba_tensor::{backend, fwd, pool, prof, Graph, RowGroups, Tensor, Var};
+use emba_tensor::{backend, fwd, prof, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 
 use crate::backbone::Backbone;
@@ -435,8 +435,8 @@ impl Matcher for TransformerMatcher {
     ) -> BatchOutput {
         assert!(!exs.is_empty(), "cannot run an empty batch");
         let b = exs.len();
-        let batch = self.backbone.encode_batch(g, &pair_seqs(exs), train, rng);
-        let heads = self.heads(g, batch.tokens, &batch.groups, exs);
+        let (tokens, groups, last_attention) = self.backbone.encode(&mut Tape::new(g, train.then_some(rng)), &pair_seqs(exs));
+        let heads = self.heads(g, tokens, &groups, exs);
         let (match_probs, id1_preds, id2_preds) = heads.predictions(g);
 
         let targets: Vec<f32> = exs
@@ -465,8 +465,8 @@ impl Matcher for TransformerMatcher {
 
         // The visualization outputs inspect one example at a time; only a
         // batch of one materializes them.
-        let attention = (b == 1 && !batch.last_attention.is_empty())
-            .then(|| emba_nn::MultiHeadAttention::summed_probs(g, &batch.last_attention));
+        let attention = (b == 1 && !last_attention.is_empty())
+            .then(|| emba_nn::MultiHeadAttention::summed_probs(g, &last_attention));
         BatchOutput {
             loss,
             example_losses,
@@ -561,21 +561,20 @@ impl Matcher for TransformerMatcher {
         }
         let _scope = prof::scope("score_pairs");
         let h = self.match_head.dim();
-        let mut pooled = pool::take_uninit(pairs.len() * h);
+        let mut ex = Exec::new(backend::kind());
+        let mut pooled = ex.buffer(pairs.len(), h);
         {
             let _scope = prof::scope("aoa");
             let operands: Vec<(&[f32], &[f32])> = pairs.iter().map(|(a, b)| (a.data(), b.data())).collect();
-            fwd::aoa_pool_into(&operands, h, &mut pooled, None);
-            fwd::note("aoa_pool", &pooled, (pairs.len(), h), || pairs.iter().flat_map(|(a, b)| [a.shape(), b.shape()]).collect());
+            fwd::aoa_pool_into(&operands, h, pooled.data_mut(), None);
+            fwd::note("aoa_pool", pooled.data(), (pairs.len(), h), || pairs.iter().flat_map(|(a, b)| [a.shape(), b.shape()]).collect());
         }
-        let mut logits = vec![0.0; pairs.len()];
-        self.match_head.logits_into(&mut Exec::new(backend::kind()), &pooled, &mut logits);
-        pool::put(pooled);
+        let logits = self.match_head.logits(&mut ex, &pooled);
         // Non-finite guard: sigmoid saturates ±∞ to a confident 0.0/1.0, so
         // corrupted weights (NaN/Inf anywhere upstream) could otherwise leak
         // out as plausible-looking probabilities. Surface them as NaN so the
         // serving boundary can fail the request instead of answering it.
-        Some(logits.into_iter().map(|z| if z.is_finite() { sigmoid(z) } else { f32::NAN }).collect())
+        Some(logits.data().iter().map(|&z| if z.is_finite() { sigmoid(z) } else { f32::NAN }).collect())
     }
 
     fn name(&self) -> &str {

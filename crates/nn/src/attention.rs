@@ -6,11 +6,11 @@
 //! attends only to its own rows, so no `[ΣT, ΣT]` mask tensor is ever
 //! materialized. One sequence is the batch-of-one case.
 
-use emba_tensor::{fwd, Graph, RowGroups, Tensor, Var};
+use emba_tensor::{Graph, RowGroups, Tensor, Var};
 use rand::Rng;
 
-use crate::eval::{Exec, Parts};
-use crate::layers::{dropout, Linear};
+use crate::eval::{self, Ops};
+use crate::layers::Linear;
 
 /// Multi-head self-attention with output projection.
 #[derive(Debug)]
@@ -60,62 +60,26 @@ impl MultiHeadAttention {
     /// `x: [ΣT, hidden]` whose sequences are described by `groups`.
     ///
     /// Returns the attended output (same packed layout) and, per head, the
-    /// `[ΣT, W]` grouped attention probabilities, where `W = groups.max_len()`
-    /// and row `r` of sequence `i` holds its distribution over that
-    /// sequence's own keys in columns `0..len_i` (padding columns are zero).
-    pub fn forward_batch_with_probs<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        x: Var,
-        groups: &RowGroups,
-        train: bool,
-        rng: &mut R,
-    ) -> (Var, Vec<Var>) {
+    /// `[ΣT, W]` grouped attention probabilities before dropout, where
+    /// `W = groups.max_len()` and row `r` of sequence `i` holds its
+    /// distribution over that sequence's own keys in columns `0..len_i`
+    /// (padding columns are zero).
+    pub fn forward<O: Ops>(&self, o: &mut O, x: &O::V, groups: &RowGroups) -> (O::V, Vec<O::V>) {
         let _scope = emba_tensor::prof::scope("attention");
-        let q = self.query.forward(g, x);
-        let k = self.key.forward(g, x);
-        let v = self.value.forward(g, x);
+        let q = o.linear(&self.query, x, false);
+        let k = o.linear(&self.key, x, false);
+        let v = o.linear(&self.value, x, false);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-
         // Each head is a column range of q/k/v, read in place; every head's
         // context lands in its own columns of one `[ΣT, hidden]` output.
-        let mut probs = Vec::with_capacity(self.heads);
-        let mut dropped = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let cols = h * self.head_dim..(h + 1) * self.head_dim;
-            let p = g.attention_scores_grouped(q, k, cols, scale, groups);
-            dropped.push(dropout(g, p, self.dropout_p, train, rng));
-            probs.push(p);
-        }
-        let ctx = g.matmul_grouped(&dropped, v, groups);
-        let out = self.output.forward(g, ctx);
-        let out = dropout(g, out, self.dropout_p, train, rng);
-        (out, probs)
-    }
-
-    /// [`MultiHeadAttention::forward_batch_with_probs`] in eval mode with no
-    /// tape, over the `[ΣT, hidden]` rows `x`: leaves the output projection
-    /// in `p.q` (Q, K, V, the heads' probabilities and the context pass
-    /// through `p.q`, `p.k`, `p.v` and `p.probs` on the way).
-    pub(crate) fn eval(&self, ex: &mut Exec, x: &[f32], groups: &RowGroups, p: &mut Parts<'_>) {
-        let _scope = emba_tensor::prof::scope("attention");
-        let input = ex.input();
-        ex.linear(&self.query, x, input, p.q, None);
-        ex.linear(&self.key, x, input, p.k, None);
-        ex.linear(&self.value, x, input, p.v, None);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let (n, w, d) = (groups.total(), groups.max_len(), self.head_dim);
-        let ld = self.heads * d;
-        for (h, probs) in p.probs.chunks_exact_mut(n * w).enumerate() {
-            fwd::attention_scores_grouped_into(p.q, p.k, ld, h * d..(h + 1) * d, scale, groups, probs);
-            fwd::note("attention_scores_grouped", probs, (n, w), || vec![(n, d); 2]);
-        }
-        // The context lands in `k`, which the scores were the last to read.
-        let probs: Vec<&[f32]> = p.probs.chunks_exact(n * w).collect();
-        fwd::matmul_grouped_into(&probs, p.v, ld, groups, p.k);
-        fwd::note("matmul_grouped", p.k, (n, ld), || [(n, w)].repeat(self.heads).into_iter().chain([(n, ld)]).collect());
-        let context = ex.input();
-        ex.linear(&self.output, p.k, context, p.q, None);
+        // Each activation is dropped once read, so `Exec` reuses its buffer.
+        let d = self.head_dim;
+        let probs: Vec<O::V> = (0..self.heads).map(|h| o.attention_scores(&q, &k, h * d..(h + 1) * d, scale, groups)).collect();
+        drop((q, k));
+        let context = o.attend(&probs, &v, self.dropout_p, groups);
+        drop(v);
+        let out = o.linear(&self.output, &context, false);
+        (o.dropout(out, self.dropout_p), probs)
     }
 
     /// Sums the per-head attention probabilities of a recorded forward pass
@@ -124,22 +88,8 @@ impl MultiHeadAttention {
     pub fn summed_probs(g: &Graph, probs: &[Var]) -> Tensor {
         let values: Vec<Tensor> = probs.iter().map(|&p| g.value(p)).collect();
         let rows = values.first().map_or(0, Tensor::rows);
-        sum_heads(values.iter().map(Tensor::data), rows)
+        eval::sum_heads(values.iter().map(Tensor::data), rows)
     }
-}
-
-/// Head 0 + head 1 + … of per-head `[rows, W]` probabilities, in head order:
-/// the one sum behind [`MultiHeadAttention::summed_probs`] and the
-/// forward-only encoder's attention.
-pub(crate) fn sum_heads<'a>(mut heads: impl Iterator<Item = &'a [f32]>, rows: usize) -> Tensor {
-    let first = heads.next().expect("no attention probabilities recorded");
-    let mut total = Tensor::from_vec(rows, first.len() / rows, first.to_vec());
-    for head in heads {
-        for (t, &p) in total.data_mut().iter_mut().zip(head) {
-            *t += p;
-        }
-    }
-    total
 }
 
 crate::module_params!(MultiHeadAttention: query, key, value, output);
@@ -147,13 +97,19 @@ crate::module_params!(MultiHeadAttention: query, key, value, output);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Tape;
     use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Eval-mode attention over the packed rows `x`, on the tape.
+    fn eval_mode(mha: &MultiHeadAttention, g: &Graph, x: Var, groups: &RowGroups) -> (Var, Vec<Var>) {
+        mha.forward(&mut Tape::new(g, None), &x, groups)
+    }
+
     /// Eval-mode attention over the one sequence `x`.
-    fn one_sequence(mha: &MultiHeadAttention, g: &Graph, x: Var, rng: &mut StdRng) -> (Var, Vec<Var>) {
-        mha.forward_batch_with_probs(g, x, &RowGroups::from_lens(&[g.value(x).rows()]), false, rng)
+    fn one_sequence(mha: &MultiHeadAttention, g: &Graph, x: Var) -> (Var, Vec<Var>) {
+        eval_mode(mha, g, x, &RowGroups::from_lens(&[g.value(x).rows()]))
     }
 
     #[test]
@@ -162,7 +118,7 @@ mod tests {
         let mha = MultiHeadAttention::new(16, 4, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(5, 16, 0.0, 1.0, &mut rng));
-        let (y, probs) = one_sequence(&mha, &g, x, &mut rng);
+        let (y, probs) = one_sequence(&mha, &g, x);
         assert_eq!(g.value(y).shape(), (5, 16));
         assert_eq!(probs.len(), 4);
         for p in &probs {
@@ -176,7 +132,7 @@ mod tests {
         let mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(4, 8, 0.0, 1.0, &mut rng));
-        let (_, probs) = one_sequence(&mha, &g, x, &mut rng);
+        let (_, probs) = one_sequence(&mha, &g, x);
         for p in probs {
             let v = g.value(p);
             for r in 0..v.rows() {
@@ -192,7 +148,7 @@ mod tests {
         let mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(3, 8, 0.0, 1.0, &mut rng));
-        let (_, probs) = one_sequence(&mha, &g, x, &mut rng);
+        let (_, probs) = one_sequence(&mha, &g, x);
         let summed = MultiHeadAttention::summed_probs(&g, &probs);
         for r in 0..3 {
             let s: f32 = summed.row_slice(r).iter().sum();
@@ -206,7 +162,7 @@ mod tests {
         let mut mha = MultiHeadAttention::new(8, 2, 0.0, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(3, 8, 0.0, 1.0, &mut rng));
-        let (y, _) = one_sequence(&mha, &g, x, &mut rng);
+        let (y, _) = one_sequence(&mha, &g, x);
         let sq = g.mul(y, y);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -230,9 +186,9 @@ mod tests {
         let g = Graph::new();
         let packed = g.leaf(Tensor::concat_rows(&[&a, &b]));
         let groups = RowGroups::from_lens(&[3, 5]);
-        let (yp, probs) = mha.forward_batch_with_probs(&g, packed, &groups, false, &mut rng);
-        let (ya, _) = one_sequence(&mha, &g, g.leaf(a), &mut rng);
-        let (yb, _) = one_sequence(&mha, &g, g.leaf(b), &mut rng);
+        let (yp, probs) = eval_mode(&mha, &g, packed, &groups);
+        let (ya, _) = one_sequence(&mha, &g, g.leaf(a));
+        let (yb, _) = one_sequence(&mha, &g, g.leaf(b));
 
         let vp = g.value(yp);
         let ref_out = Tensor::concat_rows(&[&g.value(ya), &g.value(yb)]);
@@ -258,7 +214,7 @@ mod tests {
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(9, 12, 0.0, 1.0, &mut rng));
         let groups = RowGroups::from_lens(&[2, 7]);
-        let (_, probs) = mha.forward_batch_with_probs(&g, x, &groups, false, &mut rng);
+        let (_, probs) = eval_mode(&mha, &g, x, &groups);
         let (q, k) = (mha.query.forward(&g, x), mha.key.forward(&g, x));
         for (h, p) in probs.iter().enumerate() {
             let (qh, kh) = (g.slice_cols(q, 4 * h, 4 * h + 4), g.slice_cols(k, 4 * h, 4 * h + 4));
@@ -275,7 +231,7 @@ mod tests {
         let g = Graph::new();
         let x = g.leaf(Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng));
         let groups = RowGroups::from_lens(&[2, 4]);
-        let (y, probs) = mha.forward_batch_with_probs(&g, x, &groups, true, &mut rng);
+        let (y, probs) = mha.forward(&mut Tape::new(&g, Some(&mut rng)), &x, &groups);
         // The returned probabilities are the undropped ones: rows still sum to 1.
         for p in &probs {
             let v = g.value(*p);

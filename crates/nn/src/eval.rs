@@ -1,162 +1,305 @@
-//! What the forward-only paths run on: the one linear dispatch ([`Exec`]:
-//! an f32 GEMM epilogue or the int8 tile), which
-//! [`BertEncoder::encode_eval`](crate::BertEncoder::encode_eval) and
-//! `emba_core`'s pair scorer share, and the encoder's per-launch buffer plan
-//! and layer-norm row passes.
+//! One forward, two interpreters. The encoder's layers are written once,
+//! generic over [`Ops`], and run by either of its two implementations:
 //!
-//! Nothing here records a tape node. Every op is the tape op's own kernel
-//! call on the same operands in the same order — the tape stays the training
-//! path and the bit-exact oracle (`tests/eval_bits.rs`) — and reports to the
-//! profiler and the non-finite guard under the tape op's name through
-//! [`fwd::note`].
+//! * [`Tape`] records each op on a [`Graph`] — the training path and the
+//!   bit-exact oracle (`tests/eval_bits.rs`);
+//! * [`Exec`] runs each op forward only into a pooled [`Buffer`], with no
+//!   graph node and no dropout — the serving path, and the one linear
+//!   dispatch (an f32 GEMM epilogue or the int8 tile) that `emba_core`'s
+//!   pair scorer shares.
+//!
+//! Every [`Exec`] op is the tape op's own kernel call on the same operands in
+//! the same order, and reports to the profiler and the non-finite guard under
+//! the tape op's name through [`fwd::note`].
+
+use std::ops::Range;
 
 use emba_tensor::kernels::{self, Epilogue};
 use emba_tensor::quant::{self, QuantizedRows};
-use emba_tensor::{fwd, pool, BackendKind};
+use emba_tensor::{fwd, pool, BackendKind, Graph, RowGroups, Tensor, Var};
+use rand::RngCore;
 
-use crate::layers::{LayerNorm, Linear};
+use crate::layers::{dropout, Embedding, LayerNorm, Linear};
 
-/// The forward-only executor of one launch: its backend, read once, and the
-/// int8 path's quantized input.
+/// The ops an encoder forward is written in. `V` is an activation: a
+/// row-major `[rows, cols]` matrix owned by the interpreter.
+pub trait Ops {
+    /// An activation.
+    type V;
+
+    /// The rows of `table` for `ids`, `[len(ids), dim]`.
+    fn embedding(&mut self, table: &Embedding, ids: &[usize]) -> Self::V;
+
+    /// `a + b`, elementwise.
+    fn add(&mut self, a: Self::V, b: Self::V) -> Self::V;
+
+    /// Each row of `x` layer-normalized.
+    fn layer_norm(&mut self, ln: &LayerNorm, x: Self::V) -> Self::V;
+
+    /// `layer_norm(x + residual)`: a post-LN residual block's tail.
+    fn add_layer_norm(&mut self, ln: &LayerNorm, x: Self::V, residual: Self::V) -> Self::V;
+
+    /// `x · W + b`, or GELU of it when `gelu`.
+    fn linear(&mut self, lin: &Linear, x: &Self::V, gelu: bool) -> Self::V;
+
+    /// One head's block-diagonal `softmax(scale · q kᵀ)` over the packed rows
+    /// of `groups`, the head being columns `cols` of `q` and `k`: `[ΣT, W]`
+    /// with zeros past each sequence's length.
+    fn attention_scores(&mut self, q: &Self::V, k: &Self::V, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Self::V;
+
+    /// Every head's `dropout(P_h) · V_h` into its columns of one `[ΣT, H]`
+    /// context, block by block.
+    fn attend(&mut self, probs: &[Self::V], v: &Self::V, dropout: f32, groups: &RowGroups) -> Self::V;
+
+    /// Inverted dropout with probability `p` while training; `x` otherwise.
+    fn dropout(&mut self, x: Self::V, p: f32) -> Self::V;
+}
+
+/// The training interpreter: each op is a differentiable node on `g`.
+pub struct Tape<'a> {
+    g: &'a Graph,
+    /// The RNG dropout draws from; `None` is eval mode, which draws nothing.
+    rng: Option<&'a mut dyn RngCore>,
+}
+
+impl<'a> Tape<'a> {
+    /// Records on `g`, training (dropout on) when given an `rng`.
+    pub fn new(g: &'a Graph, rng: Option<&'a mut dyn RngCore>) -> Self {
+        Self { g, rng }
+    }
+}
+
+impl Ops for Tape<'_> {
+    type V = Var;
+
+    fn embedding(&mut self, table: &Embedding, ids: &[usize]) -> Var {
+        table.forward(self.g, ids)
+    }
+
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        self.g.add(a, b)
+    }
+
+    fn layer_norm(&mut self, ln: &LayerNorm, x: Var) -> Var {
+        ln.forward(self.g, x)
+    }
+
+    fn add_layer_norm(&mut self, ln: &LayerNorm, x: Var, residual: Var) -> Var {
+        ln.forward(self.g, self.g.add(x, residual))
+    }
+
+    fn linear(&mut self, lin: &Linear, x: &Var, gelu: bool) -> Var {
+        if gelu {
+            lin.forward_gelu(self.g, *x)
+        } else {
+            lin.forward(self.g, *x)
+        }
+    }
+
+    fn attention_scores(&mut self, q: &Var, k: &Var, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Var {
+        self.g.attention_scores_grouped(*q, *k, cols, scale, groups)
+    }
+
+    fn attend(&mut self, probs: &[Var], v: &Var, p: f32, groups: &RowGroups) -> Var {
+        let dropped: Vec<Var> = probs.iter().map(|&h| self.dropout(h, p)).collect();
+        self.g.matmul_grouped(&dropped, *v, groups)
+    }
+
+    fn dropout(&mut self, x: Var, p: f32) -> Var {
+        match &mut self.rng {
+            Some(rng) => dropout(self.g, x, p, true, &mut **rng),
+            None => x,
+        }
+    }
+}
+
+/// The forward-only interpreter of one launch: its backend, read once, and
+/// the int8 path's quantized input.
 pub struct Exec {
     quantized: bool,
     /// The activation the last int8 linear read, quantized once for every
     /// linear that reads it (Q, K and V share one), and its tag.
     q8: QuantizedRows,
     q8_input: Option<u32>,
-    inputs: u32,
+    tags: u32,
+}
+
+/// An [`Exec`] activation: `[rows, cols]` in a pooled buffer whose length is
+/// rounded up to a power of two, so a launch of any token count reuses a
+/// handful of pool sizes; it goes back to the pool on drop. Its tag names
+/// its values for the int8 input cache: an op that writes a buffer in place
+/// gives it a new one.
+pub struct Buffer {
+    data: Vec<f32>,
+    rows: usize,
+    cols: usize,
+    tag: u32,
+}
+
+impl Buffer {
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The values, row-major.
+    pub fn data(&self) -> &[f32] {
+        &self.data[..self.rows * self.cols]
+    }
+
+    /// The values, row-major, to fill in before any op reads them.
+    pub fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data[..self.rows * self.cols]
+    }
+
+    /// The values as a [`Tensor`] of their own.
+    pub fn to_tensor(&self) -> Tensor {
+        Tensor::from_vec(self.rows, self.cols, self.data().to_vec())
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        pool::put(std::mem::take(&mut self.data));
+    }
 }
 
 impl Exec {
     /// Execution under `backend`, read once here and never per op.
     pub fn new(backend: BackendKind) -> Self {
-        Self { quantized: backend.quantized(), q8: QuantizedRows::default(), q8_input: None, inputs: 0 }
+        Self { quantized: backend.quantized(), q8: QuantizedRows::default(), q8_input: None, tags: 0 }
     }
 
-    /// Whether `lin` runs int8 — the rule `Linear::forward` applies.
-    pub(crate) fn runs_q8(&self, lin: &Linear) -> bool {
-        self.quantized && lin.quantizable()
+    /// A fresh `[rows, cols]` activation with arbitrary contents, for the
+    /// caller to overwrite.
+    pub fn buffer(&mut self, rows: usize, cols: usize) -> Buffer {
+        Buffer { data: pool::take_uninit((rows * cols).next_power_of_two()), rows, cols, tag: self.tag() }
     }
 
-    /// A fresh tag for an activation that linears are about to read: every
-    /// linear given the same tag reads the same values, so an int8 input is
-    /// quantized once per tag.
-    pub fn input(&mut self) -> u32 {
-        self.inputs += 1;
-        self.inputs
+    /// A tag no buffer of this launch has had.
+    fn tag(&mut self) -> u32 {
+        self.tags += 1;
+        self.tags
+    }
+}
+
+impl Ops for Exec {
+    type V = Buffer;
+
+    fn embedding(&mut self, table: &Embedding, ids: &[usize]) -> Buffer {
+        let shape = table.weight.value.shape();
+        let mut out = self.buffer(ids.len(), shape.1);
+        fwd::embedding_into(table.weight.value.data(), shape, ids, out.data_mut());
+        fwd::note("embedding", out.data(), out.shape(), || vec![shape]);
+        out
     }
 
-    /// `out = x · W + b` for the `[m, in]` rows `x` (tagged `x_id`), or
-    /// `gelu` of it when `pre` is given (the f32 path's pre-activation
-    /// scratch; the int8 tile applies GELU in place and ignores it).
+    fn add(&mut self, mut a: Buffer, b: Buffer) -> Buffer {
+        assert_eq!(a.shape(), b.shape(), "add: shape mismatch");
+        fwd::add_assign(a.data_mut(), b.data());
+        fwd::note("add", a.data(), a.shape(), || vec![b.shape(); 2]);
+        a.tag = self.tag();
+        a
+    }
+
+    fn layer_norm(&mut self, ln: &LayerNorm, x: Buffer) -> Buffer {
+        let (m, h) = x.shape();
+        let mut out = self.buffer(m, h);
+        let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
+        for (xr, or) in x.data().chunks_exact(h).zip(out.data_mut().chunks_exact_mut(h)) {
+            kernels::layer_norm_row(xr, gamma, beta, or);
+        }
+        note_layer_norm(&out);
+        out
+    }
+
+    /// The residual add is folded into the row pass and is no op of its own:
+    /// each row of `residual` takes the sum, then normalizes into `x`'s row.
+    fn add_layer_norm(&mut self, ln: &LayerNorm, mut x: Buffer, mut residual: Buffer) -> Buffer {
+        assert_eq!(x.shape(), residual.shape(), "add_layer_norm: shape mismatch");
+        let h = x.cols;
+        let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
+        for (xr, rr) in x.data_mut().chunks_exact_mut(h).zip(residual.data_mut().chunks_exact_mut(h)) {
+            fwd::add_assign(rr, xr);
+            kernels::layer_norm_row(rr, gamma, beta, xr);
+        }
+        note_layer_norm(&x);
+        x.tag = self.tag();
+        x
+    }
+
     /// The tape's [`Linear::forward`] (or `forward_gelu`) values, bit for
-    /// bit, reported under the same op name.
-    pub fn linear(&mut self, lin: &Linear, x: &[f32], x_id: u32, out: &mut [f32], pre: Option<&mut [f32]>) {
+    /// bit, reported under the same op name: the int8 tile, on one
+    /// quantization of `x` however many linears read it, when the backend is
+    /// quantized and the layer big enough; an f32 GEMM with a bias (or bias
+    /// and GELU) epilogue otherwise.
+    fn linear(&mut self, lin: &Linear, x: &Buffer, gelu: bool) -> Buffer {
         let (k, n) = lin.weight.value.shape();
-        let m = x.len() / k;
-        assert!(x.len() == m * k && out.len() == m * n, "linear: [{}] · {k}x{n} into [{}]", x.len(), out.len());
+        let m = x.rows;
+        assert_eq!(x.cols, k, "linear: [{m}, {}] · {k}x{n}", x.cols);
+        let mut out = self.buffer(m, n);
         let bias = lin.bias.value.data();
-        if self.runs_q8(lin) {
-            if self.q8_input != Some(x_id) {
-                self.q8.requantize_rows(x, (m, k));
-                self.q8_input = Some(x_id);
+        if self.quantized && lin.quantizable() {
+            if self.q8_input != Some(x.tag) {
+                self.q8.requantize_rows(x.data(), (m, k));
+                self.q8_input = Some(x.tag);
             }
-            quant::linear_q8_rows_into(&self.q8, &lin.quantized_weight(), &lin.bias.value, pre.is_some(), out);
-            let op = if pre.is_some() { "linear_q8_gelu" } else { "linear_q8" };
-            fwd::note(op, out, (m, n), || vec![(m, k)]);
-            return;
+            quant::linear_q8_rows_into(&self.q8, &lin.quantized_weight(), &lin.bias.value, gelu, out.data_mut());
+            let op = if gelu { "linear_q8_gelu" } else { "linear_q8" };
+            fwd::note(op, out.data(), (m, n), || vec![(m, k)]);
+            return out;
         }
         let w = lin.weight.value.data();
-        let op = match pre {
-            Some(pre) => {
-                kernels::gemm_strided(m, k, n, x, k, 1, w, n, 1, out, n, Epilogue::BiasGelu { bias, pre });
-                "linear_bias_gelu"
-            }
-            None => {
-                kernels::gemm_strided(m, k, n, x, k, 1, w, n, 1, out, n, Epilogue::Bias(bias));
-                "linear"
-            }
+        let op = if gelu {
+            let mut pre = self.buffer(m, n);
+            let epilogue = Epilogue::BiasGelu { bias, pre: pre.data_mut() };
+            kernels::gemm_strided(m, k, n, x.data(), k, 1, w, n, 1, out.data_mut(), n, epilogue);
+            "linear_bias_gelu"
+        } else {
+            kernels::gemm_strided(m, k, n, x.data(), k, 1, w, n, 1, out.data_mut(), n, Epilogue::Bias(bias));
+            "linear"
         };
-        fwd::note(op, out, (m, n), || vec![(m, k), (k, n), (1, n)]);
+        fwd::note(op, out.data(), (m, n), || vec![(m, k), (k, n), (1, n)]);
+        out
+    }
+
+    fn attention_scores(&mut self, q: &Buffer, k: &Buffer, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Buffer {
+        let (n, w, d) = (groups.total(), groups.max_len(), cols.len());
+        let mut out = self.buffer(n, w);
+        fwd::attention_scores_grouped_into(q.data(), k.data(), q.cols, cols, scale, groups, out.data_mut());
+        fwd::note("attention_scores_grouped", out.data(), (n, w), || vec![(n, d); 2]);
+        out
+    }
+
+    fn attend(&mut self, probs: &[Buffer], v: &Buffer, _dropout: f32, groups: &RowGroups) -> Buffer {
+        let (n, ld) = v.shape();
+        let mut out = self.buffer(n, ld);
+        let heads: Vec<&[f32]> = probs.iter().map(Buffer::data).collect();
+        fwd::matmul_grouped_into(&heads, v.data(), ld, groups, out.data_mut());
+        fwd::note("matmul_grouped", out.data(), (n, ld), || probs.iter().map(Buffer::shape).chain([(n, ld)]).collect());
+        out
+    }
+
+    fn dropout(&mut self, x: Buffer, _p: f32) -> Buffer {
+        x
     }
 }
 
-/// The scratch of one launch over `n` packed rows, every piece sized once
-/// from `(ΣT, hidden, ff_dim, heads, W)`. It is one pooled buffer, taken at
-/// the start of the launch and returned when the plan drops; the layers
-/// ping-pong through its parts (see [`Parts`]).
-pub(crate) struct Plan {
-    buf: Vec<f32>,
-    sizes: [usize; 7],
+fn note_layer_norm(out: &Buffer) {
+    let (m, h) = out.shape();
+    fwd::note("layer_norm", out.data(), (m, h), || vec![(m, h), (1, h), (1, h)]);
 }
 
-/// A [`Plan`]'s buffers. Per layer: Q, K and V from `x`; the heads' scores
-/// from Q and K into `probs`; the context from `probs` and V into `k`; the
-/// output projection from `k` into `q`; `x ← LN(x + q)`; the FFN from `x`
-/// through `ff` (`pre` holds the f32 pre-activation) into `k`; `x ← LN(x +
-/// k)`. `row` is the residual sum of one row.
-pub(crate) struct Parts<'a> {
-    pub q: &'a mut [f32],
-    pub k: &'a mut [f32],
-    pub v: &'a mut [f32],
-    pub probs: &'a mut [f32],
-    pub ff: &'a mut [f32],
-    pub pre: &'a mut [f32],
-    pub row: &'a mut [f32],
-}
-
-impl Plan {
-    /// `n` rows of width `hidden`, `heads` score blocks `W` wide, an FFN
-    /// `ff_dim` wide, and its pre-activation scratch when `f32_ffn`.
-    pub(crate) fn new(n: usize, hidden: usize, ff_dim: usize, heads: usize, w: usize, f32_ffn: bool) -> Self {
-        let sizes = [n * hidden, n * hidden, n * hidden, heads * n * w, n * ff_dim, if f32_ffn { n * ff_dim } else { 0 }, hidden];
-        // Rounded up, as `aoa_pool`'s workspace is, so the pool holds a
-        // handful of sizes rather than one per ΣT.
-        Self { buf: pool::take_uninit(sizes.iter().sum::<usize>().next_power_of_two()), sizes }
-    }
-
-    pub(crate) fn parts(&mut self) -> Parts<'_> {
-        let mut rest = &mut self.buf[..];
-        let [q, k, v, probs, ff, pre, row] = self.sizes.map(|len| {
-            let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            rest = tail;
-            part
-        });
-        Parts { q, k, v, probs, ff, pre, row }
-    }
-}
-
-impl Drop for Plan {
-    fn drop(&mut self) {
-        pool::put(std::mem::take(&mut self.buf));
-    }
-}
-
-/// `out = layer_norm(x)`, row by row.
-pub(crate) fn layer_norm(ln: &LayerNorm, x: &[f32], out: &mut [f32]) {
-    let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
-    let h = gamma.len();
-    for (xr, or) in x.chunks_exact(h).zip(out.chunks_exact_mut(h)) {
-        kernels::layer_norm_row(xr, gamma, beta, or);
-    }
-    note_layer_norm(out, h);
-}
-
-/// `x ← layer_norm(x + residual)`, row by row: the residual add is folded
-/// into the row pass (`row` holds one row's sum) and is no op of its own.
-pub(crate) fn add_layer_norm(ln: &LayerNorm, x: &mut [f32], residual: &[f32], row: &mut [f32]) {
-    let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
-    let h = row.len();
-    for (xr, rr) in x.chunks_exact_mut(h).zip(residual.chunks_exact(h)) {
-        for ((s, &a), &b) in row.iter_mut().zip(&*xr).zip(rr) {
-            *s = a + b;
+/// Head 0 + head 1 + … of per-head `[rows, W]` probabilities, in head order:
+/// the one sum behind [`MultiHeadAttention::summed_probs`](crate::MultiHeadAttention::summed_probs)
+/// and the forward-only encoder's attention.
+pub fn sum_heads<'a>(mut heads: impl Iterator<Item = &'a [f32]>, rows: usize) -> Tensor {
+    let first = heads.next().expect("no attention probabilities recorded");
+    let mut total = Tensor::from_vec(rows, first.len() / rows, first.to_vec());
+    for head in heads {
+        for (t, &p) in total.data_mut().iter_mut().zip(head) {
+            *t += p;
         }
-        kernels::layer_norm_row(row, gamma, beta, xr);
     }
-    note_layer_norm(x, h);
-}
-
-fn note_layer_norm(out: &[f32], h: usize) {
-    let m = out.len() / h;
-    fwd::note("layer_norm", out, (m, h), || vec![(m, h), (1, h), (1, h)]);
+    total
 }

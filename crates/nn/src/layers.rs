@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use emba_tensor::{backend, fwd, Graph, QuantizedMatrix, Tensor, Var};
+use emba_tensor::{backend, Graph, QuantizedMatrix, Tensor, Var};
 use rand::Rng;
 
 use crate::param::Param;
@@ -147,15 +147,6 @@ impl Embedding {
     pub fn forward(&self, g: &Graph, ids: &[usize]) -> Var {
         let w = self.weight.bind(g);
         g.embedding(w, ids)
-    }
-
-    /// The rows for `ids` into `out` (`[len(ids), dim]`), with no tape:
-    /// [`Embedding::forward`]'s values, recorded to the profiler as its
-    /// `embedding` op.
-    pub fn lookup_into(&self, ids: &[usize], out: &mut [f32]) {
-        let shape = self.weight.value.shape();
-        fwd::embedding_into(self.weight.value.data(), shape, ids, out);
-        fwd::note("embedding", out, (ids.len(), shape.1), || vec![shape]);
     }
 }
 

@@ -10,6 +10,7 @@
 use emba_tensor::{Graph, Var};
 use rand::Rng;
 
+use crate::eval::Tape;
 use crate::layers::{LayerNorm, Linear};
 use crate::transformer::BertEncoder;
 
@@ -136,7 +137,7 @@ impl<'a> MlmModel<'a> {
     ///
     /// Panics if `seqs` is empty or a sequence is empty, longer than the
     /// encoder's `max_len`, or has no maskable token.
-    pub fn forward_batch<R: Rng + ?Sized>(
+    pub fn forward_batch<R: Rng>(
         &self,
         g: &Graph,
         seqs: &[&[usize]],
@@ -151,12 +152,12 @@ impl<'a> MlmModel<'a> {
             .iter()
             .map(|m| (m.input.as_slice(), &segments[..m.input.len()]))
             .collect();
-        let out = self.encoder.forward_batch(g, &batch, true, rng);
+        let (tokens, groups, _) = self.encoder.forward(&mut Tape::new(g, Some(rng)), &batch);
         let mut rows = Vec::new();
         for (i, m) in masked.iter().enumerate() {
-            rows.extend(m.positions.iter().map(|&p| out.groups.start(i) + p));
+            rows.extend(m.positions.iter().map(|&p| groups.start(i) + p));
         }
-        let logits = self.head.forward(g, g.gather_rows(out.tokens, &rows));
+        let logits = self.head.forward(g, g.gather_rows(tokens, &rows));
         let mut total: Option<Var> = None;
         let mut losses = Vec::with_capacity(masked.len());
         let mut r0 = 0;

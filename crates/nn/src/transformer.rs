@@ -8,13 +8,13 @@
 //! tanh pooler over `[CLS]` — is present so the EMBA/JointBERT heads built
 //! on top match the paper exactly.
 
-use emba_tensor::{fwd, BackendKind, Graph, RowGroups, Tensor, Var};
+use emba_tensor::{Graph, RowGroups, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::attention::{self, MultiHeadAttention};
-use crate::eval::{self, Exec, Parts, Plan};
-use crate::layers::{dropout, Embedding, LayerNorm, Linear};
+use crate::attention::MultiHeadAttention;
+use crate::eval::Ops;
+use crate::layers::{Embedding, LayerNorm, Linear};
 
 /// Hyperparameters of a [`BertEncoder`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -99,9 +99,9 @@ impl FeedForward {
         }
     }
 
-    fn forward(&self, g: &Graph, x: Var) -> Var {
-        let h = self.up.forward_gelu(g, x);
-        self.down.forward(g, h)
+    fn forward<O: Ops>(&self, o: &mut O, x: &O::V) -> O::V {
+        let h = o.linear(&self.up, x, true);
+        o.linear(&self.down, &h, false)
     }
 }
 
@@ -128,58 +128,22 @@ impl EncoderLayer {
         }
     }
 
-    fn forward<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        x: Var,
-        groups: &RowGroups,
-        train: bool,
-        rng: &mut R,
-    ) -> (Var, Vec<Var>) {
+    /// The layer over the packed rows `x`, and its attention probabilities
+    /// (see [`MultiHeadAttention::forward`]).
+    fn forward<O: Ops>(&self, o: &mut O, x: O::V, groups: &RowGroups) -> (O::V, Vec<O::V>) {
         let _scope = emba_tensor::prof::scope("layer");
-        let (attn_out, probs) = self.attention.forward_batch_with_probs(g, x, groups, train, rng);
-        let x = self.attn_norm.forward(g, g.add(x, attn_out));
+        let (attn_out, probs) = self.attention.forward(o, &x, groups);
+        let x = o.add_layer_norm(&self.attn_norm, x, attn_out);
         let ff_out = {
             let _ffn_scope = emba_tensor::prof::scope("ffn");
-            let ff_out = self.ff.forward(g, x);
-            dropout(g, ff_out, self.dropout_p, train, rng)
+            let ff_out = self.ff.forward(o, &x);
+            o.dropout(ff_out, self.dropout_p)
         };
-        let x = self.ff_norm.forward(g, g.add(x, ff_out));
-        (x, probs)
-    }
-
-    /// [`EncoderLayer::forward`] in eval mode with no tape: `x ← layer(x)`
-    /// in place, through the plan's buffers.
-    fn eval(&self, ex: &mut Exec, x: &mut [f32], groups: &RowGroups, p: &mut Parts<'_>) {
-        let _scope = emba_tensor::prof::scope("layer");
-        self.attention.eval(ex, x, groups, p);
-        eval::add_layer_norm(&self.attn_norm, x, p.q, p.row);
-        {
-            let _ffn_scope = emba_tensor::prof::scope("ffn");
-            let input = ex.input();
-            ex.linear(&self.ff.up, x, input, p.ff, Some(&mut *p.pre));
-            let hidden = ex.input();
-            ex.linear(&self.ff.down, p.ff, hidden, p.k, None);
-        }
-        eval::add_layer_norm(&self.ff_norm, x, p.k, p.row);
+        (o.add_layer_norm(&self.ff_norm, x, ff_out), probs)
     }
 }
 
 crate::module_params!(EncoderLayer: attention, attn_norm, ff, ff_norm);
-
-/// Output of one batched [`BertEncoder`] forward pass over `B` row-packed
-/// sequences. The `[CLS]` pooler is not part of it: a head that reads the
-/// pooled form asks [`BertEncoder::pool`] for it.
-pub struct BertBatchOutput {
-    /// `[ΣT, hidden]` final-layer token representations, row-packed in batch
-    /// order with no padding.
-    pub tokens: Var,
-    /// Per-head `[ΣT, W]` grouped attention probabilities of the **last**
-    /// layer (`W` = longest sequence in the batch; padding columns are zero).
-    pub last_attention: Vec<Var>,
-    /// Row ranges of each sequence inside the packed matrices.
-    pub groups: RowGroups,
-}
 
 /// The miniature BERT encoder.
 #[derive(Debug)]
@@ -234,40 +198,35 @@ impl BertEncoder {
     /// Each `(token_ids, segment_ids)` pair is one sequence; sequences are
     /// packed row-wise into a `[ΣT, hidden]` activation matrix and attended
     /// block-diagonally (a sequence never attends across the batch).
-    /// Position ids restart at 0 for every sequence.
+    /// Position ids restart at 0 for every sequence. Returns the final-layer
+    /// token rows, the sequences' row ranges and the **last** layer's
+    /// per-head `[ΣT, W]` attention probabilities (`W` = longest sequence;
+    /// padding columns are zero). The `[CLS]` pooler is not part of it: a
+    /// head that reads the pooled form asks [`BertEncoder::pool`] for it.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or any sequence is empty, too long, or
     /// has mismatched id slices.
-    pub fn forward_batch<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        seqs: &[(&[usize], &[usize])],
-        train: bool,
-        rng: &mut R,
-    ) -> BertBatchOutput {
+    pub fn forward<O: Ops>(&self, o: &mut O, seqs: &[(&[usize], &[usize])]) -> (O::V, RowGroups, Vec<O::V>) {
         let Packed { ids, positions, segments, groups } = self.pack(seqs);
         let _scope = emba_tensor::prof::scope("bert");
 
-        let tok = self.token_emb.forward(g, &ids);
-        let pos = self.position_emb.forward(g, &positions);
-        let seg = self.segment_emb.forward(g, &segments);
-        let sum = g.add(g.add(tok, pos), seg);
-        let mut x = self.emb_norm.forward(g, sum);
-        x = dropout(g, x, self.cfg.dropout, train, rng);
+        let tok = o.embedding(&self.token_emb, &ids);
+        let pos = o.embedding(&self.position_emb, &positions);
+        let seg = o.embedding(&self.segment_emb, &segments);
+        let tok_pos = o.add(tok, pos);
+        let sum = o.add(tok_pos, seg);
+        let x = o.layer_norm(&self.emb_norm, sum);
+        let mut x = o.dropout(x, self.cfg.dropout);
 
         let mut last_attention = Vec::new();
         for layer in &self.layers {
-            let (next, probs) = layer.forward(g, x, &groups, train, rng);
-            x = next;
-            last_attention = probs;
+            // The previous layer's probabilities go before this layer's come.
+            last_attention.clear();
+            (x, last_attention) = layer.forward(o, x, &groups);
         }
-        BertBatchOutput {
-            tokens: x,
-            last_attention,
-            groups,
-        }
+        (x, groups, last_attention)
     }
 
     /// BERT's pooler on the tape: `tanh(W · h_[CLS] + b)` for each sequence
@@ -277,55 +236,6 @@ impl BertEncoder {
         let starts: Vec<usize> = (0..groups.len()).map(|i| groups.start(i)).collect();
         let cls = g.gather_rows(tokens, &starts);
         g.tanh(self.pooler.forward(g, cls))
-    }
-
-    /// The `[ΣT, hidden]` token representations [`BertEncoder::forward_batch`]
-    /// computes in eval mode, bit for bit, computed without a tape under
-    /// `backend`, with the sequences' row ranges. For a batch of one
-    /// sequence it also returns the last layer's per-head attention
-    /// probabilities summed into one `[T, T]` matrix, the sum
-    /// [`MultiHeadAttention::summed_probs`] takes of the tape's.
-    ///
-    /// One forward pass and nothing else: no `Graph` or node, no dropout.
-    /// Each op is the tape op's kernel call on the same operands in the same
-    /// order, recorded to the profiler (and checked by the non-finite guard,
-    /// when enabled) under the tape op's name. The activations live in the
-    /// returned tensor, updated in place layer by layer; everything else is
-    /// one pooled buffer per launch (Q, K, V, the heads' scores, the FFN's
-    /// hidden rows and pre-activation), taken once and returned once. Under a
-    /// quantized backend each linear with at least 2048 weights runs the int8
-    /// tile, on one quantization per input.
-    ///
-    /// # Panics
-    ///
-    /// As [`BertEncoder::forward_batch`].
-    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups, Option<Tensor>) {
-        let Packed { ids, positions, segments, groups } = self.pack(seqs);
-        let _scope = emba_tensor::prof::scope("bert");
-        let mut ex = Exec::new(backend);
-        let (n, h) = (groups.total(), self.cfg.hidden);
-        let f32_ffn = self.layers.iter().any(|l| !ex.runs_q8(&l.ff.up));
-        let mut plan = Plan::new(n, h, self.cfg.ff_dim, self.cfg.heads, groups.max_len(), f32_ffn);
-        let mut p = plan.parts();
-        // The embedding sum as the tape adds it, `(token + position) +
-        // segment`, then its layer norm into the activations.
-        self.token_emb.lookup_into(&ids, p.q);
-        self.position_emb.lookup_into(&positions, p.k);
-        self.segment_emb.lookup_into(&segments, p.v);
-        for addend in [&*p.k, &*p.v] {
-            fwd::add_assign(p.q, addend);
-            fwd::note("add", p.q, (n, h), || vec![(n, h); 2]);
-        }
-        let mut x = vec![0.0; n * h];
-        eval::layer_norm(&self.emb_norm, p.q, &mut x);
-        for layer in &self.layers {
-            layer.eval(&mut ex, &mut x, &groups, &mut p);
-        }
-        // The plan's scores still hold the last layer's, one `[T, T]` block
-        // per head when there is one sequence.
-        let attention = (groups.len() == 1 && !self.layers.is_empty())
-            .then(|| attention::sum_heads(p.probs.chunks_exact(n * n), n));
-        (Tensor::from_vec(n, h, x), groups, attention)
     }
 
     /// Row-packs `seqs`: ids, positions restarting at 0 per sequence,
@@ -373,6 +283,7 @@ crate::module_params!(BertEncoder: token_emb, position_emb, segment_emb, emb_nor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Tape;
     use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -382,55 +293,54 @@ mod tests {
         BertEncoder::new(BertConfig::tiny(50), &mut rng)
     }
 
-    /// One sequence through [`BertEncoder::forward_batch`].
-    fn forward_one(enc: &BertEncoder, g: &Graph, ids: &[usize], segs: &[usize], rng: &mut StdRng) -> BertBatchOutput {
-        enc.forward_batch(g, &[(ids, segs)], false, rng)
+    /// Eval-mode [`BertEncoder::forward`] on the tape.
+    fn forward_eval(enc: &BertEncoder, g: &Graph, seqs: &[(&[usize], &[usize])]) -> (Var, RowGroups, Vec<Var>) {
+        enc.forward(&mut Tape::new(g, None), seqs)
+    }
+
+    /// One sequence through [`forward_eval`].
+    fn forward_one(enc: &BertEncoder, g: &Graph, ids: &[usize], segs: &[usize]) -> (Var, RowGroups, Vec<Var>) {
+        forward_eval(enc, g, &[(ids, segs)])
     }
 
     #[test]
     fn forward_shapes() {
         let enc = encoder(0);
-        let mut rng = StdRng::seed_from_u64(1);
         let g = Graph::new();
-        let out = forward_one(&enc, &g, &[2, 5, 9, 3], &[0, 0, 1, 1], &mut rng);
-        assert_eq!(g.value(out.tokens).shape(), (4, 16));
-        let pooled = enc.pool(&g, out.tokens, &RowGroups::from_lens(&[4]));
+        let (tokens, _, last_attention) = forward_one(&enc, &g, &[2, 5, 9, 3], &[0, 0, 1, 1]);
+        assert_eq!(g.value(tokens).shape(), (4, 16));
+        let pooled = enc.pool(&g, tokens, &RowGroups::from_lens(&[4]));
         assert_eq!(g.value(pooled).shape(), (1, 16));
-        assert_eq!(out.last_attention.len(), 2);
+        assert_eq!(last_attention.len(), 2);
     }
 
     #[test]
     fn deterministic_in_eval_mode() {
         let enc = encoder(7);
-        let mut rng = StdRng::seed_from_u64(2);
-        let run = |rng: &mut StdRng| {
+        let run = || {
             let g = Graph::new();
-            let out = forward_one(&enc, &g, &[1, 2, 3], &[0, 0, 0], rng);
-            g.value(out.tokens)
+            let (tokens, ..) = forward_one(&enc, &g, &[1, 2, 3], &[0, 0, 0]);
+            g.value(tokens)
         };
-        let a = run(&mut rng);
-        let b = run(&mut rng);
-        assert_eq!(a, b);
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn segments_change_output() {
         let enc = encoder(3);
-        let mut rng = StdRng::seed_from_u64(4);
         let g = Graph::new();
-        let a = forward_one(&enc, &g, &[1, 2], &[0, 0], &mut rng);
-        let b = forward_one(&enc, &g, &[1, 2], &[0, 1], &mut rng);
-        assert_ne!(g.value(a.tokens), g.value(b.tokens));
+        let (a, ..) = forward_one(&enc, &g, &[1, 2], &[0, 0]);
+        let (b, ..) = forward_one(&enc, &g, &[1, 2], &[0, 1]);
+        assert_ne!(g.value(a), g.value(b));
     }
 
     #[test]
     fn all_params_receive_gradient() {
         let mut enc = encoder(5);
-        let mut rng = StdRng::seed_from_u64(6);
         let g = Graph::new();
-        let out = forward_one(&enc, &g, &[1, 2, 3, 4], &[0, 0, 1, 1], &mut rng);
-        let pooled = enc.pool(&g, out.tokens, &RowGroups::from_lens(&[4]));
-        let combined = g.concat_rows(&[out.tokens, pooled]);
+        let (tokens, ..) = forward_one(&enc, &g, &[1, 2, 3, 4], &[0, 0, 1, 1]);
+        let pooled = enc.pool(&g, tokens, &RowGroups::from_lens(&[4]));
+        let combined = g.concat_rows(&[tokens, pooled]);
         let sq = g.mul(combined, combined);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -451,19 +361,18 @@ mod tests {
     #[test]
     fn batched_matches_per_example() {
         let enc = encoder(11);
-        let mut rng = StdRng::seed_from_u64(12);
         let g = Graph::new();
         let seqs: [(&[usize], &[usize]); 3] = [
             (&[2, 5, 9, 3], &[0, 0, 1, 1]),
             (&[1, 2], &[0, 1]),
             (&[7, 7, 7, 1, 4], &[0, 0, 0, 1, 1]),
         ];
-        let batch = enc.forward_batch(&g, &seqs, false, &mut rng);
-        let tokens = g.value(batch.tokens);
-        let pooled = g.value(enc.pool(&g, batch.tokens, &batch.groups));
+        let (batch, groups, batch_attention) = forward_eval(&enc, &g, &seqs);
+        let tokens = g.value(batch);
+        let pooled = g.value(enc.pool(&g, batch, &groups));
         assert_eq!(tokens.shape(), (11, 16));
         assert_eq!(pooled.shape(), (3, 16));
-        for p in &batch.last_attention {
+        for p in &batch_attention {
             assert_eq!(g.value(*p).shape(), (11, 5));
         }
         // Bit for bit, whatever the length: every GEMM row, softmax row and
@@ -471,18 +380,18 @@ mod tests {
         // sequences shorter than one 6-row GEMM tile.
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (i, (ids, segs)) in seqs.iter().enumerate() {
-            let single = forward_one(&enc, &g, ids, segs, &mut rng);
-            let st = g.value(single.tokens);
-            let (r0, r1) = batch.groups.range(i);
+            let (single, _, single_attention) = forward_one(&enc, &g, ids, segs);
+            let st = g.value(single);
+            let (r0, r1) = groups.range(i);
             for (r, rr) in (r0..r1).enumerate() {
                 assert_eq!(bits(tokens.row_slice(rr)), bits(st.row_slice(r)), "tokens differ for sequence {i}");
             }
-            let single_pooled = enc.pool(&g, single.tokens, &RowGroups::from_lens(&[ids.len()]));
+            let single_pooled = enc.pool(&g, single, &RowGroups::from_lens(&[ids.len()]));
             assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single_pooled).data()), "pooled differs for sequence {i}");
             // Per-head probabilities of the last layer: `[T, T]` alone, the
             // same values in the sequence's rows of the batch's `[ΣT, W]`.
-            assert_eq!(single.last_attention.len(), batch.last_attention.len());
-            for (ps, pb) in single.last_attention.iter().zip(&batch.last_attention) {
+            assert_eq!(single_attention.len(), batch_attention.len());
+            for (ps, pb) in single_attention.iter().zip(&batch_attention) {
                 let (ps, pb) = (g.value(*ps), g.value(*pb));
                 assert_eq!(ps.shape(), (ids.len(), ids.len()));
                 for (r, rr) in (r0..r1).enumerate() {
@@ -496,11 +405,10 @@ mod tests {
     #[should_panic(expected = "exceeds max_len")]
     fn rejects_overlong_sequence() {
         let enc = encoder(8);
-        let mut rng = StdRng::seed_from_u64(9);
         let g = Graph::new();
         let ids: Vec<usize> = (0..40).map(|i| i % 10).collect();
         let segs = vec![0; 40];
-        let _ = forward_one(&enc, &g, &ids, &segs, &mut rng);
+        let _ = forward_one(&enc, &g, &ids, &segs);
     }
 
     #[test]

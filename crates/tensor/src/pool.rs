@@ -23,7 +23,7 @@
 //!   `Arc::try_unwrap`, so a buffer still shared (e.g. a checkpointed value)
 //!   is never recycled out from under a holder; and the owners of plain
 //!   scratch (`kernels::PackedPanel`, the AOA workspace, the forward-only
-//!   encoder's per-launch plan), which [`put`] it back when they are done.
+//!   interpreter's activations), which [`put`] it back when they are done.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

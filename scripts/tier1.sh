@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the test suite, warning-free clippy and rustdoc
-# passes, and the two examples that double as gates. Behaviour is gated by
+# Tier-1 gate: release build, the test suite, warning-free clippy (every
+# target, tests and examples included) and rustdoc passes, and the two
+# examples that double as gates. Behaviour is gated by
 # tests and speed by `benchmark/` (DESIGN.md §7); nothing here times anything.
 # Run from the workspace root before pushing.
 set -euo pipefail
@@ -30,7 +31,7 @@ fi
 
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Dead intra-doc links (a renamed internal, a public doc pointing at a
 # private item) fail here rather than rot.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
