@@ -17,6 +17,7 @@
 //! monotone in the threshold — a property the tests pin down.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use emba_datagen::Record;
 
@@ -59,29 +60,42 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Salts of token and q-gram keys ("token", "qgram").
+const TOKEN_SALT: u64 = 0x746f_6b65_6e00_0000;
+const QGRAM_SALT: u64 = 0x7167_7261_6d00_0000;
+
 /// The deduplicated blocking keys of one record: hashed lowercase tokens
 /// and hashed character q-grams of [`Record::text`]. Token hashes are
 /// salted differently from q-gram hashes so a 1-token string never
 /// collides with its own q-gram.
 pub fn record_keys(rec: &Record, cfg: &BlockingConfig) -> Vec<u64> {
-    let text = rec.text().to_lowercase();
-    let mut keys = Vec::new();
+    let mut text = rec.text();
+    if text.is_ascii() {
+        text.make_ascii_lowercase();
+    } else {
+        text = text.to_lowercase();
+    }
+    let mut keys = Vec::with_capacity(text.len());
     if cfg.use_tokens {
         for tok in text.split_whitespace() {
-            keys.push(fnv1a(tok.as_bytes()) ^ 0x746f_6b65_6e00_0000); // "token" salt
+            keys.push(fnv1a(tok.as_bytes()) ^ TOKEN_SALT);
         }
     }
     if cfg.use_qgrams && cfg.q > 0 {
+        // A q-gram is `q` consecutive chars of a token: hash its bytes where
+        // they lie, between the byte offsets of its first char and the char
+        // after its last (in an ASCII token, every byte is a char).
+        let mut bounds = Vec::new();
         for tok in text.split_whitespace() {
-            let chars: Vec<char> = tok.chars().collect();
-            if chars.len() < cfg.q {
+            if tok.is_ascii() {
+                keys.extend(tok.as_bytes().windows(cfg.q).map(|w| fnv1a(w) ^ QGRAM_SALT));
                 continue;
             }
-            let mut buf = String::with_capacity(cfg.q * 4);
-            for w in chars.windows(cfg.q) {
-                buf.clear();
-                buf.extend(w.iter());
-                keys.push(fnv1a(buf.as_bytes()) ^ 0x7167_7261_6d00_0000); // "qgram" salt
+            bounds.clear();
+            bounds.extend(tok.char_indices().map(|(at, _)| at));
+            bounds.push(tok.len());
+            for w in bounds.windows(cfg.q + 1) {
+                keys.push(fnv1a(&tok.as_bytes()[w[0]..w[cfg.q]]) ^ QGRAM_SALT);
             }
         }
     }
@@ -90,19 +104,37 @@ pub fn record_keys(rec: &Record, cfg: &BlockingConfig) -> Vec<u64> {
     keys
 }
 
+/// Hashes a blocking key to itself: keys are FNV-1a hashes already.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes);
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// An inverted index from blocking key to the records containing it.
 #[derive(Debug)]
 pub struct BlockingIndex {
     /// Posting lists: records are appended in index order, so every list
     /// is sorted ascending.
-    postings: HashMap<u64, Vec<u32>>,
+    postings: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
     num_records: usize,
 }
 
 impl BlockingIndex {
     /// Indexes every record's [`record_keys`].
     pub fn build(records: &[Record], cfg: &BlockingConfig) -> Self {
-        let mut postings: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut postings: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>> = HashMap::default();
         for (i, rec) in records.iter().enumerate() {
             for key in record_keys(rec, cfg) {
                 postings.entry(key).or_default().push(i as u32);
@@ -134,14 +166,14 @@ impl BlockingIndex {
 
     /// [`BlockingIndex::candidates`] plus memory accounting for the
     /// shared-key merge. The merge runs **per record**: for each record
-    /// `i`, one local map counts how many non-stop keys `i` shares with
-    /// each partner `j > i`, entries below `min_shared` are dropped when
-    /// the record is done, and the map is reused for the next record. Peak
-    /// live state is therefore one record's distinct co-candidates — not,
-    /// as in an earlier global-map implementation, *every* co-occurring
-    /// pair in the catalog including sub-threshold ones, which posting
-    /// lists just under `max_posting` (near-stop-words) inflate
-    /// quadratically.
+    /// `i`, one counter per record counts how many non-stop keys `i` shares
+    /// with each partner `j > i`, entries below `min_shared` are dropped
+    /// when the record is done, and the counters touched are reset for the
+    /// next record. Peak live state is therefore one record's distinct
+    /// co-candidates (plus the one counter array) — not, as in an earlier
+    /// global-map implementation, *every* co-occurring pair in the catalog
+    /// including sub-threshold ones, which posting lists just under
+    /// `max_posting` (near-stop-words) inflate quadratically.
     pub fn candidates_with_stats(
         &self,
         cfg: &BlockingConfig,
@@ -158,10 +190,11 @@ impl BlockingIndex {
         }
         let min = cfg.min_shared.max(1) as u32;
         let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut shared: HashMap<u32, u32> = HashMap::new();
+        // Shared-key counts by partner, and the partners counted so far.
+        let mut shared = vec![0u32; self.num_records];
+        let mut partners: Vec<u32> = Vec::new();
         let mut peak = 0usize;
         for (i, lists) in lists_of.iter().enumerate() {
-            shared.clear();
             let me = i as u32;
             for posting in lists {
                 // Posting lists are sorted and hold each record at most
@@ -169,12 +202,15 @@ impl BlockingIndex {
                 // this record's own slot.
                 let from = posting.partition_point(|&r| r <= me);
                 for &j in &posting[from..] {
-                    *shared.entry(j).or_insert(0) += 1;
+                    if shared[j as usize] == 0 {
+                        partners.push(j);
+                    }
+                    shared[j as usize] += 1;
                 }
             }
-            peak = peak.max(shared.len());
-            for (&j, &count) in &shared {
-                if count >= min {
+            peak = peak.max(partners.len());
+            for j in partners.drain(..) {
+                if std::mem::take(&mut shared[j as usize]) >= min {
                     pairs.push((i, j as usize));
                 }
             }
@@ -223,6 +259,30 @@ mod tests {
         let mut sorted = a.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), a.len());
+    }
+
+    #[test]
+    fn qgram_keys_hash_each_window_of_q_chars() {
+        // The definition: every run of `q` chars of a lowercased token,
+        // multi-byte chars whole; tokens shorter than `q` give none.
+        let cfg = BlockingConfig { use_tokens: false, ..Default::default() };
+        for text in ["Größe 4TB Samsung ÉvÖ-850 µ", "Samsung EVO 850 Pro 4TB"] {
+            let mut want: Vec<u64> = text
+                .to_lowercase()
+                .split_whitespace()
+                .flat_map(|tok| {
+                    let chars: Vec<char> = tok.chars().collect();
+                    chars
+                        .windows(cfg.q)
+                        .map(|w| fnv1a(w.iter().collect::<String>().as_bytes()) ^ QGRAM_SALT)
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert!(want.len() >= 4, "{text}: too few q-grams to test");
+            assert_eq!(record_keys(&rec(text), &cfg), want, "{text}");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! attention-over-attention module plus the match head over two cached
 //! encodings. The lookup → encode-misses → score sequence itself is
 //! [`PairScorer`]'s; this module only walks the candidate list in windows
-//! of `score_chunk` pairs (the memory bound) and hands each one over.
+//! of `score_chunk` pairs (the memory bound) and hands each one to a
+//! two-lane scorer ([`PairScorer::two_lanes`]), so each window's encode and
+//! score run on two threads with one-lane results; the records are
+//! tokenized on the same two lanes.
 //!
 //! Stage latencies land in the `catalog.*` histograms, candidate/encode
 //! counts in the matching counters, and the cache exports its hit rate as
@@ -27,6 +30,7 @@ use serde::Serialize;
 use crate::blocking::{BlockingConfig, BlockingIndex};
 use crate::enc_cache::{record_hash, EncodingCache};
 use crate::experiment::TrainedMatcher;
+use crate::lanes;
 use crate::scorer::PairScorer;
 
 /// Knobs for [`match_catalog`].
@@ -132,18 +136,17 @@ pub fn match_catalog(
     metrics::observe_ns("catalog.blocking_ns", blocking.as_nanos() as u64);
     metrics::counter_add("catalog.candidate_pairs", candidates.len() as u64);
 
-    // ----- Stage 2: tokenize every record once -------------------------------
+    // ----- Stage 2: tokenize every record once, on two lanes -----------------
     let stage = Instant::now();
-    let ids: Vec<Vec<usize>> = records
-        .iter()
-        .map(|r| trained.pipeline.encode_single_record(r))
-        .collect();
+    let ids: Vec<Vec<usize>> = lanes::split(records, |records| {
+        records.iter().map(|r| trained.pipeline.encode_single_record(r)).collect()
+    });
     let keys: Vec<u64> = ids.iter().map(|v| record_hash(v)).collect();
     let tokenize_secs = stage.elapsed().as_secs_f64();
 
     // ----- Stage 3: windowed resolve + score ---------------------------------
     let model = trained.model.as_ref();
-    let mut scorer = PairScorer::new(cfg.cache_capacity, cfg.backend);
+    let mut scorer = PairScorer::two_lanes(cfg.cache_capacity, cfg.backend);
     let mut scored: Vec<ScoredPair> = Vec::with_capacity(candidates.len());
     let mut encode = Duration::ZERO;
     let mut score = Duration::ZERO;

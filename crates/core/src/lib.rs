@@ -40,6 +40,7 @@ mod error;
 mod experiment;
 mod heads;
 mod kind;
+mod lanes;
 mod metrics;
 mod models;
 mod pipeline;

@@ -108,8 +108,9 @@ pub struct Inference {
 /// runs [`Matcher::infer_batch`], which returns the same probabilities bit
 /// for bit; the split path encodes records once with
 /// [`Matcher::encode_records_standalone`] and pairs them with
-/// [`Matcher::score_encoded_pairs`].
-pub trait Matcher: Module {
+/// [`Matcher::score_encoded_pairs`]. A matcher is `Sync`: a two-lane
+/// [`crate::PairScorer`] runs the split path on two threads at once.
+pub trait Matcher: Module + Sync {
     /// Runs a mini-batch of examples through the model on one shared tape,
     /// returning the **summed** loss: the training path, and the oracle
     /// [`Matcher::infer_batch`] is held to. [`TransformerMatcher`] runs one

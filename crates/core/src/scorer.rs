@@ -10,19 +10,28 @@
 //!
 //! # Launch policy
 //!
-//! Each step is one grouped launch under the scorer's backend, in the
-//! order the batch arrived: [`PairScorer::resolve`] encodes a batch's misses
-//! with a single [`Matcher::encode_records_standalone`] call (split only
-//! past `ENCODE_LAUNCH` records, a cache and memory bound that serving's
-//! default flush never reaches) and [`PairScorer::score`] runs a single
-//! [`Matcher::score_encoded_pairs`] call — one attention-over-attention op
-//! that reads the resolved encodings where they lie, pair by pair, in the
-//! order the pairs were given (a run of pairs with the same left record
-//! shares one packing of it, so sorted candidates score fastest). The grouped
-//! kernels take mixed lengths natively and are bit-identical across batch
+//! Each step runs under the scorer's backend, in the order the batch
+//! arrived: [`PairScorer::resolve`] encodes a batch's misses with
+//! [`Matcher::encode_records_standalone`] in launches of at most
+//! `ENCODE_LAUNCH` records (a memory bound), and [`PairScorer::score`] runs
+//! [`Matcher::score_encoded_pairs`] — one attention-over-attention op that
+//! reads the resolved encodings where they lie, pair by pair, in the order
+//! the pairs were given (a run of pairs with the same left record shares one
+//! packing of it, so sorted candidates score fastest). The grouped kernels
+//! take mixed lengths natively and are bit-identical across batch
 //! compositions, so length bucketing
 //! ([`crate::batching::plan_sub_batches`]) would only fragment a batch into
 //! more launches — see DESIGN.md "Scoring pipeline" for the measurements.
+//!
+//! # Lanes
+//!
+//! A scorer built by [`PairScorer::two_lanes`] splits each step's work in
+//! two halves: the caller runs one, a scoped helper thread (which installs
+//! the scorer's backend itself) the other, and the results are joined in the
+//! original order. That same composition independence makes the split
+//! invisible: probabilities, cache contents and cache counters equal a
+//! one-lane scorer's. The helper's profiler ops join the caller's report
+//! ([`emba_tensor::prof::absorb`]). [`PairScorer::new`] keeps one lane.
 //!
 //! # Poison policy
 //!
@@ -39,6 +48,7 @@ use emba_nn::GraphStamp;
 use emba_tensor::{backend, BackendKind, Graph, Tensor};
 
 use crate::enc_cache::EncodingCache;
+use crate::lanes;
 use crate::models::Matcher;
 
 const NO_SPLIT_PATH: &str = "PairScorer requires an AOA matcher with a split scoring path";
@@ -46,10 +56,10 @@ const NO_SPLIT_PATH: &str = "PairScorer requires an AOA matcher with a split sco
 /// Most records one backbone launch encodes. A launch's buffer plan grows
 /// with its rows, and a `match_catalog` window's 250+ misses in one launch
 /// (a plan of tens of MB instead of a few) measured 2–5 % fewer pairs/s on
-/// the int8 and dense catalogs, +35 MB of peak RSS and a slower cold call
-/// than launches of 64 (DESIGN.md "Scoring pipeline"). A serving flush at
-/// the default `max_batch` and a `CatalogScorer::score` call never reach it.
-const ENCODE_LAUNCH: usize = 64;
+/// the int8 and dense catalogs and +35 MB of peak RSS; on two lanes, each
+/// with its own plan, 64 read 22 % more peak RSS than 32 at the same
+/// pairs/s (DESIGN.md "Scoring pipeline").
+const ENCODE_LAUNCH: usize = 32;
 
 /// The encodings one [`PairScorer::resolve`] call gathered, and what
 /// gathering them cost.
@@ -73,17 +83,27 @@ pub struct Resolved {
 pub struct PairScorer {
     cache: EncodingCache,
     backend: BackendKind,
+    /// Whether each step splits its work with a helper thread.
+    two_lanes: bool,
 }
 
 impl PairScorer {
-    /// A scorer holding at most `cache_capacity` encodings that runs every
-    /// graph under `backend`. Encodings cached under one backend are not
-    /// comparable with another's, so keep one scorer per backend.
+    /// A one-lane scorer holding at most `cache_capacity` encodings that runs
+    /// every graph under `backend`. Encodings cached under one backend are
+    /// not comparable with another's, so keep one scorer per backend.
     pub fn new(cache_capacity: usize, backend: BackendKind) -> Self {
         Self {
             cache: EncodingCache::new(cache_capacity),
             backend,
+            two_lanes: false,
         }
+    }
+
+    /// [`PairScorer::new`], but each step runs on two lanes: the calling
+    /// thread and a scoped helper (see the module docs). Same results, same
+    /// cache state.
+    pub fn two_lanes(cache_capacity: usize, backend: BackendKind) -> Self {
+        Self { two_lanes: true, ..Self::new(cache_capacity, backend) }
     }
 
     /// Cache statistics (hits, misses, resident entries, quarantines).
@@ -126,7 +146,7 @@ impl PairScorer {
     /// (so a caller keyed by [`crate::record_content_hash`] tokenizes nothing
     /// on a hit), the misses are encoded in grouped launches of at most
     /// `ENCODE_LAUNCH` records, and the finite encodings are inserted into
-    /// the cache.
+    /// the cache in the order their keys arrived.
     ///
     /// # Panics
     ///
@@ -151,20 +171,24 @@ impl PairScorer {
             }
         }
         let hits = encodings.len() - misses.len();
-        let _backend = backend::install(self.backend);
-        for launch in misses.chunks(ENCODE_LAUNCH) {
-            let recs: Vec<&[usize]> = launch.iter().map(|(_, ids)| ids.as_ref()).collect();
-            let g = Graph::new();
-            let encs = model
-                .encode_records_standalone(&g, GraphStamp::next(), &recs)
-                .expect(NO_SPLIT_PATH);
-            g.recycle();
-            for (&(key, _), enc) in launch.iter().zip(encs) {
-                if enc.data().iter().all(|v| v.is_finite()) {
-                    self.cache.insert(key, enc.clone());
-                }
-                encodings.insert(key, Some(enc));
+        let recs: Vec<&[usize]> = misses.iter().map(|(_, ids)| ids.as_ref()).collect();
+        let encs = self.on_lanes(&recs, |recs| {
+            recs.chunks(ENCODE_LAUNCH)
+                .flat_map(|launch| {
+                    let g = Graph::new();
+                    let encs = model
+                        .encode_records_standalone(&g, GraphStamp::next(), launch)
+                        .expect(NO_SPLIT_PATH);
+                    g.recycle();
+                    encs
+                })
+                .collect()
+        });
+        for (&(key, _), enc) in misses.iter().zip(encs) {
+            if enc.data().iter().all(|v| v.is_finite()) {
+                self.cache.insert(key, enc.clone());
             }
+            encodings.insert(key, Some(enc));
         }
         Resolved {
             encodings,
@@ -174,9 +198,9 @@ impl PairScorer {
         }
     }
 
-    /// Step 2: scores `pairs` of resolved keys in one grouped call, returning
-    /// the probabilities in order and the step's wall time. A pair whose
-    /// logit is non-finite scores NaN.
+    /// Step 2: scores `pairs` of resolved keys in one grouped call per lane,
+    /// returning the probabilities in order and the step's wall time. A pair
+    /// whose logit is non-finite scores NaN.
     ///
     /// # Panics
     ///
@@ -191,12 +215,28 @@ impl PairScorer {
         let start = Instant::now();
         let encoding = |key: u64| resolved.encodings[&key].as_ref().expect("resolve encoded every miss");
         let operands: Vec<(&Tensor, &Tensor)> = pairs.into_iter().map(|(a, b)| (encoding(a), encoding(b))).collect();
-        let _backend = backend::install(self.backend);
-        let g = Graph::new();
-        let probs = model
-            .score_encoded_pairs(&g, GraphStamp::next(), &operands)
-            .expect(NO_SPLIT_PATH);
-        g.recycle();
+        let probs = self.on_lanes(&operands, |operands| {
+            let g = Graph::new();
+            let probs = model
+                .score_encoded_pairs(&g, GraphStamp::next(), operands)
+                .expect(NO_SPLIT_PATH);
+            g.recycle();
+            probs
+        });
         (probs, start.elapsed())
+    }
+
+    /// `work(items)` under this scorer's backend, split over two lanes
+    /// ([`lanes::split`]) if this scorer has them.
+    fn on_lanes<T: Sync, R: Send>(&self, items: &[T], work: impl Fn(&[T]) -> Vec<R> + Sync) -> Vec<R> {
+        let run = |items: &[T]| {
+            let _backend = backend::install(self.backend);
+            work(items)
+        };
+        if self.two_lanes {
+            lanes::split(items, run)
+        } else {
+            run(items)
+        }
     }
 }

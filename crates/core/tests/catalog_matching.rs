@@ -12,7 +12,7 @@
 //! them the tests pin the split path's internal consistency (cold vs warm
 //! cache bit-identity, batched vs single-pair bit-identity) instead.
 
-use emba_core::blocking::{blocking_recall, BlockingConfig};
+use emba_core::blocking::{blocking_recall, BlockingConfig, BlockingIndex};
 use emba_core::{
     match_catalog, record_hash, CatalogMatchConfig, CatalogScorer, Matcher, ModelKind, PairScorer,
     PipelineConfig, TextPipeline, TrainedMatcher,
@@ -203,18 +203,62 @@ fn poisoned_pass_is_visible_and_leaves_no_trace(records: &[Record], healthy: &Tr
     };
 
     // Under both backends: the int8 path must not launder a NaN row into
-    // finite outputs on its way through the quantizer.
+    // finite outputs on its way through the quantizer. On two lanes the
+    // misses and the pairs split in halves, so both lanes encode and score
+    // poison.
     for backend in [BackendKind::F32, BackendKind::Int8] {
-        let mut scorer = PairScorer::new(64, backend);
-        let bad = run(&mut scorer, poisoned.model.as_ref());
-        assert!(bad.iter().all(|&p| f32::from_bits(p).is_nan()), "{backend:?}: poison hidden: {bad:?}");
-        assert_eq!(scorer.cache().len(), 0, "{backend:?}: a non-finite encoding became resident");
+        for two_lanes in [false, true] {
+            let scorer_for = || if two_lanes { PairScorer::two_lanes(64, backend) } else { PairScorer::new(64, backend) };
+            let mut scorer = scorer_for();
+            let bad = run(&mut scorer, poisoned.model.as_ref());
+            assert!(bad.iter().all(|&p| f32::from_bits(p).is_nan()), "{backend:?}, two lanes {two_lanes}: poison hidden: {bad:?}");
+            assert_eq!(scorer.cache().len(), 0, "{backend:?}, two lanes {two_lanes}: a non-finite encoding became resident");
 
-        let after = run(&mut scorer, healthy.model.as_ref());
-        let fresh = run(&mut PairScorer::new(64, backend), healthy.model.as_ref());
-        assert_eq!(after, fresh, "{backend:?}: the poisoned pass leaked into later scores");
-        assert!(after.iter().all(|&p| f32::from_bits(p).is_finite()));
-        assert_eq!(scorer.cache().len(), keys.len());
+            let after = run(&mut scorer, healthy.model.as_ref());
+            let fresh = run(&mut scorer_for(), healthy.model.as_ref());
+            assert_eq!(after, fresh, "{backend:?}, two lanes {two_lanes}: the poisoned pass leaked into later scores");
+            assert!(after.iter().all(|&p| f32::from_bits(p).is_finite()));
+            assert_eq!(scorer.cache().len(), keys.len());
+        }
+    }
+}
+
+/// `match_catalog` runs each window on two lanes; a one-lane [`PairScorer`]
+/// driven over the same windows must give the same probabilities, bit for
+/// bit, and the same encode and cache counts. The cache holds half the
+/// catalog, so it rotates and evicts along the way.
+#[test]
+fn two_lanes_match_one_lane_bits_and_cache_counters() {
+    let cat = product_catalog(&CatalogSpec::quick("lanes", 40));
+    let trained = matcher_over(ModelKind::EmbaSb, &cat.records, 48);
+    let model = trained.model.as_ref();
+    let ids: Vec<Vec<usize>> = cat.records.iter().map(|r| trained.pipeline.encode_single_record(r)).collect();
+    let keys: Vec<u64> = ids.iter().map(|v| record_hash(v)).collect();
+    for backend in [BackendKind::F32, BackendKind::Int8] {
+        let cfg = CatalogMatchConfig { cache_capacity: cat.len() / 2, score_chunk: 16, backend, ..Default::default() };
+        let (scored, report) = match_catalog(&trained, &cat.records, &cfg);
+
+        let candidates = BlockingIndex::build(&cat.records, &cfg.blocking).candidates(&cfg.blocking);
+        let mut one_lane = PairScorer::new(cfg.cache_capacity, backend);
+        let (mut probs, mut encodes, mut split_windows) = (Vec::new(), 0, 0);
+        for window in candidates.chunks(cfg.score_chunk) {
+            let records = window.iter().flat_map(|&(i, j)| [(keys[i], i), (keys[j], j)]);
+            let resolved = one_lane.resolve(model, records, |i| &ids[i][..]);
+            encodes += resolved.misses as u64;
+            split_windows += usize::from(resolved.misses >= 2 && window.len() >= 2);
+            probs.extend(one_lane.score(model, &resolved, window.iter().map(|&(i, j)| (keys[i], keys[j]))).0);
+        }
+        assert!(split_windows >= 2, "{backend:?}: only {split_windows} windows split both steps");
+        assert_eq!(
+            scored.iter().map(|p| p.prob.to_bits()).collect::<Vec<_>>(),
+            probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "{backend:?}: two lanes changed a probability"
+        );
+        assert_eq!(
+            (report.encodes, report.cache_hits, report.cache_misses),
+            (encodes, one_lane.cache().hits(), one_lane.cache().misses()),
+            "{backend:?}: two lanes changed the cache's course"
+        );
     }
 }
 

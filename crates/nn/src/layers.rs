@@ -1,8 +1,7 @@
 //! Basic trainable layers: linear projections, embedding tables, and layer
 //! normalization.
 
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use emba_tensor::{backend, Graph, QuantizedMatrix, Tensor, Var};
 use rand::Rng;
@@ -42,10 +41,11 @@ pub struct Linear {
     /// Bias row, `[1, out_dim]`.
     pub bias: Param,
     /// Lazily built int8 weights, used when the int8 backend is installed.
-    /// `RefCell` is fine: models live on one thread (the serve engine builds
-    /// its matcher inside the worker thread precisely because matchers are
-    /// not `Send`).
-    quant: RefCell<Option<QuantCache>>,
+    /// A `Mutex` so that a model is `Sync`: the lanes of a two-lane
+    /// `PairScorer` share it. It is held while quantizing, so lanes that reach
+    /// a layer's first int8 use together quantize it once; after that it
+    /// only guards a clone of the cached `Arc`.
+    quant: Mutex<Option<QuantCache>>,
 }
 
 impl Linear {
@@ -54,26 +54,30 @@ impl Linear {
         Self {
             weight: Param::new(Tensor::xavier(in_dim, out_dim, rng)),
             bias: Param::new(Tensor::zeros(1, out_dim)),
-            quant: RefCell::new(None),
+            quant: Mutex::new(None),
         }
     }
 
     /// The int8 twin of the current weights, quantizing (once) on first use
     /// or after the weight tensor changed.
     pub fn quantized_weight(&self) -> Arc<QuantizedMatrix> {
-        self.cached_quantized_weight().unwrap_or_else(|| {
-            let q = Arc::new(QuantizedMatrix::quantize(&self.weight.value));
-            let key = quant_key(&self.weight.value);
-            *self.quant.borrow_mut() = Some(QuantCache { key, q: q.clone() });
-            q
-        })
+        let key = quant_key(&self.weight.value);
+        let mut cache = self.quant.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*cache {
+            Some(c) if c.key == key => c.q.clone(),
+            _ => {
+                let q = Arc::new(QuantizedMatrix::quantize(&self.weight.value));
+                *cache = Some(QuantCache { key, q: q.clone() });
+                q
+            }
+        }
     }
 
     /// The int8 twin [`Linear::quantized_weight`] built for the current
     /// weights, if it has built one — never quantizes.
     pub fn cached_quantized_weight(&self) -> Option<Arc<QuantizedMatrix>> {
         let key = quant_key(&self.weight.value);
-        self.quant.borrow().as_ref().filter(|c| c.key == key).map(|c| c.q.clone())
+        self.quant.lock().unwrap_or_else(PoisonError::into_inner).as_ref().filter(|c| c.key == key).map(|c| c.q.clone())
     }
 
     /// Input width.

@@ -1,7 +1,7 @@
 //! Trainable parameters and the module visitor.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use emba_tensor::{Gradients, Graph, Tensor, Var};
 
@@ -35,8 +35,10 @@ pub struct Param {
     pub value: Tensor,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Tensor,
-    /// `(Graph::id, leaf)` of the last bind.
-    bound: Cell<Option<(u64, Var)>>,
+    /// `(Graph::id, leaf)` of the last bind. A `Mutex` only so that a model
+    /// is `Sync` and forward-only helpers can share it; binds happen on the
+    /// one thread that records the tape, so it is never contended.
+    bound: Mutex<Option<(u64, Var)>>,
 }
 
 impl Param {
@@ -47,7 +49,7 @@ impl Param {
             id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed),
             value,
             grad,
-            bound: Cell::new(None),
+            bound: Mutex::new(None),
         }
     }
 
@@ -70,20 +72,21 @@ impl Param {
     /// reused by every later one (weight sharing within one forward pass).
     /// A leaf bound on another graph is never handed out here.
     pub fn bind(&self, g: &Graph) -> Var {
-        if let Some((id, v)) = self.bound.get() {
-            if id == g.id() {
-                return v;
+        let mut bound = self.bound.lock().unwrap_or_else(PoisonError::into_inner);
+        match *bound {
+            Some((id, v)) if id == g.id() => v,
+            _ => {
+                let v = g.leaf(self.value.clone());
+                *bound = Some((g.id(), v));
+                v
             }
         }
-        let v = g.leaf(self.value.clone());
-        self.bound.set(Some((g.id(), v)));
-        v
     }
 
     /// Adds the gradient computed for this parameter's bound leaf (if any)
     /// into `self.grad`, then clears the binding.
     pub fn accumulate(&mut self, grads: &Gradients) {
-        if let Some((_, v)) = self.bound.take() {
+        if let Some((_, v)) = self.bound.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
             if let Some(g) = grads.get(v) {
                 self.grad.add_scaled_in_place(g, 1.0);
             }

@@ -9,9 +9,10 @@
 //! `TrainConfig::nan_guard` in `emba-core`) and drain the reports through
 //! their observer.
 //!
-//! Like the scratch [`crate::pool`], the guard is thread-local: the engine is
-//! single-threaded per training run, so there is no cross-thread state to
-//! synchronize and concurrent test runs cannot see each other's reports.
+//! Like the scratch [`crate::pool`], the guard is thread-local: a training
+//! run records its tape on one thread, so there is no cross-thread state to
+//! synchronize and concurrent test runs cannot see each other's reports. A
+//! helper thread starts with the guard off.
 
 use std::cell::{Cell, RefCell};
 

@@ -25,7 +25,9 @@
 //!
 //! # Design notes
 //!
-//! The engine is deliberately small and single-threaded: the reproduction
+//! The engine is deliberately small, and a tape lives on one thread (the
+//! forward-only interpreter may run on several at once, each with its own
+//! scratch pool and profiler; see `emba_core::PairScorer`): the reproduction
 //! trains miniature BERT encoders (a few layers, ≤256 dims), and a tape of
 //! boxed backward closures keeps the op set trivially extensible. Tensors
 //! share their buffer through an `Arc`, so cloning a tensor (e.g. capturing

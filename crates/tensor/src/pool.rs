@@ -10,8 +10,9 @@
 //! follow its token count) rounds them to a power of two first, so the pool
 //! holds a handful of sizes rather than one per launch.
 //!
-//! The pool is thread-local: the engine is single-threaded per training run,
-//! and thread-locals avoid both locking and cross-thread buffer migration.
+//! The pool is thread-local: each thread that runs graphs (a training run's,
+//! or each lane of a two-lane scorer) keeps its own, which avoids both
+//! locking and cross-thread buffer migration.
 //! Resident bytes are capped; beyond the cap, returned buffers are simply
 //! dropped.
 //!

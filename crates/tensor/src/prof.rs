@@ -16,8 +16,11 @@
 //! construction (`tests::self_times_sum_to_phase_wall_time`).
 //!
 //! Like [`crate::guard`] and the scratch [`crate::pool`], the profiler is
-//! thread-local: the engine is single-threaded per run, so there is no
-//! cross-thread state and concurrent test runs cannot observe each other.
+//! thread-local, so concurrent test runs cannot observe each other. A caller
+//! that hands part of its work to a helper thread carries its context over
+//! with [`lane`] / [`Lane::run`] and folds the helper's ops back in with
+//! [`absorb`]; a report then sums both threads' self-times (thread-seconds,
+//! which can exceed the wall time they overlapped in).
 //! The disabled fast path is a single `thread_local` bool read per op.
 
 use std::cell::{Cell, RefCell};
@@ -92,8 +95,8 @@ impl ProfState {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Full `/`-joined path string for `id` (empty string for the root).
-    fn path_string(&self, id: usize) -> String {
+    /// The segments of path `id`, outermost first (none for the root).
+    fn segments(&self, id: usize) -> Vec<&'static str> {
         let mut segments = Vec::new();
         let mut at = id;
         while at != 0 {
@@ -101,7 +104,24 @@ impl ProfState {
             at = self.paths[at].parent;
         }
         segments.reverse();
-        segments.join("/")
+        segments
+    }
+
+    /// Full `/`-joined path string for `id` (empty string for the root).
+    fn path_string(&self, id: usize) -> String {
+        self.segments(id).join("/")
+    }
+
+    /// The id of segment `name` under path `parent`, created on first use
+    /// (never entered, so not a phase until a scope enters it).
+    fn intern(&mut self, parent: usize, name: &'static str) -> usize {
+        if let Some(&id) = self.children.get(&(parent, name)) {
+            return id;
+        }
+        let id = self.paths.len();
+        self.paths.push(PathEntry { name, parent, calls: 0, total_ns: 0 });
+        self.children.insert((parent, name), id);
+        id
     }
 }
 
@@ -144,6 +164,79 @@ pub fn reset() {
 pub fn set_mark() {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
+        s.mark = s.now_ns();
+    });
+}
+
+/// This thread's profiler context, captured by [`lane`] to carry to a helper
+/// thread: whether it records, and the scope path it records under.
+#[derive(Debug)]
+pub struct Lane {
+    enabled: bool,
+    path: Vec<&'static str>,
+}
+
+/// The op aggregates a helper recorded under [`Lane::run`], keyed by their
+/// full scope path; hand them to [`absorb`] on the thread that owns the
+/// report.
+#[derive(Default)]
+pub struct LaneOps(Vec<(Vec<&'static str>, &'static str, bool, OpAgg)>);
+
+/// Captures this thread's enabled flag and current scope path for a helper
+/// thread (see [`Lane::run`]).
+pub fn lane() -> Lane {
+    let enabled = enabled();
+    let path = if enabled {
+        STATE.with(|s| {
+            let s = s.borrow();
+            s.segments(s.current)
+        })
+    } else {
+        Vec::new()
+    };
+    Lane { enabled, path }
+}
+
+impl Lane {
+    /// Runs `f` on this (helper) thread as if it ran inside the captured
+    /// context: recording if the capturing thread was, under its scope path.
+    /// Returns `f`'s output and the ops it recorded; this thread's own
+    /// profiler state is set aside for the call and restored afterwards.
+    pub fn run<T>(&self, f: impl FnOnce() -> T) -> (T, LaneOps) {
+        if !self.enabled {
+            return (f(), LaneOps::default());
+        }
+        let prev_enabled = ENABLED.with(|e| e.replace(true));
+        let prev = STATE.with(|s| {
+            let mut fresh = ProfState::new();
+            fresh.current = self.path.iter().fold(0, |parent, &name| fresh.intern(parent, name));
+            fresh.mark = fresh.now_ns();
+            s.replace(fresh)
+        });
+        let out = f();
+        let ops = STATE.with(|s| {
+            let s = s.replace(prev);
+            LaneOps(s.ops.iter().map(|(&(path, op, backward), &agg)| (s.segments(path), op, backward, agg)).collect())
+        });
+        ENABLED.with(|e| e.set(prev_enabled));
+        (out, ops)
+    }
+}
+
+/// Adds a helper's op aggregates (from [`Lane::run`]) to this thread's report
+/// under their scope paths, and re-arms the self-time mark so the time spent
+/// waiting for the helper is not billed to this thread's next op.
+pub fn absorb(ops: LaneOps) {
+    STATE.with(|s| {
+        let mut s = s.borrow_mut();
+        for (path, op, backward, agg) in ops.0 {
+            let id = path.iter().fold(0, |parent, &name| s.intern(parent, name));
+            let into = s.ops.entry((id, op, backward)).or_default();
+            into.calls += agg.calls;
+            into.self_ns += agg.self_ns;
+            into.bytes += agg.bytes;
+            into.flops += agg.flops;
+        }
         s.mark = s.now_ns();
     });
 }
@@ -192,15 +285,7 @@ pub fn scope(name: &'static str) -> ScopeGuard {
         let mut s = s.borrow_mut();
         let now = s.now_ns();
         let parent = s.current;
-        let id = match s.children.get(&(parent, name)) {
-            Some(&id) => id,
-            None => {
-                let id = s.paths.len();
-                s.paths.push(PathEntry { name, parent, calls: 0, total_ns: 0 });
-                s.children.insert((parent, name), id);
-                id
-            }
-        };
+        let id = s.intern(parent, name);
         s.paths[id].calls += 1;
         s.current = id;
         s.mark = now;
@@ -551,6 +636,58 @@ mod tests {
         // All heads' probs·values in one node: 2·T·T·hidden.
         assert_eq!(find("matmul_grouped", false).flops, (2 * t * t * heads * hd) as u64);
         assert!(r.ops.iter().all(|o| o.op != "slice_cols" && o.op != "concat_cols"));
+    }
+
+    #[test]
+    fn helper_lane_ops_join_the_callers_report_and_its_wait_is_not_billed() {
+        let r = with_clean_profiler(|| {
+            let _outer = scope("x");
+            let g = Graph::new();
+            let a = g.leaf(Tensor::row(&[1.0]));
+            let lane = lane();
+            let ops = std::thread::scope(|s| {
+                s.spawn(|| {
+                    lane.run(|| {
+                        let g = Graph::new();
+                        let a = g.leaf(Tensor::row(&[1.0, 2.0]));
+                        let _ = g.relu(a);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    })
+                    .1
+                })
+                .join()
+                .unwrap()
+            });
+            absorb(ops);
+            let _ = g.scale(a, 2.0);
+            drop(_outer);
+            report()
+        });
+        let relu = r.ops.iter().find(|o| o.op == "relu").expect("the helper's op");
+        assert_eq!((relu.path.as_str(), relu.calls), ("x", 1));
+        let leaves = r.ops.iter().find(|o| o.op == "leaf").expect("leaf row");
+        assert_eq!(leaves.calls, 2, "one leaf per thread, merged into one row");
+        let scale = r.ops.iter().find(|o| o.op == "scale").expect("the caller's op");
+        assert!(scale.self_ns < 10_000_000, "the caller's wait was billed to its next op: {} ns", scale.self_ns);
+        assert_eq!(r.phases.len(), 1, "absorbing must not invent phases: {:?}", r.phases);
+    }
+
+    #[test]
+    fn a_lane_captured_while_disabled_records_nothing() {
+        reset();
+        let lane = lane();
+        let ((), ops) = std::thread::scope(|s| {
+            s.spawn(|| {
+                lane.run(|| {
+                    let g = Graph::new();
+                    let _ = g.leaf(Tensor::row(&[1.0]));
+                })
+            })
+            .join()
+            .unwrap()
+        });
+        absorb(ops);
+        assert!(report().ops.is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, the test suite, warning-free clippy (every
 # target, tests and examples included) and rustdoc passes, and the two
-# examples that double as gates. Behaviour is gated by
-# tests and speed by `benchmark/` (DESIGN.md §7); nothing here times anything.
+# examples that double as gates, and one full-size traced benchmark run.
+# Behaviour is gated by tests and speed by `benchmark/` (DESIGN.md §7);
+# nothing here gates on a speed, only on that run's shares of its own wall.
 # Run from the workspace root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,6 +56,10 @@ EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --test infer_bits
 # one's public API: its unit tests plus every workload at --tiny size, so an
 # API break fails here rather than in the benchmark pipeline.
 cargo test -q --manifest-path benchmark/Cargo.toml
+# The --tiny runs skip the traced run's 0.9 op-coverage check; one
+# full-size traced run keeps it (it fails when a helper thread's profiler
+# ops never reach the caller's report).
+cargo run --release --manifest-path benchmark/Cargo.toml -- run --workload catalog_sparse_f32 --seed 1 --seconds 1 --trace 1
 
 # The front door: quickstart trains EMBA and asserts test F1 > 0,
 # p(samsung match) > p(sandisk/transcend non-match), and that the int8
