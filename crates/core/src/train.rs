@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use emba_nn::mlm::{MlmConfig, MlmModel};
-use emba_nn::{clip_grad_norm, Adam, BertEncoder, LinearSchedule, Module};
+use emba_nn::{Adam, BertEncoder, LinearSchedule, Module};
 use emba_tensor::{guard, pool, prof, Graph, Var};
 use emba_trace::{
     metrics, EvalRecord, NullObserver, RunMeta, StepRecord, TrainEvent, TrainObserver,
@@ -661,13 +661,9 @@ impl<'a> Trainer<'a> {
                 p.st.trained_pairs += window_len;
 
                 let optim_scope = prof::scope("optim");
-                // Average the accumulated gradients over the window, in place.
-                let scale = 1.0 / window_len as f32;
-                obj.module().visit_mut(&mut |param| param.grad.scale_mut(scale));
-                let grad_norm = clip_grad_norm(obj.module(), cfg.clip_norm);
+                // Average the window's gradients, clip, step and zero them.
                 let lr = schedule.lr(p.st.step);
-                p.adam.step(obj.module(), lr);
-                obj.module().zero_grads();
+                let grad_norm = p.adam.step_window(obj.module(), lr, 1.0 / window_len as f32, cfg.clip_norm);
                 drop(optim_scope);
                 observer.on_event(TrainEvent::Step(&StepRecord {
                     epoch,

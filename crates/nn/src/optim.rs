@@ -7,7 +7,7 @@ use std::fmt;
 use emba_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::param::Module;
+use crate::param::{clip_factor, grad_norm, Module};
 
 /// Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
 ///
@@ -134,9 +134,28 @@ impl Adam {
     }
 
     /// Applies one update to every parameter of `module` using its
-    /// accumulated gradients, then leaves the gradients untouched (callers
-    /// zero them at the start of the next accumulation window).
+    /// accumulated gradients, then zeroes them in place for the next
+    /// accumulation window.
     pub fn step(&mut self, module: &mut dyn Module, lr: f32) {
+        self.update(module, lr, 1.0, 1.0);
+    }
+
+    /// One training window's tail: averages the accumulated gradients over
+    /// the window (`× window`), clips their global norm to `max_norm`, takes
+    /// one [`Adam::step`] and zeroes them. Returns the averaged gradients'
+    /// norm before clipping.
+    ///
+    /// Two passes instead of four: a read-only norm pass, then one update
+    /// pass that reads each gradient as `(grad · window) · clip`, the same
+    /// two roundings in the same order as scaling the gradients in place,
+    /// then [`clip_grad_norm`](crate::clip_grad_norm), then `step`.
+    pub fn step_window(&mut self, module: &mut dyn Module, lr: f32, window: f32, max_norm: f32) -> f32 {
+        let norm = grad_norm(module, window);
+        self.update(module, lr, window, clip_factor(norm, max_norm));
+        norm
+    }
+
+    fn update(&mut self, module: &mut dyn Module, lr: f32, window: f32, clip: f32) {
         self.step += 1;
         let t = self.step as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -152,12 +171,17 @@ impl Adam {
             });
             debug_assert_eq!(moments.m.shape(), p.value.shape(), "optimizer state shape drift");
 
-            let m = moments.m.data_mut();
-            let v = moments.v.data_mut();
-            let grad = p.grad.data();
-            let value = p.value.data_mut();
-            for i in 0..grad.len() {
-                let gi = grad[i];
+            // Every slice cut to one length: the loop carries no bounds
+            // checks and vectorizes, and IEEE division and square root round
+            // the same in every lane.
+            let grad = p.grad.data_mut();
+            let n = grad.len();
+            let m = &mut moments.m.data_mut()[..n];
+            let v = &mut moments.v.data_mut()[..n];
+            let value = &mut p.value.data_mut()[..n];
+            for i in 0..n {
+                let gi = grad[i] * window * clip;
+                grad[i] = 0.0;
                 m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
                 v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
                 let mhat = m[i] / bc1;
@@ -338,6 +362,80 @@ mod tests {
                 "divergence at resumed step {step}"
             );
             assert_eq!(lin.bias.value.data(), twin.bias.value.data());
+        }
+    }
+
+    /// Per-element Adam moments of the textbook window tail below.
+    #[derive(Default)]
+    struct Textbook {
+        step: u64,
+        moments: Vec<(Vec<f32>, Vec<f32>)>,
+    }
+
+    /// The window tail spelled out in four passes: average the gradients in
+    /// place, clip them, one scalar Adam update per element, zero them.
+    fn textbook_window(tb: &mut Textbook, lin: &mut Linear, lr: f32, window: f32, max_norm: f32, wd: f32) -> f32 {
+        lin.visit_mut(&mut |p| p.grad.scale_mut(window));
+        let norm = crate::clip_grad_norm(lin, max_norm);
+        tb.step += 1;
+        let t = tb.step as f32;
+        let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+        let (bc1, bc2) = (1.0 - beta1.powf(t), 1.0 - beta2.powf(t));
+        let mut k = 0;
+        lin.visit_mut(&mut |p| {
+            if tb.moments.len() == k {
+                tb.moments.push((vec![0.0; p.len()], vec![0.0; p.len()]));
+            }
+            let (m, v) = &mut tb.moments[k];
+            k += 1;
+            let grad = p.grad.data();
+            let value = p.value.data_mut();
+            for i in 0..grad.len() {
+                let gi = grad[i];
+                m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+                v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+                let mhat = m[i] / bc1;
+                let vhat = v[i] / bc2;
+                let mut update = mhat / (vhat.sqrt() + eps);
+                if wd > 0.0 {
+                    update += wd * value[i];
+                }
+                value[i] -= lr * update;
+            }
+        });
+        lin.zero_grads();
+        norm
+    }
+
+    #[test]
+    fn step_window_is_the_textbook_tail_bit_for_bit() {
+        let bits = |lin: &Linear| {
+            let mut out = Vec::new();
+            lin.visit(&mut |p| out.extend(p.value.data().iter().map(|x| x.to_bits())));
+            out
+        };
+        for wd in [0.0, 0.01] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut fused = Linear::new(37, 19, &mut rng);
+            let mut plain = Linear::new(37, 19, &mut rng);
+            plain.load_state(&fused.state());
+            let mut adam = Adam::new().with_weight_decay(wd);
+            let mut tb = Textbook::default();
+            let (window, max_norm) = (1.0 / 3.0, 0.5);
+            for step in 0..3 {
+                let grads: Vec<Tensor> = fused.state().iter().map(|t| Tensor::rand_normal(t.rows(), t.cols(), 0.0, 3.0, &mut rng)).collect();
+                let mut next = grads.iter();
+                fused.visit_mut(&mut |p| p.grad = next.next().unwrap().clone());
+                let mut next = grads.iter();
+                plain.visit_mut(&mut |p| p.grad = next.next().unwrap().clone());
+                let lr = 1e-2 * (step + 1) as f32;
+                let norm = adam.step_window(&mut fused, lr, window, max_norm);
+                let want = textbook_window(&mut tb, &mut plain, lr, window, max_norm, wd);
+                assert!(norm > max_norm, "the clip must act (norm {norm})");
+                assert_eq!(norm.to_bits(), want.to_bits(), "wd {wd}, step {step}: norm");
+                assert_eq!(bits(&fused), bits(&plain), "wd {wd}, step {step}: parameters");
+                fused.visit(&mut |p| assert!(p.grad.data().iter().all(|&g| g == 0.0), "gradients zeroed"));
+            }
         }
     }
 

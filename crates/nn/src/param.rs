@@ -93,9 +93,14 @@ impl Param {
         }
     }
 
-    /// Zeroes the accumulated gradient.
+    /// Zeroes the accumulated gradient, in its own buffer when it has the
+    /// value's shape.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.rows(), self.value.cols());
+        if self.grad.shape() == self.value.shape() {
+            self.grad.data_mut().fill(0.0);
+        } else {
+            self.grad = Tensor::zeros(self.value.rows(), self.value.cols());
+        }
     }
 }
 
@@ -222,23 +227,35 @@ impl<M: Module> Module for Vec<M> {
     }
 }
 
-/// Global L2 gradient-norm clipping across all parameters of a module.
+/// Global L2 norm of every gradient of `module` read as `grad · scale`: the
+/// squares summed per parameter, the sums added in visit order.
+pub(crate) fn grad_norm(module: &dyn Module, scale: f32) -> f32 {
+    let mut sq = 0.0f32;
+    module.visit(&mut |p| {
+        sq += p.grad.data().iter().map(|&g| (g * scale) * (g * scale)).sum::<f32>();
+    });
+    sq.sqrt()
+}
+
+/// What global-norm clipping multiplies every gradient by: `max_norm / norm`
+/// when `norm` exceeds `max_norm`, 1 otherwise.
+pub(crate) fn clip_factor(norm: f32, max_norm: f32) -> f32 {
+    if norm > max_norm && norm > 0.0 {
+        max_norm / norm
+    } else {
+        1.0
+    }
+}
+
+/// Global L2 gradient-norm clipping across all parameters of a module, in
+/// place. [`crate::Adam::step_window`] folds the same clip into its update.
 ///
 /// Returns the pre-clip norm.
 pub fn clip_grad_norm(module: &mut dyn Module, max_norm: f32) -> f32 {
-    let mut sq = 0.0f32;
-    module.visit(&mut |p| {
-        sq += p.grad.data().iter().map(|&g| g * g).sum::<f32>();
-    });
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        // In place: gradient accumulators are uniquely owned here, so this
-        // reuses their buffers instead of allocating one per parameter per
-        // optimizer step.
-        module.visit_mut(&mut |p| {
-            p.grad.scale_mut(scale);
-        });
+    let norm = grad_norm(module, 1.0);
+    let clip = clip_factor(norm, max_norm);
+    if clip != 1.0 {
+        module.visit_mut(&mut |p| p.grad.scale_mut(clip));
     }
     norm
 }
@@ -347,6 +364,16 @@ mod tests {
         let mut sq = 0.0;
         m.visit(&mut |p| sq += p.grad.data().iter().map(|&g| g * g).sum::<f32>());
         assert!((sq.sqrt() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn zero_grad_keeps_its_buffer() {
+        let mut p = Param::new(Tensor::row(&[1.0, 2.0, 3.0]));
+        p.grad = Tensor::row(&[0.5, -1.0, 2.0]);
+        let ptr = p.grad.data().as_ptr();
+        p.zero_grad();
+        assert_eq!(p.grad.data(), &[0.0, 0.0, 0.0]);
+        assert_eq!(p.grad.data().as_ptr(), ptr, "zero_grad must not reallocate");
     }
 
     #[test]

@@ -26,17 +26,162 @@ use crate::quant::{QuantizedMatrix, QuantizedRows};
 use crate::tensor::Tensor;
 use crate::{fwd, kernels, pool, prof, quant, simd};
 
-/// Advances a xorshift64* state and maps the step to a uniform `f32` in
-/// `[0, 1)` (top 24 bits). Used by [`Graph::dropout`] so forward and backward
-/// can regenerate the same mask from one stored seed.
-#[inline]
-fn xorshift_unit(state: &mut u64) -> f32 {
-    let mut x = *state;
+/// One xorshift64 step (Marsaglia's 13/7/17 triple). It is linear over
+/// GF(2)^64, so `n` steps are one 64 x 64 bit matrix `T^n`: that is how
+/// [`dropout_span`] starts and skips its lanes.
+const fn xorshift_step(mut x: u64) -> u64 {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    *state = x;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+    x
+}
+
+/// The uniform 24-bit draw of a stepped state: the top bits of its
+/// xorshift64* product. As an `f32` it is `draw · 2^-24`, in `[0, 1)`.
+#[inline(always)]
+fn draw24(x: u64) -> u32 {
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as u32
+}
+
+/// A 64 x 64 matrix over GF(2), column `i` the image of bit `i`.
+type Gf2 = [u64; 64];
+
+const fn gf2_apply(m: &Gf2, x: u64) -> u64 {
+    let mut acc = 0;
+    let mut i = 0;
+    while i < 64 {
+        if (x >> i) & 1 == 1 {
+            acc ^= m[i];
+        }
+        i += 1;
+    }
+    acc
+}
+
+/// `a · b`: `b`, then `a`.
+const fn gf2_mul(a: &Gf2, b: &Gf2) -> Gf2 {
+    let mut c = [0u64; 64];
+    let mut j = 0;
+    while j < 64 {
+        c[j] = gf2_apply(a, b[j]);
+        j += 1;
+    }
+    c
+}
+
+/// `T^n`, by squaring.
+const fn xorshift_pow(mut n: usize) -> Gf2 {
+    let mut base = [0u64; 64];
+    let mut acc = [0u64; 64];
+    let mut i = 0;
+    while i < 64 {
+        base[i] = xorshift_step(1 << i);
+        acc[i] = 1 << i;
+        i += 1;
+    }
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = gf2_mul(&acc, &base);
+        }
+        base = gf2_mul(&base, &base);
+        n >>= 1;
+    }
+    acc
+}
+
+/// Independent xorshift states the dropout stream runs side by side, and
+/// the run of consecutive elements each covers per round: one `u64` of
+/// keep bits.
+const LANES: usize = 16;
+const BLOCK: usize = 64;
+const ROUND: usize = LANES * BLOCK;
+const _: () = assert!(BLOCK == u64::BITS as usize, "a lane's block is one u64 of keep bits");
+
+/// Column `i` of `T^(l·BLOCK)` at `[i][l]`: lane `l` starts at
+/// `T^(l·BLOCK)(seed)`.
+static LANE_START: [[u64; LANES]; 64] = {
+    let mut t = [[0u64; LANES]; 64];
+    let mut l = 0;
+    while l < LANES {
+        let m = xorshift_pow(l * BLOCK);
+        let mut i = 0;
+        while i < 64 {
+            t[i][l] = m[i];
+            i += 1;
+        }
+        l += 1;
+    }
+    t
+};
+
+/// `T^((LANES-1)·BLOCK)`: from the end of a lane's block to the start of
+/// its block in the next round, past the other lanes' blocks.
+static ROUND_SKIP: Gf2 = xorshift_pow((LANES - 1) * BLOCK);
+
+/// `m` applied to every lane, as one branch-free pass over the columns.
+fn gf2_apply_lanes(m: &Gf2, s: &[u64; LANES]) -> [u64; LANES] {
+    let mut acc = [0u64; LANES];
+    for (i, &col) in m.iter().enumerate() {
+        for (a, &x) in acc.iter_mut().zip(s) {
+            *a ^= col & ((x >> i) & 1).wrapping_neg();
+        }
+    }
+    acc
+}
+
+/// Inverted dropout of `src` into `dst` with the xorshift64* mask of `seed`:
+/// element `i` is kept, as `src[i] · scale`, when the draw of the state
+/// `i + 1` steps past `seed` is under `keep · 2^24` (that is, when the draw
+/// as an `f32` in `[0, 1)` is under `keep`), and zeroed otherwise.
+///
+/// The serial stream is a chain of dependent steps; this computes the same
+/// mask on [`LANES`] independent states, stepped side by side in SIMD
+/// registers. In each round of [`ROUND`] elements lane `l` runs the `l`-th
+/// block of [`BLOCK`]: it starts at `T^(l·BLOCK)(seed)` and skips
+/// `T^((LANES-1)·BLOCK)` between rounds. A lane's keep decisions for its
+/// block are the bits of one `u64` (`BLOCK` is 64), so no draw has to move
+/// between lanes. The tail after the last full round continues serially
+/// from the last lane, which ends that round exactly where the serial chain
+/// would be.
+fn dropout_span(seed: u64, keep: f32, scale: f32, src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "dropout_span: length mismatch");
+    // `draw · 2^-24 < keep` ⟺ `draw < keep · 2^24` (exact in f32) ⟺
+    // `draw < ceil(keep · 2^24)`, since the draw is an integer.
+    let thr = (keep * (1u32 << 24) as f32).ceil() as u32;
+    let rounds = src.len() / ROUND;
+    let mut state = seed;
+    if rounds > 0 {
+        let mut lanes = [0u64; LANES];
+        for (i, cols) in LANE_START.iter().enumerate() {
+            let bit = ((seed >> i) & 1).wrapping_neg();
+            for (s, &col) in lanes.iter_mut().zip(cols) {
+                *s ^= col & bit;
+            }
+        }
+        for (r, (dst, src)) in dst.chunks_exact_mut(ROUND).zip(src.chunks_exact(ROUND)).enumerate() {
+            if r > 0 {
+                lanes = gf2_apply_lanes(&ROUND_SKIP, &lanes);
+            }
+            let mut kept = [0u64; LANES];
+            for b in 0..BLOCK {
+                for (k, s) in kept.iter_mut().zip(lanes.iter_mut()) {
+                    *s = xorshift_step(*s);
+                    *k |= u64::from(draw24(*s) < thr) << b;
+                }
+            }
+            for ((dst, src), &k) in dst.chunks_exact_mut(BLOCK).zip(src.chunks_exact(BLOCK)).zip(&kept) {
+                for (b, (o, &x)) in dst.iter_mut().zip(src).enumerate() {
+                    *o = if (k >> b) & 1 == 1 { x * scale } else { 0.0 };
+                }
+            }
+        }
+        state = lanes[LANES - 1];
+    }
+    let done = rounds * ROUND;
+    for (o, &x) in dst[done..].iter_mut().zip(&src[done..]) {
+        state = xorshift_step(state);
+        *o = if draw24(state) < thr { x * scale } else { 0.0 };
+    }
 }
 
 /// Handle to a node recorded on a [`Graph`].
@@ -1178,10 +1323,11 @@ impl Graph {
     /// node.
     ///
     /// The mask is never materialized: one `u64` seed is drawn from `rng` per
-    /// node and a xorshift64* stream derived from it decides keep/drop while
-    /// the scaled copy is written in a single pass. The backward pass replays
-    /// the same stream over the upstream gradient, so the only saved state is
-    /// the seed.
+    /// node and the xorshift64* stream of that seed decides keep/drop while
+    /// the scaled copy is written (`dropout_span`, which runs the serial
+    /// stream on independent lanes). The backward pass replays the same
+    /// stream over the upstream gradient, so the only saved state is the
+    /// seed.
     pub fn dropout<R: Rng + ?Sized>(&self, a: Var, p: f32, rng: &mut R) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1), got {p}");
         if p == 0.0 {
@@ -1200,20 +1346,14 @@ impl Graph {
         let seed = rng.next_u64() | 1; // xorshift state must be non-zero
         let (rows, cols) = va.shape();
         let mut out = pool::take_uninit(va.len());
-        let mut state = seed;
-        for (o, &x) in out.iter_mut().zip(va.data()) {
-            *o = if xorshift_unit(&mut state) < keep { x * scale } else { 0.0 };
-        }
+        dropout_span(seed, keep, scale, va.data(), &mut out);
         let out = Tensor::from_vec(rows, cols, out);
         self.push("dropout",
             out,
             vec![a.0],
             Some(Box::new(move |g, sink| {
                 let mut dx = pool::take_uninit(g.len());
-                let mut state = seed;
-                for (o, &gi) in dx.iter_mut().zip(g.data()) {
-                    *o = if xorshift_unit(&mut state) < keep { gi * scale } else { 0.0 };
-                }
+                dropout_span(seed, keep, scale, g.data(), &mut dx);
                 sink.add(0, Tensor::from_vec(g.rows(), g.cols(), dx));
             })),
         )
@@ -1459,6 +1599,68 @@ mod tests {
 
     fn approx(a: f32, b: f32) -> bool {
         (a - b).abs() <= 1e-4 * (1.0 + a.abs().max(b.abs()))
+    }
+
+    /// The serial definition of the dropout stream: advance the xorshift64*
+    /// state one step per element and map its draw to a uniform `f32` in
+    /// `[0, 1)` (top 24 bits); the element is kept when that is under `keep`.
+    fn xorshift_unit(state: &mut u64) -> f32 {
+        *state = xorshift_step(*state);
+        draw24(*state) as f32 * (1.0 / (1u64 << 24) as f32)
+    }
+
+    fn dropout_serial(seed: u64, keep: f32, scale: f32, src: &[f32]) -> Vec<f32> {
+        let mut state = seed;
+        src.iter().map(|&x| if xorshift_unit(&mut state) < keep { x * scale } else { 0.0 }).collect()
+    }
+
+    #[test]
+    fn dropout_lanes_are_the_serial_stream() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let lens = [0, 1, ROUND - 1, ROUND, ROUND + 1, 3 * ROUND + 37, 300 * 128];
+        let seeds = [1, 3, 0x9E37_79B9_7F4A_7C15, (1 << 63) | 1, u64::MAX];
+        for &n in &lens {
+            let src: Vec<f32> = (0..n).map(|_| rng.gen_range(0.5f32..2.0)).collect();
+            for &seed in &seeds {
+                for p in [0.1f32, 0.5] {
+                    let keep = 1.0 - p;
+                    let scale = 1.0 / keep;
+                    let want = dropout_serial(seed, keep, scale, &src);
+                    let mut got = vec![f32::NAN; n];
+                    dropout_span(seed, keep, scale, &src, &mut got);
+                    let first = got.iter().zip(&want).position(|(a, b)| a.to_bits() != b.to_bits());
+                    assert_eq!(first, None, "first differing element: n {n}, seed {seed:#x}, p {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropout_backward_replays_the_lane_mask() {
+        // Three full rounds plus a tail, nonzero inputs (a zero output means
+        // "dropped") and a non-uniform upstream gradient `w`.
+        let mut rng = StdRng::seed_from_u64(8);
+        let (rows, cols) = (3 * ROUND / 64 + 1, 64);
+        let g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(0.5f32..2.0)).collect()));
+        let w = Tensor::rand_uniform(rows, cols, 2.0, &mut rng);
+        let y = g.dropout(x, 0.3, &mut rng);
+        let loss = g.sum_all(g.mul(y, g.leaf(w.clone())));
+        let grads = g.backward(loss);
+        let (vx, vy, dx) = (g.value(x), g.value(y), grads.get(x).unwrap());
+        let scale = 1.0 / (1.0 - 0.3f32);
+        let mut kept = 0;
+        for i in 0..rows * cols {
+            let (xv, yv, wv, dv) = (vx.data()[i], vy.data()[i], w.data()[i], dx.data()[i]);
+            if yv == 0.0 {
+                assert_eq!(dv.to_bits(), 0f32.to_bits(), "dropped element {i}");
+            } else {
+                assert_eq!(yv.to_bits(), (xv * scale).to_bits(), "kept element {i}");
+                assert_eq!(dv.to_bits(), (wv * scale).to_bits(), "kept element {i} gradient");
+                kept += 1;
+            }
+        }
+        assert!(kept > rows * cols / 2 && kept < rows * cols, "kept {kept} of {}", rows * cols);
     }
 
     #[test]

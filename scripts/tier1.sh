@@ -48,9 +48,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # encoder to the tape on the portable tiles. Core's `tests/infer_bits.rs`
 # does the same for joint inference (`Matcher::infer_batch`) on every model
 # of Tables 2 and 4, and for the split path's tape-free pair score
-# (`split_score_is_the_tape_bit_for_bit`).
+# (`split_score_is_the_tape_bit_for_bit`). The pinned fine-tune loss bits
+# and the bit-exact resume tests run on the portable tier too, so training
+# (dropout stream, fused optimizer pass, backward kernels) is held to the
+# same constants there.
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-tensor -p emba-nn
 EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --test infer_bits
+EMBA_FORCE_SCALAR=1 cargo test -q -p emba-core --lib -- train::tests::fine_tune_bits_are_pinned resume::
 
 # The end-to-end benchmark is a workspace of its own built against this
 # one's public API: its unit tests plus every workload at --tiny size, so an
