@@ -23,10 +23,11 @@
 //! steps out in general tape ops and keeps every intermediate — the readable
 //! reference for the explanations and the tests' oracle. The models run one
 //! fused op instead, a pair at a time in a cache-resident workspace with no
-//! padding at all, keeping only the pooled rows and γ: [`Graph::aoa_pool`]
-//! over the groups of two packed nodes when training, and its forward loop
-//! [`emba_tensor::fwd::aoa_pool_into`] over cached encodings, with no tape,
-//! when scoring.
+//! padding at all, keeping only the pooled rows and γ: `Ops::aoa_pool`,
+//! which is [`Graph::aoa_pool`] over the groups of two packed nodes when
+//! training and, with no tape, its forward loop
+//! [`emba_tensor::fwd::aoa_pool_into`] over packed rows or cached encodings
+//! ([`emba_nn::eval::Exec::aoa_pool_pairs`]).
 
 use emba_tensor::{Graph, Var};
 

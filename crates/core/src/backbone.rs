@@ -8,7 +8,7 @@
 
 use emba_nn::eval::{self, Buffer, Exec, Ops};
 use emba_nn::{BertConfig, BertEncoder, Linear, Module, Param};
-use emba_tensor::{BackendKind, Graph, RowGroups, Tensor, Var};
+use emba_tensor::{RowGroups, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Transformer dropout rate used when nothing overrides it — the BERT
@@ -82,9 +82,10 @@ impl FastTextEncoder {
     }
 
     /// The pooled form: `tanh` of a projection of each sequence's mean.
-    fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
-        let mean = g.mean_rows_grouped(tokens, groups); // [B, dim]
-        g.tanh(self.pool_proj.forward(g, mean))
+    fn pool<O: Ops>(&self, o: &mut O, tokens: &O::V, groups: &RowGroups) -> O::V {
+        let mean = o.mean_rows_grouped(tokens, groups); // [B, dim]
+        let projected = o.linear(&self.pool_proj, &mean, false);
+        o.tanh(projected)
     }
 
     /// The sequences' ids back to back, and their row ranges.
@@ -200,24 +201,24 @@ impl Backbone {
     }
 
     /// The `[B, hidden]` pooled representations of the packed `tokens` laid
-    /// out by `groups`, on the tape (row `i` = sequence `i`): BERT's tanh
+    /// out by `groups`, run by `o` (row `i` = sequence `i`): BERT's tanh
     /// pooler over each `[CLS]` row, fastText's tanh projection of each
     /// sequence's mean. Only the heads that read `[CLS]` call it.
-    pub fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
+    pub fn pool<O: Ops>(&self, o: &mut O, tokens: &O::V, groups: &RowGroups) -> O::V {
         match self {
-            Backbone::Bert { encoder, .. } => encoder.pool(g, tokens, groups),
-            Backbone::FastText(ft) => ft.pool(g, tokens, groups),
+            Backbone::Bert { encoder, .. } => encoder.pool(o, tokens, groups),
+            Backbone::FastText(ft) => ft.pool(o, tokens, groups),
         }
     }
 
-    /// [`Backbone::encode`] run forward only by [`Exec`] under `backend`:
-    /// the tape's eval-mode token rows, bit for bit, with no graph node. The
-    /// third value is a one-sequence batch's last-layer attention summed over
-    /// heads, which only the BERT variants have.
-    pub fn encode_eval(&self, seqs: &[(&[usize], &[usize])], backend: BackendKind) -> (Tensor, RowGroups, Option<Tensor>) {
-        let (tokens, groups, attention) = self.encode(&mut Exec::new(backend), seqs);
+    /// [`Backbone::encode`] run forward only by `ex`: the tape's eval-mode
+    /// token rows, bit for bit, with no graph node. The third value is a
+    /// one-sequence batch's last-layer attention summed over heads, which
+    /// only the BERT variants have.
+    pub fn encode_eval(&self, ex: &mut Exec, seqs: &[(&[usize], &[usize])]) -> (Buffer, RowGroups, Option<Tensor>) {
+        let (tokens, groups, attention) = self.encode(ex, seqs);
         let summed = (groups.len() == 1 && !attention.is_empty()).then(|| eval::sum_heads(attention.iter().map(Buffer::data), groups.total()));
-        (tokens.to_tensor(), groups, summed)
+        (tokens, groups, summed)
     }
 }
 
@@ -251,6 +252,7 @@ impl Module for Backbone {
 mod tests {
     use super::*;
     use emba_nn::eval::Tape;
+    use emba_tensor::{BackendKind, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -258,8 +260,9 @@ mod tests {
     /// rows, its pooled row, and how many last-layer attention heads it kept.
     fn encode_one(b: &Backbone, ids: &[usize], segments: &[usize]) -> (Tensor, Tensor, usize) {
         let g = Graph::new();
-        let (tokens, groups, last_attention) = b.encode(&mut Tape::new(&g, None), &[(ids, segments)]);
-        let pooled = b.pool(&g, tokens, &groups);
+        let mut tape = Tape::new(&g, None);
+        let (tokens, groups, last_attention) = b.encode(&mut tape, &[(ids, segments)]);
+        let pooled = b.pool(&mut tape, &tokens, &groups);
         (g.value(tokens), g.value(pooled), last_attention.len())
     }
 
@@ -327,11 +330,11 @@ mod tests {
                     let _backend = emba_tensor::backend::install(backend);
                     g.value(b.encode(&mut Tape::new(&g, None), &seqs).0)
                 };
-                let (got, groups, attention) = b.encode_eval(&seqs, backend);
+                let (got, groups, attention) = b.encode_eval(&mut Exec::new(backend), &seqs);
                 assert_eq!(groups.lens(), [6, 1]);
-                assert_eq!(bits(&got), bits(&want), "{kind:?} under {backend:?}");
+                assert_eq!(bits(&got.to_tensor()), bits(&want), "{kind:?} under {backend:?}");
                 assert!(attention.is_none(), "{kind:?}: summed attention for a batch of two");
-                let (_, _, one) = b.encode_eval(&seqs[..1], backend);
+                let (_, _, one) = b.encode_eval(&mut Exec::new(backend), &seqs[..1]);
                 assert_eq!(one.map(|a| a.shape()), (kind != BackboneKind::FastText).then_some((6, 6)), "{kind:?}: summed attention for one sequence");
             }
         }

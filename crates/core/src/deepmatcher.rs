@@ -14,7 +14,7 @@ use emba_nn::{BiGru, Embedding, Linear};
 use emba_tensor::{Graph, Var};
 use rand::RngCore;
 
-use crate::models::{BatchOutput, Matcher};
+use crate::models::{BatchOutput, Inference, Matcher};
 use crate::pipeline::EncodedExample;
 
 /// Hyperparameters for [`DeepMatcher`].
@@ -167,11 +167,7 @@ impl Matcher for DeepMatcher {
         BatchOutput {
             loss: loss.expect("non-empty batch"),
             example_losses,
-            match_probs,
-            id1_preds: None,
-            id2_preds: None,
-            attention: None,
-            gamma: None,
+            inference: Inference { match_probs, ..Inference::default() },
         }
     }
 
@@ -223,7 +219,7 @@ mod tests {
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
         let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
-        assert!((0.0..=1.0).contains(&out.match_probs[0]));
+        assert!((0.0..=1.0).contains(&out.inference.match_probs[0]));
         assert!(g.value(out.loss).item().is_finite());
     }
 
@@ -236,7 +232,7 @@ mod tests {
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
         let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
-        assert!(out.match_probs[0].is_finite());
+        assert!(out.inference.match_probs[0].is_finite());
     }
 
     #[test]
@@ -284,6 +280,6 @@ mod tests {
         let model = DeepMatcher::new(vocab, DeepMatcherConfig::default(), &mut rng);
         let g = Graph::new();
         let out = model.forward_batch(&g, &[&exs[0]], false, &mut rng);
-        assert!(out.match_probs[0].is_finite());
+        assert!(out.inference.match_probs[0].is_finite());
     }
 }

@@ -1,9 +1,11 @@
 //! Task heads: learned token aggregation for the entity-ID tasks and the
-//! binary match classifier.
+//! binary match classifier. Each is written once over [`Ops`]: training
+//! records it on the tape, inference and the split pair score run it
+//! forward only.
 
-use emba_nn::eval::{Buffer, Exec, Ops};
+use emba_nn::eval::Ops;
 use emba_nn::Linear;
-use emba_tensor::{Graph, RowGroups, Var};
+use emba_tensor::RowGroups;
 use rand::Rng;
 
 /// Entity-ID prediction head (paper §3.3): the token embeddings of one
@@ -35,50 +37,34 @@ impl TokenAggregationHead {
         self.classifier.out_dim()
     }
 
-    /// Computes `[1, classes]` logits from `[k, hidden]` token states.
-    pub fn forward(&self, g: &Graph, tokens: Var) -> Var {
-        let (pooled, _) = self.pool(g, tokens);
-        self.classifier.forward(g, pooled)
-    }
-
-    /// Like [`TokenAggregationHead::forward`] but also returns the learned
-    /// `[k, 1]` aggregation weights (used in the attention analyses).
-    pub fn forward_with_weights(&self, g: &Graph, tokens: Var) -> (Var, Var) {
-        let (pooled, weights) = self.pool(g, tokens);
-        (self.classifier.forward(g, pooled), weights)
-    }
-
-    fn pool(&self, g: &Graph, tokens: Var) -> (Var, Var) {
-        let scores = self.scorer.forward(g, tokens); // [k, 1]
-        let scores_row = g.transpose(scores); // [1, k]
-        let weights_row = g.softmax_rows(scores_row); // [1, k]
-        let pooled = g.matmul(weights_row, tokens); // [1, h]
-        (pooled, g.transpose(weights_row))
+    /// The learned aggregation weights of row-packed `[ΣT, hidden]` token
+    /// states: a `[ΣT, 1]` column holding a distribution over each group's
+    /// rows.
+    pub(crate) fn weights<O: Ops>(&self, o: &mut O, tokens: &O::V, groups: &RowGroups) -> O::V {
+        let scores = o.linear(&self.scorer, tokens, false); // [ΣT, 1]
+        o.softmax_col_grouped(scores, groups)
     }
 
     /// Computes `[G, classes]` logits from row-packed `[ΣT, hidden]` token
     /// states: one softmax-aggregated record representation per group, then
-    /// the shared classifier. Semantically equivalent to
-    /// [`TokenAggregationHead::forward`] per record.
-    pub fn forward_batch(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
-        let scores = self.scorer.forward(g, tokens); // [ΣT, 1]
-        let weights = g.softmax_col_grouped(scores, groups); // per-record distribution
-        let pooled = g.weighted_sum_rows_grouped(weights, tokens, groups); // [G, h]
-        self.classifier.forward(g, pooled)
+    /// the shared classifier.
+    pub fn forward_batch<O: Ops>(&self, o: &mut O, tokens: &O::V, groups: &RowGroups) -> O::V {
+        let weights = self.weights(o, tokens, groups);
+        let pooled = o.weighted_sum_rows_grouped(&weights, tokens, groups); // [G, h]
+        o.linear(&self.classifier, &pooled, false)
     }
 
-    /// Classifies a pre-pooled `[1, hidden]` representation directly
-    /// (used by the `[CLS]`-based ablations that share this classifier
-    /// structure).
-    pub fn classify_pooled(&self, g: &Graph, pooled: Var) -> Var {
-        self.classifier.forward(g, pooled)
+    /// Classifies pre-pooled `[B, hidden]` representations directly (used by
+    /// the `[CLS]`-based ablations that share this classifier structure).
+    pub fn classify_pooled<O: Ops>(&self, o: &mut O, pooled: &O::V) -> O::V {
+        o.linear(&self.classifier, pooled, false)
     }
 }
 
 emba_nn::module_params!(TokenAggregationHead: scorer, classifier);
 
-/// Binary match head: a linear map from a pooled `[1, d]` representation to
-/// a single logit, trained with binary cross-entropy (the paper's BCEL term
+/// Binary match head: a linear map from pooled `[B, d]` representations to
+/// `[B, 1]` logits, trained with binary cross-entropy (the paper's BCEL term
 /// in Eq. 3).
 #[derive(Debug)]
 pub struct MatchHead {
@@ -98,15 +84,9 @@ impl MatchHead {
         self.proj.in_dim()
     }
 
-    /// `[1, 1]` match logit.
-    pub fn forward(&self, g: &Graph, pooled: Var) -> Var {
-        self.proj.forward(g, pooled)
-    }
-
-    /// The `[G, 1]` logits [`MatchHead::forward`] records for the `[G, dim]`
-    /// rows `pooled`, off the tape through `ex`.
-    pub(crate) fn logits(&self, ex: &mut Exec, pooled: &Buffer) -> Buffer {
-        ex.linear(&self.proj, pooled, false)
+    /// `[B, 1]` match logits of the `[B, dim]` rows `pooled`.
+    pub fn forward<O: Ops>(&self, o: &mut O, pooled: &O::V) -> O::V {
+        o.linear(&self.proj, pooled, false)
     }
 }
 
@@ -115,8 +95,9 @@ emba_nn::module_params!(MatchHead: proj);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emba_nn::eval::Tape;
     use emba_nn::Module;
-    use emba_tensor::Tensor;
+    use emba_tensor::{Graph, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -125,10 +106,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let head = TokenAggregationHead::new(8, 5, &mut rng);
         let g = Graph::new();
+        let tape = &mut Tape::new(&g, None);
         let tokens = g.leaf(Tensor::rand_normal(6, 8, 0.0, 1.0, &mut rng));
-        let (logits, weights) = head.forward_with_weights(&g, tokens);
-        assert_eq!(g.value(logits).shape(), (1, 5));
-        let w = g.value(weights);
+        let groups = RowGroups::from_lens(&[6]);
+        assert_eq!(g.value(head.forward_batch(tape, &tokens, &groups)).shape(), (1, 5));
+        let w = g.value(head.weights(tape, &tokens, &groups));
         assert_eq!(w.shape(), (6, 1));
         let total: f32 = w.data().iter().sum();
         assert!((total - 1.0).abs() < 1e-4);
@@ -148,6 +130,7 @@ mod tests {
             t[c] = 2.0;
             t
         };
+        let one_record = RowGroups::from_lens(&[5]);
         let mut last_loss = f32::INFINITY;
         for step in 0..300 {
             let c = step % classes;
@@ -157,7 +140,7 @@ mod tests {
             let flat: Vec<f32> = rows.into_iter().flatten().collect();
             let g = Graph::new();
             let tokens = g.leaf(Tensor::from_vec(5, h, flat));
-            let logits = head.forward(&g, tokens);
+            let logits = head.forward_batch(&mut Tape::new(&g, None), &tokens, &one_record);
             let loss = g.cross_entropy(logits, &[c]);
             last_loss = g.value(loss).item();
             let grads = g.backward(loss);
@@ -179,11 +162,13 @@ mod tests {
         ];
         let groups = RowGroups::from_lens(&[6, 2, 4]);
         let g = Graph::new();
+        let tape = &mut Tape::new(&g, None);
         let packed = g.leaf(Tensor::concat_rows(&records.iter().collect::<Vec<_>>()));
-        let batched = g.value(head.forward_batch(&g, packed, &groups));
+        let batched = g.value(head.forward_batch(tape, &packed, &groups));
         assert_eq!(batched.shape(), (3, 5));
         for (i, rec) in records.iter().enumerate() {
-            let single = g.value(head.forward(&g, g.leaf(rec.clone())));
+            let alone = RowGroups::from_lens(&[rec.rows()]);
+            let single = g.value(head.forward_batch(tape, &g.leaf(rec.clone()), &alone));
             for (x, y) in batched.row_slice(i).iter().zip(single.data()) {
                 assert!((x - y).abs() < 1e-5, "logits differ for record {i}");
             }
@@ -195,9 +180,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let head = MatchHead::new(16, &mut rng);
         let g = Graph::new();
-        let pooled = g.leaf(Tensor::rand_normal(1, 16, 0.0, 1.0, &mut rng));
-        let logit = head.forward(&g, pooled);
-        assert_eq!(g.value(logit).shape(), (1, 1));
+        let pooled = g.leaf(Tensor::rand_normal(3, 16, 0.0, 1.0, &mut rng));
+        let logit = head.forward(&mut Tape::new(&g, None), &pooled);
+        assert_eq!(g.value(logit).shape(), (3, 1));
         assert_eq!(head.dim(), 16);
     }
 
@@ -207,7 +192,7 @@ mod tests {
         let head = TokenAggregationHead::new(4, 2, &mut rng);
         let g = Graph::new();
         let pooled = g.leaf(Tensor::rand_normal(1, 4, 0.0, 1.0, &mut rng));
-        let logits = head.classify_pooled(&g, pooled);
+        let logits = head.classify_pooled(&mut Tape::new(&g, None), &pooled);
         assert_eq!(g.value(logits).shape(), (1, 2));
     }
 }

@@ -250,11 +250,11 @@ mod tests {
             let g = Graph::new();
             let out = model.forward_batch(&g, &[&ex], false, &mut rng);
             assert!(
-                out.match_probs[0].is_finite(),
+                out.inference.match_probs[0].is_finite(),
                 "{} produced a non-finite probability",
                 kind.name()
             );
-            assert_eq!(out.id1_preds.is_some(), kind.is_multitask(), "{}", kind.name());
+            assert_eq!(out.inference.id1_preds.is_some(), kind.is_multitask(), "{}", kind.name());
 
             let state = model.state();
             let &(_, tensors, shapes, values) =

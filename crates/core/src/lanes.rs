@@ -13,8 +13,8 @@ use emba_tensor::prof;
 ///
 /// The helper records into this thread's profiler report (see
 /// [`prof::lane`]); every other thread-local — the installed backend, the
-/// scratch pool — starts fresh on it, so a `work` that needs a backend
-/// installs it itself. A panic on the helper resumes on the caller.
+/// scratch pool — starts fresh on it, so a `work` that needs a backend is
+/// handed it as a value. A panic on the helper resumes on the caller.
 pub(crate) fn split<T: Sync, R: Send>(items: &[T], work: impl Fn(&[T]) -> Vec<R> + Sync) -> Vec<R> {
     if items.len() < 2 {
         return work(items);

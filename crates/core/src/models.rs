@@ -19,9 +19,9 @@
 //! | BERT / RoBERTa / DITTO | `[CLS]`           | none (single task)       |
 //! | JointMatcher   | `[CLS]` ‖ relevance ‖ numeric pools | none           |
 
-use emba_nn::eval::{Exec, Tape};
+use emba_nn::eval::{Exec, Ops, Tape};
 use emba_nn::{GraphStamp, Module};
-use emba_tensor::{backend, fwd, prof, Graph, RowGroups, Tensor, Var};
+use emba_tensor::{backend, prof, BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
 
 use crate::backbone::Backbone;
@@ -73,7 +73,15 @@ pub struct BatchOutput {
     /// Per-example loss values (computed off-tape from the logits), for
     /// epoch bookkeeping and non-finite aborts.
     pub example_losses: Vec<f32>,
-    /// Per-example match probabilities.
+    /// What [`Matcher::infer_batch`] returns for the same examples.
+    pub inference: Inference,
+}
+
+/// What one inference call over `B` examples returns.
+#[derive(Default)]
+pub struct Inference {
+    /// Per-example match probabilities; NaN where the match logit is not
+    /// finite.
     pub match_probs: Vec<f32>,
     /// Per-example RECORD1 entity-ID predictions (multi-task models only).
     pub id1_preds: Option<Vec<usize>>,
@@ -86,29 +94,14 @@ pub struct BatchOutput {
     pub gamma: Option<Tensor>,
 }
 
-/// What one inference call over `B` examples returns: everything
-/// [`BatchOutput`] holds but the losses.
-pub struct Inference {
-    /// Per-example match probabilities.
-    pub match_probs: Vec<f32>,
-    /// Per-example RECORD1 entity-ID predictions (multi-task models only).
-    pub id1_preds: Option<Vec<usize>>,
-    /// Per-example RECORD2 entity-ID predictions.
-    pub id2_preds: Option<Vec<usize>>,
-    /// Summed last-layer self-attention, populated only for `B = 1`.
-    pub attention: Option<Tensor>,
-    /// AOA γ over RECORD1 tokens, populated only for `B = 1`.
-    pub gamma: Option<Tensor>,
-}
-
 /// Object-safe interface every matcher implements.
 ///
 /// Training runs [`Matcher::forward_batch`] on the autodiff tape; joint
 /// inference ([`crate::evaluate`], [`crate::TrainedMatcher::predict_batch`])
 /// runs [`Matcher::infer_batch`], which returns the same probabilities bit
 /// for bit; the split path encodes records once with
-/// [`Matcher::encode_records_standalone`] and pairs them with
-/// [`Matcher::score_encoded_pairs`]. A matcher is `Sync`: a two-lane
+/// [`Matcher::encode_records`] and pairs them with [`Matcher::score_pairs`],
+/// each under the backend it is handed. A matcher is `Sync`: a two-lane
 /// [`crate::PairScorer`] runs the split path on two threads at once.
 pub trait Matcher: Module + Sync {
     /// Runs a mini-batch of examples through the model on one shared tape,
@@ -130,50 +123,55 @@ pub trait Matcher: Module + Sync {
     ///
     /// Eval mode draws no randomness, so this takes no RNG. The default
     /// implementation runs exactly that on a fresh tape.
-    /// [`TransformerMatcher`] runs its backbone through the forward-only
-    /// encoder under the thread's installed backend and only its heads on a
-    /// tape.
+    /// [`TransformerMatcher`] runs its backbone and heads forward only,
+    /// under the thread's installed backend, with no tape.
     fn infer_batch(&self, exs: &[&EncodedExample]) -> Inference {
         let g = Graph::new();
-        let BatchOutput { match_probs, id1_preds, id2_preds, attention, gamma, .. } =
-            self.forward_batch(&g, exs, false, &mut NoDraws);
+        let inference = self.forward_batch(&g, exs, false, &mut NoDraws).inference;
         g.recycle();
-        Inference { match_probs, id1_preds, id2_preds, attention, gamma }
+        inference
     }
 
-    /// Encodes standalone records for the encode-once catalog path: each
-    /// record is framed as `[CLS] ids [SEP]` (segment 0) and run through
-    /// the backbone in eval mode under the thread's installed backend; the
-    /// returned tensors are the `[mᵢ, h]` content-token representations `E`,
-    /// owned, so they can be cached. [`TransformerMatcher`] runs the
-    /// forward-only encoder and records nothing on `_g`. `_g` and `_stamp`
-    /// are unused and stay only because the frozen `benchmark/` calls these
-    /// signatures. Returns `None` when the model has no split scoring path
-    /// (its pair representation is not a pure function of per-record
-    /// encodings).
+    /// Encodes standalone records for the encode-once split path under
+    /// `backend`: each record is framed as `[CLS] ids [SEP]` (segment 0) and
+    /// run through the backbone in eval mode; the returned tensors are the
+    /// `[mᵢ, h]` content-token representations `E`, owned, so they can be
+    /// cached. Returns `None` when the model has no split path (its pair
+    /// representation is not a pure function of per-record encodings).
+    fn encode_records(&self, _records: &[&[usize]], _backend: BackendKind) -> Option<Vec<Tensor>> {
+        None
+    }
+
+    /// Scores candidate pairs of cached per-record encodings under `backend`
+    /// through the pair-combination module and match head only — no
+    /// backbone work. Probabilities match [`Matcher::forward_batch`]'s for
+    /// the same token representations. Returns `None` when unsupported (see
+    /// [`Matcher::encode_records`]).
+    fn score_pairs(&self, _pairs: &[(&Tensor, &Tensor)], _backend: BackendKind) -> Option<Vec<f32>> {
+        None
+    }
+
+    /// [`Matcher::encode_records`] under the backend installed on this
+    /// thread. `_g` and `_stamp` are unused and stay only because the frozen
+    /// `benchmark/` calls this signature.
     fn encode_records_standalone(
         &self,
         _g: &Graph,
         _stamp: GraphStamp,
-        _records: &[&[usize]],
+        records: &[&[usize]],
     ) -> Option<Vec<Tensor>> {
-        None
+        self.encode_records(records, backend::kind())
     }
 
-    /// Scores candidate pairs of cached per-record encodings through the
-    /// pair-combination module and match head only — no backbone work.
-    /// Probabilities match [`Matcher::forward_batch`]'s `match_probs` for
-    /// the same token representations. [`TransformerMatcher`] runs off the
-    /// tape and records nothing on `_g`; `_g` and `_stamp` stay as in
-    /// [`Matcher::encode_records_standalone`]. Returns `None` when
-    /// unsupported (see there).
+    /// [`Matcher::score_pairs`] under the backend installed on this thread;
+    /// `_g` and `_stamp` stay as in [`Matcher::encode_records_standalone`].
     fn score_encoded_pairs(
         &self,
         _g: &Graph,
         _stamp: GraphStamp,
-        _pairs: &[(&Tensor, &Tensor)],
+        pairs: &[(&Tensor, &Tensor)],
     ) -> Option<Vec<f32>> {
-        None
+        self.score_pairs(pairs, backend::kind())
     }
 
     /// Short display name (e.g. `"EMBA"`, `"JointBERT-S"`).
@@ -256,22 +254,22 @@ impl TransformerMatcher {
 
     /// Mean pool of positions (given as absolute row indices); falls back to
     /// the mean over `range` when `positions` is empty.
-    fn pool_positions(
-        g: &Graph,
-        tokens: Var,
+    fn pool_positions<O: Ops>(
+        o: &mut O,
+        tokens: &O::V,
         positions: &[usize],
         fallback: &std::ops::Range<usize>,
-    ) -> Var {
+    ) -> O::V {
         if positions.is_empty() {
-            let slice = g.slice_rows(tokens, fallback.start, fallback.end);
-            return g.mean_axis0(slice);
+            let slice = o.slice_rows(tokens, fallback.start, fallback.end);
+            return o.mean_axis0(&slice);
         }
-        let rows: Vec<Var> = positions
+        let rows: Vec<O::V> = positions
             .iter()
-            .map(|&p| g.slice_rows(tokens, p, p + 1))
+            .map(|&p| o.slice_rows(tokens, p, p + 1))
             .collect();
-        let stacked = g.concat_rows(&rows);
-        g.mean_axis0(stacked)
+        let stacked = o.concat_rows(&rows);
+        o.mean_axis0(&stacked)
     }
 
     /// Whether a head reads the pooled `[CLS]` form.
@@ -281,23 +279,24 @@ impl TransformerMatcher {
     }
 
     /// Every EM and aux head over the packed `[ΣT, h]` token rows of `exs`,
-    /// laid out by `groups` — the one place their arithmetic lives. Training
-    /// records it after the backbone on the training tape; inference on a
-    /// small tape whose input is a leaf of the forward-only encoder's rows.
-    fn heads(
+    /// laid out by `groups`, run by `o` — the one place their arithmetic
+    /// lives: training records it on the tape after the backbone, inference
+    /// runs it forward only. Returns the answers read back (no attention)
+    /// and the logits a loss reads.
+    fn heads<O: Ops>(
         &self,
-        g: &Graph,
-        tokens: Var,
+        o: &mut O,
+        tokens: &O::V,
         groups: &RowGroups,
         exs: &[&EncodedExample],
-    ) -> HeadLogits {
+    ) -> (Inference, Logits<O::V>) {
         let b = exs.len();
         // Only the strategies that read `[CLS]` run the pooler. It is
         // recorded ahead of the per-record gathers because the backward
         // sweep sums `tokens`' gradient over its readers in tape order:
         // moving it would change a `[CLS]` model's training bits.
-        let pooled = self.reads_cls().then(|| self.backbone.pool(g, tokens, groups));
-        let cls = || pooled.expect("reads_cls covers every [CLS] reader");
+        let pooled = self.reads_cls().then(|| self.backbone.pool(o, tokens, groups));
+        let cls = || pooled.as_ref().expect("reads_cls covers every [CLS] reader");
 
         // Row-packed per-record token matrices: one strided gather per side
         // for the whole batch instead of two `slice_rows` per example.
@@ -314,23 +313,23 @@ impl TransformerMatcher {
         }
         let g1 = RowGroups::from_lens(&left_lens);
         let g2 = RowGroups::from_lens(&right_lens);
-        let e1 = g.gather_rows(tokens, &left_rows);
-        let e2 = g.gather_rows(tokens, &right_rows);
+        let e1 = o.gather_rows(tokens, &left_rows);
+        let e2 = o.gather_rows(tokens, &right_rows);
 
-        // ----- EM representation -------------------------------------------------
+        // ----- EM representation (`None`: the pooled `[CLS]`) ---------------------
         let mut gamma = None;
         let em_repr = match self.em {
-            EmStrategy::Cls => cls(),
+            EmStrategy::Cls => None,
             EmStrategy::Aoa => {
                 let _scope = prof::scope("aoa");
-                let (pooled, pair_gamma) = g.aoa_pool(e1, &g1, e2, &g2);
+                let (pooled, pair_gamma) = o.aoa_pool(&e1, &g1, &e2, &g2);
                 gamma = Some(pair_gamma);
-                pooled
+                Some(pooled)
             }
             EmStrategy::TokenAvgConcat => {
-                let m1 = g.mean_rows_grouped(e1, &g1);
-                let m2 = g.mean_rows_grouped(e2, &g2);
-                g.concat_cols(&[m1, m2])
+                let m1 = o.mean_rows_grouped(&e1, &g1);
+                let m2 = o.mean_rows_grouped(&e2, &g2);
+                Some(o.concat_cols(&[m1, m2]))
             }
             EmStrategy::SurfCon => {
                 // The gated single-level matcher has no grouped kernel; the
@@ -339,17 +338,17 @@ impl TransformerMatcher {
                 for i in 0..b {
                     let (l0, l1) = g1.range(i);
                     let (r0, r1) = g2.range(i);
-                    let e1i = g.slice_rows(e1, l0, l1);
-                    let e2i = g.slice_rows(e2, r0, r1);
-                    let interaction = g.matmul_nt(e1i, e2i);
-                    let attn = g.softmax_rows(interaction);
-                    let context = g.matmul(attn, e2i); // [m, h]
-                    let gated = g.mul(e1i, context);
-                    let matched = g.mean_axis0(gated);
-                    let own = g.mean_axis0(e1i);
-                    rows.push(g.concat_cols(&[matched, own]));
+                    let e1i = o.slice_rows(&e1, l0, l1);
+                    let e2i = o.slice_rows(&e2, r0, r1);
+                    let interaction = o.matmul_nt(&e1i, &e2i);
+                    let attn = o.softmax_rows(interaction);
+                    let context = o.matmul(&attn, &e2i); // [m, h]
+                    let gated = o.mul(&e1i, &context);
+                    let matched = o.mean_axis0(&gated);
+                    let own = o.mean_axis0(&e1i);
+                    rows.push(o.concat_cols(&[matched, own]));
                 }
-                g.concat_rows(&rows)
+                Some(o.concat_rows(&rows))
             }
             EmStrategy::RelevanceNumeric => {
                 let numeric = self
@@ -378,15 +377,15 @@ impl TransformerMatcher {
                         }
                     }
                     let full = (s + pair.left.start)..(s + pair.right.end);
-                    let rel_pool = Self::pool_positions(g, tokens, &relevant, &full);
-                    let num_pool = Self::pool_positions(g, tokens, &numeric_pos, &full);
-                    let pooled_i = g.slice_rows(cls(), i, i + 1);
-                    rows.push(g.concat_cols(&[pooled_i, rel_pool, num_pool]));
+                    let rel_pool = Self::pool_positions(o, tokens, &relevant, &full);
+                    let num_pool = Self::pool_positions(o, tokens, &numeric_pos, &full);
+                    let pooled_i = o.slice_rows(cls(), i, i + 1);
+                    rows.push(o.concat_cols(&[pooled_i, rel_pool, num_pool]));
                 }
-                g.concat_rows(&rows)
+                Some(o.concat_rows(&rows))
             }
         };
-        let em = self.match_head.forward(g, em_repr); // [B, 1]
+        let em = self.match_head.forward(o, em_repr.as_ref().unwrap_or_else(cls)); // [B, 1]
 
         // ----- auxiliary entity-ID tasks -----------------------------------------
         let ids = (self.aux != AuxStrategy::None).then(|| {
@@ -395,8 +394,8 @@ impl TransformerMatcher {
             match self.aux {
                 AuxStrategy::None => unreachable!(),
                 AuxStrategy::Cls => (
-                    id1.classify_pooled(g, cls()),
-                    id2.classify_pooled(g, cls()),
+                    id1.classify_pooled(o, cls()),
+                    id2.classify_pooled(o, cls()),
                 ),
                 AuxStrategy::ClsSep => {
                     // Each first [SEP] sits immediately after its left record.
@@ -405,26 +404,40 @@ impl TransformerMatcher {
                         .enumerate()
                         .map(|(i, ex)| groups.start(i) + ex.pair.left.end)
                         .collect();
-                    let sep = g.gather_rows(tokens, &seps);
+                    let sep = o.gather_rows(tokens, &seps);
                     (
-                        id1.classify_pooled(g, cls()),
-                        id2.classify_pooled(g, sep),
+                        id1.classify_pooled(o, cls()),
+                        id2.classify_pooled(o, &sep),
                     )
                 }
-                AuxStrategy::TokenAvg => (
-                    id1.classify_pooled(g, g.mean_rows_grouped(e1, &g1)),
-                    id2.classify_pooled(g, g.mean_rows_grouped(e2, &g2)),
-                ),
+                AuxStrategy::TokenAvg => {
+                    let m1 = o.mean_rows_grouped(&e1, &g1);
+                    let logits1 = id1.classify_pooled(o, &m1);
+                    let m2 = o.mean_rows_grouped(&e2, &g2);
+                    (logits1, id2.classify_pooled(o, &m2))
+                }
                 AuxStrategy::TokenAttention => (
-                    id1.forward_batch(g, e1, &g1),
-                    id2.forward_batch(g, e2, &g2),
+                    id1.forward_batch(o, &e1, &g1),
+                    id2.forward_batch(o, &e2, &g2),
                 ),
             }
         });
-        // γ is a visualization: only a batch of one keeps it.
-        HeadLogits { em, ids, gamma: gamma.filter(|_| b == 1) }
+        let (id1_preds, id2_preds) = ids.as_ref().map(|(l1, l2)| (o.read(l1).argmax_rows(), o.read(l2).argmax_rows())).unzip();
+        let inference = Inference {
+            match_probs: match_probs(o.read(&em).data()),
+            id1_preds,
+            id2_preds,
+            attention: None,
+            // γ is a visualization: only a batch of one keeps it.
+            gamma: gamma.filter(|_| b == 1),
+        };
+        (inference, (em, ids))
     }
 }
+
+/// `[B, 1]` match logits and, for multi-task models, the `[B, classes]`
+/// RECORD1 and RECORD2 entity-ID logits.
+type Logits<V> = (V, Option<(V, V)>);
 
 impl Matcher for TransformerMatcher {
     fn forward_batch(
@@ -436,21 +449,21 @@ impl Matcher for TransformerMatcher {
     ) -> BatchOutput {
         assert!(!exs.is_empty(), "cannot run an empty batch");
         let b = exs.len();
-        let (tokens, groups, last_attention) = self.backbone.encode(&mut Tape::new(g, train.then_some(rng)), &pair_seqs(exs));
-        let heads = self.heads(g, tokens, &groups, exs);
-        let (match_probs, id1_preds, id2_preds) = heads.predictions(g);
+        let tape = &mut Tape::new(g, train.then_some(rng));
+        let (tokens, groups, last_attention) = self.backbone.encode(tape, &pair_seqs(exs));
+        let (mut inference, (em, ids)) = self.heads(tape, &tokens, &groups, exs);
 
         let targets: Vec<f32> = exs
             .iter()
             .map(|ex| if ex.is_match { 1.0 } else { 0.0 })
             .collect();
         // `bce_with_logits` averages over rows; rescale to the summed loss.
-        let mut loss = g.scale(g.bce_with_logits(heads.em, &targets), b as f32);
-        let logit_v = g.value(heads.em);
+        let mut loss = g.scale(g.bce_with_logits(em, &targets), b as f32);
+        let logit_v = g.value(em);
         let mut example_losses: Vec<f32> = (0..b)
             .map(|r| bce_loss_value(logit_v.get(r, 0), targets[r]))
             .collect();
-        if let Some((logits1, logits2)) = heads.ids {
+        if let Some((logits1, logits2)) = ids {
             let c1: Vec<usize> = exs.iter().map(|ex| ex.left_class).collect();
             let c2: Vec<usize> = exs.iter().map(|ex| ex.right_class).collect();
             let ce1 = g.scale(g.cross_entropy(logits1, &c1), b as f32);
@@ -466,43 +479,26 @@ impl Matcher for TransformerMatcher {
 
         // The visualization outputs inspect one example at a time; only a
         // batch of one materializes them.
-        let attention = (b == 1 && !last_attention.is_empty())
+        inference.attention = (b == 1 && !last_attention.is_empty())
             .then(|| emba_nn::MultiHeadAttention::summed_probs(g, &last_attention));
-        BatchOutput {
-            loss,
-            example_losses,
-            match_probs,
-            id1_preds,
-            id2_preds,
-            attention,
-            gamma: heads.gamma,
-        }
+        BatchOutput { loss, example_losses, inference }
     }
 
-    /// The backbone runs [`Backbone::encode_eval`] — the forward-only
-    /// encoder, under the backend installed on this thread (read once, here)
-    /// — and only the heads run on a tape, a small one whose input is a leaf
-    /// of the encoder's token rows: the heads [`Matcher::forward_batch`]
-    /// records, on the same values.
+    /// The backbone and the heads run forward only on one [`Exec`], under
+    /// the backend installed on this thread (read once, here): the
+    /// definitions [`Matcher::forward_batch`] records, on the same values,
+    /// with no tape.
     fn infer_batch(&self, exs: &[&EncodedExample]) -> Inference {
         assert!(!exs.is_empty(), "cannot run an empty batch");
-        let (tokens, groups, attention) = self.backbone.encode_eval(&pair_seqs(exs), backend::kind());
-        let g = Graph::new();
-        let heads = self.heads(&g, g.leaf(tokens), &groups, exs);
-        let (match_probs, id1_preds, id2_preds) = heads.predictions(&g);
-        g.recycle();
-        Inference { match_probs, id1_preds, id2_preds, attention, gamma: heads.gamma }
+        let ex = &mut Exec::new(backend::kind());
+        let (tokens, groups, attention) = self.backbone.encode_eval(ex, &pair_seqs(exs));
+        let (inference, _) = self.heads(ex, &tokens, &groups, exs);
+        Inference { attention, ..inference }
     }
 
-    /// Runs [`Backbone::encode_eval`] — the forward-only encoder, under the
-    /// backend installed on this thread (read once, here) — and records
-    /// nothing on `_g` (the frozen `benchmark/` calls this signature).
-    fn encode_records_standalone(
-        &self,
-        _g: &Graph,
-        _stamp: GraphStamp,
-        records: &[&[usize]],
-    ) -> Option<Vec<Tensor>> {
+    /// Runs [`Backbone::encode_eval`] — the forward-only encoder — on an
+    /// [`Exec`] under `backend`.
+    fn encode_records(&self, records: &[&[usize]], backend: BackendKind) -> Option<Vec<Tensor>> {
         if self.em != EmStrategy::Aoa {
             return None;
         }
@@ -524,10 +520,10 @@ impl Matcher for TransformerMatcher {
         let zeros = vec![0usize; framed.iter().map(Vec::len).max().unwrap_or(0)];
         let seqs: Vec<(&[usize], &[usize])> =
             framed.iter().map(|ids| (&ids[..], &zeros[..ids.len()])).collect();
-        let (tokens, groups, _) = self.backbone.encode_eval(&seqs, backend::kind());
+        let (tokens, groups, _) = self.backbone.encode_eval(&mut Exec::new(backend), &seqs);
         // Each record's content rows (specials stripped) into a tensor of its
         // own, which the caller may cache.
-        let h = tokens.cols();
+        let h = tokens.shape().1;
         let encodings = records
             .iter()
             .enumerate()
@@ -541,19 +537,11 @@ impl Matcher for TransformerMatcher {
         Some(encodings)
     }
 
-    /// The heads' AOA and match head with no tape: [`fwd::aoa_pool_into`]
-    /// reads the cached encodings where they lie, then the match head runs
-    /// through [`Exec`] under the backend installed on this thread — the
-    /// tape's kernel calls on the same operands, reported to the profiler
-    /// and the non-finite guard under its op names (`aoa_pool`, `linear`).
-    /// Records nothing on `_g` (the frozen `benchmark/` calls this
-    /// signature).
-    fn score_encoded_pairs(
-        &self,
-        _g: &Graph,
-        _stamp: GraphStamp,
-        pairs: &[(&Tensor, &Tensor)],
-    ) -> Option<Vec<f32>> {
+    /// The AOA pooling and match head of [`TransformerMatcher`]'s heads, run
+    /// forward only on an [`Exec`] under `backend`: the pooling reads the
+    /// cached encodings where they lie ([`Exec::aoa_pool_pairs`]), and the
+    /// logits are read back as the joint path reads them.
+    fn score_pairs(&self, pairs: &[(&Tensor, &Tensor)], backend: BackendKind) -> Option<Vec<f32>> {
         if self.em != EmStrategy::Aoa {
             return None;
         }
@@ -561,21 +549,13 @@ impl Matcher for TransformerMatcher {
             return Some(Vec::new());
         }
         let _scope = prof::scope("score_pairs");
-        let h = self.match_head.dim();
-        let mut ex = Exec::new(backend::kind());
-        let mut pooled = ex.buffer(pairs.len(), h);
-        {
+        let ex = &mut Exec::new(backend);
+        let pooled = {
             let _scope = prof::scope("aoa");
             let operands: Vec<(&[f32], &[f32])> = pairs.iter().map(|(a, b)| (a.data(), b.data())).collect();
-            fwd::aoa_pool_into(&operands, h, pooled.data_mut(), None);
-            fwd::note("aoa_pool", pooled.data(), (pairs.len(), h), || pairs.iter().flat_map(|(a, b)| [a.shape(), b.shape()]).collect());
-        }
-        let logits = self.match_head.logits(&mut ex, &pooled);
-        // Non-finite guard: sigmoid saturates ±∞ to a confident 0.0/1.0, so
-        // corrupted weights (NaN/Inf anywhere upstream) could otherwise leak
-        // out as plausible-looking probabilities. Surface them as NaN so the
-        // serving boundary can fail the request instead of answering it.
-        Some(logits.data().iter().map(|&z| if z.is_finite() { sigmoid(z) } else { f32::NAN }).collect())
+            ex.aoa_pool_pairs(&operands, self.match_head.dim(), None)
+        };
+        Some(match_probs(self.match_head.forward(ex, &pooled).data()))
     }
 
     fn name(&self) -> &str {
@@ -592,30 +572,6 @@ impl Matcher for TransformerMatcher {
 }
 
 emba_nn::module_params!(TransformerMatcher: backbone, match_head, id1_head, id2_head);
-
-/// What [`TransformerMatcher`]'s heads compute over one packed batch.
-struct HeadLogits {
-    /// `[B, 1]` match logits.
-    em: Var,
-    /// `[B, classes]` RECORD1 and RECORD2 entity-ID logits (multi-task
-    /// models only).
-    ids: Option<(Var, Var)>,
-    /// AOA γ over RECORD1 tokens, for a batch of one.
-    gamma: Option<Tensor>,
-}
-
-impl HeadLogits {
-    /// Match probabilities and entity-ID predictions, read off the logits.
-    fn predictions(&self, g: &Graph) -> (Vec<f32>, Option<Vec<usize>>, Option<Vec<usize>>) {
-        let em = g.value(self.em);
-        let probs = (0..em.rows()).map(|r| sigmoid(em.get(r, 0))).collect();
-        let (id1, id2) = self
-            .ids
-            .map(|(l1, l2)| (g.value(l1).argmax_rows(), g.value(l2).argmax_rows()))
-            .unzip();
-        (probs, id1, id2)
-    }
-}
 
 /// The RNG an eval-mode [`Matcher::forward_batch`] is handed: eval mode
 /// skips dropout and draws nothing, and a draw here would be a bug.
@@ -635,8 +591,13 @@ fn pair_seqs<'a>(exs: &[&'a EncodedExample]) -> Vec<(&'a [usize], &'a [usize])> 
     exs.iter().map(|ex| (&ex.pair.ids[..], &ex.pair.segments[..])).collect()
 }
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+/// Match probabilities of match logits: the one read-back of the match
+/// head, joint and split. A non-finite logit reads NaN: sigmoid saturates ±∞
+/// to a confident 0.0/1.0, so corrupted weights (NaN/Inf anywhere upstream)
+/// could otherwise leak out as plausible-looking probabilities, where NaN
+/// lets the serving boundary fail the request instead of answering it.
+fn match_probs(logits: &[f32]) -> Vec<f32> {
+    logits.iter().map(|&z| if z.is_finite() { 1.0 / (1.0 + (-z).exp()) } else { f32::NAN }).collect()
 }
 
 /// Stable single-logit BCE (same formula as `Graph::bce_with_logits`), used
@@ -719,8 +680,8 @@ mod tests {
             EmStrategy::RelevanceNumeric,
         ] {
             let out = run(em, AuxStrategy::None);
-            assert!(out.match_probs[0].is_finite() && (0.0..=1.0).contains(&out.match_probs[0]));
-            assert!(out.id1_preds.is_none());
+            assert!(out.inference.match_probs[0].is_finite() && (0.0..=1.0).contains(&out.inference.match_probs[0]));
+            assert!(out.inference.id1_preds.is_none());
         }
         for aux in [
             AuxStrategy::Cls,
@@ -729,27 +690,27 @@ mod tests {
             AuxStrategy::TokenAttention,
         ] {
             let out = run(EmStrategy::Cls, aux);
-            assert!(out.id1_preds.is_some() && out.id2_preds.is_some());
+            assert!(out.inference.id1_preds.is_some() && out.inference.id2_preds.is_some());
         }
     }
 
     #[test]
     fn aoa_exposes_gamma_over_record1() {
         let out = run(EmStrategy::Aoa, AuxStrategy::TokenAttention);
-        let gamma = out.gamma.expect("AOA must expose gamma");
+        let gamma = out.inference.gamma.expect("AOA must expose gamma");
         let total: f32 = gamma.data().iter().sum();
         assert!((total - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn non_aoa_has_no_gamma() {
-        assert!(run(EmStrategy::Cls, AuxStrategy::Cls).gamma.is_none());
+        assert!(run(EmStrategy::Cls, AuxStrategy::Cls).inference.gamma.is_none());
     }
 
     #[test]
     fn bert_models_expose_attention() {
         let out = run(EmStrategy::Cls, AuxStrategy::None);
-        let attn = out.attention.expect("transformer exposes attention");
+        let attn = out.inference.attention.expect("transformer exposes attention");
         assert_eq!(attn.rows(), attn.cols());
     }
 

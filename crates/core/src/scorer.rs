@@ -10,11 +10,11 @@
 //!
 //! # Launch policy
 //!
-//! Each step runs under the scorer's backend, in the order the batch
-//! arrived: [`PairScorer::resolve`] encodes a batch's misses with
-//! [`Matcher::encode_records_standalone`] in launches of at most
-//! `ENCODE_LAUNCH` records (a memory bound), and [`PairScorer::score`] runs
-//! [`Matcher::score_encoded_pairs`] — one attention-over-attention op that
+//! Each step hands the scorer's backend to the matcher, in the order the
+//! batch arrived: [`PairScorer::resolve`] encodes a batch's misses with
+//! [`Matcher::encode_records`] in launches of at most `ENCODE_LAUNCH`
+//! records (a memory bound), and [`PairScorer::score`] runs
+//! [`Matcher::score_pairs`] — one attention-over-attention op that
 //! reads the resolved encodings where they lie, pair by pair, in the order
 //! the pairs were given (a run of pairs with the same left record shares one
 //! packing of it, so sorted candidates score fastest). The grouped kernels
@@ -26,11 +26,11 @@
 //! # Lanes
 //!
 //! A scorer built by [`PairScorer::two_lanes`] splits each step's work in
-//! two halves: the caller runs one, a scoped helper thread (which installs
-//! the scorer's backend itself) the other, and the results are joined in the
-//! original order. That same composition independence makes the split
-//! invisible: probabilities, cache contents and cache counters equal a
-//! one-lane scorer's. The helper's profiler ops join the caller's report
+//! two halves: the caller runs one, a scoped helper thread the other, and
+//! the results are joined in the original order. The backend travels as an
+//! argument, so neither lane reads a thread-local one. That same
+//! composition independence makes the split invisible: probabilities, cache
+//! contents and cache counters equal a one-lane scorer's. The helper's profiler ops join the caller's report
 //! ([`emba_tensor::prof::absorb`]). [`PairScorer::new`] keeps one lane.
 //!
 //! # Poison policy
@@ -44,8 +44,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
-use emba_nn::GraphStamp;
-use emba_tensor::{backend, BackendKind, Graph, Tensor};
+use emba_tensor::{BackendKind, Tensor};
 
 use crate::enc_cache::EncodingCache;
 use crate::lanes;
@@ -88,9 +87,10 @@ pub struct PairScorer {
 }
 
 impl PairScorer {
-    /// A one-lane scorer holding at most `cache_capacity` encodings that runs
-    /// every graph under `backend`. Encodings cached under one backend are
-    /// not comparable with another's, so keep one scorer per backend.
+    /// A one-lane scorer holding at most `cache_capacity` encodings that
+    /// encodes and scores under `backend`. Encodings cached under one
+    /// backend are not comparable with another's, so keep one scorer per
+    /// backend.
     pub fn new(cache_capacity: usize, backend: BackendKind) -> Self {
         Self {
             cache: EncodingCache::new(cache_capacity),
@@ -129,15 +129,8 @@ impl PairScorer {
     /// probes at construction (and after every model swap) never pays
     /// quantization on a request.
     pub fn probe(&self, model: &dyn Matcher) -> bool {
-        let _backend = backend::install(self.backend);
-        let g = Graph::new();
-        let encs = model.encode_records_standalone(&g, GraphStamp::next(), &[&[0usize][..]]);
-        g.recycle();
-        let Some(encs) = encs else { return false };
-        let g = Graph::new();
-        let probs = model.score_encoded_pairs(&g, GraphStamp::next(), &[(&encs[0], &encs[0])]);
-        g.recycle();
-        probs.is_some()
+        let Some(encs) = model.encode_records(&[&[0usize][..]], self.backend) else { return false };
+        model.score_pairs(&[(&encs[0], &encs[0])], self.backend).is_some()
     }
 
     /// Step 1: gathers the encoding of every distinct key in `records`.
@@ -174,14 +167,7 @@ impl PairScorer {
         let recs: Vec<&[usize]> = misses.iter().map(|(_, ids)| ids.as_ref()).collect();
         let encs = self.on_lanes(&recs, |recs| {
             recs.chunks(ENCODE_LAUNCH)
-                .flat_map(|launch| {
-                    let g = Graph::new();
-                    let encs = model
-                        .encode_records_standalone(&g, GraphStamp::next(), launch)
-                        .expect(NO_SPLIT_PATH);
-                    g.recycle();
-                    encs
-                })
+                .flat_map(|launch| model.encode_records(launch, self.backend).expect(NO_SPLIT_PATH))
                 .collect()
         });
         for (&(key, _), enc) in misses.iter().zip(encs) {
@@ -215,28 +201,17 @@ impl PairScorer {
         let start = Instant::now();
         let encoding = |key: u64| resolved.encodings[&key].as_ref().expect("resolve encoded every miss");
         let operands: Vec<(&Tensor, &Tensor)> = pairs.into_iter().map(|(a, b)| (encoding(a), encoding(b))).collect();
-        let probs = self.on_lanes(&operands, |operands| {
-            let g = Graph::new();
-            let probs = model
-                .score_encoded_pairs(&g, GraphStamp::next(), operands)
-                .expect(NO_SPLIT_PATH);
-            g.recycle();
-            probs
-        });
+        let probs = self.on_lanes(&operands, |operands| model.score_pairs(operands, self.backend).expect(NO_SPLIT_PATH));
         (probs, start.elapsed())
     }
 
-    /// `work(items)` under this scorer's backend, split over two lanes
-    /// ([`lanes::split`]) if this scorer has them.
+    /// `work(items)`, split over two lanes ([`lanes::split`]) if this
+    /// scorer has them.
     fn on_lanes<T: Sync, R: Send>(&self, items: &[T], work: impl Fn(&[T]) -> Vec<R> + Sync) -> Vec<R> {
-        let run = |items: &[T]| {
-            let _backend = backend::install(self.backend);
-            work(items)
-        };
         if self.two_lanes {
-            lanes::split(items, run)
+            lanes::split(items, work)
         } else {
-            run(items)
+            work(items)
         }
     }
 }

@@ -1019,11 +1019,7 @@ pub(crate) mod tests {
             crate::models::BatchOutput {
                 loss: loss.expect("non-empty batch"),
                 example_losses: vec![f32::NAN; exs.len()],
-                match_probs: vec![0.5; exs.len()],
-                id1_preds: None,
-                id2_preds: None,
-                attention: None,
-                gamma: None,
+                inference: crate::models::Inference { match_probs: vec![0.5; exs.len()], ..Default::default() },
             }
         }
         fn name(&self) -> &str {

@@ -13,14 +13,18 @@
 //!
 //! The split path's score (`Matcher::score_encoded_pairs`), which runs with
 //! no tape, is held the same way to the tape ops it replaced, on every SIMD
-//! tier.
+//! tier, and so is the same route with the backend handed over as a value
+//! (`Matcher::{encode_records, score_pairs}`) while the other backend is
+//! installed on the thread. A non-finite match logit reads NaN on every
+//! route.
 //!
 //! Every parameter is perturbed first, so no zero bias or unit layer-norm
 //! gain can hide a wrong path.
 
 use emba_core::batching::plan_sub_batches;
-use emba_core::{EncodedExample, MatchHead, Matcher, ModelKind, PipelineConfig, TextPipeline, DEFAULT_DROPOUT};
+use emba_core::{EncodedExample, MatchHead, Matcher, ModelKind, PipelineConfig, TextPipeline, TrainedMatcher, DEFAULT_DROPOUT};
 use emba_datagen::{build, Dataset, DatasetId, PairExample, Record, Scale};
+use emba_nn::eval::Tape;
 use emba_nn::{GraphStamp, Module};
 use emba_tensor::{backend, simd, BackendKind, Graph, RowGroups, Tensor};
 use rand::rngs::StdRng;
@@ -60,9 +64,8 @@ fn short_pairs(ds: &Dataset) -> Vec<PairExample> {
         .collect()
 }
 
-/// `kind` built over `ds` with every parameter perturbed, and
-/// [`short_pairs`] encoded for it.
-fn model_and_chunk(kind: ModelKind, ds: &Dataset) -> (Box<dyn Matcher>, Vec<EncodedExample>) {
+/// `kind` built over `ds` with every parameter perturbed, and its pipeline.
+fn perturbed(kind: ModelKind, ds: &Dataset) -> (Box<dyn Matcher>, TextPipeline) {
     let pipe = TextPipeline::fit(
         ds,
         PipelineConfig { vocab_size: 1000, max_len: 64, serialization: kind.serialization() },
@@ -73,6 +76,12 @@ fn model_and_chunk(kind: ModelKind, ds: &Dataset) -> (Box<dyn Matcher>, Vec<Enco
         let (r, c) = p.value.shape();
         p.value = p.value.add(&Tensor::rand_normal(r, c, 0.0, 0.05, &mut rng));
     });
+    (model, pipe)
+}
+
+/// [`perturbed`]'s model, and [`short_pairs`] encoded for it.
+fn model_and_chunk(kind: ModelKind, ds: &Dataset) -> (Box<dyn Matcher>, Vec<EncodedExample>) {
+    let (model, pipe) = perturbed(kind, ds);
     (model, pipe.encode_split(&short_pairs(ds)))
 }
 
@@ -85,7 +94,7 @@ fn tape_bucketed(model: &dyn Matcher, exs: &[EncodedExample]) -> Vec<Answer> {
     for sub in plan {
         let batch: Vec<&EncodedExample> = sub.iter().map(|&j| &exs[j]).collect();
         let g = Graph::new();
-        let o = model.forward_batch(&g, &batch, false, &mut StdRng::seed_from_u64(0));
+        let o = model.forward_batch(&g, &batch, false, &mut StdRng::seed_from_u64(0)).inference;
         for (k, answer) in answers(&o.match_probs, &o.id1_preds, &o.id2_preds).into_iter().enumerate() {
             out[sub[k]] = Some(answer);
         }
@@ -118,7 +127,7 @@ fn infer_batch_is_the_tape_bit_for_bit() {
             // (b) One pair at a time.
             for (i, ex) in refs.iter().enumerate() {
                 let g = Graph::new();
-                let tape = model.forward_batch(&g, &[ex], false, &mut StdRng::seed_from_u64(0));
+                let tape = model.forward_batch(&g, &[ex], false, &mut StdRng::seed_from_u64(0)).inference;
                 let got = model.infer_batch(&[ex]);
                 assert_eq!(got.match_probs[0].to_bits(), tape.match_probs[0].to_bits(), "{what}: pair {i}");
                 assert_eq!(bits(&got.gamma), bits(&tape.gamma), "{what}: pair {i}'s gamma");
@@ -135,13 +144,20 @@ fn infer_batch_is_the_tape_bit_for_bit() {
     assert_eq!(with_attention, 13 * 2 * CHUNK);
 }
 
-/// `model`'s match head, rebuilt from its parameters: the first `[h, 1]`
-/// weight it visits and the bias after it (the backbone has no `[h, 1]`
-/// weight, and the entity-ID heads come after the match head).
+/// The visiting order of `model`'s match-head weight: its first `[h, 1]`
+/// parameter (the backbone has no `[h, 1]` weight, and the entity-ID heads
+/// come after the match head); the bias follows it.
+fn match_head_at(model: &dyn Matcher, h: usize) -> usize {
+    let mut shapes = Vec::new();
+    model.visit(&mut |p| shapes.push(p.value.shape()));
+    shapes.iter().position(|&s| s == (h, 1)).expect("the model has a match head")
+}
+
+/// `model`'s match head, rebuilt from its parameters.
 fn match_head_of(model: &dyn Matcher, h: usize) -> MatchHead {
     let mut params = Vec::new();
     model.visit(&mut |p| params.push(p.value.clone()));
-    let at = params.iter().position(|t| t.shape() == (h, 1)).expect("the model has a match head");
+    let at = match_head_at(model, h);
     let mut head = MatchHead::new(h, &mut StdRng::seed_from_u64(0));
     let mut own = params[at..at + 2].iter();
     head.visit_mut(&mut |p| p.value = own.next().expect("weight and bias").clone());
@@ -157,7 +173,7 @@ fn tape_score(head: &MatchHead, pairs: &[(&Tensor, &Tensor)]) -> Vec<u32> {
     let (e2, g2) = pack(pairs.iter().map(|p| p.1).collect());
     let g = Graph::new();
     let (pooled, _) = g.aoa_pool(g.leaf(e1), &g1, g.leaf(e2), &g2);
-    let logits = g.value(head.forward(&g, pooled));
+    let logits = g.value(head.forward(&mut Tape::new(&g, None), &pooled));
     let prob = |z: f32| if z.is_finite() { 1.0 / (1.0 + (-z).exp()) } else { f32::NAN };
     logits.data().iter().map(|&z| prob(z).to_bits()).collect()
 }
@@ -192,7 +208,50 @@ fn split_score_is_the_tape_bit_for_bit() {
                 assert!(g.is_empty(), "{what} on {tier:?}: the split path recorded {} nodes", g.len());
                 let got: Vec<u32> = got.iter().map(|p| p.to_bits()).collect();
                 assert_eq!(got, tape_score(&match_head_of(model.as_ref(), encs[0].cols()), &operands), "{what} on {tier:?}");
+
+                // The backend as an argument, the other one installed.
+                let other = if backend_kind == BackendKind::F32 { BackendKind::Int8 } else { BackendKind::F32 };
+                let _other = backend::install(other);
+                let encs = model.encode_records(&records, backend_kind).expect("EMBA has the split path");
+                let operands: Vec<(&Tensor, &Tensor)> = pairs.iter().map(|&(i, j)| (&encs[i], &encs[j])).collect();
+                let by_value = model.score_pairs(&operands, backend_kind).expect("EMBA has the split path");
+                assert_eq!(by_value.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), got, "{what} on {tier:?}, {other:?} installed");
             });
         }
+    }
+}
+
+/// A +∞ match-head bias makes every match logit +∞. The tape, joint
+/// inference, `predict_batch` and the split route all read it as NaN — a
+/// failed answer — and none as a confident match.
+#[test]
+fn an_infinite_match_logit_reads_nan_on_every_route() {
+    let ds = build(DatasetId::DblpScholar, Scale(0.02), 7);
+    let (mut model, pipeline) = perturbed(ModelKind::EmbaSb, &ds);
+    let h = model.encode_records(&[&[5]], BackendKind::F32).expect("EMBA has the split path")[0].cols();
+    let bias = match_head_at(model.as_ref(), h) + 1;
+    let mut at = 0;
+    model.visit_mut(&mut |p| {
+        if at == bias {
+            p.value = Tensor::full(1, 1, f32::INFINITY);
+        }
+        at += 1;
+    });
+    let trained = TrainedMatcher { pipeline, model, dropout: DEFAULT_DROPOUT, pos_fraction: 0.5 };
+    let pairs = &short_pairs(&ds)[..4];
+    let exs = trained.pipeline.encode_split(pairs);
+    let refs: Vec<&EncodedExample> = exs.iter().collect();
+    let all_nan = |probs: Vec<f32>| probs.iter().all(|p| p.is_nan());
+    for backend_kind in [BackendKind::F32, BackendKind::Int8] {
+        let _backend = backend::install(backend_kind);
+        let g = Graph::new();
+        assert!(all_nan(trained.model.forward_batch(&g, &refs, false, &mut StdRng::seed_from_u64(0)).inference.match_probs), "{backend_kind:?}: the tape");
+        assert!(all_nan(trained.model.infer_batch(&refs).match_probs), "{backend_kind:?}: infer_batch");
+        let records: Vec<(&Record, &Record)> = pairs.iter().map(|p| (&p.left, &p.right)).collect();
+        assert!(trained.predict_batch(&records).iter().all(|p| p.prob.is_nan()), "{backend_kind:?}: predict_batch");
+        let sides: Vec<&[usize]> = exs.iter().flat_map(|ex| [&ex.pair.ids[ex.pair.left.clone()], &ex.pair.ids[ex.pair.right.clone()]]).collect();
+        let encs = trained.model.encode_records(&sides, backend_kind).expect("EMBA has the split path");
+        let operands: Vec<(&Tensor, &Tensor)> = encs.chunks_exact(2).map(|e| (&e[0], &e[1])).collect();
+        assert!(all_nan(trained.model.score_pairs(&operands, backend_kind).expect("EMBA has the split path")), "{backend_kind:?}: the split route");
     }
 }

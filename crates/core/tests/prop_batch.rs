@@ -97,10 +97,10 @@ fn batched_outputs(
         let batch: Vec<&EncodedExample> = sub.iter().map(|&j| &exs[j]).collect();
         let g = Graph::new();
         let b = model.forward_batch(&g, &batch, false, &mut rng);
-        let id1 = b.id1_preds.as_ref().expect("multi-task model predicts ids");
-        let id2 = b.id2_preds.as_ref().expect("multi-task model predicts ids");
+        let id1 = b.inference.id1_preds.as_ref().expect("multi-task model predicts ids");
+        let id2 = b.inference.id2_preds.as_ref().expect("multi-task model predicts ids");
         for (k, &j) in sub.iter().enumerate() {
-            out[j] = (b.example_losses[k], b.match_probs[k], id1[k], id2[k]);
+            out[j] = (b.example_losses[k], b.inference.match_probs[k], id1[k], id2[k]);
         }
         g.recycle();
     }
@@ -120,9 +120,9 @@ fn per_example_outputs(
             g.recycle();
             (
                 loss,
-                o.match_probs[0],
-                o.id1_preds.expect("multi-task model predicts ids")[0],
-                o.id2_preds.expect("multi-task model predicts ids")[0],
+                o.inference.match_probs[0],
+                o.inference.id1_preds.expect("multi-task model predicts ids")[0],
+                o.inference.id2_preds.expect("multi-task model predicts ids")[0],
             )
         })
         .collect()
@@ -169,14 +169,14 @@ proptest! {
             let b = model.forward_batch(&gb, &[&ex], false, &mut rng);
             let b_loss = gb.value(b.loss).item();
             let out = (
-                a.match_probs[0].to_bits(),
+                a.inference.match_probs[0].to_bits(),
                 a_loss.to_bits(),
-                a.id1_preds.unwrap()[0],
-                a.id2_preds.unwrap()[0],
-                b.match_probs[0].to_bits(),
+                a.inference.id1_preds.unwrap()[0],
+                a.inference.id2_preds.unwrap()[0],
+                b.inference.match_probs[0].to_bits(),
                 b_loss.to_bits(),
-                b.id1_preds.unwrap()[0],
-                b.id2_preds.unwrap()[0],
+                b.inference.id1_preds.unwrap()[0],
+                b.inference.id2_preds.unwrap()[0],
             );
             ga.recycle();
             gb.recycle();

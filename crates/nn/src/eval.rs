@@ -1,16 +1,17 @@
-//! One forward, two interpreters. The encoder's layers are written once,
-//! generic over [`Ops`], and run by either of its two implementations:
+//! One forward, two interpreters. The encoder's layers and `emba_core`'s
+//! task heads are written once, generic over [`Ops`], and run by either of
+//! its two implementations:
 //!
 //! * [`Tape`] records each op on a [`Graph`] — the training path and the
 //!   bit-exact oracle (`tests/eval_bits.rs`);
 //! * [`Exec`] runs each op forward only into a pooled [`Buffer`], with no
-//!   graph node and no dropout — the serving path, and the one linear
-//!   dispatch (an f32 GEMM epilogue or the int8 tile) that `emba_core`'s
-//!   pair scorer shares.
+//!   graph node and no dropout — joint inference and the split path's
+//!   encode and pair score.
 //!
-//! Every [`Exec`] op is the tape op's own kernel call on the same operands in
-//! the same order, and reports to the profiler and the non-finite guard under
-//! the tape op's name through [`fwd::note`].
+//! Every [`Exec`] op is the tape op's own forward (a kernel call, a
+//! [`fwd`] loop, or a copy) on the same operands in the same order, and
+//! reports to the profiler and the non-finite guard under the tape op's name
+//! through [`fwd::note`].
 
 use std::ops::Range;
 
@@ -53,6 +54,55 @@ pub trait Ops {
 
     /// Inverted dropout with probability `p` while training; `x` otherwise.
     fn dropout(&mut self, x: Self::V, p: f32) -> Self::V;
+
+    /// Rows `rows` of `x`, in order.
+    fn gather_rows(&mut self, x: &Self::V, rows: &[usize]) -> Self::V;
+
+    /// Rows `r0..r1` of `x`.
+    fn slice_rows(&mut self, x: &Self::V, r0: usize, r1: usize) -> Self::V;
+
+    /// `parts` stacked top to bottom.
+    fn concat_rows(&mut self, parts: &[Self::V]) -> Self::V;
+
+    /// `parts` side by side.
+    fn concat_cols(&mut self, parts: &[Self::V]) -> Self::V;
+
+    /// The mean of `x`'s rows, `[1, cols]`.
+    fn mean_axis0(&mut self, x: &Self::V) -> Self::V;
+
+    /// The mean of each group's rows of `x`, `[G, cols]`.
+    fn mean_rows_grouped(&mut self, x: &Self::V, groups: &RowGroups) -> Self::V;
+
+    /// `a · b`.
+    fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+
+    /// `a · bᵀ`.
+    fn matmul_nt(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+
+    /// `a ⊙ b`, elementwise.
+    fn mul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+
+    /// `tanh` of each element.
+    fn tanh(&mut self, x: Self::V) -> Self::V;
+
+    /// Each row of `x` softmaxed.
+    fn softmax_rows(&mut self, x: Self::V) -> Self::V;
+
+    /// Each group's segment of the `[ΣT, 1]` column `x` softmaxed.
+    fn softmax_col_grouped(&mut self, x: Self::V, groups: &RowGroups) -> Self::V;
+
+    /// `Σ w[r] · x[r]` over each group's rows, `[G, cols]`, for a `[ΣT, 1]`
+    /// column of weights `w`.
+    fn weighted_sum_rows_grouped(&mut self, w: &Self::V, x: &Self::V, groups: &RowGroups) -> Self::V;
+
+    /// Attention-over-attention pooling of `G` pairs, pair `g` being group
+    /// `g` of `left` against group `g` of `right`: the `[G, h]` pooled rows
+    /// and every pair's γ, packed `[ΣM, 1]` (a plain tensor, nothing
+    /// differentiates through it).
+    fn aoa_pool(&mut self, left: &Self::V, left_groups: &RowGroups, right: &Self::V, right_groups: &RowGroups) -> (Self::V, Tensor);
+
+    /// The values of `x`, read back.
+    fn read(&self, x: &Self::V) -> Tensor;
 }
 
 /// The training interpreter: each op is a differentiable node on `g`.
@@ -111,6 +161,66 @@ impl Ops for Tape<'_> {
             None => x,
         }
     }
+
+    fn gather_rows(&mut self, x: &Var, rows: &[usize]) -> Var {
+        self.g.gather_rows(*x, rows)
+    }
+
+    fn slice_rows(&mut self, x: &Var, r0: usize, r1: usize) -> Var {
+        self.g.slice_rows(*x, r0, r1)
+    }
+
+    fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        self.g.concat_rows(parts)
+    }
+
+    fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        self.g.concat_cols(parts)
+    }
+
+    fn mean_axis0(&mut self, x: &Var) -> Var {
+        self.g.mean_axis0(*x)
+    }
+
+    fn mean_rows_grouped(&mut self, x: &Var, groups: &RowGroups) -> Var {
+        self.g.mean_rows_grouped(*x, groups)
+    }
+
+    fn matmul(&mut self, a: &Var, b: &Var) -> Var {
+        self.g.matmul(*a, *b)
+    }
+
+    fn matmul_nt(&mut self, a: &Var, b: &Var) -> Var {
+        self.g.matmul_nt(*a, *b)
+    }
+
+    fn mul(&mut self, a: &Var, b: &Var) -> Var {
+        self.g.mul(*a, *b)
+    }
+
+    fn tanh(&mut self, x: Var) -> Var {
+        self.g.tanh(x)
+    }
+
+    fn softmax_rows(&mut self, x: Var) -> Var {
+        self.g.softmax_rows(x)
+    }
+
+    fn softmax_col_grouped(&mut self, x: Var, groups: &RowGroups) -> Var {
+        self.g.softmax_col_grouped(x, groups)
+    }
+
+    fn weighted_sum_rows_grouped(&mut self, w: &Var, x: &Var, groups: &RowGroups) -> Var {
+        self.g.weighted_sum_rows_grouped(*w, *x, groups)
+    }
+
+    fn aoa_pool(&mut self, left: &Var, left_groups: &RowGroups, right: &Var, right_groups: &RowGroups) -> (Var, Tensor) {
+        self.g.aoa_pool(*left, left_groups, *right, right_groups)
+    }
+
+    fn read(&self, x: &Var) -> Tensor {
+        self.g.value(*x)
+    }
 }
 
 /// The forward-only interpreter of one launch: its backend, read once, and
@@ -148,7 +258,7 @@ impl Buffer {
     }
 
     /// The values, row-major, to fill in before any op reads them.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data[..self.rows * self.cols]
     }
 
@@ -172,7 +282,7 @@ impl Exec {
 
     /// A fresh `[rows, cols]` activation with arbitrary contents, for the
     /// caller to overwrite.
-    pub fn buffer(&mut self, rows: usize, cols: usize) -> Buffer {
+    fn buffer(&mut self, rows: usize, cols: usize) -> Buffer {
         Buffer { data: pool::take_uninit((rows * cols).next_power_of_two()), rows, cols, tag: self.tag() }
     }
 
@@ -181,6 +291,36 @@ impl Exec {
         self.tags += 1;
         self.tags
     }
+
+    /// A fresh `[rows, cols]` activation that `fill` writes every element
+    /// of, reported as the tape's `op` over `operands`.
+    fn run(&mut self, op: &'static str, (rows, cols): (usize, usize), operands: impl FnOnce() -> Vec<(usize, usize)>, fill: impl FnOnce(&mut [f32])) -> Buffer {
+        let mut out = self.buffer(rows, cols);
+        fill(out.data_mut());
+        fwd::note(op, out.data(), (rows, cols), operands);
+        out
+    }
+
+    /// `x` rewritten in place by `f`, reported as the tape's `op` on it; new
+    /// values, so a new tag.
+    fn in_place(&mut self, op: &'static str, mut x: Buffer, f: impl FnOnce(&mut [f32])) -> Buffer {
+        let shape = x.shape();
+        f(x.data_mut());
+        fwd::note(op, x.data(), shape, || vec![shape]);
+        x.tag = self.tag();
+        x
+    }
+
+    /// Attention-over-attention pooling of `pairs` of row-major width-`h`
+    /// token matrices `(E1, E2)`, read where they lie: the `[G, h]` pooled
+    /// rows of [`fwd::aoa_pool_into`], and every pair's γ into `gamma` when
+    /// given. [`Ops::aoa_pool`] runs it on groups of packed rows, the split
+    /// path's pair score on cached encodings.
+    pub fn aoa_pool_pairs(&mut self, pairs: &[(&[f32], &[f32])], h: usize, gamma: Option<&mut [f32]>) -> Buffer {
+        let rows = |e: &[f32]| (e.len() / h.max(1), h);
+        let operands = || pairs.iter().flat_map(|&(e1, e2)| [rows(e1), rows(e2)]).collect();
+        self.run("aoa_pool", (pairs.len(), h), operands, |out| fwd::aoa_pool_into(pairs, h, out, gamma))
+    }
 }
 
 impl Ops for Exec {
@@ -188,44 +328,36 @@ impl Ops for Exec {
 
     fn embedding(&mut self, table: &Embedding, ids: &[usize]) -> Buffer {
         let shape = table.weight.value.shape();
-        let mut out = self.buffer(ids.len(), shape.1);
-        fwd::embedding_into(table.weight.value.data(), shape, ids, out.data_mut());
-        fwd::note("embedding", out.data(), out.shape(), || vec![shape]);
-        out
+        self.run("embedding", (ids.len(), shape.1), || vec![shape], |out| fwd::embedding_into(table.weight.value.data(), shape, ids, out))
     }
 
-    fn add(&mut self, mut a: Buffer, b: Buffer) -> Buffer {
+    fn add(&mut self, a: Buffer, b: Buffer) -> Buffer {
         assert_eq!(a.shape(), b.shape(), "add: shape mismatch");
-        fwd::add_assign(a.data_mut(), b.data());
-        fwd::note("add", a.data(), a.shape(), || vec![b.shape(); 2]);
-        a.tag = self.tag();
-        a
+        self.in_place("add", a, |a| fwd::add_assign(a, b.data()))
     }
 
     fn layer_norm(&mut self, ln: &LayerNorm, x: Buffer) -> Buffer {
         let (m, h) = x.shape();
-        let mut out = self.buffer(m, h);
         let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
-        for (xr, or) in x.data().chunks_exact(h).zip(out.data_mut().chunks_exact_mut(h)) {
-            kernels::layer_norm_row(xr, gamma, beta, or);
-        }
-        note_layer_norm(&out);
-        out
+        self.run("layer_norm", (m, h), || vec![(m, h), (1, h), (1, h)], |out| {
+            for (xr, or) in x.data().chunks_exact(h).zip(out.chunks_exact_mut(h)) {
+                kernels::layer_norm_row(xr, gamma, beta, or);
+            }
+        })
     }
 
     /// The residual add is folded into the row pass and is no op of its own:
     /// each row of `residual` takes the sum, then normalizes into `x`'s row.
-    fn add_layer_norm(&mut self, ln: &LayerNorm, mut x: Buffer, mut residual: Buffer) -> Buffer {
+    fn add_layer_norm(&mut self, ln: &LayerNorm, x: Buffer, mut residual: Buffer) -> Buffer {
         assert_eq!(x.shape(), residual.shape(), "add_layer_norm: shape mismatch");
         let h = x.cols;
         let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
-        for (xr, rr) in x.data_mut().chunks_exact_mut(h).zip(residual.data_mut().chunks_exact_mut(h)) {
-            fwd::add_assign(rr, xr);
-            kernels::layer_norm_row(rr, gamma, beta, xr);
-        }
-        note_layer_norm(&x);
-        x.tag = self.tag();
-        x
+        self.in_place("layer_norm", x, |x| {
+            for (xr, rr) in x.chunks_exact_mut(h).zip(residual.data_mut().chunks_exact_mut(h)) {
+                fwd::add_assign(rr, xr);
+                kernels::layer_norm_row(rr, gamma, beta, xr);
+            }
+        })
     }
 
     /// The tape's [`Linear::forward`] (or `forward_gelu`) values, bit for
@@ -264,30 +396,122 @@ impl Ops for Exec {
     }
 
     fn attention_scores(&mut self, q: &Buffer, k: &Buffer, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Buffer {
-        let (n, w, d) = (groups.total(), groups.max_len(), cols.len());
-        let mut out = self.buffer(n, w);
-        fwd::attention_scores_grouped_into(q.data(), k.data(), q.cols, cols, scale, groups, out.data_mut());
-        fwd::note("attention_scores_grouped", out.data(), (n, w), || vec![(n, d); 2]);
-        out
+        let (n, d) = (groups.total(), cols.len());
+        self.run("attention_scores_grouped", (n, groups.max_len()), || vec![(n, d); 2], |out| {
+            fwd::attention_scores_grouped_into(q.data(), k.data(), q.cols, cols, scale, groups, out)
+        })
     }
 
     fn attend(&mut self, probs: &[Buffer], v: &Buffer, _dropout: f32, groups: &RowGroups) -> Buffer {
-        let (n, ld) = v.shape();
-        let mut out = self.buffer(n, ld);
         let heads: Vec<&[f32]> = probs.iter().map(Buffer::data).collect();
-        fwd::matmul_grouped_into(&heads, v.data(), ld, groups, out.data_mut());
-        fwd::note("matmul_grouped", out.data(), (n, ld), || probs.iter().map(Buffer::shape).chain([(n, ld)]).collect());
-        out
+        let operands = || probs.iter().map(Buffer::shape).chain([v.shape()]).collect();
+        self.run("matmul_grouped", v.shape(), operands, |out| fwd::matmul_grouped_into(&heads, v.data(), v.cols, groups, out))
     }
 
     fn dropout(&mut self, x: Buffer, _p: f32) -> Buffer {
         x
     }
-}
 
-fn note_layer_norm(out: &Buffer) {
-    let (m, h) = out.shape();
-    fwd::note("layer_norm", out.data(), (m, h), || vec![(m, h), (1, h), (1, h)]);
+    fn gather_rows(&mut self, x: &Buffer, rows: &[usize]) -> Buffer {
+        self.run("gather_rows", (rows.len(), x.cols), || vec![x.shape()], |out| fwd::gather_rows_into(x.data(), x.cols, rows, out))
+    }
+
+    fn slice_rows(&mut self, x: &Buffer, r0: usize, r1: usize) -> Buffer {
+        assert!(r0 <= r1 && r1 <= x.rows, "row slice {r0}..{r1} out of bounds for {} rows", x.rows);
+        self.run("slice_rows", (r1 - r0, x.cols), || vec![x.shape()], |out| out.copy_from_slice(&x.data()[r0 * x.cols..r1 * x.cols]))
+    }
+
+    fn concat_rows(&mut self, parts: &[Buffer]) -> Buffer {
+        let cols = parts.first().expect("concat_rows requires at least one input").cols;
+        assert!(parts.iter().all(|p| p.cols == cols), "concat_rows: column mismatch");
+        let rows = parts.iter().map(|p| p.rows).sum();
+        self.run("concat_rows", (rows, cols), || parts.iter().map(Buffer::shape).collect(), |out| {
+            let mut at = 0;
+            for p in parts {
+                out[at..at + p.data().len()].copy_from_slice(p.data());
+                at += p.data().len();
+            }
+        })
+    }
+
+    fn concat_cols(&mut self, parts: &[Buffer]) -> Buffer {
+        let rows = parts.first().expect("concat_cols requires at least one input").rows;
+        assert!(parts.iter().all(|p| p.rows == rows), "concat_cols: row mismatch");
+        let cols = parts.iter().map(|p| p.cols).sum();
+        self.run("concat_cols", (rows, cols), || parts.iter().map(Buffer::shape).collect(), |out| {
+            let mut at = 0;
+            for r in 0..rows {
+                for p in parts {
+                    out[at..at + p.cols].copy_from_slice(&p.data()[r * p.cols..(r + 1) * p.cols]);
+                    at += p.cols;
+                }
+            }
+        })
+    }
+
+    /// [`fwd::mean_rows_grouped_into`] over one group: `Tensor::mean_axis0`'s
+    /// own loop.
+    fn mean_axis0(&mut self, x: &Buffer) -> Buffer {
+        let all = RowGroups::from_lens(&[x.rows]);
+        self.run("mean_axis0", (1, x.cols), || vec![x.shape()], |out| fwd::mean_rows_grouped_into(x.data(), x.cols, &all, out))
+    }
+
+    fn mean_rows_grouped(&mut self, x: &Buffer, groups: &RowGroups) -> Buffer {
+        assert_eq!(groups.total(), x.rows, "mean_rows_grouped: groups cover {} rows, got {}", groups.total(), x.rows);
+        self.run("mean_rows_grouped", (groups.len(), x.cols), || vec![x.shape()], |out| fwd::mean_rows_grouped_into(x.data(), x.cols, groups, out))
+    }
+
+    fn matmul(&mut self, a: &Buffer, b: &Buffer) -> Buffer {
+        assert_eq!(a.cols, b.rows, "matmul: {:?} · {:?}", a.shape(), b.shape());
+        self.run("matmul", (a.rows, b.cols), || vec![a.shape(), b.shape()], |out| kernels::gemm_nn(a.rows, a.cols, b.cols, a.data(), b.data(), out))
+    }
+
+    fn matmul_nt(&mut self, a: &Buffer, b: &Buffer) -> Buffer {
+        assert_eq!(a.cols, b.cols, "matmul_nt: {:?} · {:?}ᵀ", a.shape(), b.shape());
+        self.run("matmul_nt", (a.rows, b.rows), || vec![a.shape(), b.shape()], |out| kernels::gemm_nt(a.rows, a.cols, b.rows, a.data(), b.data(), out))
+    }
+
+    fn mul(&mut self, a: &Buffer, b: &Buffer) -> Buffer {
+        assert_eq!(a.shape(), b.shape(), "mul: shape mismatch");
+        self.run("mul", a.shape(), || vec![a.shape(); 2], |out| {
+            for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
+                *o = x * y;
+            }
+        })
+    }
+
+    fn tanh(&mut self, x: Buffer) -> Buffer {
+        self.in_place("tanh", x, |x| x.iter_mut().for_each(|v| *v = v.tanh()))
+    }
+
+    fn softmax_rows(&mut self, x: Buffer) -> Buffer {
+        let cols = x.cols.max(1);
+        self.in_place("softmax_rows", x, |x| x.chunks_exact_mut(cols).for_each(|row| kernels::scaled_softmax_in_place(row, 1.0)))
+    }
+
+    fn softmax_col_grouped(&mut self, x: Buffer, groups: &RowGroups) -> Buffer {
+        assert_eq!(x.shape(), (groups.total(), 1), "softmax_col_grouped expects a [{}, 1] column", groups.total());
+        self.in_place("softmax_col_grouped", x, |x| fwd::softmax_col_grouped_in_place(x, groups))
+    }
+
+    fn weighted_sum_rows_grouped(&mut self, w: &Buffer, x: &Buffer, groups: &RowGroups) -> Buffer {
+        assert_eq!(w.shape(), (x.rows, 1), "weighted_sum_rows_grouped: weights must be [{}, 1]", x.rows);
+        assert_eq!(groups.total(), x.rows, "weighted_sum_rows_grouped: groups cover {} rows, got {}", groups.total(), x.rows);
+        let operands = || vec![w.shape(), x.shape()];
+        self.run("weighted_sum_rows_grouped", (groups.len(), x.cols), operands, |out| fwd::weighted_sum_rows_grouped_into(w.data(), x.data(), x.cols, groups, out))
+    }
+
+    fn aoa_pool(&mut self, left: &Buffer, left_groups: &RowGroups, right: &Buffer, right_groups: &RowGroups) -> (Buffer, Tensor) {
+        let h = left.cols;
+        assert_eq!(right.cols, h, "aoa_pool: width mismatch {} vs {h}", right.cols);
+        let mut gamma = vec![0.0; left_groups.total()];
+        let pooled = self.aoa_pool_pairs(&fwd::aoa_operands(left.data(), left_groups, right.data(), right_groups, h), h, Some(&mut gamma));
+        (pooled, Tensor::from_vec(gamma.len(), 1, gamma))
+    }
+
+    fn read(&self, x: &Buffer) -> Tensor {
+        x.to_tensor()
+    }
 }
 
 /// Head 0 + head 1 + … of per-head `[rows, W]` probabilities, in head order:

@@ -8,7 +8,7 @@
 //! tanh pooler over `[CLS]` — is present so the EMBA/JointBERT heads built
 //! on top match the paper exactly.
 
-use emba_tensor::{Graph, RowGroups, Var};
+use emba_tensor::RowGroups;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -229,13 +229,14 @@ impl BertEncoder {
         (x, groups, last_attention)
     }
 
-    /// BERT's pooler on the tape: `tanh(W · h_[CLS] + b)` for each sequence
+    /// BERT's pooler, run by `o`: `tanh(W · h_[CLS] + b)` for each sequence
     /// of the packed `[ΣT, hidden]` `tokens` laid out by `groups`, as a
     /// `[B, hidden]` matrix (row `i` belongs to sequence `i`).
-    pub fn pool(&self, g: &Graph, tokens: Var, groups: &RowGroups) -> Var {
+    pub fn pool<O: Ops>(&self, o: &mut O, tokens: &O::V, groups: &RowGroups) -> O::V {
         let starts: Vec<usize> = (0..groups.len()).map(|i| groups.start(i)).collect();
-        let cls = g.gather_rows(tokens, &starts);
-        g.tanh(self.pooler.forward(g, cls))
+        let cls = o.gather_rows(tokens, &starts);
+        let projected = o.linear(&self.pooler, &cls, false);
+        o.tanh(projected)
     }
 
     /// Row-packs `seqs`: ids, positions restarting at 0 per sequence,
@@ -284,6 +285,7 @@ crate::module_params!(BertEncoder: token_emb, position_emb, segment_emb, emb_nor
 mod tests {
     use super::*;
     use crate::eval::Tape;
+    use emba_tensor::{Graph, Var};
     use crate::param::Module;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -309,7 +311,7 @@ mod tests {
         let g = Graph::new();
         let (tokens, _, last_attention) = forward_one(&enc, &g, &[2, 5, 9, 3], &[0, 0, 1, 1]);
         assert_eq!(g.value(tokens).shape(), (4, 16));
-        let pooled = enc.pool(&g, tokens, &RowGroups::from_lens(&[4]));
+        let pooled = enc.pool(&mut Tape::new(&g, None), &tokens, &RowGroups::from_lens(&[4]));
         assert_eq!(g.value(pooled).shape(), (1, 16));
         assert_eq!(last_attention.len(), 2);
     }
@@ -339,7 +341,7 @@ mod tests {
         let mut enc = encoder(5);
         let g = Graph::new();
         let (tokens, ..) = forward_one(&enc, &g, &[1, 2, 3, 4], &[0, 0, 1, 1]);
-        let pooled = enc.pool(&g, tokens, &RowGroups::from_lens(&[4]));
+        let pooled = enc.pool(&mut Tape::new(&g, None), &tokens, &RowGroups::from_lens(&[4]));
         let combined = g.concat_rows(&[tokens, pooled]);
         let sq = g.mul(combined, combined);
         let loss = g.mean_all(sq);
@@ -369,7 +371,7 @@ mod tests {
         ];
         let (batch, groups, batch_attention) = forward_eval(&enc, &g, &seqs);
         let tokens = g.value(batch);
-        let pooled = g.value(enc.pool(&g, batch, &groups));
+        let pooled = g.value(enc.pool(&mut Tape::new(&g, None), &batch, &groups));
         assert_eq!(tokens.shape(), (11, 16));
         assert_eq!(pooled.shape(), (3, 16));
         for p in &batch_attention {
@@ -386,7 +388,7 @@ mod tests {
             for (r, rr) in (r0..r1).enumerate() {
                 assert_eq!(bits(tokens.row_slice(rr)), bits(st.row_slice(r)), "tokens differ for sequence {i}");
             }
-            let single_pooled = enc.pool(&g, single, &RowGroups::from_lens(&[ids.len()]));
+            let single_pooled = enc.pool(&mut Tape::new(&g, None), &single, &RowGroups::from_lens(&[ids.len()]));
             assert_eq!(bits(pooled.row_slice(i)), bits(g.value(single_pooled).data()), "pooled differs for sequence {i}");
             // Per-head probabilities of the last layer: `[T, T]` alone, the
             // same values in the sequence's rows of the batch's `[ΣT, W]`.

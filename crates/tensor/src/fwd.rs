@@ -1,15 +1,16 @@
 //! Forward loops shared by the autodiff tape and the forward-only paths.
 //!
 //! Each function here is the one copy of an op's forward arithmetic over
-//! plain slices. The tape op ([`Graph::embedding`](crate::Graph::embedding),
+//! plain slices. The tape op of the same name ([`Graph::embedding`](crate::Graph::embedding),
 //! [`Graph::add`](crate::Graph::add),
 //! [`Graph::attention_scores_grouped`](crate::Graph::attention_scores_grouped),
 //! [`Graph::matmul_grouped`](crate::Graph::matmul_grouped),
-//! [`Graph::aoa_pool`](crate::Graph::aoa_pool)) calls it on its parents'
-//! values and records a node; `emba_nn`'s forward-only encoder and
-//! `emba_core`'s pair scorer call it on their own buffers and record only
-//! what [`note`] writes. The kernels, their order and their operands are the
-//! same, so the tape is the bit-exact oracle of both.
+//! [`Graph::aoa_pool`](crate::Graph::aoa_pool), the grouped reductions and
+//! [`Graph::gather_rows`](crate::Graph::gather_rows)) calls it on its
+//! parents' values and records a node; `emba_nn`'s forward-only interpreter
+//! calls it on its own buffers and records only what [`note`] writes. The
+//! kernels, their order and their operands are the same, so the tape is the
+//! bit-exact oracle of both.
 
 use std::ops::Range;
 
@@ -54,6 +55,65 @@ pub fn add_assign(acc: &mut [f32], b: &[f32]) {
     assert_eq!(acc.len(), b.len(), "add: {} vs {} elements", acc.len(), b.len());
     for (a, &x) in acc.iter_mut().zip(b) {
         *a += x;
+    }
+}
+
+/// Rows `rows` of the row-major width-`n` matrix `x`, in order, into `out`
+/// (`rows.len() × n`).
+///
+/// # Panics
+///
+/// Panics if a row is out of bounds.
+pub fn gather_rows_into(x: &[f32], n: usize, rows: &[usize], out: &mut [f32]) {
+    let m = x.len() / n.max(1);
+    for (&r, dst) in rows.iter().zip(out.chunks_exact_mut(n.max(1))) {
+        assert!(r < m, "gather_rows: row {r} out of bounds for {m} rows");
+        dst.copy_from_slice(&x[r * n..(r + 1) * n]);
+    }
+}
+
+/// Each group's mean of the width-`n` rows of `x` packed by `groups`, into
+/// `out` (`[G, n]`, every element written): the rows summed in order from
+/// zero, then scaled by `1/T`; an empty group's row is zero.
+pub fn mean_rows_grouped_into(x: &[f32], n: usize, groups: &RowGroups, out: &mut [f32]) {
+    for (gi, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        let (r0, r1) = groups.range(gi);
+        orow.fill(0.0);
+        for xrow in x[r0 * n..r1 * n].chunks_exact(n.max(1)) {
+            for (o, &v) in orow.iter_mut().zip(xrow) {
+                *o += v;
+            }
+        }
+        if r1 > r0 {
+            let inv = 1.0 / (r1 - r0) as f32;
+            orow.iter_mut().for_each(|o| *o *= inv);
+        }
+    }
+}
+
+/// Each group's `Σ_r w[r] · x[r]` over the width-`n` rows of `x` packed by
+/// `groups`, `w` one weight per row, into `out` (`[G, n]`, every element
+/// written). A one-row `wᵀ·X` through the GEMM tile would pack `X` and
+/// compute six rows to keep one; this is the tile's own FMA chain (`r`
+/// ascending from zero) for that row, so it agrees bit for bit with
+/// `matmul_tn`.
+pub fn weighted_sum_rows_grouped_into(w: &[f32], x: &[f32], n: usize, groups: &RowGroups, out: &mut [f32]) {
+    for (gi, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        let (r0, r1) = groups.range(gi);
+        orow.fill(0.0);
+        for (&wr, xrow) in w[r0..r1].iter().zip(x[r0 * n..r1 * n].chunks_exact(n.max(1))) {
+            for (o, &xv) in orow.iter_mut().zip(xrow) {
+                *o = wr.mul_add(xv, *o);
+            }
+        }
+    }
+}
+
+/// Each group's segment of the packed column `x` (one value per row)
+/// softmaxed in place.
+pub fn softmax_col_grouped_in_place(x: &mut [f32], groups: &RowGroups) {
+    for (r0, r1) in groups.blocks() {
+        kernels::scaled_softmax_in_place(&mut x[r0..r1], 1.0);
     }
 }
 
@@ -124,6 +184,27 @@ pub fn aoa_pool_into(pairs: &[(&[f32], &[f32])], h: usize, pooled: &mut [f32], m
         }
         at += ws.gamma.len();
     });
+}
+
+/// Every pair's operands for [`aoa_pool_into`]: group `g`'s rows of the
+/// packed width-`h` `left` (`E1`s laid out by `left_groups`) and of `right`
+/// (`E2`s laid out by `right_groups`).
+///
+/// # Panics
+///
+/// Panics if there are no pairs, the sides differ in group count, or a
+/// side's groups do not cover its rows.
+pub fn aoa_operands<'a>(left: &'a [f32], left_groups: &RowGroups, right: &'a [f32], right_groups: &RowGroups, h: usize) -> Vec<(&'a [f32], &'a [f32])> {
+    assert!(!left_groups.is_empty(), "aoa_pool: no pairs");
+    assert_eq!(left_groups.len(), right_groups.len(), "aoa_pool: {} left vs {} right groups", left_groups.len(), right_groups.len());
+    for (side, groups) in [(left, left_groups), (right, right_groups)] {
+        assert_eq!(groups.total() * h, side.len(), "aoa_pool: groups cover {} rows, the node has {}", groups.total(), side.len() / h.max(1));
+    }
+    let rows = |side: &'a [f32], groups: &RowGroups, i: usize| {
+        let (r0, r1) = groups.range(i);
+        &side[r0 * h..r1 * h]
+    };
+    (0..left_groups.len()).map(|i| (rows(left, left_groups, i), rows(right, right_groups, i))).collect()
 }
 
 /// The workspace of [`aoa_pairs`] at one pair's `m × n`, as that pair's

@@ -966,10 +966,7 @@ impl Graph {
         let va = self.value(a);
         let (m, n) = va.shape();
         let mut out = pool::take_uninit(rows.len() * n);
-        for (i, &r) in rows.iter().enumerate() {
-            assert!(r < m, "gather_rows: row {r} out of bounds for {m} rows");
-            out[i * n..(i + 1) * n].copy_from_slice(va.row_slice(r));
-        }
+        fwd::gather_rows_into(va.data(), n, rows, &mut out);
         let out = Tensor::from_vec(rows.len(), n, out);
         let rows = rows.to_vec();
         self.push("gather_rows",
@@ -1110,16 +1107,11 @@ impl Graph {
     pub fn aoa_pool(&self, left: Var, left_groups: &RowGroups, right: Var, right_groups: &RowGroups) -> (Var, Tensor) {
         let (v1, v2) = (self.value(left), self.value(right));
         let h = v1.cols();
-        assert!(!left_groups.is_empty(), "aoa_pool: no pairs");
-        assert_eq!(left_groups.len(), right_groups.len(), "aoa_pool: {} left vs {} right groups", left_groups.len(), right_groups.len());
         assert_eq!(v2.cols(), h, "aoa_pool: width mismatch {} vs {h}", v2.cols());
-        for (v, groups) in [(&v1, left_groups), (&v2, right_groups)] {
-            assert_eq!(groups.total(), v.rows(), "aoa_pool: groups cover {} rows, the node has {}", groups.total(), v.rows());
-        }
         let (lg, rg) = (left_groups.clone(), right_groups.clone());
         let mut pooled = pool::take_uninit(lg.len() * h);
         let mut gamma = pool::take_uninit(lg.total());
-        fwd::aoa_pool_into(&aoa_operands(&v1, &lg, &v2, &rg), h, &mut pooled, Some(&mut gamma));
+        fwd::aoa_pool_into(&fwd::aoa_operands(v1.data(), &lg, v2.data(), &rg, h), h, &mut pooled, Some(&mut gamma));
         let gamma = Tensor::from_vec(gamma.len(), 1, gamma);
         let charged = prof::enabled().then(|| (0..lg.len()).flat_map(|i| [(lg.len_of(i), h), (rg.len_of(i), h)]).collect());
         let pooled = self.push_node("aoa_pool",
@@ -1128,7 +1120,7 @@ impl Graph {
             Some(gamma.clone()),
             charged,
             Some(Box::new(move |g, sink| {
-                fwd::aoa_pairs(&aoa_operands(&v1, &lg, &v2, &rg), h, |idx, ws, e1, e2| {
+                fwd::aoa_pairs(&fwd::aoa_operands(v1.data(), &lg, v2.data(), &rg, h), h, |idx, ws, e1, e2| {
                     let (m, n) = (ws.gamma.len(), ws.beta_bar.len());
                     if m == 0 || n == 0 {
                         return;
@@ -1183,24 +1175,8 @@ impl Graph {
         let (ma, n) = vx.shape();
         assert_eq!(groups.total(), ma, "mean_rows_grouped: groups cover {} rows, got {ma}", groups.total());
         let gcount = groups.len();
-        let mut out = pool::take(gcount * n);
-        for gi in 0..gcount {
-            let (r0, r1) = groups.range(gi);
-            let t = r1 - r0;
-            if t == 0 {
-                continue;
-            }
-            let orow = &mut out[gi * n..(gi + 1) * n];
-            for r in r0..r1 {
-                for (o, &v) in orow.iter_mut().zip(&vx.data()[r * n..(r + 1) * n]) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / t as f32;
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
-        }
+        let mut out = pool::take_uninit(gcount * n);
+        fwd::mean_rows_grouped_into(vx.data(), n, groups, &mut out);
         let out = Tensor::from_vec(gcount, n, out);
         let groups = groups.clone();
         self.push("mean_rows_grouped",
@@ -1228,8 +1204,9 @@ impl Graph {
     }
 
     /// Per-group weighted sum of rows: `w: [ΣT, 1]`, `x: [ΣT, n]` →
-    /// `[G, n]` with `out[g] = Σ_{r ∈ g} w[r] · x[r]`. This is the batched
-    /// form of `weightsᵀ · tokens` pooling (AOA γᵀ·E1, attention heads).
+    /// `[G, n]` with `out[g] = Σ_{r ∈ g} w[r] · x[r]`
+    /// ([`fwd::weighted_sum_rows_grouped_into`]). This is the batched form
+    /// of `weightsᵀ · tokens` pooling (the token-aggregation head).
     pub fn weighted_sum_rows_grouped(&self, wv: Var, x: Var, groups: &RowGroups) -> Var {
         let vw = self.value(wv);
         let vx = self.value(x);
@@ -1237,18 +1214,8 @@ impl Graph {
         assert_eq!(vw.shape(), (ma, 1), "weighted_sum_rows_grouped: weights must be [{ma}, 1]");
         assert_eq!(groups.total(), ma, "weighted_sum_rows_grouped: groups cover {} rows, got {ma}", groups.total());
         let gcount = groups.len();
-        let mut out = pool::take(gcount * n);
-        // A one-row `wᵀ·X` through the GEMM tile would pack X and compute six
-        // rows to keep one; this is the tile's own FMA chain (`r` ascending
-        // from zero) for that row, so it agrees bit for bit with `matmul_tn`.
-        for (gi, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
-            let (r0, r1) = groups.range(gi);
-            for (&wr, xrow) in vw.data()[r0..r1].iter().zip(vx.data()[r0 * n..r1 * n].chunks_exact(n.max(1))) {
-                for (o, &xv) in orow.iter_mut().zip(xrow) {
-                    *o = wr.mul_add(xv, *o);
-                }
-            }
-        }
+        let mut out = pool::take_uninit(gcount * n);
+        fwd::weighted_sum_rows_grouped_into(vw.data(), vx.data(), n, groups, &mut out);
         let out = Tensor::from_vec(gcount, n, out);
         let groups = groups.clone();
         self.push("weighted_sum_rows_grouped",
@@ -1290,12 +1257,7 @@ impl Graph {
         assert_eq!(groups.total(), ma, "softmax_col_grouped: groups cover {} rows, got {ma}", groups.total());
         let mut out = pool::take_uninit(ma);
         out.copy_from_slice(vx.data());
-        for gi in 0..groups.len() {
-            let (r0, r1) = groups.range(gi);
-            if r1 > r0 {
-                kernels::scaled_softmax_in_place(&mut out[r0..r1], 1.0);
-            }
-        }
+        fwd::softmax_col_grouped_in_place(&mut out, groups);
         let out = Tensor::from_vec(ma, 1, out);
         let p = out.clone();
         let groups = groups.clone();
@@ -1527,15 +1489,6 @@ impl Graph {
             }
         }
     }
-}
-
-/// Every pair's operands: group `g`'s rows of `v1` and of `v2`.
-fn aoa_operands<'a>(v1: &'a Tensor, g1: &RowGroups, v2: &'a Tensor, g2: &RowGroups) -> Vec<(&'a [f32], &'a [f32])> {
-    let rows = |v: &'a Tensor, groups: &RowGroups, i: usize| {
-        let ((r0, r1), h) = (groups.range(i), v.cols());
-        &v.data()[r0 * h..r1 * h]
-    };
-    (0..g1.len()).map(|i| (rows(v1, g1, i), rows(v2, g2, i))).collect()
 }
 
 /// Jacobian-vector product of a row softmax: `dx = p ⊙ (g − rowdot(g, p))`,

@@ -454,15 +454,7 @@ impl Tensor {
     /// Mean over rows: `[m, n] -> [1, n]`.
     pub fn mean_axis0(&self) -> Self {
         let mut out = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row_slice(r)) {
-                *o += v;
-            }
-        }
-        let inv = 1.0 / self.rows.max(1) as f32;
-        for o in &mut out {
-            *o *= inv;
-        }
+        crate::fwd::mean_rows_grouped_into(&self.data, self.cols, &crate::RowGroups::from_lens(&[self.rows]), &mut out);
         Self::from_vec(1, self.cols, out)
     }
 

@@ -22,7 +22,7 @@ fi
 # tests that call them.
 stray_stamps=$(git grep -l -w GraphStamp -- crates examples src tests | grep -v -x -F \
     -e crates/nn/src/param.rs -e crates/nn/src/lib.rs \
-    -e crates/core/src/models.rs -e crates/core/src/scorer.rs \
+    -e crates/core/src/models.rs \
     -e crates/core/tests/catalog_matching.rs -e crates/core/tests/infer_bits.rs \
     -e crates/serve/tests/scoring_oracle.rs || true)
 if [ -n "$stray_stamps" ]; then
