@@ -87,7 +87,7 @@ impl DeepMatcher {
         let emb = self.embedding.forward(g, ids);
         let states = self.rnn.forward(g, emb);
         // Learned attention pooling over timesteps.
-        let scores = self.attn_scorer.forward(g, states); // [t, 1]
+        let scores = self.attn_scorer.forward(g, states, false); // [t, 1]
         let weights = g.softmax_rows(g.transpose(scores)); // [1, t]
         g.matmul(weights, states) // [1, 2h]
     }
@@ -134,8 +134,8 @@ impl DeepMatcher {
         let stacked = g.concat_rows(&comparisons);
         let aggregated = g.mean_axis0(stacked);
 
-        let hidden = g.relu(self.hidden_layer.forward(g, aggregated));
-        let logits = self.output_layer.forward(g, hidden);
+        let hidden = g.relu(self.hidden_layer.forward(g, aggregated, false));
+        let logits = self.output_layer.forward(g, hidden, false);
         let target = usize::from(ex.is_match);
         let loss = g.cross_entropy_weighted(logits, &[target], Some(&self.class_weights));
 

@@ -278,6 +278,12 @@ impl TransformerMatcher {
             || matches!(self.aux, AuxStrategy::Cls | AuxStrategy::ClsSep)
     }
 
+    /// Whether a head reads each record's own token rows.
+    fn reads_records(&self) -> bool {
+        matches!(self.em, EmStrategy::Aoa | EmStrategy::TokenAvgConcat | EmStrategy::SurfCon)
+            || matches!(self.aux, AuxStrategy::TokenAvg | AuxStrategy::TokenAttention)
+    }
+
     /// Every EM and aux head over the packed `[ΣT, h]` token rows of `exs`,
     /// laid out by `groups`, run by `o` — the one place their arithmetic
     /// lives: training records it on the tape after the backbone, inference
@@ -298,23 +304,26 @@ impl TransformerMatcher {
         let pooled = self.reads_cls().then(|| self.backbone.pool(o, tokens, groups));
         let cls = || pooled.as_ref().expect("reads_cls covers every [CLS] reader");
 
-        // Row-packed per-record token matrices: one strided gather per side
-        // for the whole batch instead of two `slice_rows` per example.
-        let mut left_rows = Vec::new();
-        let mut right_rows = Vec::new();
-        let mut left_lens = Vec::with_capacity(b);
-        let mut right_lens = Vec::with_capacity(b);
-        for (i, ex) in exs.iter().enumerate() {
-            let s = groups.start(i);
-            left_rows.extend(ex.pair.left.clone().map(|p| s + p));
-            right_rows.extend(ex.pair.right.clone().map(|p| s + p));
-            left_lens.push(ex.pair.left.len());
-            right_lens.push(ex.pair.right.len());
-        }
-        let g1 = RowGroups::from_lens(&left_lens);
-        let g2 = RowGroups::from_lens(&right_lens);
-        let e1 = o.gather_rows(tokens, &left_rows);
-        let e2 = o.gather_rows(tokens, &right_rows);
+        // Row-packed per-record token matrices, gathered only for the heads
+        // that read them: one strided gather per side for the whole batch
+        // instead of two `slice_rows` per example.
+        let sides = self.reads_records().then(|| {
+            let mut left_rows = Vec::new();
+            let mut right_rows = Vec::new();
+            let mut left_lens = Vec::with_capacity(b);
+            let mut right_lens = Vec::with_capacity(b);
+            for (i, ex) in exs.iter().enumerate() {
+                let s = groups.start(i);
+                left_rows.extend(ex.pair.left.clone().map(|p| s + p));
+                right_rows.extend(ex.pair.right.clone().map(|p| s + p));
+                left_lens.push(ex.pair.left.len());
+                right_lens.push(ex.pair.right.len());
+            }
+            let e1 = o.gather_rows(tokens, &left_rows);
+            let e2 = o.gather_rows(tokens, &right_rows);
+            (e1, RowGroups::from_lens(&left_lens), e2, RowGroups::from_lens(&right_lens))
+        });
+        let records = || sides.as_ref().expect("reads_records covers every record reader");
 
         // ----- EM representation (`None`: the pooled `[CLS]`) ---------------------
         let mut gamma = None;
@@ -322,24 +331,27 @@ impl TransformerMatcher {
             EmStrategy::Cls => None,
             EmStrategy::Aoa => {
                 let _scope = prof::scope("aoa");
-                let (pooled, pair_gamma) = o.aoa_pool(&e1, &g1, &e2, &g2);
+                let (e1, g1, e2, g2) = records();
+                let (pooled, pair_gamma) = o.aoa_pool(e1, g1, e2, g2);
                 gamma = Some(pair_gamma);
                 Some(pooled)
             }
             EmStrategy::TokenAvgConcat => {
-                let m1 = o.mean_rows_grouped(&e1, &g1);
-                let m2 = o.mean_rows_grouped(&e2, &g2);
+                let (e1, g1, e2, g2) = records();
+                let m1 = o.mean_rows_grouped(e1, g1);
+                let m2 = o.mean_rows_grouped(e2, g2);
                 Some(o.concat_cols(&[m1, m2]))
             }
             EmStrategy::SurfCon => {
                 // The gated single-level matcher has no grouped kernel; the
                 // pairs still share one backbone pass and are looped here.
+                let (e1, g1, e2, g2) = records();
                 let mut rows = Vec::with_capacity(b);
                 for i in 0..b {
                     let (l0, l1) = g1.range(i);
                     let (r0, r1) = g2.range(i);
-                    let e1i = o.slice_rows(&e1, l0, l1);
-                    let e2i = o.slice_rows(&e2, r0, r1);
+                    let e1i = o.slice_rows(e1, l0, l1);
+                    let e2i = o.slice_rows(e2, r0, r1);
                     let interaction = o.matmul_nt(&e1i, &e2i);
                     let attn = o.softmax_rows(interaction);
                     let context = o.matmul(&attn, &e2i); // [m, h]
@@ -411,15 +423,16 @@ impl TransformerMatcher {
                     )
                 }
                 AuxStrategy::TokenAvg => {
-                    let m1 = o.mean_rows_grouped(&e1, &g1);
+                    let (e1, g1, e2, g2) = records();
+                    let m1 = o.mean_rows_grouped(e1, g1);
                     let logits1 = id1.classify_pooled(o, &m1);
-                    let m2 = o.mean_rows_grouped(&e2, &g2);
+                    let m2 = o.mean_rows_grouped(e2, g2);
                     (logits1, id2.classify_pooled(o, &m2))
                 }
-                AuxStrategy::TokenAttention => (
-                    id1.forward_batch(o, &e1, &g1),
-                    id2.forward_batch(o, &e2, &g2),
-                ),
+                AuxStrategy::TokenAttention => {
+                    let (e1, g1, e2, g2) = records();
+                    (id1.forward_batch(o, e1, g1), id2.forward_batch(o, e2, g2))
+                }
             }
         });
         let (id1_preds, id2_preds) = ids.as_ref().map(|(l1, l2)| (o.read(l1).argmax_rows(), o.read(l2).argmax_rows())).unzip();

@@ -783,17 +783,13 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn tiny_model(vocab: usize, classes: usize, seed: u64) -> TransformerMatcher {
+        tiny_model_with("EMBA-tiny", EmStrategy::Aoa, AuxStrategy::TokenAttention, vocab, classes, seed)
+    }
+
+    fn tiny_model_with(name: &str, em: EmStrategy, aux: AuxStrategy, vocab: usize, classes: usize, seed: u64) -> TransformerMatcher {
         let mut rng = StdRng::seed_from_u64(seed);
         let backbone = Backbone::from_bert_config(emba_nn::BertConfig::tiny(vocab), true, &mut rng);
-        TransformerMatcher::new(
-            "EMBA-tiny",
-            backbone,
-            EmStrategy::Aoa,
-            AuxStrategy::TokenAttention,
-            classes,
-            None,
-            &mut rng,
-        )
+        TransformerMatcher::new(name, backbone, em, aux, classes, None, &mut rng)
     }
 
     #[test]
@@ -1074,10 +1070,10 @@ pub(crate) mod tests {
     /// Every per-step loss and the test F1 of a 2-epoch fine-tune, captured
     /// at the commit before the loop moved under [`Trainer`]: the refactor
     /// (and any later one) must leave the fine-tune path bit-identical.
-    #[test]
-    fn fine_tune_bits_are_pinned() {
-        let (train, valid, test, vocab, classes) = setup();
-        let mut model = tiny_model(vocab, classes, 5);
+    /// Fine-tunes `model` for two epochs on the `setup` splits and checks
+    /// its step losses, test F1 and final training loss bit for bit.
+    fn assert_fine_tune_bits(mut model: TransformerMatcher, steps: [u64; 6], f1: u64, final_loss: u64) {
+        let (train, valid, test, _, _) = setup();
         let cfg = TrainConfig {
             epochs: 2,
             lr: 1e-3,
@@ -1087,7 +1083,15 @@ pub(crate) mod tests {
         let mut obs = Recording::default();
         let report = train_matcher_observed(&mut model, &train, &valid, &test, &cfg, &mut obs);
         let bits: Vec<u64> = obs.step_losses.iter().map(|l| l.to_bits()).collect();
-        let pinned = [
+        assert_eq!(bits, steps, "step losses {:?}", obs.step_losses);
+        assert_eq!(report.test.matching.f1.to_bits(), f1);
+        assert_eq!(report.final_train_loss.to_bits(), final_loss);
+    }
+
+    #[test]
+    fn fine_tune_bits_are_pinned() {
+        let (_, _, _, vocab, classes) = setup();
+        let steps = [
             0x401de0ef98000000u64,
             0x4020a30de0000000,
             0x402026687c000000,
@@ -1095,9 +1099,24 @@ pub(crate) mod tests {
             0x401deb0338000000,
             0x401b1418d8000000,
         ];
-        assert_eq!(bits, pinned, "step losses {:?}", obs.step_losses);
-        assert_eq!(report.test.matching.f1.to_bits(), 0x3fdc71c71c71c71c);
-        assert_eq!(report.final_train_loss.to_bits(), 0x401cc7bb62aaaaab);
+        assert_fine_tune_bits(tiny_model(vocab, classes, 5), steps, 0x3fdc71c71c71c71c, 0x401cc7bb62aaaaab);
+    }
+
+    /// JointBERT's heads (`[CLS]` for the match and both entity-ID tasks):
+    /// a model whose heads read no record's own token rows.
+    #[test]
+    fn fine_tune_bits_are_pinned_cls() {
+        let (_, _, _, vocab, classes) = setup();
+        let model = tiny_model_with("JointBERT-tiny", EmStrategy::Cls, AuxStrategy::Cls, vocab, classes, 5);
+        let steps = [
+            0x401c1e6e78000000u64,
+            0x4020375d7c000000,
+            0x401e68a530000000,
+            0x401c180268000000,
+            0x401e700308000000,
+            0x401b8be968000000,
+        ];
+        assert_fine_tune_bits(model, steps, 0x3fd999999999999a, 0x401cb14f9d555555);
     }
 
     #[test]

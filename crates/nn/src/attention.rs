@@ -215,7 +215,7 @@ mod tests {
         let x = g.leaf(Tensor::rand_normal(9, 12, 0.0, 1.0, &mut rng));
         let groups = RowGroups::from_lens(&[2, 7]);
         let (_, probs) = eval_mode(&mha, &g, x, &groups);
-        let (q, k) = (mha.query.forward(&g, x), mha.key.forward(&g, x));
+        let (q, k) = (mha.query.forward(&g, x, false), mha.key.forward(&g, x, false));
         for (h, p) in probs.iter().enumerate() {
             let (qh, kh) = (g.slice_cols(q, 4 * h, 4 * h + 4), g.slice_cols(k, 4 * h, 4 * h + 4));
             let want = g.attention_scores_grouped(qh, kh, 0..4, 0.5, &groups);

@@ -15,7 +15,7 @@
 
 use std::ops::Range;
 
-use emba_tensor::kernels::{self, Epilogue};
+use emba_tensor::kernels;
 use emba_tensor::quant::{self, QuantizedRows};
 use emba_tensor::{fwd, pool, BackendKind, Graph, RowGroups, Tensor, Var};
 use rand::RngCore;
@@ -139,11 +139,7 @@ impl Ops for Tape<'_> {
     }
 
     fn linear(&mut self, lin: &Linear, x: &Var, gelu: bool) -> Var {
-        if gelu {
-            lin.forward_gelu(self.g, *x)
-        } else {
-            lin.forward(self.g, *x)
-        }
+        lin.forward(self.g, *x, gelu)
     }
 
     fn attention_scores(&mut self, q: &Var, k: &Var, cols: Range<usize>, scale: f32, groups: &RowGroups) -> Var {
@@ -321,6 +317,13 @@ impl Exec {
         let operands = || pairs.iter().flat_map(|&(e1, e2)| [rows(e1), rows(e2)]).collect();
         self.run("aoa_pool", (pairs.len(), h), operands, |out| fwd::aoa_pool_into(pairs, h, out, gamma))
     }
+
+    /// `parts` stacked by [`fwd::concat_into`], reported as the tape's `op`.
+    fn concat(&mut self, op: &'static str, parts: &[Buffer], side_by_side: bool) -> Buffer {
+        let views: Vec<_> = parts.iter().map(|p| (p.data(), p.shape())).collect();
+        let operands = || views.iter().map(|v| v.1).collect();
+        self.run(op, fwd::concat_shape(&views, side_by_side), operands, |out| fwd::concat_into(&views, side_by_side, out))
+    }
 }
 
 impl Ops for Exec {
@@ -339,11 +342,7 @@ impl Ops for Exec {
     fn layer_norm(&mut self, ln: &LayerNorm, x: Buffer) -> Buffer {
         let (m, h) = x.shape();
         let (gamma, beta) = (ln.gamma.value.data(), ln.beta.value.data());
-        self.run("layer_norm", (m, h), || vec![(m, h), (1, h), (1, h)], |out| {
-            for (xr, or) in x.data().chunks_exact(h).zip(out.chunks_exact_mut(h)) {
-                kernels::layer_norm_row(xr, gamma, beta, or);
-            }
-        })
+        self.run("layer_norm", (m, h), || vec![(m, h), (1, h), (1, h)], |out| fwd::layer_norm_into(x.data(), gamma, beta, out, None))
     }
 
     /// The residual add is folded into the row pass and is no op of its own:
@@ -360,17 +359,15 @@ impl Ops for Exec {
         })
     }
 
-    /// The tape's [`Linear::forward`] (or `forward_gelu`) values, bit for
-    /// bit, reported under the same op name: the int8 tile, on one
-    /// quantization of `x` however many linears read it, when the backend is
-    /// quantized and the layer big enough; an f32 GEMM with a bias (or bias
-    /// and GELU) epilogue otherwise.
+    /// The tape's [`Linear::forward`] values, bit for bit, reported under
+    /// the same op name: the int8 tile, on one quantization of `x` however
+    /// many linears read it, when the backend is quantized and the layer big
+    /// enough; [`fwd::linear_into`] otherwise.
     fn linear(&mut self, lin: &Linear, x: &Buffer, gelu: bool) -> Buffer {
         let (k, n) = lin.weight.value.shape();
         let m = x.rows;
         assert_eq!(x.cols, k, "linear: [{m}, {}] · {k}x{n}", x.cols);
         let mut out = self.buffer(m, n);
-        let bias = lin.bias.value.data();
         if self.quantized && lin.quantizable() {
             if self.q8_input != Some(x.tag) {
                 self.q8.requantize_rows(x.data(), (m, k));
@@ -381,16 +378,9 @@ impl Ops for Exec {
             fwd::note(op, out.data(), (m, n), || vec![(m, k)]);
             return out;
         }
-        let w = lin.weight.value.data();
-        let op = if gelu {
-            let mut pre = self.buffer(m, n);
-            let epilogue = Epilogue::BiasGelu { bias, pre: pre.data_mut() };
-            kernels::gemm_strided(m, k, n, x.data(), k, 1, w, n, 1, out.data_mut(), n, epilogue);
-            "linear_bias_gelu"
-        } else {
-            kernels::gemm_strided(m, k, n, x.data(), k, 1, w, n, 1, out.data_mut(), n, Epilogue::Bias(bias));
-            "linear"
-        };
+        let mut pre = gelu.then(|| self.buffer(m, n));
+        fwd::linear_into(x.data(), lin.weight.value.data(), (m, k, n), lin.bias.value.data(), pre.as_mut().map(Buffer::data_mut), out.data_mut());
+        let op = if gelu { "linear_bias_gelu" } else { "linear" };
         fwd::note(op, out.data(), (m, n), || vec![(m, k), (k, n), (1, n)]);
         out
     }
@@ -422,31 +412,11 @@ impl Ops for Exec {
     }
 
     fn concat_rows(&mut self, parts: &[Buffer]) -> Buffer {
-        let cols = parts.first().expect("concat_rows requires at least one input").cols;
-        assert!(parts.iter().all(|p| p.cols == cols), "concat_rows: column mismatch");
-        let rows = parts.iter().map(|p| p.rows).sum();
-        self.run("concat_rows", (rows, cols), || parts.iter().map(Buffer::shape).collect(), |out| {
-            let mut at = 0;
-            for p in parts {
-                out[at..at + p.data().len()].copy_from_slice(p.data());
-                at += p.data().len();
-            }
-        })
+        self.concat("concat_rows", parts, false)
     }
 
     fn concat_cols(&mut self, parts: &[Buffer]) -> Buffer {
-        let rows = parts.first().expect("concat_cols requires at least one input").rows;
-        assert!(parts.iter().all(|p| p.rows == rows), "concat_cols: row mismatch");
-        let cols = parts.iter().map(|p| p.cols).sum();
-        self.run("concat_cols", (rows, cols), || parts.iter().map(Buffer::shape).collect(), |out| {
-            let mut at = 0;
-            for r in 0..rows {
-                for p in parts {
-                    out[at..at + p.cols].copy_from_slice(&p.data()[r * p.cols..(r + 1) * p.cols]);
-                    at += p.cols;
-                }
-            }
-        })
+        self.concat("concat_cols", parts, true)
     }
 
     /// [`fwd::mean_rows_grouped_into`] over one group: `Tensor::mean_axis0`'s
@@ -457,7 +427,6 @@ impl Ops for Exec {
     }
 
     fn mean_rows_grouped(&mut self, x: &Buffer, groups: &RowGroups) -> Buffer {
-        assert_eq!(groups.total(), x.rows, "mean_rows_grouped: groups cover {} rows, got {}", groups.total(), x.rows);
         self.run("mean_rows_grouped", (groups.len(), x.cols), || vec![x.shape()], |out| fwd::mean_rows_grouped_into(x.data(), x.cols, groups, out))
     }
 

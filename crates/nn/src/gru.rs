@@ -43,8 +43,8 @@ impl GruCell {
     /// `[1, hidden]` state.
     pub fn step(&self, g: &Graph, x: Var, h: Var) -> Var {
         let hd = self.hidden;
-        let xi = self.input.forward(g, x); // [1, 3h]
-        let hz = self.hidden_zr.forward(g, h); // [1, 2h]
+        let xi = self.input.forward(g, x, false); // [1, 3h]
+        let hz = self.hidden_zr.forward(g, h, false); // [1, 2h]
 
         let xz = g.slice_cols(xi, 0, hd);
         let xr = g.slice_cols(xi, hd, 2 * hd);
@@ -55,7 +55,7 @@ impl GruCell {
         let z = g.sigmoid(g.add(xz, hzz));
         let r = g.sigmoid(g.add(xr, hzr));
         let rh = g.mul(r, h);
-        let n = g.tanh(g.add(xn, self.hidden_n.forward(g, rh)));
+        let n = g.tanh(g.add(xn, self.hidden_n.forward(g, rh, false)));
 
         // h' = (1 - z) ⊙ n + z ⊙ h  =  n + z ⊙ (h - n)
         let delta = g.mul(z, g.sub(h, n));

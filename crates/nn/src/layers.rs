@@ -96,27 +96,12 @@ impl Linear {
     }
 
     /// Applies the projection to an `[m, in]` input, producing `[m, out]`,
-    /// via the fused affine tape op.
-    pub fn forward(&self, g: &Graph, x: Var) -> Var {
+    /// followed by GELU when `gelu`, as one fused tape op.
+    pub fn forward(&self, g: &Graph, x: Var, gelu: bool) -> Var {
         if backend::kind().quantized() && self.quantizable() {
-            let q = self.quantized_weight();
-            return g.linear_q8(x, &q, &self.bias.value);
+            return g.linear_q8(x, &self.quantized_weight(), &self.bias.value, gelu);
         }
-        let w = self.weight.bind(g);
-        let b = self.bias.bind(g);
-        g.linear(x, w, b)
-    }
-
-    /// Applies the projection followed by GELU as one fused tape op,
-    /// producing `[m, out]`.
-    pub fn forward_gelu(&self, g: &Graph, x: Var) -> Var {
-        if backend::kind().quantized() && self.quantizable() {
-            let q = self.quantized_weight();
-            return g.linear_q8_gelu(x, &q, &self.bias.value);
-        }
-        let w = self.weight.bind(g);
-        let b = self.bias.bind(g);
-        g.linear_bias_gelu(x, w, b)
+        g.linear(x, self.weight.bind(g), self.bias.bind(g), gelu)
     }
 }
 
@@ -208,7 +193,7 @@ mod tests {
         lin.bias.value = Tensor::row(&[1.0, -1.0]);
         let g = Graph::new();
         let x = g.leaf(Tensor::ones(4, 3));
-        let y = lin.forward(&g, x);
+        let y = lin.forward(&g, x, false);
         let v = g.value(y);
         assert_eq!(v.shape(), (4, 2));
         assert_eq!(v.row_slice(0), &[1.0, -1.0]);
@@ -222,7 +207,7 @@ mod tests {
         let mut lin = Linear::new(2, 2, &mut rng);
         let g = Graph::new();
         let x = g.leaf(Tensor::ones(1, 2));
-        let y = lin.forward(&g, x);
+        let y = lin.forward(&g, x, false);
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         lin.accumulate_gradients(&grads);

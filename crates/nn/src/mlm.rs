@@ -35,10 +35,10 @@ impl MlmHead {
 
     /// Projects `[k, hidden]` masked-position states to `[k, vocab]` logits.
     pub fn forward(&self, g: &Graph, states: Var) -> Var {
-        let h = self.transform.forward(g, states);
+        let h = self.transform.forward(g, states, false);
         let h = g.gelu(h);
         let h = self.norm.forward(g, h);
-        self.decoder.forward(g, h)
+        self.decoder.forward(g, h, false)
     }
 }
 

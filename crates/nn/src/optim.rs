@@ -287,7 +287,7 @@ mod tests {
             lin.zero_grads();
             let g = Graph::new();
             let x = g.leaf(xs.clone());
-            let pred = lin.forward(&g, x);
+            let pred = lin.forward(&g, x, false);
             let diff = g.sub(pred, g.leaf(ys.clone()));
             let sq = g.mul(diff, diff);
             let loss = g.mean_all(sq);

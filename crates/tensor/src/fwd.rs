@@ -2,13 +2,19 @@
 //!
 //! Each function here is the one copy of an op's forward arithmetic over
 //! plain slices. The tape op of the same name ([`Graph::embedding`](crate::Graph::embedding),
-//! [`Graph::add`](crate::Graph::add),
+//! [`Graph::add`](crate::Graph::add), [`Graph::layer_norm`](crate::Graph::layer_norm),
+//! [`Graph::linear`](crate::Graph::linear) with or without GELU,
+//! [`Graph::concat_rows`](crate::Graph::concat_rows) and
+//! [`Graph::concat_cols`](crate::Graph::concat_cols) through the
+//! [`Tensor`](crate::Tensor) methods of those names,
 //! [`Graph::attention_scores_grouped`](crate::Graph::attention_scores_grouped),
 //! [`Graph::matmul_grouped`](crate::Graph::matmul_grouped),
 //! [`Graph::aoa_pool`](crate::Graph::aoa_pool), the grouped reductions and
 //! [`Graph::gather_rows`](crate::Graph::gather_rows)) calls it on its
 //! parents' values and records a node; `emba_nn`'s forward-only interpreter
 //! calls it on its own buffers and records only what [`note`] writes. The
+//! ops that are one kernel call or one elementwise map (`matmul`, `softmax_rows`,
+//! `mul`, `tanh`, `slice_rows`) call that kernel or map on both sides. The
 //! kernels, their order and their operands are the same, so the tape is the
 //! bit-exact oracle of both.
 
@@ -72,10 +78,69 @@ pub fn gather_rows_into(x: &[f32], n: usize, rows: &[usize], out: &mut [f32]) {
     }
 }
 
+/// The shape of `parts` (each `(values, (rows, cols))`) stacked top to
+/// bottom, or side by side when `side_by_side`, every part checked first.
+///
+/// # Panics
+///
+/// Panics if there are no parts, or they differ in width (in height, side
+/// by side).
+pub fn concat_shape(parts: &[(&[f32], (usize, usize))], side_by_side: bool) -> (usize, usize) {
+    let (_, (rows, cols)) = *parts.first().expect("concat requires at least one part");
+    let shapes = || parts.iter().map(|p| p.1);
+    if side_by_side {
+        assert!(shapes().all(|(r, _)| r == rows), "concat_cols: row mismatch {:?}", shapes().collect::<Vec<_>>());
+        (rows, shapes().map(|s| s.1).sum())
+    } else {
+        assert!(shapes().all(|(_, c)| c == cols), "concat_rows: column mismatch {:?}", shapes().collect::<Vec<_>>());
+        (shapes().map(|s| s.0).sum(), cols)
+    }
+}
+
+/// `parts` (each `(values, (rows, cols))`) stacked top to bottom into `out`,
+/// or side by side when `side_by_side`: row `r` of `out` is then row `r` of
+/// every part in turn. [`concat_shape`] checks the parts and sizes `out`.
+pub fn concat_into(parts: &[(&[f32], (usize, usize))], side_by_side: bool, out: &mut [f32]) {
+    // Stacking is the side-by-side copy of parts one row tall.
+    let rows = if side_by_side { parts[0].1 .0 } else { 1 };
+    let mut at = 0;
+    for r in 0..rows {
+        for (p, _) in parts {
+            let w = p.len() / rows;
+            out[at..at + w].copy_from_slice(&p[r * w..(r + 1) * w]);
+            at += w;
+        }
+    }
+}
+
+/// Each width-`n` row of `x` layer-normalized by `gamma` and `beta` (`n`
+/// each) into `out`, and its `(mean, 1/std)` into `stats` when given.
+pub fn layer_norm_into(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32], mut stats: Option<&mut [(f32, f32)]>) {
+    let n = gamma.len().max(1);
+    for (r, (xr, or)) in x.chunks_exact(n).zip(out.chunks_exact_mut(n)).enumerate() {
+        let st = kernels::layer_norm_row(xr, gamma, beta, or);
+        if let Some(stats) = stats.as_deref_mut() {
+            stats[r] = st;
+        }
+    }
+}
+
+/// `x · w + bias` (`[m, k] · [k, n]`, `bias` `n` long) into `out`, the bias
+/// added as each GEMM tile leaves its registers; with `pre`, GELU of it, the
+/// pre-activation kept in `pre`.
+pub fn linear_into(x: &[f32], w: &[f32], (m, k, n): (usize, usize, usize), bias: &[f32], pre: Option<&mut [f32]>, out: &mut [f32]) {
+    let epilogue = match pre {
+        Some(pre) => Epilogue::BiasGelu { bias, pre },
+        None => Epilogue::Bias(bias),
+    };
+    kernels::gemm_strided(m, k, n, x, k, 1, w, n, 1, out, n, epilogue);
+}
+
 /// Each group's mean of the width-`n` rows of `x` packed by `groups`, into
 /// `out` (`[G, n]`, every element written): the rows summed in order from
 /// zero, then scaled by `1/T`; an empty group's row is zero.
 pub fn mean_rows_grouped_into(x: &[f32], n: usize, groups: &RowGroups, out: &mut [f32]) {
+    assert_eq!(groups.total() * n, x.len(), "mean_rows_grouped: groups cover {} rows, got {}", groups.total(), x.len() / n.max(1));
     for (gi, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
         let (r0, r1) = groups.range(gi);
         orow.fill(0.0);
@@ -122,6 +187,9 @@ pub fn softmax_col_grouped_in_place(x: &mut [f32], groups: &RowGroups) {
 /// (`W = groups.max_len()`) and receives, in the rows of group `g`,
 /// `softmax_rows(scale · q_g · k_gᵀ)` in columns `0..T_g` and zeros beyond.
 pub fn attention_scores_grouped_into(q: &[f32], k: &[f32], ld: usize, cols: Range<usize>, scale: f32, groups: &RowGroups, out: &mut [f32]) {
+    assert_eq!(k.len(), q.len(), "attention_scores_grouped: q/k shape mismatch");
+    assert!(cols.start < cols.end && cols.end <= ld, "attention_scores_grouped: head {cols:?} outside width {ld}");
+    assert_eq!(groups.total() * ld, q.len(), "attention_scores_grouped: groups cover {} rows, q has {}", groups.total(), q.len() / ld);
     let (c0, d) = (cols.start, cols.len());
     let w = groups.max_len();
     for (r0, r1) in groups.blocks() {
@@ -140,6 +208,9 @@ pub fn attention_scores_grouped_into(q: &[f32], k: &[f32], ld: usize, cols: Rang
 /// V_{h,g}` in group `g`'s rows of head `h`'s columns — every element of it.
 pub fn matmul_grouped_into(probs: &[&[f32]], v: &[f32], ld: usize, groups: &RowGroups, out: &mut [f32]) {
     let w = groups.max_len();
+    assert!(!probs.is_empty() && ld.is_multiple_of(probs.len()), "matmul_grouped: {} heads do not divide width {ld}", probs.len());
+    assert_eq!(groups.total() * ld, v.len(), "matmul_grouped: groups cover {} rows, got {}", groups.total(), v.len() / ld);
+    assert!(probs.iter().all(|p| p.len() == groups.total() * w), "matmul_grouped: probs must be [{}, {w}]", groups.total());
     let d = ld / probs.len();
     for (r0, r1) in groups.blocks() {
         let t = r1 - r0;

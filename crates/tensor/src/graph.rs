@@ -438,39 +438,6 @@ impl Graph {
         )
     }
 
-    /// Adds a `[1, n]` bias row to every row of an `[m, n]` matrix.
-    pub fn add_bias(&self, x: Var, bias: Var) -> Var {
-        let vx = self.value(x);
-        let vb = self.value(bias);
-        assert_eq!(vb.rows(), 1, "add_bias: bias must be a [1, n] row vector");
-        assert_eq!(
-            vx.cols(),
-            vb.cols(),
-            "add_bias: width mismatch {} vs {}",
-            vx.cols(),
-            vb.cols()
-        );
-        let mut out = vx.clone();
-        {
-            let cols = out.cols();
-            let data = out.data_mut();
-            for r in 0..vx.rows() {
-                for c in 0..cols {
-                    data[r * cols + c] += vb.data()[c];
-                }
-            }
-        }
-        self.push("add_bias",
-            out,
-            vec![x.0, bias.0],
-            Some(Box::new(|g, sink| {
-                sink.add(0, g.clone());
-                // Bias gradient is the column sum of the upstream gradient.
-                sink.add(1, g.mean_axis0().scale(g.rows() as f32));
-            })),
-        )
-    }
-
     // ----- matrix products -------------------------------------------------------
 
     /// Matrix product `a · b`.
@@ -525,74 +492,46 @@ impl Graph {
     // boxed closures, and the extra full passes over the data in both
     // directions.
 
-    /// Fused affine map `x · w + bias` (one node instead of matmul + add_bias).
+    /// Fused affine map `x · w + bias`, recorded as `linear`, or with `gelu`
+    /// `gelu(x · w + bias)`, recorded as `linear_bias_gelu`: one node instead
+    /// of a product, a bias add and a GELU. The GELU's pre-activation is
+    /// saved for the backward pass.
     ///
     /// `bias` must be a `[1, n]` row matching the width of `w`.
-    pub fn linear(&self, x: Var, w: Var, bias: Var) -> Var {
-        let vx = self.value(x);
-        let vw = self.value(w);
-        let vb = self.value(bias);
+    pub fn linear(&self, x: Var, w: Var, bias: Var, gelu: bool) -> Var {
+        let (vx, vw, vb) = (self.value(x), self.value(w), self.value(bias));
         let (m, k, n) = affine_shape(&vx, &vw, &vb);
         let mut out = pool::take_uninit(m * n);
-        // The bias row is added as each GEMM tile leaves its registers.
-        kernels::gemm_strided(m, k, n, vx.data(), k, 1, vw.data(), n, 1, &mut out, n, Epilogue::Bias(vb.data()));
-        self.push("linear",
+        let mut pre = gelu.then(|| pool::take_uninit(m * n));
+        fwd::linear_into(vx.data(), vw.data(), (m, k, n), vb.data(), pre.as_deref_mut(), &mut out);
+        let pre = pre.map(|pre| Tensor::from_vec(m, n, pre));
+        self.push_node(if gelu { "linear_bias_gelu" } else { "linear" },
             Tensor::from_vec(m, n, out),
             vec![x.0, w.0, bias.0],
-            Some(Box::new(move |g, sink| {
-                sink.add(0, g.matmul_nt(&vw));
-                sink.add(1, vx.matmul_tn(g));
-                sink.add(2, col_sums(g));
-            })),
-        )
-    }
-
-    /// Fused `gelu(x · w + bias)` (one node instead of matmul + add_bias +
-    /// gelu). The pre-activation is saved for the backward pass.
-    pub fn linear_bias_gelu(&self, x: Var, w: Var, bias: Var) -> Var {
-        let vx = self.value(x);
-        let vw = self.value(w);
-        let vb = self.value(bias);
-        let (m, k, n) = affine_shape(&vx, &vw, &vb);
-        let mut out = pool::take_uninit(m * n);
-        let mut pre = pool::take_uninit(m * n);
-        let epilogue = Epilogue::BiasGelu { bias: vb.data(), pre: &mut pre };
-        kernels::gemm_strided(m, k, n, vx.data(), k, 1, vw.data(), n, 1, &mut out, n, epilogue);
-        let pre = Tensor::from_vec(m, n, pre);
-        self.push_node("linear_bias_gelu",
-            Tensor::from_vec(m, n, out),
-            vec![x.0, w.0, bias.0],
-            Some(pre.clone()),
+            pre.clone(),
             None,
             Some(Box::new(move |g, sink| {
-                // Gradient at the pre-activation, then the affine backward.
-                let dh = gelu_backward(&pre, g);
-                sink.add(0, dh.matmul_nt(&vw));
-                sink.add(1, vx.matmul_tn(&dh));
-                sink.add(2, col_sums(&dh));
-                dh.recycle();
+                // Through GELU first: the gradient at the pre-activation.
+                let dh = pre.as_ref().map(|pre| gelu_backward(pre, g));
+                let d = dh.as_ref().unwrap_or(g);
+                sink.add(0, d.matmul_nt(&vw));
+                sink.add(1, vx.matmul_tn(d));
+                sink.add(2, col_sums(d));
+                dh.into_iter().for_each(Tensor::recycle);
             })),
         )
     }
 
-    /// Quantized affine map `x · dequant(w) + bias` on the int8 GEMM path
-    /// of [`quant`] (inference only).
+    /// Quantized affine map `x · dequant(w) + bias`, recorded as
+    /// `linear_q8`, or with `gelu` its GELU, recorded as `linear_q8_gelu`, on
+    /// the int8 GEMM path of [`quant`] (inference only).
     ///
     /// The weight is a pre-quantized int8 matrix, not a tape node, and the
     /// op records **no backward closure**: a backward sweep treats it like a
     /// leaf and produces no gradient. Training must run under the f32
     /// backend; `emba-nn`'s `Linear` only emits this op when the installed
     /// [`BackendKind`](crate::BackendKind) is quantized.
-    pub fn linear_q8(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor) -> Var {
-        self.push_q8("linear_q8", x, w, bias, false)
-    }
-
-    /// Quantized fused `gelu(x · dequant(w) + bias)`; see [`Graph::linear_q8`].
-    pub fn linear_q8_gelu(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor) -> Var {
-        self.push_q8("linear_q8_gelu", x, w, bias, true)
-    }
-
-    fn push_q8(&self, op: &'static str, x: Var, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Var {
+    pub fn linear_q8(&self, x: Var, w: &QuantizedMatrix, bias: &Tensor, gelu: bool) -> Var {
         let out = {
             let mut input = self.q8_input.borrow_mut();
             // A node's value never changes once recorded, so its index is
@@ -603,46 +542,7 @@ impl Graph {
             }
             quant::linear_q8_rows(&input.1, w, bias, gelu)
         };
-        self.push(op, out, vec![x.0], None)
-    }
-
-    /// Fused attention-score map `softmax_rows(scale · q · kᵀ)` (one node
-    /// instead of matmul_nt + scale + softmax_rows).
-    ///
-    /// The scale multiply is folded into the softmax pass on the way forward
-    /// and into the softmax Jacobian-vector product on the way back, so the
-    /// `[seq, seq]` score matrix is only traversed once in each direction.
-    pub fn attention_scores(&self, q: Var, k: Var, scale: f32) -> Var {
-        let vq = self.value(q);
-        let vk = self.value(k);
-        assert_eq!(
-            vq.cols(),
-            vk.cols(),
-            "attention_scores: q width {} vs k width {}",
-            vq.cols(),
-            vk.cols()
-        );
-        let (m, d, n) = (vq.rows(), vq.cols(), vk.rows());
-        let mut buf = pool::take_uninit(m * n);
-        kernels::gemm_nt(m, d, n, vq.data(), vk.data(), &mut buf);
-        for row in buf.chunks_exact_mut(n.max(1)) {
-            kernels::scaled_softmax_in_place(row, scale);
-        }
-        let out = Tensor::from_vec(m, n, buf);
-        let p = out.clone();
-        self.push("attention_scores",
-            out,
-            vec![q.0, k.0],
-            Some(Box::new(move |g, sink| {
-                let (m, n) = g.shape();
-                let mut ds = pool::take_uninit(m * n);
-                kernels::softmax_rows_backward_scaled(m, n, g.data(), p.data(), scale, &mut ds);
-                let ds = Tensor::from_vec(m, n, ds);
-                sink.add(0, ds.matmul(&vk));
-                sink.add(1, ds.matmul_tn(&vq));
-                ds.recycle();
-            })),
-        )
+        self.push(if gelu { "linear_q8_gelu" } else { "linear_q8" }, out, vec![x.0], None)
     }
 
     /// Matrix transpose.
@@ -756,14 +656,7 @@ impl Graph {
         // Per row `(mean, 1/std)`: with `x` itself (already on the tape) that
         // is everything the backward needs, so no normalized copy is saved.
         let mut stats = vec![(0.0f32, 0.0f32); m];
-        for ((xrow, orow), st) in vx
-            .data()
-            .chunks_exact(n.max(1))
-            .zip(out.chunks_exact_mut(n.max(1)))
-            .zip(stats.iter_mut())
-        {
-            *st = kernels::layer_norm_row(xrow, vg.data(), vb.data(), orow);
-        }
+        fwd::layer_norm_into(vx.data(), vg.data(), vb.data(), &mut out, Some(&mut stats));
 
         self.push("layer_norm",
             Tensor::from_vec(m, n, out),
@@ -998,9 +891,6 @@ impl Graph {
         let vq = self.value(q);
         let vk = self.value(k);
         let (nrows, ld) = vq.shape();
-        assert_eq!(vk.shape(), (nrows, ld), "attention_scores_grouped: q/k shape mismatch");
-        assert!(cols.start < cols.end && cols.end <= ld, "attention_scores_grouped: head {cols:?} outside width {ld}");
-        assert_eq!(groups.total(), nrows, "attention_scores_grouped: groups cover {} rows, q has {nrows}", groups.total());
         let (c0, d) = (cols.start, cols.len());
         let w = groups.max_len();
         let mut out = pool::take_uninit(nrows * w);
@@ -1055,11 +945,6 @@ impl Graph {
         let vv = self.value(v);
         let (nrows, ld) = vv.shape();
         let w = groups.max_len();
-        assert!(!vps.is_empty() && ld.is_multiple_of(vps.len()), "matmul_grouped: {} heads do not divide width {ld}", vps.len());
-        assert_eq!(groups.total(), nrows, "matmul_grouped: groups cover {} rows, got {nrows}", groups.total());
-        for vp in &vps {
-            assert_eq!(vp.shape(), (nrows, w), "matmul_grouped: probs must be [{nrows}, {w}]");
-        }
         let d = ld / vps.len();
         let mut out = pool::take_uninit(nrows * ld);
         let probs_data: Vec<&[f32]> = vps.iter().map(Tensor::data).collect();
@@ -1173,7 +1058,6 @@ impl Graph {
     pub fn mean_rows_grouped(&self, x: Var, groups: &RowGroups) -> Var {
         let vx = self.value(x);
         let (ma, n) = vx.shape();
-        assert_eq!(groups.total(), ma, "mean_rows_grouped: groups cover {} rows, got {ma}", groups.total());
         let gcount = groups.len();
         let mut out = pool::take_uninit(gcount * n);
         fwd::mean_rows_grouped_into(vx.data(), n, groups, &mut out);

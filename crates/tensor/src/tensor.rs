@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{kernels, pool};
+use crate::{fwd, kernels, pool};
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -454,7 +454,7 @@ impl Tensor {
     /// Mean over rows: `[m, n] -> [1, n]`.
     pub fn mean_axis0(&self) -> Self {
         let mut out = vec![0.0f32; self.cols];
-        crate::fwd::mean_rows_grouped_into(&self.data, self.cols, &crate::RowGroups::from_lens(&[self.rows]), &mut out);
+        fwd::mean_rows_grouped_into(&self.data, self.cols, &crate::RowGroups::from_lens(&[self.rows]), &mut out);
         Self::from_vec(1, self.cols, out)
     }
 
@@ -500,17 +500,7 @@ impl Tensor {
     ///
     /// Panics if `parts` is empty or the column counts differ.
     pub fn concat_rows(parts: &[&Tensor]) -> Self {
-        assert!(!parts.is_empty(), "concat_rows requires at least one tensor");
-        let cols = parts[0].cols;
-        let rows = parts.iter().map(|t| t.rows).sum();
-        let mut out = pool::take_uninit(rows * cols);
-        let mut at = 0;
-        for t in parts {
-            assert_eq!(t.cols, cols, "concat_rows: column mismatch {} vs {cols}", t.cols);
-            out[at..at + t.data.len()].copy_from_slice(&t.data);
-            at += t.data.len();
-        }
-        Self::from_vec(rows, cols, out)
+        Self::concat(parts, false)
     }
 
     /// Stacks tensors with identical row counts horizontally.
@@ -519,16 +509,15 @@ impl Tensor {
     ///
     /// Panics if `parts` is empty or the row counts differ.
     pub fn concat_cols(parts: &[&Tensor]) -> Self {
-        assert!(!parts.is_empty(), "concat_cols requires at least one tensor");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|t| t.cols).sum();
-        let mut out = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for t in parts {
-                assert_eq!(t.rows, rows, "concat_cols: row mismatch {} vs {rows}", t.rows);
-                out.extend_from_slice(t.row_slice(r));
-            }
-        }
+        Self::concat(parts, true)
+    }
+
+    /// [`fwd::concat_into`] of `parts` into a new tensor.
+    fn concat(parts: &[&Tensor], side_by_side: bool) -> Self {
+        let views: Vec<_> = parts.iter().map(|t| (t.data(), t.shape())).collect();
+        let (rows, cols) = fwd::concat_shape(&views, side_by_side);
+        let mut out = pool::take_uninit(rows * cols);
+        fwd::concat_into(&views, side_by_side, &mut out);
         Self::from_vec(rows, cols, out)
     }
 
@@ -702,6 +691,12 @@ mod tests {
         let bottom = t.slice_rows(1, 2);
         let back = Tensor::concat_rows(&[&top, &bottom]);
         assert_eq!(back, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "concat_cols: row mismatch")]
+    fn concat_cols_checks_rows_when_the_first_part_is_empty() {
+        let _ = Tensor::concat_cols(&[&Tensor::zeros(0, 2), &Tensor::ones(3, 2)]);
     }
 
     #[test]

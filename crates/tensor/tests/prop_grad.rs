@@ -1,7 +1,7 @@
 //! Property-based validation of every analytic gradient in the tape against
 //! central finite differences, plus algebraic invariants of the raw kernels.
 
-use emba_tensor::{gradcheck::check_gradients, Graph, Tensor, Var};
+use emba_tensor::{gradcheck::check_gradients, Graph, RowGroups, Tensor, Var};
 use proptest::prelude::*;
 
 const EPS: f32 = 1e-2;
@@ -99,11 +99,7 @@ proptest! {
     }
 
     #[test]
-    fn grad_bias_and_means(x in tensor(3, 4), b in tensor(1, 4)) {
-        check(&[x.clone(), b], |g, v| {
-            let y = g.add_bias(v[0], v[1]);
-            g.sum_all(y)
-        });
+    fn grad_mean_axis0(x in tensor(3, 4)) {
         check(&[x], |g, v| {
             let y = g.mean_axis0(v[0]);
             let sq = g.mul(y, y);
@@ -155,7 +151,7 @@ proptest! {
     #[test]
     fn grad_fused_linear(x in tensor(3, 4), w in tensor(4, 5), b in tensor(1, 5)) {
         check(&[x, w, b], |g, v| {
-            let y = g.linear(v[0], v[1], v[2]);
+            let y = g.linear(v[0], v[1], v[2], false);
             let sq = g.mul(y, y);
             g.mean_all(sq)
         });
@@ -164,15 +160,17 @@ proptest! {
     #[test]
     fn grad_fused_linear_bias_gelu(x in tensor(2, 3), w in tensor(3, 4), b in tensor(1, 4)) {
         check(&[x, w, b], |g, v| {
-            let y = g.linear_bias_gelu(v[0], v[1], v[2]);
+            let y = g.linear(v[0], v[1], v[2], true);
             g.sum_all(y)
         });
     }
 
     #[test]
     fn grad_fused_attention_scores(q in tensor(3, 4), k in tensor(5, 4), w in tensor(3, 5)) {
+        // The chain the fused grouped op replaces, from tape ops
+        // (prop_grouped.rs gradchecks the fused op itself).
         check(&[q, k, w], |g, v| {
-            let p = g.attention_scores(v[0], v[1], 0.5);
+            let p = g.softmax_rows(g.scale(g.matmul_nt(v[0], v[1]), 0.5));
             let y = g.mul(p, v[2]);
             g.sum_all(y)
         });
@@ -182,19 +180,21 @@ proptest! {
     fn fused_linear_matches_unfused(x in tensor(3, 4), w in tensor(4, 5), b in tensor(1, 5)) {
         let g = Graph::new();
         let (vx, vw, vb) = (g.leaf(x.clone()), g.leaf(w.clone()), g.leaf(b.clone()));
-        let fused = g.value(g.linear(vx, vw, vb));
-        let unfused = g.value(g.add_bias(g.matmul(vx, vw), vb));
-        for (a, e) in fused.data().iter().zip(unfused.data()) {
+        let fused = g.value(g.linear(vx, vw, vb, false));
+        // The product, then the bias row added to every row.
+        let product = g.value(g.matmul(vx, vw));
+        let unfused = product.data().iter().enumerate().map(|(i, &p)| p + b.data()[i % 5]);
+        for (a, e) in fused.data().iter().zip(unfused) {
             prop_assert!((a - e).abs() < 1e-5);
         }
     }
 
     #[test]
-    fn fused_attention_matches_unfused(q in tensor(4, 6), k in tensor(5, 6)) {
+    fn fused_attention_matches_unfused(q in tensor(4, 6), k in tensor(4, 6)) {
         let g = Graph::new();
         let (vq, vk) = (g.leaf(q), g.leaf(k));
         let scale = 1.0 / 6.0f32.sqrt();
-        let fused = g.value(g.attention_scores(vq, vk, scale));
+        let fused = g.value(g.attention_scores_grouped(vq, vk, 0..6, scale, &RowGroups::from_lens(&[4])));
         let unfused = g.value(g.softmax_rows(g.scale(g.matmul_nt(vq, vk), scale)));
         for (a, e) in fused.data().iter().zip(unfused.data()) {
             prop_assert!((a - e).abs() < 1e-5);

@@ -35,6 +35,20 @@ fn assert_close(a: &Tensor, b: &Tensor, tol: f32, what: &str) {
     }
 }
 
+/// `softmax_rows(scale · q · kᵀ)` by plain loops in f64: one sequence's
+/// attention scores.
+fn naive_attention(q: &Tensor, k: &Tensor, scale: f32) -> Tensor {
+    let mut out = Vec::with_capacity(q.rows() * k.rows());
+    for qi in q.iter_rows() {
+        let dot = |kj: &[f32]| qi.iter().zip(kj).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum::<f64>();
+        let logits: Vec<f64> = k.iter_rows().map(|kj| f64::from(scale) * dot(kj)).collect();
+        let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let sum: f64 = logits.iter().map(|l| (l - max).exp()).sum();
+        out.extend(logits.iter().map(|l| ((l - max).exp() / sum) as f32));
+    }
+    Tensor::from_vec(q.rows(), k.rows(), out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -165,7 +179,7 @@ proptest! {
         let (qv, kv, xv, wv) = (g.leaf(q.clone()), g.leaf(k.clone()), g.leaf(x.clone()), g.leaf(wcol.clone()));
 
         let fused = g.attention_scores_grouped(qv, kv, 0..d, 0.7, &groups);
-        let per = g.attention_scores(qv, kv, 0.7);
+        let per = g.leaf(naive_attention(&q, &k, 0.7));
         assert_close(&g.value(fused), &g.value(per), 1e-6, "attention_scores");
 
         let ctx_g = g.matmul_grouped(&[fused], xv, &groups);
@@ -217,11 +231,8 @@ proptest! {
         for gi in 0..groups.len() {
             let (r0, r1) = groups.range(gi);
             let t = r1 - r0;
-            // Per-sequence reference on its own tape.
-            let g2 = Graph::new();
-            let qs = g2.leaf(q.slice_rows(r0, r1));
-            let ks = g2.leaf(k.slice_rows(r0, r1));
-            let single = g2.value(g2.attention_scores(qs, ks, 0.6));
+            // Per-sequence reference.
+            let single = naive_attention(&q.slice_rows(r0, r1), &k.slice_rows(r0, r1), 0.6);
             for r in 0..t {
                 for c in 0..w {
                     let got = batched.get(r0 + r, c);

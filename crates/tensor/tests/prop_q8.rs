@@ -284,7 +284,7 @@ fn projections_sharing_one_input_equal_independent_quantizations() {
     let heads: Vec<(QuantizedMatrix, Tensor)> = (0..3).map(|_| (QuantizedMatrix::quantize(&rng.tensor(128, 128, -0.3, 0.3)), rng.tensor(1, 128, -0.1, 0.1))).collect();
     let g = Graph::new();
     let h = g.leaf(x.clone());
-    let shared: Vec<Tensor> = heads.iter().map(|(w, b)| g.value(g.linear_q8(h, w, b))).collect();
+    let shared: Vec<Tensor> = heads.iter().map(|(w, b)| g.value(g.linear_q8(h, w, b, false))).collect();
     for ((w, b), got) in heads.iter().zip(&shared) {
         assert_eq!(bits(got), bits(&linear_q8_forward(&x, w, b, false)));
         assert_eq!(bits(got), bits(&linear_q8_rows(&QuantizedRows::quantize(&x), w, b, false)));
@@ -304,10 +304,10 @@ fn quantized_rows_are_keyed_by_node_and_die_with_the_tape() {
     let (a, bb) = (g.leaf(xa.clone()), g.leaf(xb.clone()));
     // a, then another node of the same shape, then a again — and the fused
     // op's own output feeding the next one.
-    assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b))), expect(&xa, false));
-    assert_eq!(bits(&g.value(g.linear_q8(bb, &w, &b))), expect(&xb, false));
-    assert_eq!(bits(&g.value(g.linear_q8_gelu(a, &w, &b))), expect(&xa, true));
-    assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b))), expect(&xa, false));
+    assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b, false))), expect(&xa, false));
+    assert_eq!(bits(&g.value(g.linear_q8(bb, &w, &b, false))), expect(&xb, false));
+    assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b, true))), expect(&xa, true));
+    assert_eq!(bits(&g.value(g.linear_q8(a, &w, &b, false))), expect(&xa, false));
     g.recycle();
     // The profiler charges quantized work to rows of its own.
     prof::enable(profiling);
@@ -316,7 +316,7 @@ fn quantized_rows_are_keyed_by_node_and_die_with_the_tape() {
     // A new tape's node 0 is a different value under the same index.
     let g = Graph::new();
     let c = g.leaf(xc.clone());
-    assert_eq!(bits(&g.value(g.linear_q8(c, &w, &b))), expect(&xc, false));
+    assert_eq!(bits(&g.value(g.linear_q8(c, &w, &b, false))), expect(&xc, false));
     g.recycle();
 }
 

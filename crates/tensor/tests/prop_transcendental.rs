@@ -88,8 +88,8 @@ proptest! {
     ) {
         let g = Graph::new();
         let (vx, vw, vb) = (g.leaf(x), g.leaf(w), g.leaf(b));
-        let pre = g.value(g.linear(vx, vw, vb));
-        let fused = g.linear_bias_gelu(vx, vw, vb);
+        let pre = g.value(g.linear(vx, vw, vb, false));
+        let fused = g.linear(vx, vw, vb, true);
         let out = g.value(fused);
         for (&p, &o) in pre.data().iter().zip(out.data()) {
             prop_assert!((f64::from(o) - gelu_ref(p).0).abs() <= gelu_bound(p), "gelu({p}) = {o}");
@@ -158,11 +158,11 @@ proptest! {
             let ln = g.value(g.layer_norm(v, ones, zeros));
             prop_assert!(ln.row_slice(r).iter().all(|p| !p.is_finite()), "layer_norm row with {bad}");
             // A poisoned query row poisons its row of attention scores.
-            let att = g.value(g.attention_scores(v, g.leaf(x.clone()), 0.3));
+            let att = g.value(g.attention_scores_grouped(v, g.leaf(x.clone()), 0..11, 0.3, &RowGroups::from_lens(&[3])));
             prop_assert!(att.row_slice(r).iter().all(|p| !p.is_finite()), "attention row with {bad}");
             let w = g.leaf(Tensor::ones(11, 4));
             let b = g.leaf(Tensor::zeros(1, 4));
-            let fused = g.value(g.linear_bias_gelu(v, w, b));
+            let fused = g.value(g.linear(v, w, b, true));
             prop_assert!(fused.row_slice(r).iter().all(|p| !p.is_finite()), "linear_bias_gelu row with {bad}");
         }
     }
@@ -238,7 +238,7 @@ fn ops_are_bit_identical_across_tiers() {
         let gamma = g.leaf(Tensor::full(1, 21, 0.7));
         let beta = g.leaf(Tensor::full(1, 21, -0.2));
         let h = g.layer_norm(g.gelu(v), gamma, beta);
-        let p = g.attention_scores(h, v, 0.2);
+        let p = g.attention_scores_grouped(h, v, 0..21, 0.2, &RowGroups::from_lens(&[9]));
         let loss = g.mean_all(g.softmax_cols(p));
         let grads = g.backward(loss);
         let mut out = bits(g.value(p).data());

@@ -30,6 +30,17 @@ if [ -n "$stray_stamps" ]; then
     exit 1
 fi
 
+# The installed backend is read in three places besides its definition: the
+# tape's one int8 switch (`Linear::forward`), joint inference and the two
+# frozen split-method wrappers. Everything else takes the backend as a value.
+# Fail if another reader appears, so deleting the thread-local stays bounded.
+stray_kinds=$(git grep -l -E 'backend::(kind|\{[^}]*\bkind\b)' -- crates examples src tests | grep -v -x -F \
+    -e crates/tensor/src/backend.rs -e crates/nn/src/layers.rs -e crates/core/src/models.rs || true)
+if [ -n "$stray_kinds" ]; then
+    echo "backend::kind() read outside its allowlist: $stray_kinds" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
